@@ -12,9 +12,11 @@ banner(const std::string& title, const std::string& paper_ref)
     std::printf("Reproduces: %s\n", paper_ref.c_str());
     std::printf("Shot scale: GLD_SHOTS_SCALE=%.2f (raise for tighter "
                 "statistics); backend: GLD_BACKEND=%s; threads: "
-                "GLD_THREADS=%d; batch width: GLD_BATCH_WORDS=%d\n\n",
+                "GLD_THREADS=%d; batch width: GLD_BATCH_WORDS=%d; noise "
+                "sampling: GLD_NOISE_SAMPLING=%s\n\n",
                 BenchConfig::scale(), backend_name(backend_from_env()),
-                BenchConfig::threads(), batch_words_from_env());
+                BenchConfig::threads(), batch_words_from_env(),
+                noise_sampling_name(noise_sampling_from_env()));
 }
 
 void
@@ -23,6 +25,7 @@ apply_env(ExperimentConfig* cfg)
     cfg->threads = BenchConfig::threads();
     cfg->backend = backend_from_env();
     cfg->batch_words = batch_words_from_env();
+    cfg->noise_sampling = noise_sampling_from_env();
 }
 
 std::vector<NamedPolicy>

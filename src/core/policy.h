@@ -33,20 +33,10 @@ class Policy {
 
     /**
      * Gives oracle policies read access to a ground-truth leak oracle.
-     * Default: ignored.  The batch scheduler path calls this directly
-     * with a per-lane oracle view — every lane's policy sees only its
-     * own shot's truth.
+     * Default: ignored.  The runner calls this per block with a per-lane
+     * oracle view — every lane's policy sees only its own shot's truth.
      */
     virtual void set_leak_oracle(const LeakageOracle* /*oracle*/) {}
-
-    /**
-     * Convenience overload for the scalar path: forwards the simulator's
-     * ground-truth oracle (any backend behind the Simulator interface).
-     */
-    void set_oracle(const Simulator* sim)
-    {
-        set_leak_oracle(sim != nullptr ? &sim->leak_oracle() : nullptr);
-    }
 };
 
 /**

@@ -29,15 +29,11 @@ namespace gld {
  * alignas: adjacent slots' vector headers must not share a cache line.
  */
 struct alignas(64) ExperimentRunner::BlockResources {
-    std::unique_ptr<Simulator> sim;
-    std::vector<std::unique_ptr<Policy>> policies;  ///< scalar path: [0]
+    std::unique_ptr<BatchSimulator> sim;
+    std::vector<std::unique_ptr<Policy>> policies;  ///< one per lane
     std::unique_ptr<UnionFindDecoder> decoder;
 
-    // Scalar-path scratch.
-    std::vector<int> sched_stamp;
-    std::vector<uint8_t> syndrome1;
-
-    // Batch-path scratch (mirrors the locals the batch block held).
+    // Per-block scratch (mirrors the locals a fresh block would hold).
     std::vector<LrcSchedule> scheds;
     std::vector<RoundResult> rr;
     std::vector<std::vector<uint8_t>> flips;
@@ -75,9 +71,10 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
     const CssCode& code = ctx_->code();
     const int n_data = code.n_data();
     const int n_checks = code.n_checks();
+    const int rounds = cfg_.rounds;
     const int total = stream_shots(cfg_, stream);
-    const int first = block * shot_block(cfg_);
-    const int shots = std::min(shot_block(cfg_), total - first);
+    const int block_start = block * shot_block(cfg_);
+    const int shots = std::min(shot_block(cfg_), total - block_start);
 
     // The reuse ≡ fresh control arm: discarding the slot's cached state
     // per block reproduces the pre-reuse fresh-construction path exactly.
@@ -87,13 +84,16 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
     // Telemetry is a pure side channel: the StageClock and the counters
     // below never draw randomness and never feed a result-bearing sum,
     // and every call is a no-op when `telem` is null (always the case
-    // with telemetry compiled out or no collector attached).
+    // with telemetry compiled out or no collector attached).  The heatmap
+    // and the leak histogram are read off the ground-truth leak WORDS
+    // (one popcount per qubit instead of per-lane oracle walks), a
+    // read-only view of the same flags.
     telemetry::StageClock clock(telem);
 
     Metrics m;
-    m.rounds_per_shot = cfg_.rounds;
+    m.rounds_per_shot = rounds;
     if (cfg_.record_dlp_series)
-        m.dlp_series.assign(cfg_.rounds, 0.0);
+        m.dlp_series.assign(static_cast<size_t>(rounds), 0.0);
 
     // Every (stream, block) work unit owns three independent derived
     // generators — simulator, leakage-sampling shot draws, policy seed —
@@ -115,183 +115,27 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                                   cfg_.noise_sampling);
     else
         res->sim->reset_for_block(sim_seed);
-    Simulator* sim = res->sim.get();
+    BatchSimulator& sim = *res->sim;
     const uint64_t policy_seed = block_master.split(2).next_u64();
-
-    // A batch-capable backend takes the whole block as one lockstep shot
-    // batch (lane k == the scalar path's k-th shot of this block, same
-    // derived RNG streams — the Metrics come out bit-identical).
-    if (auto* bsim = dynamic_cast<BatchSimulator*>(sim)) {
-        clock.lap(telemetry::kSim);  // batch simulator reset/construction
-        return run_block_batch(*bsim, factory, policy_seed, shot_rng, shots,
-                               graph, telem, res);
-    }
-
     clock.lap(telemetry::kSim);  // simulator reset/construction
-    // One cached policy per slot (in-tree policies ignore the factory
-    // seed and fully reset in begin_shot — the PolicyFactory contract);
-    // the oracle is rebound every block.
-    if (res->policies.empty())
-        res->policies.push_back(factory(*ctx_, policy_seed));
-    Policy* policy = res->policies.front().get();
-    policy->set_oracle(sim);
-    clock.lap(telemetry::kPolicy);  // policy build/rebind
-    // Ground truth for the speculation accounting below: the shared
-    // LeakageDriver's flag state, read through the one oracle interface
-    // instead of per-call virtual hops on the backend.
-    const LeakageOracle& truth = sim->leak_oracle();
 
-    if (graph != nullptr && res->decoder == nullptr)
-        res->decoder = std::make_unique<UnionFindDecoder>(*graph);
-    UnionFindDecoder* decoder = res->decoder.get();
-    const std::vector<int>& z_checks = z_checks_;
-    const int nz = static_cast<int>(z_checks.size());
-    clock.lap(telemetry::kDecode);  // decoder construction
-
-    // Same initial values a fresh block's locals held, capacity reused.
-    res->sched_stamp.assign(static_cast<size_t>(n_data), -1);
-    std::vector<int>& sched_stamp = res->sched_stamp;
-    std::vector<uint8_t>& syndrome = res->syndrome1;
-
-    for (int shot = 0; shot < shots; ++shot) {
-        clock.lap(telemetry::kAccounting);
-        sim->reset_shot();
-        clock.lap(telemetry::kSim);
-        policy->begin_shot();
-        clock.lap(telemetry::kPolicy);
-        // Stamps are per shot: a stale stamp from an earlier shot at the
-        // same round index would mask that shot's false negatives.
-        std::fill(sched_stamp.begin(), sched_stamp.end(), -1);
-        if (cfg_.leakage_sampling)
-            sim->inject_data_leak(
-                static_cast<int>(shot_rng.uniform_int(n_data)));
-
-        if (graph != nullptr)
-            syndrome.assign(static_cast<size_t>(cfg_.rounds + 1) * nz, 0);
-        clock.lap(telemetry::kSim);
-
-        LrcSchedule sched;
-        RoundResult rr;
-        for (int r = 0; r < cfg_.rounds; ++r) {
-            // Account the LRCs about to be applied against ground truth.
-            for (int q : sched.data_qubits) {
-                if (truth.data_leaked(q))
-                    m.tp_total += 1;
-                else
-                    m.fp_total += 1;
-            }
-            m.lrc_data_total += static_cast<double>(sched.data_qubits.size());
-            m.lrc_check_total += static_cast<double>(sched.checks.size());
-            clock.lap(telemetry::kAccounting);
-
-            rr = sim->run_round(sched);
-            clock.lap(telemetry::kSim);
-            policy->observe(r, rr, &sched);
-            clock.lap(telemetry::kPolicy);
-
-            // False negatives: leaked data qubits the policy did not
-            // schedule for mitigation.
-            for (int q : sched.data_qubits)
-                sched_stamp[q] = r;
-            for (int q = 0; q < n_data; ++q) {
-                if (truth.data_leaked(q) && sched_stamp[q] != r)
-                    m.fn_total += 1;
-            }
-
-            // Hoisted oracle read: the same value feeds the DLP sum and
-            // the telemetry histogram (pure read — no draw, no state).
-            const int n_leaked = truth.n_data_leaked();
-            const double dlp = static_cast<double>(n_leaked) / n_data;
-            m.dlp_total += dlp;
-            if (cfg_.record_dlp_series)
-                m.dlp_series[r] += dlp;
-            m.check_leak_total +=
-                static_cast<double>(truth.n_check_leaked()) / n_checks;
-            if (telem != nullptr) {
-                ++telem->leak_hist[static_cast<size_t>(n_leaked)];
-                if (telem->heatmap.enabled()) {
-                    uint64_t* row = telem->heatmap.row(r);
-                    truth.add_leak_occupancy(row, n_data, row + n_data,
-                                             n_checks);
-                }
-            }
-
-            if (graph != nullptr) {
-                for (int zi = 0; zi < nz; ++zi) {
-                    syndrome[static_cast<size_t>(r) * nz + zi] =
-                        rr.detector[z_checks[zi]];
-                }
-            }
-            clock.lap(telemetry::kAccounting);
-        }
-
-        if (graph != nullptr) {
-            const std::vector<uint8_t> flips = sim->final_data_measure();
-            clock.lap(telemetry::kSim);
-            for (int zi = 0; zi < nz; ++zi) {
-                uint8_t det = rr.meas_flip[z_checks[zi]];
-                for (int q : code.check(z_checks[zi]).support)
-                    det ^= flips[q];
-                syndrome[static_cast<size_t>(cfg_.rounds) * nz + zi] = det;
-            }
-            uint8_t observed = 0;
-            for (int q : code.logical_z())
-                observed ^= flips[q];
-            clock.lap(telemetry::kAccounting);
-            const bool predicted = decoder->decode(syndrome);
-            clock.lap(telemetry::kDecode);
-            if ((observed != 0) != predicted)
-                ++m.logical_errors;
-            ++m.decoded_shots;
-        }
-        ++m.shots;
-    }
-    if (telem != nullptr) {
-        telem->shots += static_cast<uint64_t>(shots);
-        telem->rounds += static_cast<uint64_t>(shots) *
-                         static_cast<uint64_t>(cfg_.rounds);
-        telem->blocks += 1;
-        clock.lap(telemetry::kAccounting);
-    }
-    return m;
-}
-
-Metrics
-ExperimentRunner::run_block_batch(BatchSimulator& sim,
-                                  const PolicyFactory& factory,
-                                  uint64_t policy_seed, Rng shot_rng,
-                                  int shots,
-                                  const DecodingGraph* graph,
-                                  telemetry::Record* telem,
-                                  BlockResources* res) const
-{
-    const CssCode& code = ctx_->code();
-    const int n_data = code.n_data();
-    const int n_checks = code.n_checks();
+    // Every backend takes the block as lockstep shot batches of
+    // batch_width() lanes: 64*K on the packed backends, one on the
+    // scalar ones.  Lane k of a batch is the block's next shot and draws
+    // from the same derived RNG streams at every width, which is what
+    // keeps frame and batch_frame Metrics bit-identical.
     const int width = sim.batch_width();
     const int W = sim.batch_n_words();  ///< words per lane span (K)
     const int max_lanes = std::min(width, shots);
-    const int rounds = cfg_.rounds;
 
-    // Same pure-side-channel contract as the scalar path; the batch
-    // flavour reads the heatmap and the leak histogram off the ground
-    // truth leak WORDS (one popcount per qubit instead of 64 oracle
-    // walks), which is a read-only view of the same flags.
-    telemetry::StageClock clock(telem);
-
-    Metrics m;
-    m.rounds_per_shot = rounds;
-    if (cfg_.record_dlp_series)
-        m.dlp_series.assign(static_cast<size_t>(rounds), 0.0);
-
-    // One policy per lane, from the slot's cache — the pre-reuse path
-    // built all max_lanes from the block's one policy seed (exactly the
-    // seed the scalar path hands its single policy; in-tree policies
-    // derive no randomness from it, and per-shot behaviour is reset by
-    // begin_shot, so lane k's policy replays the scalar policy's k-th
-    // shot).  The cache only ever GROWS (a partial trailing block needs
+    // One policy per lane, from the slot's cache, all built from the
+    // block's one policy seed (in-tree policies derive no randomness
+    // from it, and per-shot behaviour is reset by begin_shot, so lane
+    // k's policy behaves exactly as one sequential policy would on shot
+    // k).  The cache only ever GROWS (a partial trailing block needs
     // fewer lanes than a full one); each lane's oracle view is rebound
-    // per block to show only that lane's truth on this block's simulator.
+    // per block to show only that lane's truth on this block's
+    // simulator.
     std::vector<std::unique_ptr<Policy>>& policies = res->policies;
     policies.reserve(static_cast<size_t>(max_lanes));
     while (static_cast<int>(policies.size()) < max_lanes)
@@ -333,7 +177,8 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
     check_leaked.assign(static_cast<size_t>(max_lanes), 0);
     // Float accumulators are buffered per (lane, round) and replayed
     // shot-major below: double addition is order-sensitive, and the gate
-    // vs the scalar backend is BIT-exact equality, not approximation.
+    // between batch widths (frame vs batch_frame) is BIT-exact equality,
+    // not approximation.
     std::vector<std::vector<double>>& dlp_buf = res->dlp_buf;
     std::vector<std::vector<double>>& chk_buf = res->chk_buf;
     if (static_cast<int>(dlp_buf.size()) < max_lanes) {
@@ -370,8 +215,8 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
             const size_t li = static_cast<size_t>(l);
             policies[li]->begin_shot();
             scheds[li].clear();
-            // Same per-shot draw the scalar path makes, in lane (= shot)
-            // order, from the same block-level stream.
+            // One per-shot draw in lane (= shot) order from the
+            // block-level stream: the same sequence at every batch width.
             if (cfg_.leakage_sampling)
                 sim.inject_data_leak_lane(
                     l, static_cast<int>(shot_rng.uniform_int(
@@ -507,8 +352,9 @@ ExperimentRunner::run_block_batch(BatchSimulator& sim,
             clock.lap(telemetry::kSim);
         }
 
-        // Shot-major replay of the per-shot tail: the float sums in the
-        // scalar accumulation order, then decode + shot counters.
+        // Shot-major replay of the per-shot tail: the float sums in shot
+        // order (the same at every batch width), then decode + shot
+        // counters.
         for (int l = 0; l < lanes; ++l) {
             const size_t li = static_cast<size_t>(l);
             for (int r = 0; r < rounds; ++r) {

@@ -104,6 +104,11 @@ using PolicyFactory = std::function<std::unique_ptr<Policy>(
  * semantics), while accounting speculation accuracy against the
  * simulator's ground-truth leakage state.  Optionally decodes the Z
  * detectors with union-find for the logical error rate.
+ *
+ * Every backend runs through one block path: a shot block is driven as
+ * lockstep batches over the BatchSimulator interface (one lane per batch
+ * on the scalar backends, 64*K on the packed ones), so there is a single
+ * implementation of every accounting rule.
  */
 class ExperimentRunner {
   public:
@@ -143,7 +148,7 @@ class ExperimentRunner {
      * result is independent of which thread runs which unit, but
      * changing the block size (like changing rng_streams or batch_words)
      * changes the draws.  Aligned with the bit-packed batch width
-     * (sim/batch_driver.h): a batch-capable backend runs a whole block
+     * (sim/batch_driver.h): a packed batch backend runs a whole block
      * as one lockstep batch, a partial final block as a batch with the
      * trailing lanes masked off.
      */
@@ -191,12 +196,6 @@ class ExperimentRunner {
     Metrics run_block(const PolicyFactory& factory, int stream, int block,
                       const DecodingGraph* graph, telemetry::Record* telem,
                       BlockResources* res) const;
-    Metrics run_block_batch(class BatchSimulator& sim,
-                            const PolicyFactory& factory,
-                            uint64_t policy_seed, Rng shot_rng, int shots,
-                            const DecodingGraph* graph,
-                            telemetry::Record* telem,
-                            BlockResources* res) const;
 
     const CodeContext* ctx_;
     ExperimentConfig cfg_;

@@ -98,14 +98,10 @@ Metrics::fp_sample(int n_data) const
 stats::RateSample
 Metrics::dlp_sample(int n_data) const
 {
-    return trajectory_sample(dlp_total, shots, rounds_per_shot, n_data);
-}
-
-stats::RateSample
-Metrics::check_leak_sample(int n_checks) const
-{
-    return trajectory_sample(check_leak_total, shots, rounds_per_shot,
-                             n_checks);
+    // dlp_total sums per-round leaked FRACTIONS of the data qubits;
+    // scaled by n_data it counts leaked data qubit-rounds like fn/fp.
+    return trajectory_sample(dlp_total * static_cast<double>(n_data), shots,
+                             rounds_per_shot, n_data);
 }
 
 namespace {

@@ -115,10 +115,11 @@ struct Metrics {
     stats::RateSample fn_sample(int n_data) const;
     /** Per-round FP fraction over shot x data-qubit trajectories. */
     stats::RateSample fp_sample(int n_data) const;
-    /** Per-round DLP fraction over shot x data-qubit trajectories. */
+    /**
+     * Per-round DLP fraction over shot x data-qubit trajectories; its
+     * rate() is dlp_mean().
+     */
     stats::RateSample dlp_sample(int n_data) const;
-    /** Per-round check-leak fraction over shot x check trajectories. */
-    stats::RateSample check_leak_sample(int n_checks) const;
 };
 
 /**

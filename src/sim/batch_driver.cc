@@ -14,8 +14,11 @@
 // ifunc) where the CPU has them.  The lane-RNG step is pure 64-bit
 // shift/add/xor, which widens perfectly — the clones only change
 // shots/second, never results.
+// Sanitizer runtimes initialize after ifunc resolvers run, so a clone
+// resolver in an instrumented binary crashes before main: ASan and TSan
+// builds take the default (portable) body.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_ADDRESS__)
+    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
 #define GLD_BATCH_HOT \
     __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
 #else

@@ -13,19 +13,8 @@
 
 namespace gld {
 
-/** Lanes per batch word: 64 Monte-Carlo shots packed one per bit. */
-constexpr int kBatchLanes = 64;
-
 /** Max lanes of one batch (kMaxBatchWords words of kBatchLanes shots). */
 constexpr int kMaxBatchLanes = kMaxBatchWords * kBatchLanes;
-
-/**
- * One bit per lane; bit l of word w set means "lane w*64+l participates".
- * A batch driver built with `batch_words` W addresses lanes through
- * W-word spans (`const LaneMask*` of W words); W == 1 is the classic
- * one-word batch.
- */
-using LaneMask = uint64_t;
 
 /** Invokes f(lane) for every set bit of the single word m, ascending. */
 template <typename F>
@@ -803,47 +792,6 @@ class BatchLeakageDriver final {
     std::vector<int> lrc_partner_;
     std::vector<LaneOracle> lane_oracles_;
     BatchStatePrimitives* state_;
-};
-
-/**
- * A batch-capable simulation backend: the full scalar Simulator API (so
- * every interface-level test, policy and tool works unchanged — scalar
- * calls address lane 0) plus the lockstep batch entry points the
- * scheduler uses to run a whole shot block as one unit.
- */
-class BatchSimulator : public Simulator {
-  public:
-    /** Max shots one batch holds (batch_words*64 for packed backends). */
-    virtual int batch_width() const = 0;
-
-    /** Starts a batch of n_lanes shots (see BatchLeakageDriver). */
-    virtual void reset_shot_batch(int n_lanes) = 0;
-
-    /** Forces lane `lane`'s data qubit q into the leaked state. */
-    virtual void inject_data_leak_lane(int lane, int q) = 0;
-
-    /** Ground-truth oracle of one lane's shot. */
-    virtual const LeakageOracle& lane_oracle(int lane) const = 0;
-
-    /** Words per lane span (K); leaked_words() strides by this. */
-    virtual int batch_n_words() const = 0;
-
-    /**
-     * Ground-truth leak-flag words, one span per qubit (bit l of word w
-     * = lane w*64+l) — the whole batch's truth in one read, so the
-     * runner's per-round speculation accounting is popcounts over words
-     * instead of per-lane oracle walks.  Entry q*batch_n_words()+w is
-     * word w of qubit q (data qubits first, then ancillas).
-     */
-    virtual const LaneMask* leaked_words() const = 0;
-
-    /** One lockstep round over every active lane. */
-    virtual void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
-                                 std::vector<RoundResult>* out) = 0;
-
-    /** Lockstep final transversal readout of every active lane. */
-    virtual void final_data_measure_batch(
-        std::vector<std::vector<uint8_t>>* out) = 0;
 };
 
 /**

@@ -66,7 +66,7 @@ LeakageDriver::n_data_leaked() const
 {
     int n = 0;
     for (int q = 0; q < code_->n_data(); ++q)
-        n += leaked_[static_cast<size_t>(q)];
+        n += static_cast<int>(leaked_[static_cast<size_t>(q)]);
     return n;
 }
 
@@ -75,19 +75,9 @@ LeakageDriver::n_check_leaked() const
 {
     int n = 0;
     for (int c = 0; c < code_->n_checks(); ++c)
-        n += leaked_[static_cast<size_t>(code_->ancilla_of(c))];
+        n += static_cast<int>(
+            leaked_[static_cast<size_t>(code_->ancilla_of(c))]);
     return n;
-}
-
-void
-LeakageDriver::add_leak_occupancy(uint64_t* data_row, int n_data,
-                                  uint64_t* check_row, int n_checks) const
-{
-    for (int q = 0; q < n_data; ++q)
-        data_row[q] += leaked_[static_cast<size_t>(q)];
-    for (int c = 0; c < n_checks; ++c)
-        check_row[c] +=
-            leaked_[static_cast<size_t>(code_->ancilla_of(c))];
 }
 
 void

@@ -154,12 +154,13 @@ class LeakageDriver final : public LeakageOracle {
     }
     int n_data_leaked() const override;
     int n_check_leaked() const override;
-    /** Heatmap row accumulation as one pass over the flag array (the
-     *  layout is data qubits [0, n_data) then ancillas, so both halves
-     *  come from a single walk instead of 2 x n virtual calls). */
-    void add_leak_occupancy(uint64_t* data_row, int n_data,
-                            uint64_t* check_row,
-                            int n_checks) const override;
+
+    /**
+     * The flag array itself, one 0/1 word per qubit (data qubits first,
+     * then ancillas): exactly a one-lane batch's leak-word span, so
+     * LeakageDriverSim hands it out as its live leaked_words() view.
+     */
+    const LaneMask* leaked_words() const { return leaked_.data(); }
 
     /**
      * Applies the scheduled LRC gadgets (start-of-round semantics), then
@@ -196,7 +197,7 @@ class LeakageDriver final : public LeakageOracle {
     uint64_t shot_index_ = 0;  ///< shots started (next reset_shot id)
     StatePrimitives* state_;
 
-    std::vector<uint8_t> leaked_;  ///< leak flag per qubit
+    std::vector<LaneMask> leaked_;  ///< leak flag (0/1) per qubit
     std::vector<uint8_t> prev_meas_;
     std::vector<int> lrc_partner_;
     bool first_round_ = true;
@@ -209,9 +210,42 @@ class LeakageDriver final : public LeakageOracle {
  * this way, which is what keeps them semantically identical by
  * construction — a third backend is a primitives provider, not a
  * re-implementation of the round dynamics.
+ *
+ * The batch entry points run a one-lane batch: lane 0 is the driver's
+ * current shot, so the runner drives scalar and packed backends through
+ * the same block path.
  */
-class LeakageDriverSim : public Simulator, protected StatePrimitives {
+class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
   public:
+    // --- BatchSimulator, one lane wide. ---
+    int batch_width() const final { return 1; }
+    int batch_n_words() const final { return 1; }
+    void reset_shot_batch(int /*n_lanes == 1*/) final { reset_shot(); }
+    void inject_data_leak_lane(int /*lane == 0*/, int q) final
+    {
+        driver_.set_leak(q);
+    }
+    const LeakageOracle& lane_oracle(int /*lane == 0*/) const final
+    {
+        return driver_;
+    }
+    const LaneMask* leaked_words() const final
+    {
+        return driver_.leaked_words();
+    }
+    void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
+                         std::vector<RoundResult>* out) final
+    {
+        out->resize(1);
+        (*out)[0] = driver_.run_round(lane_lrcs[0]);
+    }
+    void final_data_measure_batch(
+        std::vector<std::vector<uint8_t>>* out) final
+    {
+        out->resize(1);
+        (*out)[0] = driver_.final_data_measure();
+    }
+
     void reset_shot() final { driver_.reset_shot(); }
     /**
      * Default reuse reset for backends whose only randomness is the

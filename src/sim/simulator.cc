@@ -78,20 +78,6 @@ throw_unknown_sampling(const std::string& what)
 
 }  // namespace
 
-void
-LeakageOracle::add_leak_occupancy(uint64_t* data_row, int n_data,
-                                  uint64_t* check_row, int n_checks) const
-{
-    for (int q = 0; q < n_data; ++q) {
-        if (data_leaked(q))
-            ++data_row[q];
-    }
-    for (int c = 0; c < n_checks; ++c) {
-        if (check_leaked(c))
-            ++check_row[c];
-    }
-}
-
 const char*
 backend_name(SimBackend backend)
 {
@@ -273,7 +259,7 @@ batch_words_from_env()
     return static_cast<int>(v);
 }
 
-std::unique_ptr<Simulator>
+std::unique_ptr<BatchSimulator>
 make_simulator(SimBackend backend, const CssCode& code,
                const RoundCircuit& rc, const NoiseParams& np, uint64_t seed,
                int batch_words, NoiseSampling noise_sampling)

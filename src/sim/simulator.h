@@ -58,20 +58,6 @@ class LeakageOracle {
     virtual int n_data_leaked() const = 0;
     /** Number of currently-leaked ancilla qubits. */
     virtual int n_check_leaked() const = 0;
-
-    /**
-     * Telemetry hook (src/telemetry/): adds 1 to data_row[q] for every
-     * currently-leaked data qubit q in [0, n_data) and to check_row[c]
-     * for every leaked check ancilla c in [0, n_checks) — one row of the
-     * per-qubit x per-round leakage-occupancy heatmap.  Pure read of the
-     * ground-truth flags: never draws randomness, never mutates state,
-     * so attaching it cannot perturb a run (the telemetry drift gate
-     * pins this).  The default walks the boolean oracle interface;
-     * LeakageDriver overrides it with a direct pass over its flag array.
-     */
-    virtual void add_leak_occupancy(uint64_t* data_row, int n_data,
-                                    uint64_t* check_row,
-                                    int n_checks) const;
 };
 
 /**
@@ -151,6 +137,64 @@ class Simulator {
      * qubits read out randomly).
      */
     virtual std::vector<uint8_t> final_data_measure() = 0;
+};
+
+/** Lanes per batch word: 64 Monte-Carlo shots packed one per bit. */
+constexpr int kBatchLanes = 64;
+
+/**
+ * One bit per lane; bit l of word w set means "lane w*64+l participates".
+ * A batch driver built with `batch_words` W addresses lanes through
+ * W-word spans (`const LaneMask*` of W words); W == 1 is the classic
+ * one-word batch.
+ */
+using LaneMask = uint64_t;
+
+/**
+ * Every backend is a BatchSimulator: the full Simulator API (so every
+ * interface-level test, policy and tool works unchanged) plus the
+ * lockstep batch entry points the runner drives a whole shot block
+ * through.  The packed backends (batch_frame, batch_tableau) hold
+ * batch_n_words()*64 lanes; the scalar backends (frame, tableau) are
+ * one-lane batches, so there is exactly one block path and one
+ * speculation-accounting implementation for all of them.
+ */
+class BatchSimulator : public Simulator {
+  public:
+    /** Max shots one batch holds (batch_words*64 for packed backends). */
+    virtual int batch_width() const = 0;
+
+    /** Starts a batch of n_lanes shots (see BatchLeakageDriver). */
+    virtual void reset_shot_batch(int n_lanes) = 0;
+
+    /** Forces lane `lane`'s data qubit q into the leaked state. */
+    virtual void inject_data_leak_lane(int lane, int q) = 0;
+
+    /** Ground-truth oracle of one lane's shot. */
+    virtual const LeakageOracle& lane_oracle(int lane) const = 0;
+
+    /** Words per lane span (K); leaked_words() strides by this. */
+    virtual int batch_n_words() const = 0;
+
+    /**
+     * Ground-truth leak-flag words, one span per qubit (bit l of word w
+     * = lane w*64+l) — the whole batch's truth in one read, so the
+     * runner's per-round speculation accounting is popcounts over words
+     * instead of per-lane oracle walks.  Entry q*batch_n_words()+w is
+     * word w of qubit q (data qubits first, then ancillas).  A live
+     * view: the pointer stays valid across rounds and shots, and its
+     * words always hold the current flags — the runner reads it both
+     * before and after run_round_batch.
+     */
+    virtual const LaneMask* leaked_words() const = 0;
+
+    /** One lockstep round over every active lane. */
+    virtual void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
+                                 std::vector<RoundResult>* out) = 0;
+
+    /** Lockstep final transversal readout of every active lane. */
+    virtual void final_data_measure_batch(
+        std::vector<std::vector<uint8_t>>* out) = 0;
 };
 
 /**
@@ -288,7 +332,7 @@ double backend_cost_factor(SimBackend backend, int n_qubits);
  * selects the batch backends' Bernoulli draw contract (lockstep or
  * event-driven sparse); scalar backends ignore it.
  */
-std::unique_ptr<Simulator> make_simulator(
+std::unique_ptr<BatchSimulator> make_simulator(
     SimBackend backend, const CssCode& code, const RoundCircuit& rc,
     const NoiseParams& np, uint64_t seed, int batch_words = 1,
     NoiseSampling noise_sampling = NoiseSampling::kLockstep);

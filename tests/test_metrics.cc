@@ -47,6 +47,22 @@ TEST(Metrics, NormalizedAccessors)
     EXPECT_DOUBLE_EQ(m.spec_inaccuracy(), 1.5);
 }
 
+TEST(Metrics, DlpSampleRateIsDlpMean)
+{
+    // dlp_total already sums per-round leaked fractions: the referee's
+    // DLP rate must be the mean leaked fraction itself, over
+    // shots x n_data trajectories.
+    Metrics m;
+    m.shots = 4;
+    m.rounds_per_shot = 5;
+    m.dlp_total = 2.0;
+    const int n_data = 9;
+    const stats::RateSample s = m.dlp_sample(n_data);
+    EXPECT_DOUBLE_EQ(s.rate(), m.dlp_mean());
+    EXPECT_DOUBLE_EQ(s.trials, 4.0 * n_data);
+    EXPECT_DOUBLE_EQ(s.events, 2.0 * n_data / 5.0);
+}
+
 TEST(Metrics, EquilibriumUsesTail)
 {
     Metrics m;

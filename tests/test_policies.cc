@@ -225,7 +225,7 @@ TEST(IdealPolicy, SchedulesExactlyGroundTruth)
     sim.inject_data_leak(2);
     sim.inject_check_leak(1);
     IdealPolicy policy(h.ctx);
-    policy.set_oracle(&sim);
+    policy.set_leak_oracle(&sim.leak_oracle());
     LrcSchedule out;
     policy.observe(0, quiet_round(h.code), &out);
     ASSERT_EQ(out.data_qubits.size(), 1u);

@@ -447,7 +447,7 @@ TEST(SimBackends, TableauClosedLoopRunsUnderEraserPolicy)
 TEST(SimBackends, TableauOracleFeedsIdealPolicyThroughInterface)
 {
     // IDEAL reads the ground-truth oracle through the Simulator base —
-    // with the tableau backend this only works if set_oracle is wired
+    // with the tableau backend this only works if set_leak_oracle is wired
     // through the interface, which is exactly what this pins.
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);

@@ -1,22 +1,46 @@
 #include <cstddef>
 #include "decode/decoding_graph.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace gld {
 
 DecodingGraph::DecodingGraph(int n_nodes, std::vector<GraphEdge> edges)
     : n_nodes_(n_nodes), edges_(std::move(edges))
 {
-    incidence_.assign(n_nodes_, {});
+    if (n_nodes_ < 0)
+        throw std::invalid_argument("DecodingGraph: negative node count");
+    auto check = [this](int node, size_t e) {
+        if (node < 0 || node >= n_nodes_)
+            throw std::invalid_argument(
+                "DecodingGraph: edge " + std::to_string(e) + " endpoint " +
+                std::to_string(node) + " outside [0, " +
+                std::to_string(n_nodes_) + ")");
+    };
+    // Counting pass, prefix sums, then a fill in edge order — each node's
+    // slice lists its edge ids ascending.
+    offsets_.assign(static_cast<size_t>(n_nodes_) + 1, 0);
     for (size_t e = 0; e < edges_.size(); ++e) {
         const GraphEdge& ge = edges_[e];
-        assert(ge.u >= 0 && ge.u < n_nodes_);
-        incidence_[ge.u].push_back(static_cast<int>(e));
+        check(ge.u, e);
+        ++offsets_[static_cast<size_t>(ge.u) + 1];
         if (ge.v != GraphEdge::kBoundary) {
-            assert(ge.v >= 0 && ge.v < n_nodes_);
-            incidence_[ge.v].push_back(static_cast<int>(e));
+            check(ge.v, e);
+            ++offsets_[static_cast<size_t>(ge.v) + 1];
         }
+    }
+    for (size_t v = 0; v < static_cast<size_t>(n_nodes_); ++v)
+        offsets_[v + 1] += offsets_[v];
+    incidence_.resize(static_cast<size_t>(offsets_.back()));
+    std::vector<int> fill(offsets_.begin(), offsets_.end() - 1);
+    for (size_t e = 0; e < edges_.size(); ++e) {
+        const GraphEdge& ge = edges_[e];
+        incidence_[static_cast<size_t>(fill[static_cast<size_t>(ge.u)]++)] =
+            static_cast<int>(e);
+        if (ge.v != GraphEdge::kBoundary)
+            incidence_[static_cast<size_t>(
+                fill[static_cast<size_t>(ge.v)]++)] = static_cast<int>(e);
     }
 }
 

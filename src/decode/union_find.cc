@@ -2,37 +2,44 @@
 #include "decode/union_find.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace gld {
 
 UnionFindDecoder::UnionFindDecoder(const DecodingGraph& graph)
-    : graph_(&graph)
+    : graph_(&graph), n_(graph.n_nodes())
 {
-    const int n = graph.n_nodes();
-    parent_.resize(n);
-    size_.resize(n);
-    parity_.resize(n);
-    boundary_.resize(n);
-    in_cluster_.resize(n);
-    frontier_.resize(n);
+    nodes_.resize(static_cast<size_t>(n_) + 1);
     edge_added_.assign(graph.edges().size(), 0);
-    // Virtual boundary node id = n, so the forest arrays span n + 1.
-    adj_.resize(static_cast<size_t>(n) + 1);
-    visited_.assign(static_cast<size_t>(n) + 1, 0);
-    parent_edge_.assign(static_cast<size_t>(n) + 1, -1);
-    parent_node_.assign(static_cast<size_t>(n) + 1, -1);
-    defect_.resize(static_cast<size_t>(n) + 1);
 }
 
 int
 UnionFindDecoder::find(int v)
 {
-    while (parent_[v] != v) {
-        parent_[v] = parent_[parent_[v]];
-        v = parent_[v];
+    while (nodes_[v].parent != v) {
+        nodes_[v].parent = nodes_[nodes_[v].parent].parent;
+        v = nodes_[v].parent;
     }
     return v;
+}
+
+void
+UnionFindDecoder::join(int v, uint8_t defect)
+{
+    Node& x = nodes_[v];
+    x.parent = v;
+    x.size = 1;
+    x.parity = defect;
+    x.boundary = 0;
+    x.defect = defect;
+    x.in_cluster = 1;
+    // A joining node brings its whole incidence slice onto the frontier.
+    x.fr_head = v;
+    x.fr_tail = v;
+    x.fr_next = -1;
+    x.fr_edges = static_cast<int>(graph_->incident_edges(v).size());
+    touched_.push_back(v);
 }
 
 void
@@ -42,38 +49,48 @@ UnionFindDecoder::unite(int a, int b)
     b = find(b);
     if (a == b)
         return;
-    if (size_[a] < size_[b])
+    if (nodes_[a].size < nodes_[b].size)
         std::swap(a, b);
-    parent_[b] = a;
-    size_[a] += size_[b];
-    parity_[a] ^= parity_[b];
-    boundary_[a] |= boundary_[b];
-    if (frontier_[a].size() < frontier_[b].size())
-        frontier_[a].swap(frontier_[b]);
-    frontier_[a].insert(frontier_[a].end(), frontier_[b].begin(),
-                        frontier_[b].end());
-    // clear() only — the absorbed root's capacity stays in the arena for
-    // the next decode (the old shrink_to_fit was an allocator round trip
-    // per merge).
-    frontier_[b].clear();
+    Node& ra = nodes_[a];
+    Node& rb = nodes_[b];
+    rb.parent = a;
+    ra.size += rb.size;
+    ra.parity ^= rb.parity;
+    ra.boundary |= rb.boundary;
+    // The frontier with more edges goes first, the surviving root's on a
+    // tie: the reference decoder's edge order, which exactness rests on.
+    if (rb.fr_head < 0)
+        return;
+    if (ra.fr_head < 0) {
+        ra.fr_head = rb.fr_head;
+        ra.fr_tail = rb.fr_tail;
+    } else if (ra.fr_edges < rb.fr_edges) {
+        nodes_[rb.fr_tail].fr_next = ra.fr_head;
+        ra.fr_head = rb.fr_head;
+    } else {
+        nodes_[ra.fr_tail].fr_next = rb.fr_head;
+        ra.fr_tail = rb.fr_tail;
+    }
+    ra.fr_edges += rb.fr_edges;
 }
 
 void
 UnionFindDecoder::bfs(int root)
 {
-    visited_[root] = 1;
-    queue_.clear();
-    queue_.push_back(root);
-    size_t head = 0;
-    while (head < queue_.size()) {
-        const int v = queue_[head++];
-        order_.push_back(v);
-        for (const auto& [w, e] : adj_[v]) {
-            if (!visited_[w]) {
-                visited_[w] = 1;
-                parent_edge_[w] = e;
-                parent_node_[w] = v;
-                queue_.push_back(w);
+    size_t head = order_.size();
+    nodes_[root].visited = 1;
+    nodes_[root].parent_edge = -1;
+    order_.push_back(root);
+    while (head < order_.size()) {
+        const int v = order_[head++];
+        for (int i = nodes_[v].adj_begin; i < nodes_[v].adj_end; ++i) {
+            const Arc arc = adj_[static_cast<size_t>(i)];
+            Node& w = nodes_[arc.node];
+            if (!w.visited) {
+                w.visited = 1;
+                w.parent_edge = arc.edge;
+                w.parent_node = v;
+                order_.push_back(arc.node);
             }
         }
     }
@@ -82,75 +99,77 @@ UnionFindDecoder::bfs(int root)
 bool
 UnionFindDecoder::decode(const std::vector<uint8_t>& syndrome)
 {
-    const auto& edges = graph_->edges();
-    const auto& incidence = graph_->incidence();
-    const int n = graph_->n_nodes();
-    assert(static_cast<int>(syndrome.size()) == n);
-
-    // Quiet-syndrome fast path: no defects means no clusters, an empty
-    // peeling forest and a false return — the full pass below computes
-    // exactly that, at O(n) initialization cost.  Quiet shots dominate
-    // at the paper's physical error rates, so this one scan is most of
-    // the decoder's steady-state cost.
-    bool quiet = true;
-    for (int v = 0; v < n; ++v) {
-        if (syndrome[v] != 0) {
-            quiet = false;
-            break;
-        }
+    if (syndrome.size() != static_cast<size_t>(n_))
+        throw std::invalid_argument(
+            "UnionFindDecoder::decode: syndrome has " +
+            std::to_string(syndrome.size()) + " entries, graph has " +
+            std::to_string(n_) + " nodes");
+    syndrome_defects_.clear();
+    for (int v = 0; v < n_; ++v) {
+        if (syndrome[static_cast<size_t>(v)] != 0)
+            syndrome_defects_.push_back(v);
     }
-    if (quiet) {
-        residual_ = 0;
+    return decode_defects(syndrome_defects_);
+}
+
+bool
+UnionFindDecoder::decode_defects(const std::vector<int>& defects)
+{
+    int prev = -1;
+    for (int v : defects) {
+        if (v <= prev || v >= n_)
+            throw std::invalid_argument(
+                "UnionFindDecoder::decode_defects: defect " +
+                std::to_string(v) + " after " + std::to_string(prev) +
+                " is out of range or out of order (graph has " +
+                std::to_string(n_) + " nodes)");
+        prev = v;
+    }
+    residual_ = 0;
+    if (defects.empty())
         return false;
-    }
 
-    defects_.clear();
-    for (int v = 0; v < n; ++v) {
-        parent_[v] = v;
-        size_[v] = 1;
-        parity_[v] = syndrome[v];
-        boundary_[v] = 0;
-        in_cluster_[v] = syndrome[v];
-        frontier_[v].clear();
-        if (syndrome[v]) {
-            defects_.push_back(v);
-            frontier_[v] = incidence[v];
-        }
-    }
-    // edge_added_ is all-zero here: the previous decode un-set exactly
-    // the entries it set (see the cleanup pass at the end).
+    const std::vector<GraphEdge>& edges = graph_->edges();
+    touched_.clear();
     added_edges_.clear();
+    for (int v : defects)
+        join(v, 1);
 
     // --- Growth. ---
-    odd_ = defects_;
+    odd_ = defects;
     while (!odd_.empty()) {
         next_.clear();
         for (int r : odd_) {
             r = find(r);
-            if (!parity_[r] || boundary_[r])
+            if (!nodes_[r].parity || nodes_[r].boundary)
                 continue;
-            std::vector<int> fr = std::move(frontier_[r]);
-            frontier_[r].clear();
-            for (int e : fr) {
-                if (edge_added_[e])
-                    continue;
-                const GraphEdge& ge = edges[e];
-                edge_added_[e] = 1;
-                added_edges_.push_back(e);
-                if (ge.v == GraphEdge::kBoundary) {
-                    boundary_[find(ge.u)] |= 1;
-                    continue;
-                }
-                for (int w : {ge.u, ge.v}) {
-                    if (!in_cluster_[w]) {
-                        in_cluster_[w] = 1;
-                        frontier_[w] = incidence[w];
+            // Detach the frontier, then walk it.  Its nodes are on no other
+            // list, so their fr_next links stay put while merges splice
+            // the lists of nodes that join meanwhile.
+            int x = nodes_[r].fr_head;
+            nodes_[r].fr_head = -1;
+            nodes_[r].fr_tail = -1;
+            nodes_[r].fr_edges = 0;
+            for (; x >= 0; x = nodes_[x].fr_next) {
+                for (int e : graph_->incident_edges(x)) {
+                    if (edge_added_[static_cast<size_t>(e)])
+                        continue;
+                    const GraphEdge& ge = edges[static_cast<size_t>(e)];
+                    edge_added_[static_cast<size_t>(e)] = 1;
+                    added_edges_.push_back(e);
+                    if (ge.v == GraphEdge::kBoundary) {
+                        nodes_[find(ge.u)].boundary = 1;
+                        continue;
                     }
+                    if (!nodes_[ge.u].in_cluster)
+                        join(ge.u, 0);
+                    if (!nodes_[ge.v].in_cluster)
+                        join(ge.v, 0);
+                    unite(ge.u, ge.v);
                 }
-                unite(ge.u, ge.v);
             }
             const int r2 = find(r);
-            if (parity_[r2] && !boundary_[r2])
+            if (nodes_[r2].parity && !nodes_[r2].boundary)
                 next_.push_back(r2);
         }
         std::sort(next_.begin(), next_.end());
@@ -158,68 +177,76 @@ UnionFindDecoder::decode(const std::vector<uint8_t>& syndrome)
         // Remove entries that merged into satisfied clusters.
         still_.clear();
         for (int r : next_) {
-            if (find(r) == r && parity_[r] && !boundary_[r])
+            if (find(r) == r && nodes_[r].parity && !nodes_[r].boundary)
                 still_.push_back(r);
         }
         odd_.swap(still_);
     }
 
     // --- Peeling over the grown subgraph. ---
-    // adj_ / visited_ / parent_edge_ / parent_node_ hold their between-
-    // decode invariants (empty / 0 / -1 / -1) — the cleanup pass below
-    // maintains them, so no O(n + E) re-initialization happens here.
+    // CSR adjacency over the touched nodes and the boundary node, each
+    // node's arcs in added_edges_ order: count, offset, fill.
+    Node& bnode = nodes_[n_];
+    bnode.adj_end = 0;
+    bnode.defect = 0;
+    for (int v : touched_)
+        nodes_[v].adj_end = 0;
     for (int e : added_edges_) {
-        const GraphEdge& ge = edges[e];
-        const int v = ge.v == GraphEdge::kBoundary ? n : ge.v;
-        adj_[ge.u].emplace_back(v, e);
-        adj_[v].emplace_back(ge.u, e);
+        const GraphEdge& ge = edges[static_cast<size_t>(e)];
+        ++nodes_[ge.u].adj_end;
+        ++nodes_[ge.v == GraphEdge::kBoundary ? n_ : ge.v].adj_end;
+    }
+    int offset = 0;
+    auto place = [&](Node& x) {
+        x.adj_begin = offset;
+        offset += x.adj_end;
+        x.adj_end = x.adj_begin;
+    };
+    place(bnode);
+    for (int v : touched_)
+        place(nodes_[v]);
+    adj_.resize(static_cast<size_t>(offset));
+    for (int e : added_edges_) {
+        const GraphEdge& ge = edges[static_cast<size_t>(e)];
+        const int v = ge.v == GraphEdge::kBoundary ? n_ : ge.v;
+        adj_[static_cast<size_t>(nodes_[ge.u].adj_end++)] = {v, e};
+        adj_[static_cast<size_t>(nodes_[v].adj_end++)] = {ge.u, e};
     }
     order_.clear();
-    bfs(n);  // clusters touching the boundary root at the boundary
+    bfs(n_);  // clusters touching the boundary root at the boundary
     for (int e : added_edges_) {
-        const GraphEdge& ge = edges[e];
-        if (!visited_[ge.u])
+        const GraphEdge& ge = edges[static_cast<size_t>(e)];
+        if (!nodes_[ge.u].visited)
             bfs(ge.u);
-        if (ge.v != GraphEdge::kBoundary && !visited_[ge.v])
+        if (ge.v != GraphEdge::kBoundary && !nodes_[ge.v].visited)
             bfs(ge.v);
     }
 
-    for (int v = 0; v < n; ++v)
-        defect_[v] = syndrome[v];
-    defect_[n] = 0;
     bool logical = false;
     for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
         const int v = *it;
-        if (v == n || !defect_[v])
+        if (v == n_ || !nodes_[v].defect)
             continue;
-        const int e = parent_edge_[v];
+        const int e = nodes_[v].parent_edge;
         if (e < 0)
             continue;  // unmatched defect (counted as residual below)
-        defect_[v] = 0;
-        defect_[parent_node_[v]] ^= 1;
-        if (edges[e].logical)
+        nodes_[v].defect = 0;
+        nodes_[nodes_[v].parent_node].defect ^= 1;
+        if (edges[static_cast<size_t>(e)].logical)
             logical = !logical;
     }
-    residual_ = 0;
-    for (int v = 0; v < n; ++v)
-        residual_ += defect_[v];
 
-    // Cleanup: restore the sparse-state invariants by undoing exactly
-    // what this decode touched.  order_ is the full visited set (every
-    // visited node is queued and every queued node is popped into
-    // order_), and the adj_ entries built above live only at added-edge
-    // endpoints.
-    for (int v : order_) {
-        visited_[v] = 0;
-        parent_edge_[v] = -1;
-        parent_node_[v] = -1;
+    // Residual count and cleanup in one pass: every defect and every
+    // visited node other than the boundary is a touched node.
+    for (int v : touched_) {
+        Node& x = nodes_[v];
+        residual_ += x.defect;
+        x.in_cluster = 0;
+        x.visited = 0;
     }
-    for (int e : added_edges_) {
-        const GraphEdge& ge = edges[e];
-        edge_added_[e] = 0;
-        adj_[ge.u].clear();
-        adj_[ge.v == GraphEdge::kBoundary ? n : ge.v].clear();
-    }
+    bnode.visited = 0;
+    for (int e : added_edges_)
+        edge_added_[static_cast<size_t>(e)] = 0;
     return logical;
 }
 

@@ -42,7 +42,7 @@ struct alignas(64) ExperimentRunner::BlockResources {
     std::vector<int> check_leaked;
     std::vector<std::vector<double>> dlp_buf;
     std::vector<std::vector<double>> chk_buf;
-    std::vector<std::vector<uint8_t>> syndrome;
+    std::vector<std::vector<int>> defects;  ///< per lane, ascending node ids
 };
 
 ExperimentRunner::ExperimentRunner(const CodeContext& ctx,
@@ -191,9 +191,12 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
         chk_buf[static_cast<size_t>(l)].resize(
             static_cast<size_t>(rounds));
     }
-    std::vector<std::vector<uint8_t>>& syndrome = res->syndrome;
-    if (static_cast<int>(syndrome.size()) < max_lanes)
-        syndrome.resize(static_cast<size_t>(max_lanes));
+    // Each lane's decoder input is its defect list: node r*nz + zi for
+    // every Z detector that fired, pushed round by round and then the
+    // final-readout row, so it is ascending by construction.
+    std::vector<std::vector<int>>& defects = res->defects;
+    if (static_cast<int>(defects.size()) < max_lanes)
+        defects.resize(static_cast<size_t>(max_lanes));
 
     for (int first = 0; first < shots; first += width) {
         const int lanes = std::min(width, shots - first);
@@ -221,10 +224,7 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                 sim.inject_data_leak_lane(
                     l, static_cast<int>(shot_rng.uniform_int(
                            static_cast<uint32_t>(n_data))));
-            if (graph != nullptr)
-                syndrome[li].assign(
-                    static_cast<size_t>(rounds + 1) * static_cast<size_t>(nz),
-                    0);
+            defects[li].clear();
         }
         clock.lap(telemetry::kSim);  // batch reset + leak injection
 
@@ -336,11 +336,9 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                     static_cast<double>(check_leaked[li]) / n_checks;
                 if (graph != nullptr) {
                     for (int zi = 0; zi < nz; ++zi) {
-                        syndrome[li][static_cast<size_t>(r) *
-                                         static_cast<size_t>(nz) +
-                                     static_cast<size_t>(zi)] =
-                            rr[li].detector[static_cast<size_t>(
-                                z_checks[static_cast<size_t>(zi)])];
+                        if (rr[li].detector[static_cast<size_t>(
+                                z_checks[static_cast<size_t>(zi)])])
+                            defects[li].push_back(r * nz + zi);
                     }
                 }
             }
@@ -370,15 +368,14 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                     uint8_t det = rr[li].meas_flip[static_cast<size_t>(zc)];
                     for (int q : code.check(zc).support)
                         det ^= flips[li][static_cast<size_t>(q)];
-                    syndrome[li][static_cast<size_t>(rounds) *
-                                     static_cast<size_t>(nz) +
-                                 static_cast<size_t>(zi)] = det;
+                    if (det)
+                        defects[li].push_back(rounds * nz + zi);
                 }
                 uint8_t observed = 0;
                 for (int q : code.logical_z())
                     observed ^= flips[li][static_cast<size_t>(q)];
                 clock.lap(telemetry::kAccounting);
-                const bool predicted = decoder->decode(syndrome[li]);
+                const bool predicted = decoder->decode_defects(defects[li]);
                 clock.lap(telemetry::kDecode);
                 if ((observed != 0) != predicted)
                     ++m.logical_errors;

@@ -74,33 +74,38 @@ ThreadPool::reset_peak()
     peak_active_.store(active_.load());
 }
 
+bool
+ThreadPool::claim_chunk(LoopTask* task, size_t* first, size_t* last)
+{
+    // Guided chunked grabs: take a shrinking slice of the remaining range
+    // per cursor bump (floor 1), so a long loop costs O(width * log n)
+    // contended fetch_adds instead of one per index, while the tail still
+    // load-balances index by index.
+    const size_t seen = task->cursor.load(std::memory_order_relaxed);
+    if (seen >= task->n)
+        return false;
+    const size_t chunk =
+        std::max<size_t>(1, (task->n - seen) /
+                                (4u * static_cast<size_t>(task->width)));
+    *first = task->cursor.fetch_add(chunk);
+    if (*first >= task->n)
+        return false;
+    *last = std::min(*first + chunk, task->n);
+    return true;
+}
+
 void
-ThreadPool::run_loop(LoopTask* task, int slot)
+ThreadPool::run_loop(LoopTask* task, int slot, size_t first, size_t last)
 {
     enter_active();
     try {
-        // Guided chunked grabs: take a shrinking slice of the remaining
-        // range per cursor bump (floor 1), so a long loop costs O(width *
-        // log n) contended fetch_adds instead of one per index, while the
-        // tail still load-balances index by index.
-        const size_t denom = 4u * static_cast<size_t>(task->width);
-        for (;;) {
-            const size_t seen = task->cursor.load(std::memory_order_relaxed);
-            if (seen >= task->n)
-                break;
-            size_t chunk = (task->n - seen) / denom;
-            if (chunk < 1)
-                chunk = 1;
-            const size_t first = task->cursor.fetch_add(chunk);
-            if (first >= task->n)
-                break;
-            const size_t last = std::min(first + chunk, task->n);
+        do {
             for (size_t i = first; i < last; ++i) {
                 if (task->aborted.load(std::memory_order_relaxed))
                     break;
                 (*task->fn)(i, slot);
             }
-        }
+        } while (claim_chunk(task, &first, &last));
     } catch (...) {
         {
             std::lock_guard<std::mutex> lock(task->mu);
@@ -131,7 +136,7 @@ ThreadPool::worker_main()
         lock.unlock();
 
         const int slot = task->slots.fetch_add(1);
-        run_loop(task, slot);
+        run_loop(task, slot, 0, 0);
         {
             // Final touch under the task's mutex: the caller's wait
             // predicate runs under it too, so it cannot wake, observe
@@ -166,6 +171,13 @@ ThreadPool::run(size_t n, int width,
     }
 
     LoopTask task(n, fn, static_cast<int>(eff));
+    // The caller claims its first chunk before any helper can see the
+    // task: otherwise helpers woken below may drain a short loop before
+    // the caller returns from the notify calls, and slot 0 would run
+    // nothing.  n >= 2 here, so the claim always succeeds.
+    size_t first = 0;
+    size_t last = 0;
+    claim_chunk(&task, &first, &last);
     {
         std::lock_guard<std::mutex> lock(mu_);
         task.helpers_wanted = static_cast<int>(eff) - 1;
@@ -180,7 +192,7 @@ ThreadPool::run(size_t n, int width,
     // The caller is executor 0 and drains the loop itself — helpers are
     // opportunistic, so nested loops make progress even with every
     // worker busy elsewhere.
-    run_loop(&task, 0);
+    run_loop(&task, 0, first, last);
 
     {
         // Unpublish: no NEW helper may claim the task once the caller is

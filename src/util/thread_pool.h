@@ -111,7 +111,10 @@ class ThreadPool {
 
     ThreadPool();
     void worker_main();
-    void run_loop(LoopTask* task, int slot);
+    /** Claims the task's next chunk [*first, *last); false once drained. */
+    static bool claim_chunk(LoopTask* task, size_t* first, size_t* last);
+    /** Runs [first, last), then claims and runs chunks until drained. */
+    void run_loop(LoopTask* task, int slot, size_t first, size_t last);
     void enter_active();
     void leave_active();
 

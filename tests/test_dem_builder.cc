@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "codes/surface_code.h"
 
 namespace gld {
@@ -81,7 +84,27 @@ TEST(DemBuilder, EveryNodeHasEdges)
     DemBuilder dem(code, rc, NoiseParams::standard(), 6);
     const DecodingGraph g = dem.build();
     for (int v = 0; v < g.n_nodes(); ++v)
-        EXPECT_FALSE(g.incidence()[v].empty()) << "isolated node " << v;
+        EXPECT_FALSE(g.incident_edges(v).empty()) << "isolated node " << v;
+}
+
+TEST(DecodingGraph, IncidenceIsCsrInEdgeOrderAndRejectsBadEndpoints)
+{
+    // Boundary edges appear at u only; each node lists its edges in
+    // ascending edge id.
+    const DecodingGraph g(3, {{0, 1, false, 0.1},
+                              {1, GraphEdge::kBoundary, true, 0.1},
+                              {1, 2, false, 0.1}});
+    EXPECT_EQ(std::vector<int>(g.incident_edges(0).begin(),
+                               g.incident_edges(0).end()),
+              std::vector<int>({0}));
+    EXPECT_EQ(std::vector<int>(g.incident_edges(1).begin(),
+                               g.incident_edges(1).end()),
+              std::vector<int>({0, 1, 2}));
+    EXPECT_EQ(g.incident_edges(2).size(), 1u);
+    EXPECT_THROW(DecodingGraph(3, {{0, 3, false, 0.1}}),
+                 std::invalid_argument);
+    EXPECT_THROW(DecodingGraph(3, {{-1, 2, false, 0.1}}),
+                 std::invalid_argument);
 }
 
 TEST(DemBuilder, TimeEdgesFromMeasurementFlips)

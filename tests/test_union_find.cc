@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "codes/surface_code.h"
 #include "decode/dem_builder.h"
 #include "util/rng.h"
@@ -116,6 +118,35 @@ TEST(UnionFindDecoder, ReusableAcrossCalls)
     const bool first = uf.decode(syndrome);
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(uf.decode(syndrome), first);
+}
+
+TEST(UnionFindDecoder, RejectsMalformedInput)
+{
+    // A short syndrome used to be read out of bounds in release builds
+    // (the length check was an assert); both entry points now throw
+    // before touching any state, and the decoder stays usable.
+    const CssCode code = SurfaceCode::make(3);
+    const RoundCircuit rc(code);
+    DemBuilder dem(code, rc, NoiseParams::standard(), 3);
+    const DecodingGraph g = dem.build();
+    UnionFindDecoder uf(g);
+    const int n = g.n_nodes();
+    EXPECT_THROW(uf.decode(std::vector<uint8_t>(n - 1, 0)),
+                 std::invalid_argument);
+    EXPECT_THROW(uf.decode(std::vector<uint8_t>(n + 1, 0)),
+                 std::invalid_argument);
+    EXPECT_THROW(uf.decode_defects({n}), std::invalid_argument);
+    EXPECT_THROW(uf.decode_defects({-1}), std::invalid_argument);
+    EXPECT_THROW(uf.decode_defects({3, 2}), std::invalid_argument);
+    EXPECT_THROW(uf.decode_defects({2, 2}), std::invalid_argument);
+
+    const GraphEdge& e = g.edges().front();
+    std::vector<uint8_t> syndrome(n, 0);
+    syndrome[e.u] = 1;
+    if (e.v != GraphEdge::kBoundary)
+        syndrome[e.v] = 1;
+    EXPECT_EQ(uf.decode(syndrome), e.logical);
+    EXPECT_EQ(uf.last_residual(), 0);
 }
 
 }  // namespace

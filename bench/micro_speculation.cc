@@ -1,6 +1,7 @@
-// Microbenchmarks (google-benchmark): online classification latency, table
-// construction, simulator round throughput, and union-find decoding — the
-// performance claims behind §4.4's "a few nanoseconds per syndrome".
+// Microbenchmarks (google-benchmark): online classification latency on
+// captured rounds, table construction, simulator round throughput, and
+// union-find decoding — the performance claims behind §4.4's "a few
+// nanoseconds per syndrome".
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "decode/dem_builder.h"
 #include "decode/union_find.h"
 #include "sim/frame_sim.h"
+#include "sim/lane_span.h"
 
 using namespace gld;
 using namespace gld::bench;
@@ -25,26 +27,6 @@ surface7()
     static CodeBundle bundle(SurfaceCode::make(7));
     return bundle;
 }
-
-void
-BM_PatternLookup(benchmark::State& state)
-{
-    const CodeBundle& b = surface7();
-    const NoiseParams np = NoiseParams::standard();
-    const PatternTableSet tables =
-        PatternTableSet::build(b.ctx, np, {}, false);
-    std::vector<uint8_t> detector(b.code.n_checks(), 0);
-    detector[3] = 1;
-    detector[7] = 1;
-    int q = 0;
-    for (auto _ : state) {
-        q = (q + 1) % b.code.n_data();
-        const uint32_t pat = b.ctx.pattern_of(q, detector);
-        benchmark::DoNotOptimize(
-            tables.is_leak(b.ctx.class_of(q), pat));
-    }
-}
-BENCHMARK(BM_PatternLookup);
 
 void
 BM_TableBuildSingleRound(benchmark::State& state)
@@ -221,64 +203,96 @@ BM_RunnerThreadScaling(benchmark::State& state)
 BENCHMARK(BM_RunnerThreadScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 /**
- * Decoder inputs captured from the simulator at the paper's d = 7
+ * One batch_frame batch of 64 shots captured at the paper's d = 7
  * headline config (70 rounds, GLADIATOR+M, p = 1e-3, lr = 0.1, LER on),
- * built the way the runner builds them: one batch_frame batch of 64
- * shots, one policy per lane, each shot's fired Z detectors as node
- * r*nz + zi, then the final-readout row.
+ * driven the way the runner drives it: the batched policy decides from
+ * the round's words, each lane's LRCs go back to the simulator.  Kept:
+ * every round's words (the policy inputs) and each shot's decoder input
+ * (fired Z detectors as node r*nz + zi, then the final-readout row).
  */
-struct CapturedSyndromes {
+struct PaperD7Capture {
+    int rounds = 0;
+    int lanes = 0;
+    LaneMask active[1] = {~0ull};
+    std::vector<std::vector<LaneMask>> det, mlr, meas, leaked;  ///< [round]
     std::unique_ptr<DecodingGraph> graph;
     std::vector<std::vector<int>> defects;  ///< per shot, ascending
+
+    RoundWords words(int r) const
+    {
+        RoundWords in;
+        in.active = active;
+        in.detector = det[static_cast<size_t>(r)].data();
+        in.mlr = mlr[static_cast<size_t>(r)].data();
+        in.meas_flip = meas[static_cast<size_t>(r)].data();
+        in.leaked = leaked[static_cast<size_t>(r)].data();
+        return in;
+    }
 };
 
-const CapturedSyndromes&
-paper_d7_syndromes()
+const NoiseParams kPaperNoise = NoiseParams::standard(1e-3, 0.1);
+
+const PaperD7Capture&
+paper_d7_capture()
 {
-    static const CapturedSyndromes cap = [] {
+    static const PaperD7Capture cap = [] {
         const CodeBundle& b = surface7();
-        const NoiseParams np = NoiseParams::standard(1e-3, 0.1);
-        const int rounds = 70;
-        const PolicyFactory factory = PolicyZoo::gladiator(true, np);
-        const std::unique_ptr<BatchSimulator> sim =
-            make_simulator(SimBackend::kBatchFrame, b.code, b.rc, np, 7);
-        const size_t lanes = static_cast<size_t>(sim->batch_width());
-        std::vector<std::unique_ptr<Policy>> policies;
-        for (size_t l = 0; l < lanes; ++l) {
-            policies.push_back(factory(b.ctx, 0));
-            policies.back()->set_leak_oracle(
-                &sim->lane_oracle(static_cast<int>(l)));
-        }
+        PaperD7Capture out;
+        out.rounds = 70;
+        const std::unique_ptr<Policy> policy =
+            PolicyZoo::gladiator(true, kPaperNoise)(b.ctx, 0);
+        const std::unique_ptr<BatchSimulator> sim = make_simulator(
+            SimBackend::kBatchFrame, b.code, b.rc, kPaperNoise, 7);
+        out.lanes = sim->batch_width();
+        const size_t lanes = static_cast<size_t>(out.lanes);
+        const int nc = b.code.n_checks();
         const std::vector<int> z = b.code.checks_of_type(CheckType::kZ);
         const int nz = static_cast<int>(z.size());
-        CapturedSyndromes out;
         out.graph = std::make_unique<DecodingGraph>(
-            DemBuilder(b.code, b.rc, np, rounds).build());
+            DemBuilder(b.code, b.rc, kPaperNoise, out.rounds).build());
         out.defects.resize(lanes);
         std::vector<LrcSchedule> scheds(lanes);
-        std::vector<RoundResult> rr;
-        sim->reset_shot_batch(static_cast<int>(lanes));
-        for (auto& p : policies)
-            p->begin_shot();
-        for (int r = 0; r < rounds; ++r) {
-            sim->run_round_batch(scheds, &rr);
-            for (size_t l = 0; l < lanes; ++l) {
-                policies[l]->observe(r, rr[l], &scheds[l]);
-                for (int zi = 0; zi < nz; ++zi) {
-                    if (rr[l].detector[static_cast<size_t>(z[zi])])
-                        out.defects[l].push_back(r * nz + zi);
-                }
-            }
+        LrcWords lrc;
+        sim->reset_shot_batch(out.lanes);
+        policy->begin_batch(out.active, 1);
+        for (int r = 0; r < out.rounds; ++r) {
+            sim->run_round_batch(scheds, nullptr);
+            out.det.emplace_back(sim->detector_words(),
+                                 sim->detector_words() + nc);
+            out.mlr.emplace_back(sim->mlr_words(), sim->mlr_words() + nc);
+            out.meas.emplace_back(sim->meas_flip_words(),
+                                  sim->meas_flip_words() + nc);
+            out.leaked.emplace_back(
+                sim->leaked_words(), sim->leaked_words() + b.code.n_qubits());
+            lrc.reset(b.code.n_data(), nc, 1);
+            policy->observe_batch(r, out.words(r), &lrc);
+            for (LrcSchedule& s : scheds)
+                s.clear();
+            for (int q = 0; q < b.code.n_data(); ++q)
+                for_each_lane(lrc.data[static_cast<size_t>(q)], [&](int l) {
+                    scheds[static_cast<size_t>(l)].data_qubits.push_back(q);
+                });
+            for (int c = 0; c < nc; ++c)
+                for_each_lane(lrc.checks[static_cast<size_t>(c)], [&](int l) {
+                    scheds[static_cast<size_t>(l)].checks.push_back(c);
+                });
+            for (int zi = 0; zi < nz; ++zi)
+                for_each_lane(out.det.back()[static_cast<size_t>(z[zi])],
+                              [&](int l) {
+                                  out.defects[static_cast<size_t>(l)]
+                                      .push_back(r * nz + zi);
+                              });
         }
         std::vector<std::vector<uint8_t>> flips;
         sim->final_data_measure_batch(&flips);
         for (size_t l = 0; l < lanes; ++l) {
             for (int zi = 0; zi < nz; ++zi) {
-                uint8_t det = rr[l].meas_flip[static_cast<size_t>(z[zi])];
+                uint8_t det = static_cast<uint8_t>(
+                    (out.meas.back()[static_cast<size_t>(z[zi])] >> l) & 1u);
                 for (int q : b.code.check(z[zi]).support)
                     det ^= flips[l][static_cast<size_t>(q)];
                 if (det)
-                    out.defects[l].push_back(rounds * nz + zi);
+                    out.defects[l].push_back(out.rounds * nz + zi);
             }
         }
         return out;
@@ -287,12 +301,52 @@ paper_d7_syndromes()
 }
 
 void
+BM_PolicyObserve(benchmark::State& state)
+{
+    // Online speculation on real rounds: one iteration replays all 70
+    // captured rounds of the 64-lane batch through GLADIATOR+M — arg 0
+    // through the batched word rule (the runner's path), arg 1 through
+    // the per-lane adapter (64 one-lane observe calls per round, what a
+    // policy without a word rule costs).  per_lane_round (printed in
+    // seconds, e.g. "40ns") is the paper's "nanoseconds per syndrome"
+    // figure for the whole code.
+    const CodeBundle& b = surface7();
+    const PaperD7Capture& cap = paper_d7_capture();
+    const PolicyFactory factory = PolicyZoo::gladiator(true, kPaperNoise);
+    std::unique_ptr<Policy> policy = factory(b.ctx, 0);
+    if (state.range(0) == 1) {
+        policy = std::make_unique<LaneAdapterPolicy>(
+            b.ctx, std::move(policy),
+            [&] { return factory(b.ctx, 0); });
+    }
+    LrcWords lrc;
+    size_t lrcs = 0;
+    for (auto _ : state) {
+        policy->begin_batch(cap.active, 1);
+        for (int r = 0; r < cap.rounds; ++r) {
+            lrc.reset(b.code.n_data(), b.code.n_checks(), 1);
+            policy->observe_batch(r, cap.words(r), &lrc);
+            for (LaneMask m : lrc.data)
+                lrcs += static_cast<size_t>(__builtin_popcountll(m));
+        }
+    }
+    benchmark::DoNotOptimize(lrcs);
+    const double lane_rounds = static_cast<double>(cap.rounds) *
+                               static_cast<double>(cap.lanes) *
+                               static_cast<double>(state.iterations());
+    state.counters["per_lane_round"] = benchmark::Counter(
+        lane_rounds,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PolicyObserve)->ArgName("per_lane")->Arg(0)->Arg(1);
+
+void
 BM_UnionFindDecode(benchmark::State& state)
 {
     // One decode per iteration, cycling through real captured syndromes
     // rather than i.i.d. bits, so growth and peeling see the cluster
     // shapes the runner does (defects_per_shot reports their size).
-    const CapturedSyndromes& cap = paper_d7_syndromes();
+    const PaperD7Capture& cap = paper_d7_capture();
     UnionFindDecoder uf(*cap.graph);
     size_t i = 0;
     size_t defects = 0;

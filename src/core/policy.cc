@@ -1,40 +1,236 @@
 #include "core/policy.h"
 
+#include <stdexcept>
+#include <string>
+
+#include "sim/lane_span.h"
+
 namespace gld {
 
+namespace {
+
+constexpr LaneMask kOneLane[1] = {1};
+
+/** The one-lane wrapper's buffers: the packed round and the masks. */
+struct OneLaneScratch {
+    std::vector<LaneMask> det, mlr, leaked;
+    LrcWords lrc;
+};
+
+/** Packs a 0/1 byte vector into one-lane (bit 0) words. */
 void
-append_mlr_checks(const RoundResult& rr, LrcSchedule* out)
+pack_one_lane(const std::vector<uint8_t>& bytes, std::vector<LaneMask>* out)
 {
-    for (size_t c = 0; c < rr.mlr_flag.size(); ++c) {
-        if (rr.mlr_flag[c])
-            out->checks.push_back(static_cast<int>(c));
-    }
+    out->resize(bytes.size());
+    for (size_t i = 0; i < bytes.size(); ++i)
+        (*out)[i] = bytes[i];
+}
+
+}  // namespace
+
+// --- WordPolicy: the one-lane wrapper ---
+
+void
+WordPolicy::begin_shot()
+{
+    begin_batch(kOneLane, 1);
 }
 
 void
-IdealPolicy::observe(int round, const RoundResult& rr, LrcSchedule* out)
+WordPolicy::observe(int round, const RoundResult& rr, LrcSchedule* out)
 {
-    (void)round;
-    (void)rr;
+    const int n_data = ctx_->code().n_data();
+    const int n_checks = ctx_->code().n_checks();
+    // The buffers are borrowed from the thread, not kept per instance:
+    // an adapter holds 64*K instances, and per-instance buffers crowd
+    // the cache.  Borrowing (a move, not a reference) keeps a nested
+    // call correct — it finds the pool empty and allocates its own.
+    thread_local OneLaneScratch pool;
+    OneLaneScratch s = std::move(pool);
+    pack_one_lane(rr.detector, &s.det);
+    pack_one_lane(rr.mlr_flag, &s.mlr);
+    RoundWords in;
+    in.active = kOneLane;
+    in.detector = s.det.data();
+    in.mlr = s.mlr.data();
+    if (reads_truth_) {
+        s.leaked.assign(static_cast<size_t>(ctx_->code().n_qubits()), 0);
+        for (int q = 0; oracle_ != nullptr && q < n_data; ++q)
+            s.leaked[static_cast<size_t>(q)] = oracle_->data_leaked(q);
+        for (int c = 0; oracle_ != nullptr && c < n_checks; ++c)
+            s.leaked[static_cast<size_t>(ctx_->code().ancilla_of(c))] =
+                oracle_->check_leaked(c);
+        in.leaked = s.leaked.data();
+    }
+    s.lrc.reset(n_data, n_checks, 1);
+    observe_batch(round, in, &s.lrc);
     out->clear();
-    if (oracle_ == nullptr)
-        return;
-    for (int q = 0; q < ctx_->code().n_data(); ++q) {
-        if (oracle_->data_leaked(q))
+    for (int q = 0; q < n_data; ++q) {
+        if (s.lrc.data[static_cast<size_t>(q)] & 1u)
             out->data_qubits.push_back(q);
     }
-    for (int c = 0; c < ctx_->code().n_checks(); ++c) {
-        if (oracle_->check_leaked(c))
+    for (int c = 0; c < n_checks; ++c) {
+        if (s.lrc.checks[static_cast<size_t>(c)] & 1u)
             out->checks.push_back(c);
+    }
+    pool = std::move(s);
+}
+
+// --- LaneAdapterPolicy ---
+
+LaneAdapterPolicy::LaneAdapterPolicy(const CodeContext& ctx,
+                                     std::unique_ptr<Policy> first,
+                                     LaneFactory make_lane)
+    : ctx_(&ctx), make_lane_(std::move(make_lane))
+{
+    lanes_.push_back(std::move(first));
+}
+
+void
+LaneAdapterPolicy::ensure_lanes(int n_lanes)
+{
+    lanes_.reserve(static_cast<size_t>(n_lanes));
+    while (static_cast<int>(lanes_.size()) < n_lanes)
+        lanes_.push_back(make_lane_());
+    if (static_cast<int>(sched_.size()) < n_lanes)
+        sched_.resize(static_cast<size_t>(n_lanes));
+}
+
+void
+LaneAdapterPolicy::bind(const BatchSimulator& sim, int n_lanes)
+{
+    ensure_lanes(n_lanes);
+    for (int l = 0; l < n_lanes; ++l)
+        lanes_[static_cast<size_t>(l)]->set_leak_oracle(&sim.lane_oracle(l));
+}
+
+void
+LaneAdapterPolicy::begin_batch(const LaneMask* active, int n_words)
+{
+    // Batches are dense lane prefixes: [0, n_active_).
+    n_active_ = 0;
+    for (int w = 0; w < n_words; ++w)
+        n_active_ += __builtin_popcountll(active[w]);
+    ensure_lanes(n_active_);
+    for (int l = 0; l < n_active_; ++l)
+        lanes_[static_cast<size_t>(l)]->begin_shot();
+}
+
+void
+LaneAdapterPolicy::observe_batch(int round, const RoundWords& in,
+                                 LrcWords* out)
+{
+    const int n_data = ctx_->code().n_data();
+    const int n_checks = ctx_->code().n_checks();
+    const int K = in.n_words;
+    round_words_to_results(in.meas_flip, in.detector, in.mlr, n_checks, K,
+                           n_active_, &rr_);
+    // One lane's ids into its masks, rejecting anything that is not an
+    // ascending set of in-range ids.
+    const auto add = [K](const std::vector<int>& ids, int n, int lane,
+                         const char* what, std::vector<LaneMask>* masks) {
+        int prev = -1;
+        for (int id : ids) {
+            const bool in_range = id >= 0 && id < n;
+            if (!in_range || id <= prev)
+                throw std::invalid_argument(
+                    "LaneAdapterPolicy: lane " + std::to_string(lane) +
+                    " schedules " + what + " " + std::to_string(id) +
+                    (in_range ? " out of ascending order or twice"
+                              : " outside [0, " + std::to_string(n) + ")"));
+            set_lane_bit(&(*masks)[static_cast<size_t>(id) *
+                                   static_cast<size_t>(K)],
+                         lane);
+            prev = id;
+        }
+    };
+    for (int l = 0; l < n_active_; ++l) {
+        const size_t li = static_cast<size_t>(l);
+        lanes_[li]->observe(round, rr_[li], &sched_[li]);
+        add(sched_[li].data_qubits, n_data, l, "data qubit", &out->data);
+        add(sched_[li].checks, n_checks, l, "check", &out->checks);
+    }
+}
+
+// --- Word rules ---
+
+void
+add_mlr_checks(const RoundWords& in, int n_checks, LrcWords* out)
+{
+    const size_t K = static_cast<size_t>(in.n_words);
+    for (size_t c = 0; c < static_cast<size_t>(n_checks); ++c) {
+        for (size_t w = 0; w < K; ++w)
+            out->checks[c * K + w] |= in.mlr[c * K + w] & in.active[w];
     }
 }
 
 void
-MlrOnlyPolicy::observe(int round, const RoundResult& rr, LrcSchedule* out)
+check_pattern_width(const CodeContext& ctx)
 {
-    (void)round;
-    out->clear();
-    append_mlr_checks(rr, out);
+    if (ctx.max_degree() > kMaxPatternBits)
+        throw std::invalid_argument(
+            "speculation policy: a data qubit observes " +
+            std::to_string(ctx.max_degree()) + " checks, more than " +
+            std::to_string(kMaxPatternBits));
+}
+
+FlagTablePolicy::FlagTablePolicy(const CodeContext& ctx, bool use_mlr)
+    : WordPolicy(ctx), use_mlr_(use_mlr),
+      table_of_(static_cast<size_t>(ctx.code().n_data()), nullptr)
+{
+    check_pattern_width(ctx);
+}
+
+void
+FlagTablePolicy::observe_batch(int, const RoundWords& in, LrcWords* out)
+{
+    const size_t K = static_cast<size_t>(in.n_words);
+    const int n_data = ctx_->code().n_data();
+    LaneMask det[kMaxPatternBits];
+    for (int q = 0; q < n_data; ++q) {
+        const uint8_t* table = table_of_[static_cast<size_t>(q)];
+        if (table == nullptr)
+            continue;
+        const std::vector<int>& checks = ctx_->observed_checks(q);
+        const int k = static_cast<int>(checks.size());
+        for (size_t w = 0; w < K; ++w) {
+            LaneMask any = 0;
+            for (int i = 0; i < k; ++i) {
+                det[i] = in.detector[static_cast<size_t>(checks[
+                                         static_cast<size_t>(i)]) *
+                                         K +
+                                     w];
+                any |= det[i];
+            }
+            out->data[static_cast<size_t>(q) * K + w] = flagged_lanes(
+                table, det, k, table[0] ? in.active[w] : any);
+        }
+    }
+    if (use_mlr_)
+        add_mlr_checks(in, ctx_->code().n_checks(), out);
+}
+
+void
+IdealPolicy::observe_batch(int, const RoundWords& in, LrcWords* out)
+{
+    const CssCode& code = ctx_->code();
+    const size_t K = static_cast<size_t>(in.n_words);
+    for (size_t q = 0; q < static_cast<size_t>(code.n_data()); ++q) {
+        for (size_t w = 0; w < K; ++w)
+            out->data[q * K + w] = in.leaked[q * K + w] & in.active[w];
+    }
+    for (int c = 0; c < code.n_checks(); ++c) {
+        const size_t a = static_cast<size_t>(code.ancilla_of(c)) * K;
+        for (size_t w = 0; w < K; ++w)
+            out->checks[static_cast<size_t>(c) * K + w] =
+                in.leaked[a + w] & in.active[w];
+    }
+}
+
+void
+MlrOnlyPolicy::observe_batch(int, const RoundWords& in, LrcWords* out)
+{
+    add_mlr_checks(in, ctx_->code().n_checks(), out);
 }
 
 }  // namespace gld

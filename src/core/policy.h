@@ -1,8 +1,10 @@
 #ifndef GLD_CORE_POLICY_H_
 #define GLD_CORE_POLICY_H_
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/code_context.h"
 #include "sim/simulator.h"
@@ -10,10 +12,55 @@
 namespace gld {
 
 /**
+ * One round of a lockstep batch as K-word lane spans (bit l of word w is
+ * lane w*64+l).  Per-check spans start at c*n_words, per-qubit spans at
+ * q*n_words.  Bits of inactive lanes are 0.
+ */
+struct RoundWords {
+    int n_words = 1;                      ///< K: words per lane span
+    const LaneMask* active = nullptr;     ///< the batch's lanes (one span)
+    const LaneMask* detector = nullptr;   ///< span per check
+    const LaneMask* mlr = nullptr;        ///< MLR leak flags, span per check
+    /** Span per check; only for LaneAdapterPolicy's per-lane results
+     *  (word rules do not read it, and the one-lane wrapper leaves it
+     *  null). */
+    const LaneMask* meas_flip = nullptr;
+    /** Ground-truth leak flags, span per qubit: data first, then
+     *  ancillas (BatchSimulator::leaked_words()). */
+    const LaneMask* leaked = nullptr;
+};
+
+/**
+ * A batch's LRC decisions as lane masks: lane l of qubit q's span set
+ * means "LRC q in lane l before the next round".  Masks are sets; the
+ * runner applies each lane's LRCs data-ascending, then checks-ascending.
+ */
+struct LrcWords {
+    std::vector<LaneMask> data;    ///< span per data qubit
+    std::vector<LaneMask> checks;  ///< span per check (its ancilla)
+
+    /** Sizes both to n_words-word spans and zeroes every lane. */
+    void reset(int n_data, int n_checks, int n_words)
+    {
+        data.assign(static_cast<size_t>(n_data) *
+                        static_cast<size_t>(n_words),
+                    0);
+        checks.assign(static_cast<size_t>(n_checks) *
+                          static_cast<size_t>(n_words),
+                      0);
+    }
+};
+
+/**
  * A leakage-mitigation policy: after each QEC round it observes the round's
  * syndrome (and optionally the MLR leak flags) and schedules LRC gadgets to
  * be applied at the start of the NEXT round (the paper's closed-loop
  * semantics, Fig 2(c)).
+ *
+ * Two interfaces: per lane (begin_shot/observe on one shot's bytes) and
+ * batched (begin_batch/observe_batch on a whole lockstep batch's words).
+ * The runner drives a batched() policy through the word interface and
+ * wraps any other in a LaneAdapterPolicy.
  */
 class Policy {
   public:
@@ -33,50 +80,211 @@ class Policy {
 
     /**
      * Gives oracle policies read access to a ground-truth leak oracle.
-     * Default: ignored.  The runner calls this per block with a per-lane
-     * oracle view — every lane's policy sees only its own shot's truth.
+     * Default: ignored.  Per-lane use only: every lane's policy sees only
+     * its own shot's truth (batched policies read RoundWords::leaked).
      */
     virtual void set_leak_oracle(const LeakageOracle* /*oracle*/) {}
+
+    /** True if this policy implements begin_batch/observe_batch. */
+    virtual bool batched() const { return false; }
+
+    /**
+     * Starts a new shot in every lane of `active` (n_words words): the
+     * batched begin_shot.  Only called when batched().
+     */
+    virtual void begin_batch(const LaneMask* /*active*/, int /*n_words*/) {}
+
+    /**
+     * The batched observe: consumes round `round` of every active lane
+     * and sets, in `out` (sized by LrcWords::reset to the code and
+     * in.n_words, and zeroed), the lanes that LRC each qubit before round
+     * `round + 1`.  Only active lanes may be set.  Only called when
+     * batched().
+     */
+    virtual void observe_batch(int /*round*/, const RoundWords& /*in*/,
+                               LrcWords* /*out*/)
+    {
+    }
+};
+
+/**
+ * Base of every in-tree policy: the policy is ONE word rule
+ * (begin_batch/observe_batch over a whole batch), and its per-lane
+ * begin_shot/observe is this shared one-lane wrapper — the bytes are
+ * packed into 1-word spans (bit 0), the rule runs, and the masks are
+ * unpacked data-ascending, then checks-ascending.  Each rule is thereby
+ * written once and the two interfaces agree by construction.
+ */
+class WordPolicy : public Policy {
+  public:
+    bool batched() const final { return true; }
+    void begin_shot() final;
+    void observe(int round, const RoundResult& rr, LrcSchedule* out) final;
+    void set_leak_oracle(const LeakageOracle* oracle) final
+    {
+        oracle_ = oracle;
+    }
+
+  protected:
+    /** @param reads_truth the rule reads RoundWords::leaked (IDEAL); the
+     *         one-lane wrapper then packs the leak oracle's flags. */
+    explicit WordPolicy(const CodeContext& ctx, bool reads_truth = false)
+        : ctx_(&ctx), reads_truth_(reads_truth)
+    {
+    }
+
+    const CodeContext* ctx_;
+
+  private:
+    bool reads_truth_;
+    const LeakageOracle* oracle_ = nullptr;
+};
+
+/**
+ * Runs per-lane Policy instances — policies that only implement observe —
+ * as one batched policy: it owns one instance per lane and their oracle
+ * bindings, transposes each round's words into per-lane RoundResults,
+ * calls every lane's observe, and ORs the schedules into lane masks.
+ * Schedules are sets: an id out of range, repeated, or out of ascending
+ * order throws std::invalid_argument naming the lane and the id.
+ */
+class LaneAdapterPolicy final : public Policy {
+  public:
+    using LaneFactory = std::function<std::unique_ptr<Policy>()>;
+
+    /**
+     * @param first lane 0's instance (already built).
+     * @param make_lane builds each further lane's instance on demand.
+     */
+    LaneAdapterPolicy(const CodeContext& ctx, std::unique_ptr<Policy> first,
+                      LaneFactory make_lane);
+
+    std::string name() const override { return lanes_[0]->name(); }
+    /** One lane: forwards to lane 0's instance. */
+    void begin_shot() override { lanes_[0]->begin_shot(); }
+    void observe(int round, const RoundResult& rr, LrcSchedule* out) override
+    {
+        lanes_[0]->observe(round, rr, out);
+    }
+    void set_leak_oracle(const LeakageOracle* oracle) override
+    {
+        lanes_[0]->set_leak_oracle(oracle);
+    }
+
+    bool batched() const override { return true; }
+    void begin_batch(const LaneMask* active, int n_words) override;
+    void observe_batch(int round, const RoundWords& in,
+                       LrcWords* out) override;
+
+    /**
+     * Grows to `n_lanes` instances (never shrinks) and binds lane l's
+     * oracle to sim.lane_oracle(l), per block.
+     */
+    void bind(const BatchSimulator& sim, int n_lanes);
+
+  private:
+    void ensure_lanes(int n_lanes);
+
+    const CodeContext* ctx_;
+    LaneFactory make_lane_;
+    std::vector<std::unique_ptr<Policy>> lanes_;
+    int n_active_ = 0;  ///< lanes of the current batch
+    std::vector<RoundResult> rr_;
+    std::vector<LrcSchedule> sched_;
+};
+
+/** Widest observed pattern a flag-table rule accepts (2^16 entries). */
+constexpr int kMaxPatternBits = 16;
+
+/**
+ * A per-data-qubit flag table over the qubit's observed pattern (bit i =
+ * detector of its i-th observed check): ERASER's popcount threshold and
+ * GLADIATOR's class tables.  The word rule evaluates the table only on
+ * the lanes in the OR of the qubit's detector words — plus every active
+ * lane when the quiet pattern itself is flagged — then adds the MLR
+ * ancillas for the +M variants.
+ */
+class FlagTablePolicy : public WordPolicy {
+  public:
+    FlagTablePolicy(const FlagTablePolicy&) = delete;
+    FlagTablePolicy& operator=(const FlagTablePolicy&) = delete;
+
+    void observe_batch(int round, const RoundWords& in,
+                       LrcWords* out) override;
+
+  protected:
+    /** Throws std::invalid_argument if a pattern is wider than
+     *  kMaxPatternBits. */
+    FlagTablePolicy(const CodeContext& ctx, bool use_mlr);
+
+    /** Data qubit q's table (2^degree entries); unset: never flagged. */
+    void set_table(int q, const uint8_t* table)
+    {
+        table_of_[static_cast<size_t>(q)] = table;
+    }
+
+    bool use_mlr_;
+
+  private:
+    std::vector<const uint8_t*> table_of_;
 };
 
 /**
  * IDEAL: oracle speculation — LRCs exactly the currently-leaked qubits.
  * Still pays LRC gadget noise; the paper's Fig 10/14 lower bound.
+ * Word rule: the truth-leak words.
  */
-class IdealPolicy : public Policy {
+class IdealPolicy : public WordPolicy {
   public:
-    explicit IdealPolicy(const CodeContext& ctx) : ctx_(&ctx) {}
-    std::string name() const override { return "IDEAL"; }
-    void set_leak_oracle(const LeakageOracle* oracle) override
+    explicit IdealPolicy(const CodeContext& ctx)
+        : WordPolicy(ctx, /*reads_truth=*/true)
     {
-        oracle_ = oracle;
     }
-    void observe(int round, const RoundResult& rr,
-                 LrcSchedule* out) override;
-
-  private:
-    const CodeContext* ctx_;
-    const LeakageOracle* oracle_ = nullptr;  ///< the shared driver's truth
+    std::string name() const override { return "IDEAL"; }
+    void observe_batch(int round, const RoundWords& in,
+                       LrcWords* out) override;
 };
 
 /**
  * M (MLR-only): no syndrome speculation; LRCs only the ancillas whose
  * multi-level readout flags leakage (Table 2's "M" column).  Data-qubit
  * leakage is never serviced — the paper's motivation for speculation.
+ * Word rule: the MLR words.
  */
-class MlrOnlyPolicy : public Policy {
+class MlrOnlyPolicy : public WordPolicy {
   public:
-    explicit MlrOnlyPolicy(const CodeContext& ctx) : ctx_(&ctx) {}
+    explicit MlrOnlyPolicy(const CodeContext& ctx) : WordPolicy(ctx) {}
     std::string name() const override { return "M"; }
-    void observe(int round, const RoundResult& rr,
-                 LrcSchedule* out) override;
-
-  private:
-    const CodeContext* ctx_;
+    void observe_batch(int round, const RoundWords& in,
+                       LrcWords* out) override;
 };
 
-/** Appends MLR-flagged ancillas to the schedule (the "+M" suffix). */
-void append_mlr_checks(const RoundResult& rr, LrcSchedule* out);
+/** Sets every MLR-flagged ancilla's lanes in `out` (the "+M" suffix). */
+void add_mlr_checks(const RoundWords& in, int n_checks, LrcWords* out);
+
+/**
+ * One word of a flag-table lookup: the lanes of `lanes` whose key is
+ * flagged, where bit i of a lane's key is its bit of planes[i] (i <
+ * n_planes) and table holds 2^n_planes entries.
+ */
+inline LaneMask
+flagged_lanes(const uint8_t* table, const LaneMask* planes, int n_planes,
+              LaneMask lanes)
+{
+    LaneMask fire = 0;
+    for (; lanes != 0; lanes &= lanes - 1) {
+        const int b = __builtin_ctzll(lanes);
+        uint32_t key = 0;
+        for (int i = 0; i < n_planes; ++i)
+            key |= static_cast<uint32_t>((planes[i] >> b) & 1u) << i;
+        fire |= static_cast<LaneMask>(table[key]) << b;
+    }
+    return fire;
+}
+
+/** Throws std::invalid_argument if a data qubit of `ctx` observes more
+ *  than kMaxPatternBits checks (the flag-table rules' key width). */
+void check_pattern_width(const CodeContext& ctx);
 
 }  // namespace gld
 

@@ -3,8 +3,20 @@
 namespace gld {
 
 EraserPolicy::EraserPolicy(const CodeContext& ctx, bool use_mlr)
-    : ctx_(&ctx), use_mlr_(use_mlr)
+    : FlagTablePolicy(ctx, use_mlr)
 {
+    tables_.resize(static_cast<size_t>(ctx.max_degree()) + 1);
+    for (int k = 1; k <= ctx.max_degree(); ++k) {
+        std::vector<uint8_t>& t = tables_[static_cast<size_t>(k)];
+        t.resize(size_t{1} << k);
+        for (uint32_t s = 0; s < t.size(); ++s)
+            t[s] = __builtin_popcount(s) >= threshold(k) ? 1 : 0;
+    }
+    for (int q = 0; q < ctx.code().n_data(); ++q) {
+        const int k = ctx.degree_of(q);
+        if (k > 0)
+            set_table(q, tables_[static_cast<size_t>(k)].data());
+    }
 }
 
 int
@@ -16,23 +28,6 @@ EraserPolicy::flagged_count(int k)
             ++n;
     }
     return n;
-}
-
-void
-EraserPolicy::observe(int round, const RoundResult& rr, LrcSchedule* out)
-{
-    (void)round;
-    out->clear();
-    for (int q = 0; q < ctx_->code().n_data(); ++q) {
-        const int k = ctx_->degree_of(q);
-        if (k == 0)
-            continue;
-        const uint32_t pat = ctx_->pattern_of(q, rr.detector);
-        if (__builtin_popcount(pat) >= threshold(k))
-            out->data_qubits.push_back(q);
-    }
-    if (use_mlr_)
-        append_mlr_checks(rr, out);
 }
 
 }  // namespace gld

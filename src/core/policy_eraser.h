@@ -1,6 +1,8 @@
 #ifndef GLD_CORE_POLICY_ERASER_H_
 #define GLD_CORE_POLICY_ERASER_H_
 
+#include <vector>
+
 #include "core/policy.h"
 
 namespace gld {
@@ -15,14 +17,13 @@ namespace gld {
  * code's 2-bit edge qubits it fires on ANY flip — the poor generalization
  * the paper dissects in §3.3.
  */
-class EraserPolicy : public Policy {
+class EraserPolicy : public FlagTablePolicy {
   public:
     EraserPolicy(const CodeContext& ctx, bool use_mlr);
     std::string name() const override
     {
         return use_mlr_ ? "ERASER+M" : "ERASER";
     }
-    void observe(int round, const RoundResult& rr, LrcSchedule* out) override;
 
     /** The popcount trigger threshold for a pattern of width k. */
     static int threshold(int k) { return (k + 1) / 2; }
@@ -30,8 +31,8 @@ class EraserPolicy : public Policy {
     static int flagged_count(int k);
 
   private:
-    const CodeContext* ctx_;
-    bool use_mlr_;
+    /** Per pattern width k: the flag table popcount >= threshold(k). */
+    std::vector<std::vector<uint8_t>> tables_;
 };
 
 }  // namespace gld

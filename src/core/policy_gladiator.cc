@@ -1,4 +1,3 @@
-#include <cstddef>
 #include "core/policy_gladiator.h"
 
 namespace gld {
@@ -6,69 +5,85 @@ namespace gld {
 GladiatorPolicy::GladiatorPolicy(
     const CodeContext& ctx, std::shared_ptr<const PatternTableSet> tables,
     bool use_mlr)
-    : ctx_(&ctx), tables_(std::move(tables)), use_mlr_(use_mlr)
+    : FlagTablePolicy(ctx, use_mlr), tables_(std::move(tables))
 {
-}
-
-void
-GladiatorPolicy::observe(int round, const RoundResult& rr, LrcSchedule* out)
-{
-    (void)round;
-    out->clear();
-    for (int q = 0; q < ctx_->code().n_data(); ++q) {
-        const int cls = ctx_->class_of(q);
-        if (ctx_->degree_of(q) == 0)
-            continue;
-        const uint32_t pat = ctx_->pattern_of(q, rr.detector);
-        if (tables_->is_leak(cls, pat))
-            out->data_qubits.push_back(q);
+    for (int q = 0; q < ctx.code().n_data(); ++q) {
+        if (ctx.degree_of(q) > 0)
+            set_table(q, tables_->table(ctx.class_of(q)).data());
     }
-    if (use_mlr_)
-        append_mlr_checks(rr, out);
 }
 
 GladiatorDPolicy::GladiatorDPolicy(
     const CodeContext& ctx, std::shared_ptr<const PatternTableSet> tables,
     bool use_mlr)
-    : ctx_(&ctx), tables_(std::move(tables)), use_mlr_(use_mlr)
+    : WordPolicy(ctx), tables_(std::move(tables)), use_mlr_(use_mlr)
 {
-    prev_pattern_.assign(ctx.code().n_data(), 0);
-    has_prev_.assign(ctx.code().n_data(), 0);
+    check_pattern_width(ctx);
+    size_t planes = 0;
+    for (int q = 0; q < ctx.code().n_data(); ++q) {
+        plane_base_.push_back(planes);
+        planes += static_cast<size_t>(ctx.degree_of(q));
+    }
+    plane_base_.push_back(planes);
+    const LaneMask one_lane[1] = {1};
+    begin_batch(one_lane, 1);
 }
 
 void
-GladiatorDPolicy::begin_shot()
+GladiatorDPolicy::begin_batch(const LaneMask*, int n_words)
 {
-    std::fill(prev_pattern_.begin(), prev_pattern_.end(), 0);
-    std::fill(has_prev_.begin(), has_prev_.end(), 0);
+    n_words_ = n_words;
+    const size_t K = static_cast<size_t>(n_words);
+    has_prev_.assign(static_cast<size_t>(ctx_->code().n_data()) * K, 0);
+    prev_planes_.assign(plane_base_.back() * K, 0);
 }
 
 void
-GladiatorDPolicy::observe(int round, const RoundResult& rr, LrcSchedule* out)
+GladiatorDPolicy::observe_batch(int, const RoundWords& in, LrcWords* out)
 {
-    (void)round;
-    out->clear();
+    if (in.n_words != n_words_)
+        begin_batch(in.active, in.n_words);
+    const size_t K = static_cast<size_t>(in.n_words);
+    // The decision key of a lane is (previous pattern << k) | this one:
+    // planes [0, k) hold this round's detectors, [k, 2k) the previous
+    // round's.
+    LaneMask key_planes[2 * kMaxPatternBits];
     for (int q = 0; q < ctx_->code().n_data(); ++q) {
-        const int k = ctx_->degree_of(q);
+        const std::vector<int>& checks = ctx_->observed_checks(q);
+        const int k = static_cast<int>(checks.size());
         if (k == 0)
             continue;
-        const uint32_t pat = ctx_->pattern_of(q, rr.detector);
-        if (has_prev_[q]) {
-            const uint32_t key = (prev_pattern_[q] << k) | pat;
-            const int cls = ctx_->class_of(q);
-            if (tables_->is_leak(cls, key)) {
-                out->data_qubits.push_back(q);
-                // The post-LRC window restarts: syndromes around the gadget
-                // are transient and must not seed the next decision.
-                has_prev_[q] = 0;
-                continue;
+        const uint8_t* table = tables_->table(ctx_->class_of(q)).data();
+        const size_t qs = static_cast<size_t>(q);
+        LaneMask* prev = &prev_planes_[plane_base_[qs] * K];
+        for (size_t w = 0; w < K; ++w) {
+            LaneMask any = 0;
+            for (int i = 0; i < k; ++i) {
+                LaneMask& cur = key_planes[i];
+                LaneMask& old = prev[static_cast<size_t>(i) * K + w];
+                cur = in.detector[static_cast<size_t>(
+                                      checks[static_cast<size_t>(i)]) *
+                                      K +
+                                  w];
+                key_planes[k + i] = old;
+                any |= cur | old;
+                old = cur;  // this round becomes the previous pattern
             }
+            // Decided only where a previous round is held.  The post-LRC
+            // window restarts: syndromes around the gadget are transient
+            // and must not seed the next decision, so a firing lane drops
+            // its history (the planes it stores this round are ignored,
+            // since a lane without history is not decided).
+            LaneMask& has_prev = has_prev_[qs * K + w];
+            const LaneMask fire = flagged_lanes(
+                table, key_planes, 2 * k,
+                has_prev & (table[0] ? in.active[w] : any));
+            out->data[qs * K + w] = fire;
+            has_prev = in.active[w] & ~fire;
         }
-        prev_pattern_[q] = pat;
-        has_prev_[q] = 1;
     }
     if (use_mlr_)
-        append_mlr_checks(rr, out);
+        add_mlr_checks(in, ctx_->code().n_checks(), out);
 }
 
 }  // namespace gld

@@ -14,7 +14,7 @@ namespace gld {
  * class's offline-built table; flagged patterns schedule an LRC for the
  * next round.  The +M variant also LRCs MLR-flagged ancillas.
  */
-class GladiatorPolicy : public Policy {
+class GladiatorPolicy : public FlagTablePolicy {
   public:
     /**
      * @param tables single-round tables from PatternTableSet::build(...,
@@ -27,7 +27,6 @@ class GladiatorPolicy : public Policy {
     {
         return use_mlr_ ? "GLADIATOR+M" : "GLADIATOR";
     }
-    void observe(int round, const RoundResult& rr, LrcSchedule* out) override;
 
     /** The (possibly shared) offline tables driving this policy. */
     const std::shared_ptr<const PatternTableSet>& tables() const
@@ -36,9 +35,7 @@ class GladiatorPolicy : public Policy {
     }
 
   private:
-    const CodeContext* ctx_;
     std::shared_ptr<const PatternTableSet> tables_;
-    bool use_mlr_;
 };
 
 /**
@@ -48,7 +45,7 @@ class GladiatorPolicy : public Policy {
  * second-round signatures while leakage stays random, so deferral cuts
  * false positives — crucial for the information-poor color-code patterns.
  */
-class GladiatorDPolicy : public Policy {
+class GladiatorDPolicy : public WordPolicy {
   public:
     /** @param tables two-round tables (two_round = true). */
     GladiatorDPolicy(const CodeContext& ctx,
@@ -58,8 +55,9 @@ class GladiatorDPolicy : public Policy {
     {
         return use_mlr_ ? "GLADIATOR-D+M" : "GLADIATOR-D";
     }
-    void begin_shot() override;
-    void observe(int round, const RoundResult& rr, LrcSchedule* out) override;
+    void begin_batch(const LaneMask* active, int n_words) override;
+    void observe_batch(int round, const RoundWords& in,
+                       LrcWords* out) override;
 
     /** The (possibly shared) offline tables driving this policy. */
     const std::shared_ptr<const PatternTableSet>& tables() const
@@ -68,11 +66,15 @@ class GladiatorDPolicy : public Policy {
     }
 
   private:
-    const CodeContext* ctx_;
     std::shared_ptr<const PatternTableSet> tables_;
     bool use_mlr_;
-    std::vector<uint32_t> prev_pattern_;
-    std::vector<uint8_t> has_prev_;
+    // The sliding window as words: per data qubit one has-previous-round
+    // span and one bit-plane span per observed bit of the previous
+    // pattern (plane i of qubit q at (plane_base_[q] + i) * K).
+    int n_words_ = 0;
+    std::vector<LaneMask> has_prev_;
+    std::vector<LaneMask> prev_planes_;
+    std::vector<size_t> plane_base_;
 };
 
 }  // namespace gld

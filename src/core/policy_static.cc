@@ -1,20 +1,23 @@
 #include "core/policy_static.h"
 
+#include <algorithm>
+
 #include "circuit/schedule.h"
 
 namespace gld {
 
 void
-AlwaysLrcPolicy::observe(int, const RoundResult&, LrcSchedule* out)
+AlwaysLrcPolicy::observe_batch(int, const RoundWords& in, LrcWords* out)
 {
-    out->clear();
-    for (int q = 0; q < ctx_->code().n_data(); ++q)
-        out->data_qubits.push_back(q);
-    for (int c = 0; c < ctx_->code().n_checks(); ++c)
-        out->checks.push_back(c);
+    const size_t K = static_cast<size_t>(in.n_words);
+    for (size_t i = 0; i < out->data.size(); ++i)
+        out->data[i] = in.active[i % K];
+    for (size_t i = 0; i < out->checks.size(); ++i)
+        out->checks[i] = in.active[i % K];
 }
 
-StaggeredLrcPolicy::StaggeredLrcPolicy(const CodeContext& ctx) : ctx_(&ctx)
+StaggeredLrcPolicy::StaggeredLrcPolicy(const CodeContext& ctx)
+    : WordPolicy(ctx)
 {
     const CssCode& code = ctx.code();
     const int n = code.n_qubits();
@@ -35,19 +38,22 @@ StaggeredLrcPolicy::StaggeredLrcPolicy(const CodeContext& ctx) : ctx_(&ctx)
 }
 
 void
-StaggeredLrcPolicy::observe(int round, const RoundResult&, LrcSchedule* out)
+StaggeredLrcPolicy::observe_batch(int round, const RoundWords& in,
+                                  LrcWords* out)
 {
-    out->clear();
     // The group LRC'd at the START of round (round + 1).
     const int group = (round + 1) % n_colors_;
     const CssCode& code = ctx_->code();
+    const size_t K = static_cast<size_t>(in.n_words);
     for (int q = 0; q < code.n_data(); ++q) {
-        if (colors_[q] == group)
-            out->data_qubits.push_back(q);
+        if (colors_[static_cast<size_t>(q)] == group)
+            std::copy(in.active, in.active + K,
+                      &out->data[static_cast<size_t>(q) * K]);
     }
     for (int c = 0; c < code.n_checks(); ++c) {
-        if (colors_[code.ancilla_of(c)] == group)
-            out->checks.push_back(c);
+        if (colors_[static_cast<size_t>(code.ancilla_of(c))] == group)
+            std::copy(in.active, in.active + K,
+                      &out->checks[static_cast<size_t>(c) * K]);
     }
 }
 

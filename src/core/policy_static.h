@@ -6,27 +6,23 @@
 namespace gld {
 
 /** NO-LRC: never mitigates; leakage accumulates (Fig 12's diverging curve). */
-class NoLrcPolicy : public Policy {
+class NoLrcPolicy : public WordPolicy {
   public:
+    explicit NoLrcPolicy(const CodeContext& ctx) : WordPolicy(ctx) {}
     std::string name() const override { return "NO-LRC"; }
-    void observe(int, const RoundResult&, LrcSchedule* out) override
-    {
-        out->clear();
-    }
+    void observe_batch(int, const RoundWords&, LrcWords*) override {}
 };
 
 /**
  * Always-LRC: open-loop, LRCs every qubit every round (ERASER's original
  * baseline, §3.2).
  */
-class AlwaysLrcPolicy : public Policy {
+class AlwaysLrcPolicy : public WordPolicy {
   public:
-    explicit AlwaysLrcPolicy(const CodeContext& ctx) : ctx_(&ctx) {}
+    explicit AlwaysLrcPolicy(const CodeContext& ctx) : WordPolicy(ctx) {}
     std::string name() const override { return "Always-LRC"; }
-    void observe(int, const RoundResult&, LrcSchedule* out) override;
-
-  private:
-    const CodeContext* ctx_;
+    void observe_batch(int round, const RoundWords& in,
+                       LrcWords* out) override;
 };
 
 /**
@@ -36,18 +32,18 @@ class AlwaysLrcPolicy : public Policy {
  * round-robin.  Spatial staggering avoids the correlated faults of
  * Always-LRC while keeping open-loop simplicity.
  */
-class StaggeredLrcPolicy : public Policy {
+class StaggeredLrcPolicy : public WordPolicy {
   public:
     explicit StaggeredLrcPolicy(const CodeContext& ctx);
     std::string name() const override { return "Staggered"; }
-    void observe(int round, const RoundResult&, LrcSchedule* out) override;
+    void observe_batch(int round, const RoundWords& in,
+                       LrcWords* out) override;
 
     int n_colors() const { return n_colors_; }
     /** Color group per qubit (data [0,n_data), ancillas after). */
     const std::vector<int>& colors() const { return colors_; }
 
   private:
-    const CodeContext* ctx_;
     std::vector<int> colors_;
     int n_colors_ = 0;
 };

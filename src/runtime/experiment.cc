@@ -10,7 +10,7 @@
 #include "core/policy_gladiator.h"
 #include "core/policy_static.h"
 #include "decode/dem_builder.h"
-#include "sim/batch_driver.h"
+#include "sim/lane_span.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -30,14 +30,16 @@ namespace gld {
  */
 struct alignas(64) ExperimentRunner::BlockResources {
     std::unique_ptr<BatchSimulator> sim;
-    std::vector<std::unique_ptr<Policy>> policies;  ///< one per lane
+    /** The slot's one batched policy: the factory's own when it is
+     *  batched(), else `adapter` wrapping per-lane instances. */
+    std::unique_ptr<Policy> policy;
+    LaneAdapterPolicy* adapter = nullptr;  ///< == policy when wrapping
     std::unique_ptr<UnionFindDecoder> decoder;
 
     // Per-block scratch (mirrors the locals a fresh block would hold).
-    std::vector<LrcSchedule> scheds;
-    std::vector<RoundResult> rr;
+    std::vector<LrcSchedule> scheds;  ///< per lane, for the simulator
+    LrcWords lrc;                     ///< the policy's masks
     std::vector<std::vector<uint8_t>> flips;
-    std::vector<LaneMask> sched_word;
     std::vector<int> data_leaked;
     std::vector<int> check_leaked;
     std::vector<std::vector<double>> dlp_buf;
@@ -128,22 +130,32 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
     const int W = sim.batch_n_words();  ///< words per lane span (K)
     const int max_lanes = std::min(width, shots);
 
-    // One policy per lane, from the slot's cache, all built from the
-    // block's one policy seed (in-tree policies derive no randomness
-    // from it, and per-shot behaviour is reset by begin_shot, so lane
-    // k's policy behaves exactly as one sequential policy would on shot
-    // k).  The cache only ever GROWS (a partial trailing block needs
+    // One batched policy per slot, built once from the first block's
+    // policy seed (in-tree policies derive no randomness from it, and
+    // per-shot behaviour is reset by begin_batch).  A policy that only
+    // implements per-lane observe runs behind the lane adapter, whose
+    // instance cache only ever GROWS (a partial trailing block needs
     // fewer lanes than a full one); each lane's oracle view is rebound
-    // per block to show only that lane's truth on this block's
-    // simulator.
-    std::vector<std::unique_ptr<Policy>>& policies = res->policies;
-    policies.reserve(static_cast<size_t>(max_lanes));
-    while (static_cast<int>(policies.size()) < max_lanes)
-        policies.push_back(factory(*ctx_, policy_seed));
-    for (int l = 0; l < max_lanes; ++l)
-        policies[static_cast<size_t>(l)]->set_leak_oracle(
-            &sim.lane_oracle(l));
-    clock.lap(telemetry::kPolicy);  // per-lane policy builds/rebinds
+    // per block to show only that lane's truth on this block's simulator.
+    if (res->policy == nullptr) {
+        std::unique_ptr<Policy> policy = factory(*ctx_, policy_seed);
+        if (policy->batched()) {
+            res->policy = std::move(policy);
+        } else {
+            // The adapter lives in this run_partials call's slot
+            // resources, so `factory` outlives every lane it builds.
+            auto adapter = std::make_unique<LaneAdapterPolicy>(
+                *ctx_, std::move(policy), [this, &factory, policy_seed] {
+                    return factory(*ctx_, policy_seed);
+                });
+            res->adapter = adapter.get();
+            res->policy = std::move(adapter);
+        }
+    }
+    Policy& policy = *res->policy;
+    if (res->adapter != nullptr)
+        res->adapter->bind(sim, max_lanes);
+    clock.lap(telemetry::kPolicy);  // policy build / lane rebinds
 
     if (graph != nullptr && res->decoder == nullptr)
         res->decoder = std::make_unique<UnionFindDecoder>(*graph);
@@ -154,23 +166,21 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
 
     // Per-block scratch out of the slot's cache: resize() writes the
     // same sizes a fresh block's locals had, every element below is
-    // written before it is read (scheds are cleared per batch, the word/
-    // count scratch is zero-filled per round, the buffers per (lane,
+    // written before it is read (scheds and masks are cleared per batch,
+    // the count scratch is zero-filled per round, the buffers per (lane,
     // round) cell per round), so stale content from the previous block
     // is never observable — reuse stays bit-identical to fresh.
     std::vector<LrcSchedule>& scheds = res->scheds;
     if (static_cast<int>(scheds.size()) < max_lanes)
         scheds.resize(static_cast<size_t>(max_lanes));
-    std::vector<RoundResult>& rr = res->rr;
+    // The policy's decisions as lane masks, one W-word span per qubit
+    // (same layout as the simulator's leaked_words()): TP/FP/FN are
+    // popcounts against the leak words, and the simulator's per-lane
+    // schedules are scattered from them.
+    LrcWords& lrc = res->lrc;
     std::vector<std::vector<uint8_t>>& flips = res->flips;
-    // Word-wide accounting scratch: which lanes scheduled an LRC on each
-    // data qubit this round (the FN check is then one popcount per
-    // qubit word), and per-lane leak counts gathered by one sparse pass
-    // over the leak words instead of 64*K oracle walks.  Spans of W
-    // words per qubit, same layout as the simulator's leaked_words().
-    std::vector<LaneMask>& sched_word = res->sched_word;
-    sched_word.assign(
-        static_cast<size_t>(n_data) * static_cast<size_t>(W), 0);
+    // Per-lane leak counts, gathered by one sparse pass over the leak
+    // words instead of 64*K oracle walks.
     std::vector<int>& data_leaked = res->data_leaked;
     std::vector<int>& check_leaked = res->check_leaked;
     data_leaked.assign(static_cast<size_t>(max_lanes), 0);
@@ -192,11 +202,12 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
             static_cast<size_t>(rounds));
     }
     // Each lane's decoder input is its defect list: node r*nz + zi for
-    // every Z detector that fired, pushed round by round and then the
-    // final-readout row, so it is ascending by construction.
+    // every Z detector that fired, scattered zi-major round by round and
+    // then the final-readout row, so it is ascending by construction.
     std::vector<std::vector<int>>& defects = res->defects;
     if (static_cast<int>(defects.size()) < max_lanes)
         defects.resize(static_cast<size_t>(max_lanes));
+    const size_t Ws = static_cast<size_t>(W);
 
     for (int first = 0; first < shots; first += width) {
         const int lanes = std::min(width, shots - first);
@@ -214,9 +225,10 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                 lanes_mask[w] = 0;
         }
         sim.reset_shot_batch(lanes);
+        policy.begin_batch(lanes_mask, W);
+        lrc.reset(n_data, n_checks, W);
         for (int l = 0; l < lanes; ++l) {
             const size_t li = static_cast<size_t>(l);
-            policies[li]->begin_shot();
             scheds[li].clear();
             // One per-shot draw in lane (= shot) order from the
             // block-level stream: the same sequence at every batch width.
@@ -230,54 +242,72 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
 
         for (int r = 0; r < rounds; ++r) {
             // Account the LRCs about to be applied against each lane's
-            // ground truth (integer-valued adds: order-insensitive).
+            // ground truth: popcounts of the masks (integer-valued adds,
+            // so the order of addition does not matter).
             const LaneMask* leak_words = sim.leaked_words();
-            for (int l = 0; l < lanes; ++l) {
-                const size_t li = static_cast<size_t>(l);
-                for (int q : scheds[li].data_qubits) {
-                    if (lane_bit(&leak_words[static_cast<size_t>(q) *
-                                             static_cast<size_t>(W)],
-                                 l))
-                        m.tp_total += 1;
-                    else
-                        m.fp_total += 1;
-                }
-                m.lrc_data_total +=
-                    static_cast<double>(scheds[li].data_qubits.size());
-                m.lrc_check_total +=
-                    static_cast<double>(scheds[li].checks.size());
+            for (size_t i = 0; i < lrc.data.size(); ++i) {
+                const LaneMask s = lrc.data[i];
+                const int tp = __builtin_popcountll(s & leak_words[i]);
+                const int n = __builtin_popcountll(s);
+                m.tp_total += static_cast<double>(tp);
+                m.fp_total += static_cast<double>(n - tp);
+                m.lrc_data_total += static_cast<double>(n);
             }
+            for (const LaneMask s : lrc.checks)
+                m.lrc_check_total +=
+                    static_cast<double>(__builtin_popcountll(s));
             clock.lap(telemetry::kAccounting);
 
-            sim.run_round_batch(scheds, &rr);
+            sim.run_round_batch(scheds, nullptr);
             clock.lap(telemetry::kSim);
 
+            RoundWords in;
+            in.n_words = W;
+            in.active = lanes_mask;
+            in.detector = sim.detector_words();
+            in.mlr = sim.mlr_words();
+            in.meas_flip = sim.meas_flip_words();
+            in.leaked = leak_words;
+            lrc.reset(n_data, n_checks, W);
+            policy.observe_batch(r, in, &lrc);
+            // The simulator's per-lane schedules, scattered q-major:
+            // data ascending, then checks ascending — each lane's
+            // application order (the sparse mode's shared event stream
+            // depends on it).  Masks are clipped to the active lanes.
             for (int l = 0; l < lanes; ++l)
-                policies[static_cast<size_t>(l)]->observe(
-                    r, rr[static_cast<size_t>(l)],
-                    &scheds[static_cast<size_t>(l)]);
+                scheds[static_cast<size_t>(l)].clear();
+            for (size_t i = 0; i < lrc.data.size(); ++i) {
+                lrc.data[i] &= lanes_mask[i % Ws];
+                const int q = static_cast<int>(i / Ws);
+                const int base = static_cast<int>(i % Ws) * kBatchLanes;
+                for_each_lane(lrc.data[i], [&](int b) {
+                    scheds[static_cast<size_t>(base + b)]
+                        .data_qubits.push_back(q);
+                });
+            }
+            for (size_t i = 0; i < lrc.checks.size(); ++i) {
+                lrc.checks[i] &= lanes_mask[i % Ws];
+                const int c = static_cast<int>(i / Ws);
+                const int base = static_cast<int>(i % Ws) * kBatchLanes;
+                for_each_lane(lrc.checks[i], [&](int b) {
+                    scheds[static_cast<size_t>(base + b)].checks.push_back(
+                        c);
+                });
+            }
             clock.lap(telemetry::kPolicy);
 
             // False negatives + leak populations, word-wide: one pass
             // over the leak words replaces 64 per-lane oracle walks.
-            std::fill(sched_word.begin(), sched_word.end(), 0);
-            for (int l = 0; l < lanes; ++l) {
-                for (int q : scheds[static_cast<size_t>(l)].data_qubits)
-                    set_lane_bit(&sched_word[static_cast<size_t>(q) *
-                                             static_cast<size_t>(W)],
-                                 l);
-            }
             std::fill(data_leaked.begin(), data_leaked.end(), 0);
             std::fill(check_leaked.begin(), check_leaked.end(), 0);
             for (int q = 0; q < n_data; ++q) {
-                const size_t qb = static_cast<size_t>(q) *
-                                  static_cast<size_t>(W);
+                const size_t qb = static_cast<size_t>(q) * Ws;
                 for (int w = 0; w < W; ++w) {
                     const LaneMask lk =
                         leak_words[qb + static_cast<size_t>(w)] &
                         lanes_mask[w];
                     m.fn_total += static_cast<double>(__builtin_popcountll(
-                        lk & ~sched_word[qb + static_cast<size_t>(w)]));
+                        lk & ~lrc.data[qb + static_cast<size_t>(w)]));
                     const int base = w * kBatchLanes;
                     for_each_lane(lk, [&](int b) {
                         ++data_leaked[static_cast<size_t>(base + b)];
@@ -285,8 +315,8 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                 }
             }
             for (int c = 0; c < n_checks; ++c) {
-                const size_t ab = static_cast<size_t>(code.ancilla_of(c)) *
-                                  static_cast<size_t>(W);
+                const size_t ab =
+                    static_cast<size_t>(code.ancilla_of(c)) * Ws;
                 for (int w = 0; w < W; ++w) {
                     const LaneMask lk =
                         leak_words[ab + static_cast<size_t>(w)] &
@@ -307,8 +337,7 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                 if (telem->heatmap.enabled()) {
                     uint64_t* row = telem->heatmap.row(r);
                     for (int q = 0; q < n_data; ++q) {
-                        const size_t qb = static_cast<size_t>(q) *
-                                          static_cast<size_t>(W);
+                        const size_t qb = static_cast<size_t>(q) * Ws;
                         for (int w = 0; w < W; ++w)
                             row[q] += static_cast<uint64_t>(
                                 __builtin_popcountll(
@@ -318,8 +347,7 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                     uint64_t* crow = row + n_data;
                     for (int c = 0; c < n_checks; ++c) {
                         const size_t ab =
-                            static_cast<size_t>(code.ancilla_of(c)) *
-                            static_cast<size_t>(W);
+                            static_cast<size_t>(code.ancilla_of(c)) * Ws;
                         for (int w = 0; w < W; ++w)
                             crow[c] += static_cast<uint64_t>(
                                 __builtin_popcountll(
@@ -334,11 +362,22 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                     static_cast<double>(data_leaked[li]) / n_data;
                 chk_buf[li][static_cast<size_t>(r)] =
                     static_cast<double>(check_leaked[li]) / n_checks;
-                if (graph != nullptr) {
-                    for (int zi = 0; zi < nz; ++zi) {
-                        if (rr[li].detector[static_cast<size_t>(
-                                z_checks[static_cast<size_t>(zi)])])
-                            defects[li].push_back(r * nz + zi);
+            }
+            if (graph != nullptr) {
+                for (int zi = 0; zi < nz; ++zi) {
+                    const size_t zb =
+                        static_cast<size_t>(z_checks[static_cast<size_t>(
+                            zi)]) *
+                        Ws;
+                    for (int w = 0; w < W; ++w) {
+                        const int base = w * kBatchLanes;
+                        for_each_lane(
+                            in.detector[zb + static_cast<size_t>(w)] &
+                                lanes_mask[w],
+                            [&](int b) {
+                                defects[static_cast<size_t>(base + b)]
+                                    .push_back(r * nz + zi);
+                            });
                     }
                 }
             }
@@ -353,6 +392,7 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
         // Shot-major replay of the per-shot tail: the float sums in shot
         // order (the same at every batch width), then decode + shot
         // counters.
+        const LaneMask* last_meas = sim.meas_flip_words();
         for (int l = 0; l < lanes; ++l) {
             const size_t li = static_cast<size_t>(l);
             for (int r = 0; r < rounds; ++r) {
@@ -363,9 +403,12 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                 m.check_leak_total += chk_buf[li][static_cast<size_t>(r)];
             }
             if (graph != nullptr) {
+                // The final-readout row: the last round's meas flips
+                // XOR the data readout.
                 for (int zi = 0; zi < nz; ++zi) {
                     const int zc = z_checks[static_cast<size_t>(zi)];
-                    uint8_t det = rr[li].meas_flip[static_cast<size_t>(zc)];
+                    uint8_t det = lane_bit(
+                        &last_meas[static_cast<size_t>(zc) * Ws], l);
                     for (int q : code.check(zc).support)
                         det ^= flips[li][static_cast<size_t>(q)];
                     if (det)
@@ -550,8 +593,8 @@ ExperimentRunner::run(const PolicyFactory& factory) const
 PolicyFactory
 PolicyZoo::no_lrc()
 {
-    return [](const CodeContext&, uint64_t) {
-        return std::make_unique<NoLrcPolicy>();
+    return [](const CodeContext& ctx, uint64_t) {
+        return std::make_unique<NoLrcPolicy>(ctx);
     };
 }
 

@@ -88,10 +88,13 @@ struct ExperimentConfig {
  * Builds a policy.  The runner calls it lazily — once per (executor
  * slot, config) when worker-state reuse is on, once per (RNG stream,
  * shot block) work unit with reuse off — and reuses the instance across
- * blocks, with begin_shot() as the per-shot reset point.  A policy must
- * therefore not carry state across shots except through observe/
- * begin_shot, and must not derive result-affecting state from `seed`
- * (every in-tree policy ignores it); that is what keeps the build count
+ * blocks, with begin_batch() as the per-shot reset point.  A batched()
+ * policy decides for the whole lockstep batch; any other is built once
+ * per lane more and run behind a LaneAdapterPolicy, with begin_shot()
+ * as its reset point.  A policy must therefore not carry state across
+ * shots except through observe/begin_shot (or their batched forms), and
+ * must not derive result-affecting state from `seed` (every in-tree
+ * policy ignores it); that is what keeps the build count
  * schedule-irrelevant.
  */
 using PolicyFactory = std::function<std::unique_ptr<Policy>(
@@ -108,7 +111,10 @@ using PolicyFactory = std::function<std::unique_ptr<Policy>(
  * Every backend runs through one block path: a shot block is driven as
  * lockstep batches over the BatchSimulator interface (one lane per batch
  * on the scalar backends, 64*K on the packed ones), so there is a single
- * implementation of every accounting rule.
+ * implementation of every accounting rule.  The policy reads each
+ * round's detector/MLR/leak words and answers with LRC lane masks; the
+ * accounting is popcounts over those masks, and no per-lane RoundResult
+ * is built.
  */
 class ExperimentRunner {
   public:

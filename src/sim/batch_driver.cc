@@ -29,45 +29,6 @@ namespace gld {
 
 namespace {
 
-/** Spreads the low 8 bits of x to eight 0/1 bytes (byte k = bit k). */
-inline uint64_t
-spread_bits_to_bytes(uint64_t x)
-{
-    // Place bit k at bit 8k+k, add (0x80 - 2^k) per byte (no cross-byte
-    // carry: each byte holds at most 2^k + (0x80 - 2^k) = 0x80), then
-    // extract the per-byte 0x80 flag.
-    const uint64_t placed =
-        ((x & 0xFFu) * 0x0101010101010101ull) & 0x8040201008040201ull;
-    return (((placed + 0x00406070787C7E7Full) >> 7) &
-            0x0101010101010101ull);
-}
-
-/** Transposes an 8x8 byte matrix held as 8 row words: final row i's
- *  byte j = original row j's byte i. */
-inline void
-transpose8x8_bytes(uint64_t t[8])
-{
-    for (int j = 0; j < 8; j += 2) {
-        const uint64_t a = t[j], b = t[j + 1];
-        t[j] = (a & 0x00FF00FF00FF00FFull) |
-               ((b & 0x00FF00FF00FF00FFull) << 8);
-        t[j + 1] = ((a >> 8) & 0x00FF00FF00FF00FFull) |
-                   (b & 0xFF00FF00FF00FF00ull);
-    }
-    for (int j : {0, 1, 4, 5}) {
-        const uint64_t a = t[j], b = t[j + 2];
-        t[j] = (a & 0x0000FFFF0000FFFFull) |
-               ((b & 0x0000FFFF0000FFFFull) << 16);
-        t[j + 2] = ((a >> 16) & 0x0000FFFF0000FFFFull) |
-                   (b & 0xFFFF0000FFFF0000ull);
-    }
-    for (int j = 0; j < 4; ++j) {
-        const uint64_t a = t[j], b = t[j + 4];
-        t[j] = (a & 0x00000000FFFFFFFFull) | (b << 32);
-        t[j + 4] = (a >> 32) | (b & 0xFFFFFFFF00000000ull);
-    }
-}
-
 // --- CPU-dispatched site kernels. ---
 //
 // One Bernoulli site = every lane of [0, n) advances its xoshiro stream
@@ -84,6 +45,7 @@ struct SiteKernels {
                 LaneMask*);
     void (*three)(LaneRngBank&, int, uint64_t, uint64_t, uint64_t,
                   LaneMask*, LaneMask*, LaneMask*);
+    const char* tier;  ///< "avx512" / "avx2" / "portable"
 };
 
 /** Packs n 0/1 flags into ceil(n/64) lane words. */
@@ -321,16 +283,24 @@ site_kernels()
     static const SiteKernels k = [] {
 #if GLD_BATCH_SIMD_KERNELS
         if (__builtin_cpu_supports("avx512f"))
-            return SiteKernels{site1_avx512, site2_avx512, site3_avx512};
+            return SiteKernels{site1_avx512, site2_avx512, site3_avx512,
+                               "avx512"};
         if (__builtin_cpu_supports("avx2"))
-            return SiteKernels{site1_avx2, site2_avx2, site3_avx2};
+            return SiteKernels{site1_avx2, site2_avx2, site3_avx2, "avx2"};
 #endif
-        return SiteKernels{site1_scalar, site2_scalar, site3_scalar};
+        return SiteKernels{site1_scalar, site2_scalar, site3_scalar,
+                           "portable"};
     }();
     return k;
 }
 
 }  // namespace
+
+const char*
+site_kernel_tier()
+{
+    return site_kernels().tier;
+}
 
 // Every decision site below mirrors sim/leakage_driver.cc (the scalar
 // reference implementation) statement for statement: the scalar control
@@ -364,7 +334,7 @@ BatchLeakageDriver::BatchLeakageDriver(const CssCode& code,
     prev_meas_.assign(nc * W, 0);
     meas_flip_.assign(nc * W, 0);
     mlr_flag_.assign(nc * W, 0);
-    det_scratch_.assign(nc * W, 0);
+    detector_.assign(nc * W, 0);
     // Same fixed LRC partner per data qubit as the scalar driver.
     lrc_partner_.assign(static_cast<size_t>(code.n_data()), -1);
     for (int q = 0; q < code.n_data(); ++q) {
@@ -447,7 +417,7 @@ BatchLeakageDriver::reset_for_block(Rng master)
     std::fill(prev_meas_.begin(), prev_meas_.end(), 0);
     std::fill(meas_flip_.begin(), meas_flip_.end(), 0);
     std::fill(mlr_flag_.begin(), mlr_flag_.end(), 0);
-    std::fill(det_scratch_.begin(), det_scratch_.end(), 0);
+    std::fill(detector_.begin(), detector_.end(), 0);
     first_round_ = true;
     if (sparse_) {
         sparse_reset(0);
@@ -1006,7 +976,11 @@ BatchLeakageDriver::run_round_t(const std::vector<LrcSchedule>& lane_lrcs,
 
     // 1. Scheduled LRC gadgets, per lane in that lane's schedule order
     //    (each lane draws only from its own stream, so lane interleaving
-    //    is free to be loop order).
+    //    is free to be loop order).  Every id is checked before any
+    //    gadget runs, so a bad schedule leaves the batch untouched.
+    for (int l = 0; l < n_lanes_; ++l)
+        check_lrc_schedule(lane_lrcs[static_cast<size_t>(l)], l,
+                           code_->n_data(), n_checks);
     for (int l = 0; l < n_lanes_; ++l) {
         const LrcSchedule& sched = lane_lrcs[static_cast<size_t>(l)];
         for (int q : sched.data_qubits)
@@ -1177,21 +1151,8 @@ BatchLeakageDriver::run_round_t(const std::vector<LrcSchedule>& lane_lrcs,
         }
     }
 
-    // 4. Detector words, then the per-lane transpose the policies read.
-    //    Every entry of every lane is (re)written below, so the vectors
-    //    are only sized here — no zero-fill churn per round.
-    out->resize(static_cast<size_t>(n_lanes_));
-    for (int l = 0; l < n_lanes_; ++l) {
-        RoundResult& rr = (*out)[static_cast<size_t>(l)];
-        if (rr.meas_flip.size() != static_cast<size_t>(n_checks)) {
-            rr.meas_flip.resize(static_cast<size_t>(n_checks));
-            rr.detector.resize(static_cast<size_t>(n_checks));
-            rr.mlr_flag.resize(static_cast<size_t>(n_checks));
-        }
-    }
-    // Detector words first (also advances prev_meas_), then a lane-major
-    // transpose: per lane the writes are small contiguous runs, instead
-    // of scattering one byte into 64 different vectors per check.
+    // 4. Detector words (also advances prev_meas_): together with the
+    //    meas-flip and MLR words, the round's live word views.
     for (int c = 0; c < n_checks; ++c) {
         const bool zero_det =
             first_round_ && code_->check(c).type == CheckType::kX;
@@ -1199,48 +1160,17 @@ BatchLeakageDriver::run_round_t(const std::vector<LrcSchedule>& lane_lrcs,
             const size_t i = static_cast<size_t>(c) * Ws +
                              static_cast<size_t>(w);
             const LaneMask meas = meas_flip_[i];
-            det_scratch_[i] = zero_det ? 0 : meas ^ prev_meas_[i];
+            detector_[i] = zero_det ? 0 : meas ^ prev_meas_[i];
             prev_meas_[i] = meas;
         }
     }
-    // 8x8 tiles: spread each check word's 8-lane byte to 0/1 bytes, byte-
-    // transpose the tile, and store eight checks of one lane with a
-    // single 8-byte write.  ~1 op/byte instead of a scalar bit-extract
-    // per (lane, check, array) — this transpose was 30% of the whole
-    // batch path before.  An 8-lane group g lives in word g/8 of each
-    // check's span, byte g%8.
-    const auto transpose_into =
-        [&](const std::vector<LaneMask>& words,
-            std::vector<uint8_t> RoundResult::*field) {
-            uint64_t tile[8];
-            for (int c0 = 0; c0 < n_checks; c0 += 8) {
-                const int cw = std::min(8, n_checks - c0);
-                for (int g = 0; g * 8 < n_lanes_; ++g) {
-                    const size_t wi = static_cast<size_t>(g >> 3);
-                    const int sh = 8 * (g & 7);
-                    for (int j = 0; j < 8; ++j) {
-                        const uint64_t w =
-                            j < cw ? words[static_cast<size_t>(c0 + j) *
-                                               Ws +
-                                           wi]
-                                   : 0;
-                        tile[j] = spread_bits_to_bytes(w >> sh);
-                    }
-                    transpose8x8_bytes(tile);
-                    const int lw = std::min(8, n_lanes_ - g * 8);
-                    for (int i = 0; i < lw; ++i) {
-                        RoundResult& rr =
-                            (*out)[static_cast<size_t>(8 * g + i)];
-                        std::memcpy((rr.*field).data() + c0, &tile[i],
-                                    static_cast<size_t>(cw));
-                    }
-                }
-            }
-        };
-    transpose_into(meas_flip_, &RoundResult::meas_flip);
-    transpose_into(det_scratch_, &RoundResult::detector);
-    transpose_into(mlr_flag_, &RoundResult::mlr_flag);
     first_round_ = false;
+    if (out == nullptr)
+        return;
+
+    // 5. Per-lane RoundResults on request (the transposes).
+    round_words_to_results(meas_flip_.data(), detector_.data(),
+                           mlr_flag_.data(), n_checks, W, n_lanes_, out);
 }
 
 // The cloned shells: one words_ dispatch per round (not per op) picks a

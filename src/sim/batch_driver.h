@@ -7,75 +7,19 @@
 #include "circuit/round_circuit.h"
 #include "codes/css_code.h"
 #include "noise/noise_model.h"
+#include "sim/lane_span.h"
 #include "sim/leakage_driver.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
 namespace gld {
 
-/** Max lanes of one batch (kMaxBatchWords words of kBatchLanes shots). */
-constexpr int kMaxBatchLanes = kMaxBatchWords * kBatchLanes;
-
-/** Invokes f(lane) for every set bit of the single word m, ascending. */
-template <typename F>
-inline void
-for_each_lane(LaneMask m, F&& f)
-{
-    while (m != 0) {
-        f(__builtin_ctzll(m));
-        m &= m - 1;
-    }
-}
-
 /**
- * Invokes f(global_lane) for every set bit of the n_words-word span m,
- * ascending (global lane = word*64 + bit).
+ * Which CPU-dispatched Bernoulli site-kernel tier this process runs:
+ * "avx512", "avx2" or "portable" (resolved once from the CPU; results
+ * are identical on every tier, only shots/second differ).
  */
-template <typename F>
-inline void
-for_each_lane(const LaneMask* m, int n_words, F&& f)
-{
-    for (int w = 0; w < n_words; ++w) {
-        LaneMask mw = m[w];
-        const int base = w * kBatchLanes;
-        while (mw != 0) {
-            f(base + __builtin_ctzll(mw));
-            mw &= mw - 1;
-        }
-    }
-}
-
-/** OR of an n_words-word lane span (nonzero iff any lane is set). */
-inline LaneMask
-lanes_any(const LaneMask* m, int n_words)
-{
-    LaneMask any = 0;
-    for (int w = 0; w < n_words; ++w)
-        any |= m[w];
-    return any;
-}
-
-/** Zeroes an n_words-word lane span. */
-inline void
-lanes_zero(LaneMask* m, int n_words)
-{
-    for (int w = 0; w < n_words; ++w)
-        m[w] = 0;
-}
-
-/** Tests global lane l of a span. */
-inline bool
-lane_bit(const LaneMask* m, int l)
-{
-    return (m[l >> 6] >> (l & 63)) & 1u;
-}
-
-/** Sets global lane l of a span. */
-inline void
-set_lane_bit(LaneMask* m, int l)
-{
-    m[l >> 6] |= 1ull << (l & 63);
-}
+const char* site_kernel_tier();
 
 /**
  * Up to kMaxBatchLanes xoshiro256** streams stored structure-of-arrays,
@@ -604,11 +548,20 @@ class BatchLeakageDriver final {
     /**
      * Applies each lane's scheduled LRC gadgets, then executes one noisy
      * syndrome-extraction round for every active lane in lockstep.
-     * `lane_lrcs` must have at least n_lanes() entries; `out` is resized
-     * to n_lanes() per-lane RoundResults (storage reused across rounds).
+     * `lane_lrcs` must have at least n_lanes() entries, each id in range
+     * (else std::invalid_argument, before any gadget runs).  A non-null
+     * `out` is resized to n_lanes() per-lane RoundResults (storage reused
+     * across rounds); nullptr skips those transposes and leaves the round
+     * in the word views below only.
      */
     void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
                          std::vector<RoundResult>* out);
+
+    // The last round's words, one span per check (entry c*n_words()+w),
+    // live views like leaked_words(); zero on inactive lanes.
+    const LaneMask* meas_flip_words() const { return meas_flip_.data(); }
+    const LaneMask* detector_words() const { return detector_.data(); }
+    const LaneMask* mlr_words() const { return mlr_flag_.data(); }
 
     /**
      * Transversal Z-basis readout of all data qubits for every active
@@ -786,9 +739,9 @@ class BatchLeakageDriver final {
 
     std::vector<LaneMask> leaked_;     ///< leak-flag span per qubit
     std::vector<LaneMask> prev_meas_;  ///< previous meas_flip per check
-    std::vector<LaneMask> meas_flip_;  ///< scratch, span per check
-    std::vector<LaneMask> mlr_flag_;   ///< scratch, span per check
-    std::vector<LaneMask> det_scratch_;  ///< scratch, span per check
+    std::vector<LaneMask> meas_flip_;  ///< last round, span per check
+    std::vector<LaneMask> mlr_flag_;   ///< last round, span per check
+    std::vector<LaneMask> detector_;   ///< last round, span per check
     std::vector<int> lrc_partner_;
     std::vector<LaneOracle> lane_oracles_;
     BatchStatePrimitives* state_;
@@ -829,6 +782,15 @@ class BatchLeakageDriverSim : public BatchSimulator,
     {
         driver_.run_round_batch(lane_lrcs, out);
     }
+    const LaneMask* meas_flip_words() const final
+    {
+        return driver_.meas_flip_words();
+    }
+    const LaneMask* detector_words() const final
+    {
+        return driver_.detector_words();
+    }
+    const LaneMask* mlr_words() const final { return driver_.mlr_words(); }
     void final_data_measure_batch(
         std::vector<std::vector<uint8_t>>* out) final
     {

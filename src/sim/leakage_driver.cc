@@ -195,6 +195,7 @@ RoundResult
 LeakageDriver::run_round(const LrcSchedule& lrcs)
 {
     const int n_checks = code_->n_checks();
+    check_lrc_schedule(lrcs, 0, code_->n_data(), n_checks);
     RoundResult out;
     out.meas_flip.assign(static_cast<size_t>(n_checks), 0);
     out.detector.assign(static_cast<size_t>(n_checks), 0);
@@ -290,6 +291,18 @@ LeakageDriver::final_data_measure()
         flips[static_cast<size_t>(q)] = flip;
     }
     return flips;
+}
+
+RoundResult
+LeakageDriverSim::run_round(const LrcSchedule& lrcs)
+{
+    RoundResult rr = driver_.run_round(lrcs);
+    for (size_t c = 0; c < rr.meas_flip.size(); ++c) {
+        meas_flip_words_[c] = rr.meas_flip[c];
+        detector_words_[c] = rr.detector[c];
+        mlr_words_[c] = rr.mlr_flag[c];
+    }
+    return rr;
 }
 
 }  // namespace gld

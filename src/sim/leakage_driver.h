@@ -165,6 +165,8 @@ class LeakageDriver final : public LeakageOracle {
     /**
      * Applies the scheduled LRC gadgets (start-of-round semantics), then
      * executes one noisy syndrome-extraction round over the primitives.
+     * Out-of-range LRC ids throw std::invalid_argument (as lane 0) before
+     * anything runs.
      */
     RoundResult run_round(const LrcSchedule& lrcs);
 
@@ -236,9 +238,22 @@ class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
     void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
                          std::vector<RoundResult>* out) final
     {
+        if (out == nullptr) {
+            run_round(lane_lrcs[0]);
+            return;
+        }
         out->resize(1);
-        (*out)[0] = driver_.run_round(lane_lrcs[0]);
+        (*out)[0] = run_round(lane_lrcs[0]);
     }
+    const LaneMask* meas_flip_words() const final
+    {
+        return meas_flip_words_.data();
+    }
+    const LaneMask* detector_words() const final
+    {
+        return detector_words_.data();
+    }
+    const LaneMask* mlr_words() const final { return mlr_words_.data(); }
     void final_data_measure_batch(
         std::vector<std::vector<uint8_t>>* out) final
     {
@@ -265,10 +280,8 @@ class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
     void inject_z(int q) final { apply_pauli(q, kPauliZ); }
     void clear_leak(int q) final { driver_.clear_leak(q); }
     const LeakageOracle& leak_oracle() const final { return driver_; }
-    RoundResult run_round(const LrcSchedule& lrcs) final
-    {
-        return driver_.run_round(lrcs);
-    }
+    /** One round; also packs it into the one-lane word views (bit 0). */
+    RoundResult run_round(const LrcSchedule& lrcs) final;
     std::vector<uint8_t> final_data_measure() final
     {
         return driver_.final_data_measure();
@@ -288,11 +301,20 @@ class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
      */
     LeakageDriverSim(const CssCode& code, const RoundCircuit& rc,
                      const NoiseParams& np, Rng noise_rng)
-        : driver_(code, rc, np, noise_rng, this)
+        : driver_(code, rc, np, noise_rng, this),
+          meas_flip_words_(static_cast<size_t>(code.n_checks()), 0),
+          detector_words_(static_cast<size_t>(code.n_checks()), 0),
+          mlr_words_(static_cast<size_t>(code.n_checks()), 0)
     {
     }
 
     LeakageDriver driver_;
+
+  private:
+    // The last round as one-lane word spans (one 0/1 word per check).
+    std::vector<LaneMask> meas_flip_words_;
+    std::vector<LaneMask> detector_words_;
+    std::vector<LaneMask> mlr_words_;
 };
 
 }  // namespace gld

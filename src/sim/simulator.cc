@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "sim/batch_frame_sim.h"
 #include "sim/batch_tableau_sim.h"
@@ -77,6 +78,25 @@ throw_unknown_sampling(const std::string& what)
 }
 
 }  // namespace
+
+void
+check_lrc_schedule(const LrcSchedule& sched, int lane, int n_data,
+                   int n_checks)
+{
+    const auto check = [lane](const std::vector<int>& ids, int n,
+                              const char* what) {
+        for (int id : ids) {
+            if (id < 0 || id >= n)
+                throw std::invalid_argument(
+                    "run_round_batch: lane " + std::to_string(lane) +
+                    " schedules an LRC on " + what + " " +
+                    std::to_string(id) + " outside [0, " +
+                    std::to_string(n) + ")");
+        }
+    };
+    check(sched.data_qubits, n_data, "data qubit");
+    check(sched.checks, n_checks, "check");
+}
 
 const char*
 backend_name(SimBackend backend)

@@ -188,14 +188,39 @@ class BatchSimulator : public Simulator {
      */
     virtual const LaneMask* leaked_words() const = 0;
 
-    /** One lockstep round over every active lane. */
+    /**
+     * One lockstep round over every active lane.  Every LRC id must lie
+     * in range (data qubit < n_data, check < n_checks), else
+     * std::invalid_argument naming the lane and the id.  A non-null
+     * `out` receives one RoundResult per active lane; nullptr skips
+     * those per-lane transposes — the round is then read through the
+     * word views below.
+     */
     virtual void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
                                  std::vector<RoundResult>* out) = 0;
+
+    /**
+     * Live word views of the last round, in leaked_words()'s span layout
+     * but one span per CHECK (entry c*batch_n_words()+w): measurement
+     * flips, detector bits and MLR flags.  Bits of inactive lanes are 0.
+     * Valid after run_round_batch, rewritten by the next round.
+     */
+    virtual const LaneMask* meas_flip_words() const = 0;
+    virtual const LaneMask* detector_words() const = 0;
+    virtual const LaneMask* mlr_words() const = 0;
 
     /** Lockstep final transversal readout of every active lane. */
     virtual void final_data_measure_batch(
         std::vector<std::vector<uint8_t>>* out) = 0;
 };
+
+/**
+ * Rejects an LRC schedule naming a data qubit outside [0, n_data) or a
+ * check outside [0, n_checks): throws std::invalid_argument naming the
+ * lane and the id.  Every backend's round entry point runs it first.
+ */
+void check_lrc_schedule(const LrcSchedule& sched, int lane, int n_data,
+                        int n_checks);
 
 /**
  * The available backends.  kFrame is the paper's Pauli-frame engine (fast,

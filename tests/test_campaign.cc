@@ -16,6 +16,7 @@
 #include "campaign/registry.h"
 #include "io/serialize.h"
 #include "metrics_test_util.h"
+#include "sim/batch_driver.h"
 #include "util/config.h"
 #include "util/parallel.h"
 #include "util/thread_pool.h"
@@ -588,6 +589,32 @@ TEST(Observability, ProgressHeatmapAndCalibrationEndToEnd)
     ASSERT_TRUE(calib.has("frame", "surface:3"));
     EXPECT_GT(calib.rate("frame", "surface:3"), 0.0);
     EXPECT_THROW(calib.rate("tableau", "surface:3"), std::runtime_error);
+
+    // Provenance: every telemetry file names the site-kernel tier that
+    // ran, and readers still accept files written before the field
+    // existed — stripped of it, they calibrate to the same rates.
+    for (const JobSpec& job : jobs) {
+        for (int shard = 0; shard < n_shards; ++shard) {
+            const std::string path =
+                telemetry_path(dir, spec, job.index, shard, n_shards);
+            const io::Json j = io::Json::parse(io::read_file(path));
+            ASSERT_TRUE(j.has("site_kernel_tier"));
+            EXPECT_EQ(j["site_kernel_tier"].as_str(), site_kernel_tier());
+            io::Json old = io::Json::object();
+            for (const auto& kv : j.items()) {
+                if (kv.first != "site_kernel_tier")
+                    old.set(kv.first, kv.second);
+            }
+            io::write_file_atomic(path, old.dump(2) + "\n");
+        }
+    }
+    const std::set<std::string> tiers = {"avx512", "avx2", "portable"};
+    EXPECT_EQ(tiers.count(site_kernel_tier()), 1u);
+    const Calibration legacy =
+        Calibration::from_telemetry(spec, n_shards, dir);
+    expect_bits_eq(legacy.rate("frame", "surface:3"),
+                   calib.rate("frame", "surface:3"),
+                   "calibration from files without site_kernel_tier");
 
     const Calibration back =
         Calibration::from_json(io::Json::parse(calib.to_json().dump(2)));

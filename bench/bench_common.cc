@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "sim/batch_driver.h"
-
 namespace gld {
 namespace bench {
 
@@ -15,11 +13,10 @@ banner(const std::string& title, const std::string& paper_ref)
     std::printf("Shot scale: GLD_SHOTS_SCALE=%.2f (raise for tighter "
                 "statistics); backend: GLD_BACKEND=%s; threads: "
                 "GLD_THREADS=%d; batch width: GLD_BATCH_WORDS=%d; noise "
-                "sampling: GLD_NOISE_SAMPLING=%s; site kernels: %s\n\n",
+                "sampling: GLD_NOISE_SAMPLING=%s\n\n",
                 BenchConfig::scale(), backend_name(backend_from_env()),
                 BenchConfig::threads(), batch_words_from_env(),
-                noise_sampling_name(noise_sampling_from_env()),
-                site_kernel_tier());
+                noise_sampling_name(noise_sampling_from_env()));
 }
 
 void

@@ -132,22 +132,11 @@ BM_BackendThroughput(benchmark::State& state)
                     static_cast<double>(rec.stage_ns[s]) / total);
     }
 }
-// The batch_frame K sweep's history, for whoever reads the trajectory:
-// the record taken at 92ada21 showed K monotonically LOSING (335.8k at
-// K=1 down to 282.3k at K=8) — that slope was per-block driver
-// reconstruction + full-bank lane reseeding, which the worker-state
-// reuse PR removed (a reused driver is reset, not rebuilt), and K=2/K=4
-// now beat K=1 by ~30% single-threaded.  The residual K=8 falloff is a
-// working-set cap, not a code bug: 512 lanes x 32 B of xoshiro state is
-// a 16 KiB RNG bank swept at EVERY noise site, plus ~15 KiB of frame and
-// flag words per round — past typical 32 KiB L1d, so the site sweeps
-// evict the frames they interleave with.  Fixing it would mean tiling
-// whole rounds per lane word through every state primitive; until then
-// K=8 stays registered so the regression guard's K-sweep gate
-// (scripts/bench_guard.py) keeps the cap honest, and chosen_batch_words
-// records the K that actually wins.  Sparse sampling sidesteps the bank
-// sweeps entirely (one scalar event stream), which is why its K=8 row
-// barely pays the penalty.
+// The plain (arg 3 = 0) rows run the lockstep reference: a plain per-lane
+// Rng in the scalar draw order, kept for the frame == batch_frame
+// bit-exact gates rather than for speed.  Their labels are unchanged so
+// the recorded trajectory stays comparable; the @sparse rows measure the
+// production engine in the same record.
 BENCHMARK(BM_BackendThroughput)
     ->Args({static_cast<int>(SimBackend::kFrame), 1, 1, 0, 0})
     ->Args({static_cast<int>(SimBackend::kFrame), 1, 8, 0, 0})
@@ -158,10 +147,8 @@ BENCHMARK(BM_BackendThroughput)
     ->Args({static_cast<int>(SimBackend::kBatchFrame), 1, 8, 0, 0})
     ->Args({static_cast<int>(SimBackend::kBatchFrame), 4, 8, 0, 0})
     ->Args({static_cast<int>(SimBackend::kBatchFrame), 8, 8, 0, 0})
-    // The sparse event sampler vs its own lockstep rows (same record,
-    // same host): K=1 is the qualification ratio the perf trajectory
-    // cites; K=8 shows how much of the wide-K cache penalty the
-    // quiet-site fast path sidesteps.
+    // The sparse event sampler vs the lockstep rows (same record, same
+    // host): K=1 is the production configuration; K=8 the wide batch.
     ->Args({static_cast<int>(SimBackend::kBatchFrame), 1, 1,
             static_cast<int>(NoiseSampling::kSparse), 0})
     ->Args({static_cast<int>(SimBackend::kBatchFrame), 8, 1,

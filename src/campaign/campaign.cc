@@ -10,7 +10,6 @@
 
 #include "campaign/registry.h"
 #include "hw/timing_model.h"
-#include "sim/batch_driver.h"
 #include "io/serialize.h"
 #include "sim/op_profile.h"
 #include "util/config.h"
@@ -753,9 +752,6 @@ run_shard(const CampaignSpec& spec, int shard, int n_shards,
             t.set("code", Json::str(job.code));
             t.set("policy", Json::str(job.policy));
             t.set("backend", Json::str(backend_name(job.cfg.backend)));
-            // Provenance: which CPU-dispatched site-kernel tier ran
-            // (optional for readers: older files lack it).
-            t.set("site_kernel_tier", Json::str(site_kernel_tier()));
             t.set("config_hash",
                   Json::str(io::u64_to_hex(io::config_hash(job.cfg))));
             t.set("shard", Json::integer(shard));

@@ -71,11 +71,13 @@ struct CampaignSpec {
     int batch_words = 1;
     /**
      * Noise sampling mode every job runs under (see
-     * ExperimentConfig::noise_sampling; result-affecting on the batch
-     * backends, so config-hashed per job when != lockstep).  Serialized
-     * only when != lockstep — existing specs and hashes are untouched.
+     * ExperimentConfig::noise_sampling, whose default this is;
+     * result-affecting on the batch backends, so config-hashed per job
+     * when != lockstep).  Serialized only when != lockstep, and specs
+     * without the field load as lockstep — existing specs and hashes are
+     * untouched.
      */
-    NoiseSampling noise_sampling = NoiseSampling::kLockstep;
+    NoiseSampling noise_sampling = ExperimentConfig{}.noise_sampling;
     std::vector<std::string> codes;     ///< e.g. {"surface:3", "surface:5"}
     std::vector<std::string> policies;  ///< registry names
     std::vector<NoiseParams> noise;     ///< grid points

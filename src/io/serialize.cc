@@ -46,6 +46,16 @@ parse_hex64(const std::string& s, const char* what)
     return v;
 }
 
+/** Throws std::invalid_argument naming `field` unless 0 <= value <= 1. */
+void
+check_probability(const char* field, double value)
+{
+    if (!(value >= 0.0 && value <= 1.0))  // also rejects NaN
+        throw std::invalid_argument("NoiseParams: " + std::string(field) +
+                                    " = " + std::to_string(value) +
+                                    " is not a probability in [0, 1]");
+}
+
 }  // namespace
 
 std::string
@@ -114,6 +124,14 @@ noise_from_json(const Json& j)
     np.lrc_gate_factor = j["lrc_gate_factor"].as_double();
     np.lrc_leak_prob = j["lrc_leak_prob"].as_double();
     np.leaked_gate_backaction = j["leaked_gate_backaction"].as_bool();
+    // Every reader of specs, configs and checkpoints comes through here,
+    // so an untrusted document cannot run with an impossible rate.
+    check_probability("p", np.p);
+    check_probability("pl()", np.pl());
+    check_probability("mlr_err()", np.mlr_err());
+    check_probability("mobility", np.mobility);
+    check_probability("lrc_depol()", np.lrc_depol());
+    check_probability("lrc_leak()", np.lrc_leak());
     return np;
 }
 

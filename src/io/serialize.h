@@ -67,6 +67,10 @@ uint64_t u64_from_hex(const std::string& s);
 
 // --- NoiseParams. ---
 Json noise_to_json(const NoiseParams& np);
+/**
+ * Throws std::invalid_argument, naming the field, when p, pl(),
+ * mlr_err(), mobility, lrc_depol() or lrc_leak() is outside [0, 1].
+ */
 NoiseParams noise_from_json(const Json& j);
 
 // --- ExperimentConfig (embeds NoiseParams). ---

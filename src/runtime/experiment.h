@@ -60,16 +60,19 @@ struct ExperimentConfig {
     int batch_words = 1;
     /**
      * The batch backends' Bernoulli draw contract (sim/simulator.h):
-     * kLockstep advances every lane's stream at every noise site (the
-     * scalar-aligned default), kSparse draws geometric event skips from
-     * one per-(stream, block) stream and touches only firing lanes.
+     * kSparse, the default, draws geometric event skips from one
+     * per-(stream, block) stream and touches only firing lanes; kLockstep
+     * is the scalar-aligned reference, a plain per-lane Rng in the scalar
+     * draw order, behind the frame/batch_frame bit-equality gates.
      * RESULT-AFFECTING on the batch backends — sparse draws a different
      * (statistically equivalent, verify-qualified) sequence — so it is
-     * serialized and config-hashed when != kLockstep; the default
-     * reproduces every existing config hash byte for byte.  The scalar
-     * backends ignore it entirely (like batch_words).
+     * serialized and config-hashed when != kLockstep: documents without
+     * the field read as lockstep and keep their hashes byte for byte.
+     * The scalar backends ignore it entirely (like batch_words).  This is
+     * the one place the default is written: CampaignSpec and
+     * noise_sampling_from_env() read it from here.
      */
-    NoiseSampling noise_sampling = NoiseSampling::kLockstep;
+    NoiseSampling noise_sampling = NoiseSampling::kSparse;
     /**
      * Reuse per-worker simulator/policy/decoder state across (stream,
      * block) work units (the zero-allocation steady state) instead of

@@ -1,313 +1,15 @@
 #include "sim/batch_driver.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
-
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define GLD_BATCH_SIMD_KERNELS 1
-#include <immintrin.h>
-#endif
-
-// Function multiversioning for the word-wide hot paths: one portable
-// binary, with AVX2/AVX-512 clones selected once at load time (glibc
-// ifunc) where the CPU has them.  The lane-RNG step is pure 64-bit
-// shift/add/xor, which widens perfectly — the clones only change
-// shots/second, never results.
-// Sanitizer runtimes initialize after ifunc resolvers run, so a clone
-// resolver in an instrumented binary crashes before main: ASan and TSan
-// builds take the default (portable) body.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
-#define GLD_BATCH_HOT \
-    __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
-#else
-#define GLD_BATCH_HOT
-#endif
 
 namespace gld {
 
-namespace {
-
-// --- CPU-dispatched site kernels. ---
-//
-// One Bernoulli site = every lane of [0, n) advances its xoshiro stream
-// once and compares the 53-bit draw against a threshold; the kernels
-// write the fired lanes PACKED as a ceil(n/64)-word lane span per site
-// (callers mask off padding lanes).  The AVX-512 path gets the packed
-// mask for free from compare-to-mask; AVX2 uses sign-bit movemask; the
-// portable fallback is the LaneRngBank scalar loop.  Resolved once per
-// process — identical results on every path, only shots/second differ.
-
-struct SiteKernels {
-    void (*one)(LaneRngBank&, int, uint64_t, LaneMask*);
-    void (*two)(LaneRngBank&, int, uint64_t, uint64_t, LaneMask*,
-                LaneMask*);
-    void (*three)(LaneRngBank&, int, uint64_t, uint64_t, uint64_t,
-                  LaneMask*, LaneMask*, LaneMask*);
-    const char* tier;  ///< "avx512" / "avx2" / "portable"
-};
-
-/** Packs n 0/1 flags into ceil(n/64) lane words. */
-inline void
-pack_flag_words(const uint64_t* bits, int n, LaneMask* out)
-{
-    for (int w = 0; w * kBatchLanes < n; ++w) {
-        const int base = w * kBatchLanes;
-        const int lim = std::min(kBatchLanes, n - base);
-        LaneMask m = 0;
-        for (int b = 0; b < lim; ++b)
-            m |= bits[base + b] << b;
-        out[w] = m;
-    }
-}
-
-void
-site1_scalar(LaneRngBank& bank, int n, uint64_t t, LaneMask* f)
-{
-    uint64_t bits[kMaxBatchLanes];
-    bank.step_compare_all(n, t, bits);
-    pack_flag_words(bits, n, f);
-}
-
-void
-site2_scalar(LaneRngBank& bank, int n, uint64_t t1, uint64_t t2,
-             LaneMask* f1, LaneMask* f2)
-{
-    uint64_t b1[kMaxBatchLanes], b2[kMaxBatchLanes], a1, a2;
-    bank.step_compare2(n, t1, t2, b1, b2, &a1, &a2);
-    pack_flag_words(b1, n, f1);
-    pack_flag_words(b2, n, f2);
-}
-
-void
-site3_scalar(LaneRngBank& bank, int n, uint64_t t1, uint64_t t2,
-             uint64_t t3, LaneMask* f1, LaneMask* f2, LaneMask* f3)
-{
-    uint64_t b1[kMaxBatchLanes], b2[kMaxBatchLanes], b3[kMaxBatchLanes];
-    uint64_t a1, a2, a3;
-    bank.step_compare3(n, t1, t2, t3, b1, b2, b3, &a1, &a2, &a3);
-    pack_flag_words(b1, n, f1);
-    pack_flag_words(b2, n, f2);
-    pack_flag_words(b3, n, f3);
-}
-
-#if GLD_BATCH_SIMD_KERNELS
-
-// GCC's avx512 intrinsic headers trip -Wmaybe-uninitialized false
-// positives (the masked-op pass-through operand) at -O3; the kernels
-// below never use masked pass-through forms.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
-// S consecutive draw-and-compare steps per lane group, state resident in
-// registers across the S sites.  Padding lanes of a partial final group
-// advance garbage (reseeded next batch) and their fire bits are masked
-// off by the caller.  Each output f[s] spans ceil(n/64) words: an 8-lane
-// group i lands in word i/8, byte i%8.
-
-template <int S>
-__attribute__((target("avx512f"), always_inline)) inline void
-sites_avx512(LaneRngBank& bank, int n, const uint64_t* t,
-             LaneMask* const* f)
-{
-    const int nw = (n + kBatchLanes - 1) / kBatchLanes;
-    __m512i T[S];
-    for (int s = 0; s < S; ++s)
-        T[s] = _mm512_set1_epi64(static_cast<long long>(t[s]));
-    // Word-major: the S fire accumulators of the word in flight stay in
-    // scalar registers (constant indices) and store once per word — an
-    // i>>3-indexed accumulator array would round-trip memory in the
-    // hottest loop of the whole batch backend.
-    for (int w = 0; w < nw; ++w) {
-        LaneMask acc[S] = {};
-        const int base = w * kBatchLanes;
-        const int groups = (std::min(kBatchLanes, n - base) + 7) / 8;
-        for (int g = 0; g < groups; ++g) {
-            const int i = 8 * w + g;
-            __m512i s0 = _mm512_load_si512(bank.raw_s0() + 8 * i);
-            __m512i s1 = _mm512_load_si512(bank.raw_s1() + 8 * i);
-            __m512i s2 = _mm512_load_si512(bank.raw_s2() + 8 * i);
-            __m512i s3 = _mm512_load_si512(bank.raw_s3() + 8 * i);
-            for (int s = 0; s < S; ++s) {
-                const __m512i m5 =
-                    _mm512_add_epi64(s1, _mm512_slli_epi64(s1, 2));
-                const __m512i r7 = _mm512_rol_epi64(m5, 7);
-                const __m512i r =
-                    _mm512_add_epi64(r7, _mm512_slli_epi64(r7, 3));
-                const __m512i t17 = _mm512_slli_epi64(s1, 17);
-                s2 = _mm512_xor_si512(s2, s0);
-                s3 = _mm512_xor_si512(s3, s1);
-                s1 = _mm512_xor_si512(s1, s2);
-                s0 = _mm512_xor_si512(s0, s3);
-                s2 = _mm512_xor_si512(s2, t17);
-                s3 = _mm512_rol_epi64(s3, 45);
-                const __mmask8 hit = _mm512_cmplt_epu64_mask(
-                    _mm512_srli_epi64(r, 11), T[s]);
-                acc[s] |= static_cast<LaneMask>(hit) << (8 * g);
-            }
-            _mm512_store_si512(bank.raw_s0() + 8 * i, s0);
-            _mm512_store_si512(bank.raw_s1() + 8 * i, s1);
-            _mm512_store_si512(bank.raw_s2() + 8 * i, s2);
-            _mm512_store_si512(bank.raw_s3() + 8 * i, s3);
-        }
-        for (int s = 0; s < S; ++s)
-            f[s][w] = acc[s];
-    }
-}
-
-__attribute__((target("avx512f"))) void
-site1_avx512(LaneRngBank& bank, int n, uint64_t t, LaneMask* f)
-{
-    LaneMask* const fs[1] = {f};
-    sites_avx512<1>(bank, n, &t, fs);
-}
-
-__attribute__((target("avx512f"))) void
-site2_avx512(LaneRngBank& bank, int n, uint64_t t1, uint64_t t2,
-             LaneMask* f1, LaneMask* f2)
-{
-    const uint64_t t[2] = {t1, t2};
-    LaneMask* const fs[2] = {f1, f2};
-    sites_avx512<2>(bank, n, t, fs);
-}
-
-__attribute__((target("avx512f"))) void
-site3_avx512(LaneRngBank& bank, int n, uint64_t t1, uint64_t t2,
-             uint64_t t3, LaneMask* f1, LaneMask* f2, LaneMask* f3)
-{
-    const uint64_t t[3] = {t1, t2, t3};
-    LaneMask* const fs[3] = {f1, f2, f3};
-    sites_avx512<3>(bank, n, t, fs);
-}
-
-// AVX2: a 4-lane group i lands in word i/16, nibble i%16.
-
-template <int S>
-__attribute__((target("avx2"), always_inline)) inline void
-sites_avx2(LaneRngBank& bank, int n, const uint64_t* t, LaneMask* const* f)
-{
-    const int nw = (n + kBatchLanes - 1) / kBatchLanes;
-    __m256i T[S];
-    for (int s = 0; s < S; ++s)
-        T[s] = _mm256_set1_epi64x(static_cast<long long>(t[s]));
-#define GLD_ROL256(x, s) \
-    _mm256_or_si256(_mm256_slli_epi64((x), (s)), \
-                    _mm256_srli_epi64((x), 64 - (s)))
-    // Word-major for register-resident accumulators, as in the AVX-512
-    // kernel above.
-    for (int w = 0; w < nw; ++w) {
-        LaneMask acc[S] = {};
-        const int base = w * kBatchLanes;
-        const int groups = (std::min(kBatchLanes, n - base) + 3) / 4;
-        for (int g = 0; g < groups; ++g) {
-            const int i = 16 * w + g;
-            __m256i s0 = _mm256_load_si256(
-                reinterpret_cast<const __m256i*>(bank.raw_s0() + 4 * i));
-            __m256i s1 = _mm256_load_si256(
-                reinterpret_cast<const __m256i*>(bank.raw_s1() + 4 * i));
-            __m256i s2 = _mm256_load_si256(
-                reinterpret_cast<const __m256i*>(bank.raw_s2() + 4 * i));
-            __m256i s3 = _mm256_load_si256(
-                reinterpret_cast<const __m256i*>(bank.raw_s3() + 4 * i));
-            for (int s = 0; s < S; ++s) {
-                const __m256i m5 =
-                    _mm256_add_epi64(s1, _mm256_slli_epi64(s1, 2));
-                const __m256i r7 = GLD_ROL256(m5, 7);
-                const __m256i r =
-                    _mm256_add_epi64(r7, _mm256_slli_epi64(r7, 3));
-                const __m256i t17 = _mm256_slli_epi64(s1, 17);
-                s2 = _mm256_xor_si256(s2, s0);
-                s3 = _mm256_xor_si256(s3, s1);
-                s1 = _mm256_xor_si256(s1, s2);
-                s0 = _mm256_xor_si256(s0, s3);
-                s2 = _mm256_xor_si256(s2, t17);
-                s3 = GLD_ROL256(s3, 45);
-                // Both operands < 2^53, so the unsigned compare is a
-                // signed subtraction's sign bit — movemask-able.
-                const __m256i diff =
-                    _mm256_sub_epi64(_mm256_srli_epi64(r, 11), T[s]);
-                const int hit =
-                    _mm256_movemask_pd(_mm256_castsi256_pd(diff));
-                acc[s] |=
-                    static_cast<LaneMask>(static_cast<unsigned>(hit))
-                    << (4 * g);
-            }
-            _mm256_store_si256(
-                reinterpret_cast<__m256i*>(bank.raw_s0() + 4 * i), s0);
-            _mm256_store_si256(
-                reinterpret_cast<__m256i*>(bank.raw_s1() + 4 * i), s1);
-            _mm256_store_si256(
-                reinterpret_cast<__m256i*>(bank.raw_s2() + 4 * i), s2);
-            _mm256_store_si256(
-                reinterpret_cast<__m256i*>(bank.raw_s3() + 4 * i), s3);
-        }
-        for (int s = 0; s < S; ++s)
-            f[s][w] = acc[s];
-    }
-#undef GLD_ROL256
-}
-
-__attribute__((target("avx2"))) void
-site1_avx2(LaneRngBank& bank, int n, uint64_t t, LaneMask* f)
-{
-    LaneMask* const fs[1] = {f};
-    sites_avx2<1>(bank, n, &t, fs);
-}
-
-__attribute__((target("avx2"))) void
-site2_avx2(LaneRngBank& bank, int n, uint64_t t1, uint64_t t2,
-           LaneMask* f1, LaneMask* f2)
-{
-    const uint64_t t[2] = {t1, t2};
-    LaneMask* const fs[2] = {f1, f2};
-    sites_avx2<2>(bank, n, t, fs);
-}
-
-__attribute__((target("avx2"))) void
-site3_avx2(LaneRngBank& bank, int n, uint64_t t1, uint64_t t2, uint64_t t3,
-           LaneMask* f1, LaneMask* f2, LaneMask* f3)
-{
-    const uint64_t t[3] = {t1, t2, t3};
-    LaneMask* const fs[3] = {f1, f2, f3};
-    sites_avx2<3>(bank, n, t, fs);
-}
-
-#pragma GCC diagnostic pop
-
-#endif  // GLD_BATCH_SIMD_KERNELS
-
-const SiteKernels&
-site_kernels()
-{
-    static const SiteKernels k = [] {
-#if GLD_BATCH_SIMD_KERNELS
-        if (__builtin_cpu_supports("avx512f"))
-            return SiteKernels{site1_avx512, site2_avx512, site3_avx512,
-                               "avx512"};
-        if (__builtin_cpu_supports("avx2"))
-            return SiteKernels{site1_avx2, site2_avx2, site3_avx2, "avx2"};
-#endif
-        return SiteKernels{site1_scalar, site2_scalar, site3_scalar,
-                           "portable"};
-    }();
-    return k;
-}
-
-}  // namespace
-
-const char*
-site_kernel_tier()
-{
-    return site_kernels().tier;
-}
-
 // Every decision site below mirrors sim/leakage_driver.cc (the scalar
 // reference implementation) statement for statement: the scalar control
-// flow runs per lane, draws come from that lane's stream in the scalar
-// within-shot order, and only the state mutation and the draw mechanics
-// are batched — word-wide masked primitives, and one vectorizable
-// LaneRngBank pass per Bernoulli site instead of per-lane Rng calls.
+// flow runs per lane and only the state mutation is batched, as
+// word-wide masked primitives.  Under lockstep each lane's draws are
+// Rng calls on that lane's own stream in the scalar within-shot order.
 // When editing, keep the two files side by side — the tier-1
 // frame/batch_frame bit-equality gate (at every batch width) fails on
 // any divergence.
@@ -348,15 +50,13 @@ BatchLeakageDriver::BatchLeakageDriver(const CssCode& code,
         lane_oracles_[static_cast<size_t>(l)].bind(this, l);
     // Like the scalar driver, shot 0's stream is live from construction
     // (one active lane) so primitive-level probing before any reset works.
-    // Sparse mode never reads the lane bank: its one event stream (armed
-    // the same way a first reset_shot_batch would arm it) replaces all
+    // Sparse mode has no lane streams: its one event stream (armed the
+    // same way a first reset_shot_batch would arm it) replaces all
     // per-lane seeding work.
-    if (sparse_) {
+    if (sparse_)
         sparse_reset(0);
-    } else {
-        for (int l = 0; l < max_lanes; ++l)
-            lane_rng_.seed_lane(l, master_rng_.split(0));
-    }
+    else
+        lane_rng_.assign(static_cast<size_t>(max_lanes), master_rng_.split(0));
     active_[0] = 1;
     n_lanes_ = 1;
 }
@@ -395,9 +95,8 @@ BatchLeakageDriver::reset_shot_batch(int n_lanes)
         // l)-th shot: same master, same split id, same draw order — at
         // every K.
         for (int l = 0; l < n_lanes; ++l)
-            lane_rng_.seed_lane(
-                l,
-                master_rng_.split(shots_started_ + static_cast<uint64_t>(l)));
+            lane_rng_[static_cast<size_t>(l)] =
+                master_rng_.split(shots_started_ + static_cast<uint64_t>(l));
     }
     shots_started_ += static_cast<uint64_t>(n_lanes);
     state_->reset_state();
@@ -419,13 +118,10 @@ BatchLeakageDriver::reset_for_block(Rng master)
     std::fill(mlr_flag_.begin(), mlr_flag_.end(), 0);
     std::fill(detector_.begin(), detector_.end(), 0);
     first_round_ = true;
-    if (sparse_) {
+    if (sparse_)
         sparse_reset(0);
-    } else {
-        const int max_lanes = words_ * kBatchLanes;
-        for (int l = 0; l < max_lanes; ++l)
-            lane_rng_.seed_lane(l, master_rng_.split(0));
-    }
+    else
+        std::fill(lane_rng_.begin(), lane_rng_.end(), master_rng_.split(0));
     for (int w = 0; w < words_; ++w)
         active_[w] = 0;
     active_[0] = 1;
@@ -593,56 +289,12 @@ BatchLeakageDriver::bernoulli_mask(LaneRate& rate,
     if (sparse_)
         return sparse_bernoulli_mask<WT>(rate, mask, out);
     const int W = WT > 0 ? WT : words_;
-    LaneMask any_mask = 0;
-    for (int w = 0; w < W; ++w)
-        any_mask |= mask[w];
-    // Rng::bernoulli consumes NO draw at p <= 0 or p >= 1; neither may we.
-    if (rate.never || any_mask == 0) {
-        lanes_zero(out, W);
-        return 0;
-    }
-    if (rate.always) {
-        for (int w = 0; w < W; ++w)
-            out[w] = mask[w];
-        return any_mask;
-    }
-    LaneMask uncovered = 0;
-    for (int w = 0; w < W; ++w)
-        uncovered |= active_[w] & ~mask[w];
-    if (uncovered == 0) {
-        // Full-width site: one CPU-dispatched kernel pass (padding lanes
-        // advance harmlessly — reseeded next batch, never observed).
-        site_kernels().one(lane_rng_, n_lanes_, rate.thresh, out);
-        LaneMask any = 0;
-        for (int w = 0; w < W; ++w) {
-            out[w] &= mask[w];
-            any |= out[w];
-        }
-        return any;
-    }
-    // Partial site (e.g. a reset skipping leaked lanes): masked step so
-    // only the mask's lanes advance, then the branchless compare —
-    // (a - t) has its sign bit set iff a < t (both fit in 53 bits).
-    lane_rng_.step_masked(n_lanes_, mask, draw_);
-    uint64_t any = 0;
-    for (int l = 0; l < n_lanes_; ++l) {
-        // Mask during the compare: non-mask lanes' draw word is 0,
-        // which would otherwise read as a spurious fire.
-        bits_[l] = (((draw_[l] >> 11) - rate.thresh) >> 63) &
-                   ((mask[l >> 6] >> (l & 63)) & 1u);
-        any |= bits_[l];
-    }
-    if (any == 0) {
-        lanes_zero(out, W);
-        return 0;
-    }
-    pack_bits(n_lanes_, out);
-    LaneMask any_out = 0;
-    for (int w = 0; w < W; ++w) {
-        out[w] &= mask[w];
-        any_out |= out[w];
-    }
-    return any_out;
+    lanes_zero(out, W);
+    for_each_lane(mask, W, [&](int l) {
+        if (lane_rng_[static_cast<size_t>(l)].bernoulli(rate.p))
+            set_lane_bit(out, l);
+    });
+    return lanes_any(out, W);
 }
 
 template <int WT>
@@ -657,7 +309,7 @@ BatchLeakageDriver::depolarize1(int q)
     lanes_zero(xs, W);
     lanes_zero(zs, W);
     for_each_lane(fired, W, [&](int l) {
-        const uint32_t pauli = 1 + payload_uniform_int(l, 3);
+        const uint32_t pauli = 1 + payload_rng(l).uniform_int(3);
         xs[l >> 6] |= static_cast<LaneMask>(pauli & 1u) << (l & 63);
         zs[l >> 6] |= static_cast<LaneMask>((pauli >> 1) & 1u) << (l & 63);
     });
@@ -679,7 +331,7 @@ BatchLeakageDriver::depolarize2(int q0, int q1)
     lanes_zero(x1, W);
     lanes_zero(z1, W);
     for_each_lane(fired, W, [&](int l) {
-        const uint32_t pauli = 1 + payload_uniform_int(l, 15);
+        const uint32_t pauli = 1 + payload_rng(l).uniform_int(15);
         x0[l >> 6] |= static_cast<LaneMask>(pauli & 1u) << (l & 63);
         z0[l >> 6] |= static_cast<LaneMask>((pauli >> 1) & 1u) << (l & 63);
         x1[l >> 6] |= static_cast<LaneMask>((pauli >> 2) & 1u) << (l & 63);
@@ -698,136 +350,6 @@ BatchLeakageDriver::leak_maybe(int q)
     LaneMask leak[kMaxBatchWords];
     if (bernoulli_mask<WT>(rate_pl_, active_, leak) != 0)
         set_leak_t<WT>(q, leak);
-}
-
-// The fused multi-site passes below draw two/three consecutive Bernoulli
-// sites per lane in ONE pass over the lane-RNG state (the state lives in
-// registers between the sites instead of round-tripping memory per
-// site).  Scalar draw order per lane is site1, [payload if fired],
-// site2, ...; the pass optimistically draws the later sites first, so a
-// lane that fires a payload-bearing site1 is REPAIRED: rewind its
-// stream past the optimistic draws (exact xoshiro inverse), insert the
-// payload draw, then redraw the later sites.  Fires are O(p) rare; the
-// repair is per-lane scalar.
-
-template <int WT>
-__attribute__((always_inline)) inline void
-BatchLeakageDriver::data_noise_pair(int q)
-{
-    // depolarize1(q) then leak_maybe(q), fused.  Degenerate rates fall
-    // back to the single-site path (which replicates Rng::bernoulli's
-    // draw-skipping exactly).  Sparse mode always takes it: its sites
-    // route through the event sampler, which has no lane streams to fuse
-    // — and on a quiet round both sites cost zero draws anyway.
-    if (sparse_ || rate_p_.never || rate_p_.always || rate_pl_.never ||
-        rate_pl_.always) {
-        depolarize1<WT>(q);
-        leak_maybe<WT>(q);
-        return;
-    }
-    const int W = WT > 0 ? WT : words_;
-    LaneMask f1[kMaxBatchWords], f2[kMaxBatchWords];
-    site_kernels().two(lane_rng_, n_lanes_, rate_p_.thresh,
-                       rate_pl_.thresh, f1, f2);
-    LaneMask leak[kMaxBatchWords], fired[kMaxBatchWords];
-    LaneMask any_fired = 0;
-    for (int w = 0; w < W; ++w) {
-        leak[w] = f2[w] & active_[w];
-        fired[w] = f1[w] & active_[w];
-        any_fired |= fired[w];
-    }
-    if (any_fired != 0) {
-        LaneMask xs[kMaxBatchWords], zs[kMaxBatchWords];
-        lanes_zero(xs, W);
-        lanes_zero(zs, W);
-        for_each_lane(fired, W, [&](int l) {
-            // Scalar order repair: rewind past the optimistic leak draw,
-            // draw the Pauli payload, then redraw the leak site.
-            lane_rng_.unstep_lane(l);
-            const uint32_t pauli = 1 + lane_rng_.uniform_int_lane(l, 3);
-            xs[l >> 6] |= static_cast<LaneMask>(pauli & 1u) << (l & 63);
-            zs[l >> 6] |= static_cast<LaneMask>((pauli >> 1) & 1u)
-                          << (l & 63);
-            const uint64_t redraw = lane_rng_.next_lane(l);
-            const LaneMask bit = 1ull << (l & 63);
-            if ((((redraw >> 11) - rate_pl_.thresh) >> 63) != 0)
-                leak[l >> 6] |= bit;
-            else
-                leak[l >> 6] &= ~bit;
-        });
-        state_->apply_pauli(q, xs, zs);
-    }
-    if (lanes_any(leak, W) != 0)
-        set_leak_t<WT>(q, leak);
-}
-
-template <int WT>
-__attribute__((always_inline)) inline void
-BatchLeakageDriver::cnot_noise_triple(int control, int target)
-{
-    // depolarize2(control, target), leak_maybe(control),
-    // leak_maybe(target) — the gate-noise tail of every CNOT — fused.
-    // Sparse mode bypasses the fusion (and its rewind/repair machinery)
-    // entirely, like data_noise_pair.
-    if (sparse_ || rate_p_.never || rate_p_.always || rate_pl_.never ||
-        rate_pl_.always) {
-        depolarize2<WT>(control, target);
-        leak_maybe<WT>(control);
-        leak_maybe<WT>(target);
-        return;
-    }
-    const int W = WT > 0 ? WT : words_;
-    LaneMask f1[kMaxBatchWords], f2[kMaxBatchWords], f3[kMaxBatchWords];
-    site_kernels().three(lane_rng_, n_lanes_, rate_p_.thresh,
-                         rate_pl_.thresh, rate_pl_.thresh, f1, f2, f3);
-    LaneMask leak_c[kMaxBatchWords], leak_t[kMaxBatchWords];
-    LaneMask fired[kMaxBatchWords];
-    LaneMask any_fired = 0;
-    for (int w = 0; w < W; ++w) {
-        leak_c[w] = f2[w] & active_[w];
-        leak_t[w] = f3[w] & active_[w];
-        fired[w] = f1[w] & active_[w];
-        any_fired |= fired[w];
-    }
-    if (any_fired != 0) {
-        LaneMask x0[kMaxBatchWords], z0[kMaxBatchWords];
-        LaneMask x1[kMaxBatchWords], z1[kMaxBatchWords];
-        lanes_zero(x0, W);
-        lanes_zero(z0, W);
-        lanes_zero(x1, W);
-        lanes_zero(z1, W);
-        for_each_lane(fired, W, [&](int l) {
-            lane_rng_.unstep_lane(l);
-            lane_rng_.unstep_lane(l);
-            const uint32_t pauli = 1 + lane_rng_.uniform_int_lane(l, 15);
-            x0[l >> 6] |= static_cast<LaneMask>(pauli & 1u) << (l & 63);
-            z0[l >> 6] |= static_cast<LaneMask>((pauli >> 1) & 1u)
-                          << (l & 63);
-            x1[l >> 6] |= static_cast<LaneMask>((pauli >> 2) & 1u)
-                          << (l & 63);
-            z1[l >> 6] |= static_cast<LaneMask>((pauli >> 3) & 1u)
-                          << (l & 63);
-            const LaneMask bit = 1ull << (l & 63);
-            const uint64_t rc_draw = lane_rng_.next_lane(l);
-            if ((((rc_draw >> 11) - rate_pl_.thresh) >> 63) != 0)
-                leak_c[l >> 6] |= bit;
-            else
-                leak_c[l >> 6] &= ~bit;
-            const uint64_t rt_draw = lane_rng_.next_lane(l);
-            if ((((rt_draw >> 11) - rate_pl_.thresh) >> 63) != 0)
-                leak_t[l >> 6] |= bit;
-            else
-                leak_t[l >> 6] &= ~bit;
-        });
-        if (lanes_any(x0, W) | lanes_any(z0, W))
-            state_->apply_pauli(control, x0, z0);
-        if (lanes_any(x1, W) | lanes_any(z1, W))
-            state_->apply_pauli(target, x1, z1);
-    }
-    if (lanes_any(leak_c, W) != 0)
-        set_leak_t<WT>(control, leak_c);
-    if (lanes_any(leak_t, W) != 0)
-        set_leak_t<WT>(target, leak_t);
 }
 
 template <int WT>
@@ -871,14 +393,14 @@ BatchLeakageDriver::cnot(int control, int target)
             if ((cl[wi] & bit) != 0) {
                 // Leaked control: transport with prob `mobility`, else
                 // the target partner is disturbed.
-                if (payload_bernoulli(l, np_.mobility)) {
+                if (payload_rng(l).bernoulli(np_.mobility)) {
                     transport[wi] |= bit;
                 } else if (t_is_anc && !np_.leaked_gate_backaction) {
                     // Ancilla CNOT target is Z-measured: 50% X flip.
-                    if (payload_bit(l))
+                    if (payload_rng(l).bit())
                         xs_t[wi] |= bit;
                 } else {
-                    const uint32_t pauli = payload_uniform_int(l, 4);
+                    const uint32_t pauli = payload_rng(l).uniform_int(4);
                     xs_t[wi] |= static_cast<LaneMask>(pauli & 1u)
                                 << (l & 63);
                     zs_t[wi] |= static_cast<LaneMask>((pauli >> 1) & 1u)
@@ -889,10 +411,10 @@ BatchLeakageDriver::cnot(int control, int target)
                 if (c_is_anc && !np_.leaked_gate_backaction) {
                     // Ancilla CNOT control (X check, between its
                     // Hadamards) is X-measured: 50% Z flip.
-                    if (payload_bit(l))
+                    if (payload_rng(l).bit())
                         zs_c[wi] |= bit;
                 } else {
-                    const uint32_t pauli = payload_uniform_int(l, 4);
+                    const uint32_t pauli = payload_rng(l).uniform_int(4);
                     xs_c[wi] |= static_cast<LaneMask>(pauli & 1u)
                                 << (l & 63);
                     zs_c[wi] |= static_cast<LaneMask>((pauli >> 1) & 1u)
@@ -910,7 +432,9 @@ BatchLeakageDriver::cnot(int control, int target)
         }
     }
 
-    cnot_noise_triple<WT>(control, target);
+    depolarize2<WT>(control, target);
+    leak_maybe<WT>(control);
+    leak_maybe<WT>(target);
 }
 
 inline void
@@ -933,8 +457,8 @@ BatchLeakageDriver::apply_lrc_data(int q, int lane)
     } else {
         clear_leak_lane(q, lane);
     }
-    if (payload_bernoulli(lane, np_.lrc_depol())) {
-        const uint32_t pauli = 1 + payload_uniform_int(lane, 3);
+    if (payload_rng(lane).bernoulli(np_.lrc_depol())) {
+        const uint32_t pauli = 1 + payload_rng(lane).uniform_int(3);
         LaneMask xs[kMaxBatchWords], zs[kMaxBatchWords];
         lanes_zero(xs, words_);
         lanes_zero(zs, words_);
@@ -942,7 +466,7 @@ BatchLeakageDriver::apply_lrc_data(int q, int lane)
         zs[wi] = (pauli & 2u) != 0 ? bit : 0;
         state_->apply_pauli(q, xs, zs);
     }
-    if (payload_bernoulli(lane, np_.lrc_leak()))
+    if (payload_rng(lane).bernoulli(np_.lrc_leak()))
         set_leak_lane(q, lane);
 }
 
@@ -957,8 +481,30 @@ BatchLeakageDriver::apply_lrc_check(int c, int lane)
     lanes_zero(one, words_);
     one[wi] = bit;
     state_->reset_z(anc, one);
-    if (payload_bernoulli(lane, np_.lrc_leak()))
+    if (payload_rng(lane).bernoulli(np_.lrc_leak()))
         set_leak_lane(anc, lane);
+}
+
+template <int WT>
+__attribute__((always_inline)) inline void
+BatchLeakageDriver::readout(const LaneMask* measured, const LaneMask* lk,
+                            const LaneMask* ok, LaneMask* flip)
+{
+    // Clean lanes see the state's outcome through the readout-error site;
+    // leaked lanes' outcomes are discarded and replaced by a coin flip.
+    // Every lane draws once here, so this is the scalar per-lane order in
+    // both modes (sparse flips its coins from the event stream, ascending
+    // lane order, after the error site).
+    const int W = WT > 0 ? WT : words_;
+    LaneMask err[kMaxBatchWords], rnd[kMaxBatchWords];
+    bernoulli_mask<WT>(rate_p_, ok, err);
+    lanes_zero(rnd, W);
+    for_each_lane(lk, W, [&](int l) {
+        if (payload_rng(l).bit())
+            set_lane_bit(rnd, l);
+    });
+    for (int w = 0; w < W; ++w)
+        flip[w] = ((measured[w] ^ err[w]) & ok[w]) | (rnd[w] & lk[w]);
 }
 
 template <int WT>
@@ -989,9 +535,11 @@ BatchLeakageDriver::run_round_t(const std::vector<LrcSchedule>& lane_lrcs,
             apply_lrc_check(c, l);
     }
 
-    // 2. Round-start data noise (fused pair per qubit).
-    for (int q = 0; q < code_->n_data(); ++q)
-        data_noise_pair<WT>(q);
+    // 2. Round-start data noise: depolarization + environment leakage.
+    for (int q = 0; q < code_->n_data(); ++q) {
+        depolarize1<WT>(q);
+        leak_maybe<WT>(q);
+    }
 
     // 3. The scheduled extraction circuit, word-wide.
     for (const Op& op : rc_->ops()) {
@@ -1037,111 +585,17 @@ BatchLeakageDriver::run_round_t(const std::vector<LrcSchedule>& lane_lrcs,
             const int anc = op.q0;
             const LaneMask* la = leaked(anc);
             LaneMask lk[kMaxBatchWords], ok[kMaxBatchWords];
-            LaneMask any_lk = 0;
             for (int w = 0; w < W; ++w) {
                 lk[w] = active_[w] & la[w];
                 ok[w] = active_[w] & ~lk[w];
-                any_lk |= lk[w];
             }
-            // One word-wide readout; leaked lanes' bits are discarded
-            // and replaced by that lane's random-outcome draw.  Every
-            // active lane consumes exactly one word here — leaked lanes
-            // as Rng::bit, the rest as the readout-error Bernoulli — so
-            // one full-width step serves the whole site.  (At p <= 0 or
-            // p >= 1 the clean lanes must NOT draw, like Rng::bernoulli.)
             LaneMask measured[kMaxBatchWords];
             state_->measure_z(anc, measured);
-            LaneMask* flip =
-                &meas_flip_[static_cast<size_t>(op.mslot) * Ws];
+            readout<WT>(measured, lk, ok,
+                        &meas_flip_[static_cast<size_t>(op.mslot) * Ws]);
+            // MLR leak flag with symmetric misclassification.
             LaneMask* mlrw =
                 &mlr_flag_[static_cast<size_t>(op.mslot) * Ws];
-            if (sparse_) {
-                // Event-driven readout: the error site draws over the
-                // non-leaked lanes only, leaked lanes coin-flip from the
-                // event stream (ascending lane order), and the MLR site
-                // is one more event pass — a quiet site costs nothing.
-                LaneMask err[kMaxBatchWords];
-                sparse_bernoulli_mask<WT>(rate_p_, ok, err);
-                LaneMask rnd[kMaxBatchWords];
-                lanes_zero(rnd, W);
-                if (any_lk != 0) {
-                    for_each_lane(lk, W, [&](int l) {
-                        if (event_rng_.bit())
-                            rnd[l >> 6] |= 1ull << (l & 63);
-                    });
-                }
-                for (int w = 0; w < W; ++w)
-                    flip[w] = ((measured[w] ^ err[w]) & ok[w]) |
-                              (rnd[w] & lk[w]);
-                LaneMask mlrt[kMaxBatchWords];
-                sparse_bernoulli_mask<WT>(rate_mlr_, active_, mlrt);
-                for (int w = 0; w < W; ++w)
-                    mlrw[w] = lk[w] ^ mlrt[w];
-                break;
-            }
-            if (!rate_p_.never && !rate_p_.always) {
-                if (any_lk == 0 && !rate_mlr_.never && !rate_mlr_.always) {
-                    // No leaked lane: readout error + MLR error as one
-                    // fused double site (the usual case; neither site
-                    // has a payload draw, so no repair can be needed).
-                    LaneMask err[kMaxBatchWords], mlrf[kMaxBatchWords];
-                    site_kernels().two(lane_rng_, n_lanes_,
-                                       rate_p_.thresh, rate_mlr_.thresh,
-                                       err, mlrf);
-                    for (int w = 0; w < W; ++w) {
-                        flip[w] =
-                            (measured[w] ^ (err[w] & active_[w])) & ok[w];
-                        mlrw[w] = mlrf[w] & active_[w];
-                    }
-                    break;
-                }
-                if (any_lk == 0) {
-                    // No leaked lane: pure readout-error site.
-                    LaneMask err[kMaxBatchWords];
-                    site_kernels().one(lane_rng_, n_lanes_,
-                                       rate_p_.thresh, err);
-                    for (int w = 0; w < W; ++w)
-                        flip[w] =
-                            (measured[w] ^ (err[w] & active_[w])) & ok[w];
-                    bernoulli_mask<WT>(rate_mlr_, active_, mlrw);
-                    break;
-                }
-                lane_rng_.step_all(n_lanes_, draw_);
-                // Readout error via the branchless compare + quiet-site
-                // early-out (see bernoulli_mask); leaked lanes reuse the
-                // same one-word draw as their Rng::bit outcome.
-                uint64_t any = 0;
-                for (int l = 0; l < n_lanes_; ++l) {
-                    bits_[l] = ((draw_[l] >> 11) - rate_p_.thresh) >> 63;
-                    any |= bits_[l];
-                }
-                LaneMask err[kMaxBatchWords];
-                if (any != 0)
-                    pack_bits(n_lanes_, err);
-                else
-                    lanes_zero(err, W);
-                LaneMask rnd[kMaxBatchWords];
-                lanes_zero(rnd, W);
-                for_each_lane(lk, W, [&](int l) {
-                    rnd[l >> 6] |= (draw_[l] >> 63) << (l & 63);
-                });
-                for (int w = 0; w < W; ++w)
-                    flip[w] = ((measured[w] ^ err[w]) & ok[w]) |
-                              (rnd[w] & lk[w]);
-            } else {
-                lane_rng_.step_masked(n_lanes_, lk, draw_);
-                LaneMask rnd[kMaxBatchWords];
-                lanes_zero(rnd, W);
-                for_each_lane(lk, W, [&](int l) {
-                    rnd[l >> 6] |= (draw_[l] >> 63) << (l & 63);
-                });
-                for (int w = 0; w < W; ++w) {
-                    const LaneMask err = rate_p_.always ? ok[w] : 0;
-                    flip[w] = ((measured[w] ^ err) & ok[w]) |
-                              (rnd[w] & lk[w]);
-                }
-            }
-            // MLR leak flag with symmetric misclassification.
             LaneMask mlrt[kMaxBatchWords];
             bernoulli_mask<WT>(rate_mlr_, active_, mlrt);
             for (int w = 0; w < W; ++w)
@@ -1173,13 +627,9 @@ BatchLeakageDriver::run_round_t(const std::vector<LrcSchedule>& lane_lrcs,
                            mlr_flag_.data(), n_checks, W, n_lanes_, out);
 }
 
-// The cloned shells: one words_ dispatch per round (not per op) picks a
-// compile-time-width body, which inlines whole into each target clone —
-// the W loops unroll away (at the common W=1 every span op degenerates
-// to single-word straight-line code) AND the inlined helpers get the
-// clone's ISA for free.  GCC can't target_clones a template, hence the
-// shell + always_inline-template split.
-GLD_BATCH_HOT
+// One words_ dispatch per round (not per op) picks a compile-time-width
+// body: the W loops unroll away, and at the common W=1 every span op
+// degenerates to single-word straight-line code.
 void
 BatchLeakageDriver::run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
                                     std::vector<RoundResult>* out)
@@ -1212,51 +662,13 @@ BatchLeakageDriver::final_measure_t(std::vector<std::vector<uint8_t>>* out)
         LaneMask measured[kMaxBatchWords];
         state_->measure_z(q, measured);
         LaneMask flip[kMaxBatchWords];
-        if (sparse_) {
-            LaneMask err[kMaxBatchWords];
-            sparse_bernoulli_mask<WT>(rate_p_, ok, err);
-            LaneMask rnd[kMaxBatchWords];
-            lanes_zero(rnd, W);
-            for_each_lane(lk, W, [&](int l) {
-                if (event_rng_.bit())
-                    rnd[l >> 6] |= 1ull << (l & 63);
-            });
-            for (int w = 0; w < W; ++w)
-                flip[w] = ((measured[w] ^ err[w]) & ok[w]) |
-                          (rnd[w] & lk[w]);
-        } else if (!rate_p_.never && !rate_p_.always) {
-            lane_rng_.step_all(n_lanes_, draw_);
-            for (int w = 0; w * kBatchLanes < n_lanes_; ++w) {
-                const int base = w * kBatchLanes;
-                const int lim = std::min(kBatchLanes, n_lanes_ - base);
-                LaneMask rnd = 0, err = 0;
-                for (int b = 0; b < lim; ++b) {
-                    rnd |= (draw_[base + b] >> 63) << b;
-                    err |= static_cast<LaneMask>(
-                               (draw_[base + b] >> 11) < rate_p_.thresh)
-                           << b;
-                }
-                flip[w] = ((measured[w] ^ err) & ok[w]) | (rnd & lk[w]);
-            }
-        } else {
-            lane_rng_.step_masked(n_lanes_, lk, draw_);
-            LaneMask rnd[kMaxBatchWords];
-            lanes_zero(rnd, W);
-            for_each_lane(lk, W, [&](int l) {
-                rnd[l >> 6] |= (draw_[l] >> 63) << (l & 63);
-            });
-            for (int w = 0; w < W; ++w) {
-                const LaneMask err = rate_p_.always ? ok[w] : 0;
-                flip[w] = ((measured[w] ^ err) & ok[w]) | (rnd[w] & lk[w]);
-            }
-        }
+        readout<WT>(measured, lk, ok, flip);
         for (int l = 0; l < n_lanes_; ++l)
             (*out)[static_cast<size_t>(l)][static_cast<size_t>(q)] =
                 static_cast<uint8_t>((flip[l >> 6] >> (l & 63)) & 1u);
     }
 }
 
-GLD_BATCH_HOT
 void
 BatchLeakageDriver::final_data_measure_batch(
     std::vector<std::vector<uint8_t>>* out)

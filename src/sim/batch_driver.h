@@ -15,307 +15,9 @@
 namespace gld {
 
 /**
- * Which CPU-dispatched Bernoulli site-kernel tier this process runs:
- * "avx512", "avx2" or "portable" (resolved once from the CPU; results
- * are identical on every tier, only shots/second differ).
- */
-const char* site_kernel_tier();
-
-/**
- * Up to kMaxBatchLanes xoshiro256** streams stored structure-of-arrays,
- * one per lane.
- *
- * Lane l's stream is seeded from an Rng (master.split(shot)) and steps
- * with the identical update rule, so the lane's draw sequence is
- * bit-for-bit the scalar driver's — while `step_all`/`step_masked`
- * advance every lane in one pass the compiler can vectorize.  This is
- * where the batch backend's throughput comes from: the noise draws are
- * ~all of a frame simulator's per-shot cost, and here K*64 of them cost
- * a few wide ops instead of K*64 function calls.
- *
- * The Bernoulli fast path compares the 53-bit mantissa draw against
- * ceil(p * 2^53): exactly equivalent to Rng::bernoulli's
- * `uniform() < p` (the scaling by 2^53 is a power of two, so both sides
- * of the comparison are exact), with no int->double conversion per lane.
- */
-class LaneRngBank {
-  public:
-    /** Lane l's stream := a bit-identical copy of `rng`'s. */
-    void seed_lane(int l, const Rng& rng)
-    {
-        uint64_t s[4];
-        rng.export_state(s);
-        s0_[l] = s[0];
-        s1_[l] = s[1];
-        s2_[l] = s[2];
-        s3_[l] = s[3];
-    }
-
-    /**
-     * Advances lanes [0, n) one step and writes lane l's draw to out[l].
-     * Inactive lanes < n advance too — harmless, they are reseeded at
-     * the next batch and their draws are never observed.
-     */
-    void step_all(int n, uint64_t* __restrict__ out)
-    {
-        // Same update as step_lane, with the x*5 / x*9 multiplies spelled
-        // as shift-adds: SSE2 has no 64-bit multiply, and gcc refuses to
-        // vectorize the loop with them present.
-        for (int l = 0; l < n; ++l) {
-            const uint64_t m5 = s1_[l] + (s1_[l] << 2);
-            const uint64_t r7 = rotl(m5, 7);
-            out[l] = r7 + (r7 << 3);
-            const uint64_t t = s1_[l] << 17;
-            s2_[l] ^= s0_[l];
-            s3_[l] ^= s1_[l];
-            s1_[l] ^= s2_[l];
-            s0_[l] ^= s3_[l];
-            s2_[l] ^= t;
-            s3_[l] = rotl(s3_[l], 45);
-        }
-    }
-
-    /**
-     * Advances ONLY the lanes of the `mask` span within [0, n) (out of
-     * other lanes is 0).  Used at sites where some active lanes must not
-     * draw (e.g. a reset pulse skips leaked lanes), so their streams
-     * stay scalar-aligned.  `mask` spans ceil(n/64) words.
-     */
-    void step_masked(int n, const LaneMask* __restrict__ mask,
-                     uint64_t* __restrict__ out)
-    {
-        for (int w = 0; w * kBatchLanes < n; ++w) {
-            const LaneMask mw = mask[w];
-            const int base = w * kBatchLanes;
-            const int lim =
-                n - base < kBatchLanes ? n - base : kBatchLanes;
-            for (int b = 0; b < lim; ++b) {
-                const int l = base + b;
-                const uint64_t keep =
-                    static_cast<uint64_t>(0) - ((mw >> b) & 1u);
-                const uint64_t m5 = s1_[l] + (s1_[l] << 2);
-                const uint64_t r7 = rotl(m5, 7);
-                const uint64_t r = r7 + (r7 << 3);
-                const uint64_t t = s1_[l] << 17;
-                uint64_t n2 = s2_[l] ^ s0_[l];
-                uint64_t n3 = s3_[l] ^ s1_[l];
-                const uint64_t n1 = s1_[l] ^ n2;
-                const uint64_t n0 = s0_[l] ^ n3;
-                n2 ^= t;
-                n3 = rotl(n3, 45);
-                s0_[l] ^= (s0_[l] ^ n0) & keep;
-                s1_[l] ^= (s1_[l] ^ n1) & keep;
-                s2_[l] ^= (s2_[l] ^ n2) & keep;
-                s3_[l] ^= (s3_[l] ^ n3) & keep;
-                out[l] = r & keep;
-            }
-        }
-    }
-
-    /**
-     * Fused step + Bernoulli compare: advances lanes [0, n), writes the
-     * 0/1 fire flag of lane l to bits[l] (fire iff mantissa draw <
-     * thresh, branchless via the subtraction sign bit) and returns the
-     * OR of all flags — one pass, no draw-word round trip through
-     * memory.  This is the single hottest loop of the batch backend.
-     */
-    uint64_t step_compare_all(int n, uint64_t thresh,
-                              uint64_t* __restrict__ bits)
-    {
-        uint64_t any = 0;
-        for (int l = 0; l < n; ++l) {
-            const uint64_t m5 = s1_[l] + (s1_[l] << 2);
-            const uint64_t r7 = rotl(m5, 7);
-            const uint64_t r = r7 + (r7 << 3);
-            const uint64_t t = s1_[l] << 17;
-            s2_[l] ^= s0_[l];
-            s3_[l] ^= s1_[l];
-            s1_[l] ^= s2_[l];
-            s0_[l] ^= s3_[l];
-            s2_[l] ^= t;
-            s3_[l] = rotl(s3_[l], 45);
-            bits[l] = ((r >> 11) - thresh) >> 63;
-            any |= bits[l];
-        }
-        return any;
-    }
-
-    /**
-     * Fused DOUBLE site: per lane, draw-and-compare against t1 then t2
-     * in one pass — the state round-trips memory once for two sites.
-     * Per-lane draw order is site1 then site2, exactly the scalar
-     * order; callers repair fired payload lanes via unstep_lane.
-     */
-    void step_compare2(int n, uint64_t t1, uint64_t t2,
-                       uint64_t* __restrict__ b1,
-                       uint64_t* __restrict__ b2, uint64_t* any1,
-                       uint64_t* any2)
-    {
-        uint64_t a1 = 0, a2 = 0;
-        for (int l = 0; l < n; ++l) {
-            uint64_t s0 = s0_[l], s1 = s1_[l], s2 = s2_[l], s3 = s3_[l];
-            const uint64_t r1 = out_scramble(s1);
-            advance(s0, s1, s2, s3);
-            const uint64_t r2 = out_scramble(s1);
-            advance(s0, s1, s2, s3);
-            s0_[l] = s0;
-            s1_[l] = s1;
-            s2_[l] = s2;
-            s3_[l] = s3;
-            b1[l] = ((r1 >> 11) - t1) >> 63;
-            b2[l] = ((r2 >> 11) - t2) >> 63;
-            a1 |= b1[l];
-            a2 |= b2[l];
-        }
-        *any1 = a1;
-        *any2 = a2;
-    }
-
-    /** Fused TRIPLE site (one memory round trip for three draws). */
-    void step_compare3(int n, uint64_t t1, uint64_t t2, uint64_t t3,
-                       uint64_t* __restrict__ b1,
-                       uint64_t* __restrict__ b2,
-                       uint64_t* __restrict__ b3, uint64_t* any1,
-                       uint64_t* any2, uint64_t* any3)
-    {
-        uint64_t a1 = 0, a2 = 0, a3 = 0;
-        for (int l = 0; l < n; ++l) {
-            uint64_t s0 = s0_[l], s1 = s1_[l], s2 = s2_[l], s3 = s3_[l];
-            const uint64_t r1 = out_scramble(s1);
-            advance(s0, s1, s2, s3);
-            const uint64_t r2 = out_scramble(s1);
-            advance(s0, s1, s2, s3);
-            const uint64_t r3 = out_scramble(s1);
-            advance(s0, s1, s2, s3);
-            s0_[l] = s0;
-            s1_[l] = s1;
-            s2_[l] = s2;
-            s3_[l] = s3;
-            b1[l] = ((r1 >> 11) - t1) >> 63;
-            b2[l] = ((r2 >> 11) - t2) >> 63;
-            b3[l] = ((r3 >> 11) - t3) >> 63;
-            a1 |= b1[l];
-            a2 |= b2[l];
-            a3 |= b3[l];
-        }
-        *any1 = a1;
-        *any2 = a2;
-        *any3 = a3;
-    }
-
-    /**
-     * Exact inverse of one step of lane l's stream (xoshiro256**'s state
-     * transition is an invertible linear map).  Used to repair a fired
-     * lane after a fused multi-site pass: rewind past the
-     * optimistically-taken later draws, insert the payload draw the
-     * scalar order demands, then redraw the later sites.
-     */
-    void unstep_lane(int l)
-    {
-        // Forward map: a'=a^d^b, b'=b^c^a, c'=c^a^(b<<17),
-        // d'=rotl(d^b,45).  Solve back for (a,b,c,d).
-        const uint64_t A = s0_[l], B = s1_[l], C = s2_[l], D = s3_[l];
-        const uint64_t d1 = rotl(D, 64 - 45);  // rotr 45: d ^ b
-        const uint64_t a = A ^ d1;
-        const uint64_t y = C ^ B;  // = b ^ (b << 17)
-        uint64_t b = y;
-        b = y ^ (b << 17);
-        b = y ^ (b << 17);
-        b = y ^ (b << 17);
-        const uint64_t c = b ^ B ^ a;
-        s0_[l] = a;
-        s1_[l] = b;
-        s2_[l] = c;
-        s3_[l] = d1 ^ b;
-    }
-
-    /** One lane's next_u64 (the rare, lane-divergent paths). */
-    uint64_t next_lane(int l) { return step_lane(l); }
-
-    /** Bit-identical to Rng::uniform on lane l's stream. */
-    double uniform_lane(int l)
-    {
-        return static_cast<double>(next_lane(l) >> 11) * 0x1.0p-53;
-    }
-
-    /** Bit-identical to Rng::bernoulli on lane l's stream. */
-    bool bernoulli_lane(int l, double p)
-    {
-        if (p <= 0.0)
-            return false;
-        if (p >= 1.0)
-            return true;
-        return uniform_lane(l) < p;
-    }
-
-    /** Bit-identical to Rng::uniform_int on lane l's stream. */
-    uint32_t uniform_int_lane(int l, uint32_t n)
-    {
-        return static_cast<uint32_t>(
-            (static_cast<__uint128_t>(next_lane(l)) * n) >> 64);
-    }
-
-    /** Bit-identical to Rng::bit on lane l's stream. */
-    bool bit_lane(int l) { return (next_lane(l) >> 63) != 0; }
-
-    // Raw SoA state rows, for the batch backend's CPU-dispatched site
-    // kernels (batch_driver.cc) — the AVX-512/AVX2 paths run the same
-    // update rule on these words with compare-to-mask outputs.
-    uint64_t* raw_s0() { return s0_; }
-    uint64_t* raw_s1() { return s1_; }
-    uint64_t* raw_s2() { return s2_; }
-    uint64_t* raw_s3() { return s3_; }
-
-  private:
-    static uint64_t rotl(uint64_t x, int k)
-    {
-        return (x << k) | (x >> (64 - k));
-    }
-
-    /** The xoshiro256** output function (x*5 rotl 7 *9, as shift-adds). */
-    static uint64_t out_scramble(uint64_t s1)
-    {
-        const uint64_t m5 = s1 + (s1 << 2);
-        const uint64_t r7 = rotl(m5, 7);
-        return r7 + (r7 << 3);
-    }
-
-    /** The xoshiro256** state transition on four local words. */
-    static void advance(uint64_t& s0, uint64_t& s1, uint64_t& s2,
-                        uint64_t& s3)
-    {
-        const uint64_t t = s1 << 17;
-        s2 ^= s0;
-        s3 ^= s1;
-        s1 ^= s2;
-        s0 ^= s3;
-        s2 ^= t;
-        s3 = rotl(s3, 45);
-    }
-
-    uint64_t step_lane(int l)
-    {
-        const uint64_t result = rotl(s1_[l] * 5, 7) * 9;
-        const uint64_t t = s1_[l] << 17;
-        s2_[l] ^= s0_[l];
-        s3_[l] ^= s1_[l];
-        s1_[l] ^= s2_[l];
-        s0_[l] ^= s3_[l];
-        s2_[l] ^= t;
-        s3_[l] = rotl(s3_[l], 45);
-        return result;
-    }
-
-    alignas(64) uint64_t s0_[kMaxBatchLanes];
-    alignas(64) uint64_t s1_[kMaxBatchLanes];
-    alignas(64) uint64_t s2_[kMaxBatchLanes];
-    alignas(64) uint64_t s3_[kMaxBatchLanes];
-};
-
-/**
- * A Bernoulli rate preprocessed for the lane bank's word-wide draw:
- * `thresh` is ceil(p * 2^53), and the p <= 0 / p >= 1 short-circuits
- * mirror Rng::bernoulli (which consumes NO draw in either case).
+ * A Bernoulli rate preprocessed for the word-wide sites: the p <= 0 /
+ * p >= 1 short-circuits mirror Rng::bernoulli (which consumes NO draw in
+ * either case).
  *
  * The sparse (event-driven) sampler adds two kinds of state:
  *  - `inv_log1mp` = 1 / log(1-p), precomputed so a geometric skip is one
@@ -329,7 +31,6 @@ class LaneRngBank {
  */
 struct LaneRate {
     double p = 0.0;
-    uint64_t thresh = 0;
     bool never = true;
     bool always = false;
     double inv_log1mp = 0.0;  ///< 1/log(1-p) (sparse geometric skips)
@@ -341,10 +42,8 @@ struct LaneRate {
     {
         never = p <= 0.0;
         always = p >= 1.0;
-        if (!never && !always) {
-            thresh = static_cast<uint64_t>(__builtin_ceil(p * 0x1.0p53));
+        if (!never && !always)
             inv_log1mp = 1.0 / __builtin_log1p(-p);
-        }
     }
 };
 
@@ -413,19 +112,26 @@ class BatchStatePrimitives {
  * implementation), executed for up to batch_words*64 shots in lockstep
  * over a BatchStatePrimitives provider.
  *
- * Determinism contract — the reason this driver can exist at all:
- *  - Lane l owns an independent noise stream, master.split(shot_base + l),
- *    exactly the stream the SCALAR driver uses for its (shot_base + l)-th
- *    shot.  At every decision site the driver walks the active lanes in
- *    ascending order and draws per lane from that lane's stream, in the
- *    same within-shot order as the scalar driver — so each lane's draw
- *    sequence is bit-identical to the scalar backend's corresponding
- *    shot, no matter what the other lanes do.  This holds at EVERY batch
- *    width: lane (w, l) of a K-word batch replays scalar shot w*64+l of
- *    the block draw for draw.
- *  - Control flow is computed per lane into masks; state mutation happens
- *    through word-wide masked primitives (the speedup), but never in a
- *    way the scalar driver could distinguish.
+ * Determinism contract — two Bernoulli draw contracts (NoiseSampling):
+ *  - kSparse, the production engine and the library default: one event
+ *    stream per shot batch, master.split(shot_base), draws geometric
+ *    skips over the (site x lane) positions and touches only the firing
+ *    lanes; payload draws (Pauli choice, transport, readout coin) come
+ *    from the same stream in ascending lane order.  Events depend only on
+ *    (seed, stream, block), so results are bit-identical across thread
+ *    counts and shard splits, and agree with the scalar backends
+ *    statistically (the `gld_campaign verify` referee).
+ *  - kLockstep, the scalar-aligned reference: lane l owns a plain Rng,
+ *    master.split(shot_base + l) — exactly the stream the SCALAR driver
+ *    uses for its (shot_base + l)-th shot — and every draw of the lane is
+ *    a call on it (bernoulli, uniform_int, bit) in the scalar driver's
+ *    within-shot order.  Each lane's draw sequence is therefore
+ *    bit-identical to the scalar backend's corresponding shot, no matter
+ *    what the other lanes do, at EVERY batch width: lane (w, l) of a
+ *    K-word batch replays scalar shot w*64+l of the block draw for draw.
+ *  - In both modes control flow is computed per lane into masks; state
+ *    mutation happens through word-wide masked primitives, but never in
+ *    a way the scalar driver could distinguish.
  *
  * Any semantic change to the scalar LeakageDriver MUST be mirrored here;
  * the cross-backend gate (frame vs batch_frame Metrics must be
@@ -440,10 +146,11 @@ class BatchLeakageDriver final {
      *        and the lane streams line up shot for shot.
      * @param batch_words words per lane span (1 <= K <= kMaxBatchWords);
      *        one batch holds up to batch_words*64 shots.
-     * @param noise_sampling lockstep (per-lane streams, the scalar-aligned
-     *        default) or sparse (one event stream for the whole batch,
-     *        geometric skips over the (site x lane) position space — its
-     *        own RNG contract, qualified statistically by verify).
+     * @param noise_sampling lockstep (per-lane Rng streams, the
+     *        scalar-aligned reference) or sparse (one event stream for the
+     *        whole batch, geometric skips over the (site x lane) position
+     *        space — its own RNG contract, qualified statistically by
+     *        verify).
      */
     BatchLeakageDriver(const CssCode& code, const RoundCircuit& rc,
                        const NoiseParams& np, Rng master,
@@ -629,12 +336,13 @@ class BatchLeakageDriver final {
     template <int WT> void set_leak_t(int q, const LaneMask* lanes);
 
     /**
-     * One word-wide Bernoulli site: every lane of the `mask` span draws
-     * once from its own stream (lanes outside `mask` do not advance) and
-     * the fired lanes are written to the `out` span.  Returns the OR of
-     * the out words (nonzero iff any lane fired).  Bit-identical per
-     * lane to Rng::bernoulli, including the no-draw p<=0 / p>=1
-     * short-circuits.
+     * One word-wide Bernoulli site: the fired lanes of the `mask` span
+     * are written to the `out` span, and the OR of the out words is
+     * returned (nonzero iff any lane fired).  Lockstep calls
+     * Rng::bernoulli once per lane of `mask` on that lane's own stream
+     * (lanes outside `mask` do not advance), so it keeps the no-draw
+     * p<=0 / p>=1 short-circuits too; sparse delegates to
+     * sparse_bernoulli_mask.
      */
     template <int WT>
     LaneMask bernoulli_mask(LaneRate& rate, const LaneMask* mask,
@@ -664,19 +372,9 @@ class BatchLeakageDriver final {
     // Payload draws (Pauli choice, transport direction, readout coin...)
     // after a fire decision: lockstep takes them from the firing lane's
     // own stream (scalar-aligned), sparse from the one event stream.
-    uint32_t payload_uniform_int(int lane, uint32_t n)
+    Rng& payload_rng(int lane)
     {
-        return sparse_ ? event_rng_.uniform_int(n)
-                       : lane_rng_.uniform_int_lane(lane, n);
-    }
-    bool payload_bit(int lane)
-    {
-        return sparse_ ? event_rng_.bit() : lane_rng_.bit_lane(lane);
-    }
-    bool payload_bernoulli(int lane, double p)
-    {
-        return sparse_ ? event_rng_.bernoulli(p)
-                       : lane_rng_.bernoulli_lane(lane, p);
+        return sparse_ ? event_rng_ : lane_rng_[static_cast<size_t>(lane)];
     }
 
     /** Re-arms the sparse event stream + countdowns at a reset point. */
@@ -688,28 +386,14 @@ class BatchLeakageDriver final {
         rate_mlr_.skip_valid = false;
     }
 
-    /** Packs bits[0..n) (each 0 or 1) into out (ceil(n/64) words). */
-    static void pack_bits(const uint64_t* bits, int n, LaneMask* out)
-    {
-        for (int w = 0; w * kBatchLanes < n; ++w) {
-            const int base = w * kBatchLanes;
-            const int lim =
-                n - base < kBatchLanes ? n - base : kBatchLanes;
-            LaneMask m = 0;
-            for (int b = 0; b < lim; ++b)
-                m |= bits[base + b] << b;
-            out[w] = m;
-        }
-    }
-    void pack_bits(int n, LaneMask* out) const
-    {
-        pack_bits(bits_, n, out);
-    }
-
-    /** Fused depolarize1 + leak_maybe (the per-data-qubit noise pair). */
-    template <int WT> void data_noise_pair(int q);
-    /** Fused depolarize2 + leak_maybe x2 (the per-CNOT noise triple). */
-    template <int WT> void cnot_noise_triple(int control, int target);
+    /**
+     * Readout flips of one measured qubit into `flip`: the readout-error
+     * site over the `ok` lanes, a random outcome for the leaked `lk`
+     * lanes.
+     */
+    template <int WT>
+    void readout(const LaneMask* measured, const LaneMask* lk,
+                 const LaneMask* ok, LaneMask* flip);
 
     /** Width-specialized bodies of the two public batch entry points. */
     template <int WT>
@@ -729,9 +413,8 @@ class BatchLeakageDriver final {
     int words_ = 1;         ///< K: words per lane span
     bool sparse_ = false;   ///< NoiseSampling::kSparse event-driven draws
     Rng event_rng_;         ///< the sparse mode's one per-batch stream
-    LaneRngBank lane_rng_;  ///< per-lane shot streams (SoA; lockstep only)
-    uint64_t draw_[kMaxBatchLanes];  ///< scratch for word-wide draw sites
-    uint64_t bits_[kMaxBatchLanes];  ///< scratch: 0/1 compare results
+    /** Lockstep only: lane l's shot stream (64*K entries; none in sparse). */
+    std::vector<Rng> lane_rng_;
 
     LaneMask active_[kMaxBatchWords] = {};
     int n_lanes_ = 0;

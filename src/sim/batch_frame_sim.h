@@ -19,12 +19,14 @@ namespace gld {
  * lockstep by the BatchLeakageDriver.
  *
  * Each primitive is a K-word strip of AND/XOR operations serving up to
- * 64*K shots at once — the classic batch frame-simulator speedup — while
- * the per-lane noise streams keep every lane bit-identical to the scalar
- * `frame` backend's corresponding shot (same master Rng(seed), same
- * split-per-shot derivation, at every K).  `Metrics` produced through the
- * scheduler's batch path are bit-identical to the scalar frame backend's,
- * which is the tier-1 cross-backend gate.
+ * 64*K shots at once — the classic batch frame-simulator speedup.  Under
+ * lockstep sampling the per-lane noise streams keep every lane
+ * bit-identical to the scalar `frame` backend's corresponding shot (same
+ * master Rng(seed), same split-per-shot derivation, at every K), so
+ * `Metrics` produced through the scheduler's batch path are bit-identical
+ * to the scalar frame backend's — the tier-1 cross-backend gate.  Under
+ * the default sparse sampling they agree statistically (the verify
+ * referee).
  *
  * Frame semantics per primitive match LeakFrameSim lane for lane:
  * measure_z reads the X-frame words without disturbing them, park_leaked

@@ -20,8 +20,8 @@ namespace gld {
  *
  * The per-measurement cost is still the tableau's O(n^2) per lane — the
  * state itself cannot be bit-packed across shots — but the whole per-round
- * noise machinery (the LaneRngBank site kernels, the leak-plane masks, the
- * tile transpose, the scheduler's word-wide FN/DLP accounting) is amortized
+ * noise machinery (the noise sampler, the leak-plane masks, the tile
+ * transpose, the scheduler's word-wide FN/DLP accounting) is amortized
  * over the batch exactly as for batch_frame, so exact-mode campaigns batch
  * too.
  *

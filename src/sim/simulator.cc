@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "runtime/experiment.h"
 #include "sim/batch_frame_sim.h"
 #include "sim/batch_tableau_sim.h"
 #include "sim/frame_sim.h"
@@ -205,7 +206,7 @@ noise_sampling_from_env()
 {
     const char* s = std::getenv("GLD_NOISE_SAMPLING");
     if (s == nullptr || s[0] == '\0')
-        return NoiseSampling::kLockstep;
+        return ExperimentConfig{}.noise_sampling;
     try {
         return noise_sampling_from_name(s);
     } catch (const std::runtime_error&) {
@@ -245,7 +246,7 @@ backend_cost_factor(SimBackend backend, int n_qubits)
       case SimBackend::kBatchFrame:
         // 64 shots per word: one lockstep driver pass serves a whole
         // shot block, so a shot costs ~1/64 of a scalar frame shot (the
-        // per-lane noise draws keep it from being exactly 1/64; the
+        // per-lane control flow keeps it from being exactly 1/64; the
         // benchmark BM_BackendThroughput measures the real ratio).
         return 1.0 / 64.0;
       case SimBackend::kBatchTableau: {

@@ -228,9 +228,9 @@ void check_lrc_schedule(const LrcSchedule& sched, int lane, int n_data,
  * tableau through the same round circuit (slower by O(n^2) per
  * measurement; exact-stabilizer states); kBatchFrame packs K*64 shots
  * (K = batch_words) into K words per qubit and runs them in lockstep
- * through the batch driver — bit-identical Metrics to kFrame at several
- * times the shots/second (BM_BackendThroughput measures the real ratio;
- * the per-lane noise draws both engines must make bound it);
+ * through the batch driver at several times the shots/second
+ * (BM_BackendThroughput measures the real ratio) — bit-identical Metrics
+ * to kFrame under lockstep noise sampling;
  * kBatchTableau runs K*64 exact CHP tableaux in lockstep behind the same
  * batch driver, amortizing the per-round noise machinery over the batch
  * so exact-mode campaigns batch too.  All share the one LeakageDriver
@@ -279,21 +279,23 @@ int batch_words_from_env();
 /**
  * How the batch backends sample their Bernoulli noise sites.
  *
- * kLockstep (the default) is the classic draw contract: every lane of a
- * batch owns a per-lane RNG stream and draws once at EVERY noise site,
- * so lane k replays the scalar backend's shot k draw for draw — the
- * basis of the frame/batch_frame bit-equality gate.
+ * kSparse (the production engine, ExperimentConfig's default) is
+ * event-driven: one dedicated scalar event stream per (stream, block)
+ * work unit draws geometric skips over the flattened (site x lane)
+ * position space of a round and touches only the lanes that actually
+ * fire — quiet sites cost zero RNG work.  The draw sequence legitimately
+ * differs from the scalar backends', so sparse batch backends register
+ * their own backend_rng_contract values and are qualified STATISTICALLY
+ * by `gld_campaign verify` (pooled z-tests), not by bit-diff.
  *
- * kSparse is event-driven: one dedicated scalar event stream per
- * (stream, block) work unit draws geometric skips over the flattened
- * (site x lane) position space of a round and touches only the lanes
- * that actually fire — quiet sites cost zero RNG work.  The draw
- * sequence legitimately differs from the scalar backends', so sparse
- * batch backends register their own backend_rng_contract values and are
- * qualified STATISTICALLY by `gld_campaign verify` (pooled z-tests),
- * not by bit-diff.  Scalar backends ignore the knob entirely (like
- * batch_words).  RESULT-AFFECTING on batch backends: serialized and
- * config-hashed when != kLockstep.
+ * kLockstep is the scalar-aligned reference: every lane of a batch owns
+ * a plain Rng stream and makes exactly the scalar driver's calls on it,
+ * so lane k replays the scalar backend's shot k draw for draw — the
+ * basis of the frame/batch_frame bit-equality gates.
+ *
+ * Scalar backends ignore the knob entirely (like batch_words).
+ * RESULT-AFFECTING on batch backends: serialized and config-hashed when
+ * != kLockstep (absence reads as lockstep).
  */
 enum class NoiseSampling : uint8_t {
     kLockstep = 0,
@@ -315,8 +317,8 @@ NoiseSampling noise_sampling_from_name(const std::string& name);
 /**
  * The noise sampling mode selected by the GLD_NOISE_SAMPLING environment
  * variable — the one resolution point benches, tests and the demo share.
- * Unset/empty means kLockstep; an unknown name throws, naming the
- * variable and the known modes.
+ * Unset/empty means ExperimentConfig's default; an unknown name throws,
+ * naming the variable and the known modes.
  */
 NoiseSampling noise_sampling_from_env();
 

@@ -38,19 +38,6 @@ class Rng {
      */
     Rng split(uint64_t stream_id) const;
 
-    /**
-     * Copies the four xoshiro256** state words out.  The batch backend's
-     * lane-RNG bank stores the states of 64 split streams
-     * structure-of-arrays and steps them with the same update rule, so a
-     * lane's draw sequence is bit-identical to this object's
-     * (sim/batch_driver.h).
-     */
-    void export_state(uint64_t out[4]) const
-    {
-        for (int i = 0; i < 4; ++i)
-            out[i] = s_[i];
-    }
-
   private:
     uint64_t s_[4];
     uint64_t seed_;

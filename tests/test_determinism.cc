@@ -36,8 +36,8 @@ run_with_threads(const CodeContext& ctx, ExperimentConfig cfg, int threads,
 
 /** The backend under test: GLD_BACKEND, default frame; batch width from
  *  GLD_BATCH_WORDS, default 1; noise sampling from GLD_NOISE_SAMPLING,
- *  default lockstep — so CI gates the sparse event sampler with this
- *  same bit-exactness suite by exporting one variable. */
+ *  default sparse — so CI gates the lockstep reference with this same
+ *  bit-exactness suite by exporting one variable. */
 ExperimentConfig
 base_config()
 {
@@ -244,6 +244,7 @@ TEST(Determinism, BatchFrameBitIdenticalToFrameAcrossThreads)
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
 
     ExperimentConfig cfg;
+    cfg.noise_sampling = NoiseSampling::kLockstep;  // the bit-exact mode
     cfg.np = NoiseParams::standard(2e-3, 0.5);
     cfg.rounds = 6;
     cfg.shots = 150;  // 2 streams x 75: blocks of 64 + a partial 11-lane
@@ -286,6 +287,7 @@ TEST(Determinism, BatchFrameBitIdenticalToFrameAtEveryBatchWidth)
     for (int words : {2, 4, 8}) {
         SCOPED_TRACE(words);
         ExperimentConfig cfg;
+        cfg.noise_sampling = NoiseSampling::kLockstep;  // the bit-exact mode
         cfg.np = NoiseParams::standard(2e-3, 0.5);
         cfg.rounds = 5;
         cfg.seed = 0xBA7C0B1Dull + static_cast<uint64_t>(words);
@@ -336,6 +338,7 @@ TEST(Determinism, BatchFramePartialBlocksCrossWordBoundaries)
     for (int shots : {65, 127, 129}) {
         SCOPED_TRACE(shots);
         ExperimentConfig cfg;
+        cfg.noise_sampling = NoiseSampling::kLockstep;  // the bit-exact mode
         cfg.np = NoiseParams::standard(2e-3, 0.5);
         cfg.rounds = 6;
         cfg.shots = shots;
@@ -437,6 +440,7 @@ TEST(Determinism, SparseChangesBatchDrawsButNotScalarDraws)
     cfg.rng_streams = 2;
 
     cfg.backend = SimBackend::kBatchFrame;
+    cfg.noise_sampling = NoiseSampling::kLockstep;
     const Metrics lockstep = run_with_threads(ctx, cfg, 1, factory);
     cfg.noise_sampling = NoiseSampling::kSparse;
     const Metrics sparse = run_with_threads(ctx, cfg, 1, factory);

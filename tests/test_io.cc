@@ -130,6 +130,9 @@ sample_config()
     cfg.record_dlp_series = true;
     cfg.rng_streams = 5;
     cfg.backend = SimBackend::kFrame;
+    // Lockstep documents omit the field, so the pinned hashes below stay
+    // the ones every pre-sparse-default checkpoint carries.
+    cfg.noise_sampling = NoiseSampling::kLockstep;
     return cfg;
 }
 
@@ -181,6 +184,27 @@ TEST(Serialize, Version1ConfigMigratesToFrameBackend)
     const ExperimentConfig back = config_from_json(v1);
     EXPECT_EQ(back.backend, SimBackend::kFrame);
     EXPECT_EQ(back.shots, sample_config().shots);
+}
+
+TEST(Serialize, ConfigFromJsonRejectsNoiseRatesOutsideUnitInterval)
+{
+    ExperimentConfig cfg = sample_config();
+    cfg.np.p = 1.5;
+    try {
+        config_from_json(config_to_json(cfg));
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("p = "), std::string::npos)
+            << e.what();
+    }
+    cfg = sample_config();
+    cfg.np.mobility = -0.5;
+    EXPECT_THROW(config_from_json(config_to_json(cfg)),
+                 std::invalid_argument);
+    // The edges are probabilities too.
+    cfg = sample_config();
+    cfg.np.mobility = 1.0;
+    EXPECT_NO_THROW(config_from_json(config_to_json(cfg)));
 }
 
 TEST(Serialize, ConfigHashStability)
@@ -240,6 +264,9 @@ TEST(Serialize, ConfigHashStability)
     EXPECT_EQ(config_from_json(Json::parse(config_to_json(c6).dump()))
                   .noise_sampling,
               NoiseSampling::kSparse);
+    // The library default is sparse, so a default config writes the field.
+    EXPECT_EQ(config_to_json(ExperimentConfig{})["noise_sampling"].as_str(),
+              "sparse");
 }
 
 TEST(Serialize, MetricsRoundTripIsBitExact)

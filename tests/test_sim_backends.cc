@@ -139,11 +139,12 @@ TEST(SimBackends, NoiseSamplingNamesEnvAndContracts)
         EXPECT_NE(what.find("sparse"), std::string::npos) << what;
     }
 
-    // GLD_NOISE_SAMPLING: unset = lockstep; bad values name the variable.
+    // GLD_NOISE_SAMPLING: unset = the library default (sparse); bad values
+    // name the variable.
     const char* prev_raw = std::getenv("GLD_NOISE_SAMPLING");
     const std::string prev = prev_raw != nullptr ? prev_raw : "";
     ASSERT_EQ(unsetenv("GLD_NOISE_SAMPLING"), 0);
-    EXPECT_EQ(noise_sampling_from_env(), NoiseSampling::kLockstep);
+    EXPECT_EQ(noise_sampling_from_env(), NoiseSampling::kSparse);
     ASSERT_EQ(setenv("GLD_NOISE_SAMPLING", "dense", 1), 0);
     try {
         noise_sampling_from_env();
@@ -491,6 +492,7 @@ run_backend(const CodeContext& ctx, ExperimentConfig cfg, SimBackend b,
 {
     cfg.backend = b;
     cfg.threads = threads;
+    cfg.noise_sampling = NoiseSampling::kLockstep;  // the bit-exact mode
     return ExperimentRunner(ctx, cfg).run(factory);
 }
 

@@ -198,7 +198,8 @@ TEST(VerifyCandidates, RejectsDuplicates)
 
 TEST(RunVerify, BitExactArmPassesAndRecordsNoChecks)
 {
-    const CampaignSpec grid = tiny_grid("bitexact", 0xB17E8Au);
+    CampaignSpec grid = tiny_grid("bitexact", 0xB17E8Au);
+    grid.noise_sampling = NoiseSampling::kLockstep;  // the bit-exact mode
     VerifyOptions opt;
     opt.candidates = {SimBackend::kBatchFrame};
     opt.threads = 2;

@@ -90,10 +90,11 @@ usage(const char* argv0)
         "                       block to K*64 shots, so like --backend it\n"
         "                       changes every job's config hash)\n"
         "  --noise-sampling <m> noise sampling mode: %s\n"
-        "                       (overrides the spec; sparse redraws the\n"
-        "                       batch backends' randomness event-wise, so\n"
-        "                       like --backend it changes every job's\n"
-        "                       config hash; scalar backends ignore it)\n"
+        "                       (overrides the spec; default sparse, the\n"
+        "                       event-wise engine; lockstep replays the\n"
+        "                       scalar draws lane for lane; like --backend\n"
+        "                       it changes every job's config hash;\n"
+        "                       scalar backends ignore it)\n"
         "  --no-telemetry       disable the telemetry side channel (run/\n"
         "                       demo; results are bit-identical either\n"
         "                       way — telemetry only adds stage timers,\n"
@@ -467,7 +468,7 @@ cmd_demo(const Args& a)
     else
         spec.batch_words = batch_words_from_env();
     // ...and for the noise sampling mode: GLD_NOISE_SAMPLING lets the CI
-    // matrix run the whole tier-1 suite under sparse draws end-to-end.
+    // matrix run the whole tier-1 suite under either mode end-to-end.
     if (!a.noise_sampling.empty())
         spec.noise_sampling = noise_sampling_from_name(a.noise_sampling);
     else

@@ -193,7 +193,7 @@ BENCHMARK(BM_RunnerThreadScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(
  * One batch_frame batch of 64 shots captured at the paper's d = 7
  * headline config (70 rounds, GLADIATOR+M, p = 1e-3, lr = 0.1, LER on),
  * driven the way the runner drives it: the batched policy decides from
- * the round's words, each lane's LRCs go back to the simulator.  Kept:
+ * the round's words, and its lane masks go back to the simulator.  Kept:
  * every round's words (the policy inputs) and each shot's decoder input
  * (fired Z detectors as node r*nz + zi, then the final-readout row).
  */
@@ -238,12 +238,12 @@ paper_d7_capture()
         out.graph = std::make_unique<DecodingGraph>(
             DemBuilder(b.code, b.rc, kPaperNoise, out.rounds).build());
         out.defects.resize(lanes);
-        std::vector<LrcSchedule> scheds(lanes);
         LrcWords lrc;
+        lrc.reset(b.code.n_data(), nc, 1);
         sim->reset_shot_batch(out.lanes);
         policy->begin_batch(out.active, 1);
         for (int r = 0; r < out.rounds; ++r) {
-            sim->run_round_batch(scheds, nullptr);
+            sim->run_round_batch(lrc);
             out.det.emplace_back(sim->detector_words(),
                                  sim->detector_words() + nc);
             out.mlr.emplace_back(sim->mlr_words(), sim->mlr_words() + nc);
@@ -253,16 +253,6 @@ paper_d7_capture()
                 sim->leaked_words(), sim->leaked_words() + b.code.n_qubits());
             lrc.reset(b.code.n_data(), nc, 1);
             policy->observe_batch(r, out.words(r), &lrc);
-            for (LrcSchedule& s : scheds)
-                s.clear();
-            for (int q = 0; q < b.code.n_data(); ++q)
-                for_each_lane(lrc.data[static_cast<size_t>(q)], [&](int l) {
-                    scheds[static_cast<size_t>(l)].data_qubits.push_back(q);
-                });
-            for (int c = 0; c < nc; ++c)
-                for_each_lane(lrc.checks[static_cast<size_t>(c)], [&](int l) {
-                    scheds[static_cast<size_t>(l)].checks.push_back(c);
-                });
             for (int zi = 0; zi < nz; ++zi)
                 for_each_lane(out.det.back()[static_cast<size_t>(z[zi])],
                               [&](int l) {

@@ -125,30 +125,11 @@ LaneAdapterPolicy::observe_batch(int round, const RoundWords& in,
     const int K = in.n_words;
     round_words_to_results(in.meas_flip, in.detector, in.mlr, n_checks, K,
                            n_active_, &rr_);
-    // One lane's ids into its masks, rejecting anything that is not an
-    // ascending set of in-range ids.
-    const auto add = [K](const std::vector<int>& ids, int n, int lane,
-                         const char* what, std::vector<LaneMask>* masks) {
-        int prev = -1;
-        for (int id : ids) {
-            const bool in_range = id >= 0 && id < n;
-            if (!in_range || id <= prev)
-                throw std::invalid_argument(
-                    "LaneAdapterPolicy: lane " + std::to_string(lane) +
-                    " schedules " + what + " " + std::to_string(id) +
-                    (in_range ? " out of ascending order or twice"
-                              : " outside [0, " + std::to_string(n) + ")"));
-            set_lane_bit(&(*masks)[static_cast<size_t>(id) *
-                                   static_cast<size_t>(K)],
-                         lane);
-            prev = id;
-        }
-    };
     for (int l = 0; l < n_active_; ++l) {
         const size_t li = static_cast<size_t>(l);
         lanes_[li]->observe(round, rr_[li], &sched_[li]);
-        add(sched_[li].data_qubits, n_data, l, "data qubit", &out->data);
-        add(sched_[li].checks, n_checks, l, "check", &out->checks);
+        check_lrc_schedule(sched_[li], l, n_data, n_checks);
+        out->add_lane(sched_[li], l, K);
     }
 }
 

@@ -31,27 +31,6 @@ struct RoundWords {
 };
 
 /**
- * A batch's LRC decisions as lane masks: lane l of qubit q's span set
- * means "LRC q in lane l before the next round".  Masks are sets; the
- * runner applies each lane's LRCs data-ascending, then checks-ascending.
- */
-struct LrcWords {
-    std::vector<LaneMask> data;    ///< span per data qubit
-    std::vector<LaneMask> checks;  ///< span per check (its ancilla)
-
-    /** Sizes both to n_words-word spans and zeroes every lane. */
-    void reset(int n_data, int n_checks, int n_words)
-    {
-        data.assign(static_cast<size_t>(n_data) *
-                        static_cast<size_t>(n_words),
-                    0);
-        checks.assign(static_cast<size_t>(n_checks) *
-                          static_cast<size_t>(n_words),
-                      0);
-    }
-};
-
-/**
  * A leakage-mitigation policy: after each QEC round it observes the round's
  * syndrome (and optionally the MLR leak flags) and schedules LRC gadgets to
  * be applied at the start of the NEXT round (the paper's closed-loop

@@ -37,8 +37,7 @@ struct alignas(64) ExperimentRunner::BlockResources {
     std::unique_ptr<UnionFindDecoder> decoder;
 
     // Per-block scratch (mirrors the locals a fresh block would hold).
-    std::vector<LrcSchedule> scheds;  ///< per lane, for the simulator
-    LrcWords lrc;                     ///< the policy's masks
+    LrcWords lrc;  ///< the policy's masks, straight into the simulator
     std::vector<std::vector<uint8_t>> flips;
     std::vector<int> data_leaked;
     std::vector<int> check_leaked;
@@ -166,17 +165,14 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
 
     // Per-block scratch out of the slot's cache: resize() writes the
     // same sizes a fresh block's locals had, every element below is
-    // written before it is read (scheds and masks are cleared per batch,
-    // the count scratch is zero-filled per round, the buffers per (lane,
-    // round) cell per round), so stale content from the previous block
-    // is never observable — reuse stays bit-identical to fresh.
-    std::vector<LrcSchedule>& scheds = res->scheds;
-    if (static_cast<int>(scheds.size()) < max_lanes)
-        scheds.resize(static_cast<size_t>(max_lanes));
+    // written before it is read (masks and defect lists are cleared per
+    // batch, the count scratch is zero-filled per round, the buffers per
+    // (lane, round) cell per round), so stale content from the previous
+    // block is never observable — reuse stays bit-identical to fresh.
     // The policy's decisions as lane masks, one W-word span per qubit
     // (same layout as the simulator's leaked_words()): TP/FP/FN are
-    // popcounts against the leak words, and the simulator's per-lane
-    // schedules are scattered from them.
+    // popcounts against the leak words, and the simulator applies them
+    // as they are.
     LrcWords& lrc = res->lrc;
     std::vector<std::vector<uint8_t>>& flips = res->flips;
     // Per-lane leak counts, gathered by one sparse pass over the leak
@@ -229,7 +225,6 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
         lrc.reset(n_data, n_checks, W);
         for (int l = 0; l < lanes; ++l) {
             const size_t li = static_cast<size_t>(l);
-            scheds[li].clear();
             // One per-shot draw in lane (= shot) order from the
             // block-level stream: the same sequence at every batch width.
             if (cfg_.leakage_sampling)
@@ -258,7 +253,7 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                     static_cast<double>(__builtin_popcountll(s));
             clock.lap(telemetry::kAccounting);
 
-            sim.run_round_batch(scheds, nullptr);
+            sim.run_round_batch(lrc);
             clock.lap(telemetry::kSim);
 
             RoundWords in;
@@ -270,30 +265,12 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
             in.leaked = leak_words;
             lrc.reset(n_data, n_checks, W);
             policy.observe_batch(r, in, &lrc);
-            // The simulator's per-lane schedules, scattered q-major:
-            // data ascending, then checks ascending — each lane's
-            // application order (the sparse mode's shared event stream
-            // depends on it).  Masks are clipped to the active lanes.
-            for (int l = 0; l < lanes; ++l)
-                scheds[static_cast<size_t>(l)].clear();
-            for (size_t i = 0; i < lrc.data.size(); ++i) {
+            // Masks clipped to the active lanes, so the LRC counts of
+            // the next round's accounting see no padding lane.
+            for (size_t i = 0; i < lrc.data.size(); ++i)
                 lrc.data[i] &= lanes_mask[i % Ws];
-                const int q = static_cast<int>(i / Ws);
-                const int base = static_cast<int>(i % Ws) * kBatchLanes;
-                for_each_lane(lrc.data[i], [&](int b) {
-                    scheds[static_cast<size_t>(base + b)]
-                        .data_qubits.push_back(q);
-                });
-            }
-            for (size_t i = 0; i < lrc.checks.size(); ++i) {
+            for (size_t i = 0; i < lrc.checks.size(); ++i)
                 lrc.checks[i] &= lanes_mask[i % Ws];
-                const int c = static_cast<int>(i / Ws);
-                const int base = static_cast<int>(i % Ws) * kBatchLanes;
-                for_each_lane(lrc.checks[i], [&](int b) {
-                    scheds[static_cast<size_t>(base + b)].checks.push_back(
-                        c);
-                });
-            }
             clock.lap(telemetry::kPolicy);
 
             // False negatives + leak populations, word-wide: one pass

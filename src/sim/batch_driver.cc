@@ -21,7 +21,8 @@ BatchLeakageDriver::BatchLeakageDriver(const CssCode& code,
                                        int batch_words,
                                        NoiseSampling noise_sampling)
     : code_(&code), rc_(&rc), np_(np), rate_p_(np.p), rate_pl_(np.pl()),
-      rate_mlr_(np.mlr_err()), master_rng_(master), words_(batch_words),
+      rate_mlr_(np.mlr_err()), rate_lrc_depol_(np.lrc_depol()),
+      rate_lrc_leak_(np.lrc_leak()), master_rng_(master), words_(batch_words),
       sparse_(noise_sampling == NoiseSampling::kSparse), state_(state)
 {
     if (batch_words < 1 || batch_words > kMaxBatchWords)
@@ -233,7 +234,7 @@ BatchLeakageDriver::kth_set_lane(const LaneMask* mask, int n_words,
 }
 
 template <int WT>
-inline LaneMask
+LaneMask
 BatchLeakageDriver::sparse_bernoulli_mask(LaneRate& rate,
                                           const LaneMask* mask,
                                           LaneMask* out)
@@ -261,8 +262,8 @@ BatchLeakageDriver::sparse_bernoulli_mask(LaneRate& rate,
         rate.skip_valid = true;
     }
     if (rate.skip >= count) {
-        // The quiet site — the overwhelmingly common case at paper noise
-        // rates: a few popcounts and one subtraction, zero RNG work.
+        // Quiet under a freshly drawn countdown (bernoulli_mask resolves
+        // the live-countdown quiet sites inline).
         rate.skip -= count;
         return 0;
     }
@@ -286,9 +287,27 @@ __attribute__((always_inline)) inline LaneMask
 BatchLeakageDriver::bernoulli_mask(LaneRate& rate,
                                    const LaneMask* mask, LaneMask* out)
 {
-    if (sparse_)
-        return sparse_bernoulli_mask<WT>(rate, mask, out);
     const int W = WT > 0 ? WT : words_;
+    if (sparse_) {
+        if (rate.never) {
+            lanes_zero(out, W);
+            return 0;
+        }
+        if (rate.skip_valid) {
+            uint64_t count = 0;
+            for (int w = 0; w < W; ++w)
+                count += static_cast<uint64_t>(__builtin_popcountll(mask[w]));
+            if (rate.skip >= count) {
+                // The quiet site — the overwhelmingly common case at
+                // paper noise rates: popcounts and one subtraction, no
+                // call and zero RNG work.
+                rate.skip -= count;
+                lanes_zero(out, W);
+                return 0;
+            }
+        }
+        return sparse_bernoulli_mask<WT>(rate, mask, out);
+    }
     lanes_zero(out, W);
     for_each_lane(mask, W, [&](int l) {
         if (lane_rng_[static_cast<size_t>(l)].bernoulli(rate.p))
@@ -437,52 +456,67 @@ BatchLeakageDriver::cnot(int control, int target)
     leak_maybe<WT>(target);
 }
 
-inline void
-BatchLeakageDriver::apply_lrc_data(int q, int lane)
+template <int WT>
+__attribute__((always_inline)) inline void
+BatchLeakageDriver::lrc_gadgets(const LrcWords& lrc)
 {
-    const int wi = lane >> 6;
-    const LaneMask bit = 1ull << (lane & 63);
-    const size_t W = static_cast<size_t>(words_);
-    const int pc = lrc_partner_[static_cast<size_t>(q)];
-    if (pc >= 0) {
-        const int anc = code_->ancilla_of(pc);
-        const bool anc_was_leaked =
-            (leaked_[static_cast<size_t>(anc) * W +
-                     static_cast<size_t>(wi)] &
-             bit) != 0;
-        clear_leak_lane(q, lane);
-        clear_leak_lane(anc, lane);
-        if (anc_was_leaked)
-            set_leak_lane(q, lane);  // false-positive LRC pumps the leak IN
-    } else {
-        clear_leak_lane(q, lane);
+    // The scalar apply_lrc_data / apply_lrc_check per lane, word-wide:
+    // each lane sees its gadgets data-ascending, then checks-ascending,
+    // and within a gadget the scalar order of flag steps and draws.
+    const int W = WT > 0 ? WT : words_;
+    const size_t Ws = static_cast<size_t>(W);
+    LaneMask m[kMaxBatchWords], hit[kMaxBatchWords];
+    const auto requested = [&](const LaneMask* req) {
+        LaneMask any = 0;
+        for (int w = 0; w < W; ++w) {
+            m[w] = req[w] & active_[w];
+            any |= m[w];
+        }
+        return any;
+    };
+    for (int q = 0; q < code_->n_data(); ++q) {
+        if (requested(&lrc.data[static_cast<size_t>(q) * Ws]) == 0)
+            continue;
+        // SWAP with the partner ancilla + reset: the flags are
+        // exchanged, so a false-positive LRC against a leaked partner
+        // pumps the leak IN.
+        const int pc = lrc_partner_[static_cast<size_t>(q)];
+        if (pc >= 0) {
+            const int anc = code_->ancilla_of(pc);
+            const LaneMask* la = leaked(anc);
+            for (int w = 0; w < W; ++w)
+                hit[w] = m[w] & la[w];
+            clear_leak(q, m);
+            clear_leak(anc, m);
+            set_leak_t<WT>(q, hit);
+        } else {
+            clear_leak(q, m);
+        }
+        // Gadget noise: depolarization, then leakage induction.
+        if (bernoulli_mask<WT>(rate_lrc_depol_, m, hit) != 0) {
+            LaneMask xs[kMaxBatchWords], zs[kMaxBatchWords];
+            lanes_zero(xs, W);
+            lanes_zero(zs, W);
+            for_each_lane(hit, W, [&](int l) {
+                const uint32_t pauli = 1 + payload_rng(l).uniform_int(3);
+                xs[l >> 6] |= static_cast<LaneMask>(pauli & 1u) << (l & 63);
+                zs[l >> 6] |= static_cast<LaneMask>((pauli >> 1) & 1u)
+                              << (l & 63);
+            });
+            state_->apply_pauli(q, xs, zs);
+        }
+        if (bernoulli_mask<WT>(rate_lrc_leak_, m, hit) != 0)
+            set_leak_t<WT>(q, hit);
     }
-    if (payload_rng(lane).bernoulli(np_.lrc_depol())) {
-        const uint32_t pauli = 1 + payload_rng(lane).uniform_int(3);
-        LaneMask xs[kMaxBatchWords], zs[kMaxBatchWords];
-        lanes_zero(xs, words_);
-        lanes_zero(zs, words_);
-        xs[wi] = (pauli & 1u) != 0 ? bit : 0;
-        zs[wi] = (pauli & 2u) != 0 ? bit : 0;
-        state_->apply_pauli(q, xs, zs);
+    for (int c = 0; c < code_->n_checks(); ++c) {
+        if (requested(&lrc.checks[static_cast<size_t>(c) * Ws]) == 0)
+            continue;
+        const int anc = code_->ancilla_of(c);
+        clear_leak(anc, m);
+        state_->reset_z(anc, m);
+        if (bernoulli_mask<WT>(rate_lrc_leak_, m, hit) != 0)
+            set_leak_t<WT>(anc, hit);
     }
-    if (payload_rng(lane).bernoulli(np_.lrc_leak()))
-        set_leak_lane(q, lane);
-}
-
-inline void
-BatchLeakageDriver::apply_lrc_check(int c, int lane)
-{
-    const int wi = lane >> 6;
-    const LaneMask bit = 1ull << (lane & 63);
-    const int anc = code_->ancilla_of(c);
-    clear_leak_lane(anc, lane);
-    LaneMask one[kMaxBatchWords];
-    lanes_zero(one, words_);
-    one[wi] = bit;
-    state_->reset_z(anc, one);
-    if (payload_rng(lane).bernoulli(np_.lrc_leak()))
-        set_leak_lane(anc, lane);
 }
 
 template <int WT>
@@ -509,31 +543,14 @@ BatchLeakageDriver::readout(const LaneMask* measured, const LaneMask* lk,
 
 template <int WT>
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::run_round_t(const std::vector<LrcSchedule>& lane_lrcs,
-                                std::vector<RoundResult>* out)
+BatchLeakageDriver::run_round_t(const LrcWords& lrc)
 {
-    if (lane_lrcs.size() < static_cast<size_t>(n_lanes_))
-        throw std::invalid_argument(
-            "run_round_batch: " + std::to_string(lane_lrcs.size()) +
-            " schedules for " + std::to_string(n_lanes_) + " lanes");
     const int n_checks = code_->n_checks();
     const int W = WT > 0 ? WT : words_;
     const size_t Ws = static_cast<size_t>(W);
 
-    // 1. Scheduled LRC gadgets, per lane in that lane's schedule order
-    //    (each lane draws only from its own stream, so lane interleaving
-    //    is free to be loop order).  Every id is checked before any
-    //    gadget runs, so a bad schedule leaves the batch untouched.
-    for (int l = 0; l < n_lanes_; ++l)
-        check_lrc_schedule(lane_lrcs[static_cast<size_t>(l)], l,
-                           code_->n_data(), n_checks);
-    for (int l = 0; l < n_lanes_; ++l) {
-        const LrcSchedule& sched = lane_lrcs[static_cast<size_t>(l)];
-        for (int q : sched.data_qubits)
-            apply_lrc_data(q, l);
-        for (int c : sched.checks)
-            apply_lrc_check(c, l);
-    }
+    // 1. Scheduled LRC gadgets (decided by the policy last round).
+    lrc_gadgets<WT>(lrc);
 
     // 2. Round-start data noise: depolarization + environment leakage.
     for (int q = 0; q < code_->n_data(); ++q) {
@@ -619,27 +636,20 @@ BatchLeakageDriver::run_round_t(const std::vector<LrcSchedule>& lane_lrcs,
         }
     }
     first_round_ = false;
-    if (out == nullptr)
-        return;
-
-    // 5. Per-lane RoundResults on request (the transposes).
-    round_words_to_results(meas_flip_.data(), detector_.data(),
-                           mlr_flag_.data(), n_checks, W, n_lanes_, out);
 }
 
 // One words_ dispatch per round (not per op) picks a compile-time-width
 // body: the W loops unroll away, and at the common W=1 every span op
 // degenerates to single-word straight-line code.
 void
-BatchLeakageDriver::run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
-                                    std::vector<RoundResult>* out)
+BatchLeakageDriver::run_round_batch(const LrcWords& lrc)
 {
     switch (words_) {
-      case 1: run_round_t<1>(lane_lrcs, out); break;
-      case 2: run_round_t<2>(lane_lrcs, out); break;
-      case 4: run_round_t<4>(lane_lrcs, out); break;
-      case 8: run_round_t<8>(lane_lrcs, out); break;
-      default: run_round_t<0>(lane_lrcs, out); break;
+      case 1: run_round_t<1>(lrc); break;
+      case 2: run_round_t<2>(lrc); break;
+      case 4: run_round_t<4>(lrc); break;
+      case 8: run_round_t<8>(lrc); break;
+      default: run_round_t<0>(lrc); break;
     }
 }
 
@@ -688,7 +698,7 @@ RoundResult
 BatchLeakageDriverSim::run_round(const LrcSchedule& lrcs)
 {
     one_lrcs_[0] = lrcs;
-    driver_.run_round_batch(one_lrcs_, &one_round_);
+    run_round_batch(one_lrcs_, &one_round_);
     return one_round_[0];
 }
 

@@ -28,6 +28,12 @@ namespace gld {
  *    position stream is statistically exact — and it means a quiet site
  *    costs a popcount and a subtraction, zero RNG work.  Only the sparse
  *    sampler touches these fields; lockstep ignores them.
+ *
+ * The driver keeps five countdowns, one per rate: the round's p, pl()
+ * and mlr_err() sites, and the LRC gadgets' lrc_depol() and lrc_leak()
+ * sites.  Each site is split into an always-inline quiet path (a zero
+ * rate, or a live countdown that outlasts the site's lanes: subtract,
+ * zero the output) and an out-of-line event path that draws.
  */
 struct LaneRate {
     double p = 0.0;
@@ -117,9 +123,14 @@ class BatchStatePrimitives {
  *    stream per shot batch, master.split(shot_base), draws geometric
  *    skips over the (site x lane) positions and touches only the firing
  *    lanes; payload draws (Pauli choice, transport, readout coin) come
- *    from the same stream in ascending lane order.  Events depend only on
- *    (seed, stream, block), so results are bit-identical across thread
- *    counts and shard splits, and agree with the scalar backends
+ *    from the same stream in ascending lane order.  The LRC gadgets are
+ *    sites too: each scheduled qubit is one site over its requesting
+ *    lanes (gadget depolarization, then gadget leakage, at the
+ *    lrc_depol() and lrc_leak() countdowns), data qubits ascending, then
+ *    checks ascending.  A quiet site — one whose live countdown outlasts
+ *    its lanes — is resolved inline with zero draws.  Events depend only
+ *    on (seed, stream, block), so results are bit-identical across
+ *    thread counts and shard splits, and agree with the scalar backends
  *    statistically (the `gld_campaign verify` referee).
  *  - kLockstep, the scalar-aligned reference: lane l owns a plain Rng,
  *    master.split(shot_base + l) — exactly the stream the SCALAR driver
@@ -207,7 +218,7 @@ class BatchLeakageDriver final {
     }
 
     // Per-lane (one-hot) variants of the flag ops, for the scalar
-    // adapters and the per-lane LRC gadgets.
+    // adapters and per-lane leak injection.
     void set_leak_lane(int q, int lane);
     void set_check_leak_lane(int c, int lane)
     {
@@ -253,16 +264,14 @@ class BatchLeakageDriver final {
     }
 
     /**
-     * Applies each lane's scheduled LRC gadgets, then executes one noisy
-     * syndrome-extraction round for every active lane in lockstep.
-     * `lane_lrcs` must have at least n_lanes() entries, each id in range
-     * (else std::invalid_argument, before any gadget runs).  A non-null
-     * `out` is resized to n_lanes() per-lane RoundResults (storage reused
-     * across rounds); nullptr skips those transposes and leaves the round
-     * in the word views below only.
+     * Runs the LRC gadgets of `lrc` word-wide — data qubits ascending,
+     * then checks ascending, each on its requesting lanes clipped to the
+     * active ones — then one noisy syndrome-extraction round for every
+     * active lane in lockstep.  The round is left in the word views
+     * below.  `lrc` must be shaped n_data*K / n_checks*K (the
+     * BatchSimulator entry checks this).
      */
-    void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
-                         std::vector<RoundResult>* out);
+    void run_round_batch(const LrcWords& lrc);
 
     // The last round's words, one span per check (entry c*n_words()+w),
     // live views like leaked_words(); zero on inactive lanes.
@@ -321,9 +330,6 @@ class BatchLeakageDriver final {
         int lane_ = 0;
     };
 
-    void apply_lrc_data(int q, int lane);
-    void apply_lrc_check(int c, int lane);
-
     // The hot per-op helpers are templated on the batch width: WT > 0 is
     // a compile-time word count (the W loops unroll away — at the
     // common W=1 every span op is straight-line single-word code), WT ==
@@ -334,6 +340,8 @@ class BatchLeakageDriver final {
     template <int WT> void leak_maybe(int q);
     template <int WT> void cnot(int control, int target);
     template <int WT> void set_leak_t(int q, const LaneMask* lanes);
+    /** Step 1 of a round: every scheduled LRC gadget, word-wide. */
+    template <int WT> void lrc_gadgets(const LrcWords& lrc);
 
     /**
      * One word-wide Bernoulli site: the fired lanes of the `mask` span
@@ -341,16 +349,18 @@ class BatchLeakageDriver final {
      * returned (nonzero iff any lane fired).  Lockstep calls
      * Rng::bernoulli once per lane of `mask` on that lane's own stream
      * (lanes outside `mask` do not advance), so it keeps the no-draw
-     * p<=0 / p>=1 short-circuits too; sparse delegates to
-     * sparse_bernoulli_mask.
+     * p<=0 / p>=1 short-circuits too.  Sparse resolves a quiet site
+     * inline — a zero rate, or a live countdown of at least
+     * popcount(mask), which is decremented — by zeroing `out`, and calls
+     * the out-of-line sparse_bernoulli_mask for everything else.
      */
     template <int WT>
     LaneMask bernoulli_mask(LaneRate& rate, const LaneMask* mask,
                             LaneMask* out);
 
     /**
-     * The event-driven Bernoulli site (NoiseSampling::kSparse): instead
-     * of advancing every lane's stream, walk `rate`'s persistent
+     * The event path of a sparse Bernoulli site (NoiseSampling::kSparse):
+     * instead of advancing every lane's stream, walk `rate`'s persistent
      * geometric countdown over the popcount(mask) candidate positions of
      * this site (ascending global lane order) and set only the firing
      * lanes in `out`.  A site where the countdown does not expire costs
@@ -358,10 +368,12 @@ class BatchLeakageDriver final {
      * countdown carries across sites, rounds and shots of one (stream,
      * block) work unit — events depend only on (seed, stream, block), so
      * results stay bit-identical across thread counts and shard splits.
+     * Out of line: bernoulli_mask has already handled the quiet sites.
      */
     template <int WT>
-    LaneMask sparse_bernoulli_mask(LaneRate& rate, const LaneMask* mask,
-                                   LaneMask* out);
+    __attribute__((noinline)) LaneMask
+    sparse_bernoulli_mask(LaneRate& rate, const LaneMask* mask,
+                          LaneMask* out);
 
     /** Next geometric skip (# of non-events before the next event). */
     uint64_t sparse_geometric(const LaneRate& rate);
@@ -384,6 +396,8 @@ class BatchLeakageDriver final {
         rate_p_.skip_valid = false;
         rate_pl_.skip_valid = false;
         rate_mlr_.skip_valid = false;
+        rate_lrc_depol_.skip_valid = false;
+        rate_lrc_leak_.skip_valid = false;
     }
 
     /**
@@ -396,9 +410,7 @@ class BatchLeakageDriver final {
                  const LaneMask* ok, LaneMask* flip);
 
     /** Width-specialized bodies of the two public batch entry points. */
-    template <int WT>
-    void run_round_t(const std::vector<LrcSchedule>& lane_lrcs,
-                     std::vector<RoundResult>* out);
+    template <int WT> void run_round_t(const LrcWords& lrc);
     template <int WT>
     void final_measure_t(std::vector<std::vector<uint8_t>>* out);
 
@@ -408,6 +420,8 @@ class BatchLeakageDriver final {
     LaneRate rate_p_;    ///< np.p, preprocessed for word-wide draws
     LaneRate rate_pl_;   ///< np.pl()
     LaneRate rate_mlr_;  ///< np.mlr_err()
+    LaneRate rate_lrc_depol_;  ///< np.lrc_depol(), the gadget Pauli site
+    LaneRate rate_lrc_leak_;   ///< np.lrc_leak(), the gadget leak site
     Rng master_rng_;
     uint64_t shots_started_ = 0;
     int words_ = 1;         ///< K: words per lane span
@@ -448,6 +462,7 @@ class BatchLeakageDriverSim : public BatchSimulator,
     {
         driver_.reset_shot_batch(n_lanes);
     }
+    int n_lanes() const final { return driver_.n_lanes(); }
     void inject_data_leak_lane(int lane, int q) final
     {
         driver_.set_leak_lane(q, lane);
@@ -459,11 +474,6 @@ class BatchLeakageDriverSim : public BatchSimulator,
     const LaneMask* leaked_words() const final
     {
         return driver_.leaked_words();
-    }
-    void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
-                         std::vector<RoundResult>* out) final
-    {
-        driver_.run_round_batch(lane_lrcs, out);
     }
     const LaneMask* meas_flip_words() const final
     {
@@ -525,8 +535,14 @@ class BatchLeakageDriverSim : public BatchSimulator,
                           int batch_words,
                           NoiseSampling noise_sampling =
                               NoiseSampling::kLockstep)
-        : driver_(code, rc, np, master, this, batch_words, noise_sampling)
+        : BatchSimulator(code.n_data(), code.n_checks()),
+          driver_(code, rc, np, master, this, batch_words, noise_sampling)
     {
+    }
+
+    void run_round_words(const LrcWords& lrc) final
+    {
+        driver_.run_round_batch(lrc);
     }
 
     BatchLeakageDriver driver_;

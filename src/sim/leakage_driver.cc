@@ -293,6 +293,21 @@ LeakageDriver::final_data_measure()
     return flips;
 }
 
+void
+LeakageDriverSim::run_round_words(const LrcWords& lrc)
+{
+    lane0_.clear();
+    for (size_t q = 0; q < lrc.data.size(); ++q) {
+        if (lrc.data[q] & 1u)
+            lane0_.data_qubits.push_back(static_cast<int>(q));
+    }
+    for (size_t c = 0; c < lrc.checks.size(); ++c) {
+        if (lrc.checks[c] & 1u)
+            lane0_.checks.push_back(static_cast<int>(c));
+    }
+    run_round(lane0_);
+}
+
 RoundResult
 LeakageDriverSim::run_round(const LrcSchedule& lrcs)
 {

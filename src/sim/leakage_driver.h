@@ -165,8 +165,8 @@ class LeakageDriver final : public LeakageOracle {
     /**
      * Applies the scheduled LRC gadgets (start-of-round semantics), then
      * executes one noisy syndrome-extraction round over the primitives.
-     * Out-of-range LRC ids throw std::invalid_argument (as lane 0) before
-     * anything runs.
+     * A schedule that is not an ascending set of in-range ids throws
+     * std::invalid_argument (as lane 0) before anything runs.
      */
     RoundResult run_round(const LrcSchedule& lrcs);
 
@@ -215,7 +215,8 @@ class LeakageDriver final : public LeakageOracle {
  *
  * The batch entry points run a one-lane batch: lane 0 is the driver's
  * current shot, so the runner drives scalar and packed backends through
- * the same block path.
+ * the same block path.  The word round entry unpacks bit 0 of the LRC
+ * masks into an ascending schedule for the scalar run_round.
  */
 class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
   public:
@@ -223,6 +224,7 @@ class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
     int batch_width() const final { return 1; }
     int batch_n_words() const final { return 1; }
     void reset_shot_batch(int /*n_lanes == 1*/) final { reset_shot(); }
+    int n_lanes() const final { return 1; }
     void inject_data_leak_lane(int /*lane == 0*/, int q) final
     {
         driver_.set_leak(q);
@@ -234,16 +236,6 @@ class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
     const LaneMask* leaked_words() const final
     {
         return driver_.leaked_words();
-    }
-    void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
-                         std::vector<RoundResult>* out) final
-    {
-        if (out == nullptr) {
-            run_round(lane_lrcs[0]);
-            return;
-        }
-        out->resize(1);
-        (*out)[0] = run_round(lane_lrcs[0]);
     }
     const LaneMask* meas_flip_words() const final
     {
@@ -301,16 +293,20 @@ class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
      */
     LeakageDriverSim(const CssCode& code, const RoundCircuit& rc,
                      const NoiseParams& np, Rng noise_rng)
-        : driver_(code, rc, np, noise_rng, this),
+        : BatchSimulator(code.n_data(), code.n_checks()),
+          driver_(code, rc, np, noise_rng, this),
           meas_flip_words_(static_cast<size_t>(code.n_checks()), 0),
           detector_words_(static_cast<size_t>(code.n_checks()), 0),
           mlr_words_(static_cast<size_t>(code.n_checks()), 0)
     {
     }
 
+    void run_round_words(const LrcWords& lrc) final;
+
     LeakageDriver driver_;
 
   private:
+    LrcSchedule lane0_;  ///< lane 0's LRCs, unpacked from the masks
     // The last round as one-lane word spans (one 0/1 word per check).
     std::vector<LaneMask> meas_flip_words_;
     std::vector<LaneMask> detector_words_;

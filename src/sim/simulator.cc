@@ -8,6 +8,7 @@
 #include "sim/batch_frame_sim.h"
 #include "sim/batch_tableau_sim.h"
 #include "sim/frame_sim.h"
+#include "sim/lane_span.h"
 #include "sim/tableau_leak_sim.h"
 
 namespace gld {
@@ -86,17 +87,70 @@ check_lrc_schedule(const LrcSchedule& sched, int lane, int n_data,
 {
     const auto check = [lane](const std::vector<int>& ids, int n,
                               const char* what) {
+        int prev = -1;
         for (int id : ids) {
-            if (id < 0 || id >= n)
+            const bool in_range = id >= 0 && id < n;
+            if (!in_range || id <= prev)
                 throw std::invalid_argument(
-                    "run_round_batch: lane " + std::to_string(lane) +
+                    "lane " + std::to_string(lane) +
                     " schedules an LRC on " + what + " " +
-                    std::to_string(id) + " outside [0, " +
-                    std::to_string(n) + ")");
+                    std::to_string(id) +
+                    (in_range ? " out of ascending order or twice"
+                              : " outside [0, " + std::to_string(n) + ")"));
+            prev = id;
         }
     };
     check(sched.data_qubits, n_data, "data qubit");
     check(sched.checks, n_checks, "check");
+}
+
+void
+LrcWords::add_lane(const LrcSchedule& s, int lane, int n_words)
+{
+    const size_t K = static_cast<size_t>(n_words);
+    for (int q : s.data_qubits)
+        set_lane_bit(&data[static_cast<size_t>(q) * K], lane);
+    for (int c : s.checks)
+        set_lane_bit(&checks[static_cast<size_t>(c) * K], lane);
+}
+
+void
+BatchSimulator::run_round_batch(const LrcWords& lrc)
+{
+    const size_t K = static_cast<size_t>(batch_n_words());
+    if (lrc.data.size() != static_cast<size_t>(n_data_) * K ||
+        lrc.checks.size() != static_cast<size_t>(n_checks_) * K)
+        throw std::invalid_argument(
+            "run_round_batch: LRC masks of " +
+            std::to_string(lrc.data.size()) + " data and " +
+            std::to_string(lrc.checks.size()) + " check words, expected " +
+            std::to_string(static_cast<size_t>(n_data_) * K) + " and " +
+            std::to_string(static_cast<size_t>(n_checks_) * K));
+    run_round_words(lrc);
+}
+
+void
+BatchSimulator::run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
+                                std::vector<RoundResult>* out)
+{
+    const int lanes = n_lanes();
+    if (lane_lrcs.size() < static_cast<size_t>(lanes))
+        throw std::invalid_argument(
+            "run_round_batch: " + std::to_string(lane_lrcs.size()) +
+            " schedules for " + std::to_string(lanes) + " lanes");
+    // Every schedule is checked before any is packed, so a bad one
+    // leaves the batch untouched.
+    for (int l = 0; l < lanes; ++l)
+        check_lrc_schedule(lane_lrcs[static_cast<size_t>(l)], l, n_data_,
+                           n_checks_);
+    const int K = batch_n_words();
+    packed_.reset(n_data_, n_checks_, K);
+    for (int l = 0; l < lanes; ++l)
+        packed_.add_lane(lane_lrcs[static_cast<size_t>(l)], l, K);
+    run_round_words(packed_);
+    if (out != nullptr)
+        round_words_to_results(meas_flip_words(), detector_words(),
+                               mlr_words(), n_checks_, K, lanes, out);
 }
 
 const char*

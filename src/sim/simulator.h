@@ -151,6 +151,31 @@ constexpr int kBatchLanes = 64;
 using LaneMask = uint64_t;
 
 /**
+ * A batch's LRC decisions as lane masks: lane l of qubit q's span set
+ * means "LRC q in lane l before the next round".  Masks are sets; every
+ * lane applies its LRCs data-ascending, then checks-ascending.  Bits of
+ * lanes outside the batch are ignored.
+ */
+struct LrcWords {
+    std::vector<LaneMask> data;    ///< span per data qubit
+    std::vector<LaneMask> checks;  ///< span per check (its ancilla)
+
+    /** Sizes both to n_words-word spans and zeroes every lane. */
+    void reset(int n_data, int n_checks, int n_words)
+    {
+        data.assign(static_cast<size_t>(n_data) *
+                        static_cast<size_t>(n_words),
+                    0);
+        checks.assign(static_cast<size_t>(n_checks) *
+                          static_cast<size_t>(n_words),
+                      0);
+    }
+
+    /** Sets lane `lane` in the span of every id `s` schedules. */
+    void add_lane(const LrcSchedule& s, int lane, int n_words);
+};
+
+/**
  * Every backend is a BatchSimulator: the full Simulator API (so every
  * interface-level test, policy and tool works unchanged) plus the
  * lockstep batch entry points the runner drives a whole shot block
@@ -158,6 +183,12 @@ using LaneMask = uint64_t;
  * batch_n_words()*64 lanes; the scalar backends (frame, tableau) are
  * one-lane batches, so there is exactly one block path and one
  * speculation-accounting implementation for all of them.
+ *
+ * The production round entry is run_round_batch(const LrcWords&): the
+ * policy's lane masks go into the simulator as they are, and a batch
+ * backend runs each gadget word-wide.  The per-lane
+ * run_round_batch(schedules, out) is a packer onto it for tests, benches
+ * and tools that hold one LrcSchedule per lane.
  */
 class BatchSimulator : public Simulator {
   public:
@@ -166,6 +197,9 @@ class BatchSimulator : public Simulator {
 
     /** Starts a batch of n_lanes shots (see BatchLeakageDriver). */
     virtual void reset_shot_batch(int n_lanes) = 0;
+
+    /** Shots in the current batch (reset_shot_batch's n_lanes). */
+    virtual int n_lanes() const = 0;
 
     /** Forces lane `lane`'s data qubit q into the leaked state. */
     virtual void inject_data_leak_lane(int lane, int q) = 0;
@@ -189,15 +223,26 @@ class BatchSimulator : public Simulator {
     virtual const LaneMask* leaked_words() const = 0;
 
     /**
-     * One lockstep round over every active lane.  Every LRC id must lie
-     * in range (data qubit < n_data, check < n_checks), else
-     * std::invalid_argument naming the lane and the id.  A non-null
-     * `out` receives one RoundResult per active lane; nullptr skips
-     * those per-lane transposes — the round is then read through the
-     * word views below.
+     * One lockstep round over every active lane: the LRC gadgets of
+     * `lrc` (each lane data-ascending, then checks-ascending; bits of
+     * lanes outside the batch change nothing and draw nothing), then
+     * one noisy extraction round.  Read the round through the word views
+     * below.  `lrc` must hold n_data*K data words and n_checks*K check
+     * words (K = batch_n_words()), else std::invalid_argument before
+     * anything runs.
      */
-    virtual void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
-                                 std::vector<RoundResult>* out) = 0;
+    void run_round_batch(const LrcWords& lrc);
+
+    /**
+     * The per-lane entry, packed onto run_round_batch(const LrcWords&):
+     * `lane_lrcs` needs an entry per active lane, each an ascending set
+     * of in-range ids, else std::invalid_argument naming the lane and
+     * the id before anything runs.  A non-null `out` receives one
+     * RoundResult per active lane (the word views transposed); nullptr
+     * skips the transposes.
+     */
+    void run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
+                         std::vector<RoundResult>* out);
 
     /**
      * Live word views of the last round, in leaked_words()'s span layout
@@ -212,12 +257,27 @@ class BatchSimulator : public Simulator {
     /** Lockstep final transversal readout of every active lane. */
     virtual void final_data_measure_batch(
         std::vector<std::vector<uint8_t>>* out) = 0;
+
+  protected:
+    BatchSimulator(int n_data, int n_checks)
+        : n_data_(n_data), n_checks_(n_checks)
+    {
+    }
+
+    /** run_round_batch(const LrcWords&) after its shape check. */
+    virtual void run_round_words(const LrcWords& lrc) = 0;
+
+  private:
+    int n_data_;
+    int n_checks_;
+    LrcWords packed_;  ///< the per-lane entry's masks
 };
 
 /**
- * Rejects an LRC schedule naming a data qubit outside [0, n_data) or a
- * check outside [0, n_checks): throws std::invalid_argument naming the
- * lane and the id.  Every backend's round entry point runs it first.
+ * Rejects an LRC schedule that is not an ascending set of in-range ids
+ * (data qubits in [0, n_data), checks in [0, n_checks)): throws
+ * std::invalid_argument naming the lane and the id.  Every per-lane
+ * round entry runs it first.
  */
 void check_lrc_schedule(const LrcSchedule& sched, int lane, int n_data,
                         int n_checks);

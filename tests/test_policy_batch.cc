@@ -7,12 +7,14 @@
 //  (b) Runner level: Metrics must be bit-identical between a policy's own
 //      (batched) factory and a decorator hiding batched() (the adapter),
 //      on all four backends, at K = 1 and 2, lockstep and sparse.
-// Plus the schedule contract: ids out of range are rejected by the
-// simulators, and the adapter also rejects repeated or unordered ids;
-// and the flag-table rules reject patterns wider than their key.
+// Plus the schedule contract: the simulators' per-lane packer and the
+// adapter reject ids out of range, repeated or unordered, and the word
+// entry rejects misshaped masks (padding-lane bits are inert); and the
+// flag-table rules reject patterns wider than their key.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -27,6 +29,7 @@
 #include "metrics_test_util.h"
 #include "runtime/experiment.h"
 #include "sim/lane_span.h"
+#include "util/rng.h"
 
 namespace gld {
 namespace {
@@ -672,6 +675,174 @@ TEST(PolicyBatch, SimulatorsRejectOutOfRangeLrcIds)
         // A valid schedule still runs after the rejections.
         scheds[bad_lane].checks = {h.code.n_checks() - 1};
         EXPECT_NO_THROW(sim->run_round_batch(scheds, nullptr));
+    }
+}
+
+
+// --- The word round entry and its per-lane packer. ---
+
+/** Random LRC masks over every lane of the span, padding lanes too. */
+LrcWords
+random_masks(const CssCode& code, int n_words, Rng& rng)
+{
+    LrcWords lrc;
+    lrc.reset(code.n_data(), code.n_checks(), n_words);
+    // Sparse enough that most lanes LRC a few qubits, dense enough that
+    // the gadget sites fire at busy noise.
+    for (LaneMask& w : lrc.data)
+        w = rng.next_u64() & rng.next_u64() & rng.next_u64();
+    for (LaneMask& w : lrc.checks)
+        w = rng.next_u64() & rng.next_u64() & rng.next_u64();
+    return lrc;
+}
+
+std::vector<LaneMask>
+words_of(const LaneMask* p, size_t n)
+{
+    return std::vector<LaneMask>(p, p + n);
+}
+
+TEST(PolicyBatch, PackerAndWordEntryAgree)
+{
+    // The same masks through run_round_batch(LrcWords) and through the
+    // per-lane packer give the same rounds, word for word.  The word
+    // side also sets every padding lane (>= n_lanes): those bits must
+    // change nothing and draw nothing (under sparse, one stray draw
+    // would shift the batch's shared event stream).
+    const Harness h(SurfaceCode::make(3));
+    NoiseParams np = NoiseParams::standard(2e-2, 0.5);
+    np.mobility = 0.2;
+    const size_t nq = static_cast<size_t>(h.code.n_qubits());
+    const size_t nc = static_cast<size_t>(h.code.n_checks());
+    for (SimBackend b : known_backends()) {
+        for (int K : {1, 2}) {
+            for (NoiseSampling ns :
+                 {NoiseSampling::kLockstep, NoiseSampling::kSparse}) {
+                SCOPED_TRACE(std::string(backend_name(b)) + " K=" +
+                             std::to_string(K) + " " +
+                             noise_sampling_name(ns));
+                auto word = make_simulator(b, h.code, h.rc, np, 77, K, ns);
+                auto packed = make_simulator(b, h.code, h.rc, np, 77, K, ns);
+                const int W = word->batch_n_words();
+                const size_t Ws = static_cast<size_t>(W);
+                // A partial batch: the boundary falls inside the span.
+                const int lanes = std::max(1, word->batch_width() - 27);
+                word->reset_shot_batch(lanes);
+                packed->reset_shot_batch(lanes);
+                for (int l = 0; l < lanes; l += 5) {
+                    word->inject_data_leak_lane(l, l % h.code.n_data());
+                    packed->inject_data_leak_lane(l, l % h.code.n_data());
+                }
+                Rng rng(0x5EEDull + static_cast<uint64_t>(K));
+                std::vector<LrcSchedule> scheds(static_cast<size_t>(lanes));
+                std::vector<LaneMask> active(Ws, 0);
+                for (int l = 0; l < lanes; ++l)
+                    set_lane_bit(active.data(), l);
+                for (int r = 0; r < 12; ++r) {
+                    const LrcWords lrc = random_masks(h.code, W, rng);
+                    for (int l = 0; l < lanes; ++l)
+                        scheds[static_cast<size_t>(l)] = unpack(lrc, W, l);
+                    word->run_round_batch(lrc);
+                    packed->run_round_batch(scheds, nullptr);
+                    ASSERT_EQ(words_of(word->leaked_words(), nq * Ws),
+                              words_of(packed->leaked_words(), nq * Ws))
+                        << "round " << r;
+                    ASSERT_EQ(words_of(word->detector_words(), nc * Ws),
+                              words_of(packed->detector_words(), nc * Ws))
+                        << "round " << r;
+                    ASSERT_EQ(words_of(word->mlr_words(), nc * Ws),
+                              words_of(packed->mlr_words(), nc * Ws))
+                        << "round " << r;
+                    ASSERT_EQ(words_of(word->meas_flip_words(), nc * Ws),
+                              words_of(packed->meas_flip_words(), nc * Ws))
+                        << "round " << r;
+                    // No padding lane ever leaks.
+                    for (size_t i = 0; i < nq * Ws; ++i)
+                        ASSERT_EQ(word->leaked_words()[i] & ~active[i % Ws],
+                                  0u);
+                }
+                std::vector<std::vector<uint8_t>> fw, fp;
+                word->final_data_measure_batch(&fw);
+                packed->final_data_measure_batch(&fp);
+                EXPECT_EQ(fw, fp);
+            }
+        }
+    }
+}
+
+TEST(PolicyBatch, PackerRejectsSchedulesThatAreNotAscendingSets)
+{
+    const Harness h(SurfaceCode::make(3));
+    for (SimBackend b : known_backends()) {
+        SCOPED_TRACE(backend_name(b));
+        auto sim = make_simulator(b, h.code, h.rc, NoiseParams::standard(),
+                                  1, 1);
+        const int lanes = std::min(3, sim->batch_width());
+        const int bad_lane = lanes - 1;
+        sim->reset_shot_batch(lanes);
+        std::vector<LrcSchedule> scheds(static_cast<size_t>(lanes));
+        const auto error = [&] {
+            try {
+                sim->run_round_batch(scheds, nullptr);
+            } catch (const std::invalid_argument& e) {
+                return std::string(e.what());
+            }
+            return std::string();
+        };
+        scheds[bad_lane].data_qubits = {3, 1};
+        std::string what = error();
+        EXPECT_NE(what.find("lane " + std::to_string(bad_lane)),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("data qubit 1"), std::string::npos) << what;
+        scheds[bad_lane].data_qubits = {2, 2};
+        what = error();
+        EXPECT_NE(what.find("data qubit 2"), std::string::npos) << what;
+        scheds[bad_lane].data_qubits.clear();
+        scheds[bad_lane].checks = {0, 4, 4};
+        what = error();
+        EXPECT_NE(what.find("check 4"), std::string::npos) << what;
+        // A valid schedule still runs after the rejections.
+        scheds[bad_lane].checks = {0, 4};
+        EXPECT_EQ(error(), "");
+        // The scalar entry keeps the same contract.
+        sim->reset_shot();
+        LrcSchedule one;
+        one.checks = {2, 1};
+        try {
+            sim->run_round(one);
+            ADD_FAILURE() << "descending checks accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("check 1"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(PolicyBatch, WordEntryRejectsMisshapedMasks)
+{
+    const Harness h(SurfaceCode::make(3));
+    for (SimBackend b : known_backends()) {
+        for (int K : {1, 2}) {
+            SCOPED_TRACE(std::string(backend_name(b)) + " K=" +
+                         std::to_string(K));
+            auto sim = make_simulator(b, h.code, h.rc,
+                                      NoiseParams::standard(), 1, K);
+            const int W = sim->batch_n_words();
+            sim->reset_shot_batch(1);
+            LrcWords lrc;
+            lrc.reset(h.code.n_data(), h.code.n_checks(), W);
+            EXPECT_NO_THROW(sim->run_round_batch(lrc));
+            lrc.data.push_back(0);
+            EXPECT_THROW(sim->run_round_batch(lrc), std::invalid_argument);
+            lrc.reset(h.code.n_data(), h.code.n_checks(), W);
+            lrc.checks.pop_back();
+            EXPECT_THROW(sim->run_round_batch(lrc), std::invalid_argument);
+            // Spans of the wrong width are misshaped too.
+            lrc.reset(h.code.n_data(), h.code.n_checks(), W + 1);
+            EXPECT_THROW(sim->run_round_batch(lrc), std::invalid_argument);
+        }
     }
 }
 

@@ -42,6 +42,43 @@ DecodingGraph::DecodingGraph(int n_nodes, std::vector<GraphEdge> edges)
             incidence_[static_cast<size_t>(
                 fill[static_cast<size_t>(ge.v)]++)] = static_cast<int>(e);
     }
+    find_potential();
+}
+
+void
+DecodingGraph::find_potential()
+{
+    // Depth-first over the non-boundary edges, one tree per component;
+    // any edge closing an odd-logical cycle rules the potential out.
+    constexpr uint8_t kUnset = 2;
+    potential_.assign(static_cast<size_t>(n_nodes_), kUnset);
+    std::vector<int> stack;
+    for (int s = 0; s < n_nodes_; ++s) {
+        if (potential_[static_cast<size_t>(s)] != kUnset)
+            continue;
+        potential_[static_cast<size_t>(s)] = 0;
+        stack.push_back(s);
+        while (!stack.empty()) {
+            const int v = stack.back();
+            stack.pop_back();
+            for (int e : incident_edges(v)) {
+                const GraphEdge& ge = edges_[static_cast<size_t>(e)];
+                if (ge.v == GraphEdge::kBoundary)
+                    continue;
+                const int w = ge.u == v ? ge.v : ge.u;
+                const uint8_t want = static_cast<uint8_t>(
+                    potential_[static_cast<size_t>(v)] ^ ge.logical);
+                uint8_t& phi_w = potential_[static_cast<size_t>(w)];
+                if (phi_w == kUnset) {
+                    phi_w = want;
+                    stack.push_back(w);
+                } else if (phi_w != want) {
+                    potential_ = {};
+                    return;
+                }
+            }
+        }
+    }
 }
 
 }  // namespace gld

@@ -2,6 +2,7 @@
 #define GLD_DECODE_DECODING_GRAPH_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace gld {
@@ -39,6 +40,10 @@ struct EdgeIdRange {
  *
  * Incidence is stored as CSR (one offsets array, one flat edge-id
  * array); each node lists its edges in ascending edge id.
+ *
+ * The constructor also looks for a node potential (see potential()) with
+ * one traversal per connected component, O(E).  Immutable after
+ * construction, so one graph is shared by every worker's decoder.
  */
 class DecodingGraph {
   public:
@@ -54,12 +59,26 @@ class DecodingGraph {
         return {base + offsets_[static_cast<size_t>(v)],
                 base + offsets_[static_cast<size_t>(v) + 1]};
     }
+    /**
+     * Node potential phi: one entry (0 or 1) per node with
+     * phi[u] ^ phi[v] == logical on every non-boundary edge (u, v).  The
+     * logical parity of any edge set F is then the XOR of phi over the
+     * nodes F meets an odd number of times, plus the side
+     * logical(b) ^ phi[u] of each boundary edge b = (u, boundary) in F.
+     * Each component's lowest node gets 0.  Empty when no such phi
+     * exists: some cycle has odd logical parity, and a decoder must then
+     * follow its correction edge by edge.
+     */
+    const std::vector<uint8_t>& potential() const { return potential_; }
 
   private:
+    void find_potential();
+
     int n_nodes_;
     std::vector<GraphEdge> edges_;
     std::vector<int> offsets_;    ///< n_nodes + 1 entries
     std::vector<int> incidence_;  ///< edge ids, node-major
+    std::vector<uint8_t> potential_;  ///< n_nodes entries, or none
 };
 
 }  // namespace gld

@@ -2,10 +2,26 @@
 #include "decode/union_find.h"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
 namespace gld {
+
+namespace {
+
+/**
+ * Whether a cluster's logical parity depends on its spanning tree: it
+ * touches both boundary sides, or it is odd and stalled with no boundary
+ * (its unmatched defect is for the peel to report).
+ */
+bool
+needs_peel(uint8_t boundary, uint8_t parity)
+{
+    return boundary == 3 || (parity && !boundary);
+}
+
+}  // namespace
 
 UnionFindDecoder::UnionFindDecoder(const DecodingGraph& graph)
     : graph_(&graph), n_(graph.n_nodes())
@@ -104,9 +120,22 @@ UnionFindDecoder::decode(const std::vector<uint8_t>& syndrome)
             "UnionFindDecoder::decode: syndrome has " +
             std::to_string(syndrome.size()) + " entries, graph has " +
             std::to_string(n_) + " nodes");
+    // Eight bytes at a time: syndromes are sparse, so most words are 0.
     syndrome_defects_.clear();
-    for (int v = 0; v < n_; ++v) {
-        if (syndrome[static_cast<size_t>(v)] != 0)
+    const uint8_t* bytes = syndrome.data();
+    int v = 0;
+    for (; v + 8 <= n_; v += 8) {
+        uint64_t word;
+        std::memcpy(&word, bytes + v, sizeof(word));
+        if (word == 0)
+            continue;
+        for (int i = v; i < v + 8; ++i) {
+            if (bytes[i] != 0)
+                syndrome_defects_.push_back(i);
+        }
+    }
+    for (; v < n_; ++v) {
+        if (bytes[v] != 0)
             syndrome_defects_.push_back(v);
     }
     return decode_defects(syndrome_defects_);
@@ -130,6 +159,7 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
         return false;
 
     const std::vector<GraphEdge>& edges = graph_->edges();
+    const std::vector<uint8_t>& phi = graph_->potential();
     touched_.clear();
     added_edges_.clear();
     for (int v : defects)
@@ -145,8 +175,12 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
                 continue;
             // Detach the frontier, then walk it.  Its nodes are on no other
             // list, so their fr_next links stay put while merges splice
-            // the lists of nodes that join meanwhile.
+            // the lists of nodes that join meanwhile.  An empty frontier
+            // means every edge at the cluster has grown: it can never
+            // change again, so it stalls and is left to the peel.
             int x = nodes_[r].fr_head;
+            if (x < 0)
+                continue;
             nodes_[r].fr_head = -1;
             nodes_[r].fr_tail = -1;
             nodes_[r].fr_edges = 0;
@@ -158,7 +192,12 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
                     edge_added_[static_cast<size_t>(e)] = 1;
                     added_edges_.push_back(e);
                     if (ge.v == GraphEdge::kBoundary) {
-                        nodes_[find(ge.u)].boundary = 1;
+                        const int side =
+                            phi.empty()
+                                ? 0
+                                : ge.logical ^ phi[static_cast<size_t>(ge.u)];
+                        nodes_[find(ge.u)].boundary |=
+                            static_cast<uint8_t>(1 << side);
                         continue;
                     }
                     if (!nodes_[ge.u].in_cluster)
@@ -183,15 +222,63 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
         odd_.swap(still_);
     }
 
-    // --- Peeling over the grown subgraph. ---
+    // --- Closed form: each settled cluster's logical parity. ---
+    unsigned logical = 0;
+    bool peel = phi.empty();
+    if (!peel) {
+        for (int v : defects) {
+            const Node& root = nodes_[find(v)];
+            if (needs_peel(root.boundary, root.parity)) {
+                peel = true;
+                continue;
+            }
+            logical ^= phi[static_cast<size_t>(v)] ^ (root.boundary == 2);
+            nodes_[v].defect = 0;
+        }
+    }
+
+    // --- Peeling over the grown edges of the remaining clusters. ---
+    if (peel) {
+        const std::vector<int>* grown = &added_edges_;
+        if (!phi.empty()) {
+            peel_edges_.clear();
+            for (int e : added_edges_) {
+                const Node& root =
+                    nodes_[find(edges[static_cast<size_t>(e)].u)];
+                if (needs_peel(root.boundary, root.parity))
+                    peel_edges_.push_back(e);
+            }
+            grown = &peel_edges_;
+        }
+        logical ^= peel_forest(*grown);
+    }
+
+    // Residual count and cleanup in one pass: every defect and every
+    // visited node other than the boundary is a touched node.
+    for (int v : touched_) {
+        Node& x = nodes_[v];
+        residual_ += x.defect;
+        x.in_cluster = 0;
+        x.visited = 0;
+    }
+    nodes_[n_].visited = 0;
+    for (int e : added_edges_)
+        edge_added_[static_cast<size_t>(e)] = 0;
+    return logical != 0;
+}
+
+unsigned
+UnionFindDecoder::peel_forest(const std::vector<int>& grown)
+{
     // CSR adjacency over the touched nodes and the boundary node, each
-    // node's arcs in added_edges_ order: count, offset, fill.
+    // node's arcs in `grown` order: count, offset, fill.
+    const std::vector<GraphEdge>& edges = graph_->edges();
     Node& bnode = nodes_[n_];
     bnode.adj_end = 0;
     bnode.defect = 0;
     for (int v : touched_)
         nodes_[v].adj_end = 0;
-    for (int e : added_edges_) {
+    for (int e : grown) {
         const GraphEdge& ge = edges[static_cast<size_t>(e)];
         ++nodes_[ge.u].adj_end;
         ++nodes_[ge.v == GraphEdge::kBoundary ? n_ : ge.v].adj_end;
@@ -206,7 +293,7 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
     for (int v : touched_)
         place(nodes_[v]);
     adj_.resize(static_cast<size_t>(offset));
-    for (int e : added_edges_) {
+    for (int e : grown) {
         const GraphEdge& ge = edges[static_cast<size_t>(e)];
         const int v = ge.v == GraphEdge::kBoundary ? n_ : ge.v;
         adj_[static_cast<size_t>(nodes_[ge.u].adj_end++)] = {v, e};
@@ -214,7 +301,7 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
     }
     order_.clear();
     bfs(n_);  // clusters touching the boundary root at the boundary
-    for (int e : added_edges_) {
+    for (int e : grown) {
         const GraphEdge& ge = edges[static_cast<size_t>(e)];
         if (!nodes_[ge.u].visited)
             bfs(ge.u);
@@ -222,31 +309,18 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
             bfs(ge.v);
     }
 
-    bool logical = false;
+    unsigned logical = 0;
     for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
         const int v = *it;
         if (v == n_ || !nodes_[v].defect)
             continue;
         const int e = nodes_[v].parent_edge;
         if (e < 0)
-            continue;  // unmatched defect (counted as residual below)
+            continue;  // unmatched defect (counted as residual)
         nodes_[v].defect = 0;
         nodes_[nodes_[v].parent_node].defect ^= 1;
-        if (edges[static_cast<size_t>(e)].logical)
-            logical = !logical;
+        logical ^= edges[static_cast<size_t>(e)].logical;
     }
-
-    // Residual count and cleanup in one pass: every defect and every
-    // visited node other than the boundary is a touched node.
-    for (int v : touched_) {
-        Node& x = nodes_[v];
-        residual_ += x.defect;
-        x.in_cluster = 0;
-        x.visited = 0;
-    }
-    bnode.visited = 0;
-    for (int e : added_edges_)
-        edge_added_[static_cast<size_t>(e)] = 0;
     return logical;
 }
 

@@ -11,12 +11,42 @@ namespace gld {
 /**
  * Union-find decoder (Delfosse-Nickerson style, unweighted growth):
  * odd-parity clusters grow by absorbing their frontier edges until every
- * cluster has even defect parity or touches the boundary; a spanning-forest
- * peeling pass then selects a correction and returns its logical parity.
+ * cluster has even defect parity or touches the boundary; the logical
+ * parity of a correction inside each cluster is the prediction.
  *
  * Near-matching accuracy at a fraction of MWPM's cost — and the paper's
  * LER comparisons are relative across leakage policies, which this
  * preserves.
+ *
+ * Closed form.  When the graph has a node potential phi
+ * (DecodingGraph::potential()), each boundary edge b = (u, boundary) has
+ * a side beta(b) = logical(b) ^ phi(u), and growth ORs 1 << beta(b) into
+ * its cluster's boundary byte (side 0 for every edge when there is no
+ * potential).  Take a cluster C with defects D that is even with no
+ * boundary, or whose grown boundary edges all share one side beta.  Every
+ * correction F inside C with dF = D (up to the boundary) has
+ * logical(F) = XOR of phi over D, plus beta if |D| is odd: the phi terms
+ * of F's inner edges cancel at every node F meets an even number of
+ * times, which is every node outside D, and F uses an odd number of
+ * boundary edges exactly when |D| is odd.  So the peel's answer does not
+ * depend on its spanning tree, and the decoder adds
+ * phi(v) ^ (boundary == side 1) per defect instead, residual 0.
+ *
+ * Peel.  The spanning-forest peel (Delfosse-Zemor) still runs for
+ * clusters that touched both sides, for odd clusters that stalled, and
+ * for every cluster when there is no potential.  It runs over those
+ * clusters' grown edges only, filtered in growth order.  Clusters share
+ * no edges, so a BFS from the boundary restricted to one cluster visits
+ * its nodes in the same relative order, with the same parents, as the
+ * BFS over all grown edges; the peel's answer for that cluster is
+ * unchanged.
+ *
+ * Stall.  An odd cluster without boundary whose frontier is empty when
+ * it is next grown has grown every edge at its nodes: it is a whole
+ * component without boundary edges and can never change.  Growth drops
+ * it instead of re-queueing it forever, and the peel leaves its defect
+ * unmatched, counted in last_residual().  Only syndromes on which the
+ * dense-array reference decoder (below) never returns reach this rule.
  *
  * A decode costs what it touches, not the graph size: per-node state is
  * initialized when a node first joins a cluster and reset afterwards for
@@ -26,10 +56,9 @@ namespace gld {
  * Growth and peeling visit edges in the same order as the dense-array
  * reference decoder in tests/reference_union_find.h, so every prediction
  * and residual is bit-identical to it (tests/test_decoder_equivalence.cc
- * pins that).  Working state
- * keeps its capacity across calls, so one cached decoder per scheduler
- * worker allocates nothing per shot.  Not thread-safe; one instance per
- * thread.
+ * pins that).  Working state keeps its capacity across calls, so one
+ * cached decoder per scheduler worker allocates nothing per shot.  Not
+ * thread-safe; one instance per thread.
  */
 class UnionFindDecoder {
   public:
@@ -74,7 +103,7 @@ class UnionFindDecoder {
         int parent_edge = -1;  ///< peeling forest
         int parent_node = -1;
         uint8_t parity = 0;
-        uint8_t boundary = 0;
+        uint8_t boundary = 0;  ///< bit beta(b) per grown boundary edge b
         uint8_t defect = 0;
         uint8_t in_cluster = 0;
         uint8_t visited = 0;
@@ -90,6 +119,12 @@ class UnionFindDecoder {
     void join(int v, uint8_t defect);
     void unite(int a, int b);
     void bfs(int root);
+    /**
+     * Peels a BFS spanning forest of the `grown` edges (rooted at the
+     * boundary first) and returns its correction's logical parity;
+     * defects it cannot match stay set for the residual count.
+     */
+    unsigned peel_forest(const std::vector<int>& grown);
 
     const DecodingGraph* graph_;
     int n_;
@@ -102,6 +137,7 @@ class UnionFindDecoder {
     std::vector<int> next_;
     std::vector<int> still_;
     std::vector<int> added_edges_;
+    std::vector<int> peel_edges_;  ///< added_edges_ of the peeled clusters
     std::vector<Arc> adj_;
     std::vector<int> order_;  ///< BFS order, doubling as the BFS queue
     std::vector<int> syndrome_defects_;  ///< decode()'s extracted defects

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "codes/bpc_code.h"
 #include "codes/color_code.h"
 #include "codes/hgp_code.h"
 #include "codes/surface_code.h"
@@ -92,6 +93,25 @@ TEST(Determinism, ColorCodeBitIdenticalAcrossThreads)
 TEST(Determinism, HgpCodeBitIdenticalAcrossThreads)
 {
     check_code(HgpCode::make_hamming(), /*compute_ler=*/false);
+}
+
+// The default BPC code's decoding graph has no boundary edges, so a shot
+// can leave an odd cluster that never settles; LER decoding must still
+// return, with the same bits at every thread count.
+TEST(Determinism, BpcCodeLerTerminatesBitIdenticalAcrossThreads)
+{
+    const CssCode code = BpcCode::make_default();
+    const RoundCircuit rc(code);
+    const CodeContext ctx(code, rc, CodeContext::default_scope(code));
+    ExperimentConfig cfg = base_config();
+    cfg.np = NoiseParams::standard(1e-3, 0.1);
+    cfg.rounds = 5;
+    cfg.shots = 256;
+    cfg.compute_ler = true;
+    const PolicyFactory factory = PolicyZoo::eraser(/*use_mlr=*/true);
+    const Metrics base = run_with_threads(ctx, cfg, 1, factory);
+    EXPECT_EQ(base.decoded_shots, cfg.shots);
+    expect_metrics_identical(base, run_with_threads(ctx, cfg, 2, factory));
 }
 
 // Sharding extension of the same contract: the per-stream partials

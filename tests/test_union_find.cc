@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 
+#include "codes/bpc_code.h"
 #include "codes/surface_code.h"
 #include "decode/dem_builder.h"
 #include "util/rng.h"
@@ -147,6 +148,100 @@ TEST(UnionFindDecoder, RejectsMalformedInput)
         syndrome[e.v] = 1;
     EXPECT_EQ(uf.decode(syndrome), e.logical);
     EXPECT_EQ(uf.last_residual(), 0);
+}
+
+TEST(UnionFindDecoder, StalledClusterWithoutBoundaryTerminates)
+{
+    // No boundary edges: a triangle (0, 1, 2), a separate edge (3, 4) and
+    // an isolated node 5.  An odd cluster on the triangle grows over its
+    // whole component and can still never pair up; it stalls, and the
+    // peel leaves its defect as residual.  Decoding never loops.
+    const DecodingGraph g(6, {{0, 1, false, 0.1},
+                              {1, 2, true, 0.1},
+                              {0, 2, true, 0.1},
+                              {3, 4, true, 0.1}});
+    ASSERT_FALSE(g.potential().empty());
+    UnionFindDecoder uf(g);
+    EXPECT_FALSE(uf.decode_defects({0}));
+    EXPECT_EQ(uf.last_residual(), 1);
+    // A settled cluster beside the stalled one still gets its parity.
+    EXPECT_TRUE(uf.decode_defects({0, 3, 4}));
+    EXPECT_EQ(uf.last_residual(), 1);
+    EXPECT_FALSE(uf.decode_defects({5}));
+    EXPECT_EQ(uf.last_residual(), 1);
+    // Pairs (0, 2) and (3, 4) each flip the logical; 5 stalls.
+    EXPECT_FALSE(uf.decode_defects({0, 2, 3, 4, 5}));
+    EXPECT_EQ(uf.last_residual(), 1);
+    EXPECT_TRUE(uf.decode_defects({1, 2}));  // even: settles, no stall
+    EXPECT_EQ(uf.last_residual(), 0);
+
+    // The same stall on a graph without a potential (odd-logical cycle).
+    const DecodingGraph odd(3, {{0, 1, true, 0.1},
+                                {1, 2, false, 0.1},
+                                {0, 2, false, 0.1}});
+    ASSERT_TRUE(odd.potential().empty());
+    UnionFindDecoder uf_odd(odd);
+    // The peel roots the tree at node 0 (the first grown edge's first
+    // end) and moves the defect there over the logical edge (0, 1).
+    EXPECT_TRUE(uf_odd.decode_defects({1}));
+    EXPECT_EQ(uf_odd.last_residual(), 1);
+}
+
+TEST(UnionFindDecoder, BoundarylessBpcGraphTerminates)
+{
+    // The default BPC code's graph has no boundary edges, so a single
+    // defect is a cluster that can never settle.
+    const CssCode code = BpcCode::make_default();
+    const RoundCircuit rc(code);
+    const DecodingGraph g =
+        DemBuilder(code, rc, NoiseParams::standard(), 5).build();
+    for (const GraphEdge& e : g.edges())
+        ASSERT_NE(e.v, GraphEdge::kBoundary);
+    UnionFindDecoder uf(g);
+    uf.decode_defects({0});
+    EXPECT_EQ(uf.last_residual(), 1);
+}
+
+TEST(DecodingGraph, SurfaceCodePotentialSatisfiesEveryEdge)
+{
+    for (int d : {3, 5, 7}) {
+        const CssCode code = SurfaceCode::make(d);
+        const RoundCircuit rc(code);
+        const DecodingGraph g =
+            DemBuilder(code, rc, NoiseParams::standard(), d).build();
+        const std::vector<uint8_t>& phi = g.potential();
+        ASSERT_EQ(phi.size(), static_cast<size_t>(g.n_nodes())) << "d=" << d;
+        for (uint8_t p : phi)
+            ASSERT_LE(p, 1);
+        for (const GraphEdge& e : g.edges()) {
+            if (e.v == GraphEdge::kBoundary)
+                continue;
+            EXPECT_EQ(phi[static_cast<size_t>(e.u)] ^
+                          phi[static_cast<size_t>(e.v)],
+                      static_cast<int>(e.logical))
+                << "d=" << d << " edge " << e.u << "-" << e.v;
+        }
+    }
+}
+
+TEST(DecodingGraph, OddLogicalCycleHasNoPotential)
+{
+    // Boundary edges never constrain phi; one odd-logical cycle rules it
+    // out even when another component is consistent.
+    const DecodingGraph ok(4, {{0, 1, true, 0.1},
+                               {1, 2, true, 0.1},
+                               {0, 2, false, 0.1},
+                               {0, GraphEdge::kBoundary, true, 0.1},
+                               {2, GraphEdge::kBoundary, false, 0.1}});
+    ASSERT_EQ(ok.potential().size(), 4u);
+    EXPECT_EQ(ok.potential()[0], 0);
+    EXPECT_EQ(ok.potential()[1], 1);
+    EXPECT_EQ(ok.potential()[2], 0);
+    const DecodingGraph bad(5, {{0, 1, true, 0.1},
+                                {3, 4, false, 0.1},
+                                {2, 3, true, 0.1},
+                                {2, 4, false, 0.1}});
+    EXPECT_TRUE(bad.potential().empty());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "sim/batch_driver.h"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 namespace gld {
@@ -49,6 +50,19 @@ BatchLeakageDriver::BatchLeakageDriver(const CssCode& code,
     lane_oracles_.resize(static_cast<size_t>(max_lanes));
     for (int l = 0; l < max_lanes; ++l)
         lane_oracles_[static_cast<size_t>(l)].bind(this, l);
+    if (state_ == nullptr)
+        frame_.assign(nq * 2 * W, 0);
+    // The sparse plans' site counts, in execution order: every data qubit
+    // is one p and one pl site; every op is one p site; every CNOT adds a
+    // pl pair and every measurement an MLR site.
+    n_p_sites_ = static_cast<uint32_t>(code.n_data() + rc.ops().size());
+    n_pl_sites_ = static_cast<uint32_t>(code.n_data());
+    for (const Op& op : rc.ops()) {
+        if (op.type == OpType::kCnot)
+            n_pl_sites_ += 2;
+        else if (op.type == OpType::kMeasure)
+            ++n_mlr_sites_;
+    }
     // Like the scalar driver, shot 0's stream is live from construction
     // (one active lane) so primitive-level probing before any reset works.
     // Sparse mode has no lane streams: its one event stream (armed the
@@ -100,7 +114,7 @@ BatchLeakageDriver::reset_shot_batch(int n_lanes)
                 master_rng_.split(shots_started_ + static_cast<uint64_t>(l));
     }
     shots_started_ += static_cast<uint64_t>(n_lanes);
-    state_->reset_state();
+    reset_state();
 }
 
 void
@@ -127,7 +141,107 @@ BatchLeakageDriver::reset_for_block(Rng master)
         active_[w] = 0;
     active_[0] = 1;
     n_lanes_ = 1;
-    state_->reset_state();
+    reset_state();
+}
+
+void
+BatchLeakageDriver::reset_state()
+{
+    if (state_ != nullptr)
+        state_->reset_state();
+    else
+        std::fill(frame_.begin(), frame_.end(), 0);
+}
+
+template <int WT>
+__attribute__((always_inline)) inline void
+BatchLeakageDriver::pauli_t(int q, const LaneMask* xs, const LaneMask* zs)
+{
+    if (state_ != nullptr) {
+        state_->apply_pauli(q, xs, zs);
+        return;
+    }
+    const int W = WT > 0 ? WT : words_;
+    LaneMask* f = frame(q);
+    for (int w = 0; w < W; ++w) {
+        f[w] ^= xs[w];
+        f[W + w] ^= zs[w];
+    }
+}
+
+template <int WT>
+__attribute__((always_inline)) inline void
+BatchLeakageDriver::coherent_cnot_t(int control, int target,
+                                    const LaneMask* lanes)
+{
+    if (state_ != nullptr) {
+        state_->coherent_cnot(control, target, lanes);
+        return;
+    }
+    // X copies c->t, Z copies t->c — in the selected lanes only.
+    const int W = WT > 0 ? WT : words_;
+    LaneMask* c = frame(control);
+    LaneMask* t = frame(target);
+    for (int w = 0; w < W; ++w) {
+        t[w] ^= c[w] & lanes[w];
+        c[W + w] ^= t[W + w] & lanes[w];
+    }
+}
+
+template <int WT>
+__attribute__((always_inline)) inline void
+BatchLeakageDriver::hadamard_t(int q, const LaneMask* lanes)
+{
+    if (state_ != nullptr) {
+        state_->hadamard(q, lanes);
+        return;
+    }
+    // Swap the X and Z bits of the selected lanes.
+    const int W = WT > 0 ? WT : words_;
+    LaneMask* f = frame(q);
+    for (int w = 0; w < W; ++w) {
+        const LaneMask diff = (f[w] ^ f[W + w]) & lanes[w];
+        f[w] ^= diff;
+        f[W + w] ^= diff;
+    }
+}
+
+template <int WT>
+__attribute__((always_inline)) inline void
+BatchLeakageDriver::reset_z_t(int q, const LaneMask* lanes)
+{
+    if (state_ != nullptr) {
+        state_->reset_z(q, lanes);
+        return;
+    }
+    const int W = WT > 0 ? WT : words_;
+    LaneMask* f = frame(q);
+    for (int w = 0; w < W; ++w) {
+        f[w] &= ~lanes[w];
+        f[W + w] &= ~lanes[w];
+    }
+}
+
+template <int WT>
+__attribute__((always_inline)) inline void
+BatchLeakageDriver::measure_z_t(int q, LaneMask* out)
+{
+    if (state_ != nullptr) {
+        state_->measure_z(q, out);
+        return;
+    }
+    // The X-frame words are the outcome flips; reading leaves them be.
+    const int W = WT > 0 ? WT : words_;
+    const LaneMask* f = frame(q);
+    for (int w = 0; w < W; ++w)
+        out[w] = f[w];
+}
+
+void
+BatchLeakageDriver::apply_pauli(int q, const LaneMask* xs,
+                                const LaneMask* zs)
+{
+    pauli_t<0>(q, xs, zs);
 }
 
 template <int WT>
@@ -147,7 +261,8 @@ BatchLeakageDriver::set_leak_t(int q, const LaneMask* lanes)
         return;
     for (int w = 0; w < W; ++w)
         lw[w] |= rise[w];
-    state_->park_leaked(q, rise);
+    if (state_ != nullptr)
+        state_->park_leaked(q, rise);
 }
 
 void
@@ -166,6 +281,8 @@ BatchLeakageDriver::set_leak_lane(int q, int lane)
     if ((lw[wi] & bit) != 0)
         return;
     lw[wi] |= bit;
+    if (state_ == nullptr)
+        return;
     LaneMask rise[kMaxBatchWords];
     lanes_zero(rise, words_);
     rise[wi] = bit;
@@ -316,13 +433,71 @@ BatchLeakageDriver::bernoulli_mask(LaneRate& rate,
     return lanes_any(out, W);
 }
 
+void
+BatchLeakageDriver::plan_round(LaneRate& rate, uint32_t n_sites,
+                               RoundPlan* plan)
+{
+    plan->events.clear();
+    if (!rate.never) {
+        // Active lanes are always the prefix [0, n_lanes), so a position's
+        // lane index is its global lane.
+        const uint64_t n = static_cast<uint64_t>(n_lanes_);
+        const uint64_t total = static_cast<uint64_t>(n_sites) * n;
+        uint64_t pos = 0;
+        if (!rate.always) {
+            if (!rate.skip_valid) {
+                rate.skip = sparse_geometric(rate);
+                rate.skip_valid = true;
+            }
+            pos = rate.skip;
+        }
+        while (pos < total) {
+            const uint64_t site = pos / n;
+            plan->events.push_back({static_cast<uint32_t>(site),
+                                    static_cast<uint32_t>(pos - site * n)});
+            pos += 1 + (rate.always ? 0 : sparse_geometric(rate));
+        }
+        if (!rate.always)
+            rate.skip = pos - total;
+    }
+    plan->events.push_back({kNoSite, 0});
+    plan->next = plan->events.data();
+}
+
+template <int WT>
+__attribute__((always_inline)) inline LaneMask
+BatchLeakageDriver::round_site(LaneRate& rate, RoundPlan& plan,
+                               uint32_t site, const LaneMask* mask,
+                               LaneMask* out)
+{
+    if (!sparse_)
+        return bernoulli_mask<WT>(rate, mask, out);
+    const int W = WT > 0 ? WT : words_;
+    lanes_zero(out, W);
+    // The quiet site: one compare with the next planned event.
+    const RoundPlan::Event* e = plan.next;
+    if (e->site != site)
+        return 0;
+    do {
+        set_lane_bit(out, static_cast<int>(e->lane));
+        ++e;
+    } while (e->site == site);
+    plan.next = e;
+    LaneMask any = 0;
+    for (int w = 0; w < W; ++w) {
+        out[w] &= mask[w];  // discard events on masked-out lanes
+        any |= out[w];
+    }
+    return any;
+}
+
 template <int WT>
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::depolarize1(int q)
+BatchLeakageDriver::depolarize1(int q, uint32_t site)
 {
     const int W = WT > 0 ? WT : words_;
     LaneMask fired[kMaxBatchWords];
-    if (bernoulli_mask<WT>(rate_p_, active_, fired) == 0)
+    if (round_site<WT>(rate_p_, plan_p_, site, active_, fired) == 0)
         return;
     LaneMask xs[kMaxBatchWords], zs[kMaxBatchWords];
     lanes_zero(xs, W);
@@ -332,16 +507,16 @@ BatchLeakageDriver::depolarize1(int q)
         xs[l >> 6] |= static_cast<LaneMask>(pauli & 1u) << (l & 63);
         zs[l >> 6] |= static_cast<LaneMask>((pauli >> 1) & 1u) << (l & 63);
     });
-    state_->apply_pauli(q, xs, zs);
+    pauli_t<WT>(q, xs, zs);
 }
 
 template <int WT>
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::depolarize2(int q0, int q1)
+BatchLeakageDriver::depolarize2(int q0, int q1, uint32_t site)
 {
     const int W = WT > 0 ? WT : words_;
     LaneMask fired[kMaxBatchWords];
-    if (bernoulli_mask<WT>(rate_p_, active_, fired) == 0)
+    if (round_site<WT>(rate_p_, plan_p_, site, active_, fired) == 0)
         return;
     LaneMask x0[kMaxBatchWords], z0[kMaxBatchWords];
     LaneMask x1[kMaxBatchWords], z1[kMaxBatchWords];
@@ -357,23 +532,24 @@ BatchLeakageDriver::depolarize2(int q0, int q1)
         z1[l >> 6] |= static_cast<LaneMask>((pauli >> 3) & 1u) << (l & 63);
     });
     if (lanes_any(x0, W) | lanes_any(z0, W))
-        state_->apply_pauli(q0, x0, z0);
+        pauli_t<WT>(q0, x0, z0);
     if (lanes_any(x1, W) | lanes_any(z1, W))
-        state_->apply_pauli(q1, x1, z1);
+        pauli_t<WT>(q1, x1, z1);
 }
 
 template <int WT>
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::leak_maybe(int q)
+BatchLeakageDriver::leak_maybe(int q, uint32_t site)
 {
     LaneMask leak[kMaxBatchWords];
-    if (bernoulli_mask<WT>(rate_pl_, active_, leak) != 0)
+    if (round_site<WT>(rate_pl_, plan_pl_, site, active_, leak) != 0)
         set_leak_t<WT>(q, leak);
 }
 
 template <int WT>
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::cnot(int control, int target)
+BatchLeakageDriver::cnot(int control, int target, uint32_t p_site,
+                         uint32_t pl_site)
 {
     const int W = WT > 0 ? WT : words_;
     const LaneMask* cl = leaked(control);
@@ -390,7 +566,7 @@ BatchLeakageDriver::cnot(int control, int target)
         any_branch |= branch[w];
     }
     if (any_clean != 0)
-        state_->coherent_cnot(control, target, clean);
+        coherent_cnot_t<WT>(control, target, clean);
 
     if (any_branch != 0) {
         // The malfunction shape is lane-independent — whether the
@@ -442,18 +618,18 @@ BatchLeakageDriver::cnot(int control, int target)
             }
         });
         if (lanes_any(xs_t, W) | lanes_any(zs_t, W))
-            state_->apply_pauli(target, xs_t, zs_t);
+            pauli_t<WT>(target, xs_t, zs_t);
         if (lanes_any(xs_c, W) | lanes_any(zs_c, W))
-            state_->apply_pauli(control, xs_c, zs_c);
+            pauli_t<WT>(control, xs_c, zs_c);
         if (lanes_any(transport, W) != 0) {
             set_leak_t<WT>(target, transport);
             clear_leak(control, transport);
         }
     }
 
-    depolarize2<WT>(control, target);
-    leak_maybe<WT>(control);
-    leak_maybe<WT>(target);
+    depolarize2<WT>(control, target, p_site);
+    leak_maybe<WT>(control, pl_site);
+    leak_maybe<WT>(target, pl_site + 1);
 }
 
 template <int WT>
@@ -503,7 +679,7 @@ BatchLeakageDriver::lrc_gadgets(const LrcWords& lrc)
                 zs[l >> 6] |= static_cast<LaneMask>((pauli >> 1) & 1u)
                               << (l & 63);
             });
-            state_->apply_pauli(q, xs, zs);
+            pauli_t<WT>(q, xs, zs);
         }
         if (bernoulli_mask<WT>(rate_lrc_leak_, m, hit) != 0)
             set_leak_t<WT>(q, hit);
@@ -513,7 +689,7 @@ BatchLeakageDriver::lrc_gadgets(const LrcWords& lrc)
             continue;
         const int anc = code_->ancilla_of(c);
         clear_leak(anc, m);
-        state_->reset_z(anc, m);
+        reset_z_t<WT>(anc, m);
         if (bernoulli_mask<WT>(rate_lrc_leak_, m, hit) != 0)
             set_leak_t<WT>(anc, hit);
     }
@@ -522,16 +698,17 @@ BatchLeakageDriver::lrc_gadgets(const LrcWords& lrc)
 template <int WT>
 __attribute__((always_inline)) inline void
 BatchLeakageDriver::readout(const LaneMask* measured, const LaneMask* lk,
-                            const LaneMask* ok, LaneMask* flip)
+                            const LaneMask* ok, const LaneMask* err,
+                            LaneMask* flip)
 {
-    // Clean lanes see the state's outcome through the readout-error site;
-    // leaked lanes' outcomes are discarded and replaced by a coin flip.
-    // Every lane draws once here, so this is the scalar per-lane order in
-    // both modes (sparse flips its coins from the event stream, ascending
-    // lane order, after the error site).
+    // Clean lanes see the state's outcome through the readout-error site
+    // (drawn by the caller, just before); leaked lanes' outcomes are
+    // discarded and replaced by a coin flip.  Every lane draws once
+    // across the two, so this is the scalar per-lane order in both modes
+    // (sparse flips its coins from the event stream, ascending lane
+    // order, after the error site).
     const int W = WT > 0 ? WT : words_;
-    LaneMask err[kMaxBatchWords], rnd[kMaxBatchWords];
-    bernoulli_mask<WT>(rate_p_, ok, err);
+    LaneMask rnd[kMaxBatchWords];
     lanes_zero(rnd, W);
     for_each_lane(lk, W, [&](int l) {
         if (payload_rng(l).bit())
@@ -552,18 +729,30 @@ BatchLeakageDriver::run_round_t(const LrcWords& lrc)
     // 1. Scheduled LRC gadgets (decided by the policy last round).
     lrc_gadgets<WT>(lrc);
 
-    // 2. Round-start data noise: depolarization + environment leakage.
-    for (int q = 0; q < code_->n_data(); ++q) {
-        depolarize1<WT>(q);
-        leak_maybe<WT>(q);
+    // Sparse: plan the round's p, pl and MLR events up front.
+    if (sparse_) {
+        plan_round(rate_p_, n_p_sites_, &plan_p_);
+        plan_round(rate_pl_, n_pl_sites_, &plan_pl_);
+        plan_round(rate_mlr_, n_mlr_sites_, &plan_mlr_);
     }
 
-    // 3. The scheduled extraction circuit, word-wide.
+    // 2. Round-start data noise: depolarization + environment leakage.
+    const int n_data = code_->n_data();
+    for (int q = 0; q < n_data; ++q) {
+        depolarize1<WT>(q, static_cast<uint32_t>(q));
+        leak_maybe<WT>(q, static_cast<uint32_t>(q));
+    }
+
+    // 3. The scheduled extraction circuit, word-wide.  Op i is p site
+    //    n_data+i; the pl and MLR site ids advance in execution order.
+    uint32_t p_site = static_cast<uint32_t>(n_data);
+    uint32_t pl_site = static_cast<uint32_t>(n_data);
+    uint32_t mlr_site = 0;
     for (const Op& op : rc_->ops()) {
         switch (op.type) {
           case OpType::kResetZ: {
             // Reset skips leaked lanes entirely: no state touch, no
-            // init-error draw (scalar semantics) — hence the masked site.
+            // init-error event (scalar semantics) — hence the masked site.
             const LaneMask* lq = leaked(op.q0);
             LaneMask ok[kMaxBatchWords];
             LaneMask any_ok = 0;
@@ -571,14 +760,15 @@ BatchLeakageDriver::run_round_t(const LrcWords& lrc)
                 ok[w] = active_[w] & ~lq[w];
                 any_ok |= ok[w];
             }
-            if (any_ok != 0) {
-                state_->reset_z(op.q0, ok);
-                LaneMask flip[kMaxBatchWords];
-                if (bernoulli_mask<WT>(rate_p_, ok, flip) != 0) {
-                    LaneMask none[kMaxBatchWords];
-                    lanes_zero(none, W);
-                    state_->apply_pauli(op.q0, flip, none);
-                }
+            if (any_ok != 0)
+                reset_z_t<WT>(op.q0, ok);
+            // Visited even with every lane masked off: sparse drops the
+            // events planned on it (lockstep draws nothing for no lanes).
+            LaneMask flip[kMaxBatchWords];
+            if (round_site<WT>(rate_p_, plan_p_, p_site, ok, flip) != 0) {
+                LaneMask none[kMaxBatchWords];
+                lanes_zero(none, W);
+                pauli_t<WT>(op.q0, flip, none);
             }
             break;
           }
@@ -591,12 +781,13 @@ BatchLeakageDriver::run_round_t(const LrcWords& lrc)
                 any_ok |= ok[w];
             }
             if (any_ok != 0)
-                state_->hadamard(op.q0, ok);
-            depolarize1<WT>(op.q0);
+                hadamard_t<WT>(op.q0, ok);
+            depolarize1<WT>(op.q0, p_site);
             break;
           }
           case OpType::kCnot:
-            cnot<WT>(op.q0, op.q1);
+            cnot<WT>(op.q0, op.q1, p_site, pl_site);
+            pl_site += 2;
             break;
           case OpType::kMeasure: {
             const int anc = op.q0;
@@ -606,21 +797,28 @@ BatchLeakageDriver::run_round_t(const LrcWords& lrc)
                 lk[w] = active_[w] & la[w];
                 ok[w] = active_[w] & ~lk[w];
             }
-            LaneMask measured[kMaxBatchWords];
-            state_->measure_z(anc, measured);
-            readout<WT>(measured, lk, ok,
+            LaneMask measured[kMaxBatchWords], err[kMaxBatchWords];
+            measure_z_t<WT>(anc, measured);
+            round_site<WT>(rate_p_, plan_p_, p_site, ok, err);
+            readout<WT>(measured, lk, ok, err,
                         &meas_flip_[static_cast<size_t>(op.mslot) * Ws]);
             // MLR leak flag with symmetric misclassification.
             LaneMask* mlrw =
                 &mlr_flag_[static_cast<size_t>(op.mslot) * Ws];
             LaneMask mlrt[kMaxBatchWords];
-            bernoulli_mask<WT>(rate_mlr_, active_, mlrt);
+            round_site<WT>(rate_mlr_, plan_mlr_, mlr_site, active_, mlrt);
+            ++mlr_site;
             for (int w = 0; w < W; ++w)
                 mlrw[w] = lk[w] ^ mlrt[w];
             break;
           }
         }
+        ++p_site;
     }
+    // Every planned event was consumed: no site id was skipped.
+    assert(!sparse_ || (plan_p_.next->site == kNoSite &&
+                        plan_pl_.next->site == kNoSite &&
+                        plan_mlr_.next->site == kNoSite));
 
     // 4. Detector words (also advances prev_meas_): together with the
     //    meas-flip and MLR words, the round's live word views.
@@ -669,10 +867,11 @@ BatchLeakageDriver::final_measure_t(std::vector<std::vector<uint8_t>>* out)
             lk[w] = active_[w] & lq[w];
             ok[w] = active_[w] & ~lk[w];
         }
-        LaneMask measured[kMaxBatchWords];
-        state_->measure_z(q, measured);
+        LaneMask measured[kMaxBatchWords], err[kMaxBatchWords];
+        measure_z_t<WT>(q, measured);
+        bernoulli_mask<WT>(rate_p_, ok, err);
         LaneMask flip[kMaxBatchWords];
-        readout<WT>(measured, lk, ok, flip);
+        readout<WT>(measured, lk, ok, err, flip);
         for (int l = 0; l < n_lanes_; ++l)
             (*out)[static_cast<size_t>(l)][static_cast<size_t>(q)] =
                 static_cast<uint8_t>((flip[l >> 6] >> (l & 63)) & 1u);

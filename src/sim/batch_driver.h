@@ -23,17 +23,20 @@ namespace gld {
  *  - `inv_log1mp` = 1 / log(1-p), precomputed so a geometric skip is one
  *    log() per EVENT instead of one uniform per (site x lane) position.
  *  - `skip` / `skip_valid`: the persistent geometric countdown carried
- *    across every site drawn at this rate.  Bernoulli positions are iid,
- *    so one countdown per rate over the concatenated (site x lane)
- *    position stream is statistically exact — and it means a quiet site
- *    costs a popcount and a subtraction, zero RNG work.  Only the sparse
- *    sampler touches these fields; lockstep ignores them.
+ *    across every position drawn at this rate.  Bernoulli positions are
+ *    iid, so one countdown per rate over the concatenated (site x lane)
+ *    position stream is statistically exact.  Only the sparse sampler
+ *    touches these fields; lockstep ignores them.
  *
- * The driver keeps five countdowns, one per rate: the round's p, pl()
- * and mlr_err() sites, and the LRC gadgets' lrc_depol() and lrc_leak()
- * sites.  Each site is split into an always-inline quiet path (a zero
- * rate, or a live countdown that outlasts the site's lanes: subtract,
- * zero the output) and an out-of-line event path that draws.
+ * The driver keeps five rates.  The round's p, pl() and mlr_err() rates
+ * are planned: at round start the countdown is walked over the whole
+ * round's (site x active lane) positions and the events are listed, so a
+ * quiet site is one compare of its id with the next planned event; the
+ * leftover countdown carries into the next round (and, for p, into the
+ * final readout).  The LRC gadgets' lrc_depol() and lrc_leak() rates
+ * and the final readout consume their countdown site by site (an inline
+ * quiet path — subtract the site's popcount, zero the output — and an
+ * out-of-line event path that draws).
  */
 struct LaneRate {
     double p = 0.0;
@@ -57,7 +60,9 @@ struct LaneRate {
  * The word-wide quantum-state interface a batch backend provides to the
  * BatchLeakageDriver: every primitive of StatePrimitives, widened to act
  * on up to batch_words*64 independent shots at once, selected by a
- * K-word lane span.
+ * K-word lane span.  A driver built without one runs its own packed X/Z
+ * Pauli frame inline (batch_frame); this virtual path serves the
+ * backends with real per-lane state (batch_tableau) and test doubles.
  *
  * Lane/mask contract:
  *  - Every mask argument and every output is a span of the driver's
@@ -121,17 +126,24 @@ class BatchStatePrimitives {
  * Determinism contract — two Bernoulli draw contracts (NoiseSampling):
  *  - kSparse, the production engine and the library default: one event
  *    stream per shot batch, master.split(shot_base), draws geometric
- *    skips over the (site x lane) positions and touches only the firing
- *    lanes; payload draws (Pauli choice, transport, readout coin) come
- *    from the same stream in ascending lane order.  The LRC gadgets are
- *    sites too: each scheduled qubit is one site over its requesting
- *    lanes (gadget depolarization, then gadget leakage, at the
- *    lrc_depol() and lrc_leak() countdowns), data qubits ascending, then
- *    checks ascending.  A quiet site — one whose live countdown outlasts
- *    its lanes — is resolved inline with zero draws.  Events depend only
- *    on (seed, stream, block), so results are bit-identical across
- *    thread counts and shard splits, and agree with the scalar backends
- *    statistically (the `gld_campaign verify` referee).
+ *    skips over (site x lane) positions and touches only the firing
+ *    lanes.  Each round first runs the LRC gadgets: each scheduled qubit
+ *    is one site over its requesting lanes (gadget depolarization, then
+ *    gadget leakage, at the lrc_depol() and lrc_leak() countdowns), data
+ *    qubits ascending, then checks ascending.  Then the round's p, pl()
+ *    and mlr_err() events are planned up front, in that order, over a
+ *    fixed position space: the rate's sites (numbered at construction
+ *    in execution order — p: data qubit q is site q, op i of the
+ *    RoundCircuit is site n_data+i; pl: data qubit q, then a pair per
+ *    CNOT; MLR: one per measurement) times the active lanes.  A masked
+ *    site (the reset init error, the readout error) discards the events
+ *    that fall on its masked-out (leaked) lanes — exact, since every
+ *    position is an iid draw.  Payload draws (Pauli choice, transport,
+ *    readout coin) come from the same stream as the round executes, in
+ *    ascending lane order per site.  Events depend only on (seed,
+ *    stream, block), so results are bit-identical across thread counts
+ *    and shard splits, and agree with the scalar backends statistically
+ *    (the `gld_campaign verify` referee).
  *  - kLockstep, the scalar-aligned reference: lane l owns a plain Rng,
  *    master.split(shot_base + l) — exactly the stream the SCALAR driver
  *    uses for its (shot_base + l)-th shot — and every draw of the lane is
@@ -155,6 +167,8 @@ class BatchLeakageDriver final {
      *        master.split(sum of earlier batch widths + l).  Pass the
      *        SAME master the scalar backend would construct from the seed
      *        and the lane streams line up shot for shot.
+     * @param state the backend's primitives, or nullptr for the driver's
+     *        own inline Pauli frame (the batch_frame backend).
      * @param batch_words words per lane span (1 <= K <= kMaxBatchWords);
      *        one batch holds up to batch_words*64 shots.
      * @param noise_sampling lockstep (per-lane Rng streams, the
@@ -208,6 +222,12 @@ class BatchLeakageDriver final {
     {
         set_leak(code_->ancilla_of(c), lanes);
     }
+    /**
+     * Applies X to qubit q in the lanes of `xs` and Z in the lanes of
+     * `zs` (the state's apply_pauli; injection for the scalar adapters).
+     */
+    void apply_pauli(int q, const LaneMask* xs, const LaneMask* zs);
+
     /** Clears qubit q's leak flag in the `lanes` span. */
     void clear_leak(int q, const LaneMask* lanes)
     {
@@ -335,13 +355,36 @@ class BatchLeakageDriver final {
     // common W=1 every span op is straight-line single-word code), WT ==
     // 0 reads the runtime words_.  run_round_batch dispatches once per
     // round on words_; everything below inlines into that instantiation.
-    template <int WT> void depolarize1(int q);
-    template <int WT> void depolarize2(int q0, int q1);
-    template <int WT> void leak_maybe(int q);
-    template <int WT> void cnot(int control, int target);
+    // The `site` arguments are the sparse plan's site ids (see the
+    // class comment); lockstep ignores them.
+    template <int WT> void depolarize1(int q, uint32_t site);
+    template <int WT> void depolarize2(int q0, int q1, uint32_t site);
+    template <int WT> void leak_maybe(int q, uint32_t site);
+    template <int WT>
+    void cnot(int control, int target, uint32_t p_site, uint32_t pl_site);
     template <int WT> void set_leak_t(int q, const LaneMask* lanes);
     /** Step 1 of a round: every scheduled LRC gadget, word-wide. */
     template <int WT> void lrc_gadgets(const LrcWords& lrc);
+
+    // The quantum state: the driver's own packed X/Z Pauli frame when it
+    // was built without primitives (state_ == nullptr), plain word ops
+    // inlined into the round; otherwise the backend's virtual primitives.
+    // park_leaked is a no-op on the frame: a leaked lane's frame freezes
+    // because the driver routes no coherent gates at it.
+    template <int WT>
+    void pauli_t(int q, const LaneMask* xs, const LaneMask* zs);
+    template <int WT>
+    void coherent_cnot_t(int control, int target, const LaneMask* lanes);
+    template <int WT> void hadamard_t(int q, const LaneMask* lanes);
+    template <int WT> void reset_z_t(int q, const LaneMask* lanes);
+    template <int WT> void measure_z_t(int q, LaneMask* out);
+    void reset_state();
+    /** Qubit q's frame: its X span, then its Z span (2*n_words() words). */
+    LaneMask* frame(int q)
+    {
+        return &frame_[static_cast<size_t>(q) * 2 *
+                       static_cast<size_t>(words_)];
+    }
 
     /**
      * One word-wide Bernoulli site: the fired lanes of the `mask` span
@@ -352,7 +395,9 @@ class BatchLeakageDriver final {
      * p<=0 / p>=1 short-circuits too.  Sparse resolves a quiet site
      * inline — a zero rate, or a live countdown of at least
      * popcount(mask), which is decremented — by zeroing `out`, and calls
-     * the out-of-line sparse_bernoulli_mask for everything else.
+     * the out-of-line sparse_bernoulli_mask for everything else.  The
+     * round's p/pl/MLR sites use round_site instead; this countdown path
+     * serves the LRC-gadget sites and the final readout.
      */
     template <int WT>
     LaneMask bernoulli_mask(LaneRate& rate, const LaneMask* mask,
@@ -381,6 +426,38 @@ class BatchLeakageDriver final {
     /** Global lane index of the k-th set bit of a span (k < popcount). */
     static int kth_set_lane(const LaneMask* mask, int n_words, uint64_t k);
 
+    /**
+     * One planned round rate (sparse): this round's events as (site,
+     * lane) pairs in position order, closed by a kNoSite sentinel, and
+     * a cursor on the next one not yet consumed.
+     */
+    struct RoundPlan {
+        struct Event {
+            uint32_t site;
+            uint32_t lane;
+        };
+        std::vector<Event> events;
+        const Event* next = nullptr;
+    };
+    static constexpr uint32_t kNoSite = ~0u;
+
+    /**
+     * Lists the events of `rate` over this round's n_sites x n_lanes()
+     * positions (position = site*n_lanes() + lane), continuing the
+     * rate's countdown and leaving the remainder in it.  A zero rate
+     * draws nothing; p >= 1 lists every position without drawing.
+     */
+    void plan_round(LaneRate& rate, uint32_t n_sites, RoundPlan* plan);
+
+    /**
+     * A round's p/pl/MLR site: lockstep is bernoulli_mask; sparse fires
+     * the planned events whose site is `site`, keeping the lanes of
+     * `mask` (an event on a masked-out lane is discarded).
+     */
+    template <int WT>
+    LaneMask round_site(LaneRate& rate, RoundPlan& plan, uint32_t site,
+                        const LaneMask* mask, LaneMask* out);
+
     // Payload draws (Pauli choice, transport direction, readout coin...)
     // after a fire decision: lockstep takes them from the firing lane's
     // own stream (scalar-aligned), sparse from the one event stream.
@@ -401,13 +478,13 @@ class BatchLeakageDriver final {
     }
 
     /**
-     * Readout flips of one measured qubit into `flip`: the readout-error
-     * site over the `ok` lanes, a random outcome for the leaked `lk`
-     * lanes.
+     * Readout flips of one measured qubit into `flip`: the drawn
+     * readout errors `err` on the `ok` lanes, a random outcome (one coin
+     * per lane, ascending) for the leaked `lk` lanes.
      */
     template <int WT>
     void readout(const LaneMask* measured, const LaneMask* lk,
-                 const LaneMask* ok, LaneMask* flip);
+                 const LaneMask* ok, const LaneMask* err, LaneMask* flip);
 
     /** Width-specialized bodies of the two public batch entry points. */
     template <int WT> void run_round_t(const LrcWords& lrc);
@@ -422,6 +499,9 @@ class BatchLeakageDriver final {
     LaneRate rate_mlr_;  ///< np.mlr_err()
     LaneRate rate_lrc_depol_;  ///< np.lrc_depol(), the gadget Pauli site
     LaneRate rate_lrc_leak_;   ///< np.lrc_leak(), the gadget leak site
+    // Sparse round plans and their site counts (fixed by the circuit).
+    RoundPlan plan_p_, plan_pl_, plan_mlr_;
+    uint32_t n_p_sites_ = 0, n_pl_sites_ = 0, n_mlr_sites_ = 0;
     Rng master_rng_;
     uint64_t shots_started_ = 0;
     int words_ = 1;         ///< K: words per lane span
@@ -441,17 +521,18 @@ class BatchLeakageDriver final {
     std::vector<LaneMask> detector_;   ///< last round, span per check
     std::vector<int> lrc_partner_;
     std::vector<LaneOracle> lane_oracles_;
-    BatchStatePrimitives* state_;
+    BatchStatePrimitives* state_;  ///< nullptr: the inline frame below
+    std::vector<LaneMask> frame_;  ///< inline Pauli frame, see frame(q)
 };
 
 /**
- * Batch analogue of LeakageDriverSim: a backend derives, implements the
- * seven BatchStatePrimitives plus name(), and gets the whole Simulator
- * API — scalar calls run the batch driver one lane wide, so the same
- * object serves interface tests and the lockstep scheduler path.
+ * Batch analogue of LeakageDriverSim: a backend derives, hands the driver
+ * its BatchStatePrimitives (or none, for the driver's inline Pauli
+ * frame), implements name(), and gets the whole Simulator API — scalar
+ * calls run the batch driver one lane wide, so the same object serves
+ * interface tests and the lockstep scheduler path.
  */
-class BatchLeakageDriverSim : public BatchSimulator,
-                              protected BatchStatePrimitives {
+class BatchLeakageDriverSim : public BatchSimulator {
   public:
     int batch_width() const final
     {
@@ -509,8 +590,14 @@ class BatchLeakageDriverSim : public BatchSimulator,
     {
         driver_.set_check_leak_lane(c, 0);
     }
-    void inject_x(int q) final { apply_pauli(q, kLaneZeroOne, kLanesNone); }
-    void inject_z(int q) final { apply_pauli(q, kLanesNone, kLaneZeroOne); }
+    void inject_x(int q) final
+    {
+        driver_.apply_pauli(q, kLaneZeroOne, kLanesNone);
+    }
+    void inject_z(int q) final
+    {
+        driver_.apply_pauli(q, kLanesNone, kLaneZeroOne);
+    }
     void clear_leak(int q) final { driver_.clear_leak_lane(q, 0); }
     const LeakageOracle& leak_oracle() const final
     {
@@ -528,15 +615,16 @@ class BatchLeakageDriverSim : public BatchSimulator,
   protected:
     /** @param master see BatchLeakageDriver — pass the scalar backend's
      *         master (e.g. Rng(seed)) for shot-for-shot lane alignment.
+     *  @param state the backend's primitives; nullptr runs the driver's
+     *         inline Pauli frame.
      *  @param batch_words the K of this backend's lane spans.
      *  @param noise_sampling the driver's Bernoulli draw contract. */
     BatchLeakageDriverSim(const CssCode& code, const RoundCircuit& rc,
                           const NoiseParams& np, Rng master,
-                          int batch_words,
-                          NoiseSampling noise_sampling =
-                              NoiseSampling::kLockstep)
+                          BatchStatePrimitives* state, int batch_words,
+                          NoiseSampling noise_sampling)
         : BatchSimulator(code.n_data(), code.n_checks()),
-          driver_(code, rc, np, master, this, batch_words, noise_sampling)
+          driver_(code, rc, np, master, state, batch_words, noise_sampling)
     {
     }
 

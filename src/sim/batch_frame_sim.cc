@@ -1,7 +1,5 @@
 #include "sim/batch_frame_sim.h"
 
-#include <algorithm>
-
 namespace gld {
 
 BatchFrameSim::BatchFrameSim(const CssCode& code, const RoundCircuit& rc,
@@ -11,85 +9,11 @@ BatchFrameSim::BatchFrameSim(const CssCode& code, const RoundCircuit& rc,
     // lane l of batch b is bit-identical to the scalar frame backend's
     // shot (64*K*b + l), at every batch width K.  Sparse sampling derives
     // its event stream from the same master but draws a different
-    // sequence (its own RNG contract; qualified statistically).
-    : BatchLeakageDriverSim(code, rc, np, Rng(seed), batch_words,
-                            noise_sampling),
-      words_(driver().n_words()),
-      fx_(static_cast<size_t>(code.n_qubits()) *
-              static_cast<size_t>(words_),
-          0),
-      fz_(fx_.size(), 0)
+    // sequence (its own RNG contract; qualified statistically).  No
+    // primitives: the driver runs its inline Pauli frame.
+    : BatchLeakageDriverSim(code, rc, np, Rng(seed), nullptr, batch_words,
+                            noise_sampling)
 {
-}
-
-void
-BatchFrameSim::reset_state()
-{
-    std::fill(fx_.begin(), fx_.end(), 0);
-    std::fill(fz_.begin(), fz_.end(), 0);
-}
-
-void
-BatchFrameSim::apply_pauli(int q, const LaneMask* xs, const LaneMask* zs)
-{
-    const size_t base = static_cast<size_t>(q) * static_cast<size_t>(words_);
-    for (int w = 0; w < words_; ++w) {
-        fx_[base + static_cast<size_t>(w)] ^= xs[w];
-        fz_[base + static_cast<size_t>(w)] ^= zs[w];
-    }
-}
-
-void
-BatchFrameSim::coherent_cnot(int control, int target, const LaneMask* lanes)
-{
-    // X copies c->t, Z copies t->c — in the selected lanes only.
-    const size_t cb =
-        static_cast<size_t>(control) * static_cast<size_t>(words_);
-    const size_t tb =
-        static_cast<size_t>(target) * static_cast<size_t>(words_);
-    for (int w = 0; w < words_; ++w) {
-        const size_t ws = static_cast<size_t>(w);
-        fx_[tb + ws] ^= fx_[cb + ws] & lanes[w];
-        fz_[cb + ws] ^= fz_[tb + ws] & lanes[w];
-    }
-}
-
-void
-BatchFrameSim::hadamard(int q, const LaneMask* lanes)
-{
-    // Swap the X and Z bits of the selected lanes.
-    const size_t base = static_cast<size_t>(q) * static_cast<size_t>(words_);
-    for (int w = 0; w < words_; ++w) {
-        const size_t i = base + static_cast<size_t>(w);
-        const LaneMask diff = (fx_[i] ^ fz_[i]) & lanes[w];
-        fx_[i] ^= diff;
-        fz_[i] ^= diff;
-    }
-}
-
-void
-BatchFrameSim::reset_z(int q, const LaneMask* lanes)
-{
-    const size_t base = static_cast<size_t>(q) * static_cast<size_t>(words_);
-    for (int w = 0; w < words_; ++w) {
-        fx_[base + static_cast<size_t>(w)] &= ~lanes[w];
-        fz_[base + static_cast<size_t>(w)] &= ~lanes[w];
-    }
-}
-
-void
-BatchFrameSim::measure_z(int q, LaneMask* out)
-{
-    const size_t base = static_cast<size_t>(q) * static_cast<size_t>(words_);
-    for (int w = 0; w < words_; ++w)
-        out[w] = fx_[base + static_cast<size_t>(w)];
-}
-
-void
-BatchFrameSim::park_leaked(int /*q*/, const LaneMask* /*lanes*/)
-{
-    // A leaked lane's frame freezes in place, exactly like the scalar
-    // frame backend: the driver routes no coherent gates at it.
 }
 
 }  // namespace gld

@@ -10,8 +10,8 @@ BatchTableauSim::BatchTableauSim(const CssCode& code, const RoundCircuit& rc,
     // projection outcomes from per-lane splits under split(1) — disjoint
     // streams, one seed fixes the whole batch sequence.
     : BatchLeakageDriverSim(code, rc, np,
-                            Rng(Rng(seed).split(0).next_u64()), batch_words,
-                            noise_sampling)
+                            Rng(Rng(seed).split(0).next_u64()), this,
+                            batch_words, noise_sampling)
 {
     const int max_lanes = driver().n_words() * kBatchLanes;
     Rng tab_master = Rng(seed).split(1);

@@ -36,7 +36,8 @@ namespace gld {
  *    statistically (and on noiseless/injected-fault signatures), never
  *    bit-for-bit — its own RNG contract group in the backend table.
  */
-class BatchTableauSim final : public BatchLeakageDriverSim {
+class BatchTableauSim final : public BatchLeakageDriverSim,
+                              private BatchStatePrimitives {
   public:
     BatchTableauSim(const CssCode& code, const RoundCircuit& rc,
                     const NoiseParams& np, uint64_t seed, int batch_words = 1,

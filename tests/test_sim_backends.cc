@@ -3,6 +3,9 @@
 // concrete classes: noiseless syndrome determinism, injected-Pauli
 // detector signatures, the classical leak-oracle semantics, and a full
 // closed-loop experiment on the tableau backend via ExperimentRunner::run.
+// The SparsePlan tests at the end pin the sparse sampler's planned round
+// streams: statistically through ExperimentRunner, and directly on the
+// batch driver over a recording BatchStatePrimitives double.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +17,9 @@
 #include "codes/surface_code.h"
 #include "metrics_test_util.h"
 #include "runtime/experiment.h"
+#include "sim/batch_driver.h"
 #include "sim/simulator.h"
+#include "stats/stats.h"
 
 namespace gld {
 namespace {
@@ -696,6 +701,289 @@ TEST(BatchFrameBitEquality, ScalarInterfaceAtWideBatchStillMatchesFrame)
         }
         EXPECT_EQ(frame->final_data_measure(),
                   batch->final_data_measure());
+    }
+}
+
+
+// --- The sparse sampler's planned round streams. ---
+//
+// Under sparse sampling each round draws its p, pl and MLR events up
+// front over (site x active lane) positions, and a masked site (reset
+// init error, readout error) drops the events on its leaked lanes.  The
+// tests below pin that contract: statistical agreement with the lockstep
+// reference where leakage is heavy (so masked sites discard often), the
+// degenerate rates, and partial batches.
+
+TEST(SparsePlan, AgreesWithLockstepAtLeakHeavyNoise)
+{
+    const CssCode code = SurfaceCode::make(3);
+    const RoundCircuit rc(code);
+    const CodeContext ctx(code, rc, CodeContext::default_scope(code));
+    const int n_data = code.n_data();
+    ExperimentConfig cfg;
+    cfg.np = NoiseParams::standard(5e-3, 1.0);
+    cfg.rounds = 10;
+    cfg.seed = 0x5BA25E91A7ull;
+    cfg.compute_ler = true;
+    cfg.threads = 2;
+
+    // batch_tableau costs ~20x batch_frame per shot: fewer shots keep the
+    // suite inside the tier-1 timeout under TSan.
+    const std::pair<SimBackend, int> backends[] = {
+        {SimBackend::kBatchFrame, 20000}, {SimBackend::kBatchTableau, 5000}};
+    const std::pair<const char*, PolicyFactory> policies[] = {
+        {"NoLRC", PolicyZoo::no_lrc()},
+        {"GLADIATOR+M", PolicyZoo::gladiator(/*use_mlr=*/true, cfg.np)}};
+    // 2 backends x 2 policies x {LER, FN, FP, DLP}.
+    const double alpha = stats::sidak_alpha(1e-6, 16);
+    for (const auto& [b, shots] : backends) {
+        for (const auto& [name, factory] : policies) {
+            SCOPED_TRACE(std::string(backend_name(b)) + " " + name);
+            cfg.backend = b;
+            cfg.shots = shots;
+            cfg.noise_sampling = NoiseSampling::kLockstep;
+            const Metrics lock = ExperimentRunner(ctx, cfg).run(factory);
+            cfg.noise_sampling = NoiseSampling::kSparse;
+            const Metrics sparse = ExperimentRunner(ctx, cfg).run(factory);
+            ASSERT_GT(lock.dlp_mean(), 0.0);
+            const std::pair<const char*, std::pair<stats::RateSample,
+                                                   stats::RateSample>>
+                samples[] = {
+                    {"ler", {lock.ler_sample(), sparse.ler_sample()}},
+                    {"fn",
+                     {lock.fn_sample(n_data), sparse.fn_sample(n_data)}},
+                    {"fp",
+                     {lock.fp_sample(n_data), sparse.fp_sample(n_data)}},
+                    {"dlp",
+                     {lock.dlp_sample(n_data), sparse.dlp_sample(n_data)}}};
+            for (const auto& [metric, ab] : samples) {
+                const stats::TwoProportionResult r =
+                    stats::two_proportion_z(ab.first, ab.second);
+                EXPECT_GE(r.p_value, alpha)
+                    << metric << " lockstep " << r.rate1 << " vs sparse "
+                    << r.rate2 << " (z=" << r.z << ")";
+            }
+        }
+    }
+}
+
+/**
+ * BatchStatePrimitives that records every call the driver makes, with
+ * the lane spans it passed.  measure_z reports every lane flipped, so a
+ * readout on a padding lane would show.
+ */
+struct RecordingBatchState final : BatchStatePrimitives {
+    struct Call {
+        std::string op;
+        int q = -1;
+        std::vector<LaneMask> a, b;  ///< the call's spans (xs/zs, lanes)
+    };
+    int words = 1;
+    std::vector<Call> calls;
+
+    std::vector<LaneMask> span(const LaneMask* m) const
+    {
+        return m == nullptr ? std::vector<LaneMask>()
+                            : std::vector<LaneMask>(m, m + words);
+    }
+    void push(const char* op, int q, const LaneMask* a,
+              const LaneMask* b = nullptr)
+    {
+        calls.push_back({op, q, span(a), span(b)});
+    }
+    void reset_state() override { push("reset_state", -1, nullptr); }
+    void apply_pauli(int q, const LaneMask* xs, const LaneMask* zs) override
+    {
+        push("pauli", q, xs, zs);
+    }
+    void coherent_cnot(int control, int /*target*/,
+                       const LaneMask* lanes) override
+    {
+        push("cnot", control, lanes);
+    }
+    void hadamard(int q, const LaneMask* lanes) override
+    {
+        push("h", q, lanes);
+    }
+    void reset_z(int q, const LaneMask* lanes) override
+    {
+        push("reset_z", q, lanes);
+    }
+    void measure_z(int q, LaneMask* out) override
+    {
+        for (int w = 0; w < words; ++w)
+            out[w] = ~0ull;
+        push("measure", q, out);
+    }
+    void park_leaked(int q, const LaneMask* lanes) override
+    {
+        push("park", q, lanes);
+    }
+};
+
+/** A sparse driver over a recorder, surface d=3. */
+struct SparseRig {
+    CssCode code = SurfaceCode::make(3);
+    RoundCircuit rc{code};
+    RecordingBatchState state;
+    BatchLeakageDriver driver;
+    LrcWords lrc;
+
+    SparseRig(const NoiseParams& np, int words, uint64_t seed = 7)
+        : driver(code, rc, np, Rng(seed), &state, words,
+                 NoiseSampling::kSparse)
+    {
+        state.words = words;
+        lrc.data.assign(static_cast<size_t>(code.n_data() * words), 0);
+        lrc.checks.assign(static_cast<size_t>(code.n_checks() * words), 0);
+    }
+};
+
+NoiseParams
+rates(double p, double leak_ratio, double mlr_ratio)
+{
+    NoiseParams np;
+    np.p = p;
+    np.leak_ratio = leak_ratio;
+    np.mlr_ratio = mlr_ratio;
+    np.lrc_leak_prob = 0.0;
+    np.mobility = 0.0;
+    return np;
+}
+
+TEST(SparsePlan, ResetInitErrorsSkipLeakedLanes)
+{
+    // Half the lanes start with every ancilla leaked and nothing moves a
+    // leak (pl = 0, mobility 0, no LRC).  The init-error flip that
+    // follows each reset may only touch the lanes the reset served.
+    SparseRig rig(rates(0.3, 0.0, 0.0), 1);
+    rig.driver.reset_shot_batch(64);
+    const LaneMask leaked_lanes = 0xF0F0F0F0F0F0F0F0ull;
+    for (int c = 0; c < rig.code.n_checks(); ++c)
+        for_each_lane(leaked_lanes, [&](int l) {
+            rig.driver.set_check_leak_lane(c, l);
+        });
+    rig.state.calls.clear();
+    for (int r = 0; r < 20; ++r)
+        rig.driver.run_round_batch(rig.lrc);
+    int flips = 0;
+    const auto& calls = rig.state.calls;
+    for (size_t i = 1; i < calls.size(); ++i) {
+        if (calls[i].op != "pauli" || calls[i - 1].op != "reset_z" ||
+            calls[i].q != calls[i - 1].q)
+            continue;
+        ++flips;
+        EXPECT_EQ(calls[i - 1].a[0] & leaked_lanes, 0u);
+        EXPECT_EQ(calls[i].a[0] & ~calls[i - 1].a[0], 0u)
+            << "init error on a lane the reset skipped, qubit "
+            << calls[i].q;
+        EXPECT_EQ(calls[i].b[0], 0u);
+    }
+    EXPECT_GT(flips, 20);
+}
+
+TEST(SparsePlan, RateOneFiresEveryActiveLaneAtEverySite)
+{
+    // p = 1 (pl = 1, MLR error 1): every planned site fires on every
+    // active lane, with no draw deciding it.
+    SparseRig rig(rates(1.0, 1.0, 1.0), 1);
+    rig.driver.reset_shot_batch(64);
+    rig.state.calls.clear();
+    rig.driver.run_round_batch(rig.lrc);
+    const auto& calls = rig.state.calls;
+    const int n_data = rig.code.n_data();
+    // The data prelude: each qubit depolarizes on all 64 lanes (a
+    // nonidentity Pauli per lane), then leaks on all of them.
+    ASSERT_GE(calls.size(), static_cast<size_t>(2 * n_data));
+    for (int q = 0; q < n_data; ++q) {
+        const auto& c = calls[static_cast<size_t>(2 * q)];
+        EXPECT_EQ(c.op, "pauli");
+        EXPECT_EQ(c.q, q);
+        EXPECT_EQ(c.a[0] | c.b[0], ~0ull);
+        EXPECT_EQ(calls[static_cast<size_t>(2 * q + 1)].op, "park");
+        EXPECT_EQ(calls[static_cast<size_t>(2 * q + 1)].a[0], ~0ull);
+    }
+    for (int q = 0; q < rig.code.n_qubits(); ++q)
+        EXPECT_EQ(rig.driver.leaked(q)[0], ~0ull) << q;
+    // Every measured ancilla is leaked, so MLR reads leaked ^ error = 0.
+    for (int c = 0; c < rig.code.n_checks(); ++c)
+        EXPECT_EQ(rig.driver.mlr_words()[c], 0u) << c;
+}
+
+TEST(SparsePlan, RateZeroFiresNothing)
+{
+    SparseRig rig(rates(0.0, 1.0, 1.0), 1);
+    rig.driver.reset_shot_batch(64);
+    rig.state.calls.clear();
+    for (int r = 0; r < 10; ++r)
+        rig.driver.run_round_batch(rig.lrc);
+    for (const auto& c : rig.state.calls) {
+        EXPECT_NE(c.op, "pauli");
+        EXPECT_NE(c.op, "park");
+    }
+    for (int c = 0; c < rig.code.n_checks(); ++c) {
+        EXPECT_EQ(rig.driver.detector_words()[c], 0u);
+        EXPECT_EQ(rig.driver.mlr_words()[c], 0u);
+    }
+}
+
+TEST(SparsePlan, PartialBatchesNeverFirePaddingLanes)
+{
+    // 37 lanes in one word, and 101 lanes over K=2 (the boundary falls
+    // inside the second word).  Heavy noise, every LRC requested on
+    // every lane including the padding: no primitive may see a padding
+    // lane, and no round word may carry one.
+    for (const auto& [words, n_lanes] : {std::pair<int, int>{1, 37},
+                                         std::pair<int, int>{2, 101}}) {
+        SCOPED_TRACE(n_lanes);
+        NoiseParams np = rates(0.4, 0.5, 1.0);
+        np.lrc_leak_prob = 0.3;
+        np.mobility = 0.5;
+        SparseRig rig(np, words);
+        rig.driver.reset_shot_batch(n_lanes);
+        std::vector<LaneMask> pad(static_cast<size_t>(words));
+        for (int w = 0; w < words; ++w)
+            pad[static_cast<size_t>(w)] = ~rig.driver.active()[w];
+        const auto no_padding = [&](const std::vector<LaneMask>& m,
+                                    const std::string& what) {
+            for (size_t i = 0; i < m.size(); ++i)
+                EXPECT_EQ(m[i] & pad[i % pad.size()], 0u)
+                    << what << " word " << i;
+        };
+        std::fill(rig.lrc.data.begin(), rig.lrc.data.end(), ~0ull);
+        std::fill(rig.lrc.checks.begin(), rig.lrc.checks.end(), ~0ull);
+        for (int r = 0; r < 12; ++r) {
+            rig.state.calls.clear();
+            // Alternate gadget rounds and plain rounds so leaks build up.
+            if (r % 3 == 2)
+                rig.driver.run_round_batch(rig.lrc);
+            else {
+                LrcWords none = rig.lrc;
+                std::fill(none.data.begin(), none.data.end(), 0);
+                std::fill(none.checks.begin(), none.checks.end(), 0);
+                rig.driver.run_round_batch(none);
+            }
+            for (const auto& c : rig.state.calls) {
+                if (c.op != "measure") {
+                    no_padding(c.a, c.op);
+                    no_padding(c.b, c.op);
+                }
+            }
+            const auto words_of = [&](const LaneMask* v, int n) {
+                return std::vector<LaneMask>(v, v + n * words);
+            };
+            const int nc = rig.code.n_checks();
+            no_padding(words_of(rig.driver.meas_flip_words(), nc),
+                       "meas_flip");
+            no_padding(words_of(rig.driver.detector_words(), nc),
+                       "detector");
+            no_padding(words_of(rig.driver.mlr_words(), nc), "mlr");
+            for (int q = 0; q < rig.code.n_qubits(); ++q)
+                no_padding(words_of(rig.driver.leaked(q), 1), "leaked");
+        }
+        std::vector<std::vector<uint8_t>> flips;
+        rig.driver.final_data_measure_batch(&flips);
+        EXPECT_EQ(flips.size(), static_cast<size_t>(n_lanes));
     }
 }
 

@@ -190,14 +190,14 @@ BM_RunnerThreadScaling(benchmark::State& state)
 BENCHMARK(BM_RunnerThreadScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 /**
- * One batch_frame batch of 64 shots captured at the paper's d = 7
- * headline config (70 rounds, GLADIATOR+M, p = 1e-3, lr = 0.1, LER on),
- * driven the way the runner drives it: the batched policy decides from
- * the round's words, and its lane masks go back to the simulator.  Kept:
- * every round's words (the policy inputs) and each shot's decoder input
- * (fired Z detectors as node r*nz + zi, then the final-readout row).
+ * One batch_frame batch of 64 shots captured at a paper LER config
+ * (10*d rounds, p = 1e-3, lr = 0.1, LER on), driven the way the runner
+ * drives it: the batched policy decides from the round's words, and its
+ * lane masks go back to the simulator.  Kept: every round's words (the
+ * policy inputs) and each shot's decoder input (fired Z detectors as
+ * node r*nz + zi, then the final-readout row).
  */
-struct PaperD7Capture {
+struct PaperCapture {
     int rounds = 0;
     int lanes = 0;
     LaneMask active[1] = {~0ull};
@@ -219,61 +219,76 @@ struct PaperD7Capture {
 
 const NoiseParams kPaperNoise = NoiseParams::standard(1e-3, 0.1);
 
-const PaperD7Capture&
+PaperCapture
+capture_paper(const CodeBundle& b, const PolicyFactory& factory, int rounds,
+              uint64_t seed)
+{
+    PaperCapture out;
+    out.rounds = rounds;
+    const std::unique_ptr<Policy> policy = factory(b.ctx, 0);
+    const std::unique_ptr<BatchSimulator> sim = make_simulator(
+        SimBackend::kBatchFrame, b.code, b.rc, kPaperNoise, seed);
+    out.lanes = sim->batch_width();
+    const size_t lanes = static_cast<size_t>(out.lanes);
+    const int nc = b.code.n_checks();
+    const std::vector<int> z = b.code.checks_of_type(CheckType::kZ);
+    const int nz = static_cast<int>(z.size());
+    out.graph = std::make_unique<DecodingGraph>(
+        DemBuilder(b.code, b.rc, kPaperNoise, out.rounds).build());
+    out.defects.resize(lanes);
+    LrcWords lrc;
+    lrc.reset(b.code.n_data(), nc, 1);
+    sim->reset_shot_batch(out.lanes);
+    policy->begin_batch(out.active, 1);
+    for (int r = 0; r < out.rounds; ++r) {
+        sim->run_round_batch(lrc);
+        out.det.emplace_back(sim->detector_words(),
+                             sim->detector_words() + nc);
+        out.mlr.emplace_back(sim->mlr_words(), sim->mlr_words() + nc);
+        out.meas.emplace_back(sim->meas_flip_words(),
+                              sim->meas_flip_words() + nc);
+        out.leaked.emplace_back(sim->leaked_words(),
+                                sim->leaked_words() + b.code.n_qubits());
+        lrc.reset(b.code.n_data(), nc, 1);
+        policy->observe_batch(r, out.words(r), &lrc);
+        for (int zi = 0; zi < nz; ++zi)
+            for_each_lane(out.det.back()[static_cast<size_t>(z[zi])],
+                          [&](int l) {
+                              out.defects[static_cast<size_t>(l)].push_back(
+                                  r * nz + zi);
+                          });
+    }
+    std::vector<std::vector<uint8_t>> flips;
+    sim->final_data_measure_batch(&flips);
+    for (size_t l = 0; l < lanes; ++l) {
+        for (int zi = 0; zi < nz; ++zi) {
+            uint8_t det = static_cast<uint8_t>(
+                (out.meas.back()[static_cast<size_t>(z[zi])] >> l) & 1u);
+            for (int q : b.code.check(z[zi]).support)
+                det ^= flips[l][static_cast<size_t>(q)];
+            if (det)
+                out.defects[l].push_back(out.rounds * nz + zi);
+        }
+    }
+    return out;
+}
+
+/** The d = 7 headline config: 70 rounds, GLADIATOR+M. */
+const PaperCapture&
 paper_d7_capture()
 {
-    static const PaperD7Capture cap = [] {
-        const CodeBundle& b = surface7();
-        PaperD7Capture out;
-        out.rounds = 70;
-        const std::unique_ptr<Policy> policy =
-            PolicyZoo::gladiator(true, kPaperNoise)(b.ctx, 0);
-        const std::unique_ptr<BatchSimulator> sim = make_simulator(
-            SimBackend::kBatchFrame, b.code, b.rc, kPaperNoise, 7);
-        out.lanes = sim->batch_width();
-        const size_t lanes = static_cast<size_t>(out.lanes);
-        const int nc = b.code.n_checks();
-        const std::vector<int> z = b.code.checks_of_type(CheckType::kZ);
-        const int nz = static_cast<int>(z.size());
-        out.graph = std::make_unique<DecodingGraph>(
-            DemBuilder(b.code, b.rc, kPaperNoise, out.rounds).build());
-        out.defects.resize(lanes);
-        LrcWords lrc;
-        lrc.reset(b.code.n_data(), nc, 1);
-        sim->reset_shot_batch(out.lanes);
-        policy->begin_batch(out.active, 1);
-        for (int r = 0; r < out.rounds; ++r) {
-            sim->run_round_batch(lrc);
-            out.det.emplace_back(sim->detector_words(),
-                                 sim->detector_words() + nc);
-            out.mlr.emplace_back(sim->mlr_words(), sim->mlr_words() + nc);
-            out.meas.emplace_back(sim->meas_flip_words(),
-                                  sim->meas_flip_words() + nc);
-            out.leaked.emplace_back(
-                sim->leaked_words(), sim->leaked_words() + b.code.n_qubits());
-            lrc.reset(b.code.n_data(), nc, 1);
-            policy->observe_batch(r, out.words(r), &lrc);
-            for (int zi = 0; zi < nz; ++zi)
-                for_each_lane(out.det.back()[static_cast<size_t>(z[zi])],
-                              [&](int l) {
-                                  out.defects[static_cast<size_t>(l)]
-                                      .push_back(r * nz + zi);
-                              });
-        }
-        std::vector<std::vector<uint8_t>> flips;
-        sim->final_data_measure_batch(&flips);
-        for (size_t l = 0; l < lanes; ++l) {
-            for (int zi = 0; zi < nz; ++zi) {
-                uint8_t det = static_cast<uint8_t>(
-                    (out.meas.back()[static_cast<size_t>(z[zi])] >> l) & 1u);
-                for (int q : b.code.check(z[zi]).support)
-                    det ^= flips[l][static_cast<size_t>(q)];
-                if (det)
-                    out.defects[l].push_back(out.rounds * nz + zi);
-            }
-        }
-        return out;
-    }();
+    static const PaperCapture cap = capture_paper(
+        surface7(), PolicyZoo::gladiator(true, kPaperNoise), 70, 7);
+    return cap;
+}
+
+/** The decode-heavy d = 11 config: 110 rounds, ERASER+M. */
+const PaperCapture&
+paper_d11_capture()
+{
+    static const CodeBundle bundle11(SurfaceCode::make(11));
+    static const PaperCapture cap =
+        capture_paper(bundle11, PolicyZoo::eraser(true), 110, 11);
     return cap;
 }
 
@@ -288,7 +303,7 @@ BM_PolicyObserve(benchmark::State& state)
     // seconds, e.g. "40ns") is the paper's "nanoseconds per syndrome"
     // figure for the whole code.
     const CodeBundle& b = surface7();
-    const PaperD7Capture& cap = paper_d7_capture();
+    const PaperCapture& cap = paper_d7_capture();
     const PolicyFactory factory = PolicyZoo::gladiator(true, kPaperNoise);
     std::unique_ptr<Policy> policy = factory(b.ctx, 0);
     if (state.range(0) == 1) {
@@ -323,7 +338,9 @@ BM_UnionFindDecode(benchmark::State& state)
     // One decode per iteration, cycling through real captured syndromes
     // rather than i.i.d. bits, so growth and peeling see the cluster
     // shapes the runner does (defects_per_shot reports their size).
-    const PaperD7Capture& cap = paper_d7_capture();
+    // Arg d: 7 replays GLADIATOR+M captures, 11 ERASER+M captures.
+    const PaperCapture& cap =
+        state.range(0) == 7 ? paper_d7_capture() : paper_d11_capture();
     UnionFindDecoder uf(*cap.graph);
     size_t i = 0;
     size_t defects = 0;
@@ -338,7 +355,7 @@ BM_UnionFindDecode(benchmark::State& state)
         static_cast<double>(defects) /
         static_cast<double>(std::max<int64_t>(1, state.iterations())));
 }
-BENCHMARK(BM_UnionFindDecode);
+BENCHMARK(BM_UnionFindDecode)->ArgName("d")->Arg(7)->Arg(11);
 
 void
 BM_DemBuild(benchmark::State& state)

@@ -9,8 +9,11 @@ namespace gld {
 DecodingGraph::DecodingGraph(int n_nodes, std::vector<GraphEdge> edges)
     : n_nodes_(n_nodes), edges_(std::move(edges))
 {
-    if (n_nodes_ < 0)
-        throw std::invalid_argument("DecodingGraph: negative node count");
+    if (n_nodes_ < 0 || n_nodes_ > kMaxNodes)
+        throw std::invalid_argument("DecodingGraph: node count " +
+                                    std::to_string(n_nodes_) +
+                                    " outside [0, " +
+                                    std::to_string(kMaxNodes) + "]");
     auto check = [this](int node, size_t e) {
         if (node < 0 || node >= n_nodes_)
             throw std::invalid_argument(
@@ -43,6 +46,7 @@ DecodingGraph::DecodingGraph(int n_nodes, std::vector<GraphEdge> edges)
                 fill[static_cast<size_t>(ge.v)]++)] = static_cast<int>(e);
     }
     find_potential();
+    encode_arcs();
 }
 
 void
@@ -78,6 +82,30 @@ DecodingGraph::find_potential()
                 }
             }
         }
+    }
+}
+
+void
+DecodingGraph::encode_arcs()
+{
+    // Same fill order as the incidence pass, so code i at a node sits
+    // beside edge id i; a self-loop's first entry is its u end.
+    arc_codes_.resize(incidence_.size());
+    std::vector<int> fill(offsets_.begin(), offsets_.end() - 1);
+    for (const GraphEdge& ge : edges_) {
+        int& at_u = arc_codes_[static_cast<size_t>(
+            fill[static_cast<size_t>(ge.u)]++)];
+        if (ge.v == GraphEdge::kBoundary) {
+            const int side =
+                potential_.empty()
+                    ? 0
+                    : ge.logical ^ potential_[static_cast<size_t>(ge.u)];
+            at_u = ~side;
+            continue;
+        }
+        at_u = ge.v << 1;
+        arc_codes_[static_cast<size_t>(fill[static_cast<size_t>(ge.v)]++)] =
+            (ge.u << 1) | 1;
     }
 }
 

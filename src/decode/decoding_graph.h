@@ -42,12 +42,16 @@ struct EdgeIdRange {
  * array); each node lists its edges in ascending edge id.
  *
  * The constructor also looks for a node potential (see potential()) with
- * one traversal per connected component, O(E).  Immutable after
+ * one traversal per connected component, O(E), then encodes each
+ * incidence entry as an arc code (see arc_codes()).  Immutable after
  * construction, so one graph is shared by every worker's decoder.
  */
 class DecodingGraph {
   public:
-    /** Throws std::invalid_argument on an endpoint outside [0, n_nodes). */
+    /**
+     * Throws std::invalid_argument on an endpoint outside [0, n_nodes),
+     * or on more than kMaxNodes nodes.
+     */
     DecodingGraph(int n_nodes, std::vector<GraphEdge> edges);
 
     int n_nodes() const { return n_nodes_; }
@@ -59,6 +63,23 @@ class DecodingGraph {
         return {base + offsets_[static_cast<size_t>(v)],
                 base + offsets_[static_cast<size_t>(v) + 1]};
     }
+    /**
+     * Arc codes of node v, parallel to incident_edges(v): entry i
+     * describes edge incident_edges(v)[i] as seen from v, so growth can
+     * walk a frontier without loading a GraphEdge.
+     *  - Inner edge e: (far << 1) | bit, where far is e's other endpoint
+     *    and the bit is 1 when v is e.v (0 at e.u).  A self-loop's two
+     *    entries at v read far = v with bits 0, then 1.  Always >= 0.
+     *  - Boundary edge e (listed at e.u == v only): ~side, i.e. -1 or
+     *    -2, with side = e.logical ^ phi(v) (0 when there is no
+     *    potential).
+     */
+    const int* arc_codes(int v) const
+    {
+        return arc_codes_.data() + offsets_[static_cast<size_t>(v)];
+    }
+    /** Largest node count the arc-code encoding can hold. */
+    static constexpr int kMaxNodes = (1 << 30) - 1;
     /**
      * Node potential phi: one entry (0 or 1) per node with
      * phi[u] ^ phi[v] == logical on every non-boundary edge (u, v).  The
@@ -73,11 +94,13 @@ class DecodingGraph {
 
   private:
     void find_potential();
+    void encode_arcs();
 
     int n_nodes_;
     std::vector<GraphEdge> edges_;
     std::vector<int> offsets_;    ///< n_nodes + 1 entries
     std::vector<int> incidence_;  ///< edge ids, node-major
+    std::vector<int> arc_codes_;  ///< parallel to incidence_
     std::vector<uint8_t> potential_;  ///< n_nodes entries, or none
 };
 

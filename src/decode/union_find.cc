@@ -2,6 +2,7 @@
 #include "decode/union_find.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -27,7 +28,7 @@ UnionFindDecoder::UnionFindDecoder(const DecodingGraph& graph)
     : graph_(&graph), n_(graph.n_nodes())
 {
     nodes_.resize(static_cast<size_t>(n_) + 1);
-    edge_added_.assign(graph.edges().size(), 0);
+    edge_added_.assign((graph.edges().size() + 63) / 64, 0);
 }
 
 int
@@ -58,13 +59,9 @@ UnionFindDecoder::join(int v, uint8_t defect)
     touched_.push_back(v);
 }
 
-void
-UnionFindDecoder::unite(int a, int b)
+int
+UnionFindDecoder::link(int a, int b)
 {
-    a = find(a);
-    b = find(b);
-    if (a == b)
-        return;
     if (nodes_[a].size < nodes_[b].size)
         std::swap(a, b);
     Node& ra = nodes_[a];
@@ -76,7 +73,7 @@ UnionFindDecoder::unite(int a, int b)
     // The frontier with more edges goes first, the surviving root's on a
     // tie: the reference decoder's edge order, which exactness rests on.
     if (rb.fr_head < 0)
-        return;
+        return a;
     if (ra.fr_head < 0) {
         ra.fr_head = rb.fr_head;
         ra.fr_tail = rb.fr_tail;
@@ -88,6 +85,49 @@ UnionFindDecoder::unite(int a, int b)
         ra.fr_tail = rb.fr_tail;
     }
     ra.fr_edges += rb.fr_edges;
+    return a;
+}
+
+bool
+UnionFindDecoder::claim(int e)
+{
+    uint64_t& word = edge_added_[static_cast<size_t>(e) >> 6];
+    const uint64_t bit = 1ull << (e & 63);
+    if (word & bit)
+        return false;
+    word |= bit;
+    added_edges_.push_back(e);
+    return true;
+}
+
+int
+UnionFindDecoder::grow(int r, int x)
+{
+    // The frontier's nodes are on no other list, so their fr_next links
+    // stay put while merges splice the lists of nodes that join meanwhile.
+    int root = r;
+    for (; x >= 0; x = nodes_[x].fr_next) {
+        const EdgeIdRange es = graph_->incident_edges(x);
+        const int* code = graph_->arc_codes(x);
+        for (size_t i = 0; i < es.size(); ++i) {
+            assert(find(x) == root && "tracked root is stale");
+            if (!claim(es.first[i]))
+                continue;
+            const int c = code[i];
+            if (c < 0) {
+                nodes_[root].boundary |= static_cast<uint8_t>(1u << ~c);
+                continue;
+            }
+            const int y = c >> 1;
+            int ry = y;
+            if (!nodes_[y].in_cluster)
+                join(y, 0);
+            else if ((ry = find(y)) == root)
+                continue;
+            root = (c & 1) ? link(ry, root) : link(root, ry);
+        }
+    }
+    return root;
 }
 
 void
@@ -173,41 +213,16 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
             r = find(r);
             if (!nodes_[r].parity || nodes_[r].boundary)
                 continue;
-            // Detach the frontier, then walk it.  Its nodes are on no other
-            // list, so their fr_next links stay put while merges splice
-            // the lists of nodes that join meanwhile.  An empty frontier
-            // means every edge at the cluster has grown: it can never
-            // change again, so it stalls and is left to the peel.
-            int x = nodes_[r].fr_head;
+            // Detach the frontier, then walk it.  An empty frontier means
+            // every edge at the cluster has grown: it can never change
+            // again, so it stalls and is left to the peel.
+            const int x = nodes_[r].fr_head;
             if (x < 0)
                 continue;
             nodes_[r].fr_head = -1;
             nodes_[r].fr_tail = -1;
             nodes_[r].fr_edges = 0;
-            for (; x >= 0; x = nodes_[x].fr_next) {
-                for (int e : graph_->incident_edges(x)) {
-                    if (edge_added_[static_cast<size_t>(e)])
-                        continue;
-                    const GraphEdge& ge = edges[static_cast<size_t>(e)];
-                    edge_added_[static_cast<size_t>(e)] = 1;
-                    added_edges_.push_back(e);
-                    if (ge.v == GraphEdge::kBoundary) {
-                        const int side =
-                            phi.empty()
-                                ? 0
-                                : ge.logical ^ phi[static_cast<size_t>(ge.u)];
-                        nodes_[find(ge.u)].boundary |=
-                            static_cast<uint8_t>(1 << side);
-                        continue;
-                    }
-                    if (!nodes_[ge.u].in_cluster)
-                        join(ge.u, 0);
-                    if (!nodes_[ge.v].in_cluster)
-                        join(ge.v, 0);
-                    unite(ge.u, ge.v);
-                }
-            }
-            const int r2 = find(r);
+            const int r2 = grow(r, x);
             if (nodes_[r2].parity && !nodes_[r2].boundary)
                 next_.push_back(r2);
         }
@@ -263,7 +278,7 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
     }
     nodes_[n_].visited = 0;
     for (int e : added_edges_)
-        edge_added_[static_cast<size_t>(e)] = 0;
+        edge_added_[static_cast<size_t>(e) >> 6] = 0;
     return logical != 0;
 }
 

@@ -59,6 +59,19 @@ namespace gld {
  * pins that).  Working state keeps its capacity across calls, so one
  * cached decoder per scheduler worker allocates nothing per shot.  Not
  * thread-safe; one instance per thread.
+ *
+ * Growth kernel.  Two things keep an arc to a few word operations
+ * without changing that order:
+ *  - Arc codes (DecodingGraph::arc_codes()): growth reads the edge id
+ *    and one int per arc (far endpoint and which end this node is, or a
+ *    boundary edge's side), never the GraphEdge, and marks grown edges
+ *    in a bitset.
+ *  - Root tracking: every node on a detached frontier belongs to the
+ *    cluster being grown, so its root is that cluster's current root,
+ *    kept in a local and updated by each merge.  find() runs only on a
+ *    far endpoint already in a cluster.  A merge links the two roots in
+ *    the edge's own (u, v) orientation, so the size tie-break (u's root
+ *    survives) and the frontier splice order are the reference's.
  */
 class UnionFindDecoder {
   public:
@@ -117,7 +130,15 @@ class UnionFindDecoder {
 
     int find(int v);
     void join(int v, uint8_t defect);
-    void unite(int a, int b);
+    /**
+     * Merges the clusters rooted at `a` (the edge's u end) and `b` (its
+     * v end), a != b, and returns the surviving root.
+     */
+    int link(int a, int b);
+    /** Sets edge e's grown bit; false if it was already set. */
+    bool claim(int e);
+    /** Grows cluster r along its detached frontier x; returns its root. */
+    int grow(int r, int x);
     void bfs(int root);
     /**
      * Peels a BFS spanning forest of the `grown` edges (rooted at the
@@ -130,7 +151,7 @@ class UnionFindDecoder {
     int n_;
     // Node n_ is the virtual boundary node of the peeling forest.
     std::vector<Node> nodes_;
-    std::vector<uint8_t> edge_added_;  ///< all zero between decodes
+    std::vector<uint64_t> edge_added_;  ///< bit per edge, 0 between decodes
     // Per-decode lists (contents meaningless between decodes).
     std::vector<int> touched_;  ///< nodes that joined a cluster, join order
     std::vector<int> odd_;

@@ -266,11 +266,14 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
             lrc.reset(n_data, n_checks, W);
             policy.observe_batch(r, in, &lrc);
             // Masks clipped to the active lanes, so the LRC counts of
-            // the next round's accounting see no padding lane.
-            for (size_t i = 0; i < lrc.data.size(); ++i)
-                lrc.data[i] &= lanes_mask[i % Ws];
-            for (size_t i = 0; i < lrc.checks.size(); ++i)
-                lrc.checks[i] &= lanes_mask[i % Ws];
+            // the next round's accounting see no padding lane.  Both
+            // arrays are Ws words per qubit.
+            for (size_t i = 0; i < lrc.data.size(); i += Ws)
+                for (size_t w = 0; w < Ws; ++w)
+                    lrc.data[i + w] &= lanes_mask[w];
+            for (size_t i = 0; i < lrc.checks.size(); i += Ws)
+                for (size_t w = 0; w < Ws; ++w)
+                    lrc.checks[i + w] &= lanes_mask[w];
             clock.lap(telemetry::kPolicy);
 
             // False negatives + leak populations, word-wide: one pass

@@ -7,12 +7,16 @@
 //
 // Corpora: syndromes captured from the batch_frame simulator under the
 // paper's LER configs (surface d = 5 and 7, 10*d rounds, p = 1e-3,
-// lr = 0.1, ERASER+M and GLADIATOR+M, 512 shots each), random syndromes
+// lr = 0.1, ERASER+M and GLADIATOR+M, 512 shots each; d = 11 ERASER+M,
+// 128 shots, the benchmark's decode-heavy workload), random syndromes
 // at densities 0.01, 0.05 and 0.2, dense syndromes on surface d = 3 and
 // 5 (clusters that reach both boundary sides, so the peel runs beside
 // the closed form), random syndromes on the color d = 5 graph (no
-// potential: every cluster is peeled) and the Hamming HGP graph, and the
-// single-fault sweep.
+// potential: every cluster is peeled) and the Hamming HGP graph, the
+// single-fault sweep, and every syndrome on small hand-built graphs with
+// shapes the DEM never emits (parallel edges, self-loops, a node with
+// boundary edges on both sides, edges stored v < u) plus random
+// multigraphs of that kind.
 
 #include <gtest/gtest.h>
 
@@ -156,6 +160,7 @@ expect_equivalent(const Corpus& corpus, const std::string& what)
 struct CaptureCase {
     int d;
     bool eraser;
+    int batches;  ///< of 64 shots
 };
 
 class CapturedSyndromes : public ::testing::TestWithParam<CaptureCase> {};
@@ -163,10 +168,9 @@ class CapturedSyndromes : public ::testing::TestWithParam<CaptureCase> {};
 TEST_P(CapturedSyndromes, MatchReferenceDecoder)
 {
     const CaptureCase c = GetParam();
-    // 8 batches x 64 lanes = 512 shots.
-    const Corpus corpus =
-        capture(c.d, c.eraser, 8, 1000u + static_cast<uint64_t>(c.d));
-    ASSERT_EQ(corpus.defects.size(), 512u);
+    const Corpus corpus = capture(c.d, c.eraser, c.batches,
+                                  1000u + static_cast<uint64_t>(c.d));
+    ASSERT_EQ(corpus.defects.size(), static_cast<size_t>(c.batches) * 64);
     size_t total = 0;
     for (const std::vector<int>& s : corpus.defects)
         total += s.size();
@@ -178,8 +182,9 @@ TEST_P(CapturedSyndromes, MatchReferenceDecoder)
 
 INSTANTIATE_TEST_SUITE_P(
     PaperConfigs, CapturedSyndromes,
-    ::testing::Values(CaptureCase{5, true}, CaptureCase{5, false},
-                      CaptureCase{7, true}, CaptureCase{7, false}),
+    ::testing::Values(CaptureCase{5, true, 8}, CaptureCase{5, false, 8},
+                      CaptureCase{7, true, 8}, CaptureCase{7, false, 8},
+                      CaptureCase{11, true, 2}),
     [](const ::testing::TestParamInfo<CaptureCase>& p) {
         return "d" + std::to_string(p.param.d) +
                (p.param.eraser ? "_eraser_m" : "_gladiator_m");
@@ -269,6 +274,175 @@ TEST(DecoderEquivalence, SingleFaultSweep)
             corpus.defects.push_back(std::move(defects));
         }
         expect_equivalent(corpus, "single faults d=" + std::to_string(d));
+    }
+}
+
+
+/** Every defect set on `graph`'s nodes (n <= 12), ascending ids. */
+std::vector<std::vector<int>>
+all_defect_sets(const DecodingGraph& graph)
+{
+    const int n = graph.n_nodes();
+    std::vector<std::vector<int>> out;
+    for (uint32_t bits = 0; bits < (1u << n); ++bits) {
+        std::vector<int> defects;
+        for (int v = 0; v < n; ++v) {
+            if (bits >> v & 1u)
+                defects.push_back(v);
+        }
+        out.push_back(std::move(defects));
+    }
+    return out;
+}
+
+constexpr int kB = GraphEdge::kBoundary;
+
+/** Exhaustive equivalence on a hand-built graph (connected to a boundary,
+ *  so the reference decoder always returns). */
+void
+expect_exhaustive(std::vector<GraphEdge> edges, int n, bool has_potential,
+                  const std::string& what)
+{
+    Corpus corpus{DecodingGraph(n, std::move(edges)), {}};
+    EXPECT_EQ(corpus.graph.potential().empty(), !has_potential) << what;
+    corpus.defects = all_defect_sets(corpus.graph);
+    expect_equivalent(corpus, what);
+}
+
+TEST(DecoderEquivalence, ParallelEdgesBetweenDefectAndNeighbour)
+{
+    // Node 1 reaches node 0 over three parallel edges; a lone defect at
+    // 0 or 1 claims them all and merges once.  Equal logicals keep the
+    // potential; one flipped logical closes an odd cycle.
+    for (bool odd : {false, true}) {
+        expect_exhaustive({{0, kB, false, 0.1},
+                           {0, 1, false, 0.1},
+                           {0, 1, odd, 0.1},
+                           {1, 0, false, 0.1},
+                           {1, 2, true, 0.1},
+                           {2, 3, false, 0.1},
+                           {2, 3, false, 0.1},
+                           {3, kB, true, 0.1}},
+                          4, !odd,
+                          odd ? "parallel, odd cycle" : "parallel");
+    }
+}
+
+TEST(DecoderEquivalence, SelfLoops)
+{
+    // A self-loop lists its edge twice at one node.  Logical 0 keeps the
+    // potential; logical 1 is an odd cycle.
+    for (bool logical : {false, true}) {
+        expect_exhaustive({{0, 0, logical, 0.1},
+                           {0, 1, false, 0.1},
+                           {1, 1, false, 0.1},
+                           {1, 2, true, 0.1},
+                           {2, kB, false, 0.1},
+                           {2, 2, logical, 0.1},
+                           {0, kB, true, 0.1}},
+                          3, !logical,
+                          logical ? "self-loops, odd" : "self-loops");
+    }
+}
+
+TEST(DecoderEquivalence, LoneDefectOnBothBoundarySides)
+{
+    // Node 0's boundary edges have sides 0 and 1, so a lone defect there
+    // settles touching both sides and its cluster is peeled; node 3's
+    // neighbours lead to each side too.
+    expect_exhaustive({{0, kB, false, 0.1},
+                       {0, kB, true, 0.1},
+                       {0, 1, false, 0.1},
+                       {1, 2, false, 0.1},
+                       {2, 3, true, 0.1},
+                       {3, 4, false, 0.1},
+                       {4, kB, true, 0.1},
+                       {1, kB, false, 0.1}},
+                      5, true, "both sides");
+}
+
+TEST(DecoderEquivalence, DefectNextToGrownCluster)
+{
+    // Defects {0, 2}: 0 grows first and absorbs 1, so 2's growth meets
+    // a neighbour in a grown cluster (a find, not a join); longer chains
+    // give later defects grown neighbours at every distance.
+    std::vector<GraphEdge> edges;
+    const int n = 9;
+    for (int v = 0; v + 1 < n; ++v)
+        edges.push_back({v, v + 1, v % 3 == 0, 0.1});
+    edges.push_back({0, kB, false, 0.1});
+    edges.push_back({n - 1, kB, true, 0.1});
+    edges.push_back({2, 5, false, 0.1});
+    edges.push_back({4, 8, true, 0.1});
+    expect_exhaustive(edges, n, false, "chain with chords");
+    edges.pop_back();
+    edges.pop_back();
+    expect_exhaustive(edges, n, true, "chain");
+}
+
+TEST(DecoderEquivalence, MergeTiesInBothOrientations)
+{
+    // Equal-size merges keep the edge's u end's root, and the survivor's
+    // id orders the next growth round.  In the first graph the defects
+    // {3, 4} need 4's first growth to hand its first merge, a tie of two
+    // lone nodes over edge (2, 4), to 2; in the second, {2, 3, 5} need a
+    // tie between two grown clusters to go the edge's way.  Each runs as
+    // stored and with every edge reversed.
+    const std::vector<GraphEdge> lone_tie = {
+        {0, 1, true, 0.1},  {2, 1, true, 0.1},  {3, 1, true, 0.1},
+        {2, 4, true, 0.1},  {5, 4, true, 0.1},  {0, 4, true, 0.1},
+        {0, kB, false, 0.1}, {5, kB, true, 0.1}};
+    const std::vector<GraphEdge> cluster_tie = {
+        {1, 0, false, 0.1}, {1, 2, true, 0.1},  {3, 0, false, 0.1},
+        {4, 3, false, 0.1}, {5, 2, true, 0.1},  {5, 3, false, 0.1},
+        {3, 0, false, 0.1}, {0, kB, false, 0.1}, {5, kB, true, 0.1}};
+    for (const auto* graph : {&lone_tie, &cluster_tie}) {
+        for (bool reversed : {false, true}) {
+            std::vector<GraphEdge> edges = *graph;
+            for (GraphEdge& e : edges) {
+                if (reversed && e.v != kB)
+                    std::swap(e.u, e.v);
+            }
+            const std::string name =
+                graph == &lone_tie ? "lone-node tie" : "cluster tie";
+            expect_exhaustive(edges, 6, true,
+                              name + (reversed ? ", reversed" : ""));
+        }
+    }
+}
+
+TEST(DecoderEquivalence, RandomMultigraphs)
+{
+    // Connected random multigraphs with parallel edges, self-loops,
+    // either storage orientation and boundary edges of both logicals.
+    Rng rng(2024);
+    for (int g = 0; g < 40; ++g) {
+        const int n = 6 + static_cast<int>(rng.uniform_int(7));
+        std::vector<GraphEdge> edges;
+        for (int v = 1; v < n; ++v) {
+            const int w = static_cast<int>(rng.uniform_int(
+                static_cast<uint32_t>(v)));
+            edges.push_back(rng.bernoulli(0.5)
+                                ? GraphEdge{v, w, rng.bernoulli(0.3), 0.1}
+                                : GraphEdge{w, v, rng.bernoulli(0.3), 0.1});
+        }
+        const int extra = static_cast<int>(rng.uniform_int(
+            static_cast<uint32_t>(2 * n)));
+        for (int i = 0; i < extra; ++i) {
+            const int a = static_cast<int>(
+                rng.uniform_int(static_cast<uint32_t>(n)));
+            const int b = rng.bernoulli(0.25)
+                              ? kB
+                              : static_cast<int>(rng.uniform_int(
+                                    static_cast<uint32_t>(n)));
+            edges.push_back({a, b, rng.bernoulli(0.3), 0.1});
+        }
+        edges.push_back(
+            {static_cast<int>(rng.uniform_int(static_cast<uint32_t>(n))),
+             kB, rng.bernoulli(0.5), 0.1});
+        Corpus corpus{DecodingGraph(n, std::move(edges)), {}};
+        corpus.defects = all_defect_sets(corpus.graph);
+        expect_equivalent(corpus, "random multigraph " + std::to_string(g));
     }
 }
 

@@ -105,6 +105,32 @@ TEST(DecodingGraph, IncidenceIsCsrInEdgeOrderAndRejectsBadEndpoints)
                  std::invalid_argument);
     EXPECT_THROW(DecodingGraph(3, {{-1, 2, false, 0.1}}),
                  std::invalid_argument);
+    EXPECT_THROW(DecodingGraph(DecodingGraph::kMaxNodes + 1, {}),
+                 std::invalid_argument);
+}
+
+TEST(DecodingGraph, ArcCodesEncodeFarEndOrSide)
+{
+    // phi = 0 everywhere (no logical inner edge), so the boundary edge's
+    // side is its logical bit.  A self-loop lists itself twice at its node.
+    const DecodingGraph g(3, {{0, 1, false, 0.1},
+                              {1, GraphEdge::kBoundary, true, 0.1},
+                              {1, 2, false, 0.1},
+                              {2, 2, false, 0.1}});
+    auto codes = [&](int v) {
+        return std::vector<int>(g.arc_codes(v),
+                                g.arc_codes(v) + g.incident_edges(v).size());
+    };
+    EXPECT_EQ(codes(0), std::vector<int>({1 << 1}));
+    EXPECT_EQ(codes(1), std::vector<int>({(0 << 1) | 1, ~1, 2 << 1}));
+    EXPECT_EQ(codes(2),
+              std::vector<int>({(1 << 1) | 1, 2 << 1, (2 << 1) | 1}));
+    // Without a potential every boundary edge is side 0.
+    const DecodingGraph odd(2, {{0, 1, true, 0.1},
+                                {0, 1, false, 0.1},
+                                {1, GraphEdge::kBoundary, true, 0.1}});
+    ASSERT_TRUE(odd.potential().empty());
+    EXPECT_EQ(odd.arc_codes(1)[2], ~0);
 }
 
 TEST(DemBuilder, TimeEdgesFromMeasurementFlips)

@@ -292,21 +292,46 @@ paper_d11_capture()
     return cap;
 }
 
+/** The HGP Hamming [[58, 16]] code: 8-bit single-round keys. */
+const CodeBundle&
+hgp_bundle()
+{
+    static const CodeBundle bundle(HgpCode::make_hamming());
+    return bundle;
+}
+
+/** 30 rounds of HGP Hamming under ERASER+M. */
+const PaperCapture&
+hgp_capture()
+{
+    static const PaperCapture cap =
+        capture_paper(hgp_bundle(), PolicyZoo::eraser(true), 30, 5);
+    return cap;
+}
+
 void
 BM_PolicyObserve(benchmark::State& state)
 {
-    // Online speculation on real rounds: one iteration replays all 70
-    // captured rounds of the 64-lane batch through GLADIATOR+M — arg 0
-    // through the batched word rule (the runner's path), arg 1 through
-    // the per-lane adapter (64 one-lane observe calls per round, what a
-    // policy without a word rule costs).  per_lane_round (printed in
-    // seconds, e.g. "40ns") is the paper's "nanoseconds per syndrome"
+    // Online speculation on real rounds: one iteration replays every
+    // captured round of the 64-lane batch through one policy's word rule
+    // (the runner's path).  Args: policy (0 ERASER+M, 1 GLADIATOR+M,
+    // 2 GLADIATOR-D+M); code (0 the d = 7 surface capture, 70 rounds;
+    // 1 the HGP Hamming capture, 30 rounds); per_lane (1 drives the rule
+    // through the per-lane adapter: 64 one-lane observe calls per round,
+    // what a policy without a word rule costs).  per_lane_round (printed
+    // in seconds, e.g. "40ns") is the paper's "nanoseconds per syndrome"
     // figure for the whole code.
-    const CodeBundle& b = surface7();
-    const PaperCapture& cap = paper_d7_capture();
-    const PolicyFactory factory = PolicyZoo::gladiator(true, kPaperNoise);
+    const bool hgp = state.range(1) == 1;
+    const CodeBundle& b = hgp ? hgp_bundle() : surface7();
+    const PaperCapture& cap = hgp ? hgp_capture() : paper_d7_capture();
+    const PolicyFactory factory =
+        state.range(0) == 0   ? PolicyZoo::eraser(true)
+        : state.range(0) == 1 ? PolicyZoo::gladiator(true, kPaperNoise)
+                              : PolicyZoo::gladiator_d(true, kPaperNoise);
     std::unique_ptr<Policy> policy = factory(b.ctx, 0);
-    if (state.range(0) == 1) {
+    state.SetLabel(policy->name() + (hgp ? " hgp" : " d7") +
+                   (state.range(2) == 1 ? " per-lane" : ""));
+    if (state.range(2) == 1) {
         policy = std::make_unique<LaneAdapterPolicy>(
             b.ctx, std::move(policy),
             [&] { return factory(b.ctx, 0); });
@@ -330,7 +355,15 @@ BM_PolicyObserve(benchmark::State& state)
         lane_rounds,
         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_PolicyObserve)->ArgName("per_lane")->Arg(0)->Arg(1);
+BENCHMARK(BM_PolicyObserve)
+    ->ArgNames({"policy", "code", "per_lane"})
+    ->Args({0, 0, 0})
+    ->Args({1, 0, 0})
+    ->Args({2, 0, 0})
+    ->Args({1, 0, 1})
+    ->Args({0, 1, 0})
+    ->Args({1, 1, 0})
+    ->Args({2, 1, 0});
 
 void
 BM_UnionFindDecode(benchmark::State& state)

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/flag_rule.h"
 #include "core/spec_model.h"
 
 namespace gld {
@@ -13,6 +14,10 @@ namespace gld {
  * per data-qubit class (paper §4.2: "a lookup table of syndrome patterns
  * that strongly indicate leakage"), single-round (GLADIATOR) or two-round
  * (GLADIATOR-D) keyed.
+ *
+ * Each distinct table is compiled once, here, into the FlagRule the
+ * policies evaluate word-wide (classes with equal tables share one);
+ * every policy built from one (shared) set reads the same rules.
  *
  * Recalibration to new noise (the adaptability story of §4.3) is simply
  * `build()` with updated NoiseParams: the graph structure is re-derived
@@ -31,22 +36,27 @@ class PatternTableSet {
     /** Leak flag for a class's pattern key. */
     bool is_leak(int cls, uint32_t pattern_key) const
     {
-        return tables_[cls][pattern_key] != 0;
+        return table(cls)[pattern_key] != 0;
     }
 
     /** Number of flagged patterns in a class's table. */
     int flagged_count(int cls) const;
 
     /** Pattern width (bits) of a class's table key. */
-    int bits(int cls) const { return bits_[cls]; }
+    int bits(int cls) const { return rule(cls).bits(); }
 
-    const std::vector<uint8_t>& table(int cls) const { return tables_[cls]; }
-    int n_classes() const { return static_cast<int>(tables_.size()); }
+    const std::vector<uint8_t>& table(int cls) const
+    {
+        return rule(cls).table();
+    }
+    /** A class's table compiled for word-wide evaluation. */
+    const FlagRule& rule(int cls) const { return rules_[rule_of_[cls]]; }
+    int n_classes() const { return static_cast<int>(rule_of_.size()); }
 
   private:
     bool two_round_ = false;
-    std::vector<std::vector<uint8_t>> tables_;
-    std::vector<int> bits_;
+    std::vector<FlagRule> rules_;  ///< one per distinct table
+    std::vector<size_t> rule_of_;  ///< per class
 };
 
 }  // namespace gld

@@ -155,36 +155,70 @@ check_pattern_width(const CodeContext& ctx)
             std::to_string(kMaxPatternBits));
 }
 
-FlagTablePolicy::FlagTablePolicy(const CodeContext& ctx, bool use_mlr)
-    : WordPolicy(ctx), use_mlr_(use_mlr),
-      table_of_(static_cast<size_t>(ctx.code().n_data()), nullptr)
+FlagTablePolicy::FlagTablePolicy(const CodeContext& ctx, bool use_mlr,
+                                 bool two_round)
+    : WordPolicy(ctx), use_mlr_(use_mlr), two_round_(two_round)
 {
     check_pattern_width(ctx);
+    flagged_.reserve(static_cast<size_t>(ctx.code().n_data()));
+}
+
+void
+FlagTablePolicy::set_rule(int q, const FlagRule* rule)
+{
+    const std::vector<int>& checks = ctx_->observed_checks(q);
+    const size_t key_bits = checks.size() * (two_round_ ? 2 : 1);
+    if (key_bits != static_cast<size_t>(rule->bits()))
+        throw std::invalid_argument(
+            "FlagTablePolicy: data qubit " + std::to_string(q) + " has a " +
+            std::to_string(key_bits) + "-bit key, its rule " +
+            std::to_string(rule->bits()));
+    flagged_.push_back({q, rule, checks.data(), n_planes_});
+    n_planes_ += checks.size();
+    n_words_ = 0;  // the window is sized by the next begin_batch
+}
+
+void
+FlagTablePolicy::begin_batch(const LaneMask*, int n_words)
+{
+    n_words_ = n_words;
+    if (two_round_) {
+        const size_t K = static_cast<size_t>(n_words);
+        prev_.assign(n_planes_ * K, 0);
+        has_prev_.assign(flagged_.size() * K, 0);
+    }
 }
 
 void
 FlagTablePolicy::observe_batch(int, const RoundWords& in, LrcWords* out)
 {
+    if (in.n_words != n_words_)
+        begin_batch(in.active, in.n_words);
     const size_t K = static_cast<size_t>(in.n_words);
-    const int n_data = ctx_->code().n_data();
-    LaneMask det[kMaxPatternBits];
-    for (int q = 0; q < n_data; ++q) {
-        const uint8_t* table = table_of_[static_cast<size_t>(q)];
-        if (table == nullptr)
-            continue;
-        const std::vector<int>& checks = ctx_->observed_checks(q);
-        const int k = static_cast<int>(checks.size());
+    // planes [0, k) hold this round's detectors, [k, 2k) the previous
+    // round's.
+    LaneMask planes[2 * kMaxPatternBits];
+    for (size_t f = 0; f < flagged_.size(); ++f) {
+        const Flagged& e = flagged_[f];
+        const size_t k = two_round_ ? static_cast<size_t>(e.rule->bits()) / 2
+                                    : static_cast<size_t>(e.rule->bits());
+        const int* checks = e.checks;
+        LaneMask* data = &out->data[static_cast<size_t>(e.q) * K];
         for (size_t w = 0; w < K; ++w) {
-            LaneMask any = 0;
-            for (int i = 0; i < k; ++i) {
-                det[i] = in.detector[static_cast<size_t>(checks[
-                                         static_cast<size_t>(i)]) *
-                                         K +
-                                     w];
-                any |= det[i];
+            for (size_t i = 0; i < k; ++i)
+                planes[i] = in.detector[static_cast<size_t>(checks[i]) * K + w];
+            if (!two_round_) {
+                data[w] = e.rule->eval(planes, in.active[w]);
+                continue;
             }
-            out->data[static_cast<size_t>(q) * K + w] = flagged_lanes(
-                table, det, k, table[0] ? in.active[w] : any);
+            for (size_t i = 0; i < k; ++i) {
+                LaneMask& old = prev_[(e.first + i) * K + w];
+                planes[k + i] = old;
+                old = planes[i];  // this round becomes the previous
+            }
+            LaneMask& has_prev = has_prev_[f * K + w];
+            data[w] = e.rule->eval(planes, has_prev);
+            has_prev = in.active[w] & ~data[w];
         }
     }
     if (use_mlr_)

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/code_context.h"
+#include "core/flag_rule.h"
 #include "sim/simulator.h"
 
 namespace gld {
@@ -172,40 +173,60 @@ class LaneAdapterPolicy final : public Policy {
     std::vector<LrcSchedule> sched_;
 };
 
-/** Widest observed pattern a flag-table rule accepts (2^16 entries). */
-constexpr int kMaxPatternBits = 16;
-
 /**
  * A per-data-qubit flag table over the qubit's observed pattern (bit i =
  * detector of its i-th observed check): ERASER's popcount threshold and
- * GLADIATOR's class tables.  The word rule evaluates the table only on
- * the lanes in the OR of the qubit's detector words — plus every active
- * lane when the quiet pattern itself is flagged — then adds the MLR
- * ancillas for the +M variants.
+ * GLADIATOR's class tables, or over a two-round window of it (GLADIATOR-
+ * D).  The word rule decides each qubit by its compiled FlagRule, then
+ * adds the MLR ancillas for the +M variants.
  */
 class FlagTablePolicy : public WordPolicy {
   public:
     FlagTablePolicy(const FlagTablePolicy&) = delete;
     FlagTablePolicy& operator=(const FlagTablePolicy&) = delete;
 
+    /** Clears the two-round window of every lane. */
+    void begin_batch(const LaneMask* active, int n_words) override;
     void observe_batch(int round, const RoundWords& in,
                        LrcWords* out) override;
 
   protected:
-    /** Throws std::invalid_argument if a pattern is wider than
-     *  kMaxPatternBits. */
-    FlagTablePolicy(const CodeContext& ctx, bool use_mlr);
+    /**
+     * @param two_round a key is (previous round's pattern << k) | this
+     *        round's, for k observed checks.  A lane is decided only once
+     *        it holds a previous round, and a flagged lane drops its
+     *        history: syndromes around the LRC gadget are transient and
+     *        must not seed the next decision.
+     * Throws std::invalid_argument if a pattern is wider than
+     * kMaxPatternBits.
+     */
+    FlagTablePolicy(const CodeContext& ctx, bool use_mlr,
+                    bool two_round = false);
 
-    /** Data qubit q's table (2^degree entries); unset: never flagged. */
-    void set_table(int q, const uint8_t* table)
-    {
-        table_of_[static_cast<size_t>(q)] = table;
-    }
+    /** Flags data qubit q by `rule` (keyed by q's observed checks, over
+     *  one or two rounds; must outlive the policy).  At most once per
+     *  qubit; a qubit never set is never flagged. */
+    void set_rule(int q, const FlagRule* rule);
 
     bool use_mlr_;
 
   private:
-    std::vector<const uint8_t*> table_of_;
+    struct Flagged {
+        int q;
+        const FlagRule* rule;
+        const int* checks;  ///< q's k observed checks
+        size_t first;       ///< planes of the earlier qubits' checks
+    };
+
+    bool two_round_;
+    std::vector<Flagged> flagged_;  ///< in set_rule order
+    size_t n_planes_ = 0;           ///< observed checks of flagged_
+    // The two-round window as words: the previous round's plane i of
+    // flagged_[f] at prev_[(first + i) * K + w], and the lanes holding a
+    // previous round at has_prev_[f * K + w].
+    int n_words_ = 0;
+    std::vector<LaneMask> prev_;
+    std::vector<LaneMask> has_prev_;
 };
 
 /**
@@ -241,28 +262,8 @@ class MlrOnlyPolicy : public WordPolicy {
 /** Sets every MLR-flagged ancilla's lanes in `out` (the "+M" suffix). */
 void add_mlr_checks(const RoundWords& in, int n_checks, LrcWords* out);
 
-/**
- * One word of a flag-table lookup: the lanes of `lanes` whose key is
- * flagged, where bit i of a lane's key is its bit of planes[i] (i <
- * n_planes) and table holds 2^n_planes entries.
- */
-inline LaneMask
-flagged_lanes(const uint8_t* table, const LaneMask* planes, int n_planes,
-              LaneMask lanes)
-{
-    LaneMask fire = 0;
-    for (; lanes != 0; lanes &= lanes - 1) {
-        const int b = __builtin_ctzll(lanes);
-        uint32_t key = 0;
-        for (int i = 0; i < n_planes; ++i)
-            key |= static_cast<uint32_t>((planes[i] >> b) & 1u) << i;
-        fire |= static_cast<LaneMask>(table[key]) << b;
-    }
-    return fire;
-}
-
 /** Throws std::invalid_argument if a data qubit of `ctx` observes more
- *  than kMaxPatternBits checks (the flag-table rules' key width). */
+ *  than kMaxPatternBits checks (the flag-table rules' pattern width). */
 void check_pattern_width(const CodeContext& ctx);
 
 }  // namespace gld

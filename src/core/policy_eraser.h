@@ -1,8 +1,6 @@
 #ifndef GLD_CORE_POLICY_ERASER_H_
 #define GLD_CORE_POLICY_ERASER_H_
 
-#include <vector>
-
 #include "core/policy.h"
 
 namespace gld {
@@ -29,10 +27,9 @@ class EraserPolicy : public FlagTablePolicy {
     static int threshold(int k) { return (k + 1) / 2; }
     /** Number of k-bit patterns ERASER flags (e.g. 11 of 16 for k = 4). */
     static int flagged_count(int k);
-
-  private:
-    /** Per pattern width k: the flag table popcount >= threshold(k). */
-    std::vector<std::vector<uint8_t>> tables_;
+    /** The compiled flag table popcount >= threshold(k), 1 <= k <=
+     *  kMaxPatternBits, built once per width and shared. */
+    static const FlagRule& rule(int k);
 };
 
 }  // namespace gld

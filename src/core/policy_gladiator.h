@@ -22,7 +22,10 @@ class GladiatorPolicy : public FlagTablePolicy {
      */
     GladiatorPolicy(const CodeContext& ctx,
                     std::shared_ptr<const PatternTableSet> tables,
-                    bool use_mlr);
+                    bool use_mlr)
+        : GladiatorPolicy(ctx, std::move(tables), use_mlr, false)
+    {
+    }
     std::string name() const override
     {
         return use_mlr_ ? "GLADIATOR+M" : "GLADIATOR";
@@ -33,6 +36,11 @@ class GladiatorPolicy : public FlagTablePolicy {
     {
         return tables_;
     }
+
+  protected:
+    GladiatorPolicy(const CodeContext& ctx,
+                    std::shared_ptr<const PatternTableSet> tables,
+                    bool use_mlr, bool two_round);
 
   private:
     std::shared_ptr<const PatternTableSet> tables_;
@@ -45,36 +53,19 @@ class GladiatorPolicy : public FlagTablePolicy {
  * second-round signatures while leakage stays random, so deferral cuts
  * false positives — crucial for the information-poor color-code patterns.
  */
-class GladiatorDPolicy : public WordPolicy {
+class GladiatorDPolicy : public GladiatorPolicy {
   public:
     /** @param tables two-round tables (two_round = true). */
     GladiatorDPolicy(const CodeContext& ctx,
                      std::shared_ptr<const PatternTableSet> tables,
-                     bool use_mlr);
+                     bool use_mlr)
+        : GladiatorPolicy(ctx, std::move(tables), use_mlr, true)
+    {
+    }
     std::string name() const override
     {
         return use_mlr_ ? "GLADIATOR-D+M" : "GLADIATOR-D";
     }
-    void begin_batch(const LaneMask* active, int n_words) override;
-    void observe_batch(int round, const RoundWords& in,
-                       LrcWords* out) override;
-
-    /** The (possibly shared) offline tables driving this policy. */
-    const std::shared_ptr<const PatternTableSet>& tables() const
-    {
-        return tables_;
-    }
-
-  private:
-    std::shared_ptr<const PatternTableSet> tables_;
-    bool use_mlr_;
-    // The sliding window as words: per data qubit one has-previous-round
-    // span and one bit-plane span per observed bit of the previous
-    // pattern (plane i of qubit q at (plane_base_[q] + i) * K).
-    int n_words_ = 0;
-    std::vector<LaneMask> has_prev_;
-    std::vector<LaneMask> prev_planes_;
-    std::vector<size_t> plane_base_;
 };
 
 }  // namespace gld

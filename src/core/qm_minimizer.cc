@@ -3,49 +3,79 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <set>
+#include <vector>
 
 namespace gld {
 
 std::vector<Cube>
 QmMinimizer::prime_implicants(int n, const std::vector<uint32_t>& minterms)
 {
-    // Iteratively combine implicants differing in exactly one cared bit.
-    std::set<std::pair<uint32_t, uint32_t>> current;  // (value, dash_mask)
+    // Iteratively combine implicants that share a dash mask and differ in
+    // exactly one cared bit.  Values never set a dashed bit, so the
+    // partner of (v, d) across cared bit b is (v | b, d) when b is clear
+    // in v: one lookup per (implicant, bit) inside v's dash-mask group
+    // finds every pair.  Each level holds every implicant of its size, so
+    // (v, d | b) is kept only from its lowest dashed bit b, once.  The
+    // primes of a level come out in (value, dash_mask) order.
+    using Implicant = std::pair<uint32_t, uint32_t>;  // (value, dash_mask)
+    const auto dash_major = [](const Implicant& a, const Implicant& b) {
+        return a.second != b.second ? a.second < b.second
+                                    : a.first < b.first;
+    };
+    std::vector<Implicant> current;  // one level, dash-major
+    current.reserve(minterms.size());
     for (uint32_t m : minterms)
-        current.insert({m, 0});
+        current.push_back({m, 0});
+    std::sort(current.begin(), current.end());
+    current.erase(std::unique(current.begin(), current.end()),
+                  current.end());
 
+    const uint32_t all = (1u << n) - 1;
     std::vector<Cube> primes;
+    std::vector<Implicant> next;
+    std::vector<Implicant> level_primes;
+    std::vector<char> combined;
+    // slot[v] = 1 + index in `current` of (v, d) within the group of d.
+    std::vector<uint32_t> slot(size_t{1} << n, 0);
     while (!current.empty()) {
-        std::set<std::pair<uint32_t, uint32_t>> next;
-        std::map<std::pair<uint32_t, uint32_t>, bool> combined;
-        std::vector<std::pair<uint32_t, uint32_t>> items(current.begin(),
-                                                         current.end());
-        for (auto& it : items)
-            combined[it] = false;
-        // Group by (dash_mask, popcount) implicitly via pairwise scan —
-        // fine for the <= 2^20 spaces used here since tables are small.
-        for (size_t i = 0; i < items.size(); ++i) {
-            for (size_t j = i + 1; j < items.size(); ++j) {
-                if (items[i].second != items[j].second)
-                    continue;
-                const uint32_t diff = items[i].first ^ items[j].first;
-                if (__builtin_popcount(diff) != 1)
-                    continue;
-                next.insert({items[i].first & ~diff,
-                             items[i].second | diff});
-                combined[items[i]] = true;
-                combined[items[j]] = true;
+        next.clear();
+        combined.assign(current.size(), 0);
+        for (size_t g = 0; g < current.size();) {
+            const uint32_t dash = current[g].second;
+            const uint32_t lowest_dash = dash & (~dash + 1);
+            size_t end = g;
+            for (; end < current.size() && current[end].second == dash;
+                 ++end)
+                slot[current[end].first] = static_cast<uint32_t>(end + 1);
+            for (size_t i = g; i < end; ++i) {
+                const uint32_t value = current[i].first;
+                for (uint32_t free = all & ~dash & ~value; free != 0;
+                     free &= free - 1) {
+                    const uint32_t bit = free & (~free + 1);
+                    const uint32_t partner = slot[value | bit];
+                    if (partner == 0)
+                        continue;
+                    combined[i] = 1;
+                    combined[partner - 1] = 1;
+                    if (dash == 0 || bit < lowest_dash)
+                        next.push_back({value, dash | bit});
+                }
             }
+            for (size_t i = g; i < end; ++i)
+                slot[current[i].first] = 0;
+            g = end;
         }
-        for (const auto& it : items) {
-            if (!combined[it])
-                primes.push_back({it.first, it.second});
+        level_primes.clear();
+        for (size_t i = 0; i < current.size(); ++i) {
+            if (!combined[i])
+                level_primes.push_back(current[i]);
         }
-        current = std::move(next);
+        std::sort(level_primes.begin(), level_primes.end());
+        for (const Implicant& p : level_primes)
+            primes.push_back({p.first, p.second});
+        std::sort(next.begin(), next.end(), dash_major);
+        current.swap(next);
     }
-    (void)n;
     return primes;
 }
 
@@ -69,60 +99,65 @@ QmMinimizer::minimize(int n, const std::vector<uint32_t>& onset,
     std::sort(need.begin(), need.end());
     need.erase(std::unique(need.begin(), need.end()), need.end());
 
-    // cover[m] = prime indices covering minterm m.
-    std::vector<std::vector<int>> cover(need.size());
-    for (size_t p = 0; p < primes.size(); ++p) {
-        for (size_t m = 0; m < need.size(); ++m) {
-            if (primes[p].covers(need[m]))
-                cover[m].push_back(static_cast<int>(p));
+    const size_t n_primes = primes.size();
+    const size_t n_need = need.size();
+    const auto covers = [&](size_t p, size_t m) {
+        return primes[p].covers(need[m]);
+    };
+    // Per onset minterm: how many primes cover it, and the last that does.
+    std::vector<int> n_cover(n_need, 0);
+    std::vector<size_t> a_cover(n_need, 0);
+    for (size_t p = 0; p < n_primes; ++p) {
+        for (size_t m = 0; m < n_need; ++m) {
+            if (covers(p, m)) {
+                ++n_cover[m];
+                a_cover[m] = p;
+            }
         }
     }
 
     std::vector<Cube> chosen;
-    std::vector<char> covered(need.size(), 0);
-    std::vector<char> used(primes.size(), 0);
+    std::vector<char> covered(n_need, 0);
+    std::vector<char> used(n_primes, 0);
 
     // Essential primes: minterms covered by exactly one prime.
-    for (size_t m = 0; m < need.size(); ++m) {
-        if (cover[m].size() == 1 && !used[cover[m][0]]) {
-            used[cover[m][0]] = 1;
-            chosen.push_back(primes[cover[m][0]]);
+    for (size_t m = 0; m < n_need; ++m) {
+        if (n_cover[m] == 1 && !used[a_cover[m]]) {
+            used[a_cover[m]] = 1;
+            chosen.push_back(primes[a_cover[m]]);
         }
     }
-    for (size_t m = 0; m < need.size(); ++m) {
-        for (int p : cover[m]) {
-            if (used[p]) {
-                covered[m] = 1;
-                break;
-            }
-        }
+    // gain[p] = the still-uncovered minterms prime p covers.
+    std::vector<int> gain(n_primes, 0);
+    for (size_t m = 0; m < n_need; ++m) {
+        for (size_t p = 0; p < n_primes && !covered[m]; ++p)
+            covered[m] = used[p] && covers(p, m);
+        for (size_t p = 0; p < n_primes && !covered[m]; ++p)
+            gain[p] += covers(p, m) ? 1 : 0;
     }
 
     // Greedy cover for the rest (Petrick's method is exponential; greedy
-    // is within a log factor and matches practice).
+    // is within a log factor and matches practice): the unused prime of
+    // largest gain, the lowest index on a tie.
     while (true) {
-        int best = -1;
+        size_t best = n_primes;
         int best_gain = 0;
-        for (size_t p = 0; p < primes.size(); ++p) {
-            if (used[p])
-                continue;
-            int gain = 0;
-            for (size_t m = 0; m < need.size(); ++m) {
-                if (!covered[m] && primes[p].covers(need[m]))
-                    ++gain;
-            }
-            if (gain > best_gain) {
-                best_gain = gain;
-                best = static_cast<int>(p);
+        for (size_t p = 0; p < n_primes; ++p) {
+            if (!used[p] && gain[p] > best_gain) {
+                best_gain = gain[p];
+                best = p;
             }
         }
-        if (best < 0)
+        if (best == n_primes)
             break;
         used[best] = 1;
         chosen.push_back(primes[best]);
-        for (size_t m = 0; m < need.size(); ++m) {
-            if (!covered[m] && primes[best].covers(need[m]))
-                covered[m] = 1;
+        for (size_t m = 0; m < n_need; ++m) {
+            if (covered[m] || !covers(best, m))
+                continue;
+            covered[m] = 1;
+            for (size_t p = 0; p < n_primes; ++p)
+                gain[p] -= covers(p, m) ? 1 : 0;
         }
     }
     return chosen;

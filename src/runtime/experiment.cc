@@ -41,6 +41,8 @@ struct alignas(64) ExperimentRunner::BlockResources {
     std::vector<std::vector<uint8_t>> flips;
     std::vector<int> data_leaked;
     std::vector<int> check_leaked;
+    std::vector<double> data_frac;   ///< [c] = c / n_data
+    std::vector<double> check_frac;  ///< [c] = c / n_checks
     std::vector<std::vector<double>> dlp_buf;
     std::vector<std::vector<double>> chk_buf;
     std::vector<std::vector<int>> defects;  ///< per lane, ascending node ids
@@ -184,7 +186,17 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
     // Float accumulators are buffered per (lane, round) and replayed
     // shot-major below: double addition is order-sensitive, and the gate
     // between batch widths (frame vs batch_frame) is BIT-exact equality,
-    // not approximation.
+    // not approximation.  Each buffered value is a per-lane leak count
+    // over the qubit count, read from a table of those quotients (the
+    // same IEEE division, done once per count instead of per lane-round).
+    std::vector<double>& data_frac = res->data_frac;
+    std::vector<double>& check_frac = res->check_frac;
+    data_frac.resize(static_cast<size_t>(n_data) + 1);
+    for (size_t c = 0; c < data_frac.size(); ++c)
+        data_frac[c] = static_cast<double>(c) / n_data;
+    check_frac.resize(static_cast<size_t>(n_checks) + 1);
+    for (size_t c = 0; c < check_frac.size(); ++c)
+        check_frac[c] = static_cast<double>(c) / n_checks;
     std::vector<std::vector<double>>& dlp_buf = res->dlp_buf;
     std::vector<std::vector<double>>& chk_buf = res->chk_buf;
     if (static_cast<int>(dlp_buf.size()) < max_lanes) {
@@ -204,6 +216,13 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
     if (static_cast<int>(defects.size()) < max_lanes)
         defects.resize(static_cast<size_t>(max_lanes));
     const size_t Ws = static_cast<size_t>(W);
+    // The block's integer totals, folded into m's doubles once at the
+    // end: every count is an integer below 2^53, so the fold is exact in
+    // any order.
+    uint64_t tp_total = 0;
+    uint64_t lrc_data_total = 0;
+    uint64_t lrc_check_total = 0;
+    uint64_t fn_total = 0;
 
     for (int first = 0; first < shots; first += width) {
         const int lanes = std::min(width, shots - first);
@@ -237,20 +256,18 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
 
         for (int r = 0; r < rounds; ++r) {
             // Account the LRCs about to be applied against each lane's
-            // ground truth: popcounts of the masks (integer-valued adds,
-            // so the order of addition does not matter).
+            // ground truth: popcounts of the masks.
             const LaneMask* leak_words = sim.leaked_words();
             for (size_t i = 0; i < lrc.data.size(); ++i) {
                 const LaneMask s = lrc.data[i];
-                const int tp = __builtin_popcountll(s & leak_words[i]);
-                const int n = __builtin_popcountll(s);
-                m.tp_total += static_cast<double>(tp);
-                m.fp_total += static_cast<double>(n - tp);
-                m.lrc_data_total += static_cast<double>(n);
+                tp_total += static_cast<uint64_t>(
+                    __builtin_popcountll(s & leak_words[i]));
+                lrc_data_total +=
+                    static_cast<uint64_t>(__builtin_popcountll(s));
             }
             for (const LaneMask s : lrc.checks)
-                m.lrc_check_total +=
-                    static_cast<double>(__builtin_popcountll(s));
+                lrc_check_total +=
+                    static_cast<uint64_t>(__builtin_popcountll(s));
             clock.lap(telemetry::kAccounting);
 
             sim.run_round_batch(lrc);
@@ -286,7 +303,7 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                     const LaneMask lk =
                         leak_words[qb + static_cast<size_t>(w)] &
                         lanes_mask[w];
-                    m.fn_total += static_cast<double>(__builtin_popcountll(
+                    fn_total += static_cast<uint64_t>(__builtin_popcountll(
                         lk & ~lrc.data[qb + static_cast<size_t>(w)]));
                     const int base = w * kBatchLanes;
                     for_each_lane(lk, [&](int b) {
@@ -339,9 +356,9 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
             for (int l = 0; l < lanes; ++l) {
                 const size_t li = static_cast<size_t>(l);
                 dlp_buf[li][static_cast<size_t>(r)] =
-                    static_cast<double>(data_leaked[li]) / n_data;
+                    data_frac[static_cast<size_t>(data_leaked[li])];
                 chk_buf[li][static_cast<size_t>(r)] =
-                    static_cast<double>(check_leaked[li]) / n_checks;
+                    check_frac[static_cast<size_t>(check_leaked[li])];
             }
             if (graph != nullptr) {
                 for (int zi = 0; zi < nz; ++zi) {
@@ -407,6 +424,11 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
             ++m.shots;
         }
     }
+    m.tp_total = static_cast<double>(tp_total);
+    m.fp_total = static_cast<double>(lrc_data_total - tp_total);
+    m.lrc_data_total = static_cast<double>(lrc_data_total);
+    m.lrc_check_total = static_cast<double>(lrc_check_total);
+    m.fn_total = static_cast<double>(fn_total);
     if (telem != nullptr) {
         telem->shots += static_cast<uint64_t>(shots);
         telem->rounds +=

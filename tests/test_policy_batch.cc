@@ -1,9 +1,10 @@
 // Word-wide speculation gate.  Every in-tree policy is one word rule over a
 // whole lockstep batch; its per-lane observe is a one-lane wrapper of the
 // same rule, and per-lane-only policies run behind LaneAdapterPolicy.
-//  (a) Unit level: on rounds captured from a surface and a color code, the
-//      batched decisions of every lane AND the one-lane decisions must
-//      equal an independent per-lane reference (the pre-word rules).
+//  (a) Unit level: on rounds captured from a surface, a color and an HGP
+//      code, the batched decisions of every lane AND the one-lane
+//      decisions must equal an independent per-lane reference (the
+//      pre-word rules).
 //  (b) Runner level: Metrics must be bit-identical between a policy's own
 //      (batched) factory and a decorator hiding batched() (the adapter),
 //      on all four backends, at K = 1 and 2, lockstep and sparse.
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "codes/color_code.h"
+#include "codes/hgp_code.h"
 #include "codes/surface_code.h"
 #include "core/pattern_table.h"
 #include "core/policy_eraser.h"
@@ -418,6 +420,15 @@ TEST(PolicyBatch, WordRulesMatchPerLaneReferenceOnColorCode)
     check_rules_on(h);
 }
 
+TEST(PolicyBatch, WordRulesMatchPerLaneReferenceOnHgpCode)
+{
+    // 8-bit single-round keys (cubes) and 16-bit two-round keys (the
+    // lookup): the widest tables the rules evaluate.
+    const Harness h(HgpCode::make_hamming());
+    ASSERT_EQ(h.ctx.max_degree(), 8);
+    check_rules_on(h);
+}
+
 TEST(PolicyBatch, WordViewsMatchPerLaneRoundResults)
 {
     // The words the runner reads and the RoundResults per-lane policies
@@ -458,6 +469,22 @@ TEST(PolicyBatch, FlagTableRulesRejectPatternsWiderThanTheirKey)
     EXPECT_THROW(GladiatorPolicy(h.ctx, nullptr, true),
                  std::invalid_argument);
     EXPECT_THROW(GladiatorDPolicy(h.ctx, nullptr, true),
+                 std::invalid_argument);
+}
+
+TEST(PolicyBatch, GladiatorRulesRejectTablesOfTheOtherWindow)
+{
+    // A two-round rule keys 2k bits, a single-round one k: handing a
+    // policy the other kind's tables is refused, not misread.
+    const Harness h(SurfaceCode::make(3));
+    const NoiseParams np = NoiseParams::standard(1e-3, 0.1);
+    const auto one_round = std::make_shared<const PatternTableSet>(
+        PatternTableSet::build(h.ctx, np, {}, false));
+    const auto two_round = std::make_shared<const PatternTableSet>(
+        PatternTableSet::build(h.ctx, np, {}, true));
+    EXPECT_THROW(GladiatorDPolicy(h.ctx, one_round, true),
+                 std::invalid_argument);
+    EXPECT_THROW(GladiatorPolicy(h.ctx, two_round, true),
                  std::invalid_argument);
 }
 

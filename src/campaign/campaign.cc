@@ -448,6 +448,39 @@ heatmap_path(const std::string& out_dir, const CampaignSpec& spec,
 
 namespace {
 
+/**
+ * Checks one stream's Metrics against the counts its job's config fixes;
+ * returns "" when they agree, else "field (got X, want Y)".  A
+ * hand-edited shard file would otherwise reach Metrics::merge, whose
+ * rounds_per_shot assert aborts a Debug build and whose Release build
+ * sums the bad values silently.
+ */
+std::string
+stream_metrics_mismatch(const Metrics& m, const ExperimentConfig& cfg,
+                        int stream)
+{
+    const long shots = ExperimentRunner::stream_shots(cfg, stream);
+    const auto differs = [](const char* field, long got, long want) {
+        return std::string(field) + " (got " + std::to_string(got) +
+               ", want " + std::to_string(want) + ")";
+    };
+    if (m.shots != shots)
+        return differs("shots", m.shots, shots);
+    if (m.rounds_per_shot != cfg.rounds)
+        return differs("rounds_per_shot", m.rounds_per_shot, cfg.rounds);
+    const long series = cfg.record_dlp_series ? cfg.rounds : 0;
+    if (static_cast<long>(m.dlp_series.size()) != series)
+        return differs("dlp_series length",
+                       static_cast<long>(m.dlp_series.size()), series);
+    const long decoded = cfg.compute_ler ? shots : 0;
+    if (m.decoded_shots != decoded)
+        return differs("decoded_shots", m.decoded_shots, decoded);
+    if (m.logical_errors < 0 || m.logical_errors > m.decoded_shots)
+        return "logical_errors (got " + std::to_string(m.logical_errors) +
+               ", want 0.." + std::to_string(m.decoded_shots) + ")";
+    return "";
+}
+
 /** True if `path` holds a completed, up-to-date shard result. */
 bool
 shard_result_valid(const std::string& path, const CampaignSpec& spec,
@@ -483,6 +516,13 @@ shard_result_valid(const std::string& path, const CampaignSpec& spec,
             return false;
         for (size_t i = 0; i < jstreams.size(); ++i) {
             if (jstreams.at(i)["stream"].as_int() != want_streams[i])
+                return false;
+            // Counts that contradict the config: recompute, do not let
+            // merge refuse the file later.
+            if (!stream_metrics_mismatch(
+                     io::metrics_from_json(jstreams.at(i)["metrics"]),
+                     job.cfg, want_streams[i])
+                     .empty())
                 return false;
         }
         return true;
@@ -899,6 +939,12 @@ merge_campaign(const CampaignSpec& spec, int n_shards,
                 seen[static_cast<size_t>(s)] = 1;
                 parts[static_cast<size_t>(s)] =
                     io::metrics_from_json(entry["metrics"]);
+                const std::string bad = stream_metrics_mismatch(
+                    parts[static_cast<size_t>(s)], job.cfg, s);
+                if (!bad.empty())
+                    throw std::runtime_error(
+                        "merge: " + path + " stream " + std::to_string(s) +
+                        ": " + bad + "; re-run that shard");
             }
         }
         for (int s = 0; s < total; ++s) {

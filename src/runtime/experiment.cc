@@ -20,8 +20,8 @@ namespace gld {
  * One executor slot's reusable block state.  Everything a block used to
  * construct or allocate per (stream, block) lives here instead, owned by
  * the slot for the whole run_partials loop: the simulator is
- * reset_for_block()-ed per block, policies are rebuilt never (begin_shot
- * is the per-shot reset), the decoder keeps its arena, and the scratch
+ * reset_for_block()-ed per block, policies are rebuilt never (begin_batch
+ * is the per-batch reset), the decoder keeps its arena, and the scratch
  * vectors keep their capacity (assign/resize write the same initial
  * values a fresh vector would hold, so reuse is bit-identical to fresh —
  * the determinism gate's reuse ≡ fresh arm runs with
@@ -39,12 +39,7 @@ struct alignas(64) ExperimentRunner::BlockResources {
     // Per-block scratch (mirrors the locals a fresh block would hold).
     LrcWords lrc;  ///< the policy's masks, straight into the simulator
     std::vector<std::vector<uint8_t>> flips;
-    std::vector<int> data_leaked;
-    std::vector<int> check_leaked;
-    std::vector<double> data_frac;   ///< [c] = c / n_data
-    std::vector<double> check_frac;  ///< [c] = c / n_checks
-    std::vector<std::vector<double>> dlp_buf;
-    std::vector<std::vector<double>> chk_buf;
+    std::vector<int> data_leaked;  ///< per lane; telemetry's leak_hist only
     std::vector<std::vector<int>> defects;  ///< per lane, ascending node ids
 };
 
@@ -88,8 +83,7 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
     // below never draw randomness and never feed a result-bearing sum,
     // and every call is a no-op when `telem` is null (always the case
     // with telemetry compiled out or no collector attached).  The heatmap
-    // and the leak histogram are read off the ground-truth leak WORDS
-    // (one popcount per qubit instead of per-lane oracle walks), a
+    // and the leak histogram are read off the ground-truth leak words, a
     // read-only view of the same flags.
     telemetry::StageClock clock(telem);
 
@@ -165,50 +159,19 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
     const int nz = static_cast<int>(z_checks.size());
     clock.lap(telemetry::kDecode);  // decoder construction
 
-    // Per-block scratch out of the slot's cache: resize() writes the
-    // same sizes a fresh block's locals had, every element below is
+    // Per-block scratch out of the slot's cache: every element below is
     // written before it is read (masks and defect lists are cleared per
-    // batch, the count scratch is zero-filled per round, the buffers per
-    // (lane, round) cell per round), so stale content from the previous
-    // block is never observable — reuse stays bit-identical to fresh.
-    // The policy's decisions as lane masks, one W-word span per qubit
-    // (same layout as the simulator's leaked_words()): TP/FP/FN are
-    // popcounts against the leak words, and the simulator applies them
-    // as they are.
+    // batch, the per-lane leak counts per round), so stale content from
+    // the previous block is never observable — reuse stays bit-identical
+    // to fresh.  The policy's decisions are lane masks, one W-word span
+    // per qubit (same layout as the simulator's leaked_words()): the
+    // accounting pass counts them against the leak words, and the
+    // simulator applies them as they are.
     LrcWords& lrc = res->lrc;
     std::vector<std::vector<uint8_t>>& flips = res->flips;
-    // Per-lane leak counts, gathered by one sparse pass over the leak
-    // words instead of 64*K oracle walks.
     std::vector<int>& data_leaked = res->data_leaked;
-    std::vector<int>& check_leaked = res->check_leaked;
-    data_leaked.assign(static_cast<size_t>(max_lanes), 0);
-    check_leaked.assign(static_cast<size_t>(max_lanes), 0);
-    // Float accumulators are buffered per (lane, round) and replayed
-    // shot-major below: double addition is order-sensitive, and the gate
-    // between batch widths (frame vs batch_frame) is BIT-exact equality,
-    // not approximation.  Each buffered value is a per-lane leak count
-    // over the qubit count, read from a table of those quotients (the
-    // same IEEE division, done once per count instead of per lane-round).
-    std::vector<double>& data_frac = res->data_frac;
-    std::vector<double>& check_frac = res->check_frac;
-    data_frac.resize(static_cast<size_t>(n_data) + 1);
-    for (size_t c = 0; c < data_frac.size(); ++c)
-        data_frac[c] = static_cast<double>(c) / n_data;
-    check_frac.resize(static_cast<size_t>(n_checks) + 1);
-    for (size_t c = 0; c < check_frac.size(); ++c)
-        check_frac[c] = static_cast<double>(c) / n_checks;
-    std::vector<std::vector<double>>& dlp_buf = res->dlp_buf;
-    std::vector<std::vector<double>>& chk_buf = res->chk_buf;
-    if (static_cast<int>(dlp_buf.size()) < max_lanes) {
-        dlp_buf.resize(static_cast<size_t>(max_lanes));
-        chk_buf.resize(static_cast<size_t>(max_lanes));
-    }
-    for (int l = 0; l < max_lanes; ++l) {
-        dlp_buf[static_cast<size_t>(l)].resize(
-            static_cast<size_t>(rounds));
-        chk_buf[static_cast<size_t>(l)].resize(
-            static_cast<size_t>(rounds));
-    }
+    if (telem != nullptr)
+        data_leaked.resize(static_cast<size_t>(max_lanes));
     // Each lane's decoder input is its defect list: node r*nz + zi for
     // every Z detector that fired, scattered zi-major round by round and
     // then the final-readout row, so it is ascending by construction.
@@ -216,13 +179,15 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
     if (static_cast<int>(defects.size()) < max_lanes)
         defects.resize(static_cast<size_t>(max_lanes));
     const size_t Ws = static_cast<size_t>(W);
-    // The block's integer totals, folded into m's doubles once at the
-    // end: every count is an integer below 2^53, so the fold is exact in
-    // any order.
+    // The block's counts.  Every one is an integer below 2^53, so the
+    // conversions to m's doubles at the end are exact; the leak
+    // populations are divided by their qubit count there, once.
     uint64_t tp_total = 0;
     uint64_t lrc_data_total = 0;
     uint64_t lrc_check_total = 0;
     uint64_t fn_total = 0;
+    uint64_t leaked_data = 0;
+    uint64_t leaked_checks = 0;
 
     for (int first = 0; first < shots; first += width) {
         const int lanes = std::min(width, shots - first);
@@ -255,24 +220,10 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
         clock.lap(telemetry::kSim);  // batch reset + leak injection
 
         for (int r = 0; r < rounds; ++r) {
-            // Account the LRCs about to be applied against each lane's
-            // ground truth: popcounts of the masks.
-            const LaneMask* leak_words = sim.leaked_words();
-            for (size_t i = 0; i < lrc.data.size(); ++i) {
-                const LaneMask s = lrc.data[i];
-                tp_total += static_cast<uint64_t>(
-                    __builtin_popcountll(s & leak_words[i]));
-                lrc_data_total +=
-                    static_cast<uint64_t>(__builtin_popcountll(s));
-            }
-            for (const LaneMask s : lrc.checks)
-                lrc_check_total +=
-                    static_cast<uint64_t>(__builtin_popcountll(s));
-            clock.lap(telemetry::kAccounting);
-
             sim.run_round_batch(lrc);
             clock.lap(telemetry::kSim);
 
+            const LaneMask* leak_words = sim.leaked_words();
             RoundWords in;
             in.n_words = W;
             in.active = lanes_mask;
@@ -282,83 +233,82 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
             in.leaked = leak_words;
             lrc.reset(n_data, n_checks, W);
             policy.observe_batch(r, in, &lrc);
-            // Masks clipped to the active lanes, so the LRC counts of
-            // the next round's accounting see no padding lane.  Both
-            // arrays are Ws words per qubit.
-            for (size_t i = 0; i < lrc.data.size(); i += Ws)
-                for (size_t w = 0; w < Ws; ++w)
-                    lrc.data[i + w] &= lanes_mask[w];
-            for (size_t i = 0; i < lrc.checks.size(); i += Ws)
-                for (size_t w = 0; w < Ws; ++w)
-                    lrc.checks[i + w] &= lanes_mask[w];
             clock.lap(telemetry::kPolicy);
 
-            // False negatives + leak populations, word-wide: one pass
-            // over the leak words replaces 64 per-lane oracle walks.
-            std::fill(data_leaked.begin(), data_leaked.end(), 0);
-            std::fill(check_leaked.begin(), check_leaked.end(), 0);
+            // One accounting pass over the end-of-round leak words.  The
+            // masks are clipped to the active lanes on the way (the
+            // simulator applies them next round, and no padding lane may
+            // count).  TP and LRC usage are counted for the masks the
+            // next round applies; the last round's are never applied.
+            const bool applied = r + 1 < rounds;
+            uint64_t* hrow =
+                telem != nullptr && telem->heatmap.enabled()
+                    ? telem->heatmap.row(r)
+                    : nullptr;
+            uint64_t leaked_round = 0;
             for (int q = 0; q < n_data; ++q) {
                 const size_t qb = static_cast<size_t>(q) * Ws;
+                uint64_t col = 0;
                 for (int w = 0; w < W; ++w) {
-                    const LaneMask lk =
-                        leak_words[qb + static_cast<size_t>(w)] &
-                        lanes_mask[w];
-                    fn_total += static_cast<uint64_t>(__builtin_popcountll(
-                        lk & ~lrc.data[qb + static_cast<size_t>(w)]));
-                    const int base = w * kBatchLanes;
-                    for_each_lane(lk, [&](int b) {
-                        ++data_leaked[static_cast<size_t>(base + b)];
-                    });
+                    const size_t i = qb + static_cast<size_t>(w);
+                    const LaneMask s = lrc.data[i] &= lanes_mask[w];
+                    const LaneMask lk = leak_words[i] & lanes_mask[w];
+                    fn_total += static_cast<uint64_t>(
+                        __builtin_popcountll(lk & ~s));
+                    col += static_cast<uint64_t>(__builtin_popcountll(lk));
+                    if (applied) {
+                        tp_total += static_cast<uint64_t>(
+                            __builtin_popcountll(lk & s));
+                        lrc_data_total +=
+                            static_cast<uint64_t>(__builtin_popcountll(s));
+                    }
                 }
+                leaked_round += col;
+                if (hrow != nullptr)
+                    hrow[q] += col;
             }
+            leaked_data += leaked_round;
+            if (cfg_.record_dlp_series)
+                m.dlp_series[static_cast<size_t>(r)] +=
+                    static_cast<double>(leaked_round);
             for (int c = 0; c < n_checks; ++c) {
+                const size_t cb = static_cast<size_t>(c) * Ws;
                 const size_t ab =
                     static_cast<size_t>(code.ancilla_of(c)) * Ws;
+                uint64_t col = 0;
                 for (int w = 0; w < W; ++w) {
-                    const LaneMask lk =
-                        leak_words[ab + static_cast<size_t>(w)] &
+                    const LaneMask s =
+                        lrc.checks[cb + static_cast<size_t>(w)] &=
                         lanes_mask[w];
-                    const int base = w * kBatchLanes;
-                    for_each_lane(lk, [&](int b) {
-                        ++check_leaked[static_cast<size_t>(base + b)];
-                    });
+                    col += static_cast<uint64_t>(__builtin_popcountll(
+                        leak_words[ab + static_cast<size_t>(w)] &
+                        lanes_mask[w]));
+                    if (applied)
+                        lrc_check_total +=
+                            static_cast<uint64_t>(__builtin_popcountll(s));
                 }
+                leaked_checks += col;
+                if (hrow != nullptr)
+                    hrow[n_data + c] += col;
             }
             if (telem != nullptr) {
-                // End-of-round leak populations, word-wide: the histogram
-                // reuses the per-lane counts computed above, the heatmap
-                // is one popcount per qubit column.
+                // The histogram needs each lane's own count.
+                std::fill(data_leaked.begin(), data_leaked.end(), 0);
+                for (int q = 0; q < n_data; ++q) {
+                    const size_t qb = static_cast<size_t>(q) * Ws;
+                    for (int w = 0; w < W; ++w) {
+                        const int base = w * kBatchLanes;
+                        for_each_lane(
+                            leak_words[qb + static_cast<size_t>(w)] &
+                                lanes_mask[w],
+                            [&](int b) {
+                                ++data_leaked[static_cast<size_t>(base + b)];
+                            });
+                    }
+                }
                 for (int l = 0; l < lanes; ++l)
                     ++telem->leak_hist[static_cast<size_t>(
                         data_leaked[static_cast<size_t>(l)])];
-                if (telem->heatmap.enabled()) {
-                    uint64_t* row = telem->heatmap.row(r);
-                    for (int q = 0; q < n_data; ++q) {
-                        const size_t qb = static_cast<size_t>(q) * Ws;
-                        for (int w = 0; w < W; ++w)
-                            row[q] += static_cast<uint64_t>(
-                                __builtin_popcountll(
-                                    leak_words[qb + static_cast<size_t>(w)] &
-                                    lanes_mask[w]));
-                    }
-                    uint64_t* crow = row + n_data;
-                    for (int c = 0; c < n_checks; ++c) {
-                        const size_t ab =
-                            static_cast<size_t>(code.ancilla_of(c)) * Ws;
-                        for (int w = 0; w < W; ++w)
-                            crow[c] += static_cast<uint64_t>(
-                                __builtin_popcountll(
-                                    leak_words[ab + static_cast<size_t>(w)] &
-                                    lanes_mask[w]));
-                    }
-                }
-            }
-            for (int l = 0; l < lanes; ++l) {
-                const size_t li = static_cast<size_t>(l);
-                dlp_buf[li][static_cast<size_t>(r)] =
-                    data_frac[static_cast<size_t>(data_leaked[li])];
-                chk_buf[li][static_cast<size_t>(r)] =
-                    check_frac[static_cast<size_t>(check_leaked[li])];
             }
             if (graph != nullptr) {
                 for (int zi = 0; zi < nz; ++zi) {
@@ -380,55 +330,46 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
             }
             clock.lap(telemetry::kAccounting);
         }
+        m.shots += lanes;
+        if (graph == nullptr)
+            continue;
 
-        if (graph != nullptr) {
-            sim.final_data_measure_batch(&flips);
-            clock.lap(telemetry::kSim);
-        }
-
-        // Shot-major replay of the per-shot tail: the float sums in shot
-        // order (the same at every batch width), then decode + shot
-        // counters.
+        sim.final_data_measure_batch(&flips);
+        clock.lap(telemetry::kSim);
+        // Per lane: the final-readout row (the last round's meas flips
+        // XOR the data readout), the observable, then decode.
         const LaneMask* last_meas = sim.meas_flip_words();
         for (int l = 0; l < lanes; ++l) {
             const size_t li = static_cast<size_t>(l);
-            for (int r = 0; r < rounds; ++r) {
-                const double dlp = dlp_buf[li][static_cast<size_t>(r)];
-                m.dlp_total += dlp;
-                if (cfg_.record_dlp_series)
-                    m.dlp_series[static_cast<size_t>(r)] += dlp;
-                m.check_leak_total += chk_buf[li][static_cast<size_t>(r)];
+            for (int zi = 0; zi < nz; ++zi) {
+                const int zc = z_checks[static_cast<size_t>(zi)];
+                uint8_t det =
+                    lane_bit(&last_meas[static_cast<size_t>(zc) * Ws], l);
+                for (int q : code.check(zc).support)
+                    det ^= flips[li][static_cast<size_t>(q)];
+                if (det)
+                    defects[li].push_back(rounds * nz + zi);
             }
-            if (graph != nullptr) {
-                // The final-readout row: the last round's meas flips
-                // XOR the data readout.
-                for (int zi = 0; zi < nz; ++zi) {
-                    const int zc = z_checks[static_cast<size_t>(zi)];
-                    uint8_t det = lane_bit(
-                        &last_meas[static_cast<size_t>(zc) * Ws], l);
-                    for (int q : code.check(zc).support)
-                        det ^= flips[li][static_cast<size_t>(q)];
-                    if (det)
-                        defects[li].push_back(rounds * nz + zi);
-                }
-                uint8_t observed = 0;
-                for (int q : code.logical_z())
-                    observed ^= flips[li][static_cast<size_t>(q)];
-                clock.lap(telemetry::kAccounting);
-                const bool predicted = decoder->decode_defects(defects[li]);
-                clock.lap(telemetry::kDecode);
-                if ((observed != 0) != predicted)
-                    ++m.logical_errors;
-                ++m.decoded_shots;
-            }
-            ++m.shots;
+            uint8_t observed = 0;
+            for (int q : code.logical_z())
+                observed ^= flips[li][static_cast<size_t>(q)];
+            clock.lap(telemetry::kAccounting);
+            const bool predicted = decoder->decode_defects(defects[li]);
+            clock.lap(telemetry::kDecode);
+            if ((observed != 0) != predicted)
+                ++m.logical_errors;
         }
+        m.decoded_shots += lanes;
     }
     m.tp_total = static_cast<double>(tp_total);
     m.fp_total = static_cast<double>(lrc_data_total - tp_total);
     m.lrc_data_total = static_cast<double>(lrc_data_total);
     m.lrc_check_total = static_cast<double>(lrc_check_total);
     m.fn_total = static_cast<double>(fn_total);
+    m.dlp_total = static_cast<double>(leaked_data) / n_data;
+    m.check_leak_total = static_cast<double>(leaked_checks) / n_checks;
+    for (double& v : m.dlp_series)
+        v /= n_data;
     if (telem != nullptr) {
         telem->shots += static_cast<uint64_t>(shots);
         telem->rounds +=

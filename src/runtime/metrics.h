@@ -28,10 +28,13 @@ struct Metrics {
     double lrc_data_total = 0;
     double lrc_check_total = 0;
 
-    // Leakage populations.
-    std::vector<double> dlp_series;  ///< per-round sum of DLP over shots
-    double dlp_total = 0;            ///< sum over shots and rounds
-    double check_leak_total = 0;
+    // Leakage populations, as sums of per-(shot, round) fractions.  The
+    // runner counts leaked qubits as integers per work unit (one
+    // (stream, shot block)) and divides each count once by the qubit
+    // count; merge() then sums those quotients.
+    std::vector<double> dlp_series;  ///< [r]: leaked data at round r / n_data
+    double dlp_total = 0;  ///< leaked data (shot, round) pairs / n_data
+    double check_leak_total = 0;  ///< leaked checks likewise / n_checks
 
     // Decoding.
     long logical_errors = 0;

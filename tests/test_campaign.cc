@@ -57,6 +57,37 @@ fresh_dir(const std::string& tag)
            std::to_string(::getpid()) + "_" + tag;
 }
 
+/** Rewrites a shard result file with `edit` applied to the Metrics of
+ *  its first stream entry. */
+void
+edit_first_stream_metrics(const std::string& path, void (*edit)(Metrics*))
+{
+    const io::Json j = io::Json::parse(io::read_file(path));
+    io::Json out = io::Json::object();
+    for (const auto& [key, value] : j.items()) {
+        if (key != "streams") {
+            out.set(key, value);
+            continue;
+        }
+        io::Json streams = io::Json::array();
+        for (size_t i = 0; i < value.size(); ++i) {
+            io::Json entry = io::Json::object();
+            for (const auto& [ek, ev] : value.at(i).items()) {
+                if (i == 0 && ek == "metrics") {
+                    Metrics m = io::metrics_from_json(ev);
+                    edit(&m);
+                    entry.set(ek, io::metrics_to_json(m));
+                } else {
+                    entry.set(ek, ev);
+                }
+            }
+            streams.push(std::move(entry));
+        }
+        out.set(key, std::move(streams));
+    }
+    io::write_file_atomic(path, out.dump(2) + "\n");
+}
+
 TEST(CampaignSpec, ExpandIsDeterministicWithDistinctSeeds)
 {
     CampaignSpec spec = small_spec("expand");
@@ -499,6 +530,45 @@ TEST(Merge, RefusesMissingShardsAndForeignConfigs)
     CampaignSpec swapped = spec;
     std::swap(swapped.policies[0], swapped.policies[1]);
     EXPECT_THROW(merge_campaign(swapped, 2, dir), std::runtime_error);
+
+    // A stream whose counts contradict its job's config: merge names the
+    // file, the stream and the field instead of tripping Metrics::merge,
+    // and resume recomputes the file instead of trusting it.
+    const std::string victim = shard_result_path(dir, spec, 0, 1, 2);
+    const std::string good = io::read_file(victim);
+    const long stream = static_cast<long>(
+        io::Json::parse(good)["streams"].at(0)["stream"].as_int());
+    const struct {
+        const char* field;
+        void (*edit)(Metrics*);
+    } cases[] = {
+        {"shots", [](Metrics* m) { m->shots += 1; }},
+        {"rounds_per_shot", [](Metrics* m) { m->rounds_per_shot += 1; }},
+        {"dlp_series", [](Metrics* m) { m->dlp_series.pop_back(); }},
+        {"decoded_shots", [](Metrics* m) { m->decoded_shots -= 1; }},
+        {"logical_errors",
+         [](Metrics* m) { m->logical_errors = m->decoded_shots + 1; }},
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(c.field);
+        edit_first_stream_metrics(victim, c.edit);
+        try {
+            merge_campaign(spec, 2, dir);
+            ADD_FAILURE() << "merge accepted a bad " << c.field;
+        } catch (const std::runtime_error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(victim), std::string::npos) << what;
+            EXPECT_NE(what.find("stream " + std::to_string(stream)),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find(c.field), std::string::npos) << what;
+        }
+        const RunShardStats rerun = run_shard(spec, 1, 2, dir, 1);
+        EXPECT_EQ(rerun.jobs_run, 1);
+        EXPECT_EQ(rerun.jobs_resumed, 1);
+        EXPECT_EQ(io::read_file(victim), good);
+        EXPECT_NO_THROW(merge_campaign(spec, 2, dir));
+    }
 }
 
 TEST(Campaign, JobPoolAndRunnerShareOneThreadBudget)

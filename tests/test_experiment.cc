@@ -180,6 +180,58 @@ TEST_P(ExperimentGolden, DlpSeriesMatchesTotals)
     EXPECT_NEAR(sum, m.dlp_total, 1e-9);
 }
 
+// One accounting pass feeds both the Metrics and the heatmap: each leak
+// population is an integer count divided once by its qubit count, so with
+// one stream and one block (no cross-block sum) they agree bit for bit.
+TEST_P(ExperimentGolden, LeakPopulationsAreHeatmapCountsOverQubitCount)
+{
+    if (!telemetry::kCompiledIn)
+        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
+    Harness h(3);
+    ExperimentConfig cfg = base_config();
+    cfg.np = NoiseParams::standard(1e-2, 1.0);  // checks leak too
+    cfg.rounds = 12;
+    cfg.shots = 40;  // < shot_block: one block
+    cfg.rng_streams = 1;
+    cfg.leakage_sampling = true;
+    cfg.record_dlp_series = true;
+    ExperimentRunner runner(h.ctx, cfg);
+    ASSERT_EQ(ExperimentRunner::n_work_units(cfg), 1);
+    telemetry::Collector::Options opt;
+    opt.heatmap = true;
+    telemetry::Collector col(std::move(opt));
+    runner.set_telemetry(&col);
+    const Metrics m = runner.run(PolicyZoo::eraser(true));
+    const telemetry::Record rec = col.merged();
+    ASSERT_TRUE(rec.heatmap.enabled());
+    ASSERT_EQ(static_cast<int>(m.dlp_series.size()), cfg.rounds);
+
+    const int n_data = h.code.n_data();
+    const int n_checks = h.code.n_checks();
+    uint64_t data = 0;
+    uint64_t checks = 0;
+    for (int r = 0; r < cfg.rounds; ++r) {
+        SCOPED_TRACE(r);
+        uint64_t row = 0;
+        for (int q = 0; q < n_data; ++q)
+            row += rec.heatmap.at(r, q);
+        for (int c = 0; c < n_checks; ++c)
+            checks += rec.heatmap.at(r, n_data + c);
+        EXPECT_EQ(m.dlp_series[static_cast<size_t>(r)],
+                  static_cast<double>(row) / n_data);
+        data += row;
+    }
+    EXPECT_GT(checks, 0u);
+    EXPECT_EQ(m.dlp_total, static_cast<double>(data) / n_data);
+    EXPECT_EQ(m.check_leak_total, static_cast<double>(checks) / n_checks);
+
+    uint64_t hist = 0;
+    for (uint64_t v : rec.leak_hist)
+        hist += v;
+    EXPECT_EQ(hist, static_cast<uint64_t>(cfg.shots) *
+                        static_cast<uint64_t>(cfg.rounds));
+}
+
 TEST_P(ExperimentGolden, NoiselessLerIsZero)
 {
     Harness h(3);

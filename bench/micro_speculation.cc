@@ -365,6 +365,105 @@ BENCHMARK(BM_PolicyObserve)
     ->Args({1, 1, 0})
     ->Args({2, 1, 0});
 
+/**
+ * The Fig 1(b) setup's LRC masks for one full sparse batch_frame batch:
+ * surface d = 11, 200 rounds, paper noise, one sampled data leak per
+ * shot, GLADIATOR+M deciding from the round's words.  Kept: each lane's
+ * injected qubit and the masks each round applied, so a replay through
+ * run_round_batch alone reproduces the captured run exactly.
+ */
+struct SimCapture {
+    int rounds = 0;
+    int lanes = 0;
+    uint64_t seed = 0;
+    std::vector<int> leak_qubit;  ///< per lane
+    std::vector<LrcWords> lrc;    ///< per round, as applied
+};
+
+const CodeBundle&
+surface11()
+{
+    static const CodeBundle bundle(SurfaceCode::make(11));
+    return bundle;
+}
+
+SimCapture
+capture_sim(int words)
+{
+    const CodeBundle& b = surface11();
+    SimCapture out;
+    out.rounds = 200;
+    out.seed = 11;
+    const std::unique_ptr<BatchSimulator> sim =
+        make_simulator(SimBackend::kBatchFrame, b.code, b.rc, kPaperNoise,
+                       out.seed, words, NoiseSampling::kSparse);
+    const std::unique_ptr<Policy> policy =
+        PolicyZoo::gladiator(true, kPaperNoise)(b.ctx, 0);
+    out.lanes = sim->batch_width();
+    std::vector<LaneMask> active(static_cast<size_t>(words), ~0ull);
+    const int n_data = b.code.n_data();
+    const int nc = b.code.n_checks();
+    sim->reset_shot_batch(out.lanes);
+    policy->begin_batch(active.data(), words);
+    Rng shot_rng(out.seed);
+    for (int l = 0; l < out.lanes; ++l) {
+        out.leak_qubit.push_back(static_cast<int>(
+            shot_rng.uniform_int(static_cast<uint32_t>(n_data))));
+        sim->inject_data_leak_lane(l, out.leak_qubit.back());
+    }
+    LrcWords lrc;
+    lrc.reset(n_data, nc, words);
+    for (int r = 0; r < out.rounds; ++r) {
+        out.lrc.push_back(lrc);
+        sim->run_round_batch(lrc);
+        RoundWords in;
+        in.n_words = words;
+        in.active = active.data();
+        in.detector = sim->detector_words();
+        in.mlr = sim->mlr_words();
+        in.meas_flip = sim->meas_flip_words();
+        in.leaked = sim->leaked_words();
+        lrc.reset(n_data, nc, words);
+        policy->observe_batch(r, in, &lrc);
+    }
+    return out;
+}
+
+void
+BM_SimRound(benchmark::State& state)
+{
+    // The simulator alone on the Fig 1(b) workload: one iteration
+    // replays a captured GLADIATOR+M batch (200 rounds of d = 11) through
+    // run_round_batch with the captured LRC masks, sparse sampling, on a
+    // reused simulator reset to the capture's seed.  Arg K: batch words.
+    // per_shot_round (printed in seconds, e.g. "150ns") is the sim stage
+    // cost per (shot, round), free of policy and accounting.
+    const int words = static_cast<int>(state.range(0));
+    static const SimCapture caps[2] = {capture_sim(1), capture_sim(2)};
+    const SimCapture& cap = caps[words == 1 ? 0 : 1];
+    const CodeBundle& b = surface11();
+    const std::unique_ptr<BatchSimulator> sim =
+        make_simulator(SimBackend::kBatchFrame, b.code, b.rc, kPaperNoise,
+                       cap.seed, words, NoiseSampling::kSparse);
+    LaneMask leaked = 0;
+    for (auto _ : state) {
+        sim->reset_for_block(cap.seed);
+        sim->reset_shot_batch(cap.lanes);
+        for (int l = 0; l < cap.lanes; ++l)
+            sim->inject_data_leak_lane(l,
+                                       cap.leak_qubit[static_cast<size_t>(l)]);
+        for (int r = 0; r < cap.rounds; ++r)
+            sim->run_round_batch(cap.lrc[static_cast<size_t>(r)]);
+        leaked |= sim->leaked_words()[0];
+    }
+    benchmark::DoNotOptimize(leaked);
+    state.counters["per_shot_round"] = benchmark::Counter(
+        static_cast<double>(cap.rounds) * static_cast<double>(cap.lanes) *
+            static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SimRound)->ArgName("K")->Arg(1)->Arg(2);
+
 void
 BM_UnionFindDecode(benchmark::State& state)
 {

@@ -7,39 +7,76 @@
 
 namespace gld {
 
-std::vector<Cube>
-QmMinimizer::prime_implicants(int n, const std::vector<uint32_t>& minterms)
+namespace {
+
+using Implicant = std::pair<uint32_t, uint32_t>;  // (value, dash_mask)
+
+/**
+ * The working vectors of one minimize() call.  Flag tables are compiled
+ * by the dozen at build, most of them a few bits wide, where fresh
+ * vectors would cost more than the minimization; each thread keeps one
+ * set and clears it per call, so a call allocates only its result.
+ */
+struct QmScratch {
+    std::vector<uint32_t> all, need;
+    std::vector<Cube> primes;
+    std::vector<Implicant> current, next, level_primes;
+    std::vector<char> combined, covered, used;
+    // slot[v] = 1 + index in `current` of (v, d) within the group of d;
+    // all zero between calls (each group clears what it set).
+    std::vector<uint32_t> slot;
+    std::vector<int> n_cover, gain;
+    std::vector<size_t> a_cover;
+};
+
+QmScratch&
+qm_scratch()
 {
-    // Iteratively combine implicants that share a dash mask and differ in
-    // exactly one cared bit.  Values never set a dashed bit, so the
-    // partner of (v, d) across cared bit b is (v | b, d) when b is clear
-    // in v: one lookup per (implicant, bit) inside v's dash-mask group
-    // finds every pair.  Each level holds every implicant of its size, so
-    // (v, d | b) is kept only from its lowest dashed bit b, once.  The
-    // primes of a level come out in (value, dash_mask) order.
-    using Implicant = std::pair<uint32_t, uint32_t>;  // (value, dash_mask)
+    static thread_local QmScratch scratch;
+    return scratch;
+}
+
+/** Sorts and deduplicates v in place. */
+void
+sort_unique(std::vector<uint32_t>* v)
+{
+    std::sort(v->begin(), v->end());
+    v->erase(std::unique(v->begin(), v->end()), v->end());
+}
+
+/**
+ * The prime implicants of `minterms` (sorted, unique) into `primes`.
+ *
+ * Iteratively combine implicants that share a dash mask and differ in
+ * exactly one cared bit.  Values never set a dashed bit, so the partner
+ * of (v, d) across cared bit b is (v | b, d) when b is clear in v: one
+ * lookup per (implicant, bit) inside v's dash-mask group finds every
+ * pair.  Each level holds every implicant of its size, so (v, d | b) is
+ * kept only from its lowest dashed bit b, once.  The primes of a level
+ * come out in (value, dash_mask) order.
+ */
+void
+prime_implicants(int n, const std::vector<uint32_t>& minterms,
+                 QmScratch& s, std::vector<Cube>* primes)
+{
     const auto dash_major = [](const Implicant& a, const Implicant& b) {
         return a.second != b.second ? a.second < b.second
                                     : a.first < b.first;
     };
-    std::vector<Implicant> current;  // one level, dash-major
-    current.reserve(minterms.size());
+    std::vector<Implicant>& current = s.current;  // one level, dash-major
+    std::vector<Implicant>& next = s.next;
+    current.clear();
     for (uint32_t m : minterms)
         current.push_back({m, 0});
-    std::sort(current.begin(), current.end());
-    current.erase(std::unique(current.begin(), current.end()),
-                  current.end());
 
     const uint32_t all = (1u << n) - 1;
-    std::vector<Cube> primes;
-    std::vector<Implicant> next;
-    std::vector<Implicant> level_primes;
-    std::vector<char> combined;
-    // slot[v] = 1 + index in `current` of (v, d) within the group of d.
-    std::vector<uint32_t> slot(size_t{1} << n, 0);
+    primes->clear();
+    std::vector<uint32_t>& slot = s.slot;
+    if (slot.size() < (size_t{1} << n))
+        slot.assign(size_t{1} << n, 0);
     while (!current.empty()) {
         next.clear();
-        combined.assign(current.size(), 0);
+        s.combined.assign(current.size(), 0);
         for (size_t g = 0; g < current.size();) {
             const uint32_t dash = current[g].second;
             const uint32_t lowest_dash = dash & (~dash + 1);
@@ -55,8 +92,8 @@ QmMinimizer::prime_implicants(int n, const std::vector<uint32_t>& minterms)
                     const uint32_t partner = slot[value | bit];
                     if (partner == 0)
                         continue;
-                    combined[i] = 1;
-                    combined[partner - 1] = 1;
+                    s.combined[i] = 1;
+                    s.combined[partner - 1] = 1;
                     if (dash == 0 || bit < lowest_dash)
                         next.push_back({value, dash | bit});
                 }
@@ -65,19 +102,20 @@ QmMinimizer::prime_implicants(int n, const std::vector<uint32_t>& minterms)
                 slot[current[i].first] = 0;
             g = end;
         }
-        level_primes.clear();
+        s.level_primes.clear();
         for (size_t i = 0; i < current.size(); ++i) {
-            if (!combined[i])
-                level_primes.push_back(current[i]);
+            if (!s.combined[i])
+                s.level_primes.push_back(current[i]);
         }
-        std::sort(level_primes.begin(), level_primes.end());
-        for (const Implicant& p : level_primes)
-            primes.push_back({p.first, p.second});
+        std::sort(s.level_primes.begin(), s.level_primes.end());
+        for (const Implicant& p : s.level_primes)
+            primes->push_back({p.first, p.second});
         std::sort(next.begin(), next.end(), dash_major);
         current.swap(next);
     }
-    return primes;
 }
+
+}  // namespace
 
 std::vector<Cube>
 QmMinimizer::minimize(int n, const std::vector<uint32_t>& onset,
@@ -86,18 +124,19 @@ QmMinimizer::minimize(int n, const std::vector<uint32_t>& onset,
     assert(n >= 1 && n <= 20);
     if (onset.empty())
         return {};
+    QmScratch& s = qm_scratch();
 
-    std::vector<uint32_t> all = onset;
-    all.insert(all.end(), dontcare.begin(), dontcare.end());
-    std::sort(all.begin(), all.end());
-    all.erase(std::unique(all.begin(), all.end()), all.end());
+    s.all.assign(onset.begin(), onset.end());
+    s.all.insert(s.all.end(), dontcare.begin(), dontcare.end());
+    sort_unique(&s.all);
 
-    std::vector<Cube> primes = prime_implicants(n, all);
+    const std::vector<Cube>& primes = s.primes;
+    prime_implicants(n, s.all, s, &s.primes);
 
     // Cover only the real onset (don't-cares need no cover).
-    std::vector<uint32_t> need = onset;
-    std::sort(need.begin(), need.end());
-    need.erase(std::unique(need.begin(), need.end()), need.end());
+    std::vector<uint32_t>& need = s.need;
+    need.assign(onset.begin(), onset.end());
+    sort_unique(&need);
 
     const size_t n_primes = primes.size();
     const size_t n_need = need.size();
@@ -105,8 +144,10 @@ QmMinimizer::minimize(int n, const std::vector<uint32_t>& onset,
         return primes[p].covers(need[m]);
     };
     // Per onset minterm: how many primes cover it, and the last that does.
-    std::vector<int> n_cover(n_need, 0);
-    std::vector<size_t> a_cover(n_need, 0);
+    std::vector<int>& n_cover = s.n_cover;
+    std::vector<size_t>& a_cover = s.a_cover;
+    n_cover.assign(n_need, 0);
+    a_cover.assign(n_need, 0);
     for (size_t p = 0; p < n_primes; ++p) {
         for (size_t m = 0; m < n_need; ++m) {
             if (covers(p, m)) {
@@ -117,8 +158,11 @@ QmMinimizer::minimize(int n, const std::vector<uint32_t>& onset,
     }
 
     std::vector<Cube> chosen;
-    std::vector<char> covered(n_need, 0);
-    std::vector<char> used(n_primes, 0);
+    chosen.reserve(std::min(n_primes, n_need));
+    std::vector<char>& covered = s.covered;
+    std::vector<char>& used = s.used;
+    covered.assign(n_need, 0);
+    used.assign(n_primes, 0);
 
     // Essential primes: minterms covered by exactly one prime.
     for (size_t m = 0; m < n_need; ++m) {
@@ -128,7 +172,8 @@ QmMinimizer::minimize(int n, const std::vector<uint32_t>& onset,
         }
     }
     // gain[p] = the still-uncovered minterms prime p covers.
-    std::vector<int> gain(n_primes, 0);
+    std::vector<int>& gain = s.gain;
+    gain.assign(n_primes, 0);
     for (size_t m = 0; m < n_need; ++m) {
         for (size_t p = 0; p < n_primes && !covered[m]; ++p)
             covered[m] = used[p] && covers(p, m);

@@ -51,10 +51,6 @@ class QmMinimizer {
 
     /** Renders a full DNF expression. */
     static std::string to_string(const std::vector<Cube>& cubes, int n);
-
-  private:
-    static std::vector<Cube> prime_implicants(
-        int n, const std::vector<uint32_t>& minterms);
 };
 
 }  // namespace gld

@@ -52,17 +52,31 @@ BatchLeakageDriver::BatchLeakageDriver(const CssCode& code,
         lane_oracles_[static_cast<size_t>(l)].bind(this, l);
     if (state_ == nullptr)
         frame_.assign(nq * 2 * W, 0);
-    // The sparse plans' site counts, in execution order: every data qubit
-    // is one p and one pl site; every op is one p site; every CNOT adds a
-    // pl pair and every measurement an MLR site.
-    n_p_sites_ = static_cast<uint32_t>(code.n_data() + rc.ops().size());
-    n_pl_sites_ = static_cast<uint32_t>(code.n_data());
+    // The planned sites, in execution order: every data qubit is one p
+    // and one pl site; every op is one p site; every CNOT adds a pl pair
+    // and every measurement an MLR site.  Resets and measurements draw no
+    // payload at their p site, nor does any MLR site: those get event
+    // words, the rest are listed.
+    p_slot_.assign(static_cast<size_t>(code.n_data()), kListed);
+    pl_slot_.assign(static_cast<size_t>(code.n_data()), kListed);
+    uint32_t n_p_words = 0;
     for (const Op& op : rc.ops()) {
+        const bool payload_free =
+            op.type == OpType::kResetZ || op.type == OpType::kMeasure;
+        p_slot_.push_back(payload_free ? n_p_words++ : kListed);
         if (op.type == OpType::kCnot)
-            n_pl_sites_ += 2;
+            pl_slot_.insert(pl_slot_.end(), 2, kListed);
         else if (op.type == OpType::kMeasure)
-            ++n_mlr_sites_;
+            mlr_slot_.push_back(static_cast<uint32_t>(mlr_slot_.size()));
+        if (runs_.empty() || runs_.back().type != op.type)
+            runs_.push_back({op.type, 0});
+        ++runs_.back().end;
     }
+    for (size_t r = 1; r < runs_.size(); ++r)
+        runs_[r].end += runs_[r - 1].end;
+    ev_p_.assign(n_p_words * W, 0);
+    ev_mlr_.assign(mlr_slot_.size() * W, 0);
+    lrc_req_.resize(static_cast<size_t>(code.n_data() + code.n_checks()));
     // Like the scalar driver, shot 0's stream is live from construction
     // (one active lane) so primitive-level probing before any reset works.
     // Sparse mode has no lane streams: its one event stream (armed the
@@ -434,15 +448,19 @@ BatchLeakageDriver::bernoulli_mask(LaneRate& rate,
 }
 
 void
-BatchLeakageDriver::plan_round(LaneRate& rate, uint32_t n_sites,
-                               RoundPlan* plan)
+BatchLeakageDriver::plan_round(LaneRate& rate,
+                               const std::vector<uint32_t>& slot,
+                               LaneMask* words, RoundPlan* plan)
 {
     plan->events.clear();
     if (!rate.never) {
         // Active lanes are always the prefix [0, n_lanes), so a position's
-        // lane index is its global lane.
+        // lane index is its global lane.  A full batch (64*K lanes, K a
+        // power of two) splits a position with a shift, not a division.
         const uint64_t n = static_cast<uint64_t>(n_lanes_);
-        const uint64_t total = static_cast<uint64_t>(n_sites) * n;
+        const uint64_t total = static_cast<uint64_t>(slot.size()) * n;
+        const int shift = (n & (n - 1)) == 0 ? __builtin_ctzll(n) : -1;
+        const size_t Ws = static_cast<size_t>(words_);
         uint64_t pos = 0;
         if (!rate.always) {
             if (!rate.skip_valid) {
@@ -452,9 +470,14 @@ BatchLeakageDriver::plan_round(LaneRate& rate, uint32_t n_sites,
             pos = rate.skip;
         }
         while (pos < total) {
-            const uint64_t site = pos / n;
-            plan->events.push_back({static_cast<uint32_t>(site),
-                                    static_cast<uint32_t>(pos - site * n)});
+            const uint64_t site = shift >= 0 ? pos >> shift : pos / n;
+            const uint64_t lane = pos - site * n;
+            const uint32_t s = slot[site];
+            if (s == kListed)
+                plan->events.push_back({static_cast<uint32_t>(site),
+                                        static_cast<uint32_t>(lane)});
+            else
+                words[s * Ws + (lane >> 6)] |= 1ull << (lane & 63);
             pos += 1 + (rate.always ? 0 : sparse_geometric(rate));
         }
         if (!rate.always)
@@ -641,18 +664,56 @@ BatchLeakageDriver::lrc_gadgets(const LrcWords& lrc)
     // and within a gadget the scalar order of flag steps and draws.
     const int W = WT > 0 ? WT : words_;
     const size_t Ws = static_cast<size_t>(W);
-    LaneMask m[kMaxBatchWords], hit[kMaxBatchWords];
-    const auto requested = [&](const LaneMask* req) {
-        LaneMask any = 0;
-        for (int w = 0; w < W; ++w) {
-            m[w] = req[w] & active_[w];
-            any |= m[w];
+    const int n_data = code_->n_data();
+    const int n_checks = code_->n_checks();
+    // The requesting qubits, in gadget order, and their clipped request
+    // popcounts: the positions each gadget rate walks this round.
+    int* req = lrc_req_.data();
+    int n_req_data = 0, n_req = 0;
+    uint64_t data_pos = 0, check_pos = 0;
+    const auto scan = [&](const LaneMask* words, int n, uint64_t* pos) {
+        for (int i = 0; i < n; ++i) {
+            LaneMask any = 0;
+            for (int w = 0; w < W; ++w) {
+                const LaneMask m = words[static_cast<size_t>(i) * Ws +
+                                         static_cast<size_t>(w)] &
+                                   active_[w];
+                any |= m;
+                *pos += static_cast<uint64_t>(__builtin_popcountll(m));
+            }
+            req[n_req] = i;
+            n_req += any != 0;
         }
-        return any;
     };
-    for (int q = 0; q < code_->n_data(); ++q) {
-        if (requested(&lrc.data[static_cast<size_t>(q) * Ws]) == 0)
-            continue;
+    scan(lrc.data.data(), n_data, &data_pos);
+    n_req_data = n_req;
+    scan(lrc.checks.data(), n_checks, &check_pos);
+    if (n_req == 0)
+        return;
+    // The quiet round: both countdowns outlast every gadget position, so
+    // no site can fire.  Subtracting the counts up front is exactly the
+    // per-site quiet path of bernoulli_mask, summed.
+    const auto outlasts = [](const LaneRate& rate, uint64_t count) {
+        return rate.never || (rate.skip_valid && rate.skip >= count);
+    };
+    const bool quiet = sparse_ && outlasts(rate_lrc_depol_, data_pos) &&
+                       outlasts(rate_lrc_leak_, data_pos + check_pos);
+    if (quiet) {
+        if (rate_lrc_depol_.skip_valid)
+            rate_lrc_depol_.skip -= data_pos;
+        if (rate_lrc_leak_.skip_valid)
+            rate_lrc_leak_.skip -= data_pos + check_pos;
+    }
+    LaneMask m[kMaxBatchWords], hit[kMaxBatchWords];
+    const auto requested = [&](const LaneMask* words, int i) {
+        for (int w = 0; w < W; ++w)
+            m[w] = words[static_cast<size_t>(i) * Ws +
+                         static_cast<size_t>(w)] &
+                   active_[w];
+    };
+    for (int k = 0; k < n_req_data; ++k) {
+        const int q = req[k];
+        requested(lrc.data.data(), q);
         // SWAP with the partner ancilla + reset: the flags are
         // exchanged, so a false-positive LRC against a leaked partner
         // pumps the leak IN.
@@ -668,6 +729,8 @@ BatchLeakageDriver::lrc_gadgets(const LrcWords& lrc)
         } else {
             clear_leak(q, m);
         }
+        if (quiet)
+            continue;
         // Gadget noise: depolarization, then leakage induction.
         if (bernoulli_mask<WT>(rate_lrc_depol_, m, hit) != 0) {
             LaneMask xs[kMaxBatchWords], zs[kMaxBatchWords];
@@ -684,13 +747,13 @@ BatchLeakageDriver::lrc_gadgets(const LrcWords& lrc)
         if (bernoulli_mask<WT>(rate_lrc_leak_, m, hit) != 0)
             set_leak_t<WT>(q, hit);
     }
-    for (int c = 0; c < code_->n_checks(); ++c) {
-        if (requested(&lrc.checks[static_cast<size_t>(c) * Ws]) == 0)
-            continue;
+    for (int k = n_req_data; k < n_req; ++k) {
+        const int c = req[k];
+        requested(lrc.checks.data(), c);
         const int anc = code_->ancilla_of(c);
         clear_leak(anc, m);
         reset_z_t<WT>(anc, m);
-        if (bernoulli_mask<WT>(rate_lrc_leak_, m, hit) != 0)
+        if (!quiet && bernoulli_mask<WT>(rate_lrc_leak_, m, hit) != 0)
             set_leak_t<WT>(anc, hit);
     }
 }
@@ -719,6 +782,207 @@ BatchLeakageDriver::readout(const LaneMask* measured, const LaneMask* lk,
 }
 
 template <int WT>
+void
+BatchLeakageDriver::op_handler(const Op& op, uint32_t p_site,
+                               uint32_t pl_site, uint32_t mlr_site)
+{
+    const int W = WT > 0 ? WT : words_;
+    const size_t Ws = static_cast<size_t>(W);
+    switch (op.type) {
+      case OpType::kResetZ: {
+        // Reset skips leaked lanes entirely: no state touch, no init-error
+        // event (scalar semantics) — hence the masked event words.
+        const LaneMask* lq = leaked(op.q0);
+        LaneMask ok[kMaxBatchWords];
+        LaneMask any_ok = 0;
+        for (int w = 0; w < W; ++w) {
+            ok[w] = active_[w] & ~lq[w];
+            any_ok |= ok[w];
+        }
+        if (any_ok != 0)
+            reset_z_t<WT>(op.q0, ok);
+        LaneMask* ev = p_event_words(p_site);
+        if (!sparse_)
+            bernoulli_mask<WT>(rate_p_, ok, ev);
+        LaneMask flip[kMaxBatchWords];
+        LaneMask any_flip = 0;
+        for (int w = 0; w < W; ++w) {
+            flip[w] = ev[w] & ok[w];
+            any_flip |= flip[w];
+            ev[w] = 0;
+        }
+        if (any_flip != 0) {
+            LaneMask none[kMaxBatchWords];
+            lanes_zero(none, W);
+            pauli_t<WT>(op.q0, flip, none);
+        }
+        break;
+      }
+      case OpType::kH: {
+        const LaneMask* lq = leaked(op.q0);
+        LaneMask ok[kMaxBatchWords];
+        LaneMask any_ok = 0;
+        for (int w = 0; w < W; ++w) {
+            ok[w] = active_[w] & ~lq[w];
+            any_ok |= ok[w];
+        }
+        if (any_ok != 0)
+            hadamard_t<WT>(op.q0, ok);
+        depolarize1<WT>(op.q0, p_site);
+        break;
+      }
+      case OpType::kCnot:
+        cnot<WT>(op.q0, op.q1, p_site, pl_site);
+        break;
+      case OpType::kMeasure: {
+        const int anc = op.q0;
+        const LaneMask* la = leaked(anc);
+        LaneMask lk[kMaxBatchWords], ok[kMaxBatchWords];
+        for (int w = 0; w < W; ++w) {
+            lk[w] = active_[w] & la[w];
+            ok[w] = active_[w] & ~lk[w];
+        }
+        LaneMask measured[kMaxBatchWords], err[kMaxBatchWords];
+        measure_z_t<WT>(anc, measured);
+        LaneMask* ev = p_event_words(p_site);
+        if (!sparse_)
+            bernoulli_mask<WT>(rate_p_, ok, ev);
+        for (int w = 0; w < W; ++w) {
+            err[w] = ev[w] & ok[w];
+            ev[w] = 0;
+        }
+        readout<WT>(measured, lk, ok, err,
+                    &meas_flip_[static_cast<size_t>(op.mslot) * Ws]);
+        // MLR leak flag with symmetric misclassification.
+        LaneMask* mev = mlr_event_words(mlr_site);
+        if (!sparse_)
+            bernoulli_mask<WT>(rate_mlr_, active_, mev);
+        LaneMask* mlrw = &mlr_flag_[static_cast<size_t>(op.mslot) * Ws];
+        for (int w = 0; w < W; ++w) {
+            mlrw[w] = lk[w] ^ (mev[w] & active_[w]);
+            mev[w] = 0;
+        }
+        break;
+      }
+    }
+}
+
+template <int WT>
+__attribute__((always_inline)) inline void
+BatchLeakageDriver::run_ops(bool inline_frame)
+{
+    // Op i is p site n_data+i; the pl and MLR site ids advance in
+    // execution order.  Each run is one op type: on the inline frame a
+    // quiet op is its clean-lane word op below, and an op with a listed
+    // event or (CNOT, measurement) a leaked active lane takes the
+    // handler.  Resets and H need no handler for leaked lanes: their
+    // masked word op is exact, and a reset's init errors are event words.
+    const int W = WT > 0 ? WT : words_;
+    const size_t Ws = static_cast<size_t>(W);
+    const Op* ops = rc_->ops().data();
+    const uint32_t n_data = static_cast<uint32_t>(code_->n_data());
+    uint32_t i = 0;
+    uint32_t pl_site = n_data;
+    uint32_t mlr_site = 0;
+    for (const OpRun& run : runs_) {
+        switch (run.type) {
+          case OpType::kResetZ:
+            for (; i < run.end; ++i) {
+                const uint32_t p_site = n_data + i;
+                if (!inline_frame) {
+                    op_handler<WT>(ops[i], p_site, pl_site, mlr_site);
+                    continue;
+                }
+                const int q = ops[i].q0;
+                const LaneMask* lq = leaked(q);
+                LaneMask* f = frame(q);
+                LaneMask* ev = p_event_words(p_site);
+                for (int w = 0; w < W; ++w) {
+                    const LaneMask ok = active_[w] & ~lq[w];
+                    f[w] = (f[w] & ~ok) ^ (ev[w] & ok);
+                    f[W + w] &= ~ok;
+                    ev[w] = 0;
+                }
+            }
+            break;
+          case OpType::kH:
+            for (; i < run.end; ++i) {
+                const uint32_t p_site = n_data + i;
+                if (!inline_frame || plan_p_.next->site == p_site) {
+                    op_handler<WT>(ops[i], p_site, pl_site, mlr_site);
+                    continue;
+                }
+                const LaneMask* lq = leaked(ops[i].q0);
+                LaneMask* f = frame(ops[i].q0);
+                for (int w = 0; w < W; ++w) {
+                    const LaneMask diff =
+                        (f[w] ^ f[W + w]) & active_[w] & ~lq[w];
+                    f[w] ^= diff;
+                    f[W + w] ^= diff;
+                }
+            }
+            break;
+          case OpType::kCnot:
+            for (; i < run.end; ++i, pl_site += 2) {
+                const uint32_t p_site = n_data + i;
+                if (!inline_frame || plan_p_.next->site == p_site ||
+                    plan_pl_.next->site <= pl_site + 1) {
+                    op_handler<WT>(ops[i], p_site, pl_site, mlr_site);
+                    continue;
+                }
+                const LaneMask* cl = leaked(ops[i].q0);
+                const LaneMask* tl = leaked(ops[i].q1);
+                LaneMask branch = 0;
+                for (int w = 0; w < W; ++w)
+                    branch |= active_[w] & (cl[w] ^ tl[w]);
+                if (branch != 0) {
+                    op_handler<WT>(ops[i], p_site, pl_site, mlr_site);
+                    continue;
+                }
+                // X copies c->t, Z copies t->c, on the lanes with
+                // neither qubit leaked.
+                LaneMask* c = frame(ops[i].q0);
+                LaneMask* t = frame(ops[i].q1);
+                for (int w = 0; w < W; ++w) {
+                    const LaneMask clean = active_[w] & ~cl[w] & ~tl[w];
+                    t[w] ^= c[w] & clean;
+                    c[W + w] ^= t[W + w] & clean;
+                }
+            }
+            break;
+          case OpType::kMeasure:
+            for (; i < run.end; ++i, ++mlr_site) {
+                const uint32_t p_site = n_data + i;
+                const int anc = ops[i].q0;
+                const LaneMask* la = leaked(anc);
+                LaneMask lk = 0;
+                for (int w = 0; w < W; ++w)
+                    lk |= active_[w] & la[w];
+                if (!inline_frame || lk != 0) {
+                    op_handler<WT>(ops[i], p_site, pl_site, mlr_site);
+                    continue;
+                }
+                // No lane leaked: the readout is the X frame through the
+                // readout-error words, and MLR is the misclassification.
+                const LaneMask* f = frame(anc);
+                LaneMask* ev = p_event_words(p_site);
+                LaneMask* mev = mlr_event_words(mlr_site);
+                const size_t slot = static_cast<size_t>(ops[i].mslot) * Ws;
+                for (int w = 0; w < W; ++w) {
+                    meas_flip_[slot + static_cast<size_t>(w)] =
+                        (f[w] ^ ev[w]) & active_[w];
+                    mlr_flag_[slot + static_cast<size_t>(w)] =
+                        mev[w] & active_[w];
+                    ev[w] = 0;
+                    mev[w] = 0;
+                }
+            }
+            break;
+        }
+    }
+}
+
+template <int WT>
 __attribute__((always_inline)) inline void
 BatchLeakageDriver::run_round_t(const LrcWords& lrc)
 {
@@ -731,94 +995,42 @@ BatchLeakageDriver::run_round_t(const LrcWords& lrc)
 
     // Sparse: plan the round's p, pl and MLR events up front.
     if (sparse_) {
-        plan_round(rate_p_, n_p_sites_, &plan_p_);
-        plan_round(rate_pl_, n_pl_sites_, &plan_pl_);
-        plan_round(rate_mlr_, n_mlr_sites_, &plan_mlr_);
+        plan_round(rate_p_, p_slot_, ev_p_.data(), &plan_p_);
+        plan_round(rate_pl_, pl_slot_, nullptr, &plan_pl_);
+        plan_round(rate_mlr_, mlr_slot_, ev_mlr_.data(), &plan_mlr_);
     }
 
-    // 2. Round-start data noise: depolarization + environment leakage.
-    const int n_data = code_->n_data();
-    for (int q = 0; q < n_data; ++q) {
-        depolarize1<WT>(q, static_cast<uint32_t>(q));
-        leak_maybe<WT>(q, static_cast<uint32_t>(q));
-    }
-
-    // 3. The scheduled extraction circuit, word-wide.  Op i is p site
-    //    n_data+i; the pl and MLR site ids advance in execution order.
-    uint32_t p_site = static_cast<uint32_t>(n_data);
-    uint32_t pl_site = static_cast<uint32_t>(n_data);
-    uint32_t mlr_site = 0;
-    for (const Op& op : rc_->ops()) {
-        switch (op.type) {
-          case OpType::kResetZ: {
-            // Reset skips leaked lanes entirely: no state touch, no
-            // init-error event (scalar semantics) — hence the masked site.
-            const LaneMask* lq = leaked(op.q0);
-            LaneMask ok[kMaxBatchWords];
-            LaneMask any_ok = 0;
-            for (int w = 0; w < W; ++w) {
-                ok[w] = active_[w] & ~lq[w];
-                any_ok |= ok[w];
-            }
-            if (any_ok != 0)
-                reset_z_t<WT>(op.q0, ok);
-            // Visited even with every lane masked off: sparse drops the
-            // events planned on it (lockstep draws nothing for no lanes).
-            LaneMask flip[kMaxBatchWords];
-            if (round_site<WT>(rate_p_, plan_p_, p_site, ok, flip) != 0) {
-                LaneMask none[kMaxBatchWords];
-                lanes_zero(none, W);
-                pauli_t<WT>(op.q0, flip, none);
-            }
-            break;
-          }
-          case OpType::kH: {
-            const LaneMask* lq = leaked(op.q0);
-            LaneMask ok[kMaxBatchWords];
-            LaneMask any_ok = 0;
-            for (int w = 0; w < W; ++w) {
-                ok[w] = active_[w] & ~lq[w];
-                any_ok |= ok[w];
-            }
-            if (any_ok != 0)
-                hadamard_t<WT>(op.q0, ok);
-            depolarize1<WT>(op.q0, p_site);
-            break;
-          }
-          case OpType::kCnot:
-            cnot<WT>(op.q0, op.q1, p_site, pl_site);
-            pl_site += 2;
-            break;
-          case OpType::kMeasure: {
-            const int anc = op.q0;
-            const LaneMask* la = leaked(anc);
-            LaneMask lk[kMaxBatchWords], ok[kMaxBatchWords];
-            for (int w = 0; w < W; ++w) {
-                lk[w] = active_[w] & la[w];
-                ok[w] = active_[w] & ~lk[w];
-            }
-            LaneMask measured[kMaxBatchWords], err[kMaxBatchWords];
-            measure_z_t<WT>(anc, measured);
-            round_site<WT>(rate_p_, plan_p_, p_site, ok, err);
-            readout<WT>(measured, lk, ok, err,
-                        &meas_flip_[static_cast<size_t>(op.mslot) * Ws]);
-            // MLR leak flag with symmetric misclassification.
-            LaneMask* mlrw =
-                &mlr_flag_[static_cast<size_t>(op.mslot) * Ws];
-            LaneMask mlrt[kMaxBatchWords];
-            round_site<WT>(rate_mlr_, plan_mlr_, mlr_site, active_, mlrt);
-            ++mlr_site;
-            for (int w = 0; w < W; ++w)
-                mlrw[w] = lk[w] ^ mlrt[w];
-            break;
-          }
+    // 2. Round-start data noise: depolarization + environment leakage,
+    //    per data qubit in order.  Sparse visits only the qubits with a
+    //    listed event (a quiet qubit makes no call in either order).
+    const uint32_t n_data = static_cast<uint32_t>(code_->n_data());
+    if (sparse_) {
+        for (;;) {
+            const uint32_t q =
+                std::min(plan_p_.next->site, plan_pl_.next->site);
+            if (q >= n_data)
+                break;
+            depolarize1<WT>(static_cast<int>(q), q);
+            leak_maybe<WT>(static_cast<int>(q), q);
         }
-        ++p_site;
+    } else {
+        for (uint32_t q = 0; q < n_data; ++q) {
+            depolarize1<WT>(static_cast<int>(q), q);
+            leak_maybe<WT>(static_cast<int>(q), q);
+        }
     }
-    // Every planned event was consumed: no site id was skipped.
+
+    // 3. The scheduled extraction circuit, word-wide.
+    run_ops<WT>(sparse_ && state_ == nullptr);
+    // Every planned event was consumed: no listed site was skipped, and
+    // every event word was read and zeroed by its site.
     assert(!sparse_ || (plan_p_.next->site == kNoSite &&
                         plan_pl_.next->site == kNoSite &&
                         plan_mlr_.next->site == kNoSite));
+    assert(std::all_of(ev_p_.begin(), ev_p_.end(),
+                       [](LaneMask m) { return m == 0; }) &&
+           std::all_of(ev_mlr_.begin(), ev_mlr_.end(),
+                       [](LaneMask m) { return m == 0; }));
 
     // 4. Detector words (also advances prev_meas_): together with the
     //    meas-flip and MLR words, the round's live word views.

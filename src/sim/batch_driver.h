@@ -30,13 +30,22 @@ namespace gld {
  *
  * The driver keeps five rates.  The round's p, pl() and mlr_err() rates
  * are planned: at round start the countdown is walked over the whole
- * round's (site x active lane) positions and the events are listed, so a
- * quiet site is one compare of its id with the next planned event; the
- * leftover countdown carries into the next round (and, for p, into the
- * final readout).  The LRC gadgets' lrc_depol() and lrc_leak() rates
- * and the final readout consume their countdown site by site (an inline
- * quiet path — subtract the site's popcount, zero the output — and an
- * out-of-line event path that draws).
+ * round's (site x active lane) positions; the leftover countdown carries
+ * into the next round (and, for p, into the final readout).  A planned
+ * event lands in one of two places (see BatchLeakageDriver):
+ *  - an event WORD, when its site never draws a payload: every MLR site,
+ *    and the p site of every reset (the init error) and of every
+ *    measurement (the readout error).  Each such site owns one lane span
+ *    the plan ORs its events into and the site consumes with one masked
+ *    word op;
+ *  - the event LIST otherwise (the depolarizing p sites and every pl
+ *    site), so a quiet site is one compare of its id with the next
+ *    listed event.
+ * The LRC gadgets' lrc_depol() and lrc_leak() rates and the final
+ * readout consume their countdown site by site (an inline quiet path —
+ * subtract the site's popcount, zero the output — and an out-of-line
+ * event path that draws); a round whose gadget positions both
+ * countdowns outlast skips the per-site draws altogether.
  */
 struct LaneRate {
     double p = 0.0;
@@ -135,15 +144,28 @@ class BatchStatePrimitives {
  *    fixed position space: the rate's sites (numbered at construction
  *    in execution order — p: data qubit q is site q, op i of the
  *    RoundCircuit is site n_data+i; pl: data qubit q, then a pair per
- *    CNOT; MLR: one per measurement) times the active lanes.  A masked
- *    site (the reset init error, the readout error) discards the events
- *    that fall on its masked-out (leaked) lanes — exact, since every
- *    position is an iid draw.  Payload draws (Pauli choice, transport,
- *    readout coin) come from the same stream as the round executes, in
- *    ascending lane order per site.  Events depend only on (seed,
- *    stream, block), so results are bit-identical across thread counts
- *    and shard splits, and agree with the scalar backends statistically
- *    (the `gld_campaign verify` referee).
+ *    CNOT; MLR: one per measurement) times the active lanes.  Events at
+ *    the payload-free sites (every MLR site; the p site of every reset
+ *    and every measurement) are ORed into that site's event words; the
+ *    rest are listed in position order.  A masked site (the reset init
+ *    error, the readout error) discards the events that fall on its
+ *    masked-out (leaked) lanes — exact, since every position is an iid
+ *    draw.  Payload draws (Pauli choice, transport, readout coin) come
+ *    from the same stream as the round executes, in ascending lane order
+ *    per site; where an event lands changes no draw and no draw order.
+ *    Events depend only on (seed, stream, block), so results are
+ *    bit-identical across thread counts and shard splits, and agree with
+ *    the scalar backends statistically (the `gld_campaign verify`
+ *    referee).
+ *  - The sparse round on the inline frame (batch_frame) runs the ops in
+ *    typed runs (resets, H, CNOT steps, H, measurements — the
+ *    RoundCircuit's order): a quiet op is its clean-lane word op, and an
+ *    op takes the out-of-line handler only when it holds a listed (p or
+ *    pl) event or, for a CNOT or a measurement, an active lane of its
+ *    qubits is leaked.  Under lockstep, and on a backend with its own
+ *    primitives (batch_tableau), every op takes the handler; lockstep
+ *    fills a payload-free site's event words with its per-lane draw at
+ *    the site, so both modes consume them the same way.
  *  - kLockstep, the scalar-aligned reference: lane l owns a plain Rng,
  *    master.split(shot_base + l) — exactly the stream the SCALAR driver
  *    uses for its (shot_base + l)-th shot — and every draw of the lane is
@@ -363,8 +385,26 @@ class BatchLeakageDriver final {
     template <int WT>
     void cnot(int control, int target, uint32_t p_site, uint32_t pl_site);
     template <int WT> void set_leak_t(int q, const LaneMask* lanes);
-    /** Step 1 of a round: every scheduled LRC gadget, word-wide. */
+    /**
+     * Step 1 of a round: every scheduled LRC gadget, word-wide.  When
+     * both gadget countdowns outlast the round's gadget positions (the
+     * clipped request popcounts), the counts are subtracted up front and
+     * only the flag swaps and resets run.
+     */
     template <int WT> void lrc_gadgets(const LrcWords& lrc);
+    /**
+     * One op of the round circuit as the full site (the slow path of the
+     * typed runs, and every op under lockstep or backend primitives):
+     * leak branches, listed events with their payloads, and the event
+     * words of a payload-free site (drawn here under lockstep), which it
+     * consumes and zeroes.
+     */
+    template <int WT>
+    __attribute__((noinline)) void op_handler(const Op& op, uint32_t p_site,
+                                              uint32_t pl_site,
+                                              uint32_t mlr_site);
+    /** The round circuit as typed op runs (step 3 of a round). */
+    template <int WT> void run_ops(bool inline_frame);
 
     // The quantum state: the driver's own packed X/Z Pauli frame when it
     // was built without primitives (state_ == nullptr), plain word ops
@@ -395,9 +435,10 @@ class BatchLeakageDriver final {
      * p<=0 / p>=1 short-circuits too.  Sparse resolves a quiet site
      * inline — a zero rate, or a live countdown of at least
      * popcount(mask), which is decremented — by zeroing `out`, and calls
-     * the out-of-line sparse_bernoulli_mask for everything else.  The
-     * round's p/pl/MLR sites use round_site instead; this countdown path
-     * serves the LRC-gadget sites and the final readout.
+     * the out-of-line sparse_bernoulli_mask for everything else.  Under
+     * sparse the round's p/pl/MLR sites are planned instead (round_site
+     * and the event words); this countdown path serves the LRC-gadget
+     * sites and the final readout.
      */
     template <int WT>
     LaneMask bernoulli_mask(LaneRate& rate, const LaneMask* mask,
@@ -427,9 +468,9 @@ class BatchLeakageDriver final {
     static int kth_set_lane(const LaneMask* mask, int n_words, uint64_t k);
 
     /**
-     * One planned round rate (sparse): this round's events as (site,
-     * lane) pairs in position order, closed by a kNoSite sentinel, and
-     * a cursor on the next one not yet consumed.
+     * One planned round rate (sparse): this round's listed events as
+     * (site, lane) pairs in position order, closed by a kNoSite
+     * sentinel, and a cursor on the next one not yet consumed.
      */
     struct RoundPlan {
         struct Event {
@@ -440,18 +481,37 @@ class BatchLeakageDriver final {
         const Event* next = nullptr;
     };
     static constexpr uint32_t kNoSite = ~0u;
+    /** A site's entry in a plan's slot table: its events are listed. */
+    static constexpr uint32_t kListed = ~0u;
 
     /**
-     * Lists the events of `rate` over this round's n_sites x n_lanes()
+     * Plans the events of `rate` over this round's n_sites x n_lanes()
      * positions (position = site*n_lanes() + lane), continuing the
-     * rate's countdown and leaving the remainder in it.  A zero rate
-     * draws nothing; p >= 1 lists every position without drawing.
+     * rate's countdown and leaving the remainder in it.  An event whose
+     * site has a slot s in `slot` (one entry per site) is ORed into
+     * span s of `words`; an event whose slot is kListed goes on the
+     * plan's list.  A zero rate draws nothing; p >= 1 plans every
+     * position without drawing.
      */
-    void plan_round(LaneRate& rate, uint32_t n_sites, RoundPlan* plan);
+    void plan_round(LaneRate& rate, const std::vector<uint32_t>& slot,
+                    LaneMask* words, RoundPlan* plan);
+
+    /** The event-word span of p site `site` (a reset or measurement). */
+    LaneMask* p_event_words(uint32_t site)
+    {
+        return &ev_p_[static_cast<size_t>(p_slot_[site]) *
+                      static_cast<size_t>(words_)];
+    }
+    /** The event-word span of MLR site `site`. */
+    LaneMask* mlr_event_words(uint32_t site)
+    {
+        return &ev_mlr_[static_cast<size_t>(site) *
+                        static_cast<size_t>(words_)];
+    }
 
     /**
-     * A round's p/pl/MLR site: lockstep is bernoulli_mask; sparse fires
-     * the planned events whose site is `site`, keeping the lanes of
+     * A round's listed p/pl site: lockstep is bernoulli_mask; sparse
+     * fires the listed events whose site is `site`, keeping the lanes of
      * `mask` (an event on a masked-out lane is discarded).
      */
     template <int WT>
@@ -499,9 +559,23 @@ class BatchLeakageDriver final {
     LaneRate rate_mlr_;  ///< np.mlr_err()
     LaneRate rate_lrc_depol_;  ///< np.lrc_depol(), the gadget Pauli site
     LaneRate rate_lrc_leak_;   ///< np.lrc_leak(), the gadget leak site
-    // Sparse round plans and their site counts (fixed by the circuit).
+    // Sparse round plans, and each planned rate's slot table (one entry
+    // per site, fixed by the circuit; see plan_round).
     RoundPlan plan_p_, plan_pl_, plan_mlr_;
-    uint32_t n_p_sites_ = 0, n_pl_sites_ = 0, n_mlr_sites_ = 0;
+    std::vector<uint32_t> p_slot_, pl_slot_, mlr_slot_;
+    // Event words of the payload-free sites, one span per site: ev_p_
+    // holds the resets' and measurements' p sites in site order, ev_mlr_
+    // the MLR sites.  Planned (sparse) or drawn (lockstep) each round,
+    // consumed and zeroed by their site: all zero between rounds.
+    std::vector<LaneMask> ev_p_, ev_mlr_;
+    /** The round circuit's maximal runs of one op type, in order. */
+    struct OpRun {
+        OpType type;
+        uint32_t end;  ///< one past the run's last op index
+    };
+    std::vector<OpRun> runs_;
+    /** lrc_gadgets scratch: the requesting qubits of a round. */
+    std::vector<int> lrc_req_;
     Rng master_rng_;
     uint64_t shots_started_ = 0;
     int words_ = 1;         ///< K: words per lane span

@@ -67,30 +67,26 @@ BENCHMARK(BM_SimulatorRound);
 void
 BM_BackendThroughput(benchmark::State& state)
 {
-    // Shots/second per (backend, batch width K, threads, noise sampling,
-    // decode) on a d=5 surface-code memory config — the honest
-    // measurement behind the batch backends' campaign cost factors and
-    // the K-width default.  Args: (backend enum, batch_words, threads,
-    // noise_sampling enum, compute_ler).  The single-thread K=1 rows
-    // keep the exact config of earlier recorded trajectory points; K>1
-    // and threads>1 rows scale shots/streams so every scheduler block is
-    // a FULL K*64-lane batch (a partial tail block would understate
-    // wide-K throughput) and every thread has work.  The @sparse rows
-    // measure the event-driven sampler against the lockstep rows of the
-    // SAME record; the @ler row turns the union-find decoder on so the
-    // decode stage is visible in the recorded stage split instead of
-    // rounding to zero.  Run with --benchmark_filter=BackendThroughput.
+    // Shots/second per (backend, threads, noise sampling, decode) on a
+    // d=5 surface-code memory config — the honest measurement behind
+    // the batch backends' campaign cost factors.  Args: (backend enum,
+    // threads, noise_sampling enum, compute_ler).  The single-thread
+    // rows keep the exact config of earlier recorded trajectory points;
+    // threads>1 rows scale shots/streams so every thread has work.  The
+    // @sparse rows measure the event-driven sampler against the lockstep
+    // rows of the SAME record; the @ler row turns the union-find decoder
+    // on so the decode stage is visible in the recorded stage split
+    // instead of rounding to zero.  Run with
+    // --benchmark_filter=BackendThroughput.
     static CodeBundle bundle5(SurfaceCode::make(5));
     const CodeBundle& b = bundle5;
-    const int batch_words = static_cast<int>(state.range(1));
-    const int threads = static_cast<int>(state.range(2));
-    const auto sampling = static_cast<NoiseSampling>(state.range(3));
-    const bool with_ler = state.range(4) != 0;
+    const int threads = static_cast<int>(state.range(1));
+    const auto sampling = static_cast<NoiseSampling>(state.range(2));
+    const bool with_ler = state.range(3) != 0;
     ExperimentConfig cfg;
     cfg.np = NoiseParams::standard();
     cfg.rounds = 10;
     cfg.shots = 1024 * threads;
-    cfg.batch_words = batch_words;
     cfg.rng_streams = cfg.shots / ExperimentRunner::shot_block(cfg);
     cfg.leakage_sampling = false;  // natural leakage, as a memory run
     cfg.threads = threads;
@@ -108,14 +104,12 @@ BM_BackendThroughput(benchmark::State& state)
     for (auto _ : state)
         benchmark::DoNotOptimize(runner.run(factory));
     state.SetItemsProcessed(state.iterations() * cfg.shots);
-    // Plain backend name at K=1/T=1/lockstep so the recorded
-    // trajectory's labels stay comparable across PRs; decorated
-    // otherwise.  @sparse and @ler fold into the trajectory's backend
-    // key (scripts/bench_record.sh) so these rows never shadow the
-    // lockstep sweep.
+    // Plain backend name at T=1/lockstep so the recorded trajectory's
+    // labels stay comparable across PRs; decorated otherwise.  @sparse
+    // and @ler fold into the trajectory's backend key
+    // (scripts/bench_record.sh) so these rows never shadow the lockstep
+    // ones.
     std::string label = backend_name(cfg.backend);
-    if (batch_words > 1)
-        label += "@w" + std::to_string(batch_words);
     if (threads > 1)
         label += "@t" + std::to_string(threads);
     if (sampling != NoiseSampling::kLockstep)
@@ -132,38 +126,29 @@ BM_BackendThroughput(benchmark::State& state)
                     static_cast<double>(rec.stage_ns[s]) / total);
     }
 }
-// The plain (arg 3 = 0) rows run the lockstep reference: a plain per-lane
+// The plain (arg 2 = 0) rows run the lockstep reference: a plain per-lane
 // Rng in the scalar draw order, kept for the frame == batch_frame
 // bit-exact gates rather than for speed.  Their labels are unchanged so
 // the recorded trajectory stays comparable; the @sparse rows measure the
 // production engine in the same record.
 BENCHMARK(BM_BackendThroughput)
-    ->Args({static_cast<int>(SimBackend::kFrame), 1, 1, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kFrame), 1, 8, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kBatchFrame), 1, 1, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kBatchFrame), 2, 1, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kBatchFrame), 4, 1, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kBatchFrame), 8, 1, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kBatchFrame), 1, 8, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kBatchFrame), 4, 8, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kBatchFrame), 8, 8, 0, 0})
+    ->Args({static_cast<int>(SimBackend::kFrame), 1, 0, 0})
+    ->Args({static_cast<int>(SimBackend::kFrame), 8, 0, 0})
+    ->Args({static_cast<int>(SimBackend::kBatchFrame), 1, 0, 0})
+    ->Args({static_cast<int>(SimBackend::kBatchFrame), 8, 0, 0})
     // The sparse event sampler vs the lockstep rows (same record, same
-    // host): K=1 is the production configuration; K=8 the wide batch.
-    ->Args({static_cast<int>(SimBackend::kBatchFrame), 1, 1,
-            static_cast<int>(NoiseSampling::kSparse), 0})
-    ->Args({static_cast<int>(SimBackend::kBatchFrame), 8, 1,
+    // host): the production configuration.
+    ->Args({static_cast<int>(SimBackend::kBatchFrame), 1,
             static_cast<int>(NoiseSampling::kSparse), 0})
     // Decode on (union-find per shot): the decode stage's wall share is
     // real in campaign configs with compute_ler, and this row keeps it
     // visible in the recorded stage split.
-    ->Args({static_cast<int>(SimBackend::kBatchFrame), 1, 1, 0, 1})
-    ->Args({static_cast<int>(SimBackend::kTableau), 1, 1, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kBatchTableau), 1, 1, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kBatchTableau), 4, 1, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kBatchTableau), 1, 1,
+    ->Args({static_cast<int>(SimBackend::kBatchFrame), 1, 0, 1})
+    ->Args({static_cast<int>(SimBackend::kTableau), 1, 0, 0})
+    ->Args({static_cast<int>(SimBackend::kBatchTableau), 1, 0, 0})
+    ->Args({static_cast<int>(SimBackend::kBatchTableau), 1,
             static_cast<int>(NoiseSampling::kSparse), 0})
-    ->Args({static_cast<int>(SimBackend::kBatchTableau), 1, 8, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kBatchTableau), 4, 8, 0, 0})
+    ->Args({static_cast<int>(SimBackend::kBatchTableau), 8, 0, 0})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -200,7 +185,7 @@ BENCHMARK(BM_RunnerThreadScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(
 struct PaperCapture {
     int rounds = 0;
     int lanes = 0;
-    LaneMask active[1] = {~0ull};
+    LaneMask active = ~0ull;
     std::vector<std::vector<LaneMask>> det, mlr, meas, leaked;  ///< [round]
     std::unique_ptr<DecodingGraph> graph;
     std::vector<std::vector<int>> defects;  ///< per shot, ascending
@@ -237,9 +222,9 @@ capture_paper(const CodeBundle& b, const PolicyFactory& factory, int rounds,
         DemBuilder(b.code, b.rc, kPaperNoise, out.rounds).build());
     out.defects.resize(lanes);
     LrcWords lrc;
-    lrc.reset(b.code.n_data(), nc, 1);
+    lrc.reset(b.code.n_data(), nc);
     sim->reset_shot_batch(out.lanes);
-    policy->begin_batch(out.active, 1);
+    policy->begin_batch(out.active);
     for (int r = 0; r < out.rounds; ++r) {
         sim->run_round_batch(lrc);
         out.det.emplace_back(sim->detector_words(),
@@ -249,7 +234,7 @@ capture_paper(const CodeBundle& b, const PolicyFactory& factory, int rounds,
                               sim->meas_flip_words() + nc);
         out.leaked.emplace_back(sim->leaked_words(),
                                 sim->leaked_words() + b.code.n_qubits());
-        lrc.reset(b.code.n_data(), nc, 1);
+        lrc.reset(b.code.n_data(), nc);
         policy->observe_batch(r, out.words(r), &lrc);
         for (int zi = 0; zi < nz; ++zi)
             for_each_lane(out.det.back()[static_cast<size_t>(z[zi])],
@@ -339,9 +324,9 @@ BM_PolicyObserve(benchmark::State& state)
     LrcWords lrc;
     size_t lrcs = 0;
     for (auto _ : state) {
-        policy->begin_batch(cap.active, 1);
+        policy->begin_batch(cap.active);
         for (int r = 0; r < cap.rounds; ++r) {
-            lrc.reset(b.code.n_data(), b.code.n_checks(), 1);
+            lrc.reset(b.code.n_data(), b.code.n_checks());
             policy->observe_batch(r, cap.words(r), &lrc);
             for (LaneMask m : lrc.data)
                 lrcs += static_cast<size_t>(__builtin_popcountll(m));
@@ -388,7 +373,7 @@ surface11()
 }
 
 SimCapture
-capture_sim(int words)
+capture_sim()
 {
     const CodeBundle& b = surface11();
     SimCapture out;
@@ -396,15 +381,14 @@ capture_sim(int words)
     out.seed = 11;
     const std::unique_ptr<BatchSimulator> sim =
         make_simulator(SimBackend::kBatchFrame, b.code, b.rc, kPaperNoise,
-                       out.seed, words, NoiseSampling::kSparse);
+                       out.seed, 1, NoiseSampling::kSparse);
     const std::unique_ptr<Policy> policy =
         PolicyZoo::gladiator(true, kPaperNoise)(b.ctx, 0);
     out.lanes = sim->batch_width();
-    std::vector<LaneMask> active(static_cast<size_t>(words), ~0ull);
     const int n_data = b.code.n_data();
     const int nc = b.code.n_checks();
     sim->reset_shot_batch(out.lanes);
-    policy->begin_batch(active.data(), words);
+    policy->begin_batch(~0ull);
     Rng shot_rng(out.seed);
     for (int l = 0; l < out.lanes; ++l) {
         out.leak_qubit.push_back(static_cast<int>(
@@ -412,18 +396,17 @@ capture_sim(int words)
         sim->inject_data_leak_lane(l, out.leak_qubit.back());
     }
     LrcWords lrc;
-    lrc.reset(n_data, nc, words);
+    lrc.reset(n_data, nc);
     for (int r = 0; r < out.rounds; ++r) {
         out.lrc.push_back(lrc);
         sim->run_round_batch(lrc);
         RoundWords in;
-        in.n_words = words;
-        in.active = active.data();
+        in.active = ~0ull;
         in.detector = sim->detector_words();
         in.mlr = sim->mlr_words();
         in.meas_flip = sim->meas_flip_words();
         in.leaked = sim->leaked_words();
-        lrc.reset(n_data, nc, words);
+        lrc.reset(n_data, nc);
         policy->observe_batch(r, in, &lrc);
     }
     return out;
@@ -435,16 +418,14 @@ BM_SimRound(benchmark::State& state)
     // The simulator alone on the Fig 1(b) workload: one iteration
     // replays a captured GLADIATOR+M batch (200 rounds of d = 11) through
     // run_round_batch with the captured LRC masks, sparse sampling, on a
-    // reused simulator reset to the capture's seed.  Arg K: batch words.
-    // per_shot_round (printed in seconds, e.g. "150ns") is the sim stage
-    // cost per (shot, round), free of policy and accounting.
-    const int words = static_cast<int>(state.range(0));
-    static const SimCapture caps[2] = {capture_sim(1), capture_sim(2)};
-    const SimCapture& cap = caps[words == 1 ? 0 : 1];
+    // reused simulator reset to the capture's seed.  per_shot_round
+    // (printed in seconds, e.g. "150ns") is the sim stage cost per
+    // (shot, round), free of policy and accounting.
+    static const SimCapture cap = capture_sim();
     const CodeBundle& b = surface11();
     const std::unique_ptr<BatchSimulator> sim =
         make_simulator(SimBackend::kBatchFrame, b.code, b.rc, kPaperNoise,
-                       cap.seed, words, NoiseSampling::kSparse);
+                       cap.seed, 1, NoiseSampling::kSparse);
     LaneMask leaked = 0;
     for (auto _ : state) {
         sim->reset_for_block(cap.seed);
@@ -462,7 +443,7 @@ BM_SimRound(benchmark::State& state)
             static_cast<double>(state.iterations()),
         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_SimRound)->ArgName("K")->Arg(1)->Arg(2);
+BENCHMARK(BM_SimRound);
 
 void
 BM_UnionFindDecode(benchmark::State& state)

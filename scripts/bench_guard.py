@@ -6,17 +6,12 @@ Compares the two most recent records of BENCH_backend_throughput.json
 ``::warning::`` annotation for every backend whose single-thread
 shots/second dropped by more than the threshold (default 20%).
 
-Additionally checks two gates WITHIN the latest record (same host, same
-build, so no cross-host caveat applies):
-
- - thread scaling: for every backend carrying a multi-thread point, its
-   best multi-thread rate must beat its own best single-thread rate — a
-   speedup <= 1.0 means the scheduler is burning threads to go slower,
-   the exact pathology the persistent worker pool exists to prevent;
- - K sweep: for every backend with a batch-width sweep, the best K>1
-   row must beat the K=1 row — otherwise the wide lanes are pure
-   working-set overhead on this host and chosen_batch_words silently
-   collapses to 1.
+Additionally checks thread scaling WITHIN the latest record (same host,
+same build, so no cross-host caveat applies): for every backend carrying
+a multi-thread point, its best multi-thread rate must beat its own
+single-thread rate — a speedup <= 1.0 means the scheduler is burning
+threads to go slower, the exact pathology the persistent worker pool
+exists to prevent.
 
 Deliberately NON-FATAL: microbenchmark numbers are machine-dependent
 (records carry num_cpus so foreign-host comparisons are obvious) and a
@@ -34,7 +29,7 @@ import sys
 
 def check_scaling(record) -> None:
     """Warn when a backend's best multi-thread point in `record` fails to
-    beat its own best single-thread point.  Older records predate the
+    beat its own single-thread point.  Older records predate the
     multi_thread section — silently nothing to check then."""
     rev = record.get("git_rev", "?")
     single = record.get("shots_per_second", {})
@@ -55,32 +50,6 @@ def check_scaling(record) -> None:
                   f"({float(m['shots_per_second']):,.0f} vs "
                   f"{float(single[backend]):,.0f} shots/s) — thread "
                   "scaling gate failed")
-
-
-def check_k_sweep(record) -> None:
-    """Warn when a backend's best swept batch width K>1 loses to its own
-    K=1 row within `record`: the K-word lanes exist to BUY throughput,
-    so a sweep where every wide row is slower than K=1 means the extra
-    width only grows the per-round working set (and the trajectory's
-    chosen_batch_words quietly collapses to 1).  Older records predate
-    batch_width_sweep — silently nothing to check then."""
-    rev = record.get("git_rev", "?")
-    for backend, sweep in sorted(record.get("batch_width_sweep", {}).items()):
-        if "1" not in sweep or len(sweep) < 2:
-            continue
-        base = float(sweep["1"])
-        if base <= 0:
-            continue
-        wide = {int(k): float(v) for k, v in sweep.items() if k != "1"}
-        best_k = max(wide, key=wide.get)
-        print(f"bench guard: {backend:14s} K sweep best wide K={best_k} "
-              f"{wide[best_k]:12,.0f} vs K=1 {base:12,.0f} shots/s "
-              f"(x{wide[best_k] / base:.2f})")
-        if wide[best_k] < base:
-            print(f"::warning::bench guard: {backend} best swept batch "
-                  f"width (K={best_k}, {wide[best_k]:,.0f} shots/s) loses "
-                  f"to its own K=1 row ({base:,.0f} shots/s) in {rev} — "
-                  "wide lanes are pure overhead on this host")
 
 
 def main() -> int:
@@ -104,10 +73,9 @@ def main() -> int:
               "nothing to check")
         return 0
 
-    # Thread-scaling and K-sweep gates: within the LATEST record only,
-    # so they apply even on a fresh host with no comparable prior record.
+    # Thread-scaling gate: within the LATEST record only, so it applies
+    # even on a fresh host with no comparable prior record.
     check_scaling(history[-1])
-    check_k_sweep(history[-1])
 
     if len(history) < 2:
         print(f"bench guard: fewer than two records in {args.trajectory}; "

@@ -11,30 +11,28 @@
 #   scripts/bench_record.sh --no-commit  # run and append only
 #
 # Each record: {git_rev, date, num_cpus, threads, min_time_s,
-# shots_per_second: {frame: ..., batch_frame: ..., ...},
-# chosen_batch_words, batch_width_sweep, multi_thread, scaling,
-# stage_frac}.
+# shots_per_second: {frame: ..., batch_frame: ..., ...}, multi_thread,
+# scaling, stage_frac}.
 #
-#  - shots_per_second is each backend's BEST single-thread rate across
-#    the swept batch widths K (K*64 lanes per scheduler block) — the
-#    number the perf trajectory compares PR over PR.
-#  - chosen_batch_words records WHICH K produced it per backend, and
-#    batch_width_sweep keeps the full single-thread K sweep.
+#  - shots_per_second is each backend's single-thread rate — the number
+#    the perf trajectory compares PR over PR.
 #  - multi_thread records the best multi-threaded point per backend
-#    (threads + batch width + shots/s) so scheduler scaling is part of
-#    the committed trajectory too.
+#    (threads + shots/s) so scheduler scaling is part of the committed
+#    trajectory too.
 #  - scaling records, per backend with a multi-thread row, the speedup
-#    of its best multi-thread point over its best single-thread point
+#    of its best multi-thread point over its single-thread point
 #    and the parallel efficiency (speedup / threads) — the number the
 #    thread-scaling gate (scripts/bench_guard.py) watches: speedup < 1
 #    means threads made the backend SLOWER.
 #  - stage_frac comes from the telemetry side channel riding along the
-#    benchmark (src/telemetry/) at the chosen K — where the wall time
-#    went, not just how much of it there was.
+#    benchmark's single-thread row (src/telemetry/) — where the wall
+#    time went, not just how much of it there was.
 #
 # The file is a JSON array, oldest first.  Older records carry fewer
-# fields (plain shots_per_second only) — readers must treat the new
-# fields as optional.  Throughput is machine-dependent — compare records
+# fields (plain shots_per_second only), and records before the batch
+# engine became one word wide also carry chosen_batch_words and
+# batch_width_sweep — readers must treat every field but
+# shots_per_second as optional.  Throughput is machine-dependent — compare records
 # from the same host (num_cpus is recorded to make foreign records
 # obvious).
 #
@@ -87,20 +85,16 @@ for b in raw.get("benchmarks", []):
     results[b["label"]] = b
 
 # The full registration list of bench/micro_speculation.cc's
-# BM_BackendThroughput.  Labels:
-# backend[@w<K>][@t<threads>][@sparse][@ler], with the plain backend
-# name at K=1/threads=1/lockstep so old records stay comparable.
-# @sparse (event-driven noise sampling) and @ler (decode on) fold into
-# the trajectory's backend KEY — they are different measurements, not
-# points of the lockstep K sweep, and must never shadow it.
+# BM_BackendThroughput.  Labels: backend[@t<threads>][@sparse][@ler],
+# with the plain backend name at threads=1/lockstep so old records stay
+# comparable.  @sparse (event-driven noise sampling) and @ler (decode
+# on) fold into the trajectory's backend KEY — they are different
+# measurements and must never shadow the lockstep rows.
 EXPECTED = [
     "frame", "frame@t8",
-    "batch_frame", "batch_frame@w2", "batch_frame@w4", "batch_frame@w8",
-    "batch_frame@t8", "batch_frame@w4@t8", "batch_frame@w8@t8",
-    "batch_frame@sparse", "batch_frame@w8@sparse", "batch_frame@ler",
-    "tableau", "batch_tableau", "batch_tableau@w4",
-    "batch_tableau@sparse",
-    "batch_tableau@t8", "batch_tableau@w4@t8",
+    "batch_frame", "batch_frame@t8", "batch_frame@sparse",
+    "batch_frame@ler",
+    "tableau", "batch_tableau", "batch_tableau@sparse", "batch_tableau@t8",
 ]
 missing = [l for l in EXPECTED if l not in results]
 if missing:
@@ -110,7 +104,7 @@ if missing:
 
 
 def parse_label(label):
-    backend, words, threads = label.split("@")[0], 1, 1
+    backend, threads = label.split("@")[0], 1
     for part in label.split("@")[1:]:
         if part in ("sparse", "ler"):
             # Mode suffixes become part of the backend key: a sparse or
@@ -118,44 +112,38 @@ def parse_label(label):
             # over PR against itself (and, within one record, against
             # the plain lockstep rows it was measured beside).
             backend += "@" + part
-        elif part.startswith("w"):
-            words = int(part[1:])
         elif part.startswith("t"):
             threads = int(part[1:])
         else:
             sys.exit(f"error: unparseable label suffix '@{part}' in "
                      f"'{label}'")
-    return backend, words, threads
+    return backend, threads
 
 
-# Best single-thread rate per backend across the K sweep, plus the best
-# multi-threaded point per backend.
-best_single = {}   # backend -> (words, shots/s, label)
-sweep = {}         # backend -> {str(K): shots/s}
-best_multi = {}    # backend -> {threads, batch_words, shots_per_second}
+# The single-thread rate per backend, plus the best multi-threaded point
+# per backend.
+single = {}       # backend -> (shots/s, label)
+best_multi = {}   # backend -> {threads, shots_per_second}
 for label, b in sorted(results.items()):
-    backend, words, threads = parse_label(label)
+    backend, threads = parse_label(label)
     sps = b["items_per_second"]
     if threads == 1:
-        sweep.setdefault(backend, {})[str(words)] = round(sps, 1)
-        if backend not in best_single or sps > best_single[backend][1]:
-            best_single[backend] = (words, sps, label)
+        single[backend] = (sps, label)
     else:
         prev = best_multi.get(backend)
         if prev is None or sps > prev["shots_per_second"]:
             best_multi[backend] = {
                 "threads": threads,
-                "batch_words": words,
                 "shots_per_second": round(sps, 1),
             }
 
 # Thread-scaling summary: how much the best multi-thread point buys over
-# the same record's best single-thread point (same host, same build —
+# the same record's single-thread point (same host, same build —
 # no cross-record comparison).  speedup < 1.0 is the pathology this
 # PR's pool removed: threads making the backend slower.
 scaling = {}
 for backend, multi in sorted(best_multi.items()):
-    single_sps = best_single[backend][1]
+    single_sps = single[backend][0]
     speedup = multi["shots_per_second"] / single_sps
     scaling[backend] = {
         "threads": multi["threads"],
@@ -163,10 +151,11 @@ for backend, multi in sorted(best_multi.items()):
         "efficiency": round(speedup / multi["threads"], 3),
     }
 
-# Telemetry stage split at each backend's chosen K: fraction of worker
-# wall time in sim / policy / decode / accounting (frac_* counters).
+# Telemetry stage split of each backend's single-thread row: fraction of
+# worker wall time in sim / policy / decode / accounting (frac_*
+# counters).
 stage_frac = {}
-for backend, (words, _, label) in best_single.items():
+for backend, (_, label) in single.items():
     frac = {
         k[len("frac_"):]: round(v, 4)
         for k, v in sorted(results[label].items())
@@ -188,13 +177,8 @@ record = {
     "min_time_s": float(os.environ["MIN_TIME"]),
     "shots_per_second": {
         backend: round(sps, 1)
-        for backend, (_, sps, _label) in sorted(best_single.items())
+        for backend, (sps, _label) in sorted(single.items())
     },
-    "chosen_batch_words": {
-        backend: words
-        for backend, (words, _, _label) in sorted(best_single.items())
-    },
-    "batch_width_sweep": sweep,
     "multi_thread": best_multi,
     "scaling": scaling,
     "stage_frac": stage_frac,
@@ -210,8 +194,7 @@ with open(out_path, "w") as f:
     f.write("\n")
 
 per_backend = ", ".join(
-    f"{k}: {v:,.0f} (K={record['chosen_batch_words'][k]})"
-    for k, v in record["shots_per_second"].items())
+    f"{k}: {v:,.0f}" for k, v in record["shots_per_second"].items())
 print(f"recorded {record['git_rev']} — single-thread shots/s "
       f"{{{per_backend}}}")
 EOF

@@ -1,5 +1,6 @@
 #include "core/policy.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -8,8 +9,6 @@
 namespace gld {
 
 namespace {
-
-constexpr LaneMask kOneLane[1] = {1};
 
 /** The one-lane wrapper's buffers: the packed round and the masks. */
 struct OneLaneScratch {
@@ -33,7 +32,7 @@ pack_one_lane(const std::vector<uint8_t>& bytes, std::vector<LaneMask>* out)
 void
 WordPolicy::begin_shot()
 {
-    begin_batch(kOneLane, 1);
+    begin_batch(1);
 }
 
 void
@@ -42,7 +41,7 @@ WordPolicy::observe(int round, const RoundResult& rr, LrcSchedule* out)
     const int n_data = ctx_->code().n_data();
     const int n_checks = ctx_->code().n_checks();
     // The buffers are borrowed from the thread, not kept per instance:
-    // an adapter holds 64*K instances, and per-instance buffers crowd
+    // an adapter holds 64 instances, and per-instance buffers crowd
     // the cache.  Borrowing (a move, not a reference) keeps a nested
     // call correct — it finds the pool empty and allocates its own.
     thread_local OneLaneScratch pool;
@@ -50,7 +49,7 @@ WordPolicy::observe(int round, const RoundResult& rr, LrcSchedule* out)
     pack_one_lane(rr.detector, &s.det);
     pack_one_lane(rr.mlr_flag, &s.mlr);
     RoundWords in;
-    in.active = kOneLane;
+    in.active = 1;
     in.detector = s.det.data();
     in.mlr = s.mlr.data();
     if (reads_truth_) {
@@ -62,7 +61,7 @@ WordPolicy::observe(int round, const RoundResult& rr, LrcSchedule* out)
                 oracle_->check_leaked(c);
         in.leaked = s.leaked.data();
     }
-    s.lrc.reset(n_data, n_checks, 1);
+    s.lrc.reset(n_data, n_checks);
     observe_batch(round, in, &s.lrc);
     out->clear();
     for (int q = 0; q < n_data; ++q) {
@@ -105,12 +104,10 @@ LaneAdapterPolicy::bind(const BatchSimulator& sim, int n_lanes)
 }
 
 void
-LaneAdapterPolicy::begin_batch(const LaneMask* active, int n_words)
+LaneAdapterPolicy::begin_batch(LaneMask active)
 {
     // Batches are dense lane prefixes: [0, n_active_).
-    n_active_ = 0;
-    for (int w = 0; w < n_words; ++w)
-        n_active_ += __builtin_popcountll(active[w]);
+    n_active_ = __builtin_popcountll(active);
     ensure_lanes(n_active_);
     for (int l = 0; l < n_active_; ++l)
         lanes_[static_cast<size_t>(l)]->begin_shot();
@@ -122,14 +119,13 @@ LaneAdapterPolicy::observe_batch(int round, const RoundWords& in,
 {
     const int n_data = ctx_->code().n_data();
     const int n_checks = ctx_->code().n_checks();
-    const int K = in.n_words;
-    round_words_to_results(in.meas_flip, in.detector, in.mlr, n_checks, K,
+    round_words_to_results(in.meas_flip, in.detector, in.mlr, n_checks,
                            n_active_, &rr_);
     for (int l = 0; l < n_active_; ++l) {
         const size_t li = static_cast<size_t>(l);
         lanes_[li]->observe(round, rr_[li], &sched_[li]);
         check_lrc_schedule(sched_[li], l, n_data, n_checks);
-        out->add_lane(sched_[li], l, K);
+        out->add_lane(sched_[li], l);
     }
 }
 
@@ -138,11 +134,8 @@ LaneAdapterPolicy::observe_batch(int round, const RoundWords& in,
 void
 add_mlr_checks(const RoundWords& in, int n_checks, LrcWords* out)
 {
-    const size_t K = static_cast<size_t>(in.n_words);
-    for (size_t c = 0; c < static_cast<size_t>(n_checks); ++c) {
-        for (size_t w = 0; w < K; ++w)
-            out->checks[c * K + w] |= in.mlr[c * K + w] & in.active[w];
-    }
+    for (size_t c = 0; c < static_cast<size_t>(n_checks); ++c)
+        out->checks[c] |= in.mlr[c] & in.active;
 }
 
 void
@@ -175,26 +168,22 @@ FlagTablePolicy::set_rule(int q, const FlagRule* rule)
             std::to_string(rule->bits()));
     flagged_.push_back({q, rule, checks.data(), n_planes_});
     n_planes_ += checks.size();
-    n_words_ = 0;  // the window is sized by the next begin_batch
+    if (two_round_) {
+        prev_.resize(n_planes_, 0);
+        has_prev_.resize(flagged_.size(), 0);
+    }
 }
 
 void
-FlagTablePolicy::begin_batch(const LaneMask*, int n_words)
+FlagTablePolicy::begin_batch(LaneMask)
 {
-    n_words_ = n_words;
-    if (two_round_) {
-        const size_t K = static_cast<size_t>(n_words);
-        prev_.assign(n_planes_ * K, 0);
-        has_prev_.assign(flagged_.size() * K, 0);
-    }
+    std::fill(prev_.begin(), prev_.end(), 0);
+    std::fill(has_prev_.begin(), has_prev_.end(), 0);
 }
 
 void
 FlagTablePolicy::observe_batch(int, const RoundWords& in, LrcWords* out)
 {
-    if (in.n_words != n_words_)
-        begin_batch(in.active, in.n_words);
-    const size_t K = static_cast<size_t>(in.n_words);
     // planes [0, k) hold this round's detectors, [k, 2k) the previous
     // round's.
     LaneMask planes[2 * kMaxPatternBits];
@@ -203,23 +192,21 @@ FlagTablePolicy::observe_batch(int, const RoundWords& in, LrcWords* out)
         const size_t k = two_round_ ? static_cast<size_t>(e.rule->bits()) / 2
                                     : static_cast<size_t>(e.rule->bits());
         const int* checks = e.checks;
-        LaneMask* data = &out->data[static_cast<size_t>(e.q) * K];
-        for (size_t w = 0; w < K; ++w) {
-            for (size_t i = 0; i < k; ++i)
-                planes[i] = in.detector[static_cast<size_t>(checks[i]) * K + w];
-            if (!two_round_) {
-                data[w] = e.rule->eval(planes, in.active[w]);
-                continue;
-            }
-            for (size_t i = 0; i < k; ++i) {
-                LaneMask& old = prev_[(e.first + i) * K + w];
-                planes[k + i] = old;
-                old = planes[i];  // this round becomes the previous
-            }
-            LaneMask& has_prev = has_prev_[f * K + w];
-            data[w] = e.rule->eval(planes, has_prev);
-            has_prev = in.active[w] & ~data[w];
+        LaneMask& data = out->data[static_cast<size_t>(e.q)];
+        for (size_t i = 0; i < k; ++i)
+            planes[i] = in.detector[static_cast<size_t>(checks[i])];
+        if (!two_round_) {
+            data = e.rule->eval(planes, in.active);
+            continue;
         }
+        for (size_t i = 0; i < k; ++i) {
+            LaneMask& old = prev_[e.first + i];
+            planes[k + i] = old;
+            old = planes[i];  // this round becomes the previous
+        }
+        LaneMask& has_prev = has_prev_[f];
+        data = e.rule->eval(planes, has_prev);
+        has_prev = in.active & ~data;
     }
     if (use_mlr_)
         add_mlr_checks(in, ctx_->code().n_checks(), out);
@@ -229,17 +216,11 @@ void
 IdealPolicy::observe_batch(int, const RoundWords& in, LrcWords* out)
 {
     const CssCode& code = ctx_->code();
-    const size_t K = static_cast<size_t>(in.n_words);
-    for (size_t q = 0; q < static_cast<size_t>(code.n_data()); ++q) {
-        for (size_t w = 0; w < K; ++w)
-            out->data[q * K + w] = in.leaked[q * K + w] & in.active[w];
-    }
-    for (int c = 0; c < code.n_checks(); ++c) {
-        const size_t a = static_cast<size_t>(code.ancilla_of(c)) * K;
-        for (size_t w = 0; w < K; ++w)
-            out->checks[static_cast<size_t>(c) * K + w] =
-                in.leaked[a + w] & in.active[w];
-    }
+    for (size_t q = 0; q < static_cast<size_t>(code.n_data()); ++q)
+        out->data[q] = in.leaked[q] & in.active;
+    for (int c = 0; c < code.n_checks(); ++c)
+        out->checks[static_cast<size_t>(c)] =
+            in.leaked[static_cast<size_t>(code.ancilla_of(c))] & in.active;
 }
 
 void

@@ -13,20 +13,19 @@
 namespace gld {
 
 /**
- * One round of a lockstep batch as K-word lane spans (bit l of word w is
- * lane w*64+l).  Per-check spans start at c*n_words, per-qubit spans at
- * q*n_words.  Bits of inactive lanes are 0.
+ * One round of a lockstep batch as lane words (bit l is lane l): word c
+ * of a per-check array is check c's, word q of a per-qubit array qubit
+ * q's.  Bits of inactive lanes are 0.
  */
 struct RoundWords {
-    int n_words = 1;                      ///< K: words per lane span
-    const LaneMask* active = nullptr;     ///< the batch's lanes (one span)
-    const LaneMask* detector = nullptr;   ///< span per check
-    const LaneMask* mlr = nullptr;        ///< MLR leak flags, span per check
-    /** Span per check; only for LaneAdapterPolicy's per-lane results
+    LaneMask active = 0;                  ///< the batch's lanes
+    const LaneMask* detector = nullptr;   ///< word per check
+    const LaneMask* mlr = nullptr;        ///< MLR leak flags, word per check
+    /** Word per check; only for LaneAdapterPolicy's per-lane results
      *  (word rules do not read it, and the one-lane wrapper leaves it
      *  null). */
     const LaneMask* meas_flip = nullptr;
-    /** Ground-truth leak flags, span per qubit: data first, then
+    /** Ground-truth leak flags, word per qubit: data first, then
      *  ancillas (BatchSimulator::leaked_words()). */
     const LaneMask* leaked = nullptr;
 };
@@ -69,15 +68,15 @@ class Policy {
     virtual bool batched() const { return false; }
 
     /**
-     * Starts a new shot in every lane of `active` (n_words words): the
-     * batched begin_shot.  Only called when batched().
+     * Starts a new shot in every lane of `active`: the batched
+     * begin_shot.  Only called when batched().
      */
-    virtual void begin_batch(const LaneMask* /*active*/, int /*n_words*/) {}
+    virtual void begin_batch(LaneMask /*active*/) {}
 
     /**
      * The batched observe: consumes round `round` of every active lane
-     * and sets, in `out` (sized by LrcWords::reset to the code and
-     * in.n_words, and zeroed), the lanes that LRC each qubit before round
+     * and sets, in `out` (sized by LrcWords::reset to the code, and
+     * zeroed), the lanes that LRC each qubit before round
      * `round + 1`.  Only active lanes may be set.  Only called when
      * batched().
      */
@@ -91,7 +90,7 @@ class Policy {
  * Base of every in-tree policy: the policy is ONE word rule
  * (begin_batch/observe_batch over a whole batch), and its per-lane
  * begin_shot/observe is this shared one-lane wrapper — the bytes are
- * packed into 1-word spans (bit 0), the rule runs, and the masks are
+ * packed into lane words (bit 0), the rule runs, and the masks are
  * unpacked data-ascending, then checks-ascending.  Each rule is thereby
  * written once and the two interfaces agree by construction.
  */
@@ -152,7 +151,7 @@ class LaneAdapterPolicy final : public Policy {
     }
 
     bool batched() const override { return true; }
-    void begin_batch(const LaneMask* active, int n_words) override;
+    void begin_batch(LaneMask active) override;
     void observe_batch(int round, const RoundWords& in,
                        LrcWords* out) override;
 
@@ -186,7 +185,7 @@ class FlagTablePolicy : public WordPolicy {
     FlagTablePolicy& operator=(const FlagTablePolicy&) = delete;
 
     /** Clears the two-round window of every lane. */
-    void begin_batch(const LaneMask* active, int n_words) override;
+    void begin_batch(LaneMask active) override;
     void observe_batch(int round, const RoundWords& in,
                        LrcWords* out) override;
 
@@ -222,9 +221,8 @@ class FlagTablePolicy : public WordPolicy {
     std::vector<Flagged> flagged_;  ///< in set_rule order
     size_t n_planes_ = 0;           ///< observed checks of flagged_
     // The two-round window as words: the previous round's plane i of
-    // flagged_[f] at prev_[(first + i) * K + w], and the lanes holding a
-    // previous round at has_prev_[f * K + w].
-    int n_words_ = 0;
+    // flagged_[f] at prev_[first + i], and the lanes holding a previous
+    // round at has_prev_[f].
     std::vector<LaneMask> prev_;
     std::vector<LaneMask> has_prev_;
 };

@@ -9,11 +9,8 @@ namespace gld {
 void
 AlwaysLrcPolicy::observe_batch(int, const RoundWords& in, LrcWords* out)
 {
-    const size_t K = static_cast<size_t>(in.n_words);
-    for (size_t i = 0; i < out->data.size(); ++i)
-        out->data[i] = in.active[i % K];
-    for (size_t i = 0; i < out->checks.size(); ++i)
-        out->checks[i] = in.active[i % K];
+    std::fill(out->data.begin(), out->data.end(), in.active);
+    std::fill(out->checks.begin(), out->checks.end(), in.active);
 }
 
 StaggeredLrcPolicy::StaggeredLrcPolicy(const CodeContext& ctx)
@@ -44,16 +41,13 @@ StaggeredLrcPolicy::observe_batch(int round, const RoundWords& in,
     // The group LRC'd at the START of round (round + 1).
     const int group = (round + 1) % n_colors_;
     const CssCode& code = ctx_->code();
-    const size_t K = static_cast<size_t>(in.n_words);
     for (int q = 0; q < code.n_data(); ++q) {
         if (colors_[static_cast<size_t>(q)] == group)
-            std::copy(in.active, in.active + K,
-                      &out->data[static_cast<size_t>(q) * K]);
+            out->data[static_cast<size_t>(q)] = in.active;
     }
     for (int c = 0; c < code.n_checks(); ++c) {
         if (colors_[static_cast<size_t>(code.ancilla_of(c))] == group)
-            std::copy(in.active, in.active + K,
-                      &out->checks[static_cast<size_t>(c) * K]);
+            out->checks[static_cast<size_t>(c)] = in.active;
     }
 }
 

@@ -361,8 +361,8 @@ class Parser {
     {
         skip_ws();
         switch (peek()) {
-            case '{': return parse_object();
-            case '[': return parse_array();
+            case '{': return nested([this] { return parse_object(); });
+            case '[': return nested([this] { return parse_array(); });
             case '"': return Json::str(parse_string());
             case 't':
                 if (consume_literal("true"))
@@ -378,6 +378,19 @@ class Parser {
                 fail("bad literal");
             default: return parse_number();
         }
+    }
+
+    /** Parses one array or object a level deeper, within the cap. */
+    template <typename F>
+    Json nested(F&& parse)
+    {
+        if (depth_ == Json::kMaxParseDepth)
+            fail("nesting deeper than " +
+                 std::to_string(Json::kMaxParseDepth) + " levels");
+        ++depth_;
+        Json v = parse();
+        --depth_;
+        return v;
     }
 
     Json parse_object()
@@ -529,6 +542,7 @@ class Parser {
 
     const std::string& text_;
     size_t pos_ = 0;
+    int depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 }  // namespace

@@ -70,8 +70,15 @@ class Json {
      */
     std::string dump(int indent = -1) const;
 
-    /** Parses a complete JSON document; trailing garbage is an error. */
+    /**
+     * Parses a complete JSON document; trailing garbage is an error, and
+     * so is nesting deeper than kMaxParseDepth arrays and objects (the
+     * parser recurses once per level, so the cap bounds its stack).
+     */
     static Json parse(const std::string& text);
+
+    /** Deepest array/object nesting parse() accepts. */
+    static constexpr int kMaxParseDepth = 512;
 
   private:
     void dump_to(std::string* out, int indent, int depth) const;

@@ -53,8 +53,16 @@ namespace io {
  *    scheduler block size).  Serialized ONLY when != 1: absence means 1,
  *    so every existing document and config hash is unchanged, and only
  *    genuinely-new K>1 configs hash differently.
+ *  - 5: no field changes; bumped because the batch backends became one
+ *    64-lane word wide.  A 64*K-shot block now runs as K one-word
+ *    batches, so at K > 1 the sparse batch backends draw one event
+ *    stream per 64-lane batch (not one per block) and batch_tableau
+ *    runs 64 tableaux (not 64*K).  K = 1 results, the scalar backends
+ *    and lockstep batch_frame are unchanged at every K, but the hashed
+ *    version retires every version-4 checkpoint rather than mixing
+ *    redrawn K > 1 partials with old ones.
  */
-constexpr int kSerializeVersion = 4;
+constexpr int kSerializeVersion = 5;
 
 /** IEEE-754 binary64 → "0x<16 hex digits>" (bit_cast, exact). */
 std::string f64_to_hex(double v);

@@ -117,12 +117,12 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
     clock.lap(telemetry::kSim);  // simulator reset/construction
 
     // Every backend takes the block as lockstep shot batches of
-    // batch_width() lanes: 64*K on the packed backends, one on the
-    // scalar ones.  Lane k of a batch is the block's next shot and draws
-    // from the same derived RNG streams at every width, which is what
-    // keeps frame and batch_frame Metrics bit-identical.
+    // batch_width() lanes: 64 on the packed backends (a 64*K-shot block
+    // is K batches on one simulator), one on the scalar ones.  Lane l of
+    // the j-th batch is the block's shot 64*j+l on either and draws from
+    // the same derived RNG streams, which is what keeps frame and
+    // batch_frame Metrics bit-identical.
     const int width = sim.batch_width();
-    const int W = sim.batch_n_words();  ///< words per lane span (K)
     const int max_lanes = std::min(width, shots);
 
     // One batched policy per slot, built once from the first block's
@@ -163,8 +163,8 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
     // written before it is read (masks and defect lists are cleared per
     // batch, the per-lane leak counts per round), so stale content from
     // the previous block is never observable — reuse stays bit-identical
-    // to fresh.  The policy's decisions are lane masks, one W-word span
-    // per qubit (same layout as the simulator's leaked_words()): the
+    // to fresh.  The policy's decisions are lane masks, one word per
+    // qubit (same layout as the simulator's leaked_words()): the
     // accounting pass counts them against the leak words, and the
     // simulator applies them as they are.
     LrcWords& lrc = res->lrc;
@@ -178,7 +178,6 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
     std::vector<std::vector<int>>& defects = res->defects;
     if (static_cast<int>(defects.size()) < max_lanes)
         defects.resize(static_cast<size_t>(max_lanes));
-    const size_t Ws = static_cast<size_t>(W);
     // The block's counts.  Every one is an integer below 2^53, so the
     // conversions to m's doubles at the end are exact; the leak
     // populations are divided by their qubit count there, once.
@@ -191,22 +190,11 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
 
     for (int first = 0; first < shots; first += width) {
         const int lanes = std::min(width, shots - first);
-        // Active-lane span of this batch: full words below the lane
-        // boundary, a partial word at it, empty words above (a partial
-        // trailing batch's boundary may fall mid-span).
-        LaneMask lanes_mask[kMaxBatchWords];
-        for (int w = 0; w < W; ++w) {
-            const int base = w * kBatchLanes;
-            if (lanes - base >= kBatchLanes)
-                lanes_mask[w] = ~0ull;
-            else if (lanes - base > 0)
-                lanes_mask[w] = (1ull << (lanes - base)) - 1;
-            else
-                lanes_mask[w] = 0;
-        }
+        const LaneMask lanes_mask =
+            lanes == kBatchLanes ? ~0ull : (1ull << lanes) - 1;
         sim.reset_shot_batch(lanes);
-        policy.begin_batch(lanes_mask, W);
-        lrc.reset(n_data, n_checks, W);
+        policy.begin_batch(lanes_mask);
+        lrc.reset(n_data, n_checks);
         for (int l = 0; l < lanes; ++l) {
             const size_t li = static_cast<size_t>(l);
             // One per-shot draw in lane (= shot) order from the
@@ -225,13 +213,12 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
 
             const LaneMask* leak_words = sim.leaked_words();
             RoundWords in;
-            in.n_words = W;
             in.active = lanes_mask;
             in.detector = sim.detector_words();
             in.mlr = sim.mlr_words();
             in.meas_flip = sim.meas_flip_words();
             in.leaked = leak_words;
-            lrc.reset(n_data, n_checks, W);
+            lrc.reset(n_data, n_checks);
             policy.observe_batch(r, in, &lrc);
             clock.lap(telemetry::kPolicy);
 
@@ -247,21 +234,18 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                     : nullptr;
             uint64_t leaked_round = 0;
             for (int q = 0; q < n_data; ++q) {
-                const size_t qb = static_cast<size_t>(q) * Ws;
-                uint64_t col = 0;
-                for (int w = 0; w < W; ++w) {
-                    const size_t i = qb + static_cast<size_t>(w);
-                    const LaneMask s = lrc.data[i] &= lanes_mask[w];
-                    const LaneMask lk = leak_words[i] & lanes_mask[w];
-                    fn_total += static_cast<uint64_t>(
-                        __builtin_popcountll(lk & ~s));
-                    col += static_cast<uint64_t>(__builtin_popcountll(lk));
-                    if (applied) {
-                        tp_total += static_cast<uint64_t>(
-                            __builtin_popcountll(lk & s));
-                        lrc_data_total +=
-                            static_cast<uint64_t>(__builtin_popcountll(s));
-                    }
+                const size_t i = static_cast<size_t>(q);
+                const LaneMask s = lrc.data[i] &= lanes_mask;
+                const LaneMask lk = leak_words[i] & lanes_mask;
+                fn_total +=
+                    static_cast<uint64_t>(__builtin_popcountll(lk & ~s));
+                const uint64_t col =
+                    static_cast<uint64_t>(__builtin_popcountll(lk));
+                if (applied) {
+                    tp_total +=
+                        static_cast<uint64_t>(__builtin_popcountll(lk & s));
+                    lrc_data_total +=
+                        static_cast<uint64_t>(__builtin_popcountll(s));
                 }
                 leaked_round += col;
                 if (hrow != nullptr)
@@ -272,21 +256,15 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
                 m.dlp_series[static_cast<size_t>(r)] +=
                     static_cast<double>(leaked_round);
             for (int c = 0; c < n_checks; ++c) {
-                const size_t cb = static_cast<size_t>(c) * Ws;
-                const size_t ab =
-                    static_cast<size_t>(code.ancilla_of(c)) * Ws;
-                uint64_t col = 0;
-                for (int w = 0; w < W; ++w) {
-                    const LaneMask s =
-                        lrc.checks[cb + static_cast<size_t>(w)] &=
-                        lanes_mask[w];
-                    col += static_cast<uint64_t>(__builtin_popcountll(
-                        leak_words[ab + static_cast<size_t>(w)] &
-                        lanes_mask[w]));
-                    if (applied)
-                        lrc_check_total +=
-                            static_cast<uint64_t>(__builtin_popcountll(s));
-                }
+                const LaneMask s =
+                    lrc.checks[static_cast<size_t>(c)] &= lanes_mask;
+                const uint64_t col = static_cast<uint64_t>(
+                    __builtin_popcountll(
+                        leak_words[static_cast<size_t>(code.ancilla_of(c))] &
+                        lanes_mask));
+                if (applied)
+                    lrc_check_total +=
+                        static_cast<uint64_t>(__builtin_popcountll(s));
                 leaked_checks += col;
                 if (hrow != nullptr)
                     hrow[n_data + c] += col;
@@ -294,39 +272,23 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
             if (telem != nullptr) {
                 // The histogram needs each lane's own count.
                 std::fill(data_leaked.begin(), data_leaked.end(), 0);
-                for (int q = 0; q < n_data; ++q) {
-                    const size_t qb = static_cast<size_t>(q) * Ws;
-                    for (int w = 0; w < W; ++w) {
-                        const int base = w * kBatchLanes;
-                        for_each_lane(
-                            leak_words[qb + static_cast<size_t>(w)] &
-                                lanes_mask[w],
-                            [&](int b) {
-                                ++data_leaked[static_cast<size_t>(base + b)];
-                            });
-                    }
-                }
+                for (int q = 0; q < n_data; ++q)
+                    for_each_lane(leak_words[q] & lanes_mask, [&](int l) {
+                        ++data_leaked[static_cast<size_t>(l)];
+                    });
                 for (int l = 0; l < lanes; ++l)
                     ++telem->leak_hist[static_cast<size_t>(
                         data_leaked[static_cast<size_t>(l)])];
             }
             if (graph != nullptr) {
-                for (int zi = 0; zi < nz; ++zi) {
-                    const size_t zb =
-                        static_cast<size_t>(z_checks[static_cast<size_t>(
-                            zi)]) *
-                        Ws;
-                    for (int w = 0; w < W; ++w) {
-                        const int base = w * kBatchLanes;
-                        for_each_lane(
-                            in.detector[zb + static_cast<size_t>(w)] &
-                                lanes_mask[w],
-                            [&](int b) {
-                                defects[static_cast<size_t>(base + b)]
-                                    .push_back(r * nz + zi);
-                            });
-                    }
-                }
+                for (int zi = 0; zi < nz; ++zi)
+                    for_each_lane(
+                        in.detector[z_checks[static_cast<size_t>(zi)]] &
+                            lanes_mask,
+                        [&](int l) {
+                            defects[static_cast<size_t>(l)].push_back(
+                                r * nz + zi);
+                        });
             }
             clock.lap(telemetry::kAccounting);
         }
@@ -343,8 +305,8 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
             const size_t li = static_cast<size_t>(l);
             for (int zi = 0; zi < nz; ++zi) {
                 const int zc = z_checks[static_cast<size_t>(zi)];
-                uint8_t det =
-                    lane_bit(&last_meas[static_cast<size_t>(zc) * Ws], l);
+                uint8_t det = static_cast<uint8_t>(
+                    (last_meas[static_cast<size_t>(zc)] >> l) & 1u);
                 for (int q : code.check(zc).support)
                     det ^= flips[li][static_cast<size_t>(q)];
                 if (det)

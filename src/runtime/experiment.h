@@ -47,15 +47,15 @@ struct ExperimentConfig {
      */
     SimBackend backend = SimBackend::kFrame;
     /**
-     * Batch width multiplier K: a scheduler block holds 64*K shots, and
-     * a batch backend runs it as one lockstep K-word batch
-     * (1 <= K <= kMaxBatchWords).  RESULT-AFFECTING: the block size
-     * feeds the per-block (seed, stream, block) RNG derivation, so K
-     * changes the draws for EVERY backend — the scalar backends run the
-     * same 64*K-shot blocks, which is exactly what keeps frame and
-     * batch_frame Metrics bit-identical at every K.  Serialized and
-     * config-hashed when != 1; the default reproduces every existing
-     * config hash byte for byte.
+     * Block multiplier K: a scheduler block holds 64*K shots, and a
+     * batch backend runs it as K one-word (64-lane) batches on one
+     * simulator (1 <= K <= kMaxBatchWords).  RESULT-AFFECTING: the
+     * block size feeds the per-block (seed, stream, block) RNG
+     * derivation, so K changes the draws for EVERY backend — the scalar
+     * backends run the same 64*K-shot blocks, which is exactly what
+     * keeps frame and batch_frame Metrics bit-identical at every K.
+     * Serialized and config-hashed when != 1; the default reproduces
+     * every existing config hash byte for byte.
      */
     int batch_words = 1;
     /**
@@ -113,7 +113,7 @@ using PolicyFactory = std::function<std::unique_ptr<Policy>(
  *
  * Every backend runs through one block path: a shot block is driven as
  * lockstep batches over the BatchSimulator interface (one lane per batch
- * on the scalar backends, 64*K on the packed ones), so there is a single
+ * on the scalar backends, 64 on the packed ones), so there is a single
  * implementation of every accounting rule.  The policy reads each
  * round's detector/MLR/leak words and answers with LRC lane masks; the
  * accounting is popcounts over those masks, and no per-lane RoundResult
@@ -157,9 +157,9 @@ class ExperimentRunner {
      * result is independent of which thread runs which unit, but
      * changing the block size (like changing rng_streams or batch_words)
      * changes the draws.  Aligned with the bit-packed batch width
-     * (sim/batch_driver.h): a packed batch backend runs a whole block
-     * as one lockstep batch, a partial final block as a batch with the
-     * trailing lanes masked off.
+     * (sim/batch_driver.h): a packed batch backend runs a block as
+     * shot_block(cfg) / 64 full lockstep batches, and a partial block's
+     * last batch with its trailing lanes masked off.
      */
     static constexpr int kShotBlock = 64;
 

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "sim/lane_span.h"
+
 namespace gld {
 
 // Every decision site below mirrors sim/leakage_driver.cc (the scalar
@@ -12,33 +14,25 @@ namespace gld {
 // word-wide masked primitives.  Under lockstep each lane's draws are
 // Rng calls on that lane's own stream in the scalar within-shot order.
 // When editing, keep the two files side by side — the tier-1
-// frame/batch_frame bit-equality gate (at every batch width) fails on
-// any divergence.
+// frame/batch_frame bit-equality gate fails on any divergence.
 
 BatchLeakageDriver::BatchLeakageDriver(const CssCode& code,
                                        const RoundCircuit& rc,
                                        const NoiseParams& np, Rng master,
                                        BatchStatePrimitives* state,
-                                       int batch_words,
                                        NoiseSampling noise_sampling)
     : code_(&code), rc_(&rc), np_(np), rate_p_(np.p), rate_pl_(np.pl()),
       rate_mlr_(np.mlr_err()), rate_lrc_depol_(np.lrc_depol()),
-      rate_lrc_leak_(np.lrc_leak()), master_rng_(master), words_(batch_words),
+      rate_lrc_leak_(np.lrc_leak()), master_rng_(master),
       sparse_(noise_sampling == NoiseSampling::kSparse), state_(state)
 {
-    if (batch_words < 1 || batch_words > kMaxBatchWords)
-        throw std::invalid_argument(
-            "BatchLeakageDriver: batch_words " +
-            std::to_string(batch_words) + " outside [1, " +
-            std::to_string(kMaxBatchWords) + "]");
-    const size_t W = static_cast<size_t>(words_);
     const size_t nq = static_cast<size_t>(code.n_qubits());
     const size_t nc = static_cast<size_t>(code.n_checks());
-    leaked_.assign(nq * W, 0);
-    prev_meas_.assign(nc * W, 0);
-    meas_flip_.assign(nc * W, 0);
-    mlr_flag_.assign(nc * W, 0);
-    detector_.assign(nc * W, 0);
+    leaked_.assign(nq, 0);
+    prev_meas_.assign(nc, 0);
+    meas_flip_.assign(nc, 0);
+    mlr_flag_.assign(nc, 0);
+    detector_.assign(nc, 0);
     // Same fixed LRC partner per data qubit as the scalar driver.
     lrc_partner_.assign(static_cast<size_t>(code.n_data()), -1);
     for (int q = 0; q < code.n_data(); ++q) {
@@ -46,12 +40,11 @@ BatchLeakageDriver::BatchLeakageDriver(const CssCode& code,
             lrc_partner_[static_cast<size_t>(q)] =
                 code.data_adjacency()[q].front();
     }
-    const int max_lanes = words_ * kBatchLanes;
-    lane_oracles_.resize(static_cast<size_t>(max_lanes));
-    for (int l = 0; l < max_lanes; ++l)
+    lane_oracles_.resize(kBatchLanes);
+    for (int l = 0; l < kBatchLanes; ++l)
         lane_oracles_[static_cast<size_t>(l)].bind(this, l);
     if (state_ == nullptr)
-        frame_.assign(nq * 2 * W, 0);
+        frame_.assign(nq * 2, 0);
     // The planned sites, in execution order: every data qubit is one p
     // and one pl site; every op is one p site; every CNOT adds a pl pair
     // and every measurement an MLR site.  Resets and measurements draw no
@@ -74,8 +67,8 @@ BatchLeakageDriver::BatchLeakageDriver(const CssCode& code,
     }
     for (size_t r = 1; r < runs_.size(); ++r)
         runs_[r].end += runs_[r - 1].end;
-    ev_p_.assign(n_p_words * W, 0);
-    ev_mlr_.assign(mlr_slot_.size() * W, 0);
+    ev_p_.assign(n_p_words, 0);
+    ev_mlr_.assign(mlr_slot_.size(), 0);
     lrc_req_.resize(static_cast<size_t>(code.n_data() + code.n_checks()));
     // Like the scalar driver, shot 0's stream is live from construction
     // (one active lane) so primitive-level probing before any reset works.
@@ -85,34 +78,23 @@ BatchLeakageDriver::BatchLeakageDriver(const CssCode& code,
     if (sparse_)
         sparse_reset(0);
     else
-        lane_rng_.assign(static_cast<size_t>(max_lanes), master_rng_.split(0));
-    active_[0] = 1;
+        lane_rng_.assign(kBatchLanes, master_rng_.split(0));
+    active_ = 1;
     n_lanes_ = 1;
 }
 
 void
 BatchLeakageDriver::reset_shot_batch(int n_lanes)
 {
-    const int max_lanes = words_ * kBatchLanes;
-    if (n_lanes < 1 || n_lanes > max_lanes)
+    if (n_lanes < 1 || n_lanes > kBatchLanes)
         throw std::invalid_argument(
             "reset_shot_batch: n_lanes " + std::to_string(n_lanes) +
-            " outside [1, " + std::to_string(max_lanes) + "]");
+            " outside [1, " + std::to_string(kBatchLanes) + "]");
     std::fill(leaked_.begin(), leaked_.end(), 0);
     std::fill(prev_meas_.begin(), prev_meas_.end(), 0);
     first_round_ = true;
     n_lanes_ = n_lanes;
-    // Active-lane span: full words below the boundary, a partial word at
-    // it, empty words above (the boundary may fall mid-span).
-    for (int w = 0; w < words_; ++w) {
-        const int base = w * kBatchLanes;
-        if (n_lanes - base >= kBatchLanes)
-            active_[w] = ~0ull;
-        else if (n_lanes - base > 0)
-            active_[w] = (1ull << (n_lanes - base)) - 1;
-        else
-            active_[w] = 0;
-    }
+    active_ = n_lanes == kBatchLanes ? ~0ull : (1ull << n_lanes) - 1;
     if (sparse_) {
         // One event stream per batch, derived from the same master at the
         // batch's first shot index: events depend only on (seed, stream,
@@ -121,8 +103,7 @@ BatchLeakageDriver::reset_shot_batch(int n_lanes)
         sparse_reset(shots_started_);
     } else {
         // Lane l replays exactly the scalar driver's (shots_started_ +
-        // l)-th shot: same master, same split id, same draw order — at
-        // every K.
+        // l)-th shot: same master, same split id, same draw order.
         for (int l = 0; l < n_lanes; ++l)
             lane_rng_[static_cast<size_t>(l)] =
                 master_rng_.split(shots_started_ + static_cast<uint64_t>(l));
@@ -137,7 +118,7 @@ BatchLeakageDriver::reset_for_block(Rng master)
     // Mirror of the constructor's tail under the new master — all lanes
     // seeded with split(0), lane 0 active, shot counter 0 — plus
     // explicit scrubbing of everything a previous block may have left:
-    // flags, history, the per-check scratch spans (a fresh driver's are
+    // flags, history, the per-check scratch words (a fresh driver's are
     // zero-initialized), and the backend state.
     master_rng_ = master;
     shots_started_ = 0;
@@ -151,9 +132,7 @@ BatchLeakageDriver::reset_for_block(Rng master)
         sparse_reset(0);
     else
         std::fill(lane_rng_.begin(), lane_rng_.end(), master_rng_.split(0));
-    for (int w = 0; w < words_; ++w)
-        active_[w] = 0;
-    active_[0] = 1;
+    active_ = 1;
     n_lanes_ = 1;
     reset_state();
 }
@@ -167,164 +146,100 @@ BatchLeakageDriver::reset_state()
         std::fill(frame_.begin(), frame_.end(), 0);
 }
 
-template <int WT>
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::pauli_t(int q, const LaneMask* xs, const LaneMask* zs)
+BatchLeakageDriver::state_pauli(int q, LaneMask xs, LaneMask zs)
 {
     if (state_ != nullptr) {
         state_->apply_pauli(q, xs, zs);
         return;
     }
-    const int W = WT > 0 ? WT : words_;
     LaneMask* f = frame(q);
-    for (int w = 0; w < W; ++w) {
-        f[w] ^= xs[w];
-        f[W + w] ^= zs[w];
-    }
+    f[0] ^= xs;
+    f[1] ^= zs;
 }
 
-template <int WT>
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::coherent_cnot_t(int control, int target,
-                                    const LaneMask* lanes)
+BatchLeakageDriver::state_cnot(int control, int target, LaneMask lanes)
 {
     if (state_ != nullptr) {
         state_->coherent_cnot(control, target, lanes);
         return;
     }
     // X copies c->t, Z copies t->c — in the selected lanes only.
-    const int W = WT > 0 ? WT : words_;
     LaneMask* c = frame(control);
     LaneMask* t = frame(target);
-    for (int w = 0; w < W; ++w) {
-        t[w] ^= c[w] & lanes[w];
-        c[W + w] ^= t[W + w] & lanes[w];
-    }
+    t[0] ^= c[0] & lanes;
+    c[1] ^= t[1] & lanes;
 }
 
-template <int WT>
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::hadamard_t(int q, const LaneMask* lanes)
+BatchLeakageDriver::state_hadamard(int q, LaneMask lanes)
 {
     if (state_ != nullptr) {
         state_->hadamard(q, lanes);
         return;
     }
     // Swap the X and Z bits of the selected lanes.
-    const int W = WT > 0 ? WT : words_;
     LaneMask* f = frame(q);
-    for (int w = 0; w < W; ++w) {
-        const LaneMask diff = (f[w] ^ f[W + w]) & lanes[w];
-        f[w] ^= diff;
-        f[W + w] ^= diff;
-    }
+    const LaneMask diff = (f[0] ^ f[1]) & lanes;
+    f[0] ^= diff;
+    f[1] ^= diff;
 }
 
-template <int WT>
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::reset_z_t(int q, const LaneMask* lanes)
+BatchLeakageDriver::state_reset_z(int q, LaneMask lanes)
 {
     if (state_ != nullptr) {
         state_->reset_z(q, lanes);
         return;
     }
-    const int W = WT > 0 ? WT : words_;
     LaneMask* f = frame(q);
-    for (int w = 0; w < W; ++w) {
-        f[w] &= ~lanes[w];
-        f[W + w] &= ~lanes[w];
-    }
+    f[0] &= ~lanes;
+    f[1] &= ~lanes;
 }
 
-template <int WT>
-__attribute__((always_inline)) inline void
-BatchLeakageDriver::measure_z_t(int q, LaneMask* out)
+__attribute__((always_inline)) inline LaneMask
+BatchLeakageDriver::state_measure_z(int q)
 {
-    if (state_ != nullptr) {
-        state_->measure_z(q, out);
-        return;
-    }
-    // The X-frame words are the outcome flips; reading leaves them be.
-    const int W = WT > 0 ? WT : words_;
-    const LaneMask* f = frame(q);
-    for (int w = 0; w < W; ++w)
-        out[w] = f[w];
+    if (state_ != nullptr)
+        return state_->measure_z(q);
+    // The X-frame word is the outcome flips; reading leaves it be.
+    return frame(q)[0];
 }
 
 void
-BatchLeakageDriver::apply_pauli(int q, const LaneMask* xs,
-                                const LaneMask* zs)
+BatchLeakageDriver::apply_pauli(int q, LaneMask xs, LaneMask zs)
 {
-    pauli_t<0>(q, xs, zs);
+    state_pauli(q, xs, zs);
 }
 
-template <int WT>
-__attribute__((always_inline)) inline void
-BatchLeakageDriver::set_leak_t(int q, const LaneMask* lanes)
+void
+BatchLeakageDriver::set_leak(int q, LaneMask lanes)
 {
-    const int W = WT > 0 ? WT : words_;
-    LaneMask* lw = &leaked_[static_cast<size_t>(q) *
-                            static_cast<size_t>(words_)];
-    LaneMask rise[kMaxBatchWords];
-    LaneMask any = 0;
-    for (int w = 0; w < W; ++w) {
-        rise[w] = lanes[w] & ~lw[w];
-        any |= rise[w];
-    }
-    if (any == 0)
+    LaneMask& lw = leaked_[static_cast<size_t>(q)];
+    const LaneMask rise = lanes & ~lw;
+    if (rise == 0)
         return;
-    for (int w = 0; w < W; ++w)
-        lw[w] |= rise[w];
+    lw |= rise;
     if (state_ != nullptr)
         state_->park_leaked(q, rise);
-}
-
-void
-BatchLeakageDriver::set_leak(int q, const LaneMask* lanes)
-{
-    set_leak_t<0>(q, lanes);
-}
-
-void
-BatchLeakageDriver::set_leak_lane(int q, int lane)
-{
-    LaneMask* lw = &leaked_[static_cast<size_t>(q) *
-                            static_cast<size_t>(words_)];
-    const int wi = lane >> 6;
-    const LaneMask bit = 1ull << (lane & 63);
-    if ((lw[wi] & bit) != 0)
-        return;
-    lw[wi] |= bit;
-    if (state_ == nullptr)
-        return;
-    LaneMask rise[kMaxBatchWords];
-    lanes_zero(rise, words_);
-    rise[wi] = bit;
-    state_->park_leaked(q, rise);
 }
 
 int
 BatchLeakageDriver::n_data_leaked(int lane) const
 {
-    const size_t W = static_cast<size_t>(words_);
-    const size_t wi = static_cast<size_t>(lane >> 6);
     int n = 0;
     for (int q = 0; q < code_->n_data(); ++q)
-        n += static_cast<int>(
-            (leaked_[static_cast<size_t>(q) * W + wi] >> (lane & 63)) & 1u);
+        n += data_leaked(lane, q);
     return n;
 }
 
 int
 BatchLeakageDriver::n_check_leaked(int lane) const
 {
-    const size_t W = static_cast<size_t>(words_);
-    const size_t wi = static_cast<size_t>(lane >> 6);
     int n = 0;
-    for (int c = 0; c < code_->n_checks(); ++c) {
-        const size_t anc = static_cast<size_t>(code_->ancilla_of(c));
-        n += static_cast<int>((leaked_[anc * W + wi] >> (lane & 63)) & 1u);
-    }
+    for (int c = 0; c < code_->n_checks(); ++c)
+        n += check_leaked(lane, c);
     return n;
 }
 
@@ -346,48 +261,16 @@ BatchLeakageDriver::sparse_geometric(const LaneRate& rate)
     return static_cast<uint64_t>(s);
 }
 
-int
-BatchLeakageDriver::kth_set_lane(const LaneMask* mask, int n_words,
-                                 uint64_t k)
-{
-    for (int w = 0; w < n_words; ++w) {
-        const uint64_t pc =
-            static_cast<uint64_t>(__builtin_popcountll(mask[w]));
-        if (k < pc) {
-            LaneMask m = mask[w];
-            for (uint64_t i = 0; i < k; ++i)
-                m &= m - 1;  // clear the k lowest set bits
-            return w * kBatchLanes + __builtin_ctzll(m);
-        }
-        k -= pc;
-    }
-    return -1;  // unreachable while k < popcount(mask)
-}
-
-template <int WT>
 LaneMask
-BatchLeakageDriver::sparse_bernoulli_mask(LaneRate& rate,
-                                          const LaneMask* mask,
-                                          LaneMask* out)
+BatchLeakageDriver::sparse_bernoulli_mask(LaneRate& rate, LaneMask mask)
 {
-    const int W = WT > 0 ? WT : words_;
-    LaneMask any_mask = 0;
-    for (int w = 0; w < W; ++w) {
-        out[w] = 0;
-        any_mask |= mask[w];
-    }
     // Degenerate rates short-circuit with zero draws, like lockstep's
     // (and Rng::bernoulli's) no-draw contract.
-    if (rate.never || any_mask == 0)
+    if (rate.never || mask == 0)
         return 0;
-    if (rate.always) {
-        for (int w = 0; w < W; ++w)
-            out[w] = mask[w];
-        return any_mask;
-    }
-    uint64_t count = 0;
-    for (int w = 0; w < W; ++w)
-        count += static_cast<uint64_t>(__builtin_popcountll(mask[w]));
+    if (rate.always)
+        return mask;
+    const uint64_t count = static_cast<uint64_t>(__builtin_popcountll(mask));
     if (!rate.skip_valid) {
         rate.skip = sparse_geometric(rate);
         rate.skip_valid = true;
@@ -399,52 +282,46 @@ BatchLeakageDriver::sparse_bernoulli_mask(LaneRate& rate,
         return 0;
     }
     // Walk the events inside this site's candidate positions, ascending
-    // global lane order (the deterministic event order the bit-identity
-    // gate pins).
+    // lane order (the deterministic event order the bit-identity gate
+    // pins).
+    LaneMask out = 0;
     uint64_t k = rate.skip;
     while (k < count) {
-        set_lane_bit(out, kth_set_lane(mask, W, k));
+        LaneMask m = mask;
+        for (uint64_t i = 0; i < k; ++i)
+            m &= m - 1;  // clear the k lowest set bits
+        out |= m & -m;   // the k-th set lane
         k += 1 + sparse_geometric(rate);
     }
     rate.skip = k - count;
-    LaneMask any = 0;
-    for (int w = 0; w < W; ++w)
-        any |= out[w];
-    return any;
+    return out;
 }
 
-template <int WT>
 __attribute__((always_inline)) inline LaneMask
-BatchLeakageDriver::bernoulli_mask(LaneRate& rate,
-                                   const LaneMask* mask, LaneMask* out)
+BatchLeakageDriver::bernoulli_mask(LaneRate& rate, LaneMask mask)
 {
-    const int W = WT > 0 ? WT : words_;
     if (sparse_) {
-        if (rate.never) {
-            lanes_zero(out, W);
+        if (rate.never)
             return 0;
-        }
         if (rate.skip_valid) {
-            uint64_t count = 0;
-            for (int w = 0; w < W; ++w)
-                count += static_cast<uint64_t>(__builtin_popcountll(mask[w]));
+            const uint64_t count =
+                static_cast<uint64_t>(__builtin_popcountll(mask));
             if (rate.skip >= count) {
                 // The quiet site — the overwhelmingly common case at
-                // paper noise rates: popcounts and one subtraction, no
+                // paper noise rates: a popcount and one subtraction, no
                 // call and zero RNG work.
                 rate.skip -= count;
-                lanes_zero(out, W);
                 return 0;
             }
         }
-        return sparse_bernoulli_mask<WT>(rate, mask, out);
+        return sparse_bernoulli_mask(rate, mask);
     }
-    lanes_zero(out, W);
-    for_each_lane(mask, W, [&](int l) {
+    LaneMask out = 0;
+    for_each_lane(mask, [&](int l) {
         if (lane_rng_[static_cast<size_t>(l)].bernoulli(rate.p))
-            set_lane_bit(out, l);
+            out |= 1ull << l;
     });
-    return lanes_any(out, W);
+    return out;
 }
 
 void
@@ -455,12 +332,11 @@ BatchLeakageDriver::plan_round(LaneRate& rate,
     plan->events.clear();
     if (!rate.never) {
         // Active lanes are always the prefix [0, n_lanes), so a position's
-        // lane index is its global lane.  A full batch (64*K lanes, K a
-        // power of two) splits a position with a shift, not a division.
+        // lane index is its lane.  A full batch (64 lanes) splits a
+        // position with a shift, not a division.
         const uint64_t n = static_cast<uint64_t>(n_lanes_);
         const uint64_t total = static_cast<uint64_t>(slot.size()) * n;
         const int shift = (n & (n - 1)) == 0 ? __builtin_ctzll(n) : -1;
-        const size_t Ws = static_cast<size_t>(words_);
         uint64_t pos = 0;
         if (!rate.always) {
             if (!rate.skip_valid) {
@@ -477,7 +353,7 @@ BatchLeakageDriver::plan_round(LaneRate& rate,
                 plan->events.push_back({static_cast<uint32_t>(site),
                                         static_cast<uint32_t>(lane)});
             else
-                words[s * Ws + (lane >> 6)] |= 1ull << (lane & 63);
+                words[s] |= 1ull << lane;
             pos += 1 + (rate.always ? 0 : sparse_geometric(rate));
         }
         if (!rate.always)
@@ -487,142 +363,103 @@ BatchLeakageDriver::plan_round(LaneRate& rate,
     plan->next = plan->events.data();
 }
 
-template <int WT>
 __attribute__((always_inline)) inline LaneMask
 BatchLeakageDriver::round_site(LaneRate& rate, RoundPlan& plan,
-                               uint32_t site, const LaneMask* mask,
-                               LaneMask* out)
+                               uint32_t site, LaneMask mask)
 {
     if (!sparse_)
-        return bernoulli_mask<WT>(rate, mask, out);
-    const int W = WT > 0 ? WT : words_;
-    lanes_zero(out, W);
+        return bernoulli_mask(rate, mask);
     // The quiet site: one compare with the next planned event.
     const RoundPlan::Event* e = plan.next;
     if (e->site != site)
         return 0;
+    LaneMask out = 0;
     do {
-        set_lane_bit(out, static_cast<int>(e->lane));
+        out |= 1ull << e->lane;
         ++e;
     } while (e->site == site);
     plan.next = e;
-    LaneMask any = 0;
-    for (int w = 0; w < W; ++w) {
-        out[w] &= mask[w];  // discard events on masked-out lanes
-        any |= out[w];
-    }
-    return any;
+    return out & mask;  // discard events on masked-out lanes
 }
 
-template <int WT>
 __attribute__((always_inline)) inline void
 BatchLeakageDriver::depolarize1(int q, uint32_t site)
 {
-    const int W = WT > 0 ? WT : words_;
-    LaneMask fired[kMaxBatchWords];
-    if (round_site<WT>(rate_p_, plan_p_, site, active_, fired) == 0)
+    const LaneMask fired = round_site(rate_p_, plan_p_, site, active_);
+    if (fired == 0)
         return;
-    LaneMask xs[kMaxBatchWords], zs[kMaxBatchWords];
-    lanes_zero(xs, W);
-    lanes_zero(zs, W);
-    for_each_lane(fired, W, [&](int l) {
+    LaneMask xs = 0, zs = 0;
+    for_each_lane(fired, [&](int l) {
         const uint32_t pauli = 1 + payload_rng(l).uniform_int(3);
-        xs[l >> 6] |= static_cast<LaneMask>(pauli & 1u) << (l & 63);
-        zs[l >> 6] |= static_cast<LaneMask>((pauli >> 1) & 1u) << (l & 63);
+        xs |= static_cast<LaneMask>(pauli & 1u) << l;
+        zs |= static_cast<LaneMask>((pauli >> 1) & 1u) << l;
     });
-    pauli_t<WT>(q, xs, zs);
+    state_pauli(q, xs, zs);
 }
 
-template <int WT>
 __attribute__((always_inline)) inline void
 BatchLeakageDriver::depolarize2(int q0, int q1, uint32_t site)
 {
-    const int W = WT > 0 ? WT : words_;
-    LaneMask fired[kMaxBatchWords];
-    if (round_site<WT>(rate_p_, plan_p_, site, active_, fired) == 0)
+    const LaneMask fired = round_site(rate_p_, plan_p_, site, active_);
+    if (fired == 0)
         return;
-    LaneMask x0[kMaxBatchWords], z0[kMaxBatchWords];
-    LaneMask x1[kMaxBatchWords], z1[kMaxBatchWords];
-    lanes_zero(x0, W);
-    lanes_zero(z0, W);
-    lanes_zero(x1, W);
-    lanes_zero(z1, W);
-    for_each_lane(fired, W, [&](int l) {
+    LaneMask x0 = 0, z0 = 0, x1 = 0, z1 = 0;
+    for_each_lane(fired, [&](int l) {
         const uint32_t pauli = 1 + payload_rng(l).uniform_int(15);
-        x0[l >> 6] |= static_cast<LaneMask>(pauli & 1u) << (l & 63);
-        z0[l >> 6] |= static_cast<LaneMask>((pauli >> 1) & 1u) << (l & 63);
-        x1[l >> 6] |= static_cast<LaneMask>((pauli >> 2) & 1u) << (l & 63);
-        z1[l >> 6] |= static_cast<LaneMask>((pauli >> 3) & 1u) << (l & 63);
+        x0 |= static_cast<LaneMask>(pauli & 1u) << l;
+        z0 |= static_cast<LaneMask>((pauli >> 1) & 1u) << l;
+        x1 |= static_cast<LaneMask>((pauli >> 2) & 1u) << l;
+        z1 |= static_cast<LaneMask>((pauli >> 3) & 1u) << l;
     });
-    if (lanes_any(x0, W) | lanes_any(z0, W))
-        pauli_t<WT>(q0, x0, z0);
-    if (lanes_any(x1, W) | lanes_any(z1, W))
-        pauli_t<WT>(q1, x1, z1);
+    if (x0 | z0)
+        state_pauli(q0, x0, z0);
+    if (x1 | z1)
+        state_pauli(q1, x1, z1);
 }
 
-template <int WT>
 __attribute__((always_inline)) inline void
 BatchLeakageDriver::leak_maybe(int q, uint32_t site)
 {
-    LaneMask leak[kMaxBatchWords];
-    if (round_site<WT>(rate_pl_, plan_pl_, site, active_, leak) != 0)
-        set_leak_t<WT>(q, leak);
+    const LaneMask leak = round_site(rate_pl_, plan_pl_, site, active_);
+    if (leak != 0)
+        set_leak(q, leak);
 }
 
-template <int WT>
 __attribute__((always_inline)) inline void
 BatchLeakageDriver::cnot(int control, int target, uint32_t p_site,
                          uint32_t pl_site)
 {
-    const int W = WT > 0 ? WT : words_;
-    const LaneMask* cl = leaked(control);
-    const LaneMask* tl = leaked(target);
-    LaneMask clean[kMaxBatchWords], branch[kMaxBatchWords];
-    LaneMask any_clean = 0, any_branch = 0;
-    for (int w = 0; w < W; ++w) {
-        clean[w] = active_[w] & ~cl[w] & ~tl[w];
-        any_clean |= clean[w];
-        // Exactly-one-leaked lanes take the malfunction/transport
-        // branches; both-leaked lanes do nothing observable (scalar
-        // semantics).
-        branch[w] = active_[w] & (cl[w] ^ tl[w]);
-        any_branch |= branch[w];
-    }
-    if (any_clean != 0)
-        coherent_cnot_t<WT>(control, target, clean);
+    const LaneMask cl = leaked(control);
+    const LaneMask tl = leaked(target);
+    const LaneMask clean = active_ & ~cl & ~tl;
+    // Exactly-one-leaked lanes take the malfunction/transport branches;
+    // both-leaked lanes do nothing observable (scalar semantics).
+    const LaneMask branch = active_ & (cl ^ tl);
+    if (clean != 0)
+        state_cnot(control, target, clean);
 
-    if (any_branch != 0) {
+    if (branch != 0) {
         // The malfunction shape is lane-independent — whether the
         // disturbed partner is an ancilla is a property of the circuit,
         // not the shot.
-        LaneMask transport[kMaxBatchWords];
-        LaneMask xs_c[kMaxBatchWords], zs_c[kMaxBatchWords];
-        LaneMask xs_t[kMaxBatchWords], zs_t[kMaxBatchWords];
-        lanes_zero(transport, W);
-        lanes_zero(xs_c, W);
-        lanes_zero(zs_c, W);
-        lanes_zero(xs_t, W);
-        lanes_zero(zs_t, W);
+        LaneMask transport = 0, xs_c = 0, zs_c = 0, xs_t = 0, zs_t = 0;
         const bool t_is_anc = target >= code_->n_data();
         const bool c_is_anc = control >= code_->n_data();
-        for_each_lane(branch, W, [&](int l) {
-            const int wi = l >> 6;
-            const LaneMask bit = 1ull << (l & 63);
-            if ((cl[wi] & bit) != 0) {
+        for_each_lane(branch, [&](int l) {
+            const LaneMask bit = 1ull << l;
+            if ((cl & bit) != 0) {
                 // Leaked control: transport with prob `mobility`, else
                 // the target partner is disturbed.
                 if (payload_rng(l).bernoulli(np_.mobility)) {
-                    transport[wi] |= bit;
+                    transport |= bit;
                 } else if (t_is_anc && !np_.leaked_gate_backaction) {
                     // Ancilla CNOT target is Z-measured: 50% X flip.
                     if (payload_rng(l).bit())
-                        xs_t[wi] |= bit;
+                        xs_t |= bit;
                 } else {
                     const uint32_t pauli = payload_rng(l).uniform_int(4);
-                    xs_t[wi] |= static_cast<LaneMask>(pauli & 1u)
-                                << (l & 63);
-                    zs_t[wi] |= static_cast<LaneMask>((pauli >> 1) & 1u)
-                                << (l & 63);
+                    xs_t |= static_cast<LaneMask>(pauli & 1u) << l;
+                    zs_t |= static_cast<LaneMask>((pauli >> 1) & 1u) << l;
                 }
             } else {
                 // Leaked target: the control partner is disturbed.
@@ -630,40 +467,35 @@ BatchLeakageDriver::cnot(int control, int target, uint32_t p_site,
                     // Ancilla CNOT control (X check, between its
                     // Hadamards) is X-measured: 50% Z flip.
                     if (payload_rng(l).bit())
-                        zs_c[wi] |= bit;
+                        zs_c |= bit;
                 } else {
                     const uint32_t pauli = payload_rng(l).uniform_int(4);
-                    xs_c[wi] |= static_cast<LaneMask>(pauli & 1u)
-                                << (l & 63);
-                    zs_c[wi] |= static_cast<LaneMask>((pauli >> 1) & 1u)
-                                << (l & 63);
+                    xs_c |= static_cast<LaneMask>(pauli & 1u) << l;
+                    zs_c |= static_cast<LaneMask>((pauli >> 1) & 1u) << l;
                 }
             }
         });
-        if (lanes_any(xs_t, W) | lanes_any(zs_t, W))
-            pauli_t<WT>(target, xs_t, zs_t);
-        if (lanes_any(xs_c, W) | lanes_any(zs_c, W))
-            pauli_t<WT>(control, xs_c, zs_c);
-        if (lanes_any(transport, W) != 0) {
-            set_leak_t<WT>(target, transport);
+        if (xs_t | zs_t)
+            state_pauli(target, xs_t, zs_t);
+        if (xs_c | zs_c)
+            state_pauli(control, xs_c, zs_c);
+        if (transport != 0) {
+            set_leak(target, transport);
             clear_leak(control, transport);
         }
     }
 
-    depolarize2<WT>(control, target, p_site);
-    leak_maybe<WT>(control, pl_site);
-    leak_maybe<WT>(target, pl_site + 1);
+    depolarize2(control, target, p_site);
+    leak_maybe(control, pl_site);
+    leak_maybe(target, pl_site + 1);
 }
 
-template <int WT>
 __attribute__((always_inline)) inline void
 BatchLeakageDriver::lrc_gadgets(const LrcWords& lrc)
 {
     // The scalar apply_lrc_data / apply_lrc_check per lane, word-wide:
     // each lane sees its gadgets data-ascending, then checks-ascending,
     // and within a gadget the scalar order of flag steps and draws.
-    const int W = WT > 0 ? WT : words_;
-    const size_t Ws = static_cast<size_t>(W);
     const int n_data = code_->n_data();
     const int n_checks = code_->n_checks();
     // The requesting qubits, in gadget order, and their clipped request
@@ -673,16 +505,10 @@ BatchLeakageDriver::lrc_gadgets(const LrcWords& lrc)
     uint64_t data_pos = 0, check_pos = 0;
     const auto scan = [&](const LaneMask* words, int n, uint64_t* pos) {
         for (int i = 0; i < n; ++i) {
-            LaneMask any = 0;
-            for (int w = 0; w < W; ++w) {
-                const LaneMask m = words[static_cast<size_t>(i) * Ws +
-                                         static_cast<size_t>(w)] &
-                                   active_[w];
-                any |= m;
-                *pos += static_cast<uint64_t>(__builtin_popcountll(m));
-            }
+            const LaneMask m = words[i] & active_;
+            *pos += static_cast<uint64_t>(__builtin_popcountll(m));
             req[n_req] = i;
-            n_req += any != 0;
+            n_req += m != 0;
         }
     };
     scan(lrc.data.data(), n_data, &data_pos);
@@ -704,65 +530,56 @@ BatchLeakageDriver::lrc_gadgets(const LrcWords& lrc)
         if (rate_lrc_leak_.skip_valid)
             rate_lrc_leak_.skip -= data_pos + check_pos;
     }
-    LaneMask m[kMaxBatchWords], hit[kMaxBatchWords];
-    const auto requested = [&](const LaneMask* words, int i) {
-        for (int w = 0; w < W; ++w)
-            m[w] = words[static_cast<size_t>(i) * Ws +
-                         static_cast<size_t>(w)] &
-                   active_[w];
-    };
     for (int k = 0; k < n_req_data; ++k) {
         const int q = req[k];
-        requested(lrc.data.data(), q);
+        const LaneMask m = lrc.data[static_cast<size_t>(q)] & active_;
         // SWAP with the partner ancilla + reset: the flags are
         // exchanged, so a false-positive LRC against a leaked partner
         // pumps the leak IN.
         const int pc = lrc_partner_[static_cast<size_t>(q)];
         if (pc >= 0) {
             const int anc = code_->ancilla_of(pc);
-            const LaneMask* la = leaked(anc);
-            for (int w = 0; w < W; ++w)
-                hit[w] = m[w] & la[w];
+            const LaneMask hit = m & leaked(anc);
             clear_leak(q, m);
             clear_leak(anc, m);
-            set_leak_t<WT>(q, hit);
+            set_leak(q, hit);
         } else {
             clear_leak(q, m);
         }
         if (quiet)
             continue;
         // Gadget noise: depolarization, then leakage induction.
-        if (bernoulli_mask<WT>(rate_lrc_depol_, m, hit) != 0) {
-            LaneMask xs[kMaxBatchWords], zs[kMaxBatchWords];
-            lanes_zero(xs, W);
-            lanes_zero(zs, W);
-            for_each_lane(hit, W, [&](int l) {
+        const LaneMask depol = bernoulli_mask(rate_lrc_depol_, m);
+        if (depol != 0) {
+            LaneMask xs = 0, zs = 0;
+            for_each_lane(depol, [&](int l) {
                 const uint32_t pauli = 1 + payload_rng(l).uniform_int(3);
-                xs[l >> 6] |= static_cast<LaneMask>(pauli & 1u) << (l & 63);
-                zs[l >> 6] |= static_cast<LaneMask>((pauli >> 1) & 1u)
-                              << (l & 63);
+                xs |= static_cast<LaneMask>(pauli & 1u) << l;
+                zs |= static_cast<LaneMask>((pauli >> 1) & 1u) << l;
             });
-            pauli_t<WT>(q, xs, zs);
+            state_pauli(q, xs, zs);
         }
-        if (bernoulli_mask<WT>(rate_lrc_leak_, m, hit) != 0)
-            set_leak_t<WT>(q, hit);
+        const LaneMask leak = bernoulli_mask(rate_lrc_leak_, m);
+        if (leak != 0)
+            set_leak(q, leak);
     }
     for (int k = n_req_data; k < n_req; ++k) {
         const int c = req[k];
-        requested(lrc.checks.data(), c);
+        const LaneMask m = lrc.checks[static_cast<size_t>(c)] & active_;
         const int anc = code_->ancilla_of(c);
         clear_leak(anc, m);
-        reset_z_t<WT>(anc, m);
-        if (!quiet && bernoulli_mask<WT>(rate_lrc_leak_, m, hit) != 0)
-            set_leak_t<WT>(anc, hit);
+        state_reset_z(anc, m);
+        if (quiet)
+            continue;
+        const LaneMask leak = bernoulli_mask(rate_lrc_leak_, m);
+        if (leak != 0)
+            set_leak(anc, leak);
     }
 }
 
-template <int WT>
-__attribute__((always_inline)) inline void
-BatchLeakageDriver::readout(const LaneMask* measured, const LaneMask* lk,
-                            const LaneMask* ok, const LaneMask* err,
-                            LaneMask* flip)
+__attribute__((always_inline)) inline LaneMask
+BatchLeakageDriver::readout(LaneMask measured, LaneMask lk, LaneMask ok,
+                            LaneMask err)
 {
     // Clean lanes see the state's outcome through the readout-error site
     // (drawn by the caller, just before); leaked lanes' outcomes are
@@ -770,104 +587,67 @@ BatchLeakageDriver::readout(const LaneMask* measured, const LaneMask* lk,
     // across the two, so this is the scalar per-lane order in both modes
     // (sparse flips its coins from the event stream, ascending lane
     // order, after the error site).
-    const int W = WT > 0 ? WT : words_;
-    LaneMask rnd[kMaxBatchWords];
-    lanes_zero(rnd, W);
-    for_each_lane(lk, W, [&](int l) {
+    LaneMask rnd = 0;
+    for_each_lane(lk, [&](int l) {
         if (payload_rng(l).bit())
-            set_lane_bit(rnd, l);
+            rnd |= 1ull << l;
     });
-    for (int w = 0; w < W; ++w)
-        flip[w] = ((measured[w] ^ err[w]) & ok[w]) | (rnd[w] & lk[w]);
+    return ((measured ^ err) & ok) | (rnd & lk);
 }
 
-template <int WT>
 void
 BatchLeakageDriver::op_handler(const Op& op, uint32_t p_site,
                                uint32_t pl_site, uint32_t mlr_site)
 {
-    const int W = WT > 0 ? WT : words_;
-    const size_t Ws = static_cast<size_t>(W);
     switch (op.type) {
       case OpType::kResetZ: {
         // Reset skips leaked lanes entirely: no state touch, no init-error
-        // event (scalar semantics) — hence the masked event words.
-        const LaneMask* lq = leaked(op.q0);
-        LaneMask ok[kMaxBatchWords];
-        LaneMask any_ok = 0;
-        for (int w = 0; w < W; ++w) {
-            ok[w] = active_[w] & ~lq[w];
-            any_ok |= ok[w];
-        }
-        if (any_ok != 0)
-            reset_z_t<WT>(op.q0, ok);
-        LaneMask* ev = p_event_words(p_site);
+        // event (scalar semantics) — hence the masked event word.
+        const LaneMask ok = active_ & ~leaked(op.q0);
+        if (ok != 0)
+            state_reset_z(op.q0, ok);
+        LaneMask& ev = p_event(p_site);
         if (!sparse_)
-            bernoulli_mask<WT>(rate_p_, ok, ev);
-        LaneMask flip[kMaxBatchWords];
-        LaneMask any_flip = 0;
-        for (int w = 0; w < W; ++w) {
-            flip[w] = ev[w] & ok[w];
-            any_flip |= flip[w];
-            ev[w] = 0;
-        }
-        if (any_flip != 0) {
-            LaneMask none[kMaxBatchWords];
-            lanes_zero(none, W);
-            pauli_t<WT>(op.q0, flip, none);
-        }
+            ev = bernoulli_mask(rate_p_, ok);
+        const LaneMask flip = ev & ok;
+        ev = 0;
+        if (flip != 0)
+            state_pauli(op.q0, flip, 0);
         break;
       }
       case OpType::kH: {
-        const LaneMask* lq = leaked(op.q0);
-        LaneMask ok[kMaxBatchWords];
-        LaneMask any_ok = 0;
-        for (int w = 0; w < W; ++w) {
-            ok[w] = active_[w] & ~lq[w];
-            any_ok |= ok[w];
-        }
-        if (any_ok != 0)
-            hadamard_t<WT>(op.q0, ok);
-        depolarize1<WT>(op.q0, p_site);
+        const LaneMask ok = active_ & ~leaked(op.q0);
+        if (ok != 0)
+            state_hadamard(op.q0, ok);
+        depolarize1(op.q0, p_site);
         break;
       }
       case OpType::kCnot:
-        cnot<WT>(op.q0, op.q1, p_site, pl_site);
+        cnot(op.q0, op.q1, p_site, pl_site);
         break;
       case OpType::kMeasure: {
         const int anc = op.q0;
-        const LaneMask* la = leaked(anc);
-        LaneMask lk[kMaxBatchWords], ok[kMaxBatchWords];
-        for (int w = 0; w < W; ++w) {
-            lk[w] = active_[w] & la[w];
-            ok[w] = active_[w] & ~lk[w];
-        }
-        LaneMask measured[kMaxBatchWords], err[kMaxBatchWords];
-        measure_z_t<WT>(anc, measured);
-        LaneMask* ev = p_event_words(p_site);
+        const LaneMask lk = active_ & leaked(anc);
+        const LaneMask ok = active_ & ~lk;
+        const LaneMask measured = state_measure_z(anc);
+        LaneMask& ev = p_event(p_site);
         if (!sparse_)
-            bernoulli_mask<WT>(rate_p_, ok, ev);
-        for (int w = 0; w < W; ++w) {
-            err[w] = ev[w] & ok[w];
-            ev[w] = 0;
-        }
-        readout<WT>(measured, lk, ok, err,
-                    &meas_flip_[static_cast<size_t>(op.mslot) * Ws]);
+            ev = bernoulli_mask(rate_p_, ok);
+        const LaneMask err = ev & ok;
+        ev = 0;
+        meas_flip_[static_cast<size_t>(op.mslot)] =
+            readout(measured, lk, ok, err);
         // MLR leak flag with symmetric misclassification.
-        LaneMask* mev = mlr_event_words(mlr_site);
+        LaneMask& mev = mlr_event(mlr_site);
         if (!sparse_)
-            bernoulli_mask<WT>(rate_mlr_, active_, mev);
-        LaneMask* mlrw = &mlr_flag_[static_cast<size_t>(op.mslot) * Ws];
-        for (int w = 0; w < W; ++w) {
-            mlrw[w] = lk[w] ^ (mev[w] & active_[w]);
-            mev[w] = 0;
-        }
+            mev = bernoulli_mask(rate_mlr_, active_);
+        mlr_flag_[static_cast<size_t>(op.mslot)] = lk ^ (mev & active_);
+        mev = 0;
         break;
       }
     }
 }
 
-template <int WT>
 __attribute__((always_inline)) inline void
 BatchLeakageDriver::run_ops(bool inline_frame)
 {
@@ -877,8 +657,6 @@ BatchLeakageDriver::run_ops(bool inline_frame)
     // event or (CNOT, measurement) a leaked active lane takes the
     // handler.  Resets and H need no handler for leaked lanes: their
     // masked word op is exact, and a reset's init errors are event words.
-    const int W = WT > 0 ? WT : words_;
-    const size_t Ws = static_cast<size_t>(W);
     const Op* ops = rc_->ops().data();
     const uint32_t n_data = static_cast<uint32_t>(code_->n_data());
     uint32_t i = 0;
@@ -890,36 +668,30 @@ BatchLeakageDriver::run_ops(bool inline_frame)
             for (; i < run.end; ++i) {
                 const uint32_t p_site = n_data + i;
                 if (!inline_frame) {
-                    op_handler<WT>(ops[i], p_site, pl_site, mlr_site);
+                    op_handler(ops[i], p_site, pl_site, mlr_site);
                     continue;
                 }
                 const int q = ops[i].q0;
-                const LaneMask* lq = leaked(q);
+                const LaneMask ok = active_ & ~leaked(q);
                 LaneMask* f = frame(q);
-                LaneMask* ev = p_event_words(p_site);
-                for (int w = 0; w < W; ++w) {
-                    const LaneMask ok = active_[w] & ~lq[w];
-                    f[w] = (f[w] & ~ok) ^ (ev[w] & ok);
-                    f[W + w] &= ~ok;
-                    ev[w] = 0;
-                }
+                LaneMask& ev = p_event(p_site);
+                f[0] = (f[0] & ~ok) ^ (ev & ok);
+                f[1] &= ~ok;
+                ev = 0;
             }
             break;
           case OpType::kH:
             for (; i < run.end; ++i) {
                 const uint32_t p_site = n_data + i;
                 if (!inline_frame || plan_p_.next->site == p_site) {
-                    op_handler<WT>(ops[i], p_site, pl_site, mlr_site);
+                    op_handler(ops[i], p_site, pl_site, mlr_site);
                     continue;
                 }
-                const LaneMask* lq = leaked(ops[i].q0);
                 LaneMask* f = frame(ops[i].q0);
-                for (int w = 0; w < W; ++w) {
-                    const LaneMask diff =
-                        (f[w] ^ f[W + w]) & active_[w] & ~lq[w];
-                    f[w] ^= diff;
-                    f[W + w] ^= diff;
-                }
+                const LaneMask diff =
+                    (f[0] ^ f[1]) & active_ & ~leaked(ops[i].q0);
+                f[0] ^= diff;
+                f[1] ^= diff;
             }
             break;
           case OpType::kCnot:
@@ -927,71 +699,52 @@ BatchLeakageDriver::run_ops(bool inline_frame)
                 const uint32_t p_site = n_data + i;
                 if (!inline_frame || plan_p_.next->site == p_site ||
                     plan_pl_.next->site <= pl_site + 1) {
-                    op_handler<WT>(ops[i], p_site, pl_site, mlr_site);
+                    op_handler(ops[i], p_site, pl_site, mlr_site);
                     continue;
                 }
-                const LaneMask* cl = leaked(ops[i].q0);
-                const LaneMask* tl = leaked(ops[i].q1);
-                LaneMask branch = 0;
-                for (int w = 0; w < W; ++w)
-                    branch |= active_[w] & (cl[w] ^ tl[w]);
-                if (branch != 0) {
-                    op_handler<WT>(ops[i], p_site, pl_site, mlr_site);
+                const LaneMask cl = leaked(ops[i].q0);
+                const LaneMask tl = leaked(ops[i].q1);
+                if ((active_ & (cl ^ tl)) != 0) {
+                    op_handler(ops[i], p_site, pl_site, mlr_site);
                     continue;
                 }
                 // X copies c->t, Z copies t->c, on the lanes with
                 // neither qubit leaked.
+                const LaneMask clean = active_ & ~cl & ~tl;
                 LaneMask* c = frame(ops[i].q0);
                 LaneMask* t = frame(ops[i].q1);
-                for (int w = 0; w < W; ++w) {
-                    const LaneMask clean = active_[w] & ~cl[w] & ~tl[w];
-                    t[w] ^= c[w] & clean;
-                    c[W + w] ^= t[W + w] & clean;
-                }
+                t[0] ^= c[0] & clean;
+                c[1] ^= t[1] & clean;
             }
             break;
           case OpType::kMeasure:
             for (; i < run.end; ++i, ++mlr_site) {
                 const uint32_t p_site = n_data + i;
                 const int anc = ops[i].q0;
-                const LaneMask* la = leaked(anc);
-                LaneMask lk = 0;
-                for (int w = 0; w < W; ++w)
-                    lk |= active_[w] & la[w];
-                if (!inline_frame || lk != 0) {
-                    op_handler<WT>(ops[i], p_site, pl_site, mlr_site);
+                if (!inline_frame || (active_ & leaked(anc)) != 0) {
+                    op_handler(ops[i], p_site, pl_site, mlr_site);
                     continue;
                 }
                 // No lane leaked: the readout is the X frame through the
-                // readout-error words, and MLR is the misclassification.
-                const LaneMask* f = frame(anc);
-                LaneMask* ev = p_event_words(p_site);
-                LaneMask* mev = mlr_event_words(mlr_site);
-                const size_t slot = static_cast<size_t>(ops[i].mslot) * Ws;
-                for (int w = 0; w < W; ++w) {
-                    meas_flip_[slot + static_cast<size_t>(w)] =
-                        (f[w] ^ ev[w]) & active_[w];
-                    mlr_flag_[slot + static_cast<size_t>(w)] =
-                        mev[w] & active_[w];
-                    ev[w] = 0;
-                    mev[w] = 0;
-                }
+                // readout-error word, and MLR is the misclassification.
+                LaneMask& ev = p_event(p_site);
+                LaneMask& mev = mlr_event(mlr_site);
+                const size_t slot = static_cast<size_t>(ops[i].mslot);
+                meas_flip_[slot] = (frame(anc)[0] ^ ev) & active_;
+                mlr_flag_[slot] = mev & active_;
+                ev = 0;
+                mev = 0;
             }
             break;
         }
     }
 }
 
-template <int WT>
-__attribute__((always_inline)) inline void
-BatchLeakageDriver::run_round_t(const LrcWords& lrc)
+void
+BatchLeakageDriver::run_round_batch(const LrcWords& lrc)
 {
-    const int n_checks = code_->n_checks();
-    const int W = WT > 0 ? WT : words_;
-    const size_t Ws = static_cast<size_t>(W);
-
     // 1. Scheduled LRC gadgets (decided by the policy last round).
-    lrc_gadgets<WT>(lrc);
+    lrc_gadgets(lrc);
 
     // Sparse: plan the round's p, pl and MLR events up front.
     if (sparse_) {
@@ -1010,18 +763,18 @@ BatchLeakageDriver::run_round_t(const LrcWords& lrc)
                 std::min(plan_p_.next->site, plan_pl_.next->site);
             if (q >= n_data)
                 break;
-            depolarize1<WT>(static_cast<int>(q), q);
-            leak_maybe<WT>(static_cast<int>(q), q);
+            depolarize1(static_cast<int>(q), q);
+            leak_maybe(static_cast<int>(q), q);
         }
     } else {
         for (uint32_t q = 0; q < n_data; ++q) {
-            depolarize1<WT>(static_cast<int>(q), q);
-            leak_maybe<WT>(static_cast<int>(q), q);
+            depolarize1(static_cast<int>(q), q);
+            leak_maybe(static_cast<int>(q), q);
         }
     }
 
     // 3. The scheduled extraction circuit, word-wide.
-    run_ops<WT>(sparse_ && state_ == nullptr);
+    run_ops(sparse_ && state_ == nullptr);
     // Every planned event was consumed: no listed site was skipped, and
     // every event word was read and zeroed by its site.
     assert(!sparse_ || (plan_p_.next->site == kNoSite &&
@@ -1034,72 +787,33 @@ BatchLeakageDriver::run_round_t(const LrcWords& lrc)
 
     // 4. Detector words (also advances prev_meas_): together with the
     //    meas-flip and MLR words, the round's live word views.
-    for (int c = 0; c < n_checks; ++c) {
+    for (int c = 0; c < code_->n_checks(); ++c) {
+        const size_t i = static_cast<size_t>(c);
         const bool zero_det =
             first_round_ && code_->check(c).type == CheckType::kX;
-        for (int w = 0; w < W; ++w) {
-            const size_t i = static_cast<size_t>(c) * Ws +
-                             static_cast<size_t>(w);
-            const LaneMask meas = meas_flip_[i];
-            detector_[i] = zero_det ? 0 : meas ^ prev_meas_[i];
-            prev_meas_[i] = meas;
-        }
+        detector_[i] = zero_det ? 0 : meas_flip_[i] ^ prev_meas_[i];
+        prev_meas_[i] = meas_flip_[i];
     }
     first_round_ = false;
-}
-
-// One words_ dispatch per round (not per op) picks a compile-time-width
-// body: the W loops unroll away, and at the common W=1 every span op
-// degenerates to single-word straight-line code.
-void
-BatchLeakageDriver::run_round_batch(const LrcWords& lrc)
-{
-    switch (words_) {
-      case 1: run_round_t<1>(lrc); break;
-      case 2: run_round_t<2>(lrc); break;
-      case 4: run_round_t<4>(lrc); break;
-      case 8: run_round_t<8>(lrc); break;
-      default: run_round_t<0>(lrc); break;
-    }
-}
-
-template <int WT>
-__attribute__((always_inline)) inline void
-BatchLeakageDriver::final_measure_t(std::vector<std::vector<uint8_t>>* out)
-{
-    const int W = WT > 0 ? WT : words_;
-    out->resize(static_cast<size_t>(n_lanes_));
-    for (int l = 0; l < n_lanes_; ++l)
-        (*out)[static_cast<size_t>(l)].assign(
-            static_cast<size_t>(code_->n_data()), 0);
-    for (int q = 0; q < code_->n_data(); ++q) {
-        const LaneMask* lq = leaked(q);
-        LaneMask lk[kMaxBatchWords], ok[kMaxBatchWords];
-        for (int w = 0; w < W; ++w) {
-            lk[w] = active_[w] & lq[w];
-            ok[w] = active_[w] & ~lk[w];
-        }
-        LaneMask measured[kMaxBatchWords], err[kMaxBatchWords];
-        measure_z_t<WT>(q, measured);
-        bernoulli_mask<WT>(rate_p_, ok, err);
-        LaneMask flip[kMaxBatchWords];
-        readout<WT>(measured, lk, ok, err, flip);
-        for (int l = 0; l < n_lanes_; ++l)
-            (*out)[static_cast<size_t>(l)][static_cast<size_t>(q)] =
-                static_cast<uint8_t>((flip[l >> 6] >> (l & 63)) & 1u);
-    }
 }
 
 void
 BatchLeakageDriver::final_data_measure_batch(
     std::vector<std::vector<uint8_t>>* out)
 {
-    switch (words_) {
-      case 1: final_measure_t<1>(out); break;
-      case 2: final_measure_t<2>(out); break;
-      case 4: final_measure_t<4>(out); break;
-      case 8: final_measure_t<8>(out); break;
-      default: final_measure_t<0>(out); break;
+    out->resize(static_cast<size_t>(n_lanes_));
+    for (int l = 0; l < n_lanes_; ++l)
+        (*out)[static_cast<size_t>(l)].assign(
+            static_cast<size_t>(code_->n_data()), 0);
+    for (int q = 0; q < code_->n_data(); ++q) {
+        const LaneMask lk = active_ & leaked(q);
+        const LaneMask ok = active_ & ~lk;
+        const LaneMask measured = state_measure_z(q);
+        const LaneMask err = bernoulli_mask(rate_p_, ok);
+        const LaneMask flip = readout(measured, lk, ok, err);
+        for (int l = 0; l < n_lanes_; ++l)
+            (*out)[static_cast<size_t>(l)][static_cast<size_t>(q)] =
+                static_cast<uint8_t>((flip >> l) & 1u);
     }
 }
 

@@ -7,7 +7,6 @@
 #include "circuit/round_circuit.h"
 #include "codes/css_code.h"
 #include "noise/noise_model.h"
-#include "sim/lane_span.h"
 #include "sim/leakage_driver.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -35,7 +34,7 @@ namespace gld {
  * event lands in one of two places (see BatchLeakageDriver):
  *  - an event WORD, when its site never draws a payload: every MLR site,
  *    and the p site of every reset (the init error) and of every
- *    measurement (the readout error).  Each such site owns one lane span
+ *    measurement (the readout error).  Each such site owns one lane word
  *    the plan ORs its events into and the site consumes with one masked
  *    word op;
  *  - the event LIST otherwise (the depolarizing p sites and every pl
@@ -43,7 +42,7 @@ namespace gld {
  *    listed event.
  * The LRC gadgets' lrc_depol() and lrc_leak() rates and the final
  * readout consume their countdown site by site (an inline quiet path —
- * subtract the site's popcount, zero the output — and an out-of-line
+ * subtract the site's popcount, fire nothing — and an out-of-line
  * event path that draws); a round whose gadget positions both
  * countdowns outlast skips the per-site draws altogether.
  */
@@ -68,22 +67,21 @@ struct LaneRate {
 /**
  * The word-wide quantum-state interface a batch backend provides to the
  * BatchLeakageDriver: every primitive of StatePrimitives, widened to act
- * on up to batch_words*64 independent shots at once, selected by a
- * K-word lane span.  A driver built without one runs its own packed X/Z
- * Pauli frame inline (batch_frame); this virtual path serves the
- * backends with real per-lane state (batch_tableau) and test doubles.
+ * on up to 64 independent shots at once, selected by a lane word.  A
+ * driver built without one runs its own packed X/Z Pauli frame inline
+ * (batch_frame); this virtual path serves the backends with real
+ * per-lane state (batch_tableau) and test doubles.
  *
  * Lane/mask contract:
- *  - Every mask argument and every output is a span of the driver's
- *    n_words() LaneMask words (the width fixed at construction).  Bit l
- *    of word w belongs to lane (shot) w*64+l.  Lanes are independent
- *    shots: a masked op must not couple lanes, and bits outside the mask
- *    must be left untouched.
+ *  - Every mask argument and every result is one LaneMask word: bit l
+ *    belongs to lane (shot) l.  Lanes are independent shots: a masked op
+ *    must not couple lanes, and bits outside the mask must be left
+ *    untouched.
  *  - Masked ops may receive a mask with no bits set only via apply_pauli
  *    component words (xs or zs may be zero); callers skip fully-empty
  *    calls but are not required to.
- *  - measure_z fills all n_words() words; the driver masks out the lanes
- *    it does not want (leaked lanes' bits are discarded).  An exact
+ *  - measure_z returns a bit for every lane; the driver masks out the
+ *    lanes it does not want (leaked lanes' bits are discarded).  An exact
  *    batch backend may collapse all lanes here — discarded lanes'
  *    outcomes are never observed, so this is safe (batch_tableau does
  *    exactly this).
@@ -101,36 +99,33 @@ class BatchStatePrimitives {
      * Applies X to qubit q in the lanes of `xs` and Z in the lanes of
      * `zs` (both bits set in a lane = Y, as in the scalar encoding).
      */
-    virtual void apply_pauli(int q, const LaneMask* xs,
-                             const LaneMask* zs) = 0;
+    virtual void apply_pauli(int q, LaneMask xs, LaneMask zs) = 0;
 
     /** The coherent CNOT action in the lanes of `lanes`. */
-    virtual void coherent_cnot(int control, int target,
-                               const LaneMask* lanes) = 0;
+    virtual void coherent_cnot(int control, int target, LaneMask lanes) = 0;
 
     /** The coherent Hadamard action in the lanes of `lanes`. */
-    virtual void hadamard(int q, const LaneMask* lanes) = 0;
+    virtual void hadamard(int q, LaneMask lanes) = 0;
 
     /** Noiseless |0> reset of qubit q in the lanes of `lanes`. */
-    virtual void reset_z(int q, const LaneMask* lanes) = 0;
+    virtual void reset_z(int q, LaneMask lanes) = 0;
 
     /**
-     * Z-basis readout of qubit q into `out` (n_words() words): bit l of
-     * word w is lane w*64+l's outcome flip vs the noiseless reference.
-     * Lanes the caller knows to be leaked are masked off by the driver
-     * after the fact.
+     * Z-basis readout of qubit q: bit l is lane l's outcome flip vs the
+     * noiseless reference.  Lanes the caller knows to be leaked are
+     * masked off by the driver after the fact.
      */
-    virtual void measure_z(int q, LaneMask* out) = 0;
+    virtual LaneMask measure_z(int q) = 0;
 
     /** Fired when qubit q's leak flag rises 0 -> 1 in the lanes given. */
-    virtual void park_leaked(int q, const LaneMask* lanes) = 0;
+    virtual void park_leaked(int q, LaneMask lanes) = 0;
 };
 
 /**
  * The batch execution path of the shared LeakageDriver: the SAME classical
  * leakage semantics (sim/leakage_driver.{h,cc} is the reference
- * implementation), executed for up to batch_words*64 shots in lockstep
- * over a BatchStatePrimitives provider.
+ * implementation), executed for up to 64 shots — one lane word — in
+ * lockstep over a BatchStatePrimitives provider.
  *
  * Determinism contract — two Bernoulli draw contracts (NoiseSampling):
  *  - kSparse, the production engine and the library default: one event
@@ -146,7 +141,7 @@ class BatchStatePrimitives {
  *    RoundCircuit is site n_data+i; pl: data qubit q, then a pair per
  *    CNOT; MLR: one per measurement) times the active lanes.  Events at
  *    the payload-free sites (every MLR site; the p site of every reset
- *    and every measurement) are ORed into that site's event words; the
+ *    and every measurement) are ORed into that site's event word; the
  *    rest are listed in position order.  A masked site (the reset init
  *    error, the readout error) discards the events that fall on its
  *    masked-out (leaked) lanes — exact, since every position is an iid
@@ -164,7 +159,7 @@ class BatchStatePrimitives {
  *    pl) event or, for a CNOT or a measurement, an active lane of its
  *    qubits is leaked.  Under lockstep, and on a backend with its own
  *    primitives (batch_tableau), every op takes the handler; lockstep
- *    fills a payload-free site's event words with its per-lane draw at
+ *    fills a payload-free site's event word with its per-lane draw at
  *    the site, so both modes consume them the same way.
  *  - kLockstep, the scalar-aligned reference: lane l owns a plain Rng,
  *    master.split(shot_base + l) — exactly the stream the SCALAR driver
@@ -172,27 +167,26 @@ class BatchStatePrimitives {
  *    a call on it (bernoulli, uniform_int, bit) in the scalar driver's
  *    within-shot order.  Each lane's draw sequence is therefore
  *    bit-identical to the scalar backend's corresponding shot, no matter
- *    what the other lanes do, at EVERY batch width: lane (w, l) of a
- *    K-word batch replays scalar shot w*64+l of the block draw for draw.
+ *    what the other lanes do: lane l of the j-th batch of a block
+ *    replays scalar shot 64*j+l of the block draw for draw.
  *  - In both modes control flow is computed per lane into masks; state
  *    mutation happens through word-wide masked primitives, but never in
  *    a way the scalar driver could distinguish.
  *
  * Any semantic change to the scalar LeakageDriver MUST be mirrored here;
  * the cross-backend gate (frame vs batch_frame Metrics must be
- * bit-identical at every K, tier-1) is what catches a fork.
+ * bit-identical at every scheduler block size, tier-1) is what catches a
+ * fork.
  */
 class BatchLeakageDriver final {
   public:
     /**
-     * @param master the shot-master stream; lane l of batch b draws from
-     *        master.split(sum of earlier batch widths + l).  Pass the
+     * @param master the shot-master stream; lane l of a batch draws from
+     *        master.split(shots of the earlier batches + l).  Pass the
      *        SAME master the scalar backend would construct from the seed
      *        and the lane streams line up shot for shot.
      * @param state the backend's primitives, or nullptr for the driver's
      *        own inline Pauli frame (the batch_frame backend).
-     * @param batch_words words per lane span (1 <= K <= kMaxBatchWords);
-     *        one batch holds up to batch_words*64 shots.
      * @param noise_sampling lockstep (per-lane Rng streams, the
      *        scalar-aligned reference) or sparse (one event stream for the
      *        whole batch, geometric skips over the (site x lane) position
@@ -201,7 +195,7 @@ class BatchLeakageDriver final {
      */
     BatchLeakageDriver(const CssCode& code, const RoundCircuit& rc,
                        const NoiseParams& np, Rng master,
-                       BatchStatePrimitives* state, int batch_words,
+                       BatchStatePrimitives* state,
                        NoiseSampling noise_sampling =
                            NoiseSampling::kLockstep);
 
@@ -211,12 +205,10 @@ class BatchLeakageDriver final {
     BatchLeakageDriver& operator=(const BatchLeakageDriver&) = delete;
 
     /**
-     * Starts a new batch of `n_lanes` shots (1 <= n_lanes <=
-     * n_words()*64): clears flags/history/state, actives lanes
-     * [0, n_lanes) and reseeds lane l with master.split(shots_started +
-     * l).  Lanes >= n_lanes are padding: masked off everywhere and never
-     * drawing — a partial batch's mask boundary may fall mid-span (a
-     * full low word, a partial high word, empty words above).
+     * Starts a new batch of `n_lanes` shots (1 <= n_lanes <= 64): clears
+     * flags/history/state, actives lanes [0, n_lanes) and reseeds lane l
+     * with master.split(shots_started + l).  Lanes >= n_lanes are
+     * padding: masked off everywhere and never drawing.
      */
     void reset_shot_batch(int n_lanes);
 
@@ -227,20 +219,18 @@ class BatchLeakageDriver final {
      * active (the post-construction probing state), and the backend
      * state re-initialized.  The simulator-reuse path resets a cached
      * driver per scheduler block with the block's own master, making
-     * reuse bit-identical to fresh construction at every K.
+     * reuse bit-identical to fresh construction.
      */
     void reset_for_block(Rng master);
 
-    /** Words per lane span (the K of this driver). */
-    int n_words() const { return words_; }
-    /** Lanes currently active (padding excluded), n_words() words. */
-    const LaneMask* active() const { return active_; }
+    /** Lanes currently active (padding excluded). */
+    LaneMask active() const { return active_; }
     int n_lanes() const { return n_lanes_; }
 
-    /** Raises the leak flag of qubit q in the `lanes` span. */
-    void set_leak(int q, const LaneMask* lanes);
-    /** Raises check c's ancilla leak flag in the `lanes` span. */
-    void set_check_leak(int c, const LaneMask* lanes)
+    /** Raises the leak flag of qubit q in `lanes`. */
+    void set_leak(int q, LaneMask lanes);
+    /** Raises check c's ancilla leak flag in `lanes`. */
+    void set_check_leak(int c, LaneMask lanes)
     {
         set_leak(code_->ancilla_of(c), lanes);
     }
@@ -248,50 +238,27 @@ class BatchLeakageDriver final {
      * Applies X to qubit q in the lanes of `xs` and Z in the lanes of
      * `zs` (the state's apply_pauli; injection for the scalar adapters).
      */
-    void apply_pauli(int q, const LaneMask* xs, const LaneMask* zs);
+    void apply_pauli(int q, LaneMask xs, LaneMask zs);
 
-    /** Clears qubit q's leak flag in the `lanes` span. */
-    void clear_leak(int q, const LaneMask* lanes)
+    /** Clears qubit q's leak flag in `lanes`. */
+    void clear_leak(int q, LaneMask lanes)
     {
-        LaneMask* lw = &leaked_[static_cast<size_t>(q) *
-                                static_cast<size_t>(words_)];
-        for (int w = 0; w < words_; ++w)
-            lw[w] &= ~lanes[w];
+        leaked_[static_cast<size_t>(q)] &= ~lanes;
     }
 
-    // Per-lane (one-hot) variants of the flag ops, for the scalar
-    // adapters and per-lane leak injection.
-    void set_leak_lane(int q, int lane);
-    void set_check_leak_lane(int c, int lane)
-    {
-        set_leak_lane(code_->ancilla_of(c), lane);
-    }
-    void clear_leak_lane(int q, int lane)
-    {
-        leaked_[static_cast<size_t>(q) * static_cast<size_t>(words_) +
-                static_cast<size_t>(lane >> 6)] &= ~(1ull << (lane & 63));
-    }
-
-    /** Leak-flag span of qubit q (n_words() words, bit per lane). */
-    const LaneMask* leaked(int q) const
-    {
-        return &leaked_[static_cast<size_t>(q) *
-                        static_cast<size_t>(words_)];
-    }
-    /**
-     * Leak-flag words of every qubit, data first then ancillas: entry
-     * q*n_words()+w is word w of qubit q's span.
-     */
+    /** Leak-flag word of qubit q (bit per lane). */
+    LaneMask leaked(int q) const { return leaked_[static_cast<size_t>(q)]; }
+    /** Leak-flag words of every qubit, data first then ancillas. */
     const LaneMask* leaked_words() const { return leaked_.data(); }
 
     // --- Per-lane ground truth (the runner's accounting view). ---
     bool data_leaked(int lane, int q) const
     {
-        return lane_bit(leaked(q), lane);
+        return (leaked(q) >> lane) & 1u;
     }
     bool check_leaked(int lane, int c) const
     {
-        return lane_bit(leaked(code_->ancilla_of(c)), lane);
+        return data_leaked(lane, code_->ancilla_of(c));
     }
     int n_data_leaked(int lane) const;
     int n_check_leaked(int lane) const;
@@ -310,13 +277,13 @@ class BatchLeakageDriver final {
      * then checks ascending, each on its requesting lanes clipped to the
      * active ones — then one noisy syndrome-extraction round for every
      * active lane in lockstep.  The round is left in the word views
-     * below.  `lrc` must be shaped n_data*K / n_checks*K (the
+     * below.  `lrc` must hold a word per data qubit and per check (the
      * BatchSimulator entry checks this).
      */
     void run_round_batch(const LrcWords& lrc);
 
-    // The last round's words, one span per check (entry c*n_words()+w),
-    // live views like leaked_words(); zero on inactive lanes.
+    // The last round's words, one per check, live views like
+    // leaked_words(); zero on inactive lanes.
     const LaneMask* meas_flip_words() const { return meas_flip_.data(); }
     const LaneMask* detector_words() const { return detector_.data(); }
     const LaneMask* mlr_words() const { return mlr_flag_.data(); }
@@ -372,100 +339,78 @@ class BatchLeakageDriver final {
         int lane_ = 0;
     };
 
-    // The hot per-op helpers are templated on the batch width: WT > 0 is
-    // a compile-time word count (the W loops unroll away — at the
-    // common W=1 every span op is straight-line single-word code), WT ==
-    // 0 reads the runtime words_.  run_round_batch dispatches once per
-    // round on words_; everything below inlines into that instantiation.
-    // The `site` arguments are the sparse plan's site ids (see the
-    // class comment); lockstep ignores them.
-    template <int WT> void depolarize1(int q, uint32_t site);
-    template <int WT> void depolarize2(int q0, int q1, uint32_t site);
-    template <int WT> void leak_maybe(int q, uint32_t site);
-    template <int WT>
+    // The hot per-op helpers inline into the round.  The `site`
+    // arguments are the sparse plan's site ids (see the class comment);
+    // lockstep ignores them.
+    void depolarize1(int q, uint32_t site);
+    void depolarize2(int q0, int q1, uint32_t site);
+    void leak_maybe(int q, uint32_t site);
     void cnot(int control, int target, uint32_t p_site, uint32_t pl_site);
-    template <int WT> void set_leak_t(int q, const LaneMask* lanes);
     /**
      * Step 1 of a round: every scheduled LRC gadget, word-wide.  When
      * both gadget countdowns outlast the round's gadget positions (the
      * clipped request popcounts), the counts are subtracted up front and
      * only the flag swaps and resets run.
      */
-    template <int WT> void lrc_gadgets(const LrcWords& lrc);
+    void lrc_gadgets(const LrcWords& lrc);
     /**
      * One op of the round circuit as the full site (the slow path of the
      * typed runs, and every op under lockstep or backend primitives):
      * leak branches, listed events with their payloads, and the event
-     * words of a payload-free site (drawn here under lockstep), which it
+     * word of a payload-free site (drawn here under lockstep), which it
      * consumes and zeroes.
      */
-    template <int WT>
     __attribute__((noinline)) void op_handler(const Op& op, uint32_t p_site,
                                               uint32_t pl_site,
                                               uint32_t mlr_site);
     /** The round circuit as typed op runs (step 3 of a round). */
-    template <int WT> void run_ops(bool inline_frame);
+    void run_ops(bool inline_frame);
 
     // The quantum state: the driver's own packed X/Z Pauli frame when it
     // was built without primitives (state_ == nullptr), plain word ops
     // inlined into the round; otherwise the backend's virtual primitives.
     // park_leaked is a no-op on the frame: a leaked lane's frame freezes
     // because the driver routes no coherent gates at it.
-    template <int WT>
-    void pauli_t(int q, const LaneMask* xs, const LaneMask* zs);
-    template <int WT>
-    void coherent_cnot_t(int control, int target, const LaneMask* lanes);
-    template <int WT> void hadamard_t(int q, const LaneMask* lanes);
-    template <int WT> void reset_z_t(int q, const LaneMask* lanes);
-    template <int WT> void measure_z_t(int q, LaneMask* out);
+    void state_pauli(int q, LaneMask xs, LaneMask zs);
+    void state_cnot(int control, int target, LaneMask lanes);
+    void state_hadamard(int q, LaneMask lanes);
+    void state_reset_z(int q, LaneMask lanes);
+    LaneMask state_measure_z(int q);
     void reset_state();
-    /** Qubit q's frame: its X span, then its Z span (2*n_words() words). */
-    LaneMask* frame(int q)
-    {
-        return &frame_[static_cast<size_t>(q) * 2 *
-                       static_cast<size_t>(words_)];
-    }
+    /** Qubit q's frame: its X word, then its Z word. */
+    LaneMask* frame(int q) { return &frame_[2 * static_cast<size_t>(q)]; }
 
     /**
-     * One word-wide Bernoulli site: the fired lanes of the `mask` span
-     * are written to the `out` span, and the OR of the out words is
-     * returned (nonzero iff any lane fired).  Lockstep calls
-     * Rng::bernoulli once per lane of `mask` on that lane's own stream
-     * (lanes outside `mask` do not advance), so it keeps the no-draw
-     * p<=0 / p>=1 short-circuits too.  Sparse resolves a quiet site
-     * inline — a zero rate, or a live countdown of at least
-     * popcount(mask), which is decremented — by zeroing `out`, and calls
-     * the out-of-line sparse_bernoulli_mask for everything else.  Under
-     * sparse the round's p/pl/MLR sites are planned instead (round_site
-     * and the event words); this countdown path serves the LRC-gadget
-     * sites and the final readout.
+     * One word-wide Bernoulli site: returns the fired lanes of `mask`.
+     * Lockstep calls Rng::bernoulli once per lane of `mask` on that
+     * lane's own stream (lanes outside `mask` do not advance), so it
+     * keeps the no-draw p<=0 / p>=1 short-circuits too.  Sparse resolves
+     * a quiet site inline — a zero rate, or a live countdown of at least
+     * popcount(mask), which is decremented — and calls the out-of-line
+     * sparse_bernoulli_mask for everything else.  Under sparse the
+     * round's p/pl/MLR sites are planned instead (round_site and the
+     * event words); this countdown path serves the LRC-gadget sites and
+     * the final readout.
      */
-    template <int WT>
-    LaneMask bernoulli_mask(LaneRate& rate, const LaneMask* mask,
-                            LaneMask* out);
+    LaneMask bernoulli_mask(LaneRate& rate, LaneMask mask);
 
     /**
      * The event path of a sparse Bernoulli site (NoiseSampling::kSparse):
      * instead of advancing every lane's stream, walk `rate`'s persistent
      * geometric countdown over the popcount(mask) candidate positions of
-     * this site (ascending global lane order) and set only the firing
-     * lanes in `out`.  A site where the countdown does not expire costs
-     * ZERO draws; each event costs one uniform (the next skip).  The
-     * countdown carries across sites, rounds and shots of one (stream,
-     * block) work unit — events depend only on (seed, stream, block), so
-     * results stay bit-identical across thread counts and shard splits.
-     * Out of line: bernoulli_mask has already handled the quiet sites.
+     * this site (ascending lane order) and return only the firing lanes.
+     * A site where the countdown does not expire costs ZERO draws; each
+     * event costs one uniform (the next skip).  The countdown carries
+     * across sites, rounds and shots of one batch — events depend only
+     * on (seed, stream, block), so results stay bit-identical across
+     * thread counts and shard splits.  Out of line: bernoulli_mask has
+     * already handled the quiet sites.
      */
-    template <int WT>
     __attribute__((noinline)) LaneMask
-    sparse_bernoulli_mask(LaneRate& rate, const LaneMask* mask,
-                          LaneMask* out);
+    sparse_bernoulli_mask(LaneRate& rate, LaneMask mask);
 
     /** Next geometric skip (# of non-events before the next event). */
     uint64_t sparse_geometric(const LaneRate& rate);
-
-    /** Global lane index of the k-th set bit of a span (k < popcount). */
-    static int kth_set_lane(const LaneMask* mask, int n_words, uint64_t k);
 
     /**
      * One planned round rate (sparse): this round's listed events as
@@ -489,34 +434,25 @@ class BatchLeakageDriver final {
      * positions (position = site*n_lanes() + lane), continuing the
      * rate's countdown and leaving the remainder in it.  An event whose
      * site has a slot s in `slot` (one entry per site) is ORed into
-     * span s of `words`; an event whose slot is kListed goes on the
+     * word s of `words`; an event whose slot is kListed goes on the
      * plan's list.  A zero rate draws nothing; p >= 1 plans every
      * position without drawing.
      */
     void plan_round(LaneRate& rate, const std::vector<uint32_t>& slot,
                     LaneMask* words, RoundPlan* plan);
 
-    /** The event-word span of p site `site` (a reset or measurement). */
-    LaneMask* p_event_words(uint32_t site)
-    {
-        return &ev_p_[static_cast<size_t>(p_slot_[site]) *
-                      static_cast<size_t>(words_)];
-    }
-    /** The event-word span of MLR site `site`. */
-    LaneMask* mlr_event_words(uint32_t site)
-    {
-        return &ev_mlr_[static_cast<size_t>(site) *
-                        static_cast<size_t>(words_)];
-    }
+    /** The event word of p site `site` (a reset or measurement). */
+    LaneMask& p_event(uint32_t site) { return ev_p_[p_slot_[site]]; }
+    /** The event word of MLR site `site`. */
+    LaneMask& mlr_event(uint32_t site) { return ev_mlr_[site]; }
 
     /**
      * A round's listed p/pl site: lockstep is bernoulli_mask; sparse
      * fires the listed events whose site is `site`, keeping the lanes of
      * `mask` (an event on a masked-out lane is discarded).
      */
-    template <int WT>
     LaneMask round_site(LaneRate& rate, RoundPlan& plan, uint32_t site,
-                        const LaneMask* mask, LaneMask* out);
+                        LaneMask mask);
 
     // Payload draws (Pauli choice, transport direction, readout coin...)
     // after a fire decision: lockstep takes them from the firing lane's
@@ -538,18 +474,12 @@ class BatchLeakageDriver final {
     }
 
     /**
-     * Readout flips of one measured qubit into `flip`: the drawn
-     * readout errors `err` on the `ok` lanes, a random outcome (one coin
-     * per lane, ascending) for the leaked `lk` lanes.
+     * Readout flips of one measured qubit: the drawn readout errors
+     * `err` on the `ok` lanes, a random outcome (one coin per lane,
+     * ascending) for the leaked `lk` lanes.
      */
-    template <int WT>
-    void readout(const LaneMask* measured, const LaneMask* lk,
-                 const LaneMask* ok, const LaneMask* err, LaneMask* flip);
-
-    /** Width-specialized bodies of the two public batch entry points. */
-    template <int WT> void run_round_t(const LrcWords& lrc);
-    template <int WT>
-    void final_measure_t(std::vector<std::vector<uint8_t>>* out);
+    LaneMask readout(LaneMask measured, LaneMask lk, LaneMask ok,
+                     LaneMask err);
 
     const CssCode* code_;
     const RoundCircuit* rc_;
@@ -563,7 +493,7 @@ class BatchLeakageDriver final {
     // per site, fixed by the circuit; see plan_round).
     RoundPlan plan_p_, plan_pl_, plan_mlr_;
     std::vector<uint32_t> p_slot_, pl_slot_, mlr_slot_;
-    // Event words of the payload-free sites, one span per site: ev_p_
+    // Event words of the payload-free sites, one word per site: ev_p_
     // holds the resets' and measurements' p sites in site order, ev_mlr_
     // the MLR sites.  Planned (sparse) or drawn (lockstep) each round,
     // consumed and zeroed by their site: all zero between rounds.
@@ -578,21 +508,20 @@ class BatchLeakageDriver final {
     std::vector<int> lrc_req_;
     Rng master_rng_;
     uint64_t shots_started_ = 0;
-    int words_ = 1;         ///< K: words per lane span
     bool sparse_ = false;   ///< NoiseSampling::kSparse event-driven draws
     Rng event_rng_;         ///< the sparse mode's one per-batch stream
-    /** Lockstep only: lane l's shot stream (64*K entries; none in sparse). */
+    /** Lockstep only: lane l's shot stream (64 entries; none in sparse). */
     std::vector<Rng> lane_rng_;
 
-    LaneMask active_[kMaxBatchWords] = {};
+    LaneMask active_ = 0;
     int n_lanes_ = 0;
     bool first_round_ = true;
 
-    std::vector<LaneMask> leaked_;     ///< leak-flag span per qubit
+    std::vector<LaneMask> leaked_;     ///< leak-flag word per qubit
     std::vector<LaneMask> prev_meas_;  ///< previous meas_flip per check
-    std::vector<LaneMask> meas_flip_;  ///< last round, span per check
-    std::vector<LaneMask> mlr_flag_;   ///< last round, span per check
-    std::vector<LaneMask> detector_;   ///< last round, span per check
+    std::vector<LaneMask> meas_flip_;  ///< last round, word per check
+    std::vector<LaneMask> mlr_flag_;   ///< last round, word per check
+    std::vector<LaneMask> detector_;   ///< last round, word per check
     std::vector<int> lrc_partner_;
     std::vector<LaneOracle> lane_oracles_;
     BatchStatePrimitives* state_;  ///< nullptr: the inline frame below
@@ -608,11 +537,7 @@ class BatchLeakageDriver final {
  */
 class BatchLeakageDriverSim : public BatchSimulator {
   public:
-    int batch_width() const final
-    {
-        return driver_.n_words() * kBatchLanes;
-    }
-    int batch_n_words() const final { return driver_.n_words(); }
+    int batch_width() const final { return kBatchLanes; }
     void reset_shot_batch(int n_lanes) final
     {
         driver_.reset_shot_batch(n_lanes);
@@ -620,7 +545,7 @@ class BatchLeakageDriverSim : public BatchSimulator {
     int n_lanes() const final { return driver_.n_lanes(); }
     void inject_data_leak_lane(int lane, int q) final
     {
-        driver_.set_leak_lane(q, lane);
+        driver_.set_leak(q, 1ull << lane);
     }
     const LeakageOracle& lane_oracle(int lane) const final
     {
@@ -659,20 +584,11 @@ class BatchLeakageDriverSim : public BatchSimulator {
 
     // --- Scalar Simulator API: lane 0 of a one-lane batch. ---
     void reset_shot() final { driver_.reset_shot_batch(1); }
-    void inject_data_leak(int q) final { driver_.set_leak_lane(q, 0); }
-    void inject_check_leak(int c) final
-    {
-        driver_.set_check_leak_lane(c, 0);
-    }
-    void inject_x(int q) final
-    {
-        driver_.apply_pauli(q, kLaneZeroOne, kLanesNone);
-    }
-    void inject_z(int q) final
-    {
-        driver_.apply_pauli(q, kLanesNone, kLaneZeroOne);
-    }
-    void clear_leak(int q) final { driver_.clear_leak_lane(q, 0); }
+    void inject_data_leak(int q) final { driver_.set_leak(q, 1); }
+    void inject_check_leak(int c) final { driver_.set_check_leak(c, 1); }
+    void inject_x(int q) final { driver_.apply_pauli(q, 1, 0); }
+    void inject_z(int q) final { driver_.apply_pauli(q, 0, 1); }
+    void clear_leak(int q) final { driver_.clear_leak(q, 1); }
     const LeakageOracle& leak_oracle() const final
     {
         return driver_.lane_oracle(0);
@@ -691,14 +607,13 @@ class BatchLeakageDriverSim : public BatchSimulator {
      *         master (e.g. Rng(seed)) for shot-for-shot lane alignment.
      *  @param state the backend's primitives; nullptr runs the driver's
      *         inline Pauli frame.
-     *  @param batch_words the K of this backend's lane spans.
      *  @param noise_sampling the driver's Bernoulli draw contract. */
     BatchLeakageDriverSim(const CssCode& code, const RoundCircuit& rc,
                           const NoiseParams& np, Rng master,
-                          BatchStatePrimitives* state, int batch_words,
+                          BatchStatePrimitives* state,
                           NoiseSampling noise_sampling)
         : BatchSimulator(code.n_data(), code.n_checks()),
-          driver_(code, rc, np, master, state, batch_words, noise_sampling)
+          driver_(code, rc, np, master, state, noise_sampling)
     {
     }
 
@@ -710,10 +625,6 @@ class BatchLeakageDriverSim : public BatchSimulator {
     BatchLeakageDriver driver_;
 
   private:
-    // Constant spans for the scalar (lane 0) injection adapters.
-    static constexpr LaneMask kLaneZeroOne[kMaxBatchWords] = {1};
-    static constexpr LaneMask kLanesNone[kMaxBatchWords] = {};
-
     // Scratch for the scalar API adapters (reused across rounds).
     std::vector<LrcSchedule> one_lrcs_{1};
     std::vector<RoundResult> one_round_;

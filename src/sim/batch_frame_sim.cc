@@ -4,14 +4,14 @@ namespace gld {
 
 BatchFrameSim::BatchFrameSim(const CssCode& code, const RoundCircuit& rc,
                              const NoiseParams& np, uint64_t seed,
-                             int batch_words, NoiseSampling noise_sampling)
+                             NoiseSampling noise_sampling)
     // Same master stream as LeakFrameSim(seed): under lockstep sampling
     // lane l of batch b is bit-identical to the scalar frame backend's
-    // shot (64*K*b + l), at every batch width K.  Sparse sampling derives
+    // shot 64*b + l.  Sparse sampling derives
     // its event stream from the same master but draws a different
     // sequence (its own RNG contract; qualified statistically).  No
     // primitives: the driver runs its inline Pauli frame.
-    : BatchLeakageDriverSim(code, rc, np, Rng(seed), nullptr, batch_words,
+    : BatchLeakageDriverSim(code, rc, np, Rng(seed), nullptr,
                             noise_sampling)
 {
 }

@@ -13,17 +13,17 @@
 namespace gld {
 
 /**
- * Bit-packed Pauli-frame backend: batch_words * kBatchLanes Monte-Carlo
- * shots per batch, one K-word X/Z frame span per qubit, driven in
- * lockstep by the BatchLeakageDriver.
+ * Bit-packed Pauli-frame backend: kBatchLanes (64) Monte-Carlo shots per
+ * batch, one X and one Z frame word per qubit, driven in lockstep by the
+ * BatchLeakageDriver.
  *
  * The frame is the driver's own: built without primitives, the driver
- * runs each state update as a K-word strip of AND/XOR operations inside
- * its width-templated round (no virtual call), serving up to 64*K shots
- * at once — the classic batch frame-simulator speedup.  Under lockstep
- * sampling the per-lane noise streams keep every lane bit-identical to
- * the scalar `frame` backend's corresponding shot (same master
- * Rng(seed), same split-per-shot derivation, at every K), so `Metrics`
+ * runs each state update as a few AND/XOR word operations inside its
+ * round (no virtual call), serving 64 shots at once — the classic batch
+ * frame-simulator speedup.  Under lockstep sampling the per-lane noise
+ * streams keep every lane bit-identical to the scalar `frame` backend's
+ * corresponding shot (same master Rng(seed), same split-per-shot
+ * derivation), so `Metrics`
  * produced through the scheduler's batch path are bit-identical to the
  * scalar frame backend's — the tier-1 cross-backend gate.  Under the
  * default sparse sampling they agree statistically (the verify referee).
@@ -36,7 +36,7 @@ namespace gld {
 class BatchFrameSim final : public BatchLeakageDriverSim {
   public:
     BatchFrameSim(const CssCode& code, const RoundCircuit& rc,
-                  const NoiseParams& np, uint64_t seed, int batch_words = 1,
+                  const NoiseParams& np, uint64_t seed,
                   NoiseSampling noise_sampling = NoiseSampling::kLockstep);
 
     std::string name() const override { return "batch_frame"; }

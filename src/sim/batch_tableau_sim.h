@@ -15,8 +15,8 @@
 namespace gld {
 
 /**
- * Lockstep exact-stabilizer backend: batch_words * kBatchLanes independent
- * CHP tableaux behind the BatchLeakageDriver, one per lane.
+ * Lockstep exact-stabilizer backend: kBatchLanes (64) independent CHP
+ * tableaux behind the BatchLeakageDriver, one per lane.
  *
  * The per-measurement cost is still the tableau's O(n^2) per lane — the
  * state itself cannot be bit-packed across shots — but the whole per-round
@@ -40,7 +40,7 @@ class BatchTableauSim final : public BatchLeakageDriverSim,
                               private BatchStatePrimitives {
   public:
     BatchTableauSim(const CssCode& code, const RoundCircuit& rc,
-                    const NoiseParams& np, uint64_t seed, int batch_words = 1,
+                    const NoiseParams& np, uint64_t seed,
                     NoiseSampling noise_sampling = NoiseSampling::kLockstep);
 
     std::string name() const override { return "batch_tableau"; }
@@ -59,13 +59,12 @@ class BatchTableauSim final : public BatchLeakageDriverSim,
   private:
     // --- BatchStatePrimitives over one CHP tableau per lane. ---
     void reset_state() override;
-    void apply_pauli(int q, const LaneMask* xs, const LaneMask* zs) override;
-    void coherent_cnot(int control, int target,
-                       const LaneMask* lanes) override;
-    void hadamard(int q, const LaneMask* lanes) override;
-    void reset_z(int q, const LaneMask* lanes) override;
-    void measure_z(int q, LaneMask* out) override;
-    void park_leaked(int q, const LaneMask* lanes) override;
+    void apply_pauli(int q, LaneMask xs, LaneMask zs) override;
+    void coherent_cnot(int control, int target, LaneMask lanes) override;
+    void hadamard(int q, LaneMask lanes) override;
+    void reset_z(int q, LaneMask lanes) override;
+    LaneMask measure_z(int q) override;
+    void park_leaked(int q, LaneMask lanes) override;
 
     std::vector<TableauSim> tabs_;  ///< one exact tableau per lane
 };

@@ -10,10 +10,7 @@
 
 namespace gld {
 
-/** Max lanes of one batch (kMaxBatchWords words of kBatchLanes shots). */
-constexpr int kMaxBatchLanes = kMaxBatchWords * kBatchLanes;
-
-/** Invokes f(lane) for every set bit of the single word m, ascending. */
+/** Invokes f(lane) for every set bit of the lane word m, ascending. */
 template <typename F>
 inline void
 for_each_lane(LaneMask m, F&& f)
@@ -22,56 +19,6 @@ for_each_lane(LaneMask m, F&& f)
         f(__builtin_ctzll(m));
         m &= m - 1;
     }
-}
-
-/**
- * Invokes f(global_lane) for every set bit of the n_words-word span m,
- * ascending (global lane = word*64 + bit).
- */
-template <typename F>
-inline void
-for_each_lane(const LaneMask* m, int n_words, F&& f)
-{
-    for (int w = 0; w < n_words; ++w) {
-        LaneMask mw = m[w];
-        const int base = w * kBatchLanes;
-        while (mw != 0) {
-            f(base + __builtin_ctzll(mw));
-            mw &= mw - 1;
-        }
-    }
-}
-
-/** OR of an n_words-word lane span (nonzero iff any lane is set). */
-inline LaneMask
-lanes_any(const LaneMask* m, int n_words)
-{
-    LaneMask any = 0;
-    for (int w = 0; w < n_words; ++w)
-        any |= m[w];
-    return any;
-}
-
-/** Zeroes an n_words-word lane span. */
-inline void
-lanes_zero(LaneMask* m, int n_words)
-{
-    for (int w = 0; w < n_words; ++w)
-        m[w] = 0;
-}
-
-/** Tests global lane l of a span. */
-inline bool
-lane_bit(const LaneMask* m, int l)
-{
-    return (m[l >> 6] >> (l & 63)) & 1u;
-}
-
-/** Sets global lane l of a span. */
-inline void
-set_lane_bit(LaneMask* m, int l)
-{
-    m[l >> 6] |= 1ull << (l & 63);
 }
 
 /** Spreads the low 8 bits of x to eight 0/1 bytes (byte k = bit k). */
@@ -114,32 +61,28 @@ transpose8x8_bytes(uint64_t t[8])
 }
 
 /**
- * The word -> per-lane byte transpose: n_rows lane spans of n_words
- * words (row i's span at words + i*n_words) become one 0/1 byte row per
- * lane, lane_row(l)[i] = bit l of row i, for every lane l < n_lanes.
- * lane_row(l) returns lane l's uint8_t* destination of n_rows bytes.
+ * The word -> per-lane byte transpose: n_rows lane words (row i's word
+ * at words[i]) become one 0/1 byte row per lane, lane_row(l)[i] = bit l
+ * of row i, for every lane l < n_lanes (<= 64).  lane_row(l) returns
+ * lane l's uint8_t* destination of n_rows bytes.
  *
  * 8x8 tiles: spread each row word's 8-lane byte to 0/1 bytes, byte-
  * transpose the tile, and store eight rows of one lane with a single
  * 8-byte write — ~1 op/byte instead of a scalar bit-extract per (lane,
- * row).  An 8-lane group g lives in word g/8 of each span, byte g%8.
+ * row).  An 8-lane group g is byte g of each word.
  */
 template <typename RowOf>
 inline void
-lanes_to_bytes(const LaneMask* words, int n_rows, int n_words, int n_lanes,
+lanes_to_bytes(const LaneMask* words, int n_rows, int n_lanes,
                RowOf&& lane_row)
 {
-    const size_t Ws = static_cast<size_t>(n_words);
     uint64_t tile[8];
     for (int r0 = 0; r0 < n_rows; r0 += 8) {
         const int rw = std::min(8, n_rows - r0);
         for (int g = 0; g * 8 < n_lanes; ++g) {
-            const size_t wi = static_cast<size_t>(g >> 3);
-            const int sh = 8 * (g & 7);
             for (int j = 0; j < 8; ++j) {
-                const uint64_t w =
-                    j < rw ? words[static_cast<size_t>(r0 + j) * Ws + wi] : 0;
-                tile[j] = spread_bits_to_bytes(w >> sh);
+                const uint64_t w = j < rw ? words[r0 + j] : 0;
+                tile[j] = spread_bits_to_bytes(w >> (8 * g));
             }
             transpose8x8_bytes(tile);
             const int lw = std::min(8, n_lanes - g * 8);
@@ -152,15 +95,15 @@ lanes_to_bytes(const LaneMask* words, int n_rows, int n_words, int n_lanes,
 
 /**
  * One round's words as per-lane RoundResults: meas-flip, detector and MLR
- * spans per check (n_words words each) transposed into out[l] for every
- * lane l < n_lanes.  `out` is resized to n_lanes and each result's vectors
- * to n_checks; every byte is then rewritten, so storage is reused across
- * rounds without a zero-fill.
+ * words per check transposed into out[l] for every lane l < n_lanes.
+ * `out` is resized to n_lanes and each result's vectors to n_checks;
+ * every byte is then rewritten, so storage is reused across rounds
+ * without a zero-fill.
  */
 inline void
 round_words_to_results(const LaneMask* meas_flip, const LaneMask* detector,
-                       const LaneMask* mlr_flag, int n_checks, int n_words,
-                       int n_lanes, std::vector<RoundResult>* out)
+                       const LaneMask* mlr_flag, int n_checks, int n_lanes,
+                       std::vector<RoundResult>* out)
 {
     const size_t nc = static_cast<size_t>(n_checks);
     out->resize(static_cast<size_t>(n_lanes));
@@ -171,13 +114,13 @@ round_words_to_results(const LaneMask* meas_flip, const LaneMask* detector,
             rr.mlr_flag.resize(nc);
         }
     }
-    lanes_to_bytes(meas_flip, n_checks, n_words, n_lanes, [&](int l) {
+    lanes_to_bytes(meas_flip, n_checks, n_lanes, [&](int l) {
         return (*out)[static_cast<size_t>(l)].meas_flip.data();
     });
-    lanes_to_bytes(detector, n_checks, n_words, n_lanes, [&](int l) {
+    lanes_to_bytes(detector, n_checks, n_lanes, [&](int l) {
         return (*out)[static_cast<size_t>(l)].detector.data();
     });
-    lanes_to_bytes(mlr_flag, n_checks, n_words, n_lanes, [&](int l) {
+    lanes_to_bytes(mlr_flag, n_checks, n_lanes, [&](int l) {
         return (*out)[static_cast<size_t>(l)].mlr_flag.data();
     });
 }

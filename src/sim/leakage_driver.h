@@ -222,7 +222,6 @@ class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
   public:
     // --- BatchSimulator, one lane wide. ---
     int batch_width() const final { return 1; }
-    int batch_n_words() const final { return 1; }
     void reset_shot_batch(int /*n_lanes == 1*/) final { reset_shot(); }
     int n_lanes() const final { return 1; }
     void inject_data_leak_lane(int /*lane == 0*/, int q) final

@@ -22,8 +22,8 @@ namespace {
  * exactly once and every error message lists it automatically.
  *
  * rng_contract groups backends that replay the SAME (seed, stream,
- * block) draw sequence: frame and batch_frame share contract 0 (lane k
- * of a batch is scalar shot k draw for draw, at every batch width), so
+ * block) draw sequence: frame and batch_frame share contract 0 (lane l
+ * of a block's j-th batch is scalar shot 64*j+l draw for draw), so
  * their Metrics are bit-identical by construction and the verify referee
  * compares them bit-exactly.  The tableau engine draws its own
  * measurement-collapse randomness (contract 1); batch_tableau draws
@@ -105,27 +105,24 @@ check_lrc_schedule(const LrcSchedule& sched, int lane, int n_data,
 }
 
 void
-LrcWords::add_lane(const LrcSchedule& s, int lane, int n_words)
+LrcWords::add_lane(const LrcSchedule& s, int lane)
 {
-    const size_t K = static_cast<size_t>(n_words);
     for (int q : s.data_qubits)
-        set_lane_bit(&data[static_cast<size_t>(q) * K], lane);
+        data[static_cast<size_t>(q)] |= 1ull << lane;
     for (int c : s.checks)
-        set_lane_bit(&checks[static_cast<size_t>(c) * K], lane);
+        checks[static_cast<size_t>(c)] |= 1ull << lane;
 }
 
 void
 BatchSimulator::run_round_batch(const LrcWords& lrc)
 {
-    const size_t K = static_cast<size_t>(batch_n_words());
-    if (lrc.data.size() != static_cast<size_t>(n_data_) * K ||
-        lrc.checks.size() != static_cast<size_t>(n_checks_) * K)
+    if (lrc.data.size() != static_cast<size_t>(n_data_) ||
+        lrc.checks.size() != static_cast<size_t>(n_checks_))
         throw std::invalid_argument(
             "run_round_batch: LRC masks of " +
             std::to_string(lrc.data.size()) + " data and " +
             std::to_string(lrc.checks.size()) + " check words, expected " +
-            std::to_string(static_cast<size_t>(n_data_) * K) + " and " +
-            std::to_string(static_cast<size_t>(n_checks_) * K));
+            std::to_string(n_data_) + " and " + std::to_string(n_checks_));
     run_round_words(lrc);
 }
 
@@ -143,14 +140,13 @@ BatchSimulator::run_round_batch(const std::vector<LrcSchedule>& lane_lrcs,
     for (int l = 0; l < lanes; ++l)
         check_lrc_schedule(lane_lrcs[static_cast<size_t>(l)], l, n_data_,
                            n_checks_);
-    const int K = batch_n_words();
-    packed_.reset(n_data_, n_checks_, K);
+    packed_.reset(n_data_, n_checks_);
     for (int l = 0; l < lanes; ++l)
-        packed_.add_lane(lane_lrcs[static_cast<size_t>(l)], l, K);
+        packed_.add_lane(lane_lrcs[static_cast<size_t>(l)], l);
     run_round_words(packed_);
     if (out != nullptr)
         round_words_to_results(meas_flip_words(), detector_words(),
-                               mlr_words(), n_checks_, K, lanes, out);
+                               mlr_words(), n_checks_, lanes, out);
 }
 
 const char*
@@ -339,8 +335,8 @@ make_simulator(SimBackend backend, const CssCode& code,
                const RoundCircuit& rc, const NoiseParams& np, uint64_t seed,
                int batch_words, NoiseSampling noise_sampling)
 {
-    // Out-of-range widths throw for every backend (not just the batch
-    // ones), so a bad config fails identically no matter the backend.
+    // Out-of-range block multipliers throw for every backend, so a bad
+    // config fails identically no matter the backend.
     if (batch_words < 1 || batch_words > kMaxBatchWords) {
         throw std::invalid_argument("make_simulator: batch_words " +
                                     std::to_string(batch_words) +
@@ -354,10 +350,10 @@ make_simulator(SimBackend backend, const CssCode& code,
         return std::make_unique<TableauLeakSim>(code, rc, np, seed);
       case SimBackend::kBatchFrame:
         return std::make_unique<BatchFrameSim>(code, rc, np, seed,
-                                               batch_words, noise_sampling);
+                                               noise_sampling);
       case SimBackend::kBatchTableau:
-        return std::make_unique<BatchTableauSim>(
-            code, rc, np, seed, batch_words, noise_sampling);
+        return std::make_unique<BatchTableauSim>(code, rc, np, seed,
+                                                 noise_sampling);
     }
     throw_unknown_backend("make_simulator: invalid SimBackend value " +
                           std::to_string(static_cast<int>(backend)));

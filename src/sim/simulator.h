@@ -13,10 +13,9 @@
 namespace gld {
 
 /**
- * Upper bound on the batch width multiplier K
- * (ExperimentConfig::batch_words): batch backends pack up to
- * kMaxBatchWords * 64 shots per scheduler block.  8 words = 512 lanes
- * keeps the lane-RNG bank (4 SoA rows) at 16 KiB — L1-resident.
+ * Upper bound on the block multiplier K (ExperimentConfig::batch_words):
+ * a scheduler block holds up to kMaxBatchWords * 64 shots, which the
+ * batch backends run as K one-word (64-lane) batches.
  */
 constexpr int kMaxBatchWords = 8;
 
@@ -143,45 +142,39 @@ class Simulator {
 constexpr int kBatchLanes = 64;
 
 /**
- * One bit per lane; bit l of word w set means "lane w*64+l participates".
- * A batch driver built with `batch_words` W addresses lanes through
- * W-word spans (`const LaneMask*` of W words); W == 1 is the classic
- * one-word batch.
+ * One bit per lane: bit l set means "lane l participates".  A batch is
+ * one word wide, so every per-qubit or per-check lane set is one word.
  */
 using LaneMask = uint64_t;
 
 /**
- * A batch's LRC decisions as lane masks: lane l of qubit q's span set
+ * A batch's LRC decisions as lane masks: bit l of qubit q's word set
  * means "LRC q in lane l before the next round".  Masks are sets; every
  * lane applies its LRCs data-ascending, then checks-ascending.  Bits of
  * lanes outside the batch are ignored.
  */
 struct LrcWords {
-    std::vector<LaneMask> data;    ///< span per data qubit
-    std::vector<LaneMask> checks;  ///< span per check (its ancilla)
+    std::vector<LaneMask> data;    ///< word per data qubit
+    std::vector<LaneMask> checks;  ///< word per check (its ancilla)
 
-    /** Sizes both to n_words-word spans and zeroes every lane. */
-    void reset(int n_data, int n_checks, int n_words)
+    /** Sizes both to one word per qubit and zeroes every lane. */
+    void reset(int n_data, int n_checks)
     {
-        data.assign(static_cast<size_t>(n_data) *
-                        static_cast<size_t>(n_words),
-                    0);
-        checks.assign(static_cast<size_t>(n_checks) *
-                          static_cast<size_t>(n_words),
-                      0);
+        data.assign(static_cast<size_t>(n_data), 0);
+        checks.assign(static_cast<size_t>(n_checks), 0);
     }
 
-    /** Sets lane `lane` in the span of every id `s` schedules. */
-    void add_lane(const LrcSchedule& s, int lane, int n_words);
+    /** Sets lane `lane` in the word of every id `s` schedules. */
+    void add_lane(const LrcSchedule& s, int lane);
 };
 
 /**
  * Every backend is a BatchSimulator: the full Simulator API (so every
  * interface-level test, policy and tool works unchanged) plus the
  * lockstep batch entry points the runner drives a whole shot block
- * through.  The packed backends (batch_frame, batch_tableau) hold
- * batch_n_words()*64 lanes; the scalar backends (frame, tableau) are
- * one-lane batches, so there is exactly one block path and one
+ * through.  The packed backends (batch_frame, batch_tableau) hold 64
+ * lanes, one word; the scalar backends (frame, tableau) are one-lane
+ * batches, so there is exactly one block path and one
  * speculation-accounting implementation for all of them.
  *
  * The production round entry is run_round_batch(const LrcWords&): the
@@ -192,7 +185,7 @@ struct LrcWords {
  */
 class BatchSimulator : public Simulator {
   public:
-    /** Max shots one batch holds (batch_words*64 for packed backends). */
+    /** Max shots one batch holds (64 for packed backends, else 1). */
     virtual int batch_width() const = 0;
 
     /** Starts a batch of n_lanes shots (see BatchLeakageDriver). */
@@ -207,15 +200,12 @@ class BatchSimulator : public Simulator {
     /** Ground-truth oracle of one lane's shot. */
     virtual const LeakageOracle& lane_oracle(int lane) const = 0;
 
-    /** Words per lane span (K); leaked_words() strides by this. */
-    virtual int batch_n_words() const = 0;
-
     /**
-     * Ground-truth leak-flag words, one span per qubit (bit l of word w
-     * = lane w*64+l) — the whole batch's truth in one read, so the
-     * runner's per-round speculation accounting is popcounts over words
-     * instead of per-lane oracle walks.  Entry q*batch_n_words()+w is
-     * word w of qubit q (data qubits first, then ancillas).  A live
+     * Ground-truth leak-flag words, one per qubit (bit l = lane l) —
+     * the whole batch's truth in one read, so the runner's per-round
+     * speculation accounting is popcounts over words instead of
+     * per-lane oracle walks.  Entry q is qubit q's word (data qubits
+     * first, then ancillas).  A live
      * view: the pointer stays valid across rounds and shots, and its
      * words always hold the current flags — the runner reads it both
      * before and after run_round_batch.
@@ -227,9 +217,8 @@ class BatchSimulator : public Simulator {
      * `lrc` (each lane data-ascending, then checks-ascending; bits of
      * lanes outside the batch change nothing and draw nothing), then
      * one noisy extraction round.  Read the round through the word views
-     * below.  `lrc` must hold n_data*K data words and n_checks*K check
-     * words (K = batch_n_words()), else std::invalid_argument before
-     * anything runs.
+     * below.  `lrc` must hold n_data data words and n_checks check
+     * words, else std::invalid_argument before anything runs.
      */
     void run_round_batch(const LrcWords& lrc);
 
@@ -245,9 +234,8 @@ class BatchSimulator : public Simulator {
                          std::vector<RoundResult>* out);
 
     /**
-     * Live word views of the last round, in leaked_words()'s span layout
-     * but one span per CHECK (entry c*batch_n_words()+w): measurement
-     * flips, detector bits and MLR flags.  Bits of inactive lanes are 0.
+     * Live word views of the last round, one word per CHECK (entry c):
+     * measurement flips, detector bits and MLR flags.  Bits of inactive lanes are 0.
      * Valid after run_round_batch, rewritten by the next round.
      */
     virtual const LaneMask* meas_flip_words() const = 0;
@@ -286,12 +274,12 @@ void check_lrc_schedule(const LrcSchedule& sched, int lane, int n_data,
  * The available backends.  kFrame is the paper's Pauli-frame engine (fast,
  * samples Pauli noise exactly); kTableau drives the exact CHP stabilizer
  * tableau through the same round circuit (slower by O(n^2) per
- * measurement; exact-stabilizer states); kBatchFrame packs K*64 shots
- * (K = batch_words) into K words per qubit and runs them in lockstep
- * through the batch driver at several times the shots/second
- * (BM_BackendThroughput measures the real ratio) — bit-identical Metrics
- * to kFrame under lockstep noise sampling;
- * kBatchTableau runs K*64 exact CHP tableaux in lockstep behind the same
+ * measurement; exact-stabilizer states); kBatchFrame packs 64 shots into
+ * one word per qubit and runs them in lockstep through the batch driver
+ * at several times the shots/second (BM_BackendThroughput measures the
+ * real ratio) — bit-identical Metrics to kFrame under lockstep noise
+ * sampling;
+ * kBatchTableau runs 64 exact CHP tableaux in lockstep behind the same
  * batch driver, amortizing the per-round noise machinery over the batch
  * so exact-mode campaigns batch too.  All share the one LeakageDriver
  * semantics for every classical-leakage decision.
@@ -326,13 +314,13 @@ SimBackend backend_from_name(const std::string& name);
 SimBackend backend_from_env();
 
 /**
- * The batch width multiplier K selected by the GLD_BATCH_WORDS
- * environment variable — the one resolution point benches, tests and
- * the demo share.  Unset/empty means 1; anything outside
- * [1, kMaxBatchWords] (or non-numeric) throws, naming the variable and
- * the valid range.  K is RESULT-AFFECTING: it sets the scheduler block
- * size (64*K shots) and therefore the (seed, stream, block) RNG
- * derivation, so it is part of the config hash when != 1.
+ * The block multiplier K selected by the GLD_BATCH_WORDS environment
+ * variable — the one resolution point benches, tests and the demo
+ * share.  Unset/empty means 1; anything outside [1, kMaxBatchWords] (or
+ * non-numeric) throws, naming the variable and the valid range.  K is
+ * RESULT-AFFECTING: it sets the scheduler block size (64*K shots) and
+ * therefore the (seed, stream, block) RNG derivation, so it is part of
+ * the config hash when != 1.
  */
 int batch_words_from_env();
 
@@ -412,10 +400,10 @@ int backend_rng_contract(SimBackend backend, NoiseSampling sampling);
 double backend_cost_factor(SimBackend backend, int n_qubits);
 
 /**
- * Builds a backend over a code's scheduled round circuit.  `batch_words`
- * is the lane-span width K for the batch backends (batch_frame,
- * batch_tableau): one batch holds 64*K shots.  Scalar backends ignore
- * it; out-of-range values throw for every backend.  `noise_sampling`
+ * Builds a backend over a code's scheduled round circuit.  Every batch
+ * backend is 64 lanes wide; `batch_words` is only range-checked (out-of-
+ * range values throw for every backend), since the block size it sets is
+ * the runner's business, not the simulator's.  `noise_sampling`
  * selects the batch backends' Bernoulli draw contract (lockstep or
  * event-driven sparse); scalar backends ignore it.
  */

@@ -66,7 +66,7 @@ capture(int d, bool eraser, int batches, uint64_t seed)
     const std::unique_ptr<BatchSimulator> sim =
         make_simulator(SimBackend::kBatchFrame, code, rc, np, seed);
     const int lanes = sim->batch_width();
-    const LaneMask active[1] = {~0ull};
+    const LaneMask active = ~0ull;
     const int nc = code.n_checks();
     const std::vector<int> z_checks = code.checks_of_type(CheckType::kZ);
     const int nz = static_cast<int>(z_checks.size());
@@ -76,8 +76,8 @@ capture(int d, bool eraser, int batches, uint64_t seed)
     std::vector<std::vector<uint8_t>> flips;
     for (int b = 0; b < batches; ++b) {
         sim->reset_shot_batch(lanes);
-        policy->begin_batch(active, 1);
-        lrc.reset(code.n_data(), nc, 1);
+        policy->begin_batch(active);
+        lrc.reset(code.n_data(), nc);
         std::vector<std::vector<int>> defects(static_cast<size_t>(lanes));
         for (int r = 0; r < rounds; ++r) {
             sim->run_round_batch(lrc);
@@ -87,7 +87,7 @@ capture(int d, bool eraser, int batches, uint64_t seed)
             in.mlr = sim->mlr_words();
             in.meas_flip = sim->meas_flip_words();
             in.leaked = sim->leaked_words();
-            lrc.reset(code.n_data(), nc, 1);
+            lrc.reset(code.n_data(), nc);
             policy->observe_batch(r, in, &lrc);
             for (int zi = 0; zi < nz; ++zi)
                 for_each_lane(

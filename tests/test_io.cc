@@ -80,6 +80,37 @@ TEST(Json, Errors)
     EXPECT_THROW(Json::parse("1e999"), std::runtime_error);
 }
 
+/** The parse error of `text`, or "" if it parses. */
+std::string
+parse_error(const std::string& text)
+{
+    try {
+        Json::parse(text);
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Json, DeepNestingFailsCleanly)
+{
+    // Campaign specs and checkpoints are untrusted input: nesting 10^5
+    // deep must be a parse error naming the cap, not a stack overflow.
+    const std::string cap = std::to_string(Json::kMaxParseDepth);
+    const std::string arrays(100000, '[');
+    EXPECT_NE(parse_error(arrays).find(cap), std::string::npos);
+    std::string objects;
+    for (int i = 0; i < 100000; ++i)
+        objects += "{\"k\":";
+    EXPECT_NE(parse_error(objects).find(cap), std::string::npos);
+    // Exactly the cap still parses, one level more does not.
+    const int d = Json::kMaxParseDepth;
+    const std::string at_cap = std::string(static_cast<size_t>(d), '[') +
+                               std::string(static_cast<size_t>(d), ']');
+    EXPECT_EQ(parse_error(at_cap), "");
+    EXPECT_NE(parse_error("[" + at_cap + "]").find(cap), std::string::npos);
+}
+
 TEST(Serialize, F64HexIsBitExact)
 {
     const double cases[] = {0.0,
@@ -217,8 +248,10 @@ TEST(Serialize, ConfigHashStability)
     // shared LeakageDriver changed the frame backend's draw sequence, so
     // the version bump retired every v2 checkpoint — and the v2 golden.
     // v4: per-shot driver RNG streams + the 64-shot scheduler block for
-    // the batch backend retired every v3 checkpoint and golden.)
-    EXPECT_EQ(config_hash(cfg), 0xe5ead93444415e27ull);
+    // the batch backend retired every v3 checkpoint and golden.  v5: the
+    // one-word batch engine redrew the K > 1 sparse and batch_tableau
+    // blocks, retiring every v4 checkpoint and golden.)
+    EXPECT_EQ(config_hash(cfg), 0xc90c1e932d109ac4ull);
 
     // Round-tripping must not change the hash (resume depends on it).
     const ExperimentConfig back =
@@ -243,7 +276,7 @@ TEST(Serialize, ConfigHashStability)
     // (switching backends never resumes the other backend's checkpoints).
     ExperimentConfig c4 = cfg;
     c4.backend = SimBackend::kTableau;
-    EXPECT_EQ(config_hash(c4), 0x4f1b42be14c1783cull);
+    EXPECT_EQ(config_hash(c4), 0xadace006bda94c37ull);
     EXPECT_NE(config_hash(c4), config_hash(cfg));
     // batch_frame is a distinct backend hash-wise too, even though its
     // results are bit-identical to frame: resume stays backend-honest.

@@ -7,7 +7,8 @@
 //      pre-word rules).
 //  (b) Runner level: Metrics must be bit-identical between a policy's own
 //      (batched) factory and a decorator hiding batched() (the adapter),
-//      on all four backends, at K = 1 and 2, lockstep and sparse.
+//      on all four backends, at block multipliers K = 1 and 2, lockstep
+//      and sparse.
 // Plus the schedule contract: the simulators' per-lane packer and the
 // adapter reject ids out of range, repeated or unordered, and the word
 // entry rejects misshaped masks (padding-lane bits are inert); and the
@@ -30,7 +31,6 @@
 #include "core/policy_static.h"
 #include "metrics_test_util.h"
 #include "runtime/experiment.h"
-#include "sim/lane_span.h"
 #include "util/rng.h"
 
 namespace gld {
@@ -59,19 +59,17 @@ busy_noise()
     return np;
 }
 
-/** Rounds of one K-word batch: the words and the per-lane results. */
+/** Rounds of one batch: the words and the per-lane results. */
 struct Capture {
-    int n_words = 0;
     int n_lanes = 0;
-    std::vector<LaneMask> active;
+    LaneMask active = 0;
     std::vector<std::vector<LaneMask>> det, mlr, meas, leaked;  ///< [round]
     std::vector<std::vector<RoundResult>> rr;                   ///< [round]
 
     RoundWords words(int r) const
     {
         RoundWords in;
-        in.n_words = n_words;
-        in.active = active.data();
+        in.active = active;
         in.detector = det[static_cast<size_t>(r)].data();
         in.mlr = mlr[static_cast<size_t>(r)].data();
         in.meas_flip = meas[static_cast<size_t>(r)].data();
@@ -81,31 +79,24 @@ struct Capture {
 };
 
 /**
- * Runs `rounds` rounds of a partial K=2 batch (the lane boundary falls
- * inside word 1) with sampled leaks and periodic LRC waves, recording the
- * word views and the per-lane RoundResults of every round.
+ * Runs `rounds` rounds of a batch of up to `n_lanes` lanes (a partial one
+ * on the packed backends) with sampled leaks and periodic LRC waves,
+ * recording the word views and the per-lane RoundResults of every round.
  */
 Capture
-capture(const Harness& h, SimBackend backend, int n_words, int n_lanes,
-        int rounds)
+capture(const Harness& h, SimBackend backend, int n_lanes, int rounds)
 {
     const NoiseParams np = busy_noise();
-    auto sim = make_simulator(backend, h.code, h.rc, np, 0xC0FFEEull,
-                              n_words);
+    auto sim = make_simulator(backend, h.code, h.rc, np, 0xC0FFEEull);
     Capture cap;
-    cap.n_words = sim->batch_n_words();
     cap.n_lanes = std::min(n_lanes, sim->batch_width());
-    cap.active.assign(static_cast<size_t>(cap.n_words), 0);
-    for (int l = 0; l < cap.n_lanes; ++l)
-        set_lane_bit(cap.active.data(), l);
+    cap.active = ~0ull >> (kBatchLanes - cap.n_lanes);
     sim->reset_shot_batch(cap.n_lanes);
     for (int l = 0; l < cap.n_lanes; l += 3)
         sim->inject_data_leak_lane(l, (7 * l) % h.code.n_data());
     std::vector<LrcSchedule> scheds(static_cast<size_t>(cap.n_lanes));
-    const size_t check_words =
-        static_cast<size_t>(h.code.n_checks() * cap.n_words);
-    const size_t qubit_words =
-        static_cast<size_t>(h.code.n_qubits() * cap.n_words);
+    const size_t check_words = static_cast<size_t>(h.code.n_checks());
+    const size_t qubit_words = static_cast<size_t>(h.code.n_qubits());
     for (int r = 0; r < rounds; ++r) {
         // Every fourth round, LRC data qubit r in the even lanes.
         for (int l = 0; l < cap.n_lanes; ++l) {
@@ -269,10 +260,9 @@ std::vector<uint8_t>
 lane_truth(const Capture& cap, int r, int lane)
 {
     const std::vector<LaneMask>& lw = cap.leaked[static_cast<size_t>(r)];
-    const size_t n = lw.size() / static_cast<size_t>(cap.n_words);
-    std::vector<uint8_t> t(n);
-    for (size_t q = 0; q < n; ++q)
-        t[q] = lane_bit(&lw[q * static_cast<size_t>(cap.n_words)], lane);
+    std::vector<uint8_t> t(lw.size());
+    for (size_t q = 0; q < lw.size(); ++q)
+        t[q] = (lw[q] >> lane) & 1u;
     return t;
 }
 
@@ -295,16 +285,15 @@ class ReplayOracle final : public LeakageOracle {
 
 /** Lane `lane`'s schedule out of the masks (ascending, like the runner). */
 LrcSchedule
-unpack(const LrcWords& lrc, int n_words, int lane)
+unpack(const LrcWords& lrc, int lane)
 {
     LrcSchedule s;
-    const size_t K = static_cast<size_t>(n_words);
-    for (size_t q = 0; q * K < lrc.data.size(); ++q) {
-        if (lane_bit(&lrc.data[q * K], lane))
+    for (size_t q = 0; q < lrc.data.size(); ++q) {
+        if ((lrc.data[q] >> lane) & 1u)
             s.data_qubits.push_back(static_cast<int>(q));
     }
-    for (size_t c = 0; c * K < lrc.checks.size(); ++c) {
-        if (lane_bit(&lrc.checks[c * K], lane))
+    for (size_t c = 0; c < lrc.checks.size(); ++c) {
+        if ((lrc.checks[c] >> lane) & 1u)
             s.checks.push_back(static_cast<int>(c));
     }
     return s;
@@ -326,7 +315,7 @@ void
 check_rules_on(const Harness& h)
 {
     const int kRounds = 16;
-    const Capture cap = capture(h, SimBackend::kBatchFrame, 2, 100, kRounds);
+    const Capture cap = capture(h, SimBackend::kBatchFrame, 50, kRounds);
     const NoiseParams np = busy_noise();
     const auto one_round = std::make_shared<const PatternTableSet>(
         PatternTableSet::build(h.ctx, np, {}, false));
@@ -359,15 +348,15 @@ check_rules_on(const Harness& h)
         // Batched: one rule instance over the whole batch.
         auto batched = make_policy(h, c, one_round, two_round);
         ASSERT_TRUE(batched->batched());
-        batched->begin_batch(cap.active.data(), cap.n_words);
+        batched->begin_batch(cap.active);
         int mismatches = 0;
         std::string first;
         LrcWords lrc;
         for (int r = 0; r < kRounds; ++r) {
-            lrc.reset(h.code.n_data(), h.code.n_checks(), cap.n_words);
+            lrc.reset(h.code.n_data(), h.code.n_checks());
             batched->observe_batch(r, cap.words(r), &lrc);
             for (int l = 0; l < cap.n_lanes; ++l) {
-                const LrcSchedule got = unpack(lrc, cap.n_words, l);
+                const LrcSchedule got = unpack(lrc, l);
                 const LrcSchedule& want = expected[l][r];
                 if (got.data_qubits != want.data_qubits ||
                     got.checks != want.checks) {
@@ -378,8 +367,8 @@ check_rules_on(const Harness& h)
                 }
             }
             // Lanes outside the batch are never scheduled.
-            for (int l = cap.n_lanes; l < cap.n_words * kBatchLanes; ++l)
-                EXPECT_TRUE(unpack(lrc, cap.n_words, l).empty());
+            for (int l = cap.n_lanes; l < kBatchLanes; ++l)
+                EXPECT_TRUE(unpack(lrc, l).empty());
         }
 
         // One-lane: the per-lane observe of a fresh instance, shot by shot.
@@ -432,25 +421,22 @@ TEST(PolicyBatch, WordRulesMatchPerLaneReferenceOnHgpCode)
 TEST(PolicyBatch, WordViewsMatchPerLaneRoundResults)
 {
     // The words the runner reads and the RoundResults per-lane policies
-    // read are the same round, on every backend and width.
+    // read are the same round, on every backend, full batch or partial.
     const Harness h(SurfaceCode::make(3));
+    const auto bit = [](LaneMask w, int l) { return (w >> l) & 1u; };
     for (SimBackend b : known_backends()) {
-        for (int K : {1, 2}) {
-            SCOPED_TRACE(std::string(backend_name(b)) + " K=" +
-                         std::to_string(K));
-            const Capture cap = capture(h, b, K, 100, 6);
-            const size_t Ks = static_cast<size_t>(cap.n_words);
+        for (int n_lanes : {50, kBatchLanes}) {
+            SCOPED_TRACE(std::string(backend_name(b)) + " lanes=" +
+                         std::to_string(n_lanes));
+            const Capture cap = capture(h, b, n_lanes, 6);
             for (size_t r = 0; r < cap.rr.size(); ++r) {
                 ASSERT_EQ(cap.rr[r].size(), static_cast<size_t>(cap.n_lanes));
                 for (int l = 0; l < cap.n_lanes; ++l) {
                     const RoundResult& rr = cap.rr[r][l];
                     for (size_t c = 0; c < rr.detector.size(); ++c) {
-                        ASSERT_EQ(rr.detector[c],
-                                  lane_bit(&cap.det[r][c * Ks], l));
-                        ASSERT_EQ(rr.mlr_flag[c],
-                                  lane_bit(&cap.mlr[r][c * Ks], l));
-                        ASSERT_EQ(rr.meas_flip[c],
-                                  lane_bit(&cap.meas[r][c * Ks], l));
+                        ASSERT_EQ(rr.detector[c], bit(cap.det[r][c], l));
+                        ASSERT_EQ(rr.mlr_flag[c], bit(cap.mlr[r][c], l));
+                        ASSERT_EQ(rr.meas_flip[c], bit(cap.meas[r][c], l));
                     }
                 }
             }
@@ -708,12 +694,12 @@ TEST(PolicyBatch, SimulatorsRejectOutOfRangeLrcIds)
 
 // --- The word round entry and its per-lane packer. ---
 
-/** Random LRC masks over every lane of the span, padding lanes too. */
+/** Random LRC masks over every lane of the word, padding lanes too. */
 LrcWords
-random_masks(const CssCode& code, int n_words, Rng& rng)
+random_masks(const CssCode& code, Rng& rng)
 {
     LrcWords lrc;
-    lrc.reset(code.n_data(), code.n_checks(), n_words);
+    lrc.reset(code.n_data(), code.n_checks());
     // Sparse enough that most lanes LRC a few qubits, dense enough that
     // the gadget sites fire at busy noise.
     for (LaneMask& w : lrc.data)
@@ -742,57 +728,49 @@ TEST(PolicyBatch, PackerAndWordEntryAgree)
     const size_t nq = static_cast<size_t>(h.code.n_qubits());
     const size_t nc = static_cast<size_t>(h.code.n_checks());
     for (SimBackend b : known_backends()) {
-        for (int K : {1, 2}) {
-            for (NoiseSampling ns :
-                 {NoiseSampling::kLockstep, NoiseSampling::kSparse}) {
-                SCOPED_TRACE(std::string(backend_name(b)) + " K=" +
-                             std::to_string(K) + " " +
-                             noise_sampling_name(ns));
-                auto word = make_simulator(b, h.code, h.rc, np, 77, K, ns);
-                auto packed = make_simulator(b, h.code, h.rc, np, 77, K, ns);
-                const int W = word->batch_n_words();
-                const size_t Ws = static_cast<size_t>(W);
-                // A partial batch: the boundary falls inside the span.
-                const int lanes = std::max(1, word->batch_width() - 27);
-                word->reset_shot_batch(lanes);
-                packed->reset_shot_batch(lanes);
-                for (int l = 0; l < lanes; l += 5) {
-                    word->inject_data_leak_lane(l, l % h.code.n_data());
-                    packed->inject_data_leak_lane(l, l % h.code.n_data());
-                }
-                Rng rng(0x5EEDull + static_cast<uint64_t>(K));
-                std::vector<LrcSchedule> scheds(static_cast<size_t>(lanes));
-                std::vector<LaneMask> active(Ws, 0);
-                for (int l = 0; l < lanes; ++l)
-                    set_lane_bit(active.data(), l);
-                for (int r = 0; r < 12; ++r) {
-                    const LrcWords lrc = random_masks(h.code, W, rng);
-                    for (int l = 0; l < lanes; ++l)
-                        scheds[static_cast<size_t>(l)] = unpack(lrc, W, l);
-                    word->run_round_batch(lrc);
-                    packed->run_round_batch(scheds, nullptr);
-                    ASSERT_EQ(words_of(word->leaked_words(), nq * Ws),
-                              words_of(packed->leaked_words(), nq * Ws))
-                        << "round " << r;
-                    ASSERT_EQ(words_of(word->detector_words(), nc * Ws),
-                              words_of(packed->detector_words(), nc * Ws))
-                        << "round " << r;
-                    ASSERT_EQ(words_of(word->mlr_words(), nc * Ws),
-                              words_of(packed->mlr_words(), nc * Ws))
-                        << "round " << r;
-                    ASSERT_EQ(words_of(word->meas_flip_words(), nc * Ws),
-                              words_of(packed->meas_flip_words(), nc * Ws))
-                        << "round " << r;
-                    // No padding lane ever leaks.
-                    for (size_t i = 0; i < nq * Ws; ++i)
-                        ASSERT_EQ(word->leaked_words()[i] & ~active[i % Ws],
-                                  0u);
-                }
-                std::vector<std::vector<uint8_t>> fw, fp;
-                word->final_data_measure_batch(&fw);
-                packed->final_data_measure_batch(&fp);
-                EXPECT_EQ(fw, fp);
+        for (NoiseSampling ns :
+             {NoiseSampling::kLockstep, NoiseSampling::kSparse}) {
+            SCOPED_TRACE(std::string(backend_name(b)) + " " +
+                         noise_sampling_name(ns));
+            auto word = make_simulator(b, h.code, h.rc, np, 77, 1, ns);
+            auto packed = make_simulator(b, h.code, h.rc, np, 77, 1, ns);
+            // A partial batch on the packed backends.
+            const int lanes = std::max(1, word->batch_width() - 27);
+            const LaneMask active = ~0ull >> (kBatchLanes - lanes);
+            word->reset_shot_batch(lanes);
+            packed->reset_shot_batch(lanes);
+            for (int l = 0; l < lanes; l += 5) {
+                word->inject_data_leak_lane(l, l % h.code.n_data());
+                packed->inject_data_leak_lane(l, l % h.code.n_data());
             }
+            Rng rng(0x5EEDull);
+            std::vector<LrcSchedule> scheds(static_cast<size_t>(lanes));
+            for (int r = 0; r < 12; ++r) {
+                const LrcWords lrc = random_masks(h.code, rng);
+                for (int l = 0; l < lanes; ++l)
+                    scheds[static_cast<size_t>(l)] = unpack(lrc, l);
+                word->run_round_batch(lrc);
+                packed->run_round_batch(scheds, nullptr);
+                ASSERT_EQ(words_of(word->leaked_words(), nq),
+                          words_of(packed->leaked_words(), nq))
+                    << "round " << r;
+                ASSERT_EQ(words_of(word->detector_words(), nc),
+                          words_of(packed->detector_words(), nc))
+                    << "round " << r;
+                ASSERT_EQ(words_of(word->mlr_words(), nc),
+                          words_of(packed->mlr_words(), nc))
+                    << "round " << r;
+                ASSERT_EQ(words_of(word->meas_flip_words(), nc),
+                          words_of(packed->meas_flip_words(), nc))
+                    << "round " << r;
+                // No padding lane ever leaks.
+                for (size_t i = 0; i < nq; ++i)
+                    ASSERT_EQ(word->leaked_words()[i] & ~active, 0u);
+            }
+            std::vector<std::vector<uint8_t>> fw, fp;
+            word->final_data_measure_batch(&fw);
+            packed->final_data_measure_batch(&fp);
+            EXPECT_EQ(fw, fp);
         }
     }
 }
@@ -851,25 +829,22 @@ TEST(PolicyBatch, WordEntryRejectsMisshapedMasks)
 {
     const Harness h(SurfaceCode::make(3));
     for (SimBackend b : known_backends()) {
-        for (int K : {1, 2}) {
-            SCOPED_TRACE(std::string(backend_name(b)) + " K=" +
-                         std::to_string(K));
-            auto sim = make_simulator(b, h.code, h.rc,
-                                      NoiseParams::standard(), 1, K);
-            const int W = sim->batch_n_words();
-            sim->reset_shot_batch(1);
-            LrcWords lrc;
-            lrc.reset(h.code.n_data(), h.code.n_checks(), W);
-            EXPECT_NO_THROW(sim->run_round_batch(lrc));
-            lrc.data.push_back(0);
-            EXPECT_THROW(sim->run_round_batch(lrc), std::invalid_argument);
-            lrc.reset(h.code.n_data(), h.code.n_checks(), W);
-            lrc.checks.pop_back();
-            EXPECT_THROW(sim->run_round_batch(lrc), std::invalid_argument);
-            // Spans of the wrong width are misshaped too.
-            lrc.reset(h.code.n_data(), h.code.n_checks(), W + 1);
-            EXPECT_THROW(sim->run_round_batch(lrc), std::invalid_argument);
-        }
+        SCOPED_TRACE(backend_name(b));
+        auto sim = make_simulator(b, h.code, h.rc, NoiseParams::standard(),
+                                  1, 1);
+        sim->reset_shot_batch(1);
+        LrcWords lrc;
+        lrc.reset(h.code.n_data(), h.code.n_checks());
+        EXPECT_NO_THROW(sim->run_round_batch(lrc));
+        lrc.data.push_back(0);
+        EXPECT_THROW(sim->run_round_batch(lrc), std::invalid_argument);
+        lrc.reset(h.code.n_data(), h.code.n_checks());
+        lrc.checks.pop_back();
+        EXPECT_THROW(sim->run_round_batch(lrc), std::invalid_argument);
+        // Two words per qubit are misshaped too.
+        lrc.data.assign(2 * static_cast<size_t>(h.code.n_data()), 0);
+        lrc.checks.assign(2 * static_cast<size_t>(h.code.n_checks()), 0);
+        EXPECT_THROW(sim->run_round_batch(lrc), std::invalid_argument);
     }
 }
 

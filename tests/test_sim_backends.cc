@@ -209,7 +209,7 @@ TEST(SimBackends, CostFactorIsFrameNormalizedAndQuadraticForTableau)
     for (int n : {8, 17, 100, 1000})
         EXPECT_DOUBLE_EQ(backend_cost_factor(SimBackend::kBatchFrame, n),
                          1.0 / 64.0);
-    // The batch tableau backend runs K*64 full tableaux in lockstep —
+    // The batch tableau backend runs 64 full tableaux in lockstep —
     // per SHOT it costs what a scalar tableau shot costs (the batch buys
     // scheduler-block alignment, not a per-shot win), so the planner
     // model is the same quadratic.
@@ -220,8 +220,8 @@ TEST(SimBackends, CostFactorIsFrameNormalizedAndQuadraticForTableau)
 
 TEST(SimBackends, MakeSimulatorRejectsBadBatchWidths)
 {
-    // The batch width is validated uniformly at the factory for every
-    // backend — a bad config fails the same way whether or not the
+    // The block multiplier is validated uniformly at the factory for
+    // every backend — a bad config fails the same way whether or not the
     // backend actually packs lanes.
     const Harness h(SurfaceCode::make(3));
     for (SimBackend b : kBackends) {
@@ -230,11 +230,16 @@ TEST(SimBackends, MakeSimulatorRejectsBadBatchWidths)
             EXPECT_THROW(
                 make_simulator(b, h.code, h.rc, noiseless(), 1, words),
                 std::invalid_argument);
-        // Every in-range width constructs.
-        for (int words : {1, 2, kMaxBatchWords}) {
+        // Every in-range block multiplier constructs, and no batch
+        // backend is wider than one 64-lane word at any of them.
+        for (int words = 1; words <= kMaxBatchWords; ++words) {
             const auto sim =
                 make_simulator(b, h.code, h.rc, noiseless(), 1, words);
             EXPECT_EQ(sim->name(), backend_name(b));
+            if (b == SimBackend::kBatchFrame ||
+                b == SimBackend::kBatchTableau) {
+                EXPECT_EQ(sim->batch_width(), kBatchLanes) << words;
+            }
         }
     }
 }
@@ -769,55 +774,42 @@ TEST(SparsePlan, AgreesWithLockstepAtLeakHeavyNoise)
 
 /**
  * BatchStatePrimitives that records every call the driver makes, with
- * the lane spans it passed.  measure_z reports every lane flipped, so a
+ * the lane words it passed.  measure_z reports every lane flipped, so a
  * readout on a padding lane would show.
  */
 struct RecordingBatchState final : BatchStatePrimitives {
     struct Call {
         std::string op;
         int q = -1;
-        std::vector<LaneMask> a, b;  ///< the call's spans (xs/zs, lanes)
+        LaneMask a = 0, b = 0;  ///< the call's words (xs/zs, lanes)
     };
-    int words = 1;
     std::vector<Call> calls;
 
-    std::vector<LaneMask> span(const LaneMask* m) const
+    void reset_state() override { calls.push_back({"reset_state", -1}); }
+    void apply_pauli(int q, LaneMask xs, LaneMask zs) override
     {
-        return m == nullptr ? std::vector<LaneMask>()
-                            : std::vector<LaneMask>(m, m + words);
+        calls.push_back({"pauli", q, xs, zs});
     }
-    void push(const char* op, int q, const LaneMask* a,
-              const LaneMask* b = nullptr)
+    void coherent_cnot(int control, int /*target*/, LaneMask lanes) override
     {
-        calls.push_back({op, q, span(a), span(b)});
+        calls.push_back({"cnot", control, lanes});
     }
-    void reset_state() override { push("reset_state", -1, nullptr); }
-    void apply_pauli(int q, const LaneMask* xs, const LaneMask* zs) override
+    void hadamard(int q, LaneMask lanes) override
     {
-        push("pauli", q, xs, zs);
+        calls.push_back({"h", q, lanes});
     }
-    void coherent_cnot(int control, int /*target*/,
-                       const LaneMask* lanes) override
+    void reset_z(int q, LaneMask lanes) override
     {
-        push("cnot", control, lanes);
+        calls.push_back({"reset_z", q, lanes});
     }
-    void hadamard(int q, const LaneMask* lanes) override
+    LaneMask measure_z(int q) override
     {
-        push("h", q, lanes);
+        calls.push_back({"measure", q, ~0ull});
+        return ~0ull;
     }
-    void reset_z(int q, const LaneMask* lanes) override
+    void park_leaked(int q, LaneMask lanes) override
     {
-        push("reset_z", q, lanes);
-    }
-    void measure_z(int q, LaneMask* out) override
-    {
-        for (int w = 0; w < words; ++w)
-            out[w] = ~0ull;
-        push("measure", q, out);
-    }
-    void park_leaked(int q, const LaneMask* lanes) override
-    {
-        push("park", q, lanes);
+        calls.push_back({"park", q, lanes});
     }
 };
 
@@ -829,13 +821,10 @@ struct SparseRig {
     BatchLeakageDriver driver;
     LrcWords lrc;
 
-    SparseRig(const NoiseParams& np, int words, uint64_t seed = 7)
-        : driver(code, rc, np, Rng(seed), &state, words,
-                 NoiseSampling::kSparse)
+    explicit SparseRig(const NoiseParams& np, uint64_t seed = 7)
+        : driver(code, rc, np, Rng(seed), &state, NoiseSampling::kSparse)
     {
-        state.words = words;
-        lrc.data.assign(static_cast<size_t>(code.n_data() * words), 0);
-        lrc.checks.assign(static_cast<size_t>(code.n_checks() * words), 0);
+        lrc.reset(code.n_data(), code.n_checks());
     }
 };
 
@@ -856,13 +845,11 @@ TEST(SparsePlan, ResetInitErrorsSkipLeakedLanes)
     // Half the lanes start with every ancilla leaked and nothing moves a
     // leak (pl = 0, mobility 0, no LRC).  The init-error flip that
     // follows each reset may only touch the lanes the reset served.
-    SparseRig rig(rates(0.3, 0.0, 0.0), 1);
+    SparseRig rig(rates(0.3, 0.0, 0.0));
     rig.driver.reset_shot_batch(64);
     const LaneMask leaked_lanes = 0xF0F0F0F0F0F0F0F0ull;
     for (int c = 0; c < rig.code.n_checks(); ++c)
-        for_each_lane(leaked_lanes, [&](int l) {
-            rig.driver.set_check_leak_lane(c, l);
-        });
+        rig.driver.set_check_leak(c, leaked_lanes);
     rig.state.calls.clear();
     for (int r = 0; r < 20; ++r)
         rig.driver.run_round_batch(rig.lrc);
@@ -873,11 +860,11 @@ TEST(SparsePlan, ResetInitErrorsSkipLeakedLanes)
             calls[i].q != calls[i - 1].q)
             continue;
         ++flips;
-        EXPECT_EQ(calls[i - 1].a[0] & leaked_lanes, 0u);
-        EXPECT_EQ(calls[i].a[0] & ~calls[i - 1].a[0], 0u)
+        EXPECT_EQ(calls[i - 1].a & leaked_lanes, 0u);
+        EXPECT_EQ(calls[i].a & ~calls[i - 1].a, 0u)
             << "init error on a lane the reset skipped, qubit "
             << calls[i].q;
-        EXPECT_EQ(calls[i].b[0], 0u);
+        EXPECT_EQ(calls[i].b, 0u);
     }
     EXPECT_GT(flips, 20);
 }
@@ -886,7 +873,7 @@ TEST(SparsePlan, RateOneFiresEveryActiveLaneAtEverySite)
 {
     // p = 1 (pl = 1, MLR error 1): every planned site fires on every
     // active lane, with no draw deciding it.
-    SparseRig rig(rates(1.0, 1.0, 1.0), 1);
+    SparseRig rig(rates(1.0, 1.0, 1.0));
     rig.driver.reset_shot_batch(64);
     rig.state.calls.clear();
     rig.driver.run_round_batch(rig.lrc);
@@ -899,12 +886,12 @@ TEST(SparsePlan, RateOneFiresEveryActiveLaneAtEverySite)
         const auto& c = calls[static_cast<size_t>(2 * q)];
         EXPECT_EQ(c.op, "pauli");
         EXPECT_EQ(c.q, q);
-        EXPECT_EQ(c.a[0] | c.b[0], ~0ull);
+        EXPECT_EQ(c.a | c.b, ~0ull);
         EXPECT_EQ(calls[static_cast<size_t>(2 * q + 1)].op, "park");
-        EXPECT_EQ(calls[static_cast<size_t>(2 * q + 1)].a[0], ~0ull);
+        EXPECT_EQ(calls[static_cast<size_t>(2 * q + 1)].a, ~0ull);
     }
     for (int q = 0; q < rig.code.n_qubits(); ++q)
-        EXPECT_EQ(rig.driver.leaked(q)[0], ~0ull) << q;
+        EXPECT_EQ(rig.driver.leaked(q), ~0ull) << q;
     // Every measured ancilla is leaked, so MLR reads leaked ^ error = 0.
     for (int c = 0; c < rig.code.n_checks(); ++c)
         EXPECT_EQ(rig.driver.mlr_words()[c], 0u) << c;
@@ -912,7 +899,7 @@ TEST(SparsePlan, RateOneFiresEveryActiveLaneAtEverySite)
 
 TEST(SparsePlan, RateZeroFiresNothing)
 {
-    SparseRig rig(rates(0.0, 1.0, 1.0), 1);
+    SparseRig rig(rates(0.0, 1.0, 1.0));
     rig.driver.reset_shot_batch(64);
     rig.state.calls.clear();
     for (int r = 0; r < 10; ++r)
@@ -929,62 +916,45 @@ TEST(SparsePlan, RateZeroFiresNothing)
 
 TEST(SparsePlan, PartialBatchesNeverFirePaddingLanes)
 {
-    // 37 lanes in one word, and 101 lanes over K=2 (the boundary falls
-    // inside the second word).  Heavy noise, every LRC requested on
-    // every lane including the padding: no primitive may see a padding
-    // lane, and no round word may carry one.
-    for (const auto& [words, n_lanes] : {std::pair<int, int>{1, 37},
-                                         std::pair<int, int>{2, 101}}) {
-        SCOPED_TRACE(n_lanes);
-        NoiseParams np = rates(0.4, 0.5, 1.0);
-        np.lrc_leak_prob = 0.3;
-        np.mobility = 0.5;
-        SparseRig rig(np, words);
-        rig.driver.reset_shot_batch(n_lanes);
-        std::vector<LaneMask> pad(static_cast<size_t>(words));
-        for (int w = 0; w < words; ++w)
-            pad[static_cast<size_t>(w)] = ~rig.driver.active()[w];
-        const auto no_padding = [&](const std::vector<LaneMask>& m,
-                                    const std::string& what) {
-            for (size_t i = 0; i < m.size(); ++i)
-                EXPECT_EQ(m[i] & pad[i % pad.size()], 0u)
-                    << what << " word " << i;
-        };
-        std::fill(rig.lrc.data.begin(), rig.lrc.data.end(), ~0ull);
-        std::fill(rig.lrc.checks.begin(), rig.lrc.checks.end(), ~0ull);
-        for (int r = 0; r < 12; ++r) {
-            rig.state.calls.clear();
-            // Alternate gadget rounds and plain rounds so leaks build up.
-            if (r % 3 == 2)
-                rig.driver.run_round_batch(rig.lrc);
-            else {
-                LrcWords none = rig.lrc;
-                std::fill(none.data.begin(), none.data.end(), 0);
-                std::fill(none.checks.begin(), none.checks.end(), 0);
-                rig.driver.run_round_batch(none);
+    // 37 of 64 lanes.  Heavy noise, every LRC requested on every lane
+    // including the padding: no primitive may see a padding lane, and no
+    // round word may carry one.
+    const int n_lanes = 37;
+    NoiseParams np = rates(0.4, 0.5, 1.0);
+    np.lrc_leak_prob = 0.3;
+    np.mobility = 0.5;
+    SparseRig rig(np);
+    rig.driver.reset_shot_batch(n_lanes);
+    const LaneMask pad = ~rig.driver.active();
+    ASSERT_EQ(pad, ~0ull << n_lanes);
+    const auto no_padding = [&](const LaneMask* m, int n,
+                                const std::string& what) {
+        for (int i = 0; i < n; ++i)
+            EXPECT_EQ(m[i] & pad, 0u) << what << " word " << i;
+    };
+    std::fill(rig.lrc.data.begin(), rig.lrc.data.end(), ~0ull);
+    std::fill(rig.lrc.checks.begin(), rig.lrc.checks.end(), ~0ull);
+    LrcWords none;
+    none.reset(rig.code.n_data(), rig.code.n_checks());
+    for (int r = 0; r < 12; ++r) {
+        rig.state.calls.clear();
+        // Alternate gadget rounds and plain rounds so leaks build up.
+        rig.driver.run_round_batch(r % 3 == 2 ? rig.lrc : none);
+        for (const auto& c : rig.state.calls) {
+            if (c.op != "measure") {
+                EXPECT_EQ(c.a & pad, 0u) << c.op;
+                EXPECT_EQ(c.b & pad, 0u) << c.op;
             }
-            for (const auto& c : rig.state.calls) {
-                if (c.op != "measure") {
-                    no_padding(c.a, c.op);
-                    no_padding(c.b, c.op);
-                }
-            }
-            const auto words_of = [&](const LaneMask* v, int n) {
-                return std::vector<LaneMask>(v, v + n * words);
-            };
-            const int nc = rig.code.n_checks();
-            no_padding(words_of(rig.driver.meas_flip_words(), nc),
-                       "meas_flip");
-            no_padding(words_of(rig.driver.detector_words(), nc),
-                       "detector");
-            no_padding(words_of(rig.driver.mlr_words(), nc), "mlr");
-            for (int q = 0; q < rig.code.n_qubits(); ++q)
-                no_padding(words_of(rig.driver.leaked(q), 1), "leaked");
         }
-        std::vector<std::vector<uint8_t>> flips;
-        rig.driver.final_data_measure_batch(&flips);
-        EXPECT_EQ(flips.size(), static_cast<size_t>(n_lanes));
+        const int nc = rig.code.n_checks();
+        no_padding(rig.driver.meas_flip_words(), nc, "meas_flip");
+        no_padding(rig.driver.detector_words(), nc, "detector");
+        no_padding(rig.driver.mlr_words(), nc, "mlr");
+        no_padding(rig.driver.leaked_words(), rig.code.n_qubits(), "leaked");
     }
+    std::vector<std::vector<uint8_t>> flips;
+    rig.driver.final_data_measure_batch(&flips);
+    EXPECT_EQ(flips.size(), static_cast<size_t>(n_lanes));
 }
 
 }  // namespace

@@ -103,9 +103,10 @@ TEST(TelemetryDriftGate, MetricsBitIdenticalWithAndWithoutCollector)
     }
 }
 
-// The drift gate again at a multi-word batch width: the K-word heatmap
-// popcount path and the K-word FN/DLP accounting must be side-channel
-// clean too (same bits with and without a collector attached).
+// The drift gate again at a two-batch block: the heatmap popcounts and
+// the FN/DLP accounting summed over a block's batches must be
+// side-channel clean too (same bits with and without a collector
+// attached).
 TEST(TelemetryDriftGate, MetricsBitIdenticalAtWideBatchWidth)
 {
     if (!telemetry::kCompiledIn)
@@ -120,7 +121,7 @@ TEST(TelemetryDriftGate, MetricsBitIdenticalAtWideBatchWidth)
         SCOPED_TRACE(backend_name(backend));
         ExperimentConfig cfg = small_config(backend);
         cfg.batch_words = 2;
-        cfg.rng_streams = 1;  // 96 shots: one 128-lane block, 32 masked
+        cfg.rng_streams = 1;  // 96 shots: a 128-shot block, 64 + 32 lanes
         for (int threads : {1, 4}) {
             SCOPED_TRACE(threads);
             cfg.threads = threads;
@@ -303,11 +304,11 @@ TEST(TelemetryDeterminism, RecordInvariantsHold)
     EXPECT_GT(data_occupancy, 0u);
 }
 
-// The same two-projection invariants at a multi-word batch width: the
-// heatmap's per-(round, qubit) occupancy now comes from popcounts summed
-// over K leak words, and it must still tile every (shot, round) pair
-// exactly once — a word mis-indexed in the K-word popcount path breaks
-// the histogram/heatmap moment identity immediately.
+// The same two-projection invariants at a two-batch block: the heatmap's
+// per-(round, qubit) occupancy now comes from popcounts summed over the
+// block's batches, and it must still tile every (shot, round) pair
+// exactly once — a batch counted twice or skipped breaks the
+// histogram/heatmap moment identity immediately.
 TEST(TelemetryDeterminism, RecordInvariantsHoldAtWideBatchWidth)
 {
     if (!telemetry::kCompiledIn)
@@ -319,7 +320,7 @@ TEST(TelemetryDeterminism, RecordInvariantsHoldAtWideBatchWidth)
 
     ExperimentConfig cfg = small_config(SimBackend::kBatchFrame);
     cfg.batch_words = 2;
-    cfg.rng_streams = 1;  // 96 shots: one partial 128-lane block
+    cfg.rng_streams = 1;  // 96 shots: one partial 128-shot block
     telemetry::Record rec;
     run_collected(ctx, cfg, factory, /*heatmap=*/true, &rec);
 

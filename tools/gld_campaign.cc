@@ -85,10 +85,11 @@ usage(const char* argv0)
         "  --backend <name>     simulation backend: %s\n"
         "                       (overrides the spec; changes every job's\n"
         "                       config hash, so results never mix)\n"
-        "  --batch-words <K>    batch width in 64-lane words, 1..%d\n"
-        "                       (overrides the spec; sets the scheduler\n"
-        "                       block to K*64 shots, so like --backend it\n"
-        "                       changes every job's config hash)\n"
+        "  --batch-words <K>    scheduler block of K*64 shots, 1..%d\n"
+        "                       (overrides the spec; batch backends run\n"
+        "                       a block as K 64-lane batches; like\n"
+        "                       --backend it changes every job's config\n"
+        "                       hash)\n"
         "  --noise-sampling <m> noise sampling mode: %s\n"
         "                       (overrides the spec; default sparse, the\n"
         "                       event-wise engine; lockstep replays the\n"
@@ -132,7 +133,7 @@ struct Args {
     std::string spec_path;
     std::string out_dir = "campaign_out";
     std::string backend;  ///< empty = use the spec's backend
-    int batch_words = 0;  ///< 0 = use the spec's batch width
+    int batch_words = 0;  ///< 0 = use the spec's block multiplier
     std::string noise_sampling;  ///< empty = use the spec's mode
     int shard = -1;
     int n_shards = 1;
@@ -560,9 +561,9 @@ cmd_verify(const Args& a)
     // The grid's own backend field is ignored on purpose: the arms are
     // defined by --reference/--candidates, never by the spec or
     // GLD_BACKEND (an env override could silently relabel an arm).
-    // --batch-words DOES apply: the batch width is shared by every arm
-    // (it sets the common scheduler block size), so refereeing at K>1 is
-    // exactly the bit-identity claim the K-word refactor must defend.
+    // --batch-words DOES apply: the block multiplier is shared by every
+    // arm (it sets the common scheduler block size), so refereeing at
+    // K>1 judges blocks of K batches against frame at the same blocks.
     if (a.batch_words > 0)
         grid.batch_words = a.batch_words;
     // --noise-sampling also applies grid-wide: under sparse the batch

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 
@@ -121,9 +123,10 @@ CampaignSpec::from_json(const Json& j)
     CampaignSpec spec;
     spec.name = j["name"].as_str();
     spec.seed = io::u64_from_hex(j["seed"].as_str());
-    spec.shots = static_cast<int>(j["shots"].as_int());
-    spec.rounds = static_cast<int>(j["rounds"].as_int());
-    spec.rng_streams = static_cast<int>(j["rng_streams"].as_int());
+    spec.shots = io::int_in_range(j, "shots", 1, INT_MAX, "CampaignSpec");
+    spec.rounds = io::int_in_range(j, "rounds", 1, INT_MAX, "CampaignSpec");
+    spec.rng_streams =
+        io::int_in_range(j, "rng_streams", 1, INT_MAX, "CampaignSpec");
     spec.leakage_sampling = j["leakage_sampling"].as_bool();
     spec.compute_ler = j["compute_ler"].as_bool();
     spec.record_dlp_series = j["record_dlp_series"].as_bool();
@@ -132,7 +135,8 @@ CampaignSpec::from_json(const Json& j)
                        ? backend_from_name(j["backend"].as_str())
                        : SimBackend::kFrame;  // version-1 specs
     spec.batch_words = j.has("batch_words")
-                           ? static_cast<int>(j["batch_words"].as_int())
+                           ? io::int_in_range(j, "batch_words", 1,
+                                              kMaxBatchWords, "CampaignSpec")
                            : 1;
     spec.noise_sampling =
         j.has("noise_sampling")
@@ -162,229 +166,49 @@ CampaignSpec::validate() const
     (void)jobs;
 }
 
-// --- Cost model. ---
+// --- Shard partition. ---
 
-double
-job_cost_units(const JobSpec& job, int n_qubits, long shots)
-{
-    return static_cast<double>(shots) *
-           static_cast<double>(job.cfg.rounds) *
-           backend_cost_factor(job.cfg.backend, n_qubits);
-}
-
-// --- Calibration. ---
-
-double
-Calibration::rate(const std::string& backend, const std::string& code,
-                  int batch_words) const
-{
-    const auto it = rates.find(key(backend, code, batch_words));
-    if (it == rates.end())
-        throw std::runtime_error(
-            "calibration: no measured rate for \"" +
-            key(backend, code, batch_words) +
-            "\" (run the campaign with telemetry, then "
-            "`gld_campaign calibrate`)");
-    return it->second;
-}
-
-Json
-Calibration::to_json() const
-{
-    Json j = Json::object();
-    j.set("gld_version", Json::integer(io::kSerializeVersion));
-    Json jr = Json::object();
-    for (const auto& kv : rates)
-        jr.set(kv.first, Json::number(kv.second));
-    j.set("shots_per_second", std::move(jr));
-    return j;
-}
-
-Calibration
-Calibration::from_json(const Json& j)
-{
-    const int64_t v = j["gld_version"].as_int();
-    if (v < 1 || v > io::kSerializeVersion)
-        throw std::runtime_error("Calibration: unsupported gld_version " +
-                                 std::to_string(v));
-    Calibration cal;
-    for (const auto& kv : j["shots_per_second"].items()) {
-        const double rate = kv.second.as_double();
-        if (!(rate > 0.0))
-            throw std::runtime_error("Calibration: rate for \"" + kv.first +
-                                     "\" must be positive");
-        cal.rates[kv.first] = rate;
-    }
-    return cal;
-}
-
-Calibration
-Calibration::from_telemetry(const CampaignSpec& spec, int n_shards,
-                            const std::string& out_dir)
-{
-    ShardPlan::validate(0, n_shards);
-    struct Sum {
-        double shots = 0.0;
-        double seconds = 0.0;
-    };
-    std::map<std::string, Sum> sums;
-    for (const JobSpec& job : spec.expand()) {
-        const std::string want_hash =
-            io::u64_to_hex(io::config_hash(job.cfg));
-        for (int shard = 0; shard < n_shards; ++shard) {
-            const std::string path =
-                telemetry_path(out_dir, spec, job.index, shard, n_shards);
-            if (!io::file_exists(path))
-                continue;
-            try {
-                const Json j = Json::parse(io::read_file(path));
-                if (j["config_hash"].as_str() != want_hash)
-                    continue;  // stale telemetry: never calibrate on it
-                Sum& s = sums[key(backend_name(job.cfg.backend), job.code,
-                                  job.cfg.batch_words)];
-                s.shots += static_cast<double>(j["shots"].as_int());
-                s.seconds +=
-                    static_cast<double>(j["wall_ns"].as_int()) * 1e-9;
-            } catch (const std::exception&) {
-                continue;  // garbled file: skip, like resume does
-            }
-        }
-    }
-    Calibration cal;
-    for (const auto& kv : sums) {
-        if (kv.second.shots > 0.0 && kv.second.seconds > 0.0)
-            cal.rates[kv.first] = kv.second.shots / kv.second.seconds;
-    }
-    if (cal.rates.empty())
-        throw std::runtime_error(
-            "calibrate: no telemetry found for campaign \"" + spec.name +
-            "\" in " + out_dir + " (run with telemetry enabled first)");
-    return cal;
-}
-
-// --- ShardPlan. ---
+namespace {
 
 void
-ShardPlan::validate(int shard, int n_shards)
+check_shard(int shard, int n_shards)
 {
     if (n_shards < 1)
-        throw std::runtime_error("shard plan: n_shards must be >= 1");
+        throw std::runtime_error("shard partition: n_shards must be >= 1");
     if (shard < 0 || shard >= n_shards)
-        throw std::runtime_error("shard plan: shard index " +
+        throw std::runtime_error("shard partition: shard index " +
                                  std::to_string(shard) + " outside [0, " +
                                  std::to_string(n_shards) + ")");
 }
 
+}  // namespace
+
 std::vector<int>
-ShardPlan::streams_for(const ExperimentConfig& cfg, int shard, int n_shards)
+shard_streams(const JobSpec& job, int shard, int n_shards)
 {
-    validate(shard, n_shards);
+    check_shard(shard, n_shards);
+    const int64_t total = ExperimentRunner::n_streams(job.cfg);
+    // The first s with (job * total + s) % n_shards == shard, then every
+    // n_shards-th stream after it.
+    const int64_t first =
+        ((shard - job.index * total) % n_shards + n_shards) % n_shards;
     std::vector<int> streams;
-    const int total = ExperimentRunner::n_streams(cfg);
-    for (int s = shard; s < total; s += n_shards)
-        streams.push_back(s);
+    for (int64_t s = first; s < total; s += n_shards)
+        streams.push_back(static_cast<int>(s));
     return streams;
 }
 
-// --- CampaignPlan (greedy LPT over per-stream cost units). ---
-
-CampaignPlan
-CampaignPlan::build(
-    const CampaignSpec& spec, int n_shards,
-    std::map<std::string, std::shared_ptr<const CodeInstance>>* codes,
-    const Calibration* calib)
+ShardLoad
+shard_load(const CampaignSpec& spec, int shard, int n_shards)
 {
-    if (calib != nullptr && calib->empty())
-        calib = nullptr;
-    ShardPlan::validate(0, n_shards);
-    const std::vector<JobSpec> jobs = spec.expand();
-
-    CampaignPlan plan;
-    plan.streams.assign(jobs.size(),
-                        std::vector<std::vector<int>>(
-                            static_cast<size_t>(n_shards)));
-    plan.shard_cost_units.assign(static_cast<size_t>(n_shards), 0.0);
-    plan.shard_shots.assign(static_cast<size_t>(n_shards), 0);
-    plan.job_qubits.assign(jobs.size(), 0);
-
-    // One code build per distinct spec string for the qubit counts; the
-    // instances are handed to the caller (when asked) rather than
-    // discarded, so run_shard's executed jobs reuse them.
-    std::map<std::string, std::shared_ptr<const CodeInstance>> built;
-    for (size_t j = 0; j < jobs.size(); ++j) {
-        auto it = built.find(jobs[j].code);
-        if (it == built.end()) {
-            it = built
-                     .emplace(jobs[j].code,
-                              std::shared_ptr<const CodeInstance>(
-                                  make_code(jobs[j].code)))
-                     .first;
-        }
-        plan.job_qubits[j] = it->second->code.n_qubits();
-    }
-    if (codes != nullptr)
-        *codes = std::move(built);
-
-    // Work items: one per (job, stream), weighted by that stream's cost.
-    struct Item {
-        double cost;
-        long shots;
-        int job;
-        int stream;
-    };
-    std::vector<Item> items;
-    for (size_t j = 0; j < jobs.size(); ++j) {
-        const ExperimentConfig& cfg = jobs[j].cfg;
-        // Cost per shot: analytic rounds x backend factor by default;
-        // with a calibration, measured wall seconds (1 / shots-per-
-        // second) — same LPT, honest units.  rate() throws on a missing
-        // (backend, batch width, code) key, so a partial calibration
-        // never silently half-applies.
-        const double per_shot =
-            calib != nullptr
-                ? 1.0 / calib->rate(backend_name(cfg.backend), jobs[j].code,
-                                    cfg.batch_words)
-                : static_cast<double>(cfg.rounds) *
-                      backend_cost_factor(cfg.backend, plan.job_qubits[j]);
-        const int total = ExperimentRunner::n_streams(cfg);
-        for (int s = 0; s < total; ++s) {
-            const long shots = ExperimentRunner::stream_shots(cfg, s);
-            items.push_back({static_cast<double>(shots) * per_shot, shots,
-                             static_cast<int>(j), s});
+    ShardLoad load;
+    for (const JobSpec& job : spec.expand()) {
+        for (int s : shard_streams(job, shard, n_shards)) {
+            ++load.streams;
+            load.shots += ExperimentRunner::stream_shots(job.cfg, s);
         }
     }
-
-    // LPT: descending cost; (job, stream) ascending breaks cost ties so
-    // the order — and with it the whole plan — is a pure function of the
-    // spec.  Greedy target: the lightest shard, lowest index on ties.
-    std::stable_sort(items.begin(), items.end(),
-                     [](const Item& a, const Item& b) {
-                         if (a.cost != b.cost)
-                             return a.cost > b.cost;
-                         if (a.job != b.job)
-                             return a.job < b.job;
-                         return a.stream < b.stream;
-                     });
-    for (const Item& item : items) {
-        int best = 0;
-        for (int sh = 1; sh < n_shards; ++sh) {
-            if (plan.shard_cost_units[static_cast<size_t>(sh)] <
-                plan.shard_cost_units[static_cast<size_t>(best)])
-                best = sh;
-        }
-        plan.streams[static_cast<size_t>(item.job)]
-                    [static_cast<size_t>(best)]
-                        .push_back(item.stream);
-        plan.shard_cost_units[static_cast<size_t>(best)] += item.cost;
-        plan.shard_shots[static_cast<size_t>(best)] += item.shots;
-    }
-    // Ascending stream ids per (job, shard): run_partials computes them
-    // in request order, and sorted requests keep result files tidy.
-    for (auto& per_job : plan.streams) {
-        for (auto& ss : per_job)
-            std::sort(ss.begin(), ss.end());
-    }
-    return plan;
+    return load;
 }
 
 // --- Result files. ---
@@ -507,10 +331,9 @@ shard_result_valid(const std::string& path, const CampaignSpec& spec,
             return false;
         if (j["shard"].as_int() != shard || j["n_shards"].as_int() != n_shards)
             return false;
-        // The expected stream set comes from the (deterministic) campaign
-        // plan: a file produced under a different plan — e.g. the old
-        // round-robin partition or a changed cost model — lists different
-        // stream ids and is recomputed.
+        // The expected stream set comes from shard_streams: a file
+        // written under another partition lists different stream ids and
+        // is recomputed.
         const Json& jstreams = j["streams"];
         if (jstreams.size() != want_streams.size())
             return false;
@@ -666,16 +489,16 @@ RunShardStats
 run_shard(const CampaignSpec& spec, int shard, int n_shards,
           const std::string& out_dir, const RunShardOptions& opt)
 {
-    ShardPlan::validate(shard, n_shards);
+    check_shard(shard, n_shards);
     io::make_dirs(out_dir);
     const std::vector<JobSpec> jobs = spec.expand();
-    // Cost-balanced stream->shard assignment, identical in every process
-    // that runs this (spec, n_shards) — see CampaignPlan.  The codes the
-    // plan built for its cost model are kept and shared below (they are
-    // immutable once built; concurrent jobs only read them).
+    // One build per distinct code, shared by its jobs (immutable once
+    // built; concurrent jobs only read them).
     std::map<std::string, std::shared_ptr<const CodeInstance>> codes;
-    const CampaignPlan plan =
-        CampaignPlan::build(spec, n_shards, &codes, opt.calibration);
+    for (const std::string& code : spec.codes) {
+        if (codes.count(code) == 0)
+            codes.emplace(code, make_code(code));
+    }
     std::atomic<int> jobs_run{0};
     std::atomic<int> jobs_resumed{0};
     const int threads = opt.threads;
@@ -691,7 +514,7 @@ run_shard(const CampaignSpec& spec, int shard, int n_shards,
         tracker = std::make_unique<ProgressTracker>(
             progress_path(out_dir, spec, shard, n_shards), shard, n_shards,
             static_cast<int64_t>(jobs.size()),
-            plan.shard_shots[static_cast<size_t>(shard)]);
+            shard_load(spec, shard, n_shards).shots);
 
     // Job workers and each job's runner loop all execute on the ONE
     // process-wide persistent pool (util/thread_pool.h), whose size is
@@ -706,8 +529,8 @@ run_shard(const CampaignSpec& spec, int shard, int n_shards,
     const int job_threads = threads > 0 ? threads : BenchConfig::threads();
 
     const auto run_one_job = [&](const JobSpec& job) {
-        const std::vector<int>& streams =
-            plan.streams_for(job.index, shard);
+        const std::vector<int> streams =
+            shard_streams(job, shard, n_shards);
         const std::string path =
             shard_result_path(out_dir, spec, job.index, shard, n_shards);
         uint64_t planned_shots = 0;
@@ -730,10 +553,9 @@ run_shard(const CampaignSpec& spec, int shard, int n_shards,
         telemetry::Record rec;
         uint64_t job_wall_ns = 0;
         if (!streams.empty()) {
-            // Shards the plan assigned no streams of this job: still
-            // write the (empty) result file merge expects, but skip the
-            // graph construction.  The code instance is the plan's own
-            // build — never constructed twice per shard process.
+            // A shard that owns no stream of this job (more shards than
+            // streams) still writes the (empty) result file merge
+            // expects, but runs nothing.
             const std::shared_ptr<const CodeInstance> code =
                 codes.at(job.code);
             ExperimentConfig cfg = job.cfg;
@@ -1089,7 +911,7 @@ std::vector<ShardProgress>
 read_progress(const CampaignSpec& spec, int n_shards,
               const std::string& out_dir)
 {
-    ShardPlan::validate(0, n_shards);
+    check_shard(0, n_shards);
     std::vector<ShardProgress> out;
     for (int shard = 0; shard < n_shards; ++shard) {
         ShardProgress p;
@@ -1205,7 +1027,7 @@ telemetry::Heatmap
 merge_job_heatmap(const CampaignSpec& spec, int n_shards,
                   const std::string& out_dir, int job_index)
 {
-    ShardPlan::validate(0, n_shards);
+    check_shard(0, n_shards);
     const std::vector<JobSpec> jobs = spec.expand();
     if (job_index < 0 || job_index >= static_cast<int>(jobs.size()))
         throw std::runtime_error("heatmap: job index " +

@@ -2,8 +2,6 @@
 #define GLD_CAMPAIGN_CAMPAIGN_H_
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -100,150 +98,33 @@ struct CampaignSpec {
 };
 
 /**
- * Relative simulation cost of running `shots` shots of `job` on its code:
- * shots x rounds x backend_cost_factor(job.cfg.backend, n_qubits), so one
- * frame-backend round of one shot is the unit.  This is the campaign cost
- * model's first stage (ROADMAP "backend-aware campaign planning"): `plan`
- * weights per-shard shot loads with it so mixed-backend and mixed-code
- * sweeps print honest relative loads, not raw shot counts that hide a
- * tableau job costing ~n^2/64 x a frame job.  Throughput model only —
- * never result-affecting.
+ * The shard partition: shard i of N owns RNG stream s of job j iff
+ * (j * n_streams + s) % N == i.  n_streams is the same for every job of
+ * a campaign (shots and rng_streams are campaign-wide), so the streams
+ * of all jobs are dealt out as one sequence.  Streams, not jobs, are the
+ * partition unit:
+ *  - any N up to the stream count splits even a single-job campaign;
+ *  - every shard gets the same share of every job, whatever that job
+ *    costs, so no cost model is needed to balance shards;
+ *  - the job offset hands each job's leftover streams (N not dividing
+ *    n_streams) to different shards, not always to the low-numbered
+ *    ones.
+ * merge_campaign collects streams by id and folds them in stream order,
+ * so shard-then-merge is bit-identical to a single-process run.
  *
- * @param n_qubits the job's code size (campaign::make_code(job.code)
- *        ->code.n_qubits(); a plan over many jobs should cache it per
- *        distinct code spec).
+ * Returns job's ascending stream ids owned by `shard`; throws
+ * std::runtime_error unless n_shards >= 1 and 0 <= shard < n_shards.
  */
-double job_cost_units(const JobSpec& job, int n_qubits, long shots);
+std::vector<int> shard_streams(const JobSpec& job, int shard, int n_shards);
 
-/**
- * The shard partition: shard i of N owns RNG stream s of every job iff
- * s % N == i.  Streams — not jobs — are the partition unit, so (a) any N
- * up to the stream count splits even a single-job campaign, and (b) the
- * merge is exactly run()'s stream-order sum, making shard-then-merge
- * bit-identical to a single-process run.
- *
- * This round-robin partition balances SHOTS per shard within one job but
- * knows nothing about cost: a tableau d=7 job's stream costs ~n^2/64 x a
- * frame stream, and batch_frame streams ~1/64 x.  Campaign-level
- * scheduling (run_shard, resume validation, the plan command) therefore
- * runs entirely on CampaignPlan (greedy LPT over cost units) below;
- * streams_for is NOT on any production path anymore — it is kept as the
- * executable record of the historical contract, pinned by its test.
- */
-struct ShardPlan {
-    /** Throws std::runtime_error unless 0 <= shard < n_shards. */
-    static void validate(int shard, int n_shards);
-
-    /** Ascending stream ids of `cfg` owned by `shard`. */
-    static std::vector<int> streams_for(const ExperimentConfig& cfg,
-                                        int shard, int n_shards);
+/** What one shard runs over the whole campaign. */
+struct ShardLoad {
+    long streams = 0;  ///< (job, stream) pairs
+    long shots = 0;
 };
 
-/**
- * Measured-throughput calibration for the campaign cost model (the
- * telemetry -> planner feedback loop): shots per WALL second per
- * (backend, batch width, code), keyed "backend/code" at the default
- * width 1 (e.g. "frame/surface:5") and "backend@w<K>/code" at K > 1
- * (e.g. "batch_frame@w4/surface:5") — the batch width changes a batch
- * backend's throughput substantially, so K-sweep measurements must not
- * overwrite each other.  Typically built from the per-job telemetry
- * exports of a completed run via from_telemetry() (`gld_campaign
- * calibrate`) and fed back into CampaignPlan::build, which then balances
- * shards on measured seconds instead of the analytic
- * backend_cost_factor.  Throughput model only — never result-affecting
- * (the stream->shard assignment changes, the merged Metrics cannot).
- */
-struct Calibration {
-    /** shots per wall second, keyed by key(backend, code, batch_words). */
-    std::map<std::string, double> rates;
-
-    static std::string key(const std::string& backend,
-                           const std::string& code, int batch_words = 1)
-    {
-        // K == 1 keys stay exactly "backend/code", so calibration files
-        // from before the batch-width knob keep working unchanged.
-        if (batch_words > 1) {
-            return backend + "@w" + std::to_string(batch_words) + "/" +
-                   code;
-        }
-        return backend + "/" + code;
-    }
-
-    bool empty() const { return rates.empty(); }
-    bool has(const std::string& backend, const std::string& code,
-             int batch_words = 1) const
-    {
-        return rates.count(key(backend, code, batch_words)) != 0;
-    }
-    /** Throws std::runtime_error naming the missing key. */
-    double rate(const std::string& backend, const std::string& code,
-                int batch_words = 1) const;
-
-    io::Json to_json() const;
-    static Calibration from_json(const io::Json& j);
-
-    /**
-     * Aggregates the campaign's per-job telemetry exports into measured
-     * rates: per (backend, code), total shots / total wall seconds over
-     * every job x shard telemetry file present (files from a different
-     * config hash are skipped).  Throws if no telemetry is found at all.
-     */
-    static Calibration from_telemetry(const CampaignSpec& spec, int n_shards,
-                                      const std::string& out_dir);
-};
-
-/**
- * Cost-balanced campaign shard plan (ROADMAP "backend-aware campaign
- * planning", stage 2): every (job, RNG stream) work item is weighted by
- * its cost units — stream_shots x rounds x backend_cost_factor — and
- * assigned to a shard by greedy LPT (longest-processing-time: items in
- * descending cost, each to the currently lightest shard).  Deterministic
- * for a given (spec, n_shards): items sort with (cost desc, job asc,
- * stream asc) tie-breaks and ties between shards go to the lowest index,
- * so every process computes the identical plan — run_shard and the plan
- * command agree without communicating.
- *
- * The merge contract is unchanged: merge_campaign collects streams by id
- * from whatever shard file holds them, and each stream's Metrics partial
- * is independent of which shard ran it, so shard-then-merge stays
- * bit-identical to a single-process run under ANY assignment.
- */
-struct CampaignPlan {
-    /** streams[job][shard] = ascending stream ids owned by that shard. */
-    std::vector<std::vector<std::vector<int>>> streams;
-    /** Total assigned cost units per shard. */
-    std::vector<double> shard_cost_units;
-    /** Total assigned shots per shard. */
-    std::vector<long> shard_shots;
-    /** n_qubits per job (the cost-model input, cached per code spec). */
-    std::vector<int> job_qubits;
-
-    /** Ascending stream ids of job `job_index` owned by `shard`. */
-    const std::vector<int>& streams_for(int job_index, int shard) const
-    {
-        return streams[static_cast<size_t>(job_index)]
-                      [static_cast<size_t>(shard)];
-    }
-
-    /**
-     * Builds the deterministic LPT plan; throws on invalid specs/shard
-     * counts.  The cost model needs each distinct code's qubit count, so
-     * each is constructed exactly once; pass `codes` to receive those
-     * instances (keyed by spec string) instead of discarding them —
-     * run_shard reuses them so an executed job never constructs its code
-     * a second time.
-     *
-     * With a non-null, non-empty `calib`, stream costs are measured
-     * seconds (stream shots / calibrated shots-per-second) instead of
-     * analytic cost units; every (backend, code) of the spec must have a
-     * calibration entry or build throws naming the missing key.
-     */
-    static CampaignPlan build(
-        const CampaignSpec& spec, int n_shards,
-        std::map<std::string, std::shared_ptr<const CodeInstance>>* codes =
-            nullptr,
-        const Calibration* calib = nullptr);
-};
+/** Sums shard_streams over every job of `spec`. */
+ShardLoad shard_load(const CampaignSpec& spec, int shard, int n_shards);
 
 /** `<out_dir>/<name>.job####.shard<i>of<N>.json` */
 std::string shard_result_path(const std::string& out_dir,
@@ -290,17 +171,17 @@ struct RunShardOptions {
     bool telemetry = true;
     /** Also collect per-qubit x per-round leakage heatmaps. */
     bool heatmap = false;
-    /** Measured-throughput cost model for the shard plan (optional). */
-    const Calibration* calibration = nullptr;
 };
 
 /**
- * Runs shard `shard` of `n_shards` over every job of the campaign,
- * writing one result file per job into `out_dir` (created if needed).
+ * Runs shard `shard` of `n_shards` (its shard_streams of every job) over
+ * the campaign, writing one result file per job into `out_dir` (created
+ * if needed).  Each distinct code is built once per call.
  *
  * Checkpoint/resume: a job whose result file already exists with a
- * matching config hash and shard geometry is skipped; a stale file (hash
- * or geometry mismatch, or unparseable) is recomputed and overwritten.
+ * matching config hash, shard geometry and stream list is skipped; a
+ * stale file (any mismatch, or unparseable) is recomputed and
+ * overwritten.
  *
  * `threads` caps worker threads per job (0 = the full
  * BenchConfig::threads() budget).  Job workers AND every job's runner

@@ -17,7 +17,7 @@ namespace campaign {
  * The cross-backend referee (ROADMAP "cross-backend referee campaigns"):
  * `gld_campaign verify` expands one grid, runs it once per backend arm
  * (a reference plus one or more candidates) through the UNCHANGED
- * campaign machinery — CampaignPlan sharding, checkpoint/resume,
+ * campaign machinery — shard_streams sharding, checkpoint/resume,
  * merge-exact aggregation — and then referees every (grid point,
  * candidate) pair:
  *

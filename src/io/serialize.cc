@@ -1,5 +1,6 @@
 #include "io/serialize.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -57,6 +58,19 @@ check_probability(const char* field, double value)
 }
 
 }  // namespace
+
+int
+int_in_range(const Json& j, const char* key, int64_t lo, int64_t hi,
+             const char* what)
+{
+    const int64_t v = j[key].as_int();
+    if (v < lo || v > hi)
+        throw std::runtime_error(std::string(what) + ": " + key + " = " +
+                                 std::to_string(v) + " is outside [" +
+                                 std::to_string(lo) + ", " +
+                                 std::to_string(hi) + "]");
+    return static_cast<int>(v);
+}
 
 std::string
 f64_to_hex(double v)
@@ -175,20 +189,22 @@ config_from_json(const Json& j)
     check_version(j, "ExperimentConfig");
     ExperimentConfig cfg;
     cfg.np = noise_from_json(j["noise"]);
-    cfg.rounds = static_cast<int>(j["rounds"].as_int());
-    cfg.shots = static_cast<int>(j["shots"].as_int());
+    cfg.rounds = int_in_range(j, "rounds", 1, INT_MAX, "ExperimentConfig");
+    cfg.shots = int_in_range(j, "shots", 1, INT_MAX, "ExperimentConfig");
     cfg.seed = u64_from_hex(j["seed"].as_str());
     cfg.leakage_sampling = j["leakage_sampling"].as_bool();
     cfg.compute_ler = j["compute_ler"].as_bool();
     cfg.record_dlp_series = j["record_dlp_series"].as_bool();
-    cfg.rng_streams = static_cast<int>(j["rng_streams"].as_int());
+    cfg.rng_streams =
+        int_in_range(j, "rng_streams", 1, INT_MAX, "ExperimentConfig");
     // Version-1 documents predate backends: migrate to "frame" (what
     // they were produced by).  Their config hash differs regardless, so
     // old CHECKPOINTS are refused rather than resumed.
     cfg.backend = j.has("backend") ? backend_from_name(j["backend"].as_str())
                                    : SimBackend::kFrame;
     cfg.batch_words = j.has("batch_words")
-                          ? static_cast<int>(j["batch_words"].as_int())
+                          ? int_in_range(j, "batch_words", 1, kMaxBatchWords,
+                                         "ExperimentConfig")
                           : 1;
     cfg.noise_sampling =
         j.has("noise_sampling")

@@ -81,8 +81,20 @@ Json noise_to_json(const NoiseParams& np);
  */
 NoiseParams noise_from_json(const Json& j);
 
+/**
+ * j[key] as an int.  Throws std::runtime_error naming `what` and `key`
+ * unless lo <= value <= hi, so an untrusted count is refused rather than
+ * truncated or run as some other value.
+ */
+int int_in_range(const Json& j, const char* key, int64_t lo, int64_t hi,
+                 const char* what);
+
 // --- ExperimentConfig (embeds NoiseParams). ---
 Json config_to_json(const ExperimentConfig& cfg);
+/**
+ * Throws std::runtime_error, naming the field, unless shots, rounds and
+ * rng_streams are in [1, INT_MAX] and batch_words in [1, kMaxBatchWords].
+ */
 ExperimentConfig config_from_json(const Json& j);
 
 /**

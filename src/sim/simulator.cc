@@ -279,39 +279,6 @@ backend_from_env()
     }
 }
 
-double
-backend_cost_factor(SimBackend backend, int n_qubits)
-{
-    switch (backend) {
-      case SimBackend::kFrame:
-        return 1.0;
-      case SimBackend::kTableau: {
-        // CHP measurement cost: 2n tableau rows x n/64 bit-plane words,
-        // against the frame engine's O(1) per measured bit.  Floor at 1:
-        // tiny codes are never cheaper than the frame engine.
-        const double n = static_cast<double>(n_qubits);
-        const double factor = n * n / 64.0;
-        return factor < 1.0 ? 1.0 : factor;
-      }
-      case SimBackend::kBatchFrame:
-        // 64 shots per word: one lockstep driver pass serves a whole
-        // shot block, so a shot costs ~1/64 of a scalar frame shot (the
-        // per-lane control flow keeps it from being exactly 1/64; the
-        // benchmark BM_BackendThroughput measures the real ratio).
-        return 1.0 / 64.0;
-      case SimBackend::kBatchTableau: {
-        // Per lane the state cost is the scalar tableau's O(n^2/64); the
-        // batch only amortizes the round's noise machinery, which the
-        // tableau cost dwarfs on all but the smallest codes.
-        const double n = static_cast<double>(n_qubits);
-        const double factor = n * n / 64.0;
-        return factor < 1.0 ? 1.0 : factor;
-      }
-    }
-    throw_unknown_backend("invalid SimBackend value " +
-                          std::to_string(static_cast<int>(backend)));
-}
-
 int
 batch_words_from_env()
 {

@@ -390,16 +390,6 @@ int backend_rng_contract(SimBackend backend);
 int backend_rng_contract(SimBackend backend, NoiseSampling sampling);
 
 /**
- * Relative per-shot simulation cost of a backend on an n-qubit code,
- * normalized to the frame engine (= 1).  The tableau backend pays
- * O(n^2/64) bit-plane words per measurement where the frame engine pays
- * O(1) per frame bit, so its factor grows quadratically with code size.
- * Used by campaign planning to print honest per-shard loads for
- * mixed-backend sweeps; it is a throughput model, never result-affecting.
- */
-double backend_cost_factor(SimBackend backend, int n_qubits);
-
-/**
  * Builds a backend over a code's scheduled round circuit.  Every batch
  * backend is 64 lanes wide; `batch_words` is only range-checked (out-of-
  * range values throw for every backend), since the block size it sets is

@@ -1,10 +1,11 @@
-// Campaign subsystem: grid expansion, shard planning, checkpoint/resume,
+// Campaign subsystem: grid expansion, the shard partition, checkpoint/resume,
 // and the acceptance contract — plan/run over 3 shards + merge is
 // BIT-identical to the equivalent single-process ExperimentRunner::run().
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -86,6 +87,45 @@ edit_first_stream_metrics(const std::string& path, void (*edit)(Metrics*))
         out.set(key, std::move(streams));
     }
     io::write_file_atomic(path, out.dump(2) + "\n");
+}
+
+/**
+ * Rewrites `job`'s result file of `shard` so it holds genuine results for
+ * `streams` instead — what a build with another partition rule leaves
+ * on disk.  The file must exist (it is the template).
+ */
+void
+rewrite_shard_streams(const std::string& dir, const CampaignSpec& spec,
+                      const JobSpec& job, int shard, int n_shards,
+                      const std::vector<int>& streams)
+{
+    const std::string path =
+        shard_result_path(dir, spec, job.index, shard, n_shards);
+    const auto code = make_code(job.code);
+    const ExperimentRunner runner(code->ctx, job.cfg);
+    const std::vector<Metrics> parts =
+        runner.run_partials(make_policy(job.policy, job.cfg.np), streams);
+    io::Json out = io::Json::parse(io::read_file(path));
+    io::Json entries = io::Json::array();
+    for (size_t i = 0; i < streams.size(); ++i) {
+        io::Json entry = io::Json::object();
+        entry.set("stream", io::Json::integer(streams[i]));
+        entry.set("metrics", io::metrics_to_json(parts[i]));
+        entries.push(std::move(entry));
+    }
+    out.set("streams", std::move(entries));
+    io::write_file_atomic(path, out.dump(2) + "\n");
+}
+
+/** The round-robin rule campaigns once used: s % n_shards == shard. */
+std::vector<int>
+round_robin_streams(const JobSpec& job, int shard, int n_shards)
+{
+    std::vector<int> streams;
+    for (int s = shard; s < ExperimentRunner::n_streams(job.cfg);
+         s += n_shards)
+        streams.push_back(s);
+    return streams;
 }
 
 TEST(CampaignSpec, ExpandIsDeterministicWithDistinctSeeds)
@@ -191,6 +231,42 @@ TEST(CampaignSpec, FromJsonRejectsNoiseRatesOutsideUnitInterval)
     EXPECT_NO_THROW(CampaignSpec::from_json(small_spec("ok").to_json()));
 }
 
+// Counts from an untrusted spec must be refused by name when read, never
+// truncated to some other value and run.
+TEST(CampaignSpec, FromJsonRejectsCountsOutOfRange)
+{
+    const struct {
+        const char* field;
+        int64_t value;
+    } cases[] = {
+        {"shots", 3000000000},      {"shots", 0},
+        {"rounds", -1},             {"rounds", 0},
+        {"rng_streams", -5},        {"rng_streams", 0},
+        {"rng_streams", 1ll << 31}, {"batch_words", 0},
+        {"batch_words", kMaxBatchWords + 1},
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(std::string(c.field) + " = " + std::to_string(c.value));
+        io::Json j = small_spec("bad_count").to_json();
+        j.set(c.field, io::Json::integer(c.value));
+        try {
+            CampaignSpec::from_json(j);
+            ADD_FAILURE() << "expected std::runtime_error";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+                << e.what();
+        }
+    }
+    // The range edges load.
+    io::Json j = small_spec("edge").to_json();
+    j.set("shots", io::Json::integer(INT_MAX));
+    j.set("rng_streams", io::Json::integer(1));
+    j.set("batch_words", io::Json::integer(kMaxBatchWords));
+    const CampaignSpec edge = CampaignSpec::from_json(j);
+    EXPECT_EQ(edge.shots, INT_MAX);
+    EXPECT_EQ(edge.batch_words, kMaxBatchWords);
+}
+
 TEST(CampaignSpec, ValidationRejectsBadNames)
 {
     CampaignSpec spec = small_spec("bad");
@@ -209,140 +285,76 @@ TEST(CampaignSpec, ValidationRejectsBadNames)
     EXPECT_NO_THROW(small_spec("good").validate());
 }
 
-TEST(CostModel, JobCostUnitsWeighShotsRoundsAndBackend)
+// --- The shard partition: every job's streams dealt across shards. ---
+
+TEST(ShardPartition, DealsEveryStreamOnceWithAJobOffset)
 {
-    CampaignSpec spec = small_spec("cost");
-    const std::vector<JobSpec> frame_jobs = spec.expand();
-    spec.backend = SimBackend::kTableau;
-    const std::vector<JobSpec> tableau_jobs = spec.expand();
-
-    const int nq = make_code(frame_jobs[0].code)->code.n_qubits();
-    ASSERT_GT(nq, 8);  // surface:3 = 17 qubits: the tableau factor bites
-
-    // Frame: one cost unit per shot-round, exactly.
-    EXPECT_DOUBLE_EQ(job_cost_units(frame_jobs[0], nq, /*shots=*/45),
-                     45.0 * 7.0);
-    // Tableau: the same job costs the backend factor more — that is the
-    // whole point of backend-aware plan output.
-    const double factor = backend_cost_factor(SimBackend::kTableau, nq);
-    EXPECT_GT(factor, 1.0);
-    EXPECT_DOUBLE_EQ(job_cost_units(tableau_jobs[0], nq, 45),
-                     45.0 * 7.0 * factor);
-    // Linear in the shard's shot share (what `plan` sums per shard).
-    EXPECT_DOUBLE_EQ(job_cost_units(tableau_jobs[0], nq, 15),
-                     job_cost_units(tableau_jobs[0], nq, 45) / 3.0);
-    EXPECT_DOUBLE_EQ(job_cost_units(frame_jobs[0], nq, 0), 0.0);
-}
-
-TEST(ShardPlan, StreamsPartitionExactly)
-{
-    ExperimentConfig cfg;
-    cfg.shots = 45;
-    cfg.rng_streams = 8;
-    const int total = ExperimentRunner::n_streams(cfg);
+    CampaignSpec spec = small_spec("partition");
+    spec.codes = {"surface:3", "color:5"};
+    spec.noise = {NoiseParams::standard(1e-3, 0.1),
+                  NoiseParams::standard(2e-3, 0.1)};
+    const std::vector<JobSpec> jobs = spec.expand();
+    ASSERT_EQ(jobs.size(), 8u);
+    const int total = ExperimentRunner::n_streams(jobs[0].cfg);
     ASSERT_EQ(total, 8);
+    int max_stream_shots = 0;
+    for (int s = 0; s < total; ++s)
+        max_stream_shots = std::max(
+            max_stream_shots, ExperimentRunner::stream_shots(jobs[0].cfg, s));
+
     for (int n_shards : {1, 2, 3, 5, 8, 16}) {
         SCOPED_TRACE(n_shards);
-        std::set<int> seen;
-        long shots = 0;
+        std::vector<int> owners(jobs.size() * static_cast<size_t>(total), 0);
+        long min_shots = spec.shots * static_cast<long>(jobs.size());
+        long max_shots = 0;
         for (int shard = 0; shard < n_shards; ++shard) {
-            for (int s : ShardPlan::streams_for(cfg, shard, n_shards)) {
-                EXPECT_TRUE(seen.insert(s).second) << "stream " << s;
-                shots += ExperimentRunner::stream_shots(cfg, s);
-            }
-        }
-        EXPECT_EQ(static_cast<int>(seen.size()), total);
-        EXPECT_EQ(shots, cfg.shots);  // every shot exactly once
-    }
-    EXPECT_THROW(ShardPlan::validate(-1, 3), std::runtime_error);
-    EXPECT_THROW(ShardPlan::validate(3, 3), std::runtime_error);
-    EXPECT_THROW(ShardPlan::validate(0, 0), std::runtime_error);
-}
-
-// --- CampaignPlan: deterministic cost-balanced LPT assignment. ---
-
-TEST(CampaignPlan, PartitionsEveryStreamExactlyOnceAndDeterministically)
-{
-    CampaignSpec spec = small_spec("plan_exact");
-    spec.codes = {"surface:3", "color:5"};
-    const std::vector<JobSpec> jobs = spec.expand();
-    for (int n_shards : {1, 2, 3, 5}) {
-        SCOPED_TRACE(n_shards);
-        const CampaignPlan plan = CampaignPlan::build(spec, n_shards);
-        const CampaignPlan again = CampaignPlan::build(spec, n_shards);
-        for (const JobSpec& job : jobs) {
-            const int total = ExperimentRunner::n_streams(job.cfg);
-            std::vector<int> seen(static_cast<size_t>(total), 0);
-            for (int shard = 0; shard < n_shards; ++shard) {
-                const std::vector<int>& ss =
-                    plan.streams_for(job.index, shard);
-                // Identical across independent builds (every process
-                // computes the same plan without communicating).
-                EXPECT_EQ(ss, again.streams_for(job.index, shard));
+            long shots = 0;
+            for (const JobSpec& job : jobs) {
+                const std::vector<int> ss =
+                    shard_streams(job, shard, n_shards);
                 EXPECT_TRUE(std::is_sorted(ss.begin(), ss.end()));
                 for (int s : ss) {
                     ASSERT_GE(s, 0);
                     ASSERT_LT(s, total);
-                    ++seen[static_cast<size_t>(s)];
+                    // The rule itself, job offset included.
+                    EXPECT_EQ((job.index * total + s) % n_shards, shard)
+                        << "job " << job.index << " stream " << s;
+                    ++owners[static_cast<size_t>(job.index * total + s)];
+                    shots += ExperimentRunner::stream_shots(job.cfg, s);
                 }
             }
-            for (int s = 0; s < total; ++s)
-                EXPECT_EQ(seen[static_cast<size_t>(s)], 1)
-                    << "job " << job.index << " stream " << s;
+            const ShardLoad load = shard_load(spec, shard, n_shards);
+            EXPECT_EQ(load.shots, shots);
+            min_shots = std::min(min_shots, shots);
+            max_shots = std::max(max_shots, shots);
         }
+        for (size_t i = 0; i < owners.size(); ++i)
+            EXPECT_EQ(owners[i], 1) << "job " << i / total << " stream "
+                                    << i % total;
+        // Balance: at most one stream's shots plus one shot per job.
+        EXPECT_LE(max_shots - min_shots,
+                  max_stream_shots + static_cast<long>(jobs.size()));
     }
+
+    // The offset moves each job's leftover streams: at 3 shards job 0's
+    // stream 0 goes to shard 0, job 1's to shard 8 % 3 = 2.
+    EXPECT_EQ(shard_streams(jobs[0], 0, 3), (std::vector<int>{0, 3, 6}));
+    EXPECT_EQ(shard_streams(jobs[1], 0, 3), (std::vector<int>{1, 4, 7}));
+    EXPECT_EQ(shard_streams(jobs[1], 2, 3), (std::vector<int>{0, 3, 6}));
+
+    EXPECT_THROW(shard_streams(jobs[0], -1, 3), std::runtime_error);
+    EXPECT_THROW(shard_streams(jobs[0], 3, 3), std::runtime_error);
+    EXPECT_THROW(shard_streams(jobs[0], 0, 0), std::runtime_error);
 }
 
-TEST(CampaignPlan, LptBalancesMixedBackendCosts)
+TEST(ShardPartition, MergeBitIdenticalWhenShardsDoNotDivideStreams)
 {
-    // Two campaigns' worth of heterogeneity in one: a tableau job costs
-    // ~n^2/64 x a frame job per stream, so round-robin by stream id
-    // would load shard 0 and shard 1 equally ONLY in expectation.  The
-    // LPT plan's cost spread must be bounded by one item (the classic
-    // LPT guarantee: max load <= min load + max item).
-    CampaignSpec frame_spec = small_spec("plan_frame");
-    frame_spec.compute_ler = false;
-    for (SimBackend b :
-         {SimBackend::kFrame, SimBackend::kTableau,
-          SimBackend::kBatchFrame}) {
-        SCOPED_TRACE(backend_name(b));
-        CampaignSpec spec = frame_spec;
-        spec.backend = b;
-        const int n_shards = 3;
-        const CampaignPlan plan = CampaignPlan::build(spec, n_shards);
-        double max_cost = plan.shard_cost_units[0];
-        double min_cost = plan.shard_cost_units[0];
-        double max_item = 0.0;
-        const std::vector<JobSpec> jobs = spec.expand();
-        for (const JobSpec& job : jobs) {
-            const double factor = backend_cost_factor(
-                b, plan.job_qubits[static_cast<size_t>(job.index)]);
-            for (int s = 0;
-                 s < ExperimentRunner::n_streams(job.cfg); ++s) {
-                const double c =
-                    ExperimentRunner::stream_shots(job.cfg, s) *
-                    static_cast<double>(job.cfg.rounds) * factor;
-                max_item = std::max(max_item, c);
-            }
-        }
-        for (double c : plan.shard_cost_units) {
-            max_cost = std::max(max_cost, c);
-            min_cost = std::min(min_cost, c);
-        }
-        EXPECT_LE(max_cost, min_cost + max_item + 1e-9)
-            << max_cost << " vs " << min_cost;
-        EXPECT_GT(max_cost, 0.0);
-    }
-}
-
-TEST(CampaignPlan, ShardMergeStaysBitIdenticalUnderLpt)
-{
-    // The LPT assignment must not perturb the merge contract: running
-    // every shard's planned stream set and merging reproduces run()
-    // exactly, for a shard count that forces uneven stream splits.
-    const CampaignSpec spec = small_spec("plan_merge");
-    const int n_shards = 3;
-    const std::string dir = fresh_dir("plan_merge");
+    // 5 shards over 8 streams per job: uneven splits, some shards own two
+    // streams of one job and one of the next.  Running every shard and
+    // merging still reproduces run() exactly.
+    const CampaignSpec spec = small_spec("partition_merge");
+    const int n_shards = 5;
+    const std::string dir = fresh_dir("partition_merge");
     for (int shard = 0; shard < n_shards; ++shard)
         run_shard(spec, shard, n_shards, dir, /*threads=*/2);
     const std::vector<Metrics> merged =
@@ -571,6 +583,65 @@ TEST(Merge, RefusesMissingShardsAndForeignConfigs)
     }
 }
 
+// A result file listing another stream set than shard_streams wants —
+// what every checkpoint written under an older partition rule is when
+// the shard count does not divide the stream count — is recomputed, not
+// resumed, even though its results are genuine.
+TEST(Resume, RecomputesAFileListingAnotherStreamSet)
+{
+    const CampaignSpec spec = small_spec("resume_partition");
+    const std::string dir = fresh_dir("resume_partition");
+    const int n_shards = 3;
+    run_shard(spec, 0, n_shards, dir, 1);
+    const JobSpec job = spec.expand()[1];
+    const std::string path =
+        shard_result_path(dir, spec, job.index, 0, n_shards);
+    const std::string good = io::read_file(path);
+
+    const std::vector<int> old = round_robin_streams(job, 0, n_shards);
+    ASSERT_NE(old, shard_streams(job, 0, n_shards));
+    rewrite_shard_streams(dir, spec, job, 0, n_shards, old);
+    const RunShardStats stats = run_shard(spec, 0, n_shards, dir, 1);
+    EXPECT_EQ(stats.jobs_run, 1);
+    EXPECT_EQ(stats.jobs_resumed, 1);
+    EXPECT_EQ(io::read_file(path), good);
+}
+
+// A fleet that mixes files of two partition rules holds some stream twice
+// or not at all; merge refuses it instead of summing the wrong set.
+TEST(Merge, RefusesAFleetMixingPartitions)
+{
+    const CampaignSpec spec = small_spec("mixed_fleet");
+    const std::string dir = fresh_dir("mixed_fleet");
+    const int n_shards = 3;
+    for (int shard = 0; shard < n_shards; ++shard)
+        run_shard(spec, shard, n_shards, dir, 1);
+    ASSERT_NO_THROW(merge_campaign(spec, n_shards, dir));
+
+    const JobSpec job = spec.expand()[1];
+    for (int shard = 0; shard < n_shards; ++shard) {
+        SCOPED_TRACE(shard);
+        const std::string path =
+            shard_result_path(dir, spec, job.index, shard, n_shards);
+        const std::string good = io::read_file(path);
+        rewrite_shard_streams(dir, spec, job, shard, n_shards,
+                              round_robin_streams(job, shard, n_shards));
+        try {
+            merge_campaign(spec, n_shards, dir);
+            ADD_FAILURE() << "merge accepted a mixed fleet";
+        } catch (const std::runtime_error& e) {
+            const std::string what = e.what();
+            EXPECT_TRUE(what.find("appears in two shard files") !=
+                            std::string::npos ||
+                        what.find("missing from all shards") !=
+                            std::string::npos)
+                << what;
+        }
+        io::write_file_atomic(path, good);
+    }
+    EXPECT_NO_THROW(merge_campaign(spec, n_shards, dir));
+}
+
 TEST(Campaign, JobPoolAndRunnerShareOneThreadBudget)
 {
     // -j N (jobs_parallel) and the per-job runner loops execute on the
@@ -611,7 +682,7 @@ TEST(Campaign, JobPoolAndRunnerShareOneThreadBudget)
     }
 }
 
-// --- Telemetry, liveness and calibration (the observability layer). ---
+// --- Telemetry and liveness (the observability layer). ---
 
 TEST(Observability, TelemetryIsAPureSideChannelAtTheCampaignLevel)
 {
@@ -640,7 +711,7 @@ TEST(Observability, TelemetryIsAPureSideChannelAtTheCampaignLevel)
     }
 }
 
-TEST(Observability, ProgressHeatmapAndCalibrationEndToEnd)
+TEST(Observability, ProgressAndHeatmapEndToEnd)
 {
     if (!telemetry::kCompiledIn)
         GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
@@ -702,16 +773,9 @@ TEST(Observability, ProgressHeatmapAndCalibrationEndToEnd)
     EXPECT_EQ(write_job_heatmaps(spec, n_shards, dir),
               static_cast<int>(jobs.size()));
 
-    // Calibration closes the loop: telemetry -> measured rates -> plan.
-    const Calibration calib =
-        Calibration::from_telemetry(spec, n_shards, dir);
-    ASSERT_TRUE(calib.has("frame", "surface:3"));
-    EXPECT_GT(calib.rate("frame", "surface:3"), 0.0);
-    EXPECT_THROW(calib.rate("tableau", "surface:3"), std::runtime_error);
-
     // Readers still accept files from builds that recorded a
-    // site_kernel_tier provenance field: carrying it, they calibrate to
-    // the same rates.
+    // site_kernel_tier provenance field: carrying it, they merge to the
+    // same heatmap.
     for (const JobSpec& job : jobs) {
         for (int shard = 0; shard < n_shards; ++shard) {
             const std::string path =
@@ -721,116 +785,25 @@ TEST(Observability, ProgressHeatmapAndCalibrationEndToEnd)
             io::write_file_atomic(path, old.dump(2) + "\n");
         }
     }
-    const Calibration legacy =
-        Calibration::from_telemetry(spec, n_shards, dir);
-    expect_bits_eq(legacy.rate("frame", "surface:3"),
-                   calib.rate("frame", "surface:3"),
-                   "calibration from files with site_kernel_tier");
+    EXPECT_EQ(merge_job_heatmap(spec, n_shards, dir, 0).counts, hm.counts);
 
-    const Calibration back =
-        Calibration::from_json(io::Json::parse(calib.to_json().dump(2)));
-    ASSERT_EQ(back.rates.size(), calib.rates.size());
-    expect_bits_eq(back.rate("frame", "surface:3"),
-                   calib.rate("frame", "surface:3"),
-                   "calibration json round trip");
-
-    // The calibrated plan is deterministic and still a partition: every
-    // stream of every job on exactly one shard.
-    const CampaignPlan plan =
-        CampaignPlan::build(spec, n_shards, nullptr, &calib);
-    const CampaignPlan again =
-        CampaignPlan::build(spec, n_shards, nullptr, &calib);
-    for (const JobSpec& job : jobs) {
-        const int total = ExperimentRunner::n_streams(job.cfg);
-        std::vector<int> seen(static_cast<size_t>(total), 0);
-        for (int shard = 0; shard < n_shards; ++shard) {
-            EXPECT_EQ(plan.streams_for(job.index, shard),
-                      again.streams_for(job.index, shard));
-            for (int s : plan.streams_for(job.index, shard))
-                ++seen[static_cast<size_t>(s)];
-        }
-        for (int s = 0; s < total; ++s)
-            EXPECT_EQ(seen[static_cast<size_t>(s)], 1)
-                << "job " << job.index << " stream " << s;
-    }
-    // An empty calibration falls back to the analytic cost model instead
-    // of throwing on its (absent) keys.
-    const Calibration none;
-    EXPECT_NO_THROW(CampaignPlan::build(spec, n_shards, nullptr, &none));
-    // A backend the calibration has no measurement for is an error, not
-    // a silent fallback.
-    CampaignSpec tableau_spec = spec;
-    tableau_spec.backend = SimBackend::kTableau;
-    EXPECT_THROW(
-        CampaignPlan::build(tableau_spec, n_shards, nullptr, &calib),
-        std::runtime_error);
-
-    // Foreign-config telemetry is skipped, so a changed campaign finds
-    // no usable telemetry or heatmaps in the same directory.
+    // Foreign-config telemetry is refused, so a changed campaign finds no
+    // usable heatmaps in the same directory.
     CampaignSpec changed = spec;
     changed.rounds += 1;
-    EXPECT_THROW(Calibration::from_telemetry(changed, n_shards, dir),
-                 std::runtime_error);
     EXPECT_THROW(merge_job_heatmap(changed, n_shards, dir, 0),
                  std::runtime_error);
 
     // remove_results clears the observability files too: a fresh status
-    // read sees a cold fleet and calibrate finds nothing.
+    // read sees a cold fleet and no telemetry file is left.
     remove_results(spec, n_shards, dir);
     for (const ShardProgress& p : read_progress(spec, n_shards, dir))
         EXPECT_FALSE(p.valid);
-    EXPECT_THROW(Calibration::from_telemetry(spec, n_shards, dir),
-                 std::runtime_error);
-}
-
-TEST(Observability, CalibrationKeysOnBatchWidthSoSweepsDontCollide)
-{
-    // The small fix: calibrate/plan --calibration used to key on
-    // (backend, code) only, so a K-sweep's measurements overwrote each
-    // other.  The batch width is part of the key — K=1 keeps the legacy
-    // "backend/code" form so existing calibration files still load and
-    // match.
-    EXPECT_EQ(Calibration::key("batch_frame", "surface:3"),
-              "batch_frame/surface:3");
-    EXPECT_EQ(Calibration::key("batch_frame", "surface:3", 1),
-              "batch_frame/surface:3");
-    EXPECT_EQ(Calibration::key("batch_frame", "surface:3", 4),
-              "batch_frame@w4/surface:3");
-
-    Calibration cal;
-    cal.rates[Calibration::key("batch_frame", "surface:3")] = 100.0;
-    cal.rates[Calibration::key("batch_frame", "surface:3", 4)] = 400.0;
-    EXPECT_TRUE(cal.has("batch_frame", "surface:3"));
-    EXPECT_TRUE(cal.has("batch_frame", "surface:3", 4));
-    EXPECT_FALSE(cal.has("batch_frame", "surface:3", 2));
-    EXPECT_DOUBLE_EQ(cal.rate("batch_frame", "surface:3"), 100.0);
-    EXPECT_DOUBLE_EQ(cal.rate("batch_frame", "surface:3", 4), 400.0);
-    EXPECT_THROW(cal.rate("batch_frame", "surface:3", 2),
-                 std::runtime_error);
-}
-
-TEST(Observability, WideBatchCalibrationNeverMixesWithNarrow)
-{
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
-    // End-to-end: a K=2 campaign's telemetry lands under the @w2 key,
-    // plans the K=2 spec, and refuses (rather than silently misprices)
-    // the K=1 spec.
-    CampaignSpec wide = small_spec("observe_wide");
-    wide.batch_words = 2;
-    const std::string dir = fresh_dir("observe_wide");
-    RunShardOptions opt;
-    opt.threads = 1;
-    run_shard(wide, 0, 1, dir, opt);
-
-    const Calibration cal = Calibration::from_telemetry(wide, 1, dir);
-    ASSERT_TRUE(cal.has("frame", "surface:3", 2));
-    EXPECT_FALSE(cal.has("frame", "surface:3"));
-    EXPECT_NO_THROW(CampaignPlan::build(wide, 1, nullptr, &cal));
-
-    const CampaignSpec narrow = small_spec("observe_wide");
-    EXPECT_THROW(CampaignPlan::build(narrow, 1, nullptr, &cal),
-                 std::runtime_error);
+    for (const JobSpec& job : jobs) {
+        for (int shard = 0; shard < n_shards; ++shard)
+            EXPECT_FALSE(io::file_exists(
+                telemetry_path(dir, spec, job.index, shard, n_shards)));
+    }
 }
 
 TEST(Observability, ResumedJobsKeepTelemetryAndReportPlannedShots)
@@ -839,26 +812,36 @@ TEST(Observability, ResumedJobsKeepTelemetryAndReportPlannedShots)
         GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CampaignSpec spec = small_spec("observe_resume");
     const std::string dir = fresh_dir("observe_resume");
+    const std::vector<JobSpec> jobs = spec.expand();
     RunShardOptions opt;
     opt.threads = 1;
     opt.heatmap = true;
     run_shard(spec, 0, 2, dir, opt);
-    const Calibration first = Calibration::from_telemetry(spec, 2, dir);
+    std::vector<std::string> first;
+    for (const JobSpec& job : jobs) {
+        const std::string text =
+            io::read_file(telemetry_path(dir, spec, job.index, 0, 2));
+        long planned = 0;
+        for (int s : shard_streams(job, 0, 2))
+            planned += ExperimentRunner::stream_shots(job.cfg, s);
+        EXPECT_EQ(io::Json::parse(text)["shots"].as_int(), planned);
+        first.push_back(text);
+    }
 
     // Second run resumes everything: telemetry files survive untouched,
     // and the heartbeat still reports the full planned shot count.
     const RunShardStats stats = run_shard(spec, 0, 2, dir, opt);
     EXPECT_EQ(stats.jobs_run, 0);
     EXPECT_EQ(stats.jobs_resumed, 2);
-    const Calibration second = Calibration::from_telemetry(spec, 2, dir);
-    expect_bits_eq(second.rate("frame", "surface:3"),
-                   first.rate("frame", "surface:3"),
-                   "telemetry survives resume");
+    for (const JobSpec& job : jobs)
+        EXPECT_EQ(io::read_file(telemetry_path(dir, spec, job.index, 0, 2)),
+                  first[static_cast<size_t>(job.index)]);
     const std::vector<ShardProgress> progress = read_progress(spec, 2, dir);
     ASSERT_TRUE(progress[0].valid);
     EXPECT_TRUE(progress[0].done);
     EXPECT_EQ(progress[0].jobs_resumed, 2);
     EXPECT_EQ(progress[0].shots_done, progress[0].shots_total);
+    EXPECT_EQ(progress[0].shots_total, shard_load(spec, 0, 2).shots);
 }
 
 }  // namespace

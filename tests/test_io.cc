@@ -1,6 +1,7 @@
 // src/io: JSON round-trip, bit-exact double encoding, versioned
 // config/metrics serialization and the config-hash stability contract.
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -236,6 +237,40 @@ TEST(Serialize, ConfigFromJsonRejectsNoiseRatesOutsideUnitInterval)
     cfg = sample_config();
     cfg.np.mobility = 1.0;
     EXPECT_NO_THROW(config_from_json(config_to_json(cfg)));
+}
+
+// A checkpoint is untrusted input: a count outside its range is refused
+// by name, never truncated to some other value and run.
+TEST(Serialize, ConfigFromJsonRejectsCountsOutOfRange)
+{
+    const struct {
+        const char* field;
+        int64_t value;
+    } cases[] = {
+        {"shots", 3000000000},      {"shots", 0},
+        {"rounds", -1},             {"rounds", 0},
+        {"rng_streams", -5},        {"rng_streams", 0},
+        {"rng_streams", 1ll << 31}, {"batch_words", 0},
+        {"batch_words", kMaxBatchWords + 1},
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(std::string(c.field) + " = " + std::to_string(c.value));
+        Json j = config_to_json(sample_config());
+        j.set(c.field, Json::integer(c.value));
+        try {
+            config_from_json(j);
+            ADD_FAILURE() << "expected std::runtime_error";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+                << e.what();
+        }
+    }
+    Json j = config_to_json(sample_config());
+    j.set("rounds", Json::integer(INT_MAX));
+    j.set("batch_words", Json::integer(kMaxBatchWords));
+    const ExperimentConfig edge = config_from_json(j);
+    EXPECT_EQ(edge.rounds, INT_MAX);
+    EXPECT_EQ(edge.batch_words, kMaxBatchWords);
 }
 
 TEST(Serialize, ConfigHashStability)

@@ -185,39 +185,6 @@ TEST(SimBackends, NoiseSamplingNamesEnvAndContracts)
         EXPECT_EQ(backend_rng_contract(b), backend_rng_contract(b, L));
 }
 
-TEST(SimBackends, CostFactorIsFrameNormalizedAndQuadraticForTableau)
-{
-    // The campaign planner's throughput model: frame is the unit; the
-    // tableau backend pays ~n^2/64 bit-plane words per measurement, never
-    // less than a frame shot.
-    for (int n : {1, 8, 17, 100, 1000})
-        EXPECT_DOUBLE_EQ(backend_cost_factor(SimBackend::kFrame, n), 1.0);
-    EXPECT_DOUBLE_EQ(backend_cost_factor(SimBackend::kTableau, 8), 1.0);
-    EXPECT_DOUBLE_EQ(backend_cost_factor(SimBackend::kTableau, 16), 4.0);
-    EXPECT_DOUBLE_EQ(backend_cost_factor(SimBackend::kTableau, 80), 100.0);
-    // Tiny codes floor at the frame cost rather than dipping below it.
-    EXPECT_DOUBLE_EQ(backend_cost_factor(SimBackend::kTableau, 2), 1.0);
-    // Monotone in code size past the floor.
-    double prev = 0.0;
-    for (int n : {8, 16, 32, 64, 128}) {
-        const double f = backend_cost_factor(SimBackend::kTableau, n);
-        EXPECT_GT(f, prev);
-        prev = f;
-    }
-    // The bit-packed backend serves 64 shots per driver pass: ~1/64 of a
-    // frame shot, independent of code size.
-    for (int n : {8, 17, 100, 1000})
-        EXPECT_DOUBLE_EQ(backend_cost_factor(SimBackend::kBatchFrame, n),
-                         1.0 / 64.0);
-    // The batch tableau backend runs 64 full tableaux in lockstep —
-    // per SHOT it costs what a scalar tableau shot costs (the batch buys
-    // scheduler-block alignment, not a per-shot win), so the planner
-    // model is the same quadratic.
-    for (int n : {8, 16, 80, 2})
-        EXPECT_DOUBLE_EQ(backend_cost_factor(SimBackend::kBatchTableau, n),
-                         backend_cost_factor(SimBackend::kTableau, n));
-}
-
 TEST(SimBackends, MakeSimulatorRejectsBadBatchWidths)
 {
     // The block multiplier is validated uniformly at the factory for

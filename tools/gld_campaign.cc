@@ -39,15 +39,15 @@ usage(const char* argv0)
     // The backend list comes from the one kBackendTable behind
     // known_backend_names(): registering a backend updates this help
     // text, the error messages and the factory together — no
-    // hand-duplicated name or cost strings in the CLI.
+    // hand-duplicated names in the CLI.
     std::fprintf(
         stderr,
         "usage: %s <command> [options]\n"
         "\n"
         "commands:\n"
         "  init                 print an example campaign spec to stdout\n"
-        "  plan                 expand the grid; show jobs and the\n"
-        "                       cost-balanced (LPT) shard loads\n"
+        "  plan                 expand the grid; show jobs and each\n"
+        "                       shard's stream and shot counts\n"
         "  run                  run one shard, writing result files\n"
         "  merge                merge all shards' results (stream order)\n"
         "  report               print the aggregated per-job table\n"
@@ -66,10 +66,6 @@ usage(const char* argv0)
         "                       leakage heatmap across shards (needs a\n"
         "                       run with --heatmap) and write\n"
         "                       <name>.job####.heatmap.json files\n"
-        "  calibrate            aggregate measured shots/second per\n"
-        "                       (backend, code) from the telemetry files\n"
-        "                       into a calibration JSON for plan/run\n"
-        "                       --calibration\n"
         "\n"
         "options:\n"
         "  --spec <file>        campaign spec JSON (plan/run/merge/report;\n"
@@ -102,10 +98,6 @@ usage(const char* argv0)
         "                       progress heartbeats and export files)\n"
         "  --heatmap            also collect per-qubit x per-round\n"
         "                       leakage heatmaps (run; demo always does)\n"
-        "  --calibration <file> measured-throughput calibration JSON (see\n"
-        "                       `calibrate`): plan/run balance shards on\n"
-        "                       measured seconds instead of the analytic\n"
-        "                       cost model (never result-affecting)\n"
         "  -v                   verbose per-job progress\n"
         "\n"
         "verify options:\n"
@@ -142,7 +134,6 @@ struct Args {
     bool verbose = false;
     bool no_telemetry = false;
     bool heatmap = false;
-    std::string calibration_path;
     // verify options.
     std::string reference = "frame";
     std::string candidates;  ///< comma-separated; empty = all others
@@ -203,8 +194,6 @@ parse_args(int argc, char** argv)
             a.no_telemetry = true;
         } else if (arg == "--heatmap") {
             a.heatmap = true;
-        } else if (arg == "--calibration") {
-            a.calibration_path = need_value("--calibration");
         } else if (arg == "--reference") {
             a.reference = need_value("--reference");
             backend_from_name(a.reference);  // validate early
@@ -246,17 +235,6 @@ load_spec(const Args& a)
     return spec;
 }
 
-/** Loads --calibration when given; empty otherwise. */
-campaign::Calibration
-load_calibration(const Args& a)
-{
-    campaign::Calibration cal;
-    if (!a.calibration_path.empty())
-        cal = campaign::Calibration::from_json(
-            io::Json::parse(io::read_file(a.calibration_path)));
-    return cal;
-}
-
 CampaignSpec
 example_spec()
 {
@@ -290,22 +268,11 @@ cmd_plan(const Args& a)
     spec.validate();
     const std::vector<JobSpec> jobs = spec.expand();
 
-    // The deterministic cost-balanced plan run_shard executes: per-job
-    // qubit counts, per-stream cost units and the LPT stream->shard
-    // assignment all come from this one object, so the printed loads are
-    // exactly what `run --shard i/N` will do.  The per-job "Cost x"
-    // column is backend_cost_factor straight from the backend table —
-    // one source of truth, no factor strings duplicated here.
-    const campaign::Calibration cal = load_calibration(a);
-    const campaign::CampaignPlan plan = campaign::CampaignPlan::build(
-        spec, a.n_shards, nullptr, cal.empty() ? nullptr : &cal);
-
-    std::printf("campaign \"%s\" [%s backend]: %zu job(s), %d shard(s)%s\n\n",
+    std::printf("campaign \"%s\" [%s backend]: %zu job(s), %d shard(s)\n\n",
                 spec.name.c_str(), backend_name(spec.backend), jobs.size(),
-                a.n_shards,
-                cal.empty() ? "" : " — measured-throughput cost model");
+                a.n_shards);
     TablePrinter t({"Job", "Code", "Policy", "p", "lr", "Shots", "Rounds",
-                    "Streams", "Cost x", "Seed"});
+                    "Streams", "Seed"});
     for (const JobSpec& job : jobs) {
         t.add_row({std::to_string(job.index), job.code, job.policy,
                    TablePrinter::sci(job.cfg.np.p, 1),
@@ -313,24 +280,18 @@ cmd_plan(const Args& a)
                    std::to_string(job.cfg.shots),
                    std::to_string(job.cfg.rounds),
                    std::to_string(ExperimentRunner::n_streams(job.cfg)),
-                   TablePrinter::fmt(
-                       backend_cost_factor(
-                           job.cfg.backend,
-                           plan.job_qubits[static_cast<size_t>(
-                               job.index)]),
-                       job.cfg.backend == SimBackend::kBatchFrame ? 3 : 1),
                    io::u64_to_hex(job.cfg.seed)});
     }
     t.print();
 
-    std::printf("\nper-shard load, greedy-LPT balanced (cost unit: %s):\n",
-                cal.empty() ? "one frame-backend round of one shot"
-                            : "one measured wall second");
+    // Exactly what `run --shard i/N` runs (campaign::shard_streams).
+    std::printf("\nper-shard load, every job's streams dealt across "
+                "shards:\n");
     for (int shard = 0; shard < a.n_shards; ++shard) {
-        std::printf("  shard %d/%d: %ld shot(s), %.2f cost unit(s)\n",
-                    shard, a.n_shards,
-                    plan.shard_shots[static_cast<size_t>(shard)],
-                    plan.shard_cost_units[static_cast<size_t>(shard)]);
+        const campaign::ShardLoad load =
+            campaign::shard_load(spec, shard, a.n_shards);
+        std::printf("  shard %d/%d: %ld stream(s), %ld shot(s)\n", shard,
+                    a.n_shards, load.streams, load.shots);
     }
     return 0;
 }
@@ -350,14 +311,12 @@ cmd_run(const Args& a)
                 "%s%s\n",
                 spec.name.c_str(), backend_name(spec.backend), a.shard,
                 a.n_shards, a.out_dir.c_str(), pool_note.c_str());
-    const campaign::Calibration cal = load_calibration(a);
     campaign::RunShardOptions opt;
     opt.threads = a.threads;
     opt.verbose = a.verbose;
     opt.jobs_parallel = a.jobs_parallel;
     opt.telemetry = !a.no_telemetry;
     opt.heatmap = a.heatmap;
-    opt.calibration = cal.empty() ? nullptr : &cal;
     const campaign::RunShardStats stats =
         campaign::run_shard(spec, a.shard, a.n_shards, a.out_dir, opt);
     std::printf("shard %d/%d done: %d job(s) run, %d resumed from "
@@ -411,26 +370,6 @@ cmd_heatmap(const Args& a)
     const int written =
         campaign::write_job_heatmaps(spec, a.n_shards, a.out_dir);
     std::printf("%d heatmap file(s) written\n", written);
-    return 0;
-}
-
-int
-cmd_calibrate(const Args& a)
-{
-    const CampaignSpec spec = load_spec(a);
-    const campaign::Calibration cal =
-        campaign::Calibration::from_telemetry(spec, a.n_shards, a.out_dir);
-    const std::string path =
-        a.calibration_path.empty()
-            ? a.out_dir + "/" + spec.name + ".calibration.json"
-            : a.calibration_path;
-    io::write_file_atomic(path, cal.to_json().dump(2) + "\n");
-    std::printf("calibration from campaign \"%s\" (%d shard(s)):\n",
-                spec.name.c_str(), a.n_shards);
-    for (const auto& kv : cal.rates)
-        std::printf("  %-28s %10.1f shots/s\n", kv.first.c_str(),
-                    kv.second);
-    std::printf("written: %s\n", path.c_str());
     return 0;
 }
 
@@ -653,8 +592,6 @@ main(int argc, char** argv)
             return cmd_status(a);
         if (a.command == "heatmap")
             return cmd_heatmap(a);
-        if (a.command == "calibrate")
-            return cmd_calibrate(a);
         std::fprintf(stderr, "unknown command \"%s\"\n\n",
                      a.command.c_str());
         return usage(argv[0]);

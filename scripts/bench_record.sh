@@ -94,7 +94,7 @@ EXPECTED = [
     "frame", "frame@t8",
     "batch_frame", "batch_frame@t8", "batch_frame@sparse",
     "batch_frame@ler",
-    "tableau", "batch_tableau", "batch_tableau@sparse", "batch_tableau@t8",
+    "tableau",
 ]
 missing = [l for l in EXPECTED if l not in results]
 if missing:

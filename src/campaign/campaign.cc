@@ -505,10 +505,10 @@ run_shard(const CampaignSpec& spec, int shard, int n_shards,
     const bool verbose = opt.verbose;
     const int jobs_parallel = opt.jobs_parallel;
 
-    // Telemetry is a pure side channel end to end: with it off (or
-    // compiled out) this function produces byte-identical result files
-    // along the exact pre-telemetry code path.
-    const bool use_telemetry = opt.telemetry && telemetry::kCompiledIn;
+    // Telemetry is a pure side channel end to end: with it off this
+    // function produces byte-identical result files along the exact
+    // pre-telemetry code path.
+    const bool use_telemetry = opt.telemetry;
     std::unique_ptr<ProgressTracker> tracker;
     if (use_telemetry)
         tracker = std::make_unique<ProgressTracker>(

@@ -56,8 +56,9 @@ namespace io {
  *  - 5: no field changes; bumped because the batch backends became one
  *    64-lane word wide.  A 64*K-shot block now runs as K one-word
  *    batches, so at K > 1 the sparse batch backends draw one event
- *    stream per 64-lane batch (not one per block) and batch_tableau
- *    runs 64 tableaux (not 64*K).  K = 1 results, the scalar backends
+ *    stream per 64-lane batch (not one per block) and the lockstep
+ *    tableau backend (since deleted) ran 64 tableaux (not 64*K).  K = 1
+ *    results, the scalar backends
  *    and lockstep batch_frame are unchanged at every K, but the hashed
  *    version retires every version-4 checkpoint rather than mixing
  *    redrawn K > 1 partials with old ones.

@@ -81,8 +81,8 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
 
     // Telemetry is a pure side channel: the StageClock and the counters
     // below never draw randomness and never feed a result-bearing sum,
-    // and every call is a no-op when `telem` is null (always the case
-    // with telemetry compiled out or no collector attached).  The heatmap
+    // and every call is a no-op when `telem` is null (no collector
+    // attached).  The heatmap
     // and the leak histogram are read off the ground-truth leak words, a
     // read-only view of the same flags.
     telemetry::StageClock clock(telem);
@@ -412,8 +412,6 @@ ExperimentRunner::run_partials(const PolicyFactory& factory,
     // in (stream, block) order, so the deterministic aggregates (shot /
     // round counts, leak histogram, heatmap) are as thread-count-
     // independent as the Metrics themselves.
-    telemetry::Collector* collector =
-        telemetry::kCompiledIn ? telemetry_ : nullptr;
     const int n_data = ctx_->code().n_data();
     const int n_checks = ctx_->code().n_checks();
 
@@ -433,16 +431,16 @@ ExperimentRunner::run_partials(const PolicyFactory& factory,
         parallel_width(units.size(), cfg_.threads));
     parallel_for_slots(units.size(), cfg_.threads, [&](size_t u, int slot) {
         BlockResources* res = &slot_res[static_cast<size_t>(slot)];
-        if (collector != nullptr) {
+        if (telemetry_ != nullptr) {
             telemetry::Record rec;
             rec.leak_hist.assign(static_cast<size_t>(n_data) + 1, 0);
-            if (collector->heatmap())
+            if (telemetry_->heatmap())
                 rec.heatmap.init(cfg_.rounds, n_data, n_checks);
             unit_parts[u].m = run_block(factory, units[u].stream,
                                         units[u].block, graph_.get(), &rec,
                                         res);
-            collector->record_unit(units[u].stream, units[u].block,
-                                   std::move(rec));
+            telemetry_->record_unit(units[u].stream, units[u].block,
+                                    std::move(rec));
         } else {
             unit_parts[u].m = run_block(factory, units[u].stream,
                                         units[u].block, graph_.get(),

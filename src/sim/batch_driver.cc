@@ -11,7 +11,7 @@ namespace gld {
 // Every decision site below mirrors sim/leakage_driver.cc (the scalar
 // reference implementation) statement for statement: the scalar control
 // flow runs per lane and only the state mutation is batched, as
-// word-wide masked primitives.  Under lockstep each lane's draws are
+// word-wide masked frame ops.  Under lockstep each lane's draws are
 // Rng calls on that lane's own stream in the scalar within-shot order.
 // When editing, keep the two files side by side — the tier-1
 // frame/batch_frame bit-equality gate fails on any divergence.
@@ -19,12 +19,11 @@ namespace gld {
 BatchLeakageDriver::BatchLeakageDriver(const CssCode& code,
                                        const RoundCircuit& rc,
                                        const NoiseParams& np, Rng master,
-                                       BatchStatePrimitives* state,
                                        NoiseSampling noise_sampling)
     : code_(&code), rc_(&rc), np_(np), rate_p_(np.p), rate_pl_(np.pl()),
       rate_mlr_(np.mlr_err()), rate_lrc_depol_(np.lrc_depol()),
       rate_lrc_leak_(np.lrc_leak()), master_rng_(master),
-      sparse_(noise_sampling == NoiseSampling::kSparse), state_(state)
+      sparse_(noise_sampling == NoiseSampling::kSparse)
 {
     const size_t nq = static_cast<size_t>(code.n_qubits());
     const size_t nc = static_cast<size_t>(code.n_checks());
@@ -43,8 +42,7 @@ BatchLeakageDriver::BatchLeakageDriver(const CssCode& code,
     lane_oracles_.resize(kBatchLanes);
     for (int l = 0; l < kBatchLanes; ++l)
         lane_oracles_[static_cast<size_t>(l)].bind(this, l);
-    if (state_ == nullptr)
-        frame_.assign(nq * 2, 0);
+    frame_.assign(nq * 2, 0);
     // The planned sites, in execution order: every data qubit is one p
     // and one pl site; every op is one p site; every CNOT adds a pl pair
     // and every measurement an MLR site.  Resets and measurements draw no
@@ -109,7 +107,7 @@ BatchLeakageDriver::reset_shot_batch(int n_lanes)
                 master_rng_.split(shots_started_ + static_cast<uint64_t>(l));
     }
     shots_started_ += static_cast<uint64_t>(n_lanes);
-    reset_state();
+    std::fill(frame_.begin(), frame_.end(), 0);
 }
 
 void
@@ -119,7 +117,7 @@ BatchLeakageDriver::reset_for_block(Rng master)
     // seeded with split(0), lane 0 active, shot counter 0 — plus
     // explicit scrubbing of everything a previous block may have left:
     // flags, history, the per-check scratch words (a fresh driver's are
-    // zero-initialized), and the backend state.
+    // zero-initialized), and the frame.
     master_rng_ = master;
     shots_started_ = 0;
     std::fill(leaked_.begin(), leaked_.end(), 0);
@@ -134,95 +132,7 @@ BatchLeakageDriver::reset_for_block(Rng master)
         std::fill(lane_rng_.begin(), lane_rng_.end(), master_rng_.split(0));
     active_ = 1;
     n_lanes_ = 1;
-    reset_state();
-}
-
-void
-BatchLeakageDriver::reset_state()
-{
-    if (state_ != nullptr)
-        state_->reset_state();
-    else
-        std::fill(frame_.begin(), frame_.end(), 0);
-}
-
-__attribute__((always_inline)) inline void
-BatchLeakageDriver::state_pauli(int q, LaneMask xs, LaneMask zs)
-{
-    if (state_ != nullptr) {
-        state_->apply_pauli(q, xs, zs);
-        return;
-    }
-    LaneMask* f = frame(q);
-    f[0] ^= xs;
-    f[1] ^= zs;
-}
-
-__attribute__((always_inline)) inline void
-BatchLeakageDriver::state_cnot(int control, int target, LaneMask lanes)
-{
-    if (state_ != nullptr) {
-        state_->coherent_cnot(control, target, lanes);
-        return;
-    }
-    // X copies c->t, Z copies t->c — in the selected lanes only.
-    LaneMask* c = frame(control);
-    LaneMask* t = frame(target);
-    t[0] ^= c[0] & lanes;
-    c[1] ^= t[1] & lanes;
-}
-
-__attribute__((always_inline)) inline void
-BatchLeakageDriver::state_hadamard(int q, LaneMask lanes)
-{
-    if (state_ != nullptr) {
-        state_->hadamard(q, lanes);
-        return;
-    }
-    // Swap the X and Z bits of the selected lanes.
-    LaneMask* f = frame(q);
-    const LaneMask diff = (f[0] ^ f[1]) & lanes;
-    f[0] ^= diff;
-    f[1] ^= diff;
-}
-
-__attribute__((always_inline)) inline void
-BatchLeakageDriver::state_reset_z(int q, LaneMask lanes)
-{
-    if (state_ != nullptr) {
-        state_->reset_z(q, lanes);
-        return;
-    }
-    LaneMask* f = frame(q);
-    f[0] &= ~lanes;
-    f[1] &= ~lanes;
-}
-
-__attribute__((always_inline)) inline LaneMask
-BatchLeakageDriver::state_measure_z(int q)
-{
-    if (state_ != nullptr)
-        return state_->measure_z(q);
-    // The X-frame word is the outcome flips; reading leaves it be.
-    return frame(q)[0];
-}
-
-void
-BatchLeakageDriver::apply_pauli(int q, LaneMask xs, LaneMask zs)
-{
-    state_pauli(q, xs, zs);
-}
-
-void
-BatchLeakageDriver::set_leak(int q, LaneMask lanes)
-{
-    LaneMask& lw = leaked_[static_cast<size_t>(q)];
-    const LaneMask rise = lanes & ~lw;
-    if (rise == 0)
-        return;
-    lw |= rise;
-    if (state_ != nullptr)
-        state_->park_leaked(q, rise);
+    std::fill(frame_.begin(), frame_.end(), 0);
 }
 
 int
@@ -394,7 +304,7 @@ BatchLeakageDriver::depolarize1(int q, uint32_t site)
         xs |= static_cast<LaneMask>(pauli & 1u) << l;
         zs |= static_cast<LaneMask>((pauli >> 1) & 1u) << l;
     });
-    state_pauli(q, xs, zs);
+    apply_pauli(q, xs, zs);
 }
 
 __attribute__((always_inline)) inline void
@@ -412,9 +322,9 @@ BatchLeakageDriver::depolarize2(int q0, int q1, uint32_t site)
         z1 |= static_cast<LaneMask>((pauli >> 3) & 1u) << l;
     });
     if (x0 | z0)
-        state_pauli(q0, x0, z0);
+        apply_pauli(q0, x0, z0);
     if (x1 | z1)
-        state_pauli(q1, x1, z1);
+        apply_pauli(q1, x1, z1);
 }
 
 __attribute__((always_inline)) inline void
@@ -436,7 +346,7 @@ BatchLeakageDriver::cnot(int control, int target, uint32_t p_site,
     // both-leaked lanes do nothing observable (scalar semantics).
     const LaneMask branch = active_ & (cl ^ tl);
     if (clean != 0)
-        state_cnot(control, target, clean);
+        frame_cnot(control, target, clean);
 
     if (branch != 0) {
         // The malfunction shape is lane-independent — whether the
@@ -476,9 +386,9 @@ BatchLeakageDriver::cnot(int control, int target, uint32_t p_site,
             }
         });
         if (xs_t | zs_t)
-            state_pauli(target, xs_t, zs_t);
+            apply_pauli(target, xs_t, zs_t);
         if (xs_c | zs_c)
-            state_pauli(control, xs_c, zs_c);
+            apply_pauli(control, xs_c, zs_c);
         if (transport != 0) {
             set_leak(target, transport);
             clear_leak(control, transport);
@@ -557,7 +467,7 @@ BatchLeakageDriver::lrc_gadgets(const LrcWords& lrc)
                 xs |= static_cast<LaneMask>(pauli & 1u) << l;
                 zs |= static_cast<LaneMask>((pauli >> 1) & 1u) << l;
             });
-            state_pauli(q, xs, zs);
+            apply_pauli(q, xs, zs);
         }
         const LaneMask leak = bernoulli_mask(rate_lrc_leak_, m);
         if (leak != 0)
@@ -568,7 +478,7 @@ BatchLeakageDriver::lrc_gadgets(const LrcWords& lrc)
         const LaneMask m = lrc.checks[static_cast<size_t>(c)] & active_;
         const int anc = code_->ancilla_of(c);
         clear_leak(anc, m);
-        state_reset_z(anc, m);
+        frame_reset_z(anc, m);
         if (quiet)
             continue;
         const LaneMask leak = bernoulli_mask(rate_lrc_leak_, m);
@@ -605,20 +515,20 @@ BatchLeakageDriver::op_handler(const Op& op, uint32_t p_site,
         // event (scalar semantics) — hence the masked event word.
         const LaneMask ok = active_ & ~leaked(op.q0);
         if (ok != 0)
-            state_reset_z(op.q0, ok);
+            frame_reset_z(op.q0, ok);
         LaneMask& ev = p_event(p_site);
         if (!sparse_)
             ev = bernoulli_mask(rate_p_, ok);
         const LaneMask flip = ev & ok;
         ev = 0;
         if (flip != 0)
-            state_pauli(op.q0, flip, 0);
+            apply_pauli(op.q0, flip, 0);
         break;
       }
       case OpType::kH: {
         const LaneMask ok = active_ & ~leaked(op.q0);
         if (ok != 0)
-            state_hadamard(op.q0, ok);
+            frame_hadamard(op.q0, ok);
         depolarize1(op.q0, p_site);
         break;
       }
@@ -629,7 +539,7 @@ BatchLeakageDriver::op_handler(const Op& op, uint32_t p_site,
         const int anc = op.q0;
         const LaneMask lk = active_ & leaked(anc);
         const LaneMask ok = active_ & ~lk;
-        const LaneMask measured = state_measure_z(anc);
+        const LaneMask measured = frame(anc)[0];
         LaneMask& ev = p_event(p_site);
         if (!sparse_)
             ev = bernoulli_mask(rate_p_, ok);
@@ -649,14 +559,14 @@ BatchLeakageDriver::op_handler(const Op& op, uint32_t p_site,
 }
 
 __attribute__((always_inline)) inline void
-BatchLeakageDriver::run_ops(bool inline_frame)
+BatchLeakageDriver::run_ops(bool typed)
 {
     // Op i is p site n_data+i; the pl and MLR site ids advance in
-    // execution order.  Each run is one op type: on the inline frame a
-    // quiet op is its clean-lane word op below, and an op with a listed
-    // event or (CNOT, measurement) a leaked active lane takes the
-    // handler.  Resets and H need no handler for leaked lanes: their
-    // masked word op is exact, and a reset's init errors are event words.
+    // execution order.  Each run is one op type: a quiet op is its
+    // clean-lane word op below, and an op with a listed event or (CNOT,
+    // measurement) a leaked active lane takes the handler.  Resets and H
+    // need no handler for leaked lanes: their masked word op is exact,
+    // and a reset's init errors are event words.
     const Op* ops = rc_->ops().data();
     const uint32_t n_data = static_cast<uint32_t>(code_->n_data());
     uint32_t i = 0;
@@ -667,37 +577,32 @@ BatchLeakageDriver::run_ops(bool inline_frame)
           case OpType::kResetZ:
             for (; i < run.end; ++i) {
                 const uint32_t p_site = n_data + i;
-                if (!inline_frame) {
+                if (!typed) {
                     op_handler(ops[i], p_site, pl_site, mlr_site);
                     continue;
                 }
                 const int q = ops[i].q0;
                 const LaneMask ok = active_ & ~leaked(q);
-                LaneMask* f = frame(q);
                 LaneMask& ev = p_event(p_site);
-                f[0] = (f[0] & ~ok) ^ (ev & ok);
-                f[1] &= ~ok;
+                frame_reset_z(q, ok);
+                frame(q)[0] ^= ev & ok;
                 ev = 0;
             }
             break;
           case OpType::kH:
             for (; i < run.end; ++i) {
                 const uint32_t p_site = n_data + i;
-                if (!inline_frame || plan_p_.next->site == p_site) {
+                if (!typed || plan_p_.next->site == p_site) {
                     op_handler(ops[i], p_site, pl_site, mlr_site);
                     continue;
                 }
-                LaneMask* f = frame(ops[i].q0);
-                const LaneMask diff =
-                    (f[0] ^ f[1]) & active_ & ~leaked(ops[i].q0);
-                f[0] ^= diff;
-                f[1] ^= diff;
+                frame_hadamard(ops[i].q0, active_ & ~leaked(ops[i].q0));
             }
             break;
           case OpType::kCnot:
             for (; i < run.end; ++i, pl_site += 2) {
                 const uint32_t p_site = n_data + i;
-                if (!inline_frame || plan_p_.next->site == p_site ||
+                if (!typed || plan_p_.next->site == p_site ||
                     plan_pl_.next->site <= pl_site + 1) {
                     op_handler(ops[i], p_site, pl_site, mlr_site);
                     continue;
@@ -708,20 +613,15 @@ BatchLeakageDriver::run_ops(bool inline_frame)
                     op_handler(ops[i], p_site, pl_site, mlr_site);
                     continue;
                 }
-                // X copies c->t, Z copies t->c, on the lanes with
-                // neither qubit leaked.
-                const LaneMask clean = active_ & ~cl & ~tl;
-                LaneMask* c = frame(ops[i].q0);
-                LaneMask* t = frame(ops[i].q1);
-                t[0] ^= c[0] & clean;
-                c[1] ^= t[1] & clean;
+                // The lanes with neither qubit leaked.
+                frame_cnot(ops[i].q0, ops[i].q1, active_ & ~cl & ~tl);
             }
             break;
           case OpType::kMeasure:
             for (; i < run.end; ++i, ++mlr_site) {
                 const uint32_t p_site = n_data + i;
                 const int anc = ops[i].q0;
-                if (!inline_frame || (active_ & leaked(anc)) != 0) {
+                if (!typed || (active_ & leaked(anc)) != 0) {
                     op_handler(ops[i], p_site, pl_site, mlr_site);
                     continue;
                 }
@@ -774,7 +674,7 @@ BatchLeakageDriver::run_round_batch(const LrcWords& lrc)
     }
 
     // 3. The scheduled extraction circuit, word-wide.
-    run_ops(sparse_ && state_ == nullptr);
+    run_ops(sparse_);
     // Every planned event was consumed: no listed site was skipped, and
     // every event word was read and zeroed by its site.
     assert(!sparse_ || (plan_p_.next->site == kNoSite &&
@@ -808,7 +708,7 @@ BatchLeakageDriver::final_data_measure_batch(
     for (int q = 0; q < code_->n_data(); ++q) {
         const LaneMask lk = active_ & leaked(q);
         const LaneMask ok = active_ & ~lk;
-        const LaneMask measured = state_measure_z(q);
+        const LaneMask measured = frame(q)[0];
         const LaneMask err = bernoulli_mask(rate_p_, ok);
         const LaneMask flip = readout(measured, lk, ok, err);
         for (int l = 0; l < n_lanes_; ++l)

@@ -65,67 +65,11 @@ struct LaneRate {
 };
 
 /**
- * The word-wide quantum-state interface a batch backend provides to the
- * BatchLeakageDriver: every primitive of StatePrimitives, widened to act
- * on up to 64 independent shots at once, selected by a lane word.  A
- * driver built without one runs its own packed X/Z Pauli frame inline
- * (batch_frame); this virtual path serves the backends with real
- * per-lane state (batch_tableau) and test doubles.
- *
- * Lane/mask contract:
- *  - Every mask argument and every result is one LaneMask word: bit l
- *    belongs to lane (shot) l.  Lanes are independent shots: a masked op
- *    must not couple lanes, and bits outside the mask must be left
- *    untouched.
- *  - Masked ops may receive a mask with no bits set only via apply_pauli
- *    component words (xs or zs may be zero); callers skip fully-empty
- *    calls but are not required to.
- *  - measure_z returns a bit for every lane; the driver masks out the
- *    lanes it does not want (leaked lanes' bits are discarded).  An exact
- *    batch backend may collapse all lanes here — discarded lanes'
- *    outcomes are never observed, so this is safe (batch_tableau does
- *    exactly this).
- *  - No primitive may touch the driver's RNG (same determinism contract
- *    as the scalar StatePrimitives).
- */
-class BatchStatePrimitives {
-  public:
-    virtual ~BatchStatePrimitives() = default;
-
-    /** Re-initializes all lanes to |0...0> for a new shot batch. */
-    virtual void reset_state() = 0;
-
-    /**
-     * Applies X to qubit q in the lanes of `xs` and Z in the lanes of
-     * `zs` (both bits set in a lane = Y, as in the scalar encoding).
-     */
-    virtual void apply_pauli(int q, LaneMask xs, LaneMask zs) = 0;
-
-    /** The coherent CNOT action in the lanes of `lanes`. */
-    virtual void coherent_cnot(int control, int target, LaneMask lanes) = 0;
-
-    /** The coherent Hadamard action in the lanes of `lanes`. */
-    virtual void hadamard(int q, LaneMask lanes) = 0;
-
-    /** Noiseless |0> reset of qubit q in the lanes of `lanes`. */
-    virtual void reset_z(int q, LaneMask lanes) = 0;
-
-    /**
-     * Z-basis readout of qubit q: bit l is lane l's outcome flip vs the
-     * noiseless reference.  Lanes the caller knows to be leaked are
-     * masked off by the driver after the fact.
-     */
-    virtual LaneMask measure_z(int q) = 0;
-
-    /** Fired when qubit q's leak flag rises 0 -> 1 in the lanes given. */
-    virtual void park_leaked(int q, LaneMask lanes) = 0;
-};
-
-/**
  * The batch execution path of the shared LeakageDriver: the SAME classical
  * leakage semantics (sim/leakage_driver.{h,cc} is the reference
  * implementation), executed for up to 64 shots — one lane word — in
- * lockstep over a BatchStatePrimitives provider.
+ * lockstep over the driver's own packed X/Z Pauli frame (one X and one Z
+ * word per qubit, bit l = shot l).
  *
  * Determinism contract — two Bernoulli draw contracts (NoiseSampling):
  *  - kSparse, the production engine and the library default: one event
@@ -152,15 +96,14 @@ class BatchStatePrimitives {
  *    bit-identical across thread counts and shard splits, and agree with
  *    the scalar backends statistically (the `gld_campaign verify`
  *    referee).
- *  - The sparse round on the inline frame (batch_frame) runs the ops in
- *    typed runs (resets, H, CNOT steps, H, measurements — the
- *    RoundCircuit's order): a quiet op is its clean-lane word op, and an
- *    op takes the out-of-line handler only when it holds a listed (p or
- *    pl) event or, for a CNOT or a measurement, an active lane of its
- *    qubits is leaked.  Under lockstep, and on a backend with its own
- *    primitives (batch_tableau), every op takes the handler; lockstep
- *    fills a payload-free site's event word with its per-lane draw at
- *    the site, so both modes consume them the same way.
+ *  - The sparse round runs the ops in typed runs (resets, H, CNOT
+ *    steps, H, measurements — the RoundCircuit's order): a quiet op is
+ *    its clean-lane frame word op, and an op takes the out-of-line
+ *    handler only when it holds a listed (p or pl) event or, for a CNOT
+ *    or a measurement, an active lane of its qubits is leaked.  Under
+ *    lockstep every op takes the handler, which fills a payload-free
+ *    site's event word with its per-lane draw at the site, so both modes
+ *    consume them the same way.
  *  - kLockstep, the scalar-aligned reference: lane l owns a plain Rng,
  *    master.split(shot_base + l) — exactly the stream the SCALAR driver
  *    uses for its (shot_base + l)-th shot — and every draw of the lane is
@@ -169,9 +112,11 @@ class BatchStatePrimitives {
  *    bit-identical to the scalar backend's corresponding shot, no matter
  *    what the other lanes do: lane l of the j-th batch of a block
  *    replays scalar shot 64*j+l of the block draw for draw.
- *  - In both modes control flow is computed per lane into masks; state
- *    mutation happens through word-wide masked primitives, but never in
- *    a way the scalar driver could distinguish.
+ *  - In both modes control flow is computed per lane into masks; the
+ *    frame is mutated by word-wide masked ops, but never in a way the
+ *    scalar driver could distinguish.  A leaked lane's frame freezes
+ *    because the driver routes no coherent gates at it (the scalar
+ *    frame's no-op park_leaked).
  *
  * Any semantic change to the scalar LeakageDriver MUST be mirrored here;
  * the cross-backend gate (frame vs batch_frame Metrics must be
@@ -185,8 +130,6 @@ class BatchLeakageDriver final {
      *        master.split(shots of the earlier batches + l).  Pass the
      *        SAME master the scalar backend would construct from the seed
      *        and the lane streams line up shot for shot.
-     * @param state the backend's primitives, or nullptr for the driver's
-     *        own inline Pauli frame (the batch_frame backend).
      * @param noise_sampling lockstep (per-lane Rng streams, the
      *        scalar-aligned reference) or sparse (one event stream for the
      *        whole batch, geometric skips over the (site x lane) position
@@ -195,12 +138,10 @@ class BatchLeakageDriver final {
      */
     BatchLeakageDriver(const CssCode& code, const RoundCircuit& rc,
                        const NoiseParams& np, Rng master,
-                       BatchStatePrimitives* state,
                        NoiseSampling noise_sampling =
                            NoiseSampling::kLockstep);
 
-    // Non-copyable for the same reason as LeakageDriver: the driver holds
-    // the backend's primitives pointer.
+    // Non-copyable: the lane oracles point back at this driver.
     BatchLeakageDriver(const BatchLeakageDriver&) = delete;
     BatchLeakageDriver& operator=(const BatchLeakageDriver&) = delete;
 
@@ -216,8 +157,8 @@ class BatchLeakageDriver final {
      * Restores the driver to its just-constructed state under a NEW
      * master stream: flags/history/scratch cleared, the shot counter
      * rewound to 0, every lane reseeded with master.split(0) and lane 0
-     * active (the post-construction probing state), and the backend
-     * state re-initialized.  The simulator-reuse path resets a cached
+     * active (the post-construction probing state), and the frame
+     * zeroed.  The simulator-reuse path resets a cached
      * driver per scheduler block with the block's own master, making
      * reuse bit-identical to fresh construction.
      */
@@ -228,7 +169,10 @@ class BatchLeakageDriver final {
     int n_lanes() const { return n_lanes_; }
 
     /** Raises the leak flag of qubit q in `lanes`. */
-    void set_leak(int q, LaneMask lanes);
+    void set_leak(int q, LaneMask lanes)
+    {
+        leaked_[static_cast<size_t>(q)] |= lanes;
+    }
     /** Raises check c's ancilla leak flag in `lanes`. */
     void set_check_leak(int c, LaneMask lanes)
     {
@@ -236,9 +180,14 @@ class BatchLeakageDriver final {
     }
     /**
      * Applies X to qubit q in the lanes of `xs` and Z in the lanes of
-     * `zs` (the state's apply_pauli; injection for the scalar adapters).
+     * `zs` (the round's noise; injection for the scalar adapters).
      */
-    void apply_pauli(int q, LaneMask xs, LaneMask zs);
+    void apply_pauli(int q, LaneMask xs, LaneMask zs)
+    {
+        LaneMask* f = frame(q);
+        f[0] ^= xs;
+        f[1] ^= zs;
+    }
 
     /** Clears qubit q's leak flag in `lanes`. */
     void clear_leak(int q, LaneMask lanes)
@@ -250,6 +199,12 @@ class BatchLeakageDriver final {
     LaneMask leaked(int q) const { return leaked_[static_cast<size_t>(q)]; }
     /** Leak-flag words of every qubit, data first then ancillas. */
     const LaneMask* leaked_words() const { return leaked_.data(); }
+    /**
+     * The Pauli frame, read-only: qubit q's X word (its outcome flips) at
+     * 2q, its Z word at 2q+1.  A view for tests; the runner reads the
+     * round words instead.
+     */
+    const LaneMask* frame_words() const { return frame_.data(); }
 
     // --- Per-lane ground truth (the runner's accounting view). ---
     bool data_leaked(int lane, int q) const
@@ -355,7 +310,7 @@ class BatchLeakageDriver final {
     void lrc_gadgets(const LrcWords& lrc);
     /**
      * One op of the round circuit as the full site (the slow path of the
-     * typed runs, and every op under lockstep or backend primitives):
+     * typed runs, and every op under lockstep):
      * leak branches, listed events with their payloads, and the event
      * word of a payload-free site (drawn here under lockstep), which it
      * consumes and zeroes.
@@ -363,22 +318,38 @@ class BatchLeakageDriver final {
     __attribute__((noinline)) void op_handler(const Op& op, uint32_t p_site,
                                               uint32_t pl_site,
                                               uint32_t mlr_site);
-    /** The round circuit as typed op runs (step 3 of a round). */
-    void run_ops(bool inline_frame);
+    /**
+     * The round circuit as typed op runs (step 3 of a round); `typed`
+     * false sends every op to the handler (lockstep).
+     */
+    void run_ops(bool typed);
 
-    // The quantum state: the driver's own packed X/Z Pauli frame when it
-    // was built without primitives (state_ == nullptr), plain word ops
-    // inlined into the round; otherwise the backend's virtual primitives.
-    // park_leaked is a no-op on the frame: a leaked lane's frame freezes
-    // because the driver routes no coherent gates at it.
-    void state_pauli(int q, LaneMask xs, LaneMask zs);
-    void state_cnot(int control, int target, LaneMask lanes);
-    void state_hadamard(int q, LaneMask lanes);
-    void state_reset_z(int q, LaneMask lanes);
-    LaneMask state_measure_z(int q);
-    void reset_state();
     /** Qubit q's frame: its X word, then its Z word. */
     LaneMask* frame(int q) { return &frame_[2 * static_cast<size_t>(q)]; }
+    // The coherent frame word ops, on the lanes given.  Measurement reads
+    // the X word (frame(q)[0]) and leaves it be.
+    void frame_cnot(int control, int target, LaneMask lanes)
+    {
+        // X copies c->t, Z copies t->c.
+        LaneMask* c = frame(control);
+        LaneMask* t = frame(target);
+        t[0] ^= c[0] & lanes;
+        c[1] ^= t[1] & lanes;
+    }
+    void frame_hadamard(int q, LaneMask lanes)
+    {
+        // Swap the X and Z bits.
+        LaneMask* f = frame(q);
+        const LaneMask diff = (f[0] ^ f[1]) & lanes;
+        f[0] ^= diff;
+        f[1] ^= diff;
+    }
+    void frame_reset_z(int q, LaneMask lanes)
+    {
+        LaneMask* f = frame(q);
+        f[0] &= ~lanes;
+        f[1] &= ~lanes;
+    }
 
     /**
      * One word-wide Bernoulli site: returns the fired lanes of `mask`.
@@ -524,16 +495,14 @@ class BatchLeakageDriver final {
     std::vector<LaneMask> detector_;   ///< last round, word per check
     std::vector<int> lrc_partner_;
     std::vector<LaneOracle> lane_oracles_;
-    BatchStatePrimitives* state_;  ///< nullptr: the inline frame below
-    std::vector<LaneMask> frame_;  ///< inline Pauli frame, see frame(q)
+    std::vector<LaneMask> frame_;  ///< the Pauli frame, see frame(q)
 };
 
 /**
- * Batch analogue of LeakageDriverSim: a backend derives, hands the driver
- * its BatchStatePrimitives (or none, for the driver's inline Pauli
- * frame), implements name(), and gets the whole Simulator API — scalar
- * calls run the batch driver one lane wide, so the same object serves
- * interface tests and the lockstep scheduler path.
+ * Batch analogue of LeakageDriverSim: a backend derives, implements
+ * name(), and gets the whole Simulator API over the batch driver —
+ * scalar calls run it one lane wide, so the same object serves interface
+ * tests and the lockstep scheduler path.
  */
 class BatchLeakageDriverSim : public BatchSimulator {
   public:
@@ -571,13 +540,11 @@ class BatchLeakageDriverSim : public BatchSimulator {
     }
 
     /**
-     * Default reuse reset for batch backends whose only randomness is
-     * the driver's lane streams (batch_frame): fresh construction
-     * passes Rng(seed) as the driver master, so resetting the driver
-     * with Rng(seed) reproduces it exactly.  batch_tableau overrides to
-     * also reseed its per-lane projection streams.
+     * The reuse reset: the driver's streams are the only randomness and
+     * fresh construction passes Rng(seed) as the driver master, so
+     * resetting the driver with Rng(seed) reproduces it exactly.
      */
-    void reset_for_block(uint64_t seed) override
+    void reset_for_block(uint64_t seed) final
     {
         driver_.reset_for_block(Rng(seed));
     }
@@ -605,15 +572,12 @@ class BatchLeakageDriverSim : public BatchSimulator {
   protected:
     /** @param master see BatchLeakageDriver — pass the scalar backend's
      *         master (e.g. Rng(seed)) for shot-for-shot lane alignment.
-     *  @param state the backend's primitives; nullptr runs the driver's
-     *         inline Pauli frame.
      *  @param noise_sampling the driver's Bernoulli draw contract. */
     BatchLeakageDriverSim(const CssCode& code, const RoundCircuit& rc,
                           const NoiseParams& np, Rng master,
-                          BatchStatePrimitives* state,
                           NoiseSampling noise_sampling)
         : BatchSimulator(code.n_data(), code.n_checks()),
-          driver_(code, rc, np, master, state, noise_sampling)
+          driver_(code, rc, np, master, noise_sampling)
     {
     }
 

@@ -9,10 +9,8 @@ BatchFrameSim::BatchFrameSim(const CssCode& code, const RoundCircuit& rc,
     // lane l of batch b is bit-identical to the scalar frame backend's
     // shot 64*b + l.  Sparse sampling derives
     // its event stream from the same master but draws a different
-    // sequence (its own RNG contract; qualified statistically).  No
-    // primitives: the driver runs its inline Pauli frame.
-    : BatchLeakageDriverSim(code, rc, np, Rng(seed), nullptr,
-                            noise_sampling)
+    // sequence (its own RNG contract; qualified statistically).
+    : BatchLeakageDriverSim(code, rc, np, Rng(seed), noise_sampling)
 {
 }
 

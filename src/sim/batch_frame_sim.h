@@ -17,9 +17,9 @@ namespace gld {
  * batch, one X and one Z frame word per qubit, driven in lockstep by the
  * BatchLeakageDriver.
  *
- * The frame is the driver's own: built without primitives, the driver
- * runs each state update as a few AND/XOR word operations inside its
- * round (no virtual call), serving 64 shots at once — the classic batch
+ * The frame is the driver's own: the driver runs each state update as a
+ * few AND/XOR word operations inside its round (no virtual call),
+ * serving 64 shots at once — the classic batch
  * frame-simulator speedup.  Under lockstep sampling the per-lane noise
  * streams keep every lane bit-identical to the scalar `frame` backend's
  * corresponding shot (same master Rng(seed), same split-per-shot
@@ -28,10 +28,10 @@ namespace gld {
  * scalar frame backend's — the tier-1 cross-backend gate.  Under the
  * default sparse sampling they agree statistically (the verify referee).
  *
- * Frame semantics match LeakFrameSim lane for lane: measure_z reads the
- * X-frame words without disturbing them, park_leaked is a no-op (a
- * leaked lane's frame freezes because the driver stops routing coherent
- * gates at it), and an LRC preserves the serviced lane's frame.
+ * Frame semantics match LeakFrameSim lane for lane: a readout reads the
+ * X-frame words without disturbing them, a leaked lane's frame freezes
+ * (the driver stops routing coherent gates at it, as LeakFrameSim's
+ * no-op park_leaked), and an LRC preserves the serviced lane's frame.
  */
 class BatchFrameSim final : public BatchLeakageDriverSim {
   public:

@@ -6,7 +6,6 @@
 
 #include "runtime/experiment.h"
 #include "sim/batch_frame_sim.h"
-#include "sim/batch_tableau_sim.h"
 #include "sim/frame_sim.h"
 #include "sim/lane_span.h"
 #include "sim/tableau_leak_sim.h"
@@ -26,15 +25,14 @@ namespace {
  * of a block's j-th batch is scalar shot 64*j+l draw for draw), so
  * their Metrics are bit-identical by construction and the verify referee
  * compares them bit-exactly.  The tableau engine draws its own
- * measurement-collapse randomness (contract 1); batch_tableau draws
- * per-lane collapse randomness from yet another derivation (contract 2)
- * — each agrees with the others only statistically.
+ * measurement-collapse randomness (contract 1) and agrees with them only
+ * statistically.
  *
  * sparse_rng_contract is the contract id the backend moves to under
- * NoiseSampling::kSparse: the batch engines switch to an event-driven
- * scalar stream per (stream, block) work unit (contracts 3 and 4 — a
- * draw sequence no lockstep engine replays), while the scalar engines
- * ignore the knob and keep their lockstep ids.
+ * NoiseSampling::kSparse: the batch engine switches to an event-driven
+ * scalar stream per (stream, block) work unit (contract 3 — a draw
+ * sequence no lockstep engine replays), while the scalar engines ignore
+ * the knob and keep their lockstep ids.
  */
 struct BackendEntry {
     SimBackend backend;
@@ -47,7 +45,6 @@ constexpr BackendEntry kBackendTable[] = {
     {SimBackend::kFrame, "frame", 0, 0},
     {SimBackend::kTableau, "tableau", 1, 1},
     {SimBackend::kBatchFrame, "batch_frame", 0, 3},
-    {SimBackend::kBatchTableau, "batch_tableau", 2, 4},
 };
 
 /**
@@ -318,9 +315,6 @@ make_simulator(SimBackend backend, const CssCode& code,
       case SimBackend::kBatchFrame:
         return std::make_unique<BatchFrameSim>(code, rc, np, seed,
                                                noise_sampling);
-      case SimBackend::kBatchTableau:
-        return std::make_unique<BatchTableauSim>(code, rc, np, seed,
-                                                 noise_sampling);
     }
     throw_unknown_backend("make_simulator: invalid SimBackend value " +
                           std::to_string(static_cast<int>(backend)));

@@ -172,8 +172,8 @@ struct LrcWords {
  * Every backend is a BatchSimulator: the full Simulator API (so every
  * interface-level test, policy and tool works unchanged) plus the
  * lockstep batch entry points the runner drives a whole shot block
- * through.  The packed backends (batch_frame, batch_tableau) hold 64
- * lanes, one word; the scalar backends (frame, tableau) are one-lane
+ * through.  The packed backend (batch_frame) holds 64 lanes, one word;
+ * the scalar backends (frame, tableau) are one-lane
  * batches, so there is exactly one block path and one
  * speculation-accounting implementation for all of them.
  *
@@ -276,19 +276,16 @@ void check_lrc_schedule(const LrcSchedule& sched, int lane, int n_data,
  * tableau through the same round circuit (slower by O(n^2) per
  * measurement; exact-stabilizer states); kBatchFrame packs 64 shots into
  * one word per qubit and runs them in lockstep through the batch driver
- * at several times the shots/second (BM_BackendThroughput measures the
- * real ratio) — bit-identical Metrics to kFrame under lockstep noise
- * sampling;
- * kBatchTableau runs 64 exact CHP tableaux in lockstep behind the same
- * batch driver, amortizing the per-round noise machinery over the batch
- * so exact-mode campaigns batch too.  All share the one LeakageDriver
- * semantics for every classical-leakage decision.
+ * — bit-identical Metrics to kFrame under lockstep noise sampling, and
+ * the engine paperbench times on the paper workload
+ * (BM_BackendThroughput is a stripped 10-round no-LRC diagnostic).  All
+ * share the one LeakageDriver semantics for every classical-leakage
+ * decision.
  */
 enum class SimBackend : uint8_t {
     kFrame = 0,
     kTableau = 1,
     kBatchFrame = 2,
-    kBatchTableau = 3,
 };
 
 /** Canonical backend name ("frame" / "tableau" / "batch_frame"). */

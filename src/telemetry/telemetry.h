@@ -32,18 +32,8 @@ namespace telemetry {
  * runs, exactly like Metrics.  Stage times are wall-clock measurements
  * and deterministic only in shape, never in value.
  *
- * Compile-out: configuring with -DGLD_TELEMETRY=OFF defines
- * GLD_NO_TELEMETRY, which turns kCompiledIn into false — every runner
- * hook is guarded by `if (telemetry::kCompiledIn && ...)`, so the
- * instrumentation folds to nothing and the runner is byte-for-byte the
- * uninstrumented loop.  With telemetry compiled in but no collector
- * attached, the cost is one null check per work unit.
+ * With no collector attached, the cost is one null check per work unit.
  */
-#ifdef GLD_NO_TELEMETRY
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
 
 /** The runner's wall-time split; kStageCount sized arrays index by this. */
 enum Stage {

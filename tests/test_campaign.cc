@@ -713,8 +713,6 @@ TEST(Observability, TelemetryIsAPureSideChannelAtTheCampaignLevel)
 
 TEST(Observability, ProgressAndHeatmapEndToEnd)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CampaignSpec spec = small_spec("observe");
     const int n_shards = 3;
     const std::string dir = fresh_dir("observe");
@@ -808,8 +806,6 @@ TEST(Observability, ProgressAndHeatmapEndToEnd)
 
 TEST(Observability, ResumedJobsKeepTelemetryAndReportPlannedShots)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CampaignSpec spec = small_spec("observe_resume");
     const std::string dir = fresh_dir("observe_resume");
     const std::vector<JobSpec> jobs = spec.expand();

@@ -126,8 +126,6 @@ TEST_P(ExperimentGolden, LeakageSamplingStartsLeaked)
 
 TEST_P(ExperimentGolden, LeakageSamplingTelemetryCountsOneLeakPerShotRound)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     Harness h(3);
     ExperimentConfig cfg = leak_sampling_config();
     cfg.rounds = 3;  // several heatmap rows
@@ -185,8 +183,6 @@ TEST_P(ExperimentGolden, DlpSeriesMatchesTotals)
 // one stream and one block (no cross-block sum) they agree bit for bit.
 TEST_P(ExperimentGolden, LeakPopulationsAreHeatmapCountsOverQubitCount)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     Harness h(3);
     ExperimentConfig cfg = base_config();
     cfg.np = NoiseParams::standard(1e-2, 1.0);  // checks leak too

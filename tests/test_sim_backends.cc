@@ -5,7 +5,7 @@
 // closed-loop experiment on the tableau backend via ExperimentRunner::run.
 // The SparsePlan tests at the end pin the sparse sampler's planned round
 // streams: statistically through ExperimentRunner, and directly on the
-// batch driver over a recording BatchStatePrimitives double.
+// batch driver's Pauli frame words.
 
 #include <gtest/gtest.h>
 
@@ -28,8 +28,7 @@ using test::expect_metrics_identical;
 
 constexpr SimBackend kBackends[] = {SimBackend::kFrame,
                                     SimBackend::kTableau,
-                                    SimBackend::kBatchFrame,
-                                    SimBackend::kBatchTableau};
+                                    SimBackend::kBatchFrame};
 
 NoiseParams
 noiseless()
@@ -53,8 +52,6 @@ TEST(SimBackends, NamesRoundTrip)
     EXPECT_EQ(backend_from_name("frame"), SimBackend::kFrame);
     EXPECT_EQ(backend_from_name("tableau"), SimBackend::kTableau);
     EXPECT_EQ(backend_from_name("batch_frame"), SimBackend::kBatchFrame);
-    EXPECT_EQ(backend_from_name("batch_tableau"),
-              SimBackend::kBatchTableau);
     for (SimBackend b : kBackends)
         EXPECT_EQ(backend_from_name(backend_name(b)), b);
     EXPECT_THROW(backend_from_name("stim"), std::runtime_error);
@@ -69,10 +66,8 @@ TEST(SimBackends, NamesRoundTrip)
 TEST(SimBackends, KnownBackendsCoverTheEnumAndTheNameList)
 {
     const std::vector<SimBackend>& all = known_backends();
-    ASSERT_EQ(all.size(), 4u);
+    ASSERT_EQ(all.size(), 3u);
     EXPECT_NE(std::find(all.begin(), all.end(), SimBackend::kBatchFrame),
-              all.end());
-    EXPECT_NE(std::find(all.begin(), all.end(), SimBackend::kBatchTableau),
               all.end());
     for (SimBackend b : kBackends)
         EXPECT_NE(std::find(all.begin(), all.end(), b), all.end());
@@ -86,16 +81,21 @@ TEST(SimBackends, UnknownNameErrorListsTheKnownBackends)
 {
     // The unhelpful-failure-mode fix: a typo'd backend name must name the
     // bad input AND every accepted name, wherever it enters the system.
-    try {
-        backend_from_name("stim");
-        FAIL() << "expected std::runtime_error";
-    } catch (const std::runtime_error& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("\"stim\""), std::string::npos) << what;
-        EXPECT_NE(what.find("known backends"), std::string::npos) << what;
-        for (SimBackend b : kBackends)
-            EXPECT_NE(what.find(backend_name(b)), std::string::npos)
+    // A deleted backend's name is as unknown as a typo.
+    for (const std::string bad : {"stim", "batch_tableau"}) {
+        try {
+            backend_from_name(bad);
+            FAIL() << "expected std::runtime_error for " << bad;
+        } catch (const std::runtime_error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("\"" + bad + "\""), std::string::npos)
                 << what;
+            EXPECT_NE(what.find("known backends"), std::string::npos)
+                << what;
+            for (SimBackend b : kBackends)
+                EXPECT_NE(what.find(backend_name(b)), std::string::npos)
+                    << what;
+        }
     }
 }
 
@@ -174,12 +174,10 @@ TEST(SimBackends, NoiseSamplingNamesEnvAndContracts)
               backend_rng_contract(SimBackend::kFrame, L));
     EXPECT_EQ(backend_rng_contract(SimBackend::kTableau, S),
               backend_rng_contract(SimBackend::kTableau, L));
-    EXPECT_NE(backend_rng_contract(SimBackend::kBatchFrame, S),
-              backend_rng_contract(SimBackend::kBatchFrame, L));
-    EXPECT_NE(backend_rng_contract(SimBackend::kBatchTableau, S),
-              backend_rng_contract(SimBackend::kBatchTableau, L));
-    EXPECT_NE(backend_rng_contract(SimBackend::kBatchFrame, S),
-              backend_rng_contract(SimBackend::kBatchTableau, S));
+    for (SimBackend b : kBackends)
+        EXPECT_NE(backend_rng_contract(SimBackend::kBatchFrame, S),
+                  backend_rng_contract(b, L))
+            << backend_name(b);
     // The one-arg form is the lockstep contract (unchanged call sites).
     for (SimBackend b : kBackends)
         EXPECT_EQ(backend_rng_contract(b), backend_rng_contract(b, L));
@@ -203,8 +201,7 @@ TEST(SimBackends, MakeSimulatorRejectsBadBatchWidths)
             const auto sim =
                 make_simulator(b, h.code, h.rc, noiseless(), 1, words);
             EXPECT_EQ(sim->name(), backend_name(b));
-            if (b == SimBackend::kBatchFrame ||
-                b == SimBackend::kBatchTableau) {
+            if (b == SimBackend::kBatchFrame) {
                 EXPECT_EQ(sim->batch_width(), kBatchLanes) << words;
             }
         }
@@ -610,7 +607,7 @@ TEST(SimBackends, BackendsAgreeStatisticallyOnDlp)
 {
     // Same config, different backends: the leak-flag dynamics are
     // identical machinery, so the DLP rates must agree statistically
-    // (the tableau engines draw independent measurement randomness).
+    // (the tableau engine draws independent measurement randomness).
     // Refereed by the SAME stats:: pipeline gld_campaign verify uses — a
     // pooled two-proportion z-test on Metrics::dlp_sample — instead of
     // the arbitrary 0.5x..2x ratio bounds this test shipped with.
@@ -629,23 +626,17 @@ TEST(SimBackends, BackendsAgreeStatisticallyOnDlp)
     const Metrics frame = ExperimentRunner(ctx, cfg).run(PolicyZoo::no_lrc());
     ASSERT_GT(frame.dlp_mean(), 0.0);
     const int n_data = code.n_data();
-    for (SimBackend b :
-         {SimBackend::kTableau, SimBackend::kBatchTableau}) {
-        SCOPED_TRACE(backend_name(b));
-        cfg.backend = b;
-        const Metrics tab =
-            ExperimentRunner(ctx, cfg).run(PolicyZoo::no_lrc());
-        ASSERT_GT(tab.dlp_mean(), 0.0);
-        const stats::TwoProportionResult r = stats::two_proportion_z(
-            frame.dlp_sample(n_data), tab.dlp_sample(n_data));
-        // One pinned-seed test = one draw from the null; alpha 0.001
-        // keeps the false-failure budget negligible while catching any
-        // real divergence (a broken backend shifts DLP by far more than
-        // 3 sigma).
-        EXPECT_GE(r.p_value, 0.001)
-            << "dlp " << frame.dlp_mean() << " vs " << tab.dlp_mean()
-            << " (z=" << r.z << ")";
-    }
+    cfg.backend = SimBackend::kTableau;
+    const Metrics tab = ExperimentRunner(ctx, cfg).run(PolicyZoo::no_lrc());
+    ASSERT_GT(tab.dlp_mean(), 0.0);
+    const stats::TwoProportionResult r = stats::two_proportion_z(
+        frame.dlp_sample(n_data), tab.dlp_sample(n_data));
+    // One pinned-seed test = one draw from the null; alpha 0.001 keeps
+    // the false-failure budget negligible while catching any real
+    // divergence (a broken backend shifts DLP by far more than 3 sigma).
+    EXPECT_GE(r.p_value, 0.001)
+        << "dlp " << frame.dlp_mean() << " vs " << tab.dlp_mean()
+        << " (z=" << r.z << ")";
 }
 
 TEST(BatchFrameBitEquality, ScalarInterfaceAtWideBatchStillMatchesFrame)
@@ -699,100 +690,59 @@ TEST(SparsePlan, AgreesWithLockstepAtLeakHeavyNoise)
     cfg.compute_ler = true;
     cfg.threads = 2;
 
-    // batch_tableau costs ~20x batch_frame per shot: fewer shots keep the
-    // suite inside the tier-1 timeout under TSan.
-    const std::pair<SimBackend, int> backends[] = {
-        {SimBackend::kBatchFrame, 20000}, {SimBackend::kBatchTableau, 5000}};
+    cfg.backend = SimBackend::kBatchFrame;
+    cfg.shots = 20000;
     const std::pair<const char*, PolicyFactory> policies[] = {
         {"NoLRC", PolicyZoo::no_lrc()},
         {"GLADIATOR+M", PolicyZoo::gladiator(/*use_mlr=*/true, cfg.np)}};
-    // 2 backends x 2 policies x {LER, FN, FP, DLP}.
-    const double alpha = stats::sidak_alpha(1e-6, 16);
-    for (const auto& [b, shots] : backends) {
-        for (const auto& [name, factory] : policies) {
-            SCOPED_TRACE(std::string(backend_name(b)) + " " + name);
-            cfg.backend = b;
-            cfg.shots = shots;
-            cfg.noise_sampling = NoiseSampling::kLockstep;
-            const Metrics lock = ExperimentRunner(ctx, cfg).run(factory);
-            cfg.noise_sampling = NoiseSampling::kSparse;
-            const Metrics sparse = ExperimentRunner(ctx, cfg).run(factory);
-            ASSERT_GT(lock.dlp_mean(), 0.0);
-            const std::pair<const char*, std::pair<stats::RateSample,
-                                                   stats::RateSample>>
-                samples[] = {
-                    {"ler", {lock.ler_sample(), sparse.ler_sample()}},
-                    {"fn",
-                     {lock.fn_sample(n_data), sparse.fn_sample(n_data)}},
-                    {"fp",
-                     {lock.fp_sample(n_data), sparse.fp_sample(n_data)}},
-                    {"dlp",
-                     {lock.dlp_sample(n_data), sparse.dlp_sample(n_data)}}};
-            for (const auto& [metric, ab] : samples) {
-                const stats::TwoProportionResult r =
-                    stats::two_proportion_z(ab.first, ab.second);
-                EXPECT_GE(r.p_value, alpha)
-                    << metric << " lockstep " << r.rate1 << " vs sparse "
-                    << r.rate2 << " (z=" << r.z << ")";
-            }
+    // 2 policies x {LER, FN, FP, DLP}.
+    const double alpha = stats::sidak_alpha(1e-6, 8);
+    for (const auto& [name, factory] : policies) {
+        SCOPED_TRACE(name);
+        cfg.noise_sampling = NoiseSampling::kLockstep;
+        const Metrics lock = ExperimentRunner(ctx, cfg).run(factory);
+        cfg.noise_sampling = NoiseSampling::kSparse;
+        const Metrics sparse = ExperimentRunner(ctx, cfg).run(factory);
+        ASSERT_GT(lock.dlp_mean(), 0.0);
+        const std::pair<const char*, std::pair<stats::RateSample,
+                                               stats::RateSample>>
+            samples[] = {
+                {"ler", {lock.ler_sample(), sparse.ler_sample()}},
+                {"fn",
+                 {lock.fn_sample(n_data), sparse.fn_sample(n_data)}},
+                {"fp",
+                 {lock.fp_sample(n_data), sparse.fp_sample(n_data)}},
+                {"dlp",
+                 {lock.dlp_sample(n_data), sparse.dlp_sample(n_data)}}};
+        for (const auto& [metric, ab] : samples) {
+            const stats::TwoProportionResult r =
+                stats::two_proportion_z(ab.first, ab.second);
+            EXPECT_GE(r.p_value, alpha)
+                << metric << " lockstep " << r.rate1 << " vs sparse "
+                << r.rate2 << " (z=" << r.z << ")";
         }
     }
 }
 
 /**
- * BatchStatePrimitives that records every call the driver makes, with
- * the lane words it passed.  measure_z reports every lane flipped, so a
- * readout on a padding lane would show.
+ * A sparse batch driver on surface d=3, read through its Pauli frame
+ * words and its round words.
  */
-struct RecordingBatchState final : BatchStatePrimitives {
-    struct Call {
-        std::string op;
-        int q = -1;
-        LaneMask a = 0, b = 0;  ///< the call's words (xs/zs, lanes)
-    };
-    std::vector<Call> calls;
-
-    void reset_state() override { calls.push_back({"reset_state", -1}); }
-    void apply_pauli(int q, LaneMask xs, LaneMask zs) override
-    {
-        calls.push_back({"pauli", q, xs, zs});
-    }
-    void coherent_cnot(int control, int /*target*/, LaneMask lanes) override
-    {
-        calls.push_back({"cnot", control, lanes});
-    }
-    void hadamard(int q, LaneMask lanes) override
-    {
-        calls.push_back({"h", q, lanes});
-    }
-    void reset_z(int q, LaneMask lanes) override
-    {
-        calls.push_back({"reset_z", q, lanes});
-    }
-    LaneMask measure_z(int q) override
-    {
-        calls.push_back({"measure", q, ~0ull});
-        return ~0ull;
-    }
-    void park_leaked(int q, LaneMask lanes) override
-    {
-        calls.push_back({"park", q, lanes});
-    }
-};
-
-/** A sparse driver over a recorder, surface d=3. */
 struct SparseRig {
     CssCode code = SurfaceCode::make(3);
     RoundCircuit rc{code};
-    RecordingBatchState state;
     BatchLeakageDriver driver;
     LrcWords lrc;
 
     explicit SparseRig(const NoiseParams& np, uint64_t seed = 7)
-        : driver(code, rc, np, Rng(seed), &state, NoiseSampling::kSparse)
+        : driver(code, rc, np, Rng(seed), NoiseSampling::kSparse)
     {
         lrc.reset(code.n_data(), code.n_checks());
     }
+
+    /** Qubit q's X frame word (its readout flips) and Z frame word. */
+    LaneMask x(int q) const { return driver.frame_words()[2 * q]; }
+    LaneMask z(int q) const { return driver.frame_words()[2 * q + 1]; }
 };
 
 NoiseParams
@@ -810,72 +760,99 @@ rates(double p, double leak_ratio, double mlr_ratio)
 TEST(SparsePlan, ResetInitErrorsSkipLeakedLanes)
 {
     // Half the lanes start with every ancilla leaked and nothing moves a
-    // leak (pl = 0, mobility 0, no LRC).  The init-error flip that
-    // follows each reset may only touch the lanes the reset served.
-    SparseRig rig(rates(0.3, 0.0, 0.0));
-    rig.driver.reset_shot_batch(64);
+    // leak (pl = 0, mobility 0, no LRC).  A reset skips those lanes, and
+    // no coherent gate reaches them either, so their ancilla frames
+    // freeze.  Frame linearity shows it: a twin with the same seed whose
+    // leaked lanes start with an X (half of them) or a Z (the other half)
+    // on every ancilla draws the same events, so the twins' frames differ
+    // by exactly that preload, every round.  A reset, Hadamard or CNOT
+    // that touched a leaked lane would clear, swap or spread it.  An
+    // init error that a reset
+    // wrongly lets through to a leaked lane is the same in both twins and
+    // cancels here; the leak-heavy pins of test_sparse_pins catch it.
     const LaneMask leaked_lanes = 0xF0F0F0F0F0F0F0F0ull;
-    for (int c = 0; c < rig.code.n_checks(); ++c)
-        rig.driver.set_check_leak(c, leaked_lanes);
-    rig.state.calls.clear();
-    for (int r = 0; r < 20; ++r)
-        rig.driver.run_round_batch(rig.lrc);
-    int flips = 0;
-    const auto& calls = rig.state.calls;
-    for (size_t i = 1; i < calls.size(); ++i) {
-        if (calls[i].op != "pauli" || calls[i - 1].op != "reset_z" ||
-            calls[i].q != calls[i - 1].q)
-            continue;
-        ++flips;
-        EXPECT_EQ(calls[i - 1].a & leaked_lanes, 0u);
-        EXPECT_EQ(calls[i].a & ~calls[i - 1].a, 0u)
-            << "init error on a lane the reset skipped, qubit "
-            << calls[i].q;
-        EXPECT_EQ(calls[i].b, 0u);
+    const LaneMask xs = leaked_lanes & 0xAAAAAAAAAAAAAAAAull;
+    const LaneMask zs = leaked_lanes & 0x5555555555555555ull;
+    SparseRig a(rates(0.01, 0.0, 0.0));
+    SparseRig b(rates(0.01, 0.0, 0.0));
+    for (SparseRig* rig : {&a, &b}) {
+        rig->driver.reset_shot_batch(64);
+        for (int c = 0; c < rig->code.n_checks(); ++c)
+            rig->driver.set_check_leak(c, leaked_lanes);
     }
-    EXPECT_GT(flips, 20);
+    for (int c = 0; c < b.code.n_checks(); ++c)
+        b.driver.apply_pauli(b.code.ancilla_of(c), xs, zs);
+    for (int r = 0; r < 20; ++r) {
+        a.driver.run_round_batch(a.lrc);
+        b.driver.run_round_batch(b.lrc);
+        for (int q = 0; q < a.code.n_qubits(); ++q) {
+            const bool anc = q >= a.code.n_data();
+            EXPECT_EQ(a.x(q) ^ b.x(q), anc ? xs : 0u)
+                << "round " << r << " qubit " << q;
+            EXPECT_EQ(a.z(q) ^ b.z(q), anc ? zs : 0u)
+                << "round " << r << " qubit " << q;
+        }
+    }
+    for (int c = 0; c < a.code.n_checks(); ++c)
+        EXPECT_EQ(a.driver.leaked(a.code.ancilla_of(c)), leaked_lanes);
 }
 
 TEST(SparsePlan, RateOneFiresEveryActiveLaneAtEverySite)
 {
     // p = 1 (pl = 1, MLR error 1): every planned site fires on every
-    // active lane, with no draw deciding it.
-    SparseRig rig(rates(1.0, 1.0, 1.0));
-    rig.driver.reset_shot_batch(64);
-    rig.state.calls.clear();
-    rig.driver.run_round_batch(rig.lrc);
-    const auto& calls = rig.state.calls;
-    const int n_data = rig.code.n_data();
-    // The data prelude: each qubit depolarizes on all 64 lanes (a
-    // nonidentity Pauli per lane), then leaks on all of them.
-    ASSERT_GE(calls.size(), static_cast<size_t>(2 * n_data));
-    for (int q = 0; q < n_data; ++q) {
-        const auto& c = calls[static_cast<size_t>(2 * q)];
-        EXPECT_EQ(c.op, "pauli");
-        EXPECT_EQ(c.q, q);
-        EXPECT_EQ(c.a | c.b, ~0ull);
-        EXPECT_EQ(calls[static_cast<size_t>(2 * q + 1)].op, "park");
-        EXPECT_EQ(calls[static_cast<size_t>(2 * q + 1)].a, ~0ull);
+    // active lane, with no draw deciding it.  Every qubit leaks within
+    // the round, and every measured ancilla is leaked, so MLR reads
+    // leaked ^ error = 0.
+    SparseRig leaky(rates(1.0, 1.0, 1.0));
+    leaky.driver.reset_shot_batch(64);
+    leaky.driver.run_round_batch(leaky.lrc);
+    for (int q = 0; q < leaky.code.n_qubits(); ++q)
+        EXPECT_EQ(leaky.driver.leaked(q), ~0ull) << q;
+    for (int c = 0; c < leaky.code.n_checks(); ++c)
+        EXPECT_EQ(leaky.driver.mlr_words()[c], 0u) << c;
+
+    // pl = 0: no qubit leaks, so every measurement takes the typed run,
+    // where the readout-error and MLR event words fire on every lane:
+    // each flip word is the complement of its ancilla's X frame word
+    // (nothing touches an ancilla after its readout), and each MLR word
+    // is all ones.  The final readout's error site fires everywhere too.
+    SparseRig clean(rates(1.0, 0.0, 1.0));
+    clean.driver.reset_shot_batch(64);
+    for (int r = 0; r < 3; ++r) {
+        clean.driver.run_round_batch(clean.lrc);
+        for (int c = 0; c < clean.code.n_checks(); ++c) {
+            EXPECT_EQ(clean.driver.meas_flip_words()[c],
+                      ~clean.x(clean.code.ancilla_of(c)))
+                << "round " << r << " check " << c;
+            EXPECT_EQ(clean.driver.mlr_words()[c], ~0ull) << c;
+        }
     }
-    for (int q = 0; q < rig.code.n_qubits(); ++q)
-        EXPECT_EQ(rig.driver.leaked(q), ~0ull) << q;
-    // Every measured ancilla is leaked, so MLR reads leaked ^ error = 0.
-    for (int c = 0; c < rig.code.n_checks(); ++c)
-        EXPECT_EQ(rig.driver.mlr_words()[c], 0u) << c;
+    std::vector<std::vector<uint8_t>> flips;
+    clean.driver.final_data_measure_batch(&flips);
+    ASSERT_EQ(flips.size(), 64u);
+    for (int q = 0; q < clean.code.n_data(); ++q) {
+        for (int l = 0; l < 64; ++l) {
+            EXPECT_EQ(flips[static_cast<size_t>(l)][static_cast<size_t>(q)],
+                      (~clean.x(q) >> l) & 1u)
+                << "qubit " << q << " lane " << l;
+        }
+    }
 }
 
 TEST(SparsePlan, RateZeroFiresNothing)
 {
+    // Every op takes its quiet typed-run word op: the frame stays zero.
     SparseRig rig(rates(0.0, 1.0, 1.0));
     rig.driver.reset_shot_batch(64);
-    rig.state.calls.clear();
     for (int r = 0; r < 10; ++r)
         rig.driver.run_round_batch(rig.lrc);
-    for (const auto& c : rig.state.calls) {
-        EXPECT_NE(c.op, "pauli");
-        EXPECT_NE(c.op, "park");
+    for (int q = 0; q < rig.code.n_qubits(); ++q) {
+        EXPECT_EQ(rig.x(q), 0u) << q;
+        EXPECT_EQ(rig.z(q), 0u) << q;
+        EXPECT_EQ(rig.driver.leaked(q), 0u) << q;
     }
     for (int c = 0; c < rig.code.n_checks(); ++c) {
+        EXPECT_EQ(rig.driver.meas_flip_words()[c], 0u);
         EXPECT_EQ(rig.driver.detector_words()[c], 0u);
         EXPECT_EQ(rig.driver.mlr_words()[c], 0u);
     }
@@ -884,8 +861,8 @@ TEST(SparsePlan, RateZeroFiresNothing)
 TEST(SparsePlan, PartialBatchesNeverFirePaddingLanes)
 {
     // 37 of 64 lanes.  Heavy noise, every LRC requested on every lane
-    // including the padding: no primitive may see a padding lane, and no
-    // round word may carry one.
+    // including the padding: no frame word and no round word may ever
+    // carry a padding lane.
     const int n_lanes = 37;
     NoiseParams np = rates(0.4, 0.5, 1.0);
     np.lrc_leak_prob = 0.3;
@@ -904,20 +881,15 @@ TEST(SparsePlan, PartialBatchesNeverFirePaddingLanes)
     LrcWords none;
     none.reset(rig.code.n_data(), rig.code.n_checks());
     for (int r = 0; r < 12; ++r) {
-        rig.state.calls.clear();
         // Alternate gadget rounds and plain rounds so leaks build up.
         rig.driver.run_round_batch(r % 3 == 2 ? rig.lrc : none);
-        for (const auto& c : rig.state.calls) {
-            if (c.op != "measure") {
-                EXPECT_EQ(c.a & pad, 0u) << c.op;
-                EXPECT_EQ(c.b & pad, 0u) << c.op;
-            }
-        }
         const int nc = rig.code.n_checks();
+        const int nq = rig.code.n_qubits();
+        no_padding(rig.driver.frame_words(), 2 * nq, "frame");
         no_padding(rig.driver.meas_flip_words(), nc, "meas_flip");
         no_padding(rig.driver.detector_words(), nc, "detector");
         no_padding(rig.driver.mlr_words(), nc, "mlr");
-        no_padding(rig.driver.leaked_words(), rig.code.n_qubits(), "leaked");
+        no_padding(rig.driver.leaked_words(), nq, "leaked");
     }
     std::vector<std::vector<uint8_t>> flips;
     rig.driver.final_data_measure_batch(&flips);

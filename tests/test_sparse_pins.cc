@@ -6,7 +6,7 @@
 // its version field fixed) — every field, the DLP series included, bit
 // for bit.
 //
-// The grid covers both batch backends at block multipliers K = 1, 2, 4
+// The grid covers the batch backend at block multipliers K = 1, 2, 4
 // and 8 (blocks of K 64-lane batches), two surface distances, leak-heavy
 // noise (so leaked lanes reach every masked site), both speculating
 // policies with MLR, and shot counts that leave a partial trailing batch
@@ -34,10 +34,8 @@ struct Pin {
     uint64_t hash;   ///< fnv1a64(metrics_to_json(m).dump())
 };
 
-// batch_frame runs 1000 shots (15 full batches + 40 lanes; at K = 8 a
-// 512-shot block and a 488-shot one); batch_tableau, about 20x dearer per
-// shot, runs 300 (4 full batches + 44 lanes; at K = 8 one partial
-// block).
+// Each case runs 1000 shots (15 full batches + 40 lanes; at K = 8 a
+// 512-shot block and a 488-shot one).
 constexpr Pin kPins[] = {
     {SimBackend::kBatchFrame, 1, 3, true, 0x664e2b8b45a652a0ull},
     {SimBackend::kBatchFrame, 1, 3, false, 0x2c803b815cb25fcfull},
@@ -55,22 +53,6 @@ constexpr Pin kPins[] = {
     {SimBackend::kBatchFrame, 8, 3, false, 0x67de9d9dba3745ddull},
     {SimBackend::kBatchFrame, 8, 5, true, 0x3c3c0d1f2ae9d19full},
     {SimBackend::kBatchFrame, 8, 5, false, 0xe0076c0e322dbf1eull},
-    {SimBackend::kBatchTableau, 1, 3, true, 0xb70f7c6507c96585ull},
-    {SimBackend::kBatchTableau, 1, 3, false, 0x74162eff6e462ddbull},
-    {SimBackend::kBatchTableau, 1, 5, true, 0x118400bf5f1ebfc6ull},
-    {SimBackend::kBatchTableau, 1, 5, false, 0x9f6920382dbc86b5ull},
-    {SimBackend::kBatchTableau, 2, 3, true, 0xa10b85570a9399c1ull},
-    {SimBackend::kBatchTableau, 2, 3, false, 0xdefcb90798986b8eull},
-    {SimBackend::kBatchTableau, 2, 5, true, 0x51b402ff262d519bull},
-    {SimBackend::kBatchTableau, 2, 5, false, 0xa8d05e28d791788dull},
-    {SimBackend::kBatchTableau, 4, 3, true, 0xe7e465a0e3eea230ull},
-    {SimBackend::kBatchTableau, 4, 3, false, 0xc2c68397ee7c49b1ull},
-    {SimBackend::kBatchTableau, 4, 5, true, 0x6f0ee6e5a9a0e342ull},
-    {SimBackend::kBatchTableau, 4, 5, false, 0x14fedb749c1c7776ull},
-    {SimBackend::kBatchTableau, 8, 3, true, 0xf17fe229bb5ea977ull},
-    {SimBackend::kBatchTableau, 8, 3, false, 0xb8eb16e4ad22d37full},
-    {SimBackend::kBatchTableau, 8, 5, true, 0x58302848688fcee1ull},
-    {SimBackend::kBatchTableau, 8, 5, false, 0x88f8a232c0188170ull},
 };
 
 /** The serialize version the pinned Metrics JSON was captured under. */
@@ -102,8 +84,7 @@ TEST(SparsePins, MetricsJsonIsPinnedOnEveryBatchBackendAndWidth)
             cfg.noise_sampling = NoiseSampling::kSparse;
             cfg.np = np;
             cfg.rounds = 2 * d;
-            cfg.shots =
-                pin.backend == SimBackend::kBatchFrame ? 1000 : 300;
+            cfg.shots = 1000;
             cfg.seed = 0x5EED0000ull + static_cast<uint64_t>(d);
             // One stream: its 64*K-shot blocks run as full 64-lane
             // batches before the partial tail.

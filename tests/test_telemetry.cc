@@ -80,16 +80,13 @@ expect_deterministic_fields_eq(const telemetry::Record& a,
 // all three backends, threads 1 and 8.
 TEST(TelemetryDriftGate, MetricsBitIdenticalWithAndWithoutCollector)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
     const PolicyFactory factory = PolicyZoo::eraser(/*use_mlr=*/true);
 
-    for (SimBackend backend :
-         {SimBackend::kFrame, SimBackend::kTableau, SimBackend::kBatchFrame,
-          SimBackend::kBatchTableau}) {
+    for (SimBackend backend : {SimBackend::kFrame, SimBackend::kTableau,
+                               SimBackend::kBatchFrame}) {
         SCOPED_TRACE(backend_name(backend));
         ExperimentConfig cfg = small_config(backend);
         for (int threads : {1, 8}) {
@@ -109,27 +106,21 @@ TEST(TelemetryDriftGate, MetricsBitIdenticalWithAndWithoutCollector)
 // attached).
 TEST(TelemetryDriftGate, MetricsBitIdenticalAtWideBatchWidth)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
     const PolicyFactory factory = PolicyZoo::eraser(/*use_mlr=*/true);
 
-    for (SimBackend backend :
-         {SimBackend::kBatchFrame, SimBackend::kBatchTableau}) {
-        SCOPED_TRACE(backend_name(backend));
-        ExperimentConfig cfg = small_config(backend);
-        cfg.batch_words = 2;
-        cfg.rng_streams = 1;  // 96 shots: a 128-shot block, 64 + 32 lanes
-        for (int threads : {1, 4}) {
-            SCOPED_TRACE(threads);
-            cfg.threads = threads;
-            const Metrics bare = ExperimentRunner(ctx, cfg).run(factory);
-            const Metrics observed =
-                run_collected(ctx, cfg, factory, /*heatmap=*/true, nullptr);
-            expect_metrics_identical(bare, observed);
-        }
+    ExperimentConfig cfg = small_config(SimBackend::kBatchFrame);
+    cfg.batch_words = 2;
+    cfg.rng_streams = 1;  // 96 shots: a 128-shot block, 64 + 32 lanes
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(threads);
+        cfg.threads = threads;
+        const Metrics bare = ExperimentRunner(ctx, cfg).run(factory);
+        const Metrics observed =
+            run_collected(ctx, cfg, factory, /*heatmap=*/true, nullptr);
+        expect_metrics_identical(bare, observed);
     }
 }
 
@@ -137,29 +128,23 @@ TEST(TelemetryDriftGate, MetricsBitIdenticalAtWideBatchWidth)
 // round fast paths skip whole fused sweeps, so the telemetry hooks (per-
 // block stage timers, heatmap popcounts) must still see every block and
 // must not perturb the event stream — same bits with and without a
-// collector attached, on both batch backends.
+// collector attached, on the batch backend.
 TEST(TelemetryDriftGate, MetricsBitIdenticalAtSparseSampling)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
     const PolicyFactory factory = PolicyZoo::eraser(/*use_mlr=*/true);
 
-    for (SimBackend backend :
-         {SimBackend::kBatchFrame, SimBackend::kBatchTableau}) {
-        SCOPED_TRACE(backend_name(backend));
-        ExperimentConfig cfg = small_config(backend);
-        cfg.noise_sampling = NoiseSampling::kSparse;
-        for (int threads : {1, 4}) {
-            SCOPED_TRACE(threads);
-            cfg.threads = threads;
-            const Metrics bare = ExperimentRunner(ctx, cfg).run(factory);
-            const Metrics observed =
-                run_collected(ctx, cfg, factory, /*heatmap=*/true, nullptr);
-            expect_metrics_identical(bare, observed);
-        }
+    ExperimentConfig cfg = small_config(SimBackend::kBatchFrame);
+    cfg.noise_sampling = NoiseSampling::kSparse;
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(threads);
+        cfg.threads = threads;
+        const Metrics bare = ExperimentRunner(ctx, cfg).run(factory);
+        const Metrics observed =
+            run_collected(ctx, cfg, factory, /*heatmap=*/true, nullptr);
+        expect_metrics_identical(bare, observed);
     }
 }
 
@@ -171,8 +156,6 @@ TEST(TelemetryDriftGate, MetricsBitIdenticalAtSparseSampling)
 // slot's caches ride per worker) and vice versa.
 TEST(TelemetryDriftGate, MetricsBitIdenticalAcrossReuseAndCollectorArms)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
@@ -198,16 +181,13 @@ TEST(TelemetryDriftGate, MetricsBitIdenticalAcrossReuseAndCollectorArms)
 // per backend.
 TEST(TelemetryDeterminism, AggregatesIdenticalAcrossThreadCounts)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
     const PolicyFactory factory = PolicyZoo::eraser(/*use_mlr=*/true);
 
-    for (SimBackend backend :
-         {SimBackend::kFrame, SimBackend::kTableau, SimBackend::kBatchFrame,
-          SimBackend::kBatchTableau}) {
+    for (SimBackend backend : {SimBackend::kFrame, SimBackend::kTableau,
+                               SimBackend::kBatchFrame}) {
         SCOPED_TRACE(backend_name(backend));
         ExperimentConfig cfg = small_config(backend);
         cfg.threads = 1;
@@ -224,8 +204,6 @@ TEST(TelemetryDeterminism, AggregatesIdenticalAcrossThreadCounts)
 // stream subset via run_partials) merges to the single-process record.
 TEST(TelemetryDeterminism, ShardedCollectorsMergeToSingleRunRecord)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
@@ -258,8 +236,6 @@ TEST(TelemetryDeterminism, ShardedCollectorsMergeToSingleRunRecord)
 // are two projections of the same leakage trajectories.
 TEST(TelemetryDeterminism, RecordInvariantsHold)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
@@ -311,8 +287,6 @@ TEST(TelemetryDeterminism, RecordInvariantsHold)
 // histogram/heatmap moment identity immediately.
 TEST(TelemetryDeterminism, RecordInvariantsHoldAtWideBatchWidth)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
@@ -347,8 +321,6 @@ TEST(TelemetryDeterminism, RecordInvariantsHoldAtWideBatchWidth)
 // and the histogram but no heatmap.
 TEST(TelemetryDeterminism, HeatmapOffLeavesHeatmapEmpty)
 {
-    if (!telemetry::kCompiledIn)
-        GTEST_SKIP() << "built with GLD_TELEMETRY=OFF";
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
@@ -362,8 +334,7 @@ TEST(TelemetryDeterminism, HeatmapOffLeavesHeatmapEmpty)
     EXPECT_FALSE(rec.leak_hist.empty());
 }
 
-// --- Pure data-structure tests (no runner; run even with telemetry
-// compiled out — the library itself always exists). ---
+// --- Pure data-structure tests (no runner). ---
 
 TEST(TelemetryRecord, JsonRoundTripPreservesAllFields)
 {

@@ -15,7 +15,11 @@
 //   gld_campaign report --spec spec.json --out results/
 //   gld_campaign demo   --out /tmp/gld_demo   # end-to-end self-check
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -143,6 +147,44 @@ struct Args {
     double inject_noise_scale = 1.0;
 };
 
+/**
+ * A flag's whole value as an integer in [lo, hi]: an empty value,
+ * trailing characters or a value out of range throws, naming the flag
+ * and the value.
+ */
+int
+int_flag(const std::string& flag, const std::string& v, int lo,
+         int hi = INT_MAX)
+{
+    char* end = nullptr;
+    errno = 0;
+    const long n = std::strtol(v.c_str(), &end, 10);
+    if (v.empty() || *end != '\0' || errno == ERANGE || n < lo || n > hi)
+        throw std::runtime_error(
+            flag + " wants an integer " +
+            (hi == INT_MAX ? ">= " + std::to_string(lo)
+                           : "in [" + std::to_string(lo) + ", " +
+                                 std::to_string(hi) + "]") +
+            ", got \"" + v + "\"");
+    return static_cast<int>(n);
+}
+
+/**
+ * A flag's whole value as a number strictly inside (lo, hi), described
+ * by `range` in the error that anything else throws.
+ */
+double
+real_flag(const std::string& flag, const std::string& v, double lo,
+          double hi, const char* range)
+{
+    char* end = nullptr;
+    const double x = std::strtod(v.c_str(), &end);
+    if (v.empty() || *end != '\0' || !(x > lo && x < hi))
+        throw std::runtime_error(flag + " wants a number in " + range +
+                                 ", got \"" + v + "\"");
+    return x;
+}
+
 Args
 parse_args(int argc, char** argv)
 {
@@ -161,33 +203,30 @@ parse_args(int argc, char** argv)
         } else if (arg == "--out") {
             a.out_dir = need_value("--out");
         } else if (arg == "--threads") {
-            a.threads = std::stoi(need_value("--threads"));
+            // 0 = every core.
+            a.threads = int_flag(arg, need_value("--threads"), 0);
         } else if (arg == "-j" || arg == "--jobs") {
-            a.jobs_parallel = std::stoi(need_value("-j"));
-            if (a.jobs_parallel < 1)
-                throw std::runtime_error("-j wants a positive job count");
+            a.jobs_parallel = int_flag(arg, need_value("-j"), 1);
         } else if (arg == "--backend") {
             a.backend = need_value("--backend");
             backend_from_name(a.backend);  // validate early
         } else if (arg == "--batch-words") {
-            a.batch_words = std::stoi(need_value("--batch-words"));
-            if (a.batch_words < 1 || a.batch_words > kMaxBatchWords)
-                throw std::runtime_error(
-                    "--batch-words wants 1.." +
-                    std::to_string(kMaxBatchWords) + ", got " +
-                    std::to_string(a.batch_words));
+            a.batch_words = int_flag(arg, need_value("--batch-words"), 1,
+                                     kMaxBatchWords);
         } else if (arg == "--noise-sampling") {
             a.noise_sampling = need_value("--noise-sampling");
             noise_sampling_from_name(a.noise_sampling);  // validate early
         } else if (arg == "--shards") {
-            a.n_shards = std::stoi(need_value("--shards"));
+            a.n_shards = int_flag(arg, need_value("--shards"), 1);
         } else if (arg == "--shard") {
             const std::string v = need_value("--shard");
             const size_t slash = v.find('/');
             if (slash == std::string::npos)
-                throw std::runtime_error("--shard wants <i>/<N>, e.g. 0/3");
-            a.shard = std::stoi(v.substr(0, slash));
-            a.n_shards = std::stoi(v.substr(slash + 1));
+                throw std::runtime_error(
+                    "--shard wants <i>/<N>, e.g. 0/3, got \"" + v + "\"");
+            a.n_shards = int_flag("--shard <N>", v.substr(slash + 1), 1);
+            a.shard =
+                int_flag("--shard <i>", v.substr(0, slash), 0, a.n_shards - 1);
         } else if (arg == "-v" || arg == "--verbose") {
             a.verbose = true;
         } else if (arg == "--no-telemetry") {
@@ -200,14 +239,16 @@ parse_args(int argc, char** argv)
         } else if (arg == "--candidates") {
             a.candidates = need_value("--candidates");
         } else if (arg == "--alpha") {
-            a.alpha = std::stod(need_value("--alpha"));
+            a.alpha = real_flag(arg, need_value("--alpha"), 0.0, 1.0,
+                                "(0, 1)");
         } else if (arg == "--bonferroni") {
             a.bonferroni = true;
         } else if (arg == "--independent-seeds") {
             a.independent_seeds = true;
         } else if (arg == "--inject-noise-scale") {
             a.inject_noise_scale =
-                std::stod(need_value("--inject-noise-scale"));
+                real_flag(arg, need_value("--inject-noise-scale"), 0.0,
+                          HUGE_VAL, "(0, inf)");
         } else {
             throw std::runtime_error("unknown option " + arg);
         }

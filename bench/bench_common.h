@@ -52,9 +52,8 @@ void banner(const std::string& title, const std::string& paper_ref);
  * Applies the environment knobs every generator honours to a config:
  * threads from GLD_THREADS (default: hardware concurrency, so the bench
  * gates exercise the chunked scheduler at full width), the backend from
- * GLD_BACKEND (backend_from_env()), the batch width from
- * GLD_BATCH_WORDS (batch_words_from_env()) and the noise sampling mode
- * from GLD_NOISE_SAMPLING (noise_sampling_from_env()).  Shot counts stay
+ * GLD_BACKEND (backend_from_env()) and the noise sampling mode from
+ * GLD_NOISE_SAMPLING (noise_sampling_from_env()).  Shot counts stay
  * per-bench (BenchConfig::shots).
  */
 void apply_env(ExperimentConfig* cfg);

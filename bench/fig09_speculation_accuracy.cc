@@ -39,7 +39,6 @@ main()
     spec.rounds = 70;  // 10d, as in the paper's Fig 12 horizon
     spec.leakage_sampling = true;
     spec.backend = backend_from_env();
-    spec.batch_words = batch_words_from_env();
     spec.codes = {"surface:7"};
     spec.noise = {NoiseParams::standard(1e-3, 0.1)};
     // One paired list: registry name + the paper's display name, so the

@@ -88,7 +88,7 @@ BM_BackendThroughput(benchmark::State& state)
     cfg.np = NoiseParams::standard();
     cfg.rounds = 10;
     cfg.shots = 1024 * threads;
-    cfg.rng_streams = cfg.shots / ExperimentRunner::shot_block(cfg);
+    cfg.rng_streams = cfg.shots / ExperimentRunner::kShotBlock;
     cfg.leakage_sampling = false;  // natural leakage, as a memory run
     cfg.threads = threads;
     cfg.backend = static_cast<SimBackend>(state.range(0));

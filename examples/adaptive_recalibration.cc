@@ -38,7 +38,6 @@ main()
         cfg.shots = BenchConfig::shots(200);
         cfg.threads = BenchConfig::threads();
         cfg.backend = backend_from_env();
-        cfg.batch_words = batch_words_from_env();
         cfg.leakage_sampling = true;
         ExperimentRunner runner(ctx, cfg);
         // Stale: tables built for the old calibration point.

@@ -60,7 +60,6 @@ main()
     spec.rounds = 100;
     spec.leakage_sampling = true;
     spec.backend = backend_from_env();
-    spec.batch_words = batch_words_from_env();
     spec.codes = {"color:7"};
     spec.noise = {np};
     for (const auto& entry : lineup)

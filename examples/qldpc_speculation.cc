@@ -30,7 +30,6 @@ run_code(const CssCode& code)
     cfg.shots = BenchConfig::shots(200);
     cfg.threads = BenchConfig::threads();
     cfg.backend = backend_from_env();
-    cfg.batch_words = batch_words_from_env();
     cfg.leakage_sampling = true;
     ExperimentRunner runner(ctx, cfg);
 

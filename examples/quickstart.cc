@@ -31,7 +31,6 @@ main()
     cfg.shots = BenchConfig::shots(400);
     cfg.threads = BenchConfig::threads();
     cfg.backend = backend_from_env();
-    cfg.batch_words = batch_words_from_env();
     cfg.compute_ler = true;
     cfg.leakage_sampling = true;
     ExperimentRunner runner(ctx, cfg);

@@ -29,12 +29,12 @@
 #    time went, not just how much of it there was.
 #
 # The file is a JSON array, oldest first.  Older records carry fewer
-# fields (plain shots_per_second only), and records before the batch
-# engine became one word wide also carry chosen_batch_words and
-# batch_width_sweep — readers must treat every field but
-# shots_per_second as optional.  Throughput is machine-dependent — compare records
-# from the same host (num_cpus is recorded to make foreign records
-# obvious).
+# fields (plain shots_per_second only), and records from before the
+# batch engine became one word wide also carry chosen_batch_words and
+# batch_width_sweep, fields of a block multiplier the library no longer
+# has — readers must treat every field but shots_per_second as
+# optional.  Throughput is machine-dependent — compare records from the
+# same host (num_cpus is recorded to make foreign records obvious).
 #
 # The recorder FAILS (and writes nothing) if any expected benchmark row
 # or counter is absent: a partial trajectory point is worse than none,

@@ -66,7 +66,6 @@ CampaignSpec::expand() const
                 job.cfg.record_dlp_series = record_dlp_series;
                 job.cfg.rng_streams = rng_streams;
                 job.cfg.backend = backend;
-                job.cfg.batch_words = batch_words;
                 job.cfg.noise_sampling = noise_sampling;
                 jobs.push_back(std::move(job));
                 ++index;
@@ -91,10 +90,6 @@ CampaignSpec::to_json() const
     j.set("record_dlp_series", Json::boolean(record_dlp_series));
     j.set("pair_policy_seeds", Json::boolean(pair_policy_seeds));
     j.set("backend", Json::str(backend_name(backend)));
-    // Only serialized when != 1, like ExperimentConfig: absence == 1, so
-    // existing spec files and their job config hashes are untouched.
-    if (batch_words != 1)
-        j.set("batch_words", Json::integer(batch_words));
     if (noise_sampling != NoiseSampling::kLockstep)
         j.set("noise_sampling",
               Json::str(noise_sampling_name(noise_sampling)));
@@ -113,6 +108,33 @@ CampaignSpec::to_json() const
     return j;
 }
 
+namespace {
+
+/**
+ * The spec name prefixes every result, telemetry, progress and heatmap
+ * file under --out (and remove_results deletes by those paths), so it
+ * must be one plain file-name component: non-empty, no leading '.'
+ * (which also rules out "." and ".."), and only [A-Za-z0-9._-].
+ */
+std::string
+checked_name(const std::string& name)
+{
+    const bool plain =
+        std::all_of(name.begin(), name.end(), [](char c) {
+            return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
+                   (c >= '0' && c <= '9') || c == '.' || c == '_' ||
+                   c == '-';
+        });
+    if (name.empty() || name[0] == '.' || !plain)
+        throw std::runtime_error(
+            "CampaignSpec: name \"" + name +
+            "\" is not a plain file name (non-empty, no leading '.', "
+            "only [A-Za-z0-9._-])");
+    return name;
+}
+
+}  // namespace
+
 CampaignSpec
 CampaignSpec::from_json(const Json& j)
 {
@@ -121,7 +143,7 @@ CampaignSpec::from_json(const Json& j)
         throw std::runtime_error("CampaignSpec: unsupported gld_version " +
                                  std::to_string(v));
     CampaignSpec spec;
-    spec.name = j["name"].as_str();
+    spec.name = checked_name(j["name"].as_str());
     spec.seed = io::u64_from_hex(j["seed"].as_str());
     spec.shots = io::int_in_range(j, "shots", 1, INT_MAX, "CampaignSpec");
     spec.rounds = io::int_in_range(j, "rounds", 1, INT_MAX, "CampaignSpec");
@@ -134,10 +156,11 @@ CampaignSpec::from_json(const Json& j)
     spec.backend = j.has("backend")
                        ? backend_from_name(j["backend"].as_str())
                        : SimBackend::kFrame;  // version-1 specs
-    spec.batch_words = j.has("batch_words")
-                           ? io::int_in_range(j, "batch_words", 1,
-                                              kMaxBatchWords, "CampaignSpec")
-                           : 1;
+    // The removed block multiplier is refused, as in config_from_json.
+    if (j.has("batch_words"))
+        throw std::runtime_error(
+            "CampaignSpec: \"batch_words\" is no longer supported (a shot "
+            "block is always 64 shots); remove the field");
     spec.noise_sampling =
         j.has("noise_sampling")
             ? noise_sampling_from_name(j["noise_sampling"].as_str())

@@ -61,13 +61,6 @@ struct CampaignSpec {
      */
     SimBackend backend = SimBackend::kFrame;
     /**
-     * Batch width multiplier K every job runs with (see
-     * ExperimentConfig::batch_words; result-affecting, so config-hashed
-     * per job when != 1).  Serialized only when != 1 — existing specs
-     * and hashes are untouched.
-     */
-    int batch_words = 1;
-    /**
      * Noise sampling mode every job runs under (see
      * ExperimentConfig::noise_sampling, whose default this is;
      * result-affecting on the batch backends, so config-hashed per job

@@ -165,12 +165,6 @@ config_to_json(const ExperimentConfig& cfg)
     j.set("record_dlp_series", Json::boolean(cfg.record_dlp_series));
     j.set("rng_streams", Json::integer(cfg.rng_streams));
     j.set("backend", Json::str(backend_name(cfg.backend)));
-    // batch_words is RESULT-AFFECTING (it sets the scheduler block size
-    // and thus the per-block RNG derivation) so it must be hashed — but
-    // only when != 1, so every existing K=1 document and config hash
-    // stays byte-identical (no version bump needed: absence == 1).
-    if (cfg.batch_words != 1)
-        j.set("batch_words", Json::integer(cfg.batch_words));
     // noise_sampling is RESULT-AFFECTING on the batch backends (sparse
     // draws a different, verify-qualified sequence) so it must be hashed
     // — but only when != lockstep, keeping every existing document and
@@ -202,10 +196,12 @@ config_from_json(const Json& j)
     // old CHECKPOINTS are refused rather than resumed.
     cfg.backend = j.has("backend") ? backend_from_name(j["backend"].as_str())
                                    : SimBackend::kFrame;
-    cfg.batch_words = j.has("batch_words")
-                          ? int_in_range(j, "batch_words", 1, kMaxBatchWords,
-                                         "ExperimentConfig")
-                          : 1;
+    // The removed block multiplier: running such a document as one
+    // 64-shot block would hash and report it as a config it is not.
+    if (j.has("batch_words"))
+        throw std::runtime_error(
+            "ExperimentConfig: \"batch_words\" is no longer supported (a "
+            "shot block is always 64 shots); remove the field");
     cfg.noise_sampling =
         j.has("noise_sampling")
             ? noise_sampling_from_name(j["noise_sampling"].as_str())

@@ -62,6 +62,10 @@ namespace io {
  *    and lockstep batch_frame are unchanged at every K, but the hashed
  *    version retires every version-4 checkpoint rather than mixing
  *    redrawn K > 1 partials with old ones.
+ *  - 5 (no bump): batch_words removed; documents carrying it are
+ *    refused.  The block is always 64 shots, and the hash is taken over
+ *    the re-serialized config, so an ignored K > 1 field would run and
+ *    hash as K = 1 silently.
  */
 constexpr int kSerializeVersion = 5;
 
@@ -94,7 +98,8 @@ int int_in_range(const Json& j, const char* key, int64_t lo, int64_t hi,
 Json config_to_json(const ExperimentConfig& cfg);
 /**
  * Throws std::runtime_error, naming the field, unless shots, rounds and
- * rng_streams are in [1, INT_MAX] and batch_words in [1, kMaxBatchWords].
+ * rng_streams are in [1, INT_MAX], or when the document carries the
+ * removed "batch_words".
  */
 ExperimentConfig config_from_json(const Json& j);
 

@@ -47,12 +47,6 @@ ExperimentRunner::ExperimentRunner(const CodeContext& ctx,
                                    const ExperimentConfig& cfg)
     : ctx_(&ctx), cfg_(cfg)
 {
-    if (cfg_.batch_words < 1 || cfg_.batch_words > kMaxBatchWords) {
-        throw std::invalid_argument(
-            "ExperimentConfig::batch_words " +
-            std::to_string(cfg_.batch_words) + " outside [1, " +
-            std::to_string(kMaxBatchWords) + "]");
-    }
     if (cfg_.compute_ler) {
         DemBuilder dem(ctx.code(), ctx.rc(), cfg_.np, cfg_.rounds);
         graph_ = std::make_shared<DecodingGraph>(dem.build());
@@ -71,8 +65,8 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
     const int n_checks = code.n_checks();
     const int rounds = cfg_.rounds;
     const int total = stream_shots(cfg_, stream);
-    const int block_start = block * shot_block(cfg_);
-    const int shots = std::min(shot_block(cfg_), total - block_start);
+    const int block_start = block * kShotBlock;
+    const int shots = std::min(kShotBlock, total - block_start);
 
     // The reuse ≡ fresh control arm: discarding the slot's cached state
     // per block reproduces the pre-reuse fresh-construction path exactly.
@@ -108,8 +102,7 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
     // allocates nothing here.
     if (res->sim == nullptr)
         res->sim = make_simulator(cfg_.backend, code, ctx_->rc(), cfg_.np,
-                                  sim_seed, cfg_.batch_words,
-                                  cfg_.noise_sampling);
+                                  sim_seed, 1, cfg_.noise_sampling);
     else
         res->sim->reset_for_block(sim_seed);
     BatchSimulator& sim = *res->sim;
@@ -117,11 +110,11 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
     clock.lap(telemetry::kSim);  // simulator reset/construction
 
     // Every backend takes the block as lockstep shot batches of
-    // batch_width() lanes: 64 on the packed backends (a 64*K-shot block
-    // is K batches on one simulator), one on the scalar ones.  Lane l of
-    // the j-th batch is the block's shot 64*j+l on either and draws from
-    // the same derived RNG streams, which is what keeps frame and
-    // batch_frame Metrics bit-identical.
+    // batch_width() lanes: the packed backend runs the whole block as one
+    // 64-lane batch, the scalar ones as one-lane batches.  Shot l of the
+    // block is lane l on the former and the l-th batch on the latter, and
+    // draws from the same derived RNG streams either way, which is what
+    // keeps frame and batch_frame Metrics bit-identical.
     const int width = sim.batch_width();
     const int max_lanes = std::min(width, shots);
 
@@ -198,7 +191,7 @@ ExperimentRunner::run_block(const PolicyFactory& factory, int stream,
         for (int l = 0; l < lanes; ++l) {
             const size_t li = static_cast<size_t>(l);
             // One per-shot draw in lane (= shot) order from the
-            // block-level stream: the same sequence at every batch width.
+            // block-level stream: the same sequence on every backend.
             if (cfg_.leakage_sampling)
                 sim.inject_data_leak_lane(
                     l, static_cast<int>(shot_rng.uniform_int(
@@ -362,8 +355,7 @@ ExperimentRunner::stream_shots(const ExperimentConfig& cfg, int stream)
 int
 ExperimentRunner::stream_blocks(const ExperimentConfig& cfg, int stream)
 {
-    const int block = shot_block(cfg);
-    return (stream_shots(cfg, stream) + block - 1) / block;
+    return (stream_shots(cfg, stream) + kShotBlock - 1) / kShotBlock;
 }
 
 long

@@ -47,17 +47,12 @@ struct ExperimentConfig {
      */
     SimBackend backend = SimBackend::kFrame;
     /**
-     * Block multiplier K: a scheduler block holds 64*K shots, and a
-     * batch backend runs it as K one-word (64-lane) batches on one
-     * simulator (1 <= K <= kMaxBatchWords).  RESULT-AFFECTING: the
-     * block size feeds the per-block (seed, stream, block) RNG
-     * derivation, so K changes the draws for EVERY backend — the scalar
-     * backends run the same 64*K-shot blocks, which is exactly what
-     * keeps frame and batch_frame Metrics bit-identical at every K.
-     * Serialized and config-hashed when != 1; the default reproduces
-     * every existing config hash byte for byte.
+     * Vestige of the removed block multiplier, kept only because
+     * paperbench still reads it (ROADMAP 1(d) deletes it): a scheduler
+     * block is always ExperimentRunner::kShotBlock shots.  Not settable,
+     * not serialized; a document carrying "batch_words" is refused.
      */
-    int batch_words = 1;
+    static constexpr int batch_words = 1;
     /**
      * The batch backends' Bernoulli draw contract (sim/simulator.h):
      * kSparse, the default, draws geometric event skips from one
@@ -68,7 +63,7 @@ struct ExperimentConfig {
      * (statistically equivalent, verify-qualified) sequence — so it is
      * serialized and config-hashed when != kLockstep: documents without
      * the field read as lockstep and keep their hashes byte for byte.
-     * The scalar backends ignore it entirely (like batch_words).  This is
+     * The scalar backends ignore it entirely.  This is
      * the one place the default is written: CampaignSpec and
      * noise_sampling_from_env() read it from here.
      */
@@ -79,7 +74,7 @@ struct ExperimentConfig {
      * reconstructing per block.  NEVER result-affecting: a reused
      * simulator is reset_for_block()-ed with exactly the seed a fresh
      * construction would get, so Metrics are bit-identical either way
-     * (the reuse ≡ fresh determinism gate pins this per backend, K and
+     * (the reuse ≡ fresh determinism gate pins this per backend and
      * thread count).  Not serialized and not config-hashed, like
      * `threads`.  The `false` arm exists for that gate and for
      * allocation-sensitivity triage.
@@ -148,28 +143,19 @@ class ExperimentRunner {
     static int stream_shots(const ExperimentConfig& cfg, int stream);
 
     /**
-     * Base shots per scheduler work unit (one 64-lane word); the actual
-     * block size of a config is shot_block(cfg) = kShotBlock *
-     * cfg.batch_words.  Each stream's shots are chunked into blocks of
-     * that size, and (stream, block) units are what the worker threads
-     * pull.  Part of the determinism contract — every block draws from
-     * its own RNG streams derived from (seed, stream, block), so the
-     * result is independent of which thread runs which unit, but
-     * changing the block size (like changing rng_streams or batch_words)
-     * changes the draws.  Aligned with the bit-packed batch width
-     * (sim/batch_driver.h): a packed batch backend runs a block as
-     * shot_block(cfg) / 64 full lockstep batches, and a partial block's
-     * last batch with its trailing lanes masked off.
+     * Shots per scheduler work unit: one 64-lane word, a constant.  Each
+     * stream's shots are chunked into blocks of this size, and (stream,
+     * block) units are what the worker threads pull.  Part of the
+     * determinism contract — every block draws from its own RNG streams
+     * derived from (seed, stream, block), so the result is independent
+     * of which thread runs which unit.  Aligned with the bit-packed batch
+     * width (sim/batch_driver.h): batch_frame runs a block as one
+     * lockstep batch (a partial block with its trailing lanes masked
+     * off), frame and tableau as up to 64 one-lane batches.
      */
     static constexpr int kShotBlock = 64;
 
-    /** Shots per scheduler work unit of a config (kShotBlock * K). */
-    static int shot_block(const ExperimentConfig& cfg)
-    {
-        return kShotBlock * cfg.batch_words;
-    }
-
-    /** Number of shot blocks of `stream` (ceil(shots/shot_block)). */
+    /** Number of shot blocks of `stream` (ceil(shots/kShotBlock)). */
     static int stream_blocks(const ExperimentConfig& cfg, int stream);
 
     /**

@@ -192,17 +192,6 @@ backend_from_name(const std::string& name)
 }
 
 int
-backend_rng_contract(SimBackend backend)
-{
-    for (const BackendEntry& e : kBackendTable) {
-        if (e.backend == backend)
-            return e.rng_contract;
-    }
-    throw_unknown_backend("invalid SimBackend value " +
-                          std::to_string(static_cast<int>(backend)));
-}
-
-int
 backend_rng_contract(SimBackend backend, NoiseSampling sampling)
 {
     for (const BackendEntry& e : kBackendTable) {
@@ -276,36 +265,18 @@ backend_from_env()
     }
 }
 
-int
-batch_words_from_env()
-{
-    const char* s = std::getenv("GLD_BATCH_WORDS");
-    if (s == nullptr || s[0] == '\0')
-        return 1;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end == s || *end != '\0' || v < 1 ||
-        v > static_cast<long>(kMaxBatchWords)) {
-        throw std::runtime_error(
-            "GLD_BATCH_WORDS=\"" + std::string(s) +
-            "\" is not a batch width in [1, " +
-            std::to_string(kMaxBatchWords) + "]");
-    }
-    return static_cast<int>(v);
-}
-
 std::unique_ptr<BatchSimulator>
 make_simulator(SimBackend backend, const CssCode& code,
                const RoundCircuit& rc, const NoiseParams& np, uint64_t seed,
                int batch_words, NoiseSampling noise_sampling)
 {
-    // Out-of-range block multipliers throw for every backend, so a bad
-    // config fails identically no matter the backend.
-    if (batch_words < 1 || batch_words > kMaxBatchWords) {
+    // Vestige kept for paperbench (ROADMAP 1(d) deletes it): a block is
+    // one 64-lane batch, so only 1 is accepted, for every backend.
+    if (batch_words != 1) {
         throw std::invalid_argument("make_simulator: batch_words " +
                                     std::to_string(batch_words) +
-                                    " outside [1, " +
-                                    std::to_string(kMaxBatchWords) + "]");
+                                    " is not 1 (the block multiplier was "
+                                    "removed)");
     }
     switch (backend) {
       case SimBackend::kFrame:

@@ -12,13 +12,6 @@
 
 namespace gld {
 
-/**
- * Upper bound on the block multiplier K (ExperimentConfig::batch_words):
- * a scheduler block holds up to kMaxBatchWords * 64 shots, which the
- * batch backends run as K one-word (64-lane) batches.
- */
-constexpr int kMaxBatchWords = 8;
-
 /** Outcome of one QEC round, as seen by the controller. */
 struct RoundResult {
     /** Measurement flip (vs the noiseless reference) per check. */
@@ -91,13 +84,14 @@ class Simulator {
     /**
      * Re-seeds and fully resets this simulator so everything it does from
      * here on is BIT-identical to a freshly constructed
-     * make_simulator(backend, code, rc, np, seed, batch_words) with the
-     * same shape arguments (code/circuit/noise/batch_words) and this
-     * seed.  This is the per-worker reuse hook of the scheduler's
-     * zero-allocation steady state: a worker keeps one simulator per
-     * config shape and resets it per (stream, block) instead of
-     * reconstructing — no observable difference is permitted (the
-     * reuse ≡ fresh determinism gate pins this per backend).
+     * make_simulator(backend, code, rc, np, seed) with the same shape
+     * arguments (code/circuit/noise/sampling) and this seed.  This is the
+     * per-worker reuse hook of the scheduler's zero-allocation steady
+     * state: a worker keeps one simulator per config shape and resets it
+     * per (stream, block) — one 64-shot block, so one 64-lane batch or
+     * 64 one-lane batches — instead of reconstructing.  No observable
+     * difference is permitted (the reuse ≡ fresh determinism gate pins
+     * this per backend).
      */
     virtual void reset_for_block(uint64_t seed) = 0;
 
@@ -311,17 +305,6 @@ SimBackend backend_from_name(const std::string& name);
 SimBackend backend_from_env();
 
 /**
- * The block multiplier K selected by the GLD_BATCH_WORDS environment
- * variable — the one resolution point benches, tests and the demo
- * share.  Unset/empty means 1; anything outside [1, kMaxBatchWords] (or
- * non-numeric) throws, naming the variable and the valid range.  K is
- * RESULT-AFFECTING: it sets the scheduler block size (64*K shots) and
- * therefore the (seed, stream, block) RNG derivation, so it is part of
- * the config hash when != 1.
- */
-int batch_words_from_env();
-
-/**
  * How the batch backends sample their Bernoulli noise sites.
  *
  * kSparse (the production engine, ExperimentConfig's default) is
@@ -338,7 +321,7 @@ int batch_words_from_env();
  * so lane k replays the scalar backend's shot k draw for draw — the
  * basis of the frame/batch_frame bit-equality gates.
  *
- * Scalar backends ignore the knob entirely (like batch_words).
+ * Scalar backends ignore the knob entirely.
  * RESULT-AFFECTING on batch backends: serialized and config-hashed when
  * != kLockstep (absence reads as lockstep).
  */
@@ -368,31 +351,26 @@ NoiseSampling noise_sampling_from_name(const std::string& name);
 NoiseSampling noise_sampling_from_env();
 
 /**
- * RNG contract group of a backend (from the one backend table).  Two
- * backends with the SAME contract id replay identical (seed, stream,
- * block) draw sequences, so any config's Metrics must be BIT-identical
- * between them — the contract behind frame/batch_frame equality and the
- * verify referee's bit-exact mode.  Backends with different ids draw
- * independent randomness and agree only statistically.
- */
-int backend_rng_contract(SimBackend backend);
-
-/**
- * Mode-aware RNG contract: the draw-sequence group of `backend` running
- * under `sampling`.  At kLockstep this is backend_rng_contract(backend);
- * at kSparse the batch backends move to their own contract ids (their
- * event-driven draw sequence matches no lockstep engine), while the
- * scalar backends — which ignore the knob — keep their lockstep ids.
+ * RNG contract group of `backend` running under `sampling` (from the one
+ * backend table).  Two backends with the SAME contract id replay
+ * identical (seed, stream, block) draw sequences, so any config's Metrics
+ * must be BIT-identical between them — the contract behind
+ * frame/batch_frame equality and the verify referee's bit-exact mode.
+ * Backends with different ids draw independent randomness and agree only
+ * statistically.  At kSparse the batch backends move to their own
+ * contract ids (their event-driven draw sequence matches no lockstep
+ * engine), while the scalar backends — which ignore the knob — keep
+ * their lockstep ids.
  */
 int backend_rng_contract(SimBackend backend, NoiseSampling sampling);
 
 /**
  * Builds a backend over a code's scheduled round circuit.  Every batch
- * backend is 64 lanes wide; `batch_words` is only range-checked (out-of-
- * range values throw for every backend), since the block size it sets is
- * the runner's business, not the simulator's.  `noise_sampling`
- * selects the batch backends' Bernoulli draw contract (lockstep or
- * event-driven sparse); scalar backends ignore it.
+ * backend is 64 lanes wide.  `noise_sampling` selects the batch
+ * backends' Bernoulli draw contract (lockstep or event-driven sparse);
+ * scalar backends ignore it.  `batch_words` is a vestige that only
+ * paperbench still passes (ROADMAP 1(d) deletes it): any value but 1
+ * throws std::invalid_argument for every backend.
  */
 std::unique_ptr<BatchSimulator> make_simulator(
     SimBackend backend, const CssCode& code, const RoundCircuit& rc,

@@ -232,7 +232,8 @@ TEST(CampaignSpec, FromJsonRejectsNoiseRatesOutsideUnitInterval)
 }
 
 // Counts from an untrusted spec must be refused by name when read, never
-// truncated to some other value and run.
+// truncated to some other value and run; the removed "batch_words" is
+// refused at any value.
 TEST(CampaignSpec, FromJsonRejectsCountsOutOfRange)
 {
     const struct {
@@ -242,8 +243,8 @@ TEST(CampaignSpec, FromJsonRejectsCountsOutOfRange)
         {"shots", 3000000000},      {"shots", 0},
         {"rounds", -1},             {"rounds", 0},
         {"rng_streams", -5},        {"rng_streams", 0},
-        {"rng_streams", 1ll << 31}, {"batch_words", 0},
-        {"batch_words", kMaxBatchWords + 1},
+        {"rng_streams", 1ll << 31}, {"batch_words", 1},
+        {"batch_words", 2},
     };
     for (const auto& c : cases) {
         SCOPED_TRACE(std::string(c.field) + " = " + std::to_string(c.value));
@@ -261,10 +262,33 @@ TEST(CampaignSpec, FromJsonRejectsCountsOutOfRange)
     io::Json j = small_spec("edge").to_json();
     j.set("shots", io::Json::integer(INT_MAX));
     j.set("rng_streams", io::Json::integer(1));
-    j.set("batch_words", io::Json::integer(kMaxBatchWords));
     const CampaignSpec edge = CampaignSpec::from_json(j);
     EXPECT_EQ(edge.shots, INT_MAX);
-    EXPECT_EQ(edge.batch_words, kMaxBatchWords);
+}
+
+// The name prefixes every file a campaign writes or deletes under --out,
+// so one that could leave the directory is refused by name when read.
+TEST(CampaignSpec, FromJsonRejectsUnsafeNames)
+{
+    for (const char* bad : {"../escaped", "a/b", "", ".", "..", ".hidden",
+                            "a b", "a\\b"}) {
+        SCOPED_TRACE(std::string("name = \"") + bad + "\"");
+        io::Json j = small_spec("ok").to_json();
+        j.set("name", io::Json::str(bad));
+        try {
+            CampaignSpec::from_json(j);
+            ADD_FAILURE() << "expected std::runtime_error";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("name"), std::string::npos)
+                << e.what();
+        }
+    }
+    // The in-tree spec names still load.
+    for (const char* good : {"demo", "verify_multibatch", "a.b-c_9"}) {
+        io::Json j = small_spec("ok").to_json();
+        j.set("name", io::Json::str(good));
+        EXPECT_EQ(CampaignSpec::from_json(j).name, good);
+    }
 }
 
 TEST(CampaignSpec, ValidationRejectsBadNames)

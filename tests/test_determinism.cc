@@ -4,10 +4,9 @@
 // a fixed set of RNG streams and merges them in stream order, so neither
 // scheduling nor cross-thread reduction order can leak into the result.
 //
-// The contract is per backend, and this suite honours GLD_BACKEND and
-// GLD_BATCH_WORDS: CI runs it once per backend (default frame, then
-// tableau, then the batch engines) and once at a K>1 batch width, so the
-// non-default engines and the K-word lane paths are gated by the same
+// The contract is per backend, and this suite honours GLD_BACKEND: CI
+// runs it once per backend (default frame, then tableau, then the batch
+// engine), so the non-default engines are gated by the same
 // bit-exactness suite on every PR, not only by the dedicated
 // cross-backend tests.
 
@@ -35,16 +34,15 @@ run_with_threads(const CodeContext& ctx, ExperimentConfig cfg, int threads,
     return runner.run(factory);
 }
 
-/** The backend under test: GLD_BACKEND, default frame; batch width from
- *  GLD_BATCH_WORDS, default 1; noise sampling from GLD_NOISE_SAMPLING,
- *  default sparse — so CI gates the lockstep reference with this same
- *  bit-exactness suite by exporting one variable. */
+/** The backend under test: GLD_BACKEND, default frame; noise sampling
+ *  from GLD_NOISE_SAMPLING, default sparse — so CI gates the lockstep
+ *  reference with this same bit-exactness suite by exporting one
+ *  variable. */
 ExperimentConfig
 base_config()
 {
     ExperimentConfig cfg;
     cfg.backend = backend_from_env();
-    cfg.batch_words = batch_words_from_env();
     cfg.noise_sampling = noise_sampling_from_env();
     return cfg;
 }
@@ -209,14 +207,13 @@ TEST(Determinism, MultiBlockStreamsBitIdenticalAcrossThreads)
     cfg.record_dlp_series = true;
     cfg.rng_streams = 2;
     // 2 streams x (block + 16) shots: one full scheduler block plus a
-    // 16-shot partial each, at whatever batch width the env selected
-    // (160 total at the default K=1).
-    cfg.shots = 2 * (ExperimentRunner::shot_block(cfg) + 16);
+    // 16-shot partial each.
+    cfg.shots = 2 * (ExperimentRunner::kShotBlock + 16);
     ASSERT_EQ(ExperimentRunner::stream_blocks(cfg, 0), 2);
-    // The final block is partial: on the batch backends it runs as a
-    // 16-lane batch with the trailing K*64-16 lanes masked off.
+    // The final block is partial: on the batch backend it runs as a
+    // 16-lane batch with the trailing 48 lanes masked off.
     ASSERT_NE(ExperimentRunner::stream_shots(cfg, 0) %
-                  ExperimentRunner::shot_block(cfg),
+                  ExperimentRunner::kShotBlock,
               0);
 
     const PolicyFactory factory = PolicyZoo::eraser(/*use_mlr=*/true);
@@ -289,65 +286,12 @@ TEST(Determinism, BatchFrameBitIdenticalToFrameAcrossThreads)
     }
 }
 
-// The same lane-replay contract at every multi-word batch width: lane
-// (w, l) of a K-word batch replays scalar shot w*64+l draw for draw.
-// batch_words is result-affecting for EVERY backend (it sets the
-// scheduler block feeding the per-block RNG derivation), so the frame
-// reference runs at the same K — which is exactly what makes the
-// comparison well-defined.  The shot count leaves a trailing partial
-// block whose active lanes spill one word and leave the rest masked
-// off, and the sharded run_partials fold is checked at K>1 too.
-TEST(Determinism, BatchFrameBitIdenticalToFrameAtEveryBatchWidth)
-{
-    const CssCode code = SurfaceCode::make(3);
-    const RoundCircuit rc(code);
-    const CodeContext ctx(code, rc, CodeContext::default_scope(code));
-    const PolicyFactory factory = PolicyZoo::eraser(/*use_mlr=*/true);
-
-    for (int words : {2, 4, 8}) {
-        SCOPED_TRACE(words);
-        ExperimentConfig cfg;
-        cfg.noise_sampling = NoiseSampling::kLockstep;  // the bit-exact mode
-        cfg.np = NoiseParams::standard(2e-3, 0.5);
-        cfg.rounds = 5;
-        cfg.seed = 0xBA7C0B1Dull + static_cast<uint64_t>(words);
-        cfg.leakage_sampling = true;
-        cfg.record_dlp_series = true;
-        cfg.compute_ler = true;
-        cfg.rng_streams = 2;
-        cfg.batch_words = words;
-        // Per stream: one full K*64-lane block + a 65-shot partial whose
-        // active lanes fill word 0 and one bit of word 1.
-        cfg.shots = 2 * (ExperimentRunner::shot_block(cfg) + 65);
-        ASSERT_EQ(ExperimentRunner::stream_blocks(cfg, 0), 2);
-
-        cfg.backend = SimBackend::kFrame;
-        const Metrics frame = run_with_threads(ctx, cfg, 1, factory);
-        cfg.backend = SimBackend::kBatchFrame;
-        for (int threads : {1, 8, 16}) {
-            SCOPED_TRACE(threads);
-            expect_metrics_identical(
-                frame, run_with_threads(ctx, cfg, threads, factory));
-        }
-
-        // Sharded-vs-single at K>1: per-stream partials merged in stream
-        // order must reproduce the same bits.
-        cfg.threads = 4;
-        const ExperimentRunner runner(ctx, cfg);
-        const std::vector<Metrics> parts =
-            runner.run_partials(factory, {0, 1});
-        Metrics merged = parts[0];
-        merged.merge(parts[1]);
-        expect_metrics_identical(frame, merged);
-    }
-}
-
-// Trailing partial blocks whose masked-off lanes cross a word boundary,
-// pinned at K=2 (128-lane blocks) with one stream: 65 shots light word 0
-// fully and one bit of word 1; 127 leave a single masked-off lane at the
-// top of word 1; 129 leave a SECOND block whose word 0 has one active
-// lane and whose word 1 is entirely dead — the all-zero-word path the
-// span kernels must not misindex.
+// Streams that cross 64-shot block boundaries, with one stream: 65 shots
+// run a full block and a one-lane partial; 127 a full block and a
+// partial with a single masked-off lane at the top; 129 two full blocks
+// and a one-lane third — the same slot's simulator reset from a full
+// batch into a nearly dead one, which the span kernels must not
+// misindex.
 TEST(Determinism, BatchFramePartialBlocksCrossWordBoundaries)
 {
     const CssCode code = SurfaceCode::make(3);
@@ -367,7 +311,6 @@ TEST(Determinism, BatchFramePartialBlocksCrossWordBoundaries)
         cfg.record_dlp_series = true;
         cfg.compute_ler = true;
         cfg.rng_streams = 1;
-        cfg.batch_words = 2;
 
         cfg.backend = SimBackend::kFrame;
         const Metrics frame = run_with_threads(ctx, cfg, 1, factory);
@@ -409,7 +352,7 @@ TEST(Determinism, SparseSamplingBitIdenticalAcrossThreadsAndShards)
     // One full block + a 17-shot partial per stream: the partial
     // batch's event space still spans site x lane over the full
     // block width, with dead lanes masked out of the event masks.
-    cfg.shots = 2 * (ExperimentRunner::shot_block(cfg) + 17);
+    cfg.shots = 2 * (ExperimentRunner::kShotBlock + 17);
     ASSERT_EQ(ExperimentRunner::stream_blocks(cfg, 0), 2);
 
     const Metrics base = run_with_threads(ctx, cfg, 1, factory);
@@ -499,9 +442,9 @@ TEST(Determinism, GladiatorSurfaceBitIdenticalAcrossThreads)
 // Per-worker simulator/policy/decoder reuse (the zero-allocation steady
 // state) must be invisible: reuse_worker_state = false reproduces the
 // fresh construct-per-block path, and both arms must agree bit for bit
-// at every thread count — per backend and batch width, via the same
-// GLD_BACKEND / GLD_BATCH_WORDS env axes as the rest of this suite.
-// (tests/test_worker_reuse.cc sweeps all backends x K explicitly.)
+// at every thread count — per backend, via the same GLD_BACKEND env axis
+// as the rest of this suite.  (tests/test_worker_reuse.cc sweeps all
+// backends explicitly.)
 TEST(Determinism, WorkerStateReuseBitIdenticalToFresh)
 {
     const CssCode code = SurfaceCode::make(3);
@@ -514,7 +457,7 @@ TEST(Determinism, WorkerStateReuseBitIdenticalToFresh)
     cfg.rng_streams = 2;
     // 2 blocks per stream, trailing block partial: a slot reuses its
     // cached state across full-after-partial and cross-stream blocks.
-    cfg.shots = 2 * ExperimentRunner::shot_block(cfg) + 17;
+    cfg.shots = 2 * ExperimentRunner::kShotBlock + 17;
     cfg.seed = 0xFEED5A5Aull;
     cfg.leakage_sampling = true;
     cfg.record_dlp_series = true;

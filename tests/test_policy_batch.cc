@@ -7,8 +7,7 @@
 //      pre-word rules).
 //  (b) Runner level: Metrics must be bit-identical between a policy's own
 //      (batched) factory and a decorator hiding batched() (the adapter),
-//      on all four backends, at block multipliers K = 1 and 2, lockstep
-//      and sparse.
+//      on every backend, lockstep and sparse.
 // Plus the schedule contract: the simulators' per-lane packer and the
 // adapter reject ids out of range, repeated or unordered, and the word
 // entry rejects misshaped masks (padding-lane bits are inert); and the
@@ -564,30 +563,26 @@ TEST(PolicyBatch, RunnerMetricsIdenticalThroughTheLaneAdapter)
         {"GLADIATOR-D+M", PolicyZoo::gladiator_d(true, np)},
     };
     for (SimBackend b : known_backends()) {
-        for (int K : {1, 2}) {
-            for (NoiseSampling ns :
-                 {NoiseSampling::kLockstep, NoiseSampling::kSparse}) {
-                ExperimentConfig cfg;
-                cfg.np = np;
-                cfg.rounds = 6;
-                cfg.shots = 2 * 64 * K + 37;  // a partial trailing batch
-                cfg.rng_streams = 2;
-                cfg.leakage_sampling = true;
-                cfg.compute_ler = true;
-                cfg.record_dlp_series = true;
-                cfg.backend = b;
-                cfg.batch_words = K;
-                cfg.noise_sampling = ns;
-                const ExperimentRunner runner(h.ctx, cfg);
-                for (const auto& [name, factory] : zoo) {
-                    SCOPED_TRACE(std::string(backend_name(b)) + " K=" +
-                                 std::to_string(K) + " " +
-                                 noise_sampling_name(ns) + " " + name);
-                    const Metrics batched = runner.run(factory);
-                    const Metrics adapted = runner.run(per_lane_only(factory));
-                    expect_metrics_identical(batched, adapted);
-                    EXPECT_EQ(batched.shots, cfg.shots);
-                }
+        for (NoiseSampling ns :
+             {NoiseSampling::kLockstep, NoiseSampling::kSparse}) {
+            ExperimentConfig cfg;
+            cfg.np = np;
+            cfg.rounds = 6;
+            cfg.shots = 2 * 64 + 37;  // a partial trailing batch
+            cfg.rng_streams = 2;
+            cfg.leakage_sampling = true;
+            cfg.compute_ler = true;
+            cfg.record_dlp_series = true;
+            cfg.backend = b;
+            cfg.noise_sampling = ns;
+            const ExperimentRunner runner(h.ctx, cfg);
+            for (const auto& [name, factory] : zoo) {
+                SCOPED_TRACE(std::string(backend_name(b)) + " " +
+                             noise_sampling_name(ns) + " " + name);
+                const Metrics batched = runner.run(factory);
+                const Metrics adapted = runner.run(per_lane_only(factory));
+                expect_metrics_identical(batched, adapted);
+                EXPECT_EQ(batched.shots, cfg.shots);
             }
         }
     }

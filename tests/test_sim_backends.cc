@@ -178,32 +178,23 @@ TEST(SimBackends, NoiseSamplingNamesEnvAndContracts)
         EXPECT_NE(backend_rng_contract(SimBackend::kBatchFrame, S),
                   backend_rng_contract(b, L))
             << backend_name(b);
-    // The one-arg form is the lockstep contract (unchanged call sites).
-    for (SimBackend b : kBackends)
-        EXPECT_EQ(backend_rng_contract(b), backend_rng_contract(b, L));
 }
 
 TEST(SimBackends, MakeSimulatorRejectsBadBatchWidths)
 {
-    // The block multiplier is validated uniformly at the factory for
-    // every backend — a bad config fails the same way whether or not the
-    // backend actually packs lanes.
+    // The factory's vestigial block multiplier accepts only 1, for every
+    // backend, and the batch backend is one 64-lane word wide.
     const Harness h(SurfaceCode::make(3));
     for (SimBackend b : kBackends) {
         SCOPED_TRACE(backend_name(b));
-        for (int words : {0, -1, kMaxBatchWords + 1})
+        for (int words : {0, -1, 2, 8})
             EXPECT_THROW(
                 make_simulator(b, h.code, h.rc, noiseless(), 1, words),
                 std::invalid_argument);
-        // Every in-range block multiplier constructs, and no batch
-        // backend is wider than one 64-lane word at any of them.
-        for (int words = 1; words <= kMaxBatchWords; ++words) {
-            const auto sim =
-                make_simulator(b, h.code, h.rc, noiseless(), 1, words);
-            EXPECT_EQ(sim->name(), backend_name(b));
-            if (b == SimBackend::kBatchFrame) {
-                EXPECT_EQ(sim->batch_width(), kBatchLanes) << words;
-            }
+        const auto sim = make_simulator(b, h.code, h.rc, noiseless(), 1, 1);
+        EXPECT_EQ(sim->name(), backend_name(b));
+        if (b == SimBackend::kBatchFrame) {
+            EXPECT_EQ(sim->batch_width(), kBatchLanes);
         }
     }
 }
@@ -638,35 +629,6 @@ TEST(SimBackends, BackendsAgreeStatisticallyOnDlp)
         << "dlp " << frame.dlp_mean() << " vs " << tab.dlp_mean()
         << " (z=" << r.z << ")";
 }
-
-TEST(BatchFrameBitEquality, ScalarInterfaceAtWideBatchStillMatchesFrame)
-{
-    // The scalar Simulator adapters run one-lane batches regardless of
-    // the constructed batch width: lane 0's RNG stream is derived from
-    // the same per-shot split at any K, so a K=4 batch sim driven
-    // through the scalar API must still equal frame draw for draw.
-    const Harness h(SurfaceCode::make(3));
-    const NoiseParams np = NoiseParams::standard(5e-3, 1.0);
-    const auto frame =
-        make_simulator(SimBackend::kFrame, h.code, h.rc, np, 99);
-    const auto batch = make_simulator(SimBackend::kBatchFrame, h.code,
-                                      h.rc, np, 99, /*batch_words=*/4);
-    const LrcSchedule none;
-    for (int shot = 0; shot < 4; ++shot) {
-        frame->reset_shot();
-        batch->reset_shot();
-        for (int r = 0; r < 6; ++r) {
-            const RoundResult a = frame->run_round(none);
-            const RoundResult b = batch->run_round(none);
-            EXPECT_EQ(a.meas_flip, b.meas_flip);
-            EXPECT_EQ(a.detector, b.detector);
-            EXPECT_EQ(a.mlr_flag, b.mlr_flag);
-        }
-        EXPECT_EQ(frame->final_data_measure(),
-                  batch->final_data_measure());
-    }
-}
-
 
 // --- The sparse sampler's planned round streams. ---
 //

@@ -6,11 +6,10 @@
 // its version field fixed) — every field, the DLP series included, bit
 // for bit.
 //
-// The grid covers the batch backend at block multipliers K = 1, 2, 4
-// and 8 (blocks of K 64-lane batches), two surface distances, leak-heavy
+// The grid covers the batch backend at two surface distances, leak-heavy
 // noise (so leaked lanes reach every masked site), both speculating
-// policies with MLR, and shot counts that leave a partial trailing batch
-// at every K.  A kernel change that moves any
+// policies with MLR, and a shot count that leaves a partial trailing
+// batch.  A kernel change that moves any
 // event, any payload draw or any readout fails here with the case named.
 
 #include <gtest/gtest.h>
@@ -28,31 +27,17 @@ namespace {
 
 struct Pin {
     SimBackend backend;
-    int batch_words;
     int distance;
     bool gladiator;  ///< GLADIATOR+M, else ERASER+M
     uint64_t hash;   ///< fnv1a64(metrics_to_json(m).dump())
 };
 
-// Each case runs 1000 shots (15 full batches + 40 lanes; at K = 8 a
-// 512-shot block and a 488-shot one).
+// Each case runs 1000 shots (15 full batches + 40 lanes).
 constexpr Pin kPins[] = {
-    {SimBackend::kBatchFrame, 1, 3, true, 0x664e2b8b45a652a0ull},
-    {SimBackend::kBatchFrame, 1, 3, false, 0x2c803b815cb25fcfull},
-    {SimBackend::kBatchFrame, 1, 5, true, 0x30a8b80351ec9474ull},
-    {SimBackend::kBatchFrame, 1, 5, false, 0x73b4f98c6673e042ull},
-    {SimBackend::kBatchFrame, 2, 3, true, 0x78f1040b9e220203ull},
-    {SimBackend::kBatchFrame, 2, 3, false, 0x6d88601cbbe6ccfcull},
-    {SimBackend::kBatchFrame, 2, 5, true, 0x241f9877c9604386ull},
-    {SimBackend::kBatchFrame, 2, 5, false, 0xf6e764ffbb275f8full},
-    {SimBackend::kBatchFrame, 4, 3, true, 0x0c95959c08619638ull},
-    {SimBackend::kBatchFrame, 4, 3, false, 0x102e758ef25bb72eull},
-    {SimBackend::kBatchFrame, 4, 5, true, 0x1802ca464c744cb0ull},
-    {SimBackend::kBatchFrame, 4, 5, false, 0x6b688715ac315cd0ull},
-    {SimBackend::kBatchFrame, 8, 3, true, 0x9891537c102c46d2ull},
-    {SimBackend::kBatchFrame, 8, 3, false, 0x67de9d9dba3745ddull},
-    {SimBackend::kBatchFrame, 8, 5, true, 0x3c3c0d1f2ae9d19full},
-    {SimBackend::kBatchFrame, 8, 5, false, 0xe0076c0e322dbf1eull},
+    {SimBackend::kBatchFrame, 3, true, 0x664e2b8b45a652a0ull},
+    {SimBackend::kBatchFrame, 3, false, 0x2c803b815cb25fcfull},
+    {SimBackend::kBatchFrame, 5, true, 0x30a8b80351ec9474ull},
+    {SimBackend::kBatchFrame, 5, false, 0x73b4f98c6673e042ull},
 };
 
 /** The serialize version the pinned Metrics JSON was captured under. */
@@ -61,13 +46,12 @@ constexpr int kPinnedFormatVersion = 4;
 std::string
 pin_name(const Pin& pin)
 {
-    return std::string(backend_name(pin.backend)) + " K=" +
-           std::to_string(pin.batch_words) + " d=" +
+    return std::string(backend_name(pin.backend)) + " d=" +
            std::to_string(pin.distance) +
            (pin.gladiator ? " GLADIATOR+M" : " ERASER+M");
 }
 
-TEST(SparsePins, MetricsJsonIsPinnedOnEveryBatchBackendAndWidth)
+TEST(SparsePins, MetricsJsonIsPinnedOnTheBatchBackend)
 {
     const NoiseParams np = NoiseParams::standard(5e-3, 1.0);
     for (const int d : {3, 5}) {
@@ -80,13 +64,12 @@ TEST(SparsePins, MetricsJsonIsPinnedOnEveryBatchBackendAndWidth)
             SCOPED_TRACE(pin_name(pin));
             ExperimentConfig cfg;
             cfg.backend = pin.backend;
-            cfg.batch_words = pin.batch_words;
             cfg.noise_sampling = NoiseSampling::kSparse;
             cfg.np = np;
             cfg.rounds = 2 * d;
             cfg.shots = 1000;
             cfg.seed = 0x5EED0000ull + static_cast<uint64_t>(d);
-            // One stream: its 64*K-shot blocks run as full 64-lane
+            // One stream: its 64-shot blocks run as full 64-lane
             // batches before the partial tail.
             cfg.rng_streams = 1;
             cfg.leakage_sampling = true;

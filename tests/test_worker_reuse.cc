@@ -1,8 +1,8 @@
 // Per-worker state reuse (the zero-allocation steady state) must be
 // invisible in the results: a slot's cached simulator/policies/decoder,
 // reset_for_block()-ed per (stream, block), produces Metrics
-// BIT-identical to fresh per-block construction — on every backend, at
-// every batch width K and at every thread count (slots run different
+// BIT-identical to fresh per-block construction — on every backend and
+// at every thread count (slots run different
 // unit interleavings at different thread counts, so this also pins that
 // no block leaks state into the next block a slot happens to run).
 //
@@ -34,26 +34,19 @@ run_cfg(const CodeContext& ctx, ExperimentConfig cfg, bool reuse,
 
 /**
  * Shots that force the reuse machinery through every shape: 2 streams x
- * 2 blocks each, the trailing block partial (its lane boundary falls
- * mid-span for K > 1), so a single slot at threads=1 runs 4 consecutive
- * units — full-after-partial and cross-stream resets included.
+ * 2 blocks each, the trailing block partial, so a single slot at
+ * threads=1 runs 4 consecutive units — full-after-partial and
+ * cross-stream resets included.
  */
-int
-stress_shots(const ExperimentConfig& cfg)
-{
-    return 2 * ExperimentRunner::shot_block(cfg) + 17;
-}
-
 ExperimentConfig
-stress_config(SimBackend backend, int batch_words)
+stress_config(SimBackend backend)
 {
     ExperimentConfig cfg;
     cfg.backend = backend;
-    cfg.batch_words = batch_words;
     cfg.np = NoiseParams::standard(2e-3, 0.1);
     cfg.rounds = 4;
     cfg.rng_streams = 2;
-    cfg.shots = stress_shots(cfg);
+    cfg.shots = 2 * ExperimentRunner::kShotBlock + 17;
     cfg.seed = 0xC0FFEE5EEDull;
     cfg.leakage_sampling = true;
     cfg.record_dlp_series = true;
@@ -63,23 +56,20 @@ stress_config(SimBackend backend, int batch_words)
 
 class WorkerReuse : public ::testing::TestWithParam<SimBackend> {};
 
-TEST_P(WorkerReuse, BitIdenticalToFreshAtEveryKAndThreadCount)
+TEST_P(WorkerReuse, BitIdenticalToFreshAtEveryThreadCount)
 {
     const CssCode& code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
     const PolicyFactory factory = PolicyZoo::eraser(/*use_mlr=*/true);
 
-    for (int k : {1, 2, 8}) {
-        SCOPED_TRACE("batch_words=" + std::to_string(k));
-        const ExperimentConfig cfg = stress_config(GetParam(), k);
-        for (int threads : {1, 8, 16}) {
-            SCOPED_TRACE("threads=" + std::to_string(threads));
-            const Metrics fresh = run_cfg(ctx, cfg, false, threads, factory);
-            const Metrics reused = run_cfg(ctx, cfg, true, threads, factory);
-            EXPECT_EQ(fresh.shots, cfg.shots);
-            expect_metrics_identical(fresh, reused);
-        }
+    const ExperimentConfig cfg = stress_config(GetParam());
+    for (int threads : {1, 8, 16}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const Metrics fresh = run_cfg(ctx, cfg, false, threads, factory);
+        const Metrics reused = run_cfg(ctx, cfg, true, threads, factory);
+        EXPECT_EQ(fresh.shots, cfg.shots);
+        expect_metrics_identical(fresh, reused);
     }
 }
 
@@ -101,7 +91,7 @@ TEST(WorkerReuse, SameRunnerTwiceIsBitIdentical)
 
     for (SimBackend backend : known_backends()) {
         SCOPED_TRACE(backend_name(backend));
-        ExperimentConfig cfg = stress_config(backend, 2);
+        ExperimentConfig cfg = stress_config(backend);
         cfg.threads = 8;
         ExperimentRunner runner(ctx, cfg);
         const Metrics first = runner.run(factory);
@@ -111,7 +101,7 @@ TEST(WorkerReuse, SameRunnerTwiceIsBitIdentical)
 
 TEST(WorkerReuse, InterleavedConfigsLeaveNoStaleState)
 {
-    // Different codes, backends and batch widths interleaved on the one
+    // Different codes, backends and shot counts interleaved on the one
     // process-wide pool: re-running a config after foreign work must
     // reproduce its first result exactly, for every backend.
     const CssCode& d3 = SurfaceCode::make(3);
@@ -124,17 +114,17 @@ TEST(WorkerReuse, InterleavedConfigsLeaveNoStaleState)
 
     std::vector<Metrics> first;
     for (SimBackend backend : known_backends()) {
-        ExperimentConfig cfg = stress_config(backend, 2);
+        ExperimentConfig cfg = stress_config(backend);
         first.push_back(run_cfg(ctx3, cfg, true, 8, factory));
-        // Foreign interleaved work: another code, another K.
-        ExperimentConfig other = stress_config(backend, 1);
-        other.shots = ExperimentRunner::shot_block(other) + 3;
+        // Foreign interleaved work: another code, another shot count.
+        ExperimentConfig other = stress_config(backend);
+        other.shots = ExperimentRunner::kShotBlock + 3;
         run_cfg(ctx5, other, true, 8, factory);
     }
     size_t i = 0;
     for (SimBackend backend : known_backends()) {
         SCOPED_TRACE(backend_name(backend));
-        ExperimentConfig cfg = stress_config(backend, 2);
+        ExperimentConfig cfg = stress_config(backend);
         expect_metrics_identical(first[i++],
                                  run_cfg(ctx3, cfg, true, 8, factory));
     }
@@ -149,7 +139,7 @@ TEST(WorkerReuse, RunnerLoopsNeverRespawnWorkers)
     const CodeContext ctx(code, rc, CodeContext::default_scope(code));
     const PolicyFactory factory = PolicyZoo::eraser(/*use_mlr=*/true);
 
-    ExperimentConfig cfg = stress_config(SimBackend::kBatchFrame, 2);
+    ExperimentConfig cfg = stress_config(SimBackend::kBatchFrame);
     run_cfg(ctx, cfg, true, 8, factory);  // warm the pool
     const long created = ThreadPool::instance().workers_created();
     for (int rep = 0; rep < 3; ++rep)

@@ -85,11 +85,6 @@ usage(const char* argv0)
         "  --backend <name>     simulation backend: %s\n"
         "                       (overrides the spec; changes every job's\n"
         "                       config hash, so results never mix)\n"
-        "  --batch-words <K>    scheduler block of K*64 shots, 1..%d\n"
-        "                       (overrides the spec; batch backends run\n"
-        "                       a block as K 64-lane batches; like\n"
-        "                       --backend it changes every job's config\n"
-        "                       hash)\n"
         "  --noise-sampling <m> noise sampling mode: %s\n"
         "                       (overrides the spec; default sparse, the\n"
         "                       event-wise engine; lockstep replays the\n"
@@ -119,7 +114,7 @@ usage(const char* argv0)
         "                       multiply candidate noise p by f — a\n"
         "                       deliberate fault the referee must flag\n"
         "                       (power calibration; default 1.0 = off)\n",
-        argv0, known_backend_names().c_str(), kMaxBatchWords,
+        argv0, known_backend_names().c_str(),
         known_noise_sampling_names().c_str());
     return 2;
 }
@@ -129,7 +124,6 @@ struct Args {
     std::string spec_path;
     std::string out_dir = "campaign_out";
     std::string backend;  ///< empty = use the spec's backend
-    int batch_words = 0;  ///< 0 = use the spec's block multiplier
     std::string noise_sampling;  ///< empty = use the spec's mode
     int shard = -1;
     int n_shards = 1;
@@ -210,9 +204,6 @@ parse_args(int argc, char** argv)
         } else if (arg == "--backend") {
             a.backend = need_value("--backend");
             backend_from_name(a.backend);  // validate early
-        } else if (arg == "--batch-words") {
-            a.batch_words = int_flag(arg, need_value("--batch-words"), 1,
-                                     kMaxBatchWords);
         } else if (arg == "--noise-sampling") {
             a.noise_sampling = need_value("--noise-sampling");
             noise_sampling_from_name(a.noise_sampling);  // validate early
@@ -264,13 +255,11 @@ load_spec(const Args& a)
                                  a.command + "'");
     CampaignSpec spec = CampaignSpec::from_json(
         io::Json::parse(io::read_file(a.spec_path)));
-    // A --backend / --batch-words / --noise-sampling override rewrites
+    // A --backend / --noise-sampling override rewrites
     // every job's config (and hash), so run/merge/report agree as long
     // as they get the same flags.
     if (!a.backend.empty())
         spec.backend = backend_from_name(a.backend);
-    if (a.batch_words > 0)
-        spec.batch_words = a.batch_words;
     if (!a.noise_sampling.empty())
         spec.noise_sampling = noise_sampling_from_name(a.noise_sampling);
     return spec;
@@ -441,14 +430,7 @@ cmd_demo(const Args& a)
         spec.backend = backend_from_name(a.backend);
     else
         spec.backend = backend_from_env();
-    // Same self-contained-spec reasoning for the batch width: the demo
-    // may take it from GLD_BATCH_WORDS so the CI matrix can exercise
-    // K>1 blocks end-to-end without touching any spec file.
-    if (a.batch_words > 0)
-        spec.batch_words = a.batch_words;
-    else
-        spec.batch_words = batch_words_from_env();
-    // ...and for the noise sampling mode: GLD_NOISE_SAMPLING lets the CI
+    // Same for the noise sampling mode: GLD_NOISE_SAMPLING lets the CI
     // matrix run the whole tier-1 suite under either mode end-to-end.
     if (!a.noise_sampling.empty())
         spec.noise_sampling = noise_sampling_from_name(a.noise_sampling);
@@ -541,12 +523,7 @@ cmd_verify(const Args& a)
     // The grid's own backend field is ignored on purpose: the arms are
     // defined by --reference/--candidates, never by the spec or
     // GLD_BACKEND (an env override could silently relabel an arm).
-    // --batch-words DOES apply: the block multiplier is shared by every
-    // arm (it sets the common scheduler block size), so refereeing at
-    // K>1 judges blocks of K batches against frame at the same blocks.
-    if (a.batch_words > 0)
-        grid.batch_words = a.batch_words;
-    // --noise-sampling also applies grid-wide: under sparse the batch
+    // --noise-sampling applies grid-wide: under sparse the batch
     // backends move to their own RNG contracts, so e.g. batch_frame is
     // refereed STATISTICALLY against a genuine lockstep frame reference
     // — the qualification gate for the sparse sampler itself.

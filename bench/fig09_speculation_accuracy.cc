@@ -39,6 +39,7 @@ main()
     spec.rounds = 70;  // 10d, as in the paper's Fig 12 horizon
     spec.leakage_sampling = true;
     spec.backend = backend_from_env();
+    spec.noise_sampling = noise_sampling_from_env();
     spec.codes = {"surface:7"};
     spec.noise = {NoiseParams::standard(1e-3, 0.1)};
     // One paired list: registry name + the paper's display name, so the

@@ -467,16 +467,35 @@ BM_UnionFindDecode(benchmark::State& state)
 }
 BENCHMARK(BM_UnionFindDecode)->ArgName("d")->Arg(7)->Arg(11);
 
+/**
+ * The decoding graph from scratch (template, tiling, DecodingGraph) at
+ * the two LER workloads' shapes and at Fig 14's d = 17 x 1700 rounds.
+ * Args: distance, rounds.
+ */
 void
 BM_DemBuild(benchmark::State& state)
 {
-    const CodeBundle& b = surface7();
+    const CssCode code = SurfaceCode::make(static_cast<int>(state.range(0)));
+    const RoundCircuit rc(code);
+    const int rounds = static_cast<int>(state.range(1));
+    int nodes = 0;
+    size_t edges = 0;
     for (auto _ : state) {
-        DemBuilder dem(b.code, b.rc, NoiseParams::standard(), 21);
-        benchmark::DoNotOptimize(dem.build());
+        DemBuilder dem(code, rc, kPaperNoise, rounds);
+        const DecodingGraph g = dem.build();
+        nodes = g.n_nodes();
+        edges = g.edges().size();
+        benchmark::DoNotOptimize(g);
     }
+    state.counters["nodes"] = nodes;
+    state.counters["edges"] = static_cast<double>(edges);
 }
-BENCHMARK(BM_DemBuild);
+BENCHMARK(BM_DemBuild)
+    ->ArgNames({"d", "rounds"})
+    ->Args({7, 70})
+    ->Args({11, 110})
+    ->Args({17, 1700})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

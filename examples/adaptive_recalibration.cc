@@ -38,6 +38,7 @@ main()
         cfg.shots = BenchConfig::shots(200);
         cfg.threads = BenchConfig::threads();
         cfg.backend = backend_from_env();
+        cfg.noise_sampling = noise_sampling_from_env();
         cfg.leakage_sampling = true;
         ExperimentRunner runner(ctx, cfg);
         // Stale: tables built for the old calibration point.

@@ -60,6 +60,7 @@ main()
     spec.rounds = 100;
     spec.leakage_sampling = true;
     spec.backend = backend_from_env();
+    spec.noise_sampling = noise_sampling_from_env();
     spec.codes = {"color:7"};
     spec.noise = {np};
     for (const auto& entry : lineup)

@@ -30,6 +30,7 @@ run_code(const CssCode& code)
     cfg.shots = BenchConfig::shots(200);
     cfg.threads = BenchConfig::threads();
     cfg.backend = backend_from_env();
+    cfg.noise_sampling = noise_sampling_from_env();
     cfg.leakage_sampling = true;
     ExperimentRunner runner(ctx, cfg);
 

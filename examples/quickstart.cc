@@ -31,6 +31,7 @@ main()
     cfg.shots = BenchConfig::shots(400);
     cfg.threads = BenchConfig::threads();
     cfg.backend = backend_from_env();
+    cfg.noise_sampling = noise_sampling_from_env();
     cfg.compute_ler = true;
     cfg.leakage_sampling = true;
     ExperimentRunner runner(ctx, cfg);

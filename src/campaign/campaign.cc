@@ -156,7 +156,8 @@ CampaignSpec::from_json(const Json& j)
     spec.backend = j.has("backend")
                        ? backend_from_name(j["backend"].as_str())
                        : SimBackend::kFrame;  // version-1 specs
-    // The removed block multiplier is refused, as in config_from_json.
+    // The removed block multiplier is refused: run as one 64-shot block,
+    // such a spec would hash and report as a config it is not.
     if (j.has("batch_words"))
         throw std::runtime_error(
             "CampaignSpec: \"batch_words\" is no longer supported (a shot "

@@ -1,9 +1,9 @@
-#include <cstddef>
 #include "decode/dem_builder.h"
 
 #include <algorithm>
-#include <cassert>
-#include <unordered_map>
+#include <cstddef>
+#include <cstdint>
+#include <utility>
 
 namespace gld {
 
@@ -13,6 +13,13 @@ namespace {
 constexpr int kPauliX = 1;
 constexpr int kPauliZ = 2;
 constexpr int kPauliY = 3;
+
+/** Faults the graph cannot hold: hyperedges and undetectable logicals. */
+bool
+is_dropped(size_t n_dets, bool logical)
+{
+    return n_dets > 2 || (n_dets == 0 && logical);
+}
 
 }  // namespace
 
@@ -30,90 +37,6 @@ DemBuilder::DemBuilder(const CssCode& code, const RoundCircuit& rc,
     logical_mask_.assign(code.n_data(), 0);
     for (int q : code.logical_z())
         logical_mask_[q] ^= 1;
-    fx_.assign(code.n_qubits(), 0);
-    fz_.assign(code.n_qubits(), 0);
-}
-
-DemBuilder::TemplateFault
-DemBuilder::propagate(const std::vector<std::pair<int, int>>& inject,
-                      size_t start_op, double prob)
-{
-    // Clear only the qubits touched by the previous call.
-    for (int q : touched_) {
-        fx_[q] = 0;
-        fz_[q] = 0;
-    }
-    touched_.clear();
-    auto touch = [&](int q) { touched_.push_back(q); };
-
-    for (const auto& [q, pauli] : inject) {
-        fx_[q] ^= pauli & 1;
-        fz_[q] ^= (pauli >> 1) & 1;
-        touch(q);
-    }
-
-    std::vector<std::pair<int, uint8_t>> mflips;  // (check, flip)
-    const auto& ops = rc_->ops();
-    for (size_t i = start_op; i < ops.size(); ++i) {
-        const Op& op = ops[i];
-        switch (op.type) {
-          case OpType::kResetZ:
-            fx_[op.q0] = 0;
-            fz_[op.q0] = 0;
-            break;
-          case OpType::kH:
-            std::swap(fx_[op.q0], fz_[op.q0]);
-            break;
-          case OpType::kCnot:
-            if (fx_[op.q0]) {
-                fx_[op.q1] ^= 1;
-                touch(op.q1);
-            }
-            if (fz_[op.q1]) {
-                fz_[op.q0] ^= 1;
-                touch(op.q0);
-            }
-            break;
-          case OpType::kMeasure:
-            if (fx_[op.q0])
-                mflips.emplace_back(op.mslot, 1);
-            break;
-        }
-    }
-
-    // Steady-state parity per Z check (all later rounds measure this).
-    TemplateFault out;
-    out.prob = prob;
-    out.logical = false;
-    std::vector<std::pair<int, int>> acc;  // (layer, zidx) with multiplicity
-    for (const auto& [check, flip] : mflips) {
-        if (flip && z_index_[check] >= 0) {
-            acc.emplace_back(0, z_index_[check]);
-            acc.emplace_back(1, z_index_[check]);  // det(r+1) ^= m_r flip
-        }
-    }
-    for (size_t zi = 0; zi < z_checks_.size(); ++zi) {
-        uint8_t parity = 0;
-        for (int q : code_->check(z_checks_[zi]).support)
-            parity ^= fx_[q];
-        if (parity)
-            acc.emplace_back(1, static_cast<int>(zi));
-    }
-    for (int q = 0; q < code_->n_data(); ++q) {
-        if (fx_[q] && logical_mask_[q])
-            out.logical = !out.logical;
-    }
-    // XOR-dedupe the accumulated (layer, zidx) flips.
-    std::sort(acc.begin(), acc.end());
-    for (size_t i = 0; i < acc.size();) {
-        size_t j = i;
-        while (j < acc.size() && acc[j] == acc[i])
-            ++j;
-        if ((j - i) % 2 == 1)
-            out.dets.push_back(acc[i]);
-        i = j;
-    }
-    return out;
 }
 
 void
@@ -125,55 +48,136 @@ DemBuilder::enumerate_template()
     const auto& ops = rc_->ops();
     const double p = np_.p;
 
-    // Round-start data depolarization.
-    for (int q = 0; q < code_->n_data(); ++q) {
-        for (int pauli : {kPauliX, kPauliZ, kPauliY})
-            template_faults_.push_back(propagate({{q, pauli}}, 0, p / 3.0));
+    // The outputs a fault can flip, as one bitset of w words: words
+    // [0, wm) the Z checks' measurements m, words [wm, 2 wm) their
+    // steady-state parities s (what every later round measures), word
+    // 2 wm bit 0 the logical.  Detector (0, zi) reads m, (1, zi) m ^ s.
+    const size_t wm = (z_checks_.size() + 63) / 64;
+    const size_t w = 2 * wm + 1;
+    // sx / sz: per qubit, the outputs an X / Z there flips from the
+    // current point of the round on.  At the round's end that is the
+    // Z checks' parities and the logical for an X on a data qubit.
+    std::vector<uint64_t> sx(static_cast<size_t>(code_->n_qubits()) * w, 0);
+    std::vector<uint64_t> sz(sx.size(), 0);
+    auto set_of = [w](std::vector<uint64_t>& s, int q) {
+        return s.data() + static_cast<size_t>(q) * w;
+    };
+    auto flip = [](uint64_t* set, size_t bit) {
+        set[bit / 64] ^= uint64_t{1} << (bit % 64);
+    };
+    for (size_t zi = 0; zi < z_checks_.size(); ++zi) {
+        for (int q : code_->check(z_checks_[zi]).support)
+            flip(set_of(sx, q), wm * 64 + zi);
     }
-    for (size_t i = 0; i < ops.size(); ++i) {
+    for (int q = 0; q < code_->n_data(); ++q) {
+        if (logical_mask_[q])
+            flip(set_of(sx, q), 2 * wm * 64);
+    }
+
+    // One w-word footprint per fault.  The walk runs backwards, so op i's
+    // faults land in spans[i]; spans[ops.size()] holds the round start's.
+    std::vector<uint64_t> rows;
+    std::vector<double> probs;
+    std::vector<std::pair<size_t, size_t>> spans(ops.size() + 1);
+    auto fault = [&](int q, int pauli, double prob) {
+        const uint64_t* x = set_of(sx, q);
+        const uint64_t* z = set_of(sz, q);
+        for (size_t k = 0; k < w; ++k)
+            rows.push_back((pauli & kPauliX ? x[k] : 0) ^
+                           (pauli & kPauliZ ? z[k] : 0));
+        probs.push_back(prob);
+    };
+    for (size_t i = ops.size(); i-- > 0;) {
         const Op& op = ops[i];
+        const size_t first = probs.size();
+        // Faults just after op i: the sets stand between ops i and i + 1.
         switch (op.type) {
           case OpType::kResetZ:
-            template_faults_.push_back(
-                propagate({{op.q0, kPauliX}}, i + 1, p));
+            fault(op.q0, kPauliX, p);
             break;
           case OpType::kH:
-            for (int pauli : {kPauliX, kPauliZ, kPauliY}) {
-                template_faults_.push_back(
-                    propagate({{op.q0, pauli}}, i + 1, p / 3.0));
-            }
+            for (int pauli : {kPauliX, kPauliZ, kPauliY})
+                fault(op.q0, pauli, p / 3.0);
             break;
           case OpType::kCnot:
             // Marginal single-qubit components of the two-qubit
             // depolarizing channel (4/15 each); correlated pairs are left
             // to the simulator and absorbed as independent edges.
             for (int pauli : {kPauliX, kPauliZ, kPauliY}) {
-                template_faults_.push_back(
-                    propagate({{op.q0, pauli}}, i + 1, 4.0 * p / 15.0));
-                template_faults_.push_back(
-                    propagate({{op.q1, pauli}}, i + 1, 4.0 * p / 15.0));
+                fault(op.q0, pauli, 4.0 * p / 15.0);
+                fault(op.q1, pauli, 4.0 * p / 15.0);
             }
             break;
           case OpType::kMeasure: {
             const int zi = z_index_[op.mslot];
             if (zi >= 0) {
-                TemplateFault tf;
-                tf.prob = p;
-                tf.logical = false;
-                tf.dets = {{0, zi}, {1, zi}};
-                template_faults_.push_back(tf);
+                rows.resize(rows.size() + w, 0);
+                flip(rows.data() + rows.size() - w, static_cast<size_t>(zi));
+                probs.push_back(p);
             }
             break;
           }
         }
+        spans[i] = {first, probs.size()};
+        // Step the sets back across op i.
+        uint64_t* x0 = set_of(sx, op.q0);
+        uint64_t* z0 = set_of(sz, op.q0);
+        switch (op.type) {
+          case OpType::kResetZ:
+            std::fill_n(x0, w, 0);
+            std::fill_n(z0, w, 0);
+            break;
+          case OpType::kH:
+            std::swap_ranges(x0, x0 + w, z0);
+            break;
+          case OpType::kCnot: {
+            const uint64_t* xt = set_of(sx, op.q1);
+            uint64_t* zt = set_of(sz, op.q1);
+            for (size_t k = 0; k < w; ++k) {
+                x0[k] ^= xt[k];
+                zt[k] ^= z0[k];
+            }
+            break;
+          }
+          case OpType::kMeasure:
+            if (z_index_[op.mslot] >= 0)
+                flip(x0, static_cast<size_t>(z_index_[op.mslot]));
+            break;
+        }
     }
-    // Drop no-op faults.
-    template_faults_.erase(
-        std::remove_if(template_faults_.begin(), template_faults_.end(),
-                       [](const TemplateFault& tf) {
-                           return tf.dets.empty() && !tf.logical;
-                       }),
-        template_faults_.end());
+    // Round-start data depolarization.
+    const size_t first = probs.size();
+    for (int q = 0; q < code_->n_data(); ++q) {
+        for (int pauli : {kPauliX, kPauliZ, kPauliY})
+            fault(q, pauli, p / 3.0);
+    }
+    spans[ops.size()] = {first, probs.size()};
+
+    // Emit in forward order (round start, then op by op), dropping
+    // no-op faults.
+    auto emit = [&](std::pair<size_t, size_t> span) {
+        for (size_t f = span.first; f < span.second; ++f) {
+            const uint64_t* row = rows.data() + f * w;
+            TemplateFault tf;
+            tf.prob = probs[f];
+            tf.logical = (row[2 * wm] & 1) != 0;
+            for (size_t k = 0; k < wm; ++k) {
+                for (uint64_t b = row[k]; b != 0; b &= b - 1)
+                    tf.dets.emplace_back(
+                        0, static_cast<int>(k * 64) + __builtin_ctzll(b));
+            }
+            for (size_t k = 0; k < wm; ++k) {
+                for (uint64_t b = row[k] ^ row[wm + k]; b != 0; b &= b - 1)
+                    tf.dets.emplace_back(
+                        1, static_cast<int>(k * 64) + __builtin_ctzll(b));
+            }
+            if (!tf.dets.empty() || tf.logical)
+                template_faults_.push_back(std::move(tf));
+        }
+    };
+    emit(spans[ops.size()]);
+    for (size_t i = 0; i < ops.size(); ++i)
+        emit(spans[i]);
 }
 
 const std::vector<DemBuilder::TemplateFault>&
@@ -183,78 +187,113 @@ DemBuilder::template_faults()
     return template_faults_;
 }
 
+std::vector<DemBuilder::LayerEdge>
+DemBuilder::layer_edges(bool prev_round, bool own_round,
+                        const std::vector<TemplateFault>& readout) const
+{
+    // Nodes relative to layer L: [0, nz) is layer L, [nz, 2 nz) layer
+    // L + 1, 2 nz the boundary (so it sorts last).  Layer L holds the
+    // edges whose lower end is in it: round L - 1's faults that flip only
+    // layer L, then round L's faults, then the final readout — the order
+    // in which each edge's probability is summed.
+    const int nz = this->nz();
+    const int boundary = 2 * nz;
+    std::vector<LayerEdge> hits;
+    auto add = [&](const TemplateFault& tf, int shift) {
+        int u = tf.dets[0].first * nz + tf.dets[0].second - shift;
+        int v = tf.dets.size() == 2
+                    ? tf.dets[1].first * nz + tf.dets[1].second - shift
+                    : boundary;
+        if (u > v)
+            std::swap(u, v);
+        hits.push_back({u, v, tf.logical, tf.prob});
+    };
+    for (const bool from_prev : {true, false}) {
+        if (!(from_prev ? prev_round : own_round))
+            continue;
+        for (const TemplateFault& tf : template_faults_) {
+            if (tf.dets.empty() || tf.dets.size() > 2)
+                continue;
+            // dets are sorted, so the first one says whether the fault
+            // reaches offset 0 of its round.
+            if ((tf.dets[0].first == 1) == from_prev)
+                add(tf, from_prev ? nz : 0);
+        }
+    }
+    for (const TemplateFault& tf : readout) {
+        if (!tf.dets.empty() && tf.dets.size() <= 2)
+            add(tf, 0);
+    }
+
+    // Sum each edge's hits in arrival order, split by logical parity.
+    std::stable_sort(hits.begin(), hits.end(),
+                     [](const LayerEdge& a, const LayerEdge& b) {
+                         return a.u != b.u ? a.u < b.u : a.v < b.v;
+                     });
+    std::vector<LayerEdge> edges;
+    for (size_t i = 0; i < hits.size();) {
+        double plain = 0.0;
+        double logical = 0.0;
+        size_t j = i;
+        for (; j < hits.size() && hits[j].u == hits[i].u &&
+               hits[j].v == hits[i].v;
+             ++j)
+            (hits[j].logical ? logical : plain) += hits[j].prob;
+        // Keep the more probable logical attribution for this edge.
+        edges.push_back({hits[i].u, hits[i].v, logical > plain,
+                         plain + logical});
+        i = j;
+    }
+    return edges;
+}
+
 DecodingGraph
 DemBuilder::build()
 {
     enumerate_template();
-    dropped_ = 0;
+    const int nz = this->nz();
 
-    // (u, v) -> prob by logical parity; v == n_nodes() encodes boundary.
-    std::unordered_map<uint64_t, std::pair<double, double>> acc;
-    auto add_fault = [&](const std::vector<int>& nodes, bool logical,
-                         double prob) {
-        if (nodes.empty()) {
-            if (logical)
-                ++dropped_;  // undetectable logical fault
-            return;
-        }
-        if (nodes.size() > 2) {
-            ++dropped_;
-            return;
-        }
-        int u = nodes[0];
-        int v = nodes.size() == 2 ? nodes[1] : n_nodes();
-        if (u > v)
-            std::swap(u, v);
-        const uint64_t key =
-            (static_cast<uint64_t>(u) << 32) | static_cast<uint32_t>(v);
-        auto& slot = acc[key];
-        if (logical)
-            slot.second += prob;
-        else
-            slot.first += prob;
-    };
-
-    std::vector<int> nodes;
-    for (int r = 0; r < rounds_; ++r) {
-        for (const TemplateFault& tf : template_faults_) {
-            nodes.clear();
-            bool in_range = true;
-            for (const auto& [layer, zi] : tf.dets) {
-                const int l = r + layer;
-                if (l > rounds_) {
-                    in_range = false;
-                    break;
-                }
-                nodes.push_back(node_id(l, zi));
-            }
-            if (!in_range)
-                continue;  // cannot happen (layer <= 1), defensive
-            add_fault(nodes, tf.logical, tf.prob);
-        }
-    }
-    // Final transversal-readout flips.
+    // Final transversal-readout flips, at offset 0 of the final layer.
+    std::vector<TemplateFault> readout(code_->n_data());
     for (int q = 0; q < code_->n_data(); ++q) {
-        nodes.clear();
+        TemplateFault& tf = readout[q];
         for (int c : code_->data_adjacency()[q]) {
             if (z_index_[c] >= 0)
-                nodes.push_back(node_id(rounds_, z_index_[c]));
+                tf.dets.emplace_back(0, z_index_[c]);
         }
-        add_fault(nodes, logical_mask_[q] != 0, np_.p);
+        tf.logical = logical_mask_[q] != 0;
+        tf.prob = np_.p;
     }
+    int per_round = 0;
+    for (const TemplateFault& tf : template_faults_)
+        per_round += is_dropped(tf.dets.size(), tf.logical);
+    dropped_ = rounds_ * per_round;
+    for (const TemplateFault& tf : readout)
+        dropped_ += is_dropped(tf.dets.size(), tf.logical);
+
+    // Layer 0 has no earlier round, the final layer no round of its own;
+    // every bulk layer is the same tile.
+    const std::vector<TemplateFault> none;
+    const std::vector<LayerEdge> first = layer_edges(false, true, none);
+    const std::vector<LayerEdge> bulk =
+        rounds_ > 1 ? layer_edges(true, true, none)
+                    : std::vector<LayerEdge>{};
+    const std::vector<LayerEdge> last =
+        layer_edges(rounds_ > 0, false, readout);
 
     std::vector<GraphEdge> edges;
-    edges.reserve(acc.size());
-    for (const auto& [key, probs] : acc) {
-        const int u = static_cast<int>(key >> 32);
-        const int v = static_cast<int>(key & 0xFFFFFFFFu);
-        GraphEdge e;
-        e.u = u;
-        e.v = v == n_nodes() ? GraphEdge::kBoundary : v;
-        // Keep the more probable logical attribution for this edge.
-        e.logical = probs.second > probs.first;
-        e.prob = probs.first + probs.second;
-        edges.push_back(e);
+    edges.reserve(first.size() + last.size() +
+                  bulk.size() * static_cast<size_t>(std::max(rounds_ - 1, 0)));
+    for (int layer = 0; layer <= rounds_; ++layer) {
+        const std::vector<LayerEdge>& tile =
+            layer == rounds_ ? last : layer == 0 ? first : bulk;
+        const int base = layer * nz;
+        for (const LayerEdge& e : tile) {
+            edges.push_back({base + e.u,
+                             e.v == 2 * nz ? GraphEdge::kBoundary
+                                           : base + e.v,
+                             e.logical, e.prob});
+        }
     }
     return DecodingGraph(n_nodes(), std::move(edges));
 }

@@ -11,12 +11,20 @@
 namespace gld {
 
 /**
- * Detector-error-model builder: exhaustively enumerates the single Pauli
- * faults of the noisy syndrome-extraction circuit, propagates each through
- * the round (data frames are static afterwards, so one template round plus
- * the steady-state parity determines the full space-time footprint), and
- * assembles the space-time decoding graph over Z-type detectors for a
- * memory-Z experiment.
+ * Detector-error-model builder: enumerates the single Pauli faults of the
+ * noisy syndrome-extraction circuit and assembles the space-time decoding
+ * graph over Z-type detectors for a memory-Z experiment.
+ *
+ * Data frames are static after a round, so one template round plus the
+ * steady-state parity determines every fault's space-time footprint.
+ * The template comes from one backward pass over the round's ops (as
+ * Stim builds its detector error model), keeping per qubit the set of
+ * outputs an X or a Z there would flip; a fault's footprint is the XOR
+ * of the sets its Pauli picks.  The graph is then tiled: layer 0, the
+ * bulk layers and the final layer each get their edge list once, and
+ * build() emits them layer by layer, so the edges come out sorted by
+ * (u, v) with the boundary last.  Cost O(ops * W + edges), W the words
+ * of a 2 * nz + 1 output bitset.
  *
  * Faults flipping one detector become boundary edges, two an internal
  * edge; rarer hook faults flipping more are dropped (counted in
@@ -39,7 +47,11 @@ class DemBuilder {
     /** Z-column of check c, or -1 if c is an X check. */
     int z_index(int check) const { return z_index_[check]; }
 
-    /** Builds the deduplicated decoding graph. */
+    /**
+     * Builds the deduplicated decoding graph, edges sorted by (u, v) with
+     * boundary edges last at their u.  Each edge's probability sums its
+     * faults round by round in template order, then the final readout.
+     */
     DecodingGraph build();
 
     int dropped_hyperedges() const { return dropped_; }
@@ -57,9 +69,23 @@ class DemBuilder {
     const std::vector<TemplateFault>& template_faults();
 
   private:
+    /** An edge with endpoints relative to its layer (see layer_edges()). */
+    struct LayerEdge {
+        int u;
+        int v;
+        bool logical;
+        double prob;
+    };
+
     void enumerate_template();
-    TemplateFault propagate(const std::vector<std::pair<int, int>>& inject,
-                            size_t start_op, double prob);
+    /**
+     * The edges whose lower end lies in one layer, sorted: from the
+     * faults of the round before it (prev_round), of its own round
+     * (own_round) and the given final-readout faults.
+     */
+    std::vector<LayerEdge> layer_edges(
+        bool prev_round, bool own_round,
+        const std::vector<TemplateFault>& readout) const;
 
     const CssCode* code_;
     const RoundCircuit* rc_;
@@ -71,10 +97,6 @@ class DemBuilder {
     std::vector<TemplateFault> template_faults_;
     bool template_built_ = false;
     int dropped_ = 0;
-
-    // Scratch for propagation.
-    std::vector<uint8_t> fx_, fz_;
-    std::vector<int> touched_;
 };
 
 }  // namespace gld

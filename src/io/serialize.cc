@@ -1,6 +1,5 @@
 #include "io/serialize.h"
 
-#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -175,38 +174,6 @@ config_to_json(const ExperimentConfig& cfg)
     // cfg.threads is deliberately NOT serialized: it does not affect
     // results (determinism contract) and must not affect the config hash.
     return j;
-}
-
-ExperimentConfig
-config_from_json(const Json& j)
-{
-    check_version(j, "ExperimentConfig");
-    ExperimentConfig cfg;
-    cfg.np = noise_from_json(j["noise"]);
-    cfg.rounds = int_in_range(j, "rounds", 1, INT_MAX, "ExperimentConfig");
-    cfg.shots = int_in_range(j, "shots", 1, INT_MAX, "ExperimentConfig");
-    cfg.seed = u64_from_hex(j["seed"].as_str());
-    cfg.leakage_sampling = j["leakage_sampling"].as_bool();
-    cfg.compute_ler = j["compute_ler"].as_bool();
-    cfg.record_dlp_series = j["record_dlp_series"].as_bool();
-    cfg.rng_streams =
-        int_in_range(j, "rng_streams", 1, INT_MAX, "ExperimentConfig");
-    // Version-1 documents predate backends: migrate to "frame" (what
-    // they were produced by).  Their config hash differs regardless, so
-    // old CHECKPOINTS are refused rather than resumed.
-    cfg.backend = j.has("backend") ? backend_from_name(j["backend"].as_str())
-                                   : SimBackend::kFrame;
-    // The removed block multiplier: running such a document as one
-    // 64-shot block would hash and report it as a config it is not.
-    if (j.has("batch_words"))
-        throw std::runtime_error(
-            "ExperimentConfig: \"batch_words\" is no longer supported (a "
-            "shot block is always 64 shots); remove the field");
-    cfg.noise_sampling =
-        j.has("noise_sampling")
-            ? noise_sampling_from_name(j["noise_sampling"].as_str())
-            : NoiseSampling::kLockstep;
-    return cfg;
 }
 
 uint64_t

@@ -66,8 +66,16 @@ namespace io {
  *    refused.  The block is always 64 shots, and the hash is taken over
  *    the re-serialized config, so an ignored K > 1 field would run and
  *    hash as K = 1 silently.
+ *  - 6: no field changes; bumped because DemBuilder now emits the
+ *    decoding graph's edges sorted by (u, v), boundary last, instead of
+ *    in hash-table order.  The edge set and every edge's probability and
+ *    logical bit are unchanged, but the union-find decoder grows clusters
+ *    in edge order, so logical_errors can move (and only it: every other
+ *    Metrics field is byte-identical).  The hashed version refuses
+ *    version-5 checkpoints as stale rather than mixing their LER
+ *    partials with new ones.
  */
-constexpr int kSerializeVersion = 5;
+constexpr int kSerializeVersion = 6;
 
 /** IEEE-754 binary64 → "0x<16 hex digits>" (bit_cast, exact). */
 std::string f64_to_hex(double v);
@@ -94,14 +102,10 @@ NoiseParams noise_from_json(const Json& j);
 int int_in_range(const Json& j, const char* key, int64_t lo, int64_t hi,
                  const char* what);
 
-// --- ExperimentConfig (embeds NoiseParams). ---
+// --- ExperimentConfig (embeds NoiseParams); written, never read back:
+// shard files carry only its hash, and campaign specs are read by
+// CampaignSpec::from_json. ---
 Json config_to_json(const ExperimentConfig& cfg);
-/**
- * Throws std::runtime_error, naming the field, unless shots, rounds and
- * rng_streams are in [1, INT_MAX], or when the document carries the
- * removed "batch_words".
- */
-ExperimentConfig config_from_json(const Json& j);
 
 /**
  * Stable 64-bit fingerprint of a config: FNV-1a over the canonical

@@ -36,7 +36,7 @@ struct Pin {
 constexpr Pin kPins[] = {
     {SimBackend::kBatchFrame, 3, true, 0x664e2b8b45a652a0ull},
     {SimBackend::kBatchFrame, 3, false, 0x2c803b815cb25fcfull},
-    {SimBackend::kBatchFrame, 5, true, 0x30a8b80351ec9474ull},
+    {SimBackend::kBatchFrame, 5, true, 0xa08db7cfe911e4d3ull},
     {SimBackend::kBatchFrame, 5, false, 0x73b4f98c6673e042ull},
 };
 

@@ -6,7 +6,10 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -176,16 +179,13 @@ BENCHMARK(BM_RunnerThreadScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(
  * (10*d rounds, p = 1e-3, lr = 0.1, LER on), driven the way the runner
  * drives it: the batched policy decides from the round's words, and its
  * lane masks go back to the simulator.  Kept: every round's words (the
- * policy inputs) and each shot's decoder input (fired Z detectors as
- * node r*nz + zi, then the final-readout row).
+ * policy inputs).
  */
 struct PaperCapture {
     int rounds = 0;
     int lanes = 0;
     LaneMask active = ~0ull;
     std::vector<std::vector<LaneMask>> det, mlr, meas, leaked;  ///< [round]
-    std::unique_ptr<DecodingGraph> graph;
-    std::vector<std::vector<int>> defects;  ///< per shot, ascending
 
     RoundWords words(int r) const
     {
@@ -201,6 +201,71 @@ struct PaperCapture {
 
 const NoiseParams kPaperNoise = NoiseParams::standard(1e-3, 0.1);
 
+/**
+ * Runs one 64-lane batch of `rounds` rounds on `sim` the runner's way.
+ * Appends each shot's decoder input to `defects` (fired Z detectors as
+ * node r*nz + zi, then the final-readout row, ascending) and, when
+ * `words` is set, every round's words to it.
+ */
+void
+run_paper_batch(const CodeBundle& b, Policy& policy, BatchSimulator& sim,
+                int rounds, std::vector<std::vector<int>>& defects,
+                PaperCapture* words)
+{
+    const int lanes = sim.batch_width();
+    const LaneMask active = ~0ull;
+    const int nc = b.code.n_checks();
+    const std::vector<int> z = b.code.checks_of_type(CheckType::kZ);
+    const int nz = static_cast<int>(z.size());
+    const size_t first = defects.size();
+    defects.resize(first + static_cast<size_t>(lanes));
+    std::vector<LaneMask> last_meas;
+    LrcWords lrc;
+    lrc.reset(b.code.n_data(), nc);
+    sim.reset_shot_batch(lanes);
+    policy.begin_batch(active);
+    for (int r = 0; r < rounds; ++r) {
+        sim.run_round_batch(lrc);
+        RoundWords in;
+        in.active = active;
+        in.detector = sim.detector_words();
+        in.mlr = sim.mlr_words();
+        in.meas_flip = sim.meas_flip_words();
+        in.leaked = sim.leaked_words();
+        if (words != nullptr) {
+            words->det.emplace_back(in.detector, in.detector + nc);
+            words->mlr.emplace_back(in.mlr, in.mlr + nc);
+            words->meas.emplace_back(in.meas_flip, in.meas_flip + nc);
+            words->leaked.emplace_back(in.leaked,
+                                       in.leaked + b.code.n_qubits());
+            in = words->words(r);
+        }
+        for (int zi = 0; zi < nz; ++zi)
+            for_each_lane(in.detector[static_cast<size_t>(z[zi])],
+                          [&](int l) {
+                              defects[first + static_cast<size_t>(l)]
+                                  .push_back(r * nz + zi);
+                          });
+        if (r + 1 == rounds)
+            last_meas.assign(in.meas_flip, in.meas_flip + nc);
+        lrc.reset(b.code.n_data(), nc);
+        policy.observe_batch(r, in, &lrc);
+    }
+    std::vector<std::vector<uint8_t>> flips;
+    sim.final_data_measure_batch(&flips);
+    for (int l = 0; l < lanes; ++l) {
+        for (int zi = 0; zi < nz; ++zi) {
+            uint8_t det = static_cast<uint8_t>(
+                (last_meas[static_cast<size_t>(z[zi])] >> l) & 1u);
+            for (int q : b.code.check(z[zi]).support)
+                det ^= flips[static_cast<size_t>(l)][static_cast<size_t>(q)];
+            if (det)
+                defects[first + static_cast<size_t>(l)].push_back(
+                    rounds * nz + zi);
+        }
+    }
+}
+
 PaperCapture
 capture_paper(const CodeBundle& b, const PolicyFactory& factory, int rounds,
               uint64_t seed)
@@ -211,47 +276,8 @@ capture_paper(const CodeBundle& b, const PolicyFactory& factory, int rounds,
     const std::unique_ptr<BatchSimulator> sim = make_simulator(
         SimBackend::kBatchFrame, b.code, b.rc, kPaperNoise, seed);
     out.lanes = sim->batch_width();
-    const size_t lanes = static_cast<size_t>(out.lanes);
-    const int nc = b.code.n_checks();
-    const std::vector<int> z = b.code.checks_of_type(CheckType::kZ);
-    const int nz = static_cast<int>(z.size());
-    out.graph = std::make_unique<DecodingGraph>(
-        DemBuilder(b.code, b.rc, kPaperNoise, out.rounds).build());
-    out.defects.resize(lanes);
-    LrcWords lrc;
-    lrc.reset(b.code.n_data(), nc);
-    sim->reset_shot_batch(out.lanes);
-    policy->begin_batch(out.active);
-    for (int r = 0; r < out.rounds; ++r) {
-        sim->run_round_batch(lrc);
-        out.det.emplace_back(sim->detector_words(),
-                             sim->detector_words() + nc);
-        out.mlr.emplace_back(sim->mlr_words(), sim->mlr_words() + nc);
-        out.meas.emplace_back(sim->meas_flip_words(),
-                              sim->meas_flip_words() + nc);
-        out.leaked.emplace_back(sim->leaked_words(),
-                                sim->leaked_words() + b.code.n_qubits());
-        lrc.reset(b.code.n_data(), nc);
-        policy->observe_batch(r, out.words(r), &lrc);
-        for (int zi = 0; zi < nz; ++zi)
-            for_each_lane(out.det.back()[static_cast<size_t>(z[zi])],
-                          [&](int l) {
-                              out.defects[static_cast<size_t>(l)].push_back(
-                                  r * nz + zi);
-                          });
-    }
-    std::vector<std::vector<uint8_t>> flips;
-    sim->final_data_measure_batch(&flips);
-    for (size_t l = 0; l < lanes; ++l) {
-        for (int zi = 0; zi < nz; ++zi) {
-            uint8_t det = static_cast<uint8_t>(
-                (out.meas.back()[static_cast<size_t>(z[zi])] >> l) & 1u);
-            for (int q : b.code.check(z[zi]).support)
-                det ^= flips[l][static_cast<size_t>(q)];
-            if (det)
-                out.defects[l].push_back(out.rounds * nz + zi);
-        }
-    }
+    std::vector<std::vector<int>> defects;
+    run_paper_batch(b, *policy, *sim, rounds, defects, &out);
     return out;
 }
 
@@ -261,16 +287,6 @@ paper_d7_capture()
 {
     static const PaperCapture cap = capture_paper(
         surface7(), PolicyZoo::gladiator(true, kPaperNoise), 70, 7);
-    return cap;
-}
-
-/** The decode-heavy d = 11 config: 110 rounds, ERASER+M. */
-const PaperCapture&
-paper_d11_capture()
-{
-    static const CodeBundle bundle11(SurfaceCode::make(11));
-    static const PaperCapture cap =
-        capture_paper(bundle11, PolicyZoo::eraser(true), 110, 11);
     return cap;
 }
 
@@ -442,35 +458,87 @@ BM_SimRound(benchmark::State& state)
 }
 BENCHMARK(BM_SimRound);
 
+/**
+ * Decoder inputs of `batches` full 64-lane batches at a paper LER config
+ * (as PaperCapture, one simulator and policy across the batches), with
+ * the graph they index.
+ */
+struct DecodeCapture {
+    std::unique_ptr<DecodingGraph> graph;
+    std::vector<std::vector<int>> defects;  ///< per shot, ascending
+};
+
+/**
+ * The capture for surface distance d at `rounds` rounds: GLADIATOR+M at
+ * d = 7 (the per-core headline workload's policy), ERASER+M otherwise
+ * (the decode-heavy one's).  Eight batches, so one pass over the shots
+ * does not fit in cache the way a single batch of 64 does.
+ */
+const DecodeCapture&
+decode_capture(int d, int rounds)
+{
+    static std::map<std::pair<int, int>, DecodeCapture> cache;
+    DecodeCapture& out = cache[{d, rounds}];
+    if (out.graph)
+        return out;
+    constexpr int kBatches = 8;
+    const CodeBundle b(SurfaceCode::make(d));
+    const std::unique_ptr<Policy> policy =
+        (d == 7 ? PolicyZoo::gladiator(true, kPaperNoise)
+                : PolicyZoo::eraser(true))(b.ctx, 0);
+    const std::unique_ptr<BatchSimulator> sim =
+        make_simulator(SimBackend::kBatchFrame, b.code, b.rc, kPaperNoise,
+                       static_cast<uint64_t>(d));
+    for (int batch = 0; batch < kBatches; ++batch)
+        run_paper_batch(b, *policy, *sim, rounds, out.defects, nullptr);
+    out.graph = std::make_unique<DecodingGraph>(
+        DemBuilder(b.code, b.rc, kPaperNoise, rounds).build());
+    return out;
+}
+
 void
 BM_UnionFindDecode(benchmark::State& state)
 {
     // One decode per iteration, cycling through real captured syndromes
     // rather than i.i.d. bits, so growth and peeling see the cluster
-    // shapes the runner does (defects_per_shot reports their size).
-    // Arg d: 7 replays GLADIATOR+M captures, 11 ERASER+M captures.
-    const PaperCapture& cap =
-        state.range(0) == 7 ? paper_d7_capture() : paper_d11_capture();
+    // shapes the runner does.  Args: distance, rounds.  Counters:
+    // defects_per_shot (cluster sizes), ns_per_defect and ns_per_round
+    // (whether decode cost per round grows with the history).
+    const int rounds = static_cast<int>(state.range(1));
+    const DecodeCapture& cap =
+        decode_capture(static_cast<int>(state.range(0)), rounds);
     UnionFindDecoder uf(*cap.graph);
     size_t i = 0;
     size_t defects = 0;
+    const auto t0 = std::chrono::steady_clock::now();
     for (auto _ : state) {
         const std::vector<int>& s = cap.defects[i];
         benchmark::DoNotOptimize(uf.decode_defects(s));
         defects += s.size();
         i = i + 1 == cap.defects.size() ? 0 : i + 1;
     }
+    const double ns = std::chrono::duration<double, std::nano>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    const double shots = std::max<double>(1.0, state.iterations());
     state.SetItemsProcessed(state.iterations());
-    state.counters["defects_per_shot"] = benchmark::Counter(
-        static_cast<double>(defects) /
-        static_cast<double>(std::max<int64_t>(1, state.iterations())));
+    state.counters["defects_per_shot"] = static_cast<double>(defects) / shots;
+    state.counters["ns_per_defect"] =
+        ns / std::max<double>(1.0, static_cast<double>(defects));
+    state.counters["ns_per_round"] = ns / (shots * rounds);
 }
-BENCHMARK(BM_UnionFindDecode)->ArgName("d")->Arg(7)->Arg(11);
+BENCHMARK(BM_UnionFindDecode)
+    ->ArgNames({"d", "rounds"})
+    ->Args({7, 70})
+    ->Args({11, 110})
+    ->Args({11, 1100})
+    ->Args({17, 1700});
 
 /**
- * The decoding graph from scratch (template, tiling, DecodingGraph) at
+ * The decoding graph from scratch (template, tiles, DecodingGraph) at
  * the two LER workloads' shapes and at Fig 14's d = 17 x 1700 rounds.
- * Args: distance, rounds.
+ * Args: distance, rounds.  Counters: nodes and edges of the graph, and
+ * stored_edges, the edge records its tiles actually hold.
  */
 void
 BM_DemBuild(benchmark::State& state)
@@ -480,15 +548,18 @@ BM_DemBuild(benchmark::State& state)
     const int rounds = static_cast<int>(state.range(1));
     int nodes = 0;
     size_t edges = 0;
+    size_t stored = 0;
     for (auto _ : state) {
         DemBuilder dem(code, rc, kPaperNoise, rounds);
         const DecodingGraph g = dem.build();
         nodes = g.n_nodes();
         edges = g.edges().size();
+        stored = g.stored_edges();
         benchmark::DoNotOptimize(g);
     }
     state.counters["nodes"] = nodes;
     state.counters["edges"] = static_cast<double>(edges);
+    state.counters["stored_edges"] = static_cast<double>(stored);
 }
 BENCHMARK(BM_DemBuild)
     ->ArgNames({"d", "rounds"})

@@ -1,8 +1,11 @@
 #include "decode/dem_builder.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace gld {
@@ -34,6 +37,14 @@ DemBuilder::DemBuilder(const CssCode& code, const RoundCircuit& rc,
             z_checks_.push_back(c);
         }
     }
+    // The node count in 64 bits: (rounds + 1) * nz must fit the graph.
+    const long long nodes =
+        (static_cast<long long>(rounds) + 1) * static_cast<long long>(nz());
+    if (rounds < 0 || nodes > DecodingGraph::kMaxNodes)
+        throw std::invalid_argument(
+            "DemBuilder: rounds = " + std::to_string(rounds) + " gives " +
+            std::to_string(nodes) + " nodes, outside [0, " +
+            std::to_string(DecodingGraph::kMaxNodes) + "]");
     logical_mask_.assign(code.n_data(), 0);
     for (int q : code.logical_z())
         logical_mask_[q] ^= 1;
@@ -187,7 +198,7 @@ DemBuilder::template_faults()
     return template_faults_;
 }
 
-std::vector<DemBuilder::LayerEdge>
+std::vector<GraphEdge>
 DemBuilder::layer_edges(bool prev_round, bool own_round,
                         const std::vector<TemplateFault>& readout) const
 {
@@ -198,7 +209,7 @@ DemBuilder::layer_edges(bool prev_round, bool own_round,
     // in which each edge's probability is summed.
     const int nz = this->nz();
     const int boundary = 2 * nz;
-    std::vector<LayerEdge> hits;
+    std::vector<GraphEdge> hits;
     auto add = [&](const TemplateFault& tf, int shift) {
         int u = tf.dets[0].first * nz + tf.dets[0].second - shift;
         int v = tf.dets.size() == 2
@@ -227,10 +238,10 @@ DemBuilder::layer_edges(bool prev_round, bool own_round,
 
     // Sum each edge's hits in arrival order, split by logical parity.
     std::stable_sort(hits.begin(), hits.end(),
-                     [](const LayerEdge& a, const LayerEdge& b) {
+                     [](const GraphEdge& a, const GraphEdge& b) {
                          return a.u != b.u ? a.u < b.u : a.v < b.v;
                      });
-    std::vector<LayerEdge> edges;
+    std::vector<GraphEdge> edges;
     for (size_t i = 0; i < hits.size();) {
         double plain = 0.0;
         double logical = 0.0;
@@ -240,8 +251,10 @@ DemBuilder::layer_edges(bool prev_round, bool own_round,
              ++j)
             (hits[j].logical ? logical : plain) += hits[j].prob;
         // Keep the more probable logical attribution for this edge.
-        edges.push_back({hits[i].u, hits[i].v, logical > plain,
-                         plain + logical});
+        edges.push_back({hits[i].u,
+                         hits[i].v == boundary ? GraphEdge::kBoundary
+                                               : hits[i].v,
+                         logical > plain, plain + logical});
         i = j;
     }
     return edges;
@@ -251,7 +264,6 @@ DecodingGraph
 DemBuilder::build()
 {
     enumerate_template();
-    const int nz = this->nz();
 
     // Final transversal-readout flips, at offset 0 of the final layer.
     std::vector<TemplateFault> readout(code_->n_data());
@@ -264,38 +276,34 @@ DemBuilder::build()
         tf.logical = logical_mask_[q] != 0;
         tf.prob = np_.p;
     }
-    int per_round = 0;
+    long long per_round = 0;
     for (const TemplateFault& tf : template_faults_)
         per_round += is_dropped(tf.dets.size(), tf.logical);
-    dropped_ = rounds_ * per_round;
+    long long dropped = rounds_ * per_round;
     for (const TemplateFault& tf : readout)
-        dropped_ += is_dropped(tf.dets.size(), tf.logical);
+        dropped += is_dropped(tf.dets.size(), tf.logical);
 
     // Layer 0 has no earlier round, the final layer no round of its own;
-    // every bulk layer is the same tile.
+    // every bulk layer is the same tile.  Nothing here grows with rounds.
     const std::vector<TemplateFault> none;
-    const std::vector<LayerEdge> first = layer_edges(false, true, none);
-    const std::vector<LayerEdge> bulk =
-        rounds_ > 1 ? layer_edges(true, true, none)
-                    : std::vector<LayerEdge>{};
-    const std::vector<LayerEdge> last =
-        layer_edges(rounds_ > 0, false, readout);
+    std::vector<DecodingGraph::Segment> segments;
+    if (rounds_ > 0)
+        segments.push_back({layer_edges(false, true, none), 1});
+    if (rounds_ > 1)
+        segments.push_back({layer_edges(true, true, none), rounds_ - 1});
+    segments.push_back({layer_edges(rounds_ > 0, false, readout), 1});
 
-    std::vector<GraphEdge> edges;
-    edges.reserve(first.size() + last.size() +
-                  bulk.size() * static_cast<size_t>(std::max(rounds_ - 1, 0)));
-    for (int layer = 0; layer <= rounds_; ++layer) {
-        const std::vector<LayerEdge>& tile =
-            layer == rounds_ ? last : layer == 0 ? first : bulk;
-        const int base = layer * nz;
-        for (const LayerEdge& e : tile) {
-            edges.push_back({base + e.u,
-                             e.v == 2 * nz ? GraphEdge::kBoundary
-                                           : base + e.v,
-                             e.logical, e.prob});
-        }
-    }
-    return DecodingGraph(n_nodes(), std::move(edges));
+    long long edges = 0;
+    for (const DecodingGraph::Segment& s : segments)
+        edges += static_cast<long long>(s.layers) *
+                 static_cast<long long>(s.tile.size());
+    if (edges > INT_MAX || dropped > INT_MAX)
+        throw std::invalid_argument(
+            "DemBuilder: rounds = " + std::to_string(rounds_) + " gives " +
+            std::to_string(edges) + " edges and " + std::to_string(dropped) +
+            " dropped faults, more than the int id range");
+    dropped_ = static_cast<int>(dropped);
+    return DecodingGraph::layered(nz(), std::move(segments));
 }
 
 }  // namespace gld

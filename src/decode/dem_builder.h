@@ -20,11 +20,13 @@ namespace gld {
  * The template comes from one backward pass over the round's ops (as
  * Stim builds its detector error model), keeping per qubit the set of
  * outputs an X or a Z there would flip; a fault's footprint is the XOR
- * of the sets its Pauli picks.  The graph is then tiled: layer 0, the
- * bulk layers and the final layer each get their edge list once, and
- * build() emits them layer by layer, so the edges come out sorted by
- * (u, v) with the boundary last.  Cost O(ops * W + edges), W the words
- * of a 2 * nz + 1 output bitset.
+ * of the sets its Pauli picks.  The graph is tiled: layer 0, the bulk
+ * layers and the final layer each get their edge list once, sorted by
+ * (u, v) with the boundary last, and build() hands the three tiles to
+ * DecodingGraph as the segments [layer 0 x1, bulk x(rounds - 1), final
+ * x1].  Nothing is emitted per round: cost O(ops * W + tile edges), W
+ * the words of a 2 * nz + 1 output bitset, and the graph's size does
+ * not grow with the round count beyond one potential byte per node.
  *
  * Faults flipping one detector become boundary edges, two an internal
  * edge; rarer hook faults flipping more are dropped (counted in
@@ -35,6 +37,11 @@ namespace gld {
  */
 class DemBuilder {
   public:
+    /**
+     * Throws std::invalid_argument naming `rounds` when it is negative
+     * or the node count (rounds + 1) * nz passes DecodingGraph::kMaxNodes
+     * (checked in 64 bits, before anything is allocated).
+     */
     DemBuilder(const CssCode& code, const RoundCircuit& rc,
                const NoiseParams& np, int rounds);
 
@@ -51,6 +58,9 @@ class DemBuilder {
      * Builds the deduplicated decoding graph, edges sorted by (u, v) with
      * boundary edges last at their u.  Each edge's probability sums its
      * faults round by round in template order, then the final readout.
+     * Throws std::invalid_argument naming `rounds` when the edge count
+     * (or the dropped-fault count) passes the int range; the counts are
+     * taken from the three tiles, before the graph is allocated.
      */
     DecodingGraph build();
 
@@ -69,21 +79,14 @@ class DemBuilder {
     const std::vector<TemplateFault>& template_faults();
 
   private:
-    /** An edge with endpoints relative to its layer (see layer_edges()). */
-    struct LayerEdge {
-        int u;
-        int v;
-        bool logical;
-        double prob;
-    };
-
     void enumerate_template();
     /**
-     * The edges whose lower end lies in one layer, sorted: from the
-     * faults of the round before it (prev_round), of its own round
-     * (own_round) and the given final-readout faults.
+     * The tile of one layer: the edges whose lower end lies in it, with
+     * endpoints relative to it, sorted, from the faults of the round
+     * before it (prev_round), of its own round (own_round) and the given
+     * final-readout faults.
      */
-    std::vector<LayerEdge> layer_edges(
+    std::vector<GraphEdge> layer_edges(
         bool prev_round, bool own_round,
         const std::vector<TemplateFault>& readout) const;
 

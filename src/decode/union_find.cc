@@ -25,9 +25,12 @@ needs_peel(uint8_t boundary, uint8_t parity)
 }  // namespace
 
 UnionFindDecoder::UnionFindDecoder(const DecodingGraph& graph)
-    : graph_(&graph), n_(graph.n_nodes())
+    : graph_(&graph),
+      n_(graph.n_nodes()),
+      width_(graph.width()),
+      phi_(graph.potential().empty() ? nullptr : graph.potential().data())
 {
-    nodes_.resize(static_cast<size_t>(n_) + 1);
+    nodes_.resize(static_cast<size_t>(n_));
     edge_added_.assign((graph.edges().size() + 63) / 64, 0);
 }
 
@@ -42,20 +45,21 @@ UnionFindDecoder::find(int v)
 }
 
 void
-UnionFindDecoder::join(int v, uint8_t defect)
+UnionFindDecoder::join(int v, int layer, int kind, uint8_t defect)
 {
     Node& x = nodes_[v];
     x.parent = v;
     x.size = 1;
+    x.layer = layer;
+    x.kind = static_cast<uint8_t>(kind);
     x.parity = defect;
     x.boundary = 0;
-    x.defect = defect;
     x.in_cluster = 1;
-    // A joining node brings its whole incidence slice onto the frontier.
+    // A joining node brings its whole incidence onto the frontier.
     x.fr_head = v;
     x.fr_tail = v;
     x.fr_next = -1;
-    x.fr_edges = static_cast<int>(graph_->incident_edges(v).size());
+    x.fr_edges = graph_->node_arcs(kind, layer, v - layer * width_).size();
     touched_.push_back(v);
 }
 
@@ -96,7 +100,6 @@ UnionFindDecoder::claim(int e)
     if (word & bit)
         return false;
     word |= bit;
-    added_edges_.push_back(e);
     return true;
 }
 
@@ -107,23 +110,39 @@ UnionFindDecoder::grow(int r, int x)
     // stay put while merges splice the lists of nodes that join meanwhile.
     int root = r;
     for (; x >= 0; x = nodes_[x].fr_next) {
-        const EdgeIdRange es = graph_->incident_edges(x);
-        const int* code = graph_->arc_codes(x);
-        for (size_t i = 0; i < es.size(); ++i) {
+        const int layer = nodes_[x].layer;
+        const int kind = nodes_[x].kind;
+        const DecodingGraph::ArcSlice s =
+            graph_->node_arcs(kind, layer, x - layer * width_);
+        for (const DecodingGraph::Arc* a = s.first; a != s.last; ++a) {
             assert(find(x) == root && "tracked root is stale");
-            if (!claim(es.first[i]))
+            const int e = s.edge_base + a->edge;
+            if (!claim(e))
                 continue;
-            const int c = code[i];
+            // Grown records are written field by field in place: one
+            // built by value and copied in stalls store forwarding.
+            Grown& g = grown_.emplace_back();
+            g.edge = e;
+            const int c = a->code;
             if (c < 0) {
-                nodes_[root].boundary |= static_cast<uint8_t>(1u << ~c);
+                const int side = phi_ ? (~c ^ phi_[x]) : 0;
+                nodes_[root].boundary |= static_cast<uint8_t>(1u << side);
+                g.u = x;
+                g.v = n_;
                 continue;
             }
-            const int y = c >> 1;
+            const int far = c >> 1;
+            const int y = s.node_base + far;
+            g.u = (c & 1) ? y : x;
+            g.v = (c & 1) ? x : y;
             int ry = y;
-            if (!nodes_[y].in_cluster)
-                join(y, 0);
-            else if ((ry = find(y)) == root)
+            if (!nodes_[y].in_cluster) {
+                const int ly =
+                    s.layer + (far >= width_) + (far >= 2 * width_);
+                join(y, ly, graph_->near_kind(kind, ly), 0);
+            } else if ((ry = find(y)) == root) {
                 continue;
+            }
             root = (c & 1) ? link(ry, root) : link(root, ry);
         }
     }
@@ -134,19 +153,20 @@ void
 UnionFindDecoder::bfs(int root)
 {
     size_t head = order_.size();
-    nodes_[root].visited = 1;
-    nodes_[root].parent_edge = -1;
+    peel_[static_cast<size_t>(root)].visited = 1;
+    peel_[static_cast<size_t>(root)].parent_edge = -1;
     order_.push_back(root);
     while (head < order_.size()) {
         const int v = order_[head++];
-        for (int i = nodes_[v].adj_begin; i < nodes_[v].adj_end; ++i) {
+        const PeelNode& pv = peel_[static_cast<size_t>(v)];
+        for (int i = pv.adj_begin; i < pv.adj_end; ++i) {
             const Arc arc = adj_[static_cast<size_t>(i)];
-            Node& w = nodes_[arc.node];
+            PeelNode& w = peel_[static_cast<size_t>(arc.slot)];
             if (!w.visited) {
                 w.visited = 1;
                 w.parent_edge = arc.edge;
-                w.parent_node = v;
-                order_.push_back(arc.node);
+                w.parent = v;
+                order_.push_back(arc.slot);
             }
         }
     }
@@ -198,12 +218,12 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
     if (defects.empty())
         return false;
 
-    const std::vector<GraphEdge>& edges = graph_->edges();
-    const std::vector<uint8_t>& phi = graph_->potential();
     touched_.clear();
-    added_edges_.clear();
-    for (int v : defects)
-        join(v, 1);
+    grown_.clear();
+    for (int v : defects) {
+        const int layer = v / width_;
+        join(v, layer, graph_->kind_of(layer), 1);
+    }
 
     // --- Growth. ---
     odd_ = defects;
@@ -239,7 +259,7 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
 
     // --- Closed form: each settled cluster's logical parity. ---
     unsigned logical = 0;
-    bool peel = phi.empty();
+    bool peel = phi_ == nullptr;
     if (!peel) {
         for (int v : defects) {
             const Node& root = nodes_[find(v)];
@@ -247,95 +267,98 @@ UnionFindDecoder::decode_defects(const std::vector<int>& defects)
                 peel = true;
                 continue;
             }
-            logical ^= phi[static_cast<size_t>(v)] ^ (root.boundary == 2);
-            nodes_[v].defect = 0;
+            logical ^= phi_[v] ^ (root.boundary == 2);
         }
     }
 
     // --- Peeling over the grown edges of the remaining clusters. ---
     if (peel) {
-        const std::vector<int>* grown = &added_edges_;
-        if (!phi.empty()) {
+        const std::vector<Grown>* grown = &grown_;
+        if (phi_) {
             peel_edges_.clear();
-            for (int e : added_edges_) {
-                const Node& root =
-                    nodes_[find(edges[static_cast<size_t>(e)].u)];
+            for (const Grown& g : grown_) {
+                const Node& root = nodes_[find(g.u)];
                 if (needs_peel(root.boundary, root.parity))
-                    peel_edges_.push_back(e);
+                    peel_edges_.push_back(g);
             }
             grown = &peel_edges_;
         }
-        logical ^= peel_forest(*grown);
+        logical ^= peel_forest(*grown, defects);
     }
 
-    // Residual count and cleanup in one pass: every defect and every
-    // visited node other than the boundary is a touched node.
-    for (int v : touched_) {
-        Node& x = nodes_[v];
-        residual_ += x.defect;
-        x.in_cluster = 0;
-        x.visited = 0;
-    }
-    nodes_[n_].visited = 0;
-    for (int e : added_edges_)
-        edge_added_[static_cast<size_t>(e) >> 6] = 0;
+    // Cleanup: every node that joined a cluster, every grown edge.
+    for (int v : touched_)
+        nodes_[v].in_cluster = 0;
+    for (const Grown& g : grown_)
+        edge_added_[static_cast<size_t>(g.edge) >> 6] = 0;
     return logical != 0;
 }
 
 unsigned
-UnionFindDecoder::peel_forest(const std::vector<int>& grown)
+UnionFindDecoder::peel_forest(const std::vector<Grown>& grown,
+                              const std::vector<int>& defects)
 {
-    // CSR adjacency over the touched nodes and the boundary node, each
-    // node's arcs in `grown` order: count, offset, fill.
-    const std::vector<GraphEdge>& edges = graph_->edges();
-    Node& bnode = nodes_[n_];
-    bnode.adj_end = 0;
-    bnode.defect = 0;
-    for (int v : touched_)
-        nodes_[v].adj_end = 0;
-    for (int e : grown) {
-        const GraphEdge& ge = edges[static_cast<size_t>(e)];
-        ++nodes_[ge.u].adj_end;
-        ++nodes_[ge.v == GraphEdge::kBoundary ? n_ : ge.v].adj_end;
+    // Peel state per touched node, in join order, then the boundary; a
+    // node finds its slot through Node::slot (growth is over, so the
+    // cluster size it shares a field with is no longer read).
+    const int b = static_cast<int>(touched_.size());
+    peel_.assign(static_cast<size_t>(b) + 1, PeelNode{0, 0, -1, -1, 0, 0});
+    for (int i = 0; i < b; ++i)
+        nodes_[touched_[static_cast<size_t>(i)]].slot = i;
+    for (int v : defects) {
+        const Node& root = nodes_[find(v)];
+        if (!phi_ || needs_peel(root.boundary, root.parity))
+            peel_[static_cast<size_t>(nodes_[v].slot)].defect = 1;
+    }
+    auto slot = [&](int v) { return v == n_ ? b : nodes_[v].slot; };
+
+    // CSR adjacency over the slots, each one's arcs in `grown` order:
+    // count, offset (boundary first, then join order), fill.
+    for (const Grown& g : grown) {
+        ++peel_[static_cast<size_t>(slot(g.u))].adj_end;
+        ++peel_[static_cast<size_t>(slot(g.v))].adj_end;
     }
     int offset = 0;
-    auto place = [&](Node& x) {
+    auto place = [&](PeelNode& x) {
         x.adj_begin = offset;
         offset += x.adj_end;
         x.adj_end = x.adj_begin;
     };
-    place(bnode);
-    for (int v : touched_)
-        place(nodes_[v]);
+    place(peel_[static_cast<size_t>(b)]);
+    for (int i = 0; i < b; ++i)
+        place(peel_[static_cast<size_t>(i)]);
     adj_.resize(static_cast<size_t>(offset));
-    for (int e : grown) {
-        const GraphEdge& ge = edges[static_cast<size_t>(e)];
-        const int v = ge.v == GraphEdge::kBoundary ? n_ : ge.v;
-        adj_[static_cast<size_t>(nodes_[ge.u].adj_end++)] = {v, e};
-        adj_[static_cast<size_t>(nodes_[v].adj_end++)] = {ge.u, e};
+    for (const Grown& g : grown) {
+        const int su = slot(g.u);
+        const int sv = slot(g.v);
+        adj_[static_cast<size_t>(peel_[static_cast<size_t>(su)].adj_end++)] =
+            {sv, g.edge};
+        adj_[static_cast<size_t>(peel_[static_cast<size_t>(sv)].adj_end++)] =
+            {su, g.edge};
     }
     order_.clear();
-    bfs(n_);  // clusters touching the boundary root at the boundary
-    for (int e : grown) {
-        const GraphEdge& ge = edges[static_cast<size_t>(e)];
-        if (!nodes_[ge.u].visited)
-            bfs(ge.u);
-        if (ge.v != GraphEdge::kBoundary && !nodes_[ge.v].visited)
-            bfs(ge.v);
+    bfs(b);  // clusters touching the boundary root at the boundary
+    for (const Grown& g : grown) {
+        if (!peel_[static_cast<size_t>(slot(g.u))].visited)
+            bfs(slot(g.u));
+        if (g.v != n_ && !peel_[static_cast<size_t>(slot(g.v))].visited)
+            bfs(slot(g.v));
     }
 
     unsigned logical = 0;
+    const DecodingGraph::EdgeView edges = graph_->edges();
     for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-        const int v = *it;
-        if (v == n_ || !nodes_[v].defect)
+        PeelNode& x = peel_[static_cast<size_t>(*it)];
+        if (*it == b || !x.defect)
             continue;
-        const int e = nodes_[v].parent_edge;
-        if (e < 0)
+        if (x.parent_edge < 0)
             continue;  // unmatched defect (counted as residual)
-        nodes_[v].defect = 0;
-        nodes_[nodes_[v].parent_node].defect ^= 1;
-        logical ^= edges[static_cast<size_t>(e)].logical;
+        x.defect = 0;
+        peel_[static_cast<size_t>(x.parent)].defect ^= 1;
+        logical ^= edges[static_cast<size_t>(x.parent_edge)].logical;
     }
+    for (int i = 0; i < b; ++i)
+        residual_ += peel_[static_cast<size_t>(i)].defect;
     return logical;
 }
 

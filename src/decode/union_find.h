@@ -51,21 +51,34 @@ namespace gld {
  * A decode costs what it touches, not the graph size: per-node state is
  * initialized when a node first joins a cluster and reset afterwards for
  * exactly those nodes, a frontier is an intrusive list of cluster nodes
- * (each contributing its whole CSR incidence slice) that concatenates in
- * O(1) on a merge, and the peeling adjacency is CSR over the grown edges.
- * Growth and peeling visit edges in the same order as the dense-array
- * reference decoder in tests/reference_union_find.h, so every prediction
- * and residual is bit-identical to it (tests/test_decoder_equivalence.cc
+ * (each contributing its whole incidence) that concatenates in O(1) on a
+ * merge, and the peeling adjacency is CSR over the grown edges.  Growth
+ * and peeling visit edges in the same order as the dense-array reference
+ * decoder in tests/reference_union_find.h, so every prediction and
+ * residual is bit-identical to it (tests/test_decoder_equivalence.cc
  * pins that).  Working state keeps its capacity across calls, so one
  * cached decoder per scheduler worker allocates nothing per shot.  Not
  * thread-safe; one instance per thread.
  *
+ * Memory.  The graph is tiled (DecodingGraph), so the decoder's own
+ * state dominates: a 32-byte Node per graph node, growth state only, and
+ * one bit per edge.  The peel's state (adjacency range, BFS parent,
+ * visited flag and defect bit) lives in arrays indexed by join order and
+ * sized by the nodes the decode touched; a node finds its entry through
+ * the Node field that holds its cluster size during growth.  At surface
+ * d = 17 x 1,700 rounds the graph and one decoder take about 10 MB.
+ *
  * Growth kernel.  Two things keep an arc to a few word operations
  * without changing that order:
- *  - Arc codes (DecodingGraph::arc_codes()): growth reads the edge id
- *    and one int per arc (far endpoint and which end this node is, or a
- *    boundary edge's side), never the GraphEdge, and marks grown edges
- *    in a bitset.
+ *  - Layer arithmetic (DecodingGraph::node_arcs()): a node records its
+ *    layer and the layer's kind when it joins, so growth finds its
+ *    incidence in the kind's table by arithmetic.  An arc's global edge
+ *    id is a base plus its relative id, its far end a base plus
+ *    code >> 1, and the far end's layer and kind follow by comparing
+ *    (DecodingGraph::near_kind()).  Nothing on the growth path divides;
+ *    only each defect's layer, at join, does.  A boundary arc's side is
+ *    its logical (~code) XOR phi of this node.  Grown edges are marked in
+ *    a bitset and listed with their global endpoints for the peel.
  *  - Root tracking: every node on a detached frontier belongs to the
  *    cluster being grown, so its root is that cluster's current root,
  *    kept in a local and updated by each merge.  find() runs only on a
@@ -100,36 +113,52 @@ class UnionFindDecoder {
 
   private:
     /**
-     * Per-node state, valid only while `in_cluster` (growth) or `visited`
-     * (peeling) is set in the current decode; both flags are 0 between
-     * decodes.  Frontier fields are meaningful on cluster roots only.
+     * Per-node growth state (32 bytes), valid only while `in_cluster` is
+     * set in the current decode; it is 0 between decodes.  Frontier
+     * fields are meaningful on cluster roots only.
      */
     struct Node {
         int parent = 0;
-        int size = 0;
+        union {
+            int size = 0;  ///< cluster size (roots), during growth
+            int slot;      ///< index in touched_, during the peel
+        };
         int fr_head = -1;   ///< first node of the frontier list, -1 = empty
         int fr_tail = -1;
         int fr_next = -1;   ///< next node on the list holding this node
         int fr_edges = 0;   ///< edges on the frontier (sum of degrees)
-        int adj_begin = 0;  ///< peeling adjacency: adj_[adj_begin, adj_end)
-        int adj_end = 0;
-        int parent_edge = -1;  ///< peeling forest
-        int parent_node = -1;
+        int layer = 0;      ///< the node's layer: id / graph width
+        uint8_t kind = 0;   ///< the layer's kind (DecodingGraph::kind_of)
         uint8_t parity = 0;
         uint8_t boundary = 0;  ///< bit beta(b) per grown boundary edge b
-        uint8_t defect = 0;
         uint8_t in_cluster = 0;
-        uint8_t visited = 0;
     };
 
-    /** A peeling-adjacency entry: the neighbour and the edge reaching it. */
+    /** A grown edge: its global id and endpoints (v = n_ at the boundary). */
+    struct Grown {
+        int edge;
+        int u;
+        int v;
+    };
+
+    /** Peel state of the touched node in one slot (the last: boundary). */
+    struct PeelNode {
+        int adj_begin;  ///< peeling adjacency: adj_[adj_begin, adj_end)
+        int adj_end;
+        int parent_edge;  ///< BFS forest, -1 at a root
+        int parent;       ///< slot of the BFS parent
+        uint8_t visited;
+        uint8_t defect;
+    };
+
+    /** A peeling-adjacency entry: the neighbour's slot and the edge. */
     struct Arc {
-        int node;
+        int slot;
         int edge;
     };
 
     int find(int v);
-    void join(int v, uint8_t defect);
+    void join(int v, int layer, int kind, uint8_t defect);
     /**
      * Merges the clusters rooted at `a` (the edge's u end) and `b` (its
      * v end), a != b, and returns the surviving root.
@@ -142,14 +171,18 @@ class UnionFindDecoder {
     void bfs(int root);
     /**
      * Peels a BFS spanning forest of the `grown` edges (rooted at the
-     * boundary first) and returns its correction's logical parity;
-     * defects it cannot match stay set for the residual count.
+     * boundary first) and returns its correction's logical parity.  The
+     * defects to match are those of `defects` in clusters that need the
+     * peel (all of them without a potential); the ones it cannot match
+     * are counted in residual_.
      */
-    unsigned peel_forest(const std::vector<int>& grown);
+    unsigned peel_forest(const std::vector<Grown>& grown,
+                         const std::vector<int>& defects);
 
     const DecodingGraph* graph_;
     int n_;
-    // Node n_ is the virtual boundary node of the peeling forest.
+    int width_;
+    const uint8_t* phi_;  ///< the graph's potential, or null
     std::vector<Node> nodes_;
     std::vector<uint64_t> edge_added_;  ///< bit per edge, 0 between decodes
     // Per-decode lists (contents meaningless between decodes).
@@ -157,10 +190,11 @@ class UnionFindDecoder {
     std::vector<int> odd_;
     std::vector<int> next_;
     std::vector<int> still_;
-    std::vector<int> added_edges_;
-    std::vector<int> peel_edges_;  ///< added_edges_ of the peeled clusters
+    std::vector<Grown> grown_;       ///< grown edges, growth order
+    std::vector<Grown> peel_edges_;  ///< grown_ of the peeled clusters
+    std::vector<PeelNode> peel_;     ///< per touched_ slot, then boundary
     std::vector<Arc> adj_;
-    std::vector<int> order_;  ///< BFS order, doubling as the BFS queue
+    std::vector<int> order_;  ///< BFS order (slots), doubling as its queue
     std::vector<int> syndrome_defects_;  ///< decode()'s extracted defects
     int residual_ = 0;
 };

@@ -20,10 +20,11 @@ namespace testing_ref {
 
 class ReferenceUnionFind {
   public:
-    explicit ReferenceUnionFind(const DecodingGraph& graph) : graph_(&graph)
+    explicit ReferenceUnionFind(const DecodingGraph& graph)
+        : graph_(&graph), edges_(graph.edges().begin(), graph.edges().end())
     {
         const int n = graph.n_nodes();
-        const std::vector<GraphEdge>& edges = graph.edges();
+        const std::vector<GraphEdge>& edges = edges_;
         incidence_.assign(static_cast<size_t>(n), {});
         for (size_t e = 0; e < edges.size(); ++e) {
             incidence_[static_cast<size_t>(edges[e].u)].push_back(
@@ -48,7 +49,7 @@ class ReferenceUnionFind {
 
     bool decode(const std::vector<uint8_t>& syndrome)
     {
-        const auto& edges = graph_->edges();
+        const std::vector<GraphEdge>& edges = edges_;
         const int n = graph_->n_nodes();
 
         bool quiet = true;
@@ -221,6 +222,7 @@ class ReferenceUnionFind {
     }
 
     const DecodingGraph* graph_;
+    std::vector<GraphEdge> edges_;  ///< the graph's edges, flat
     std::vector<std::vector<int>> incidence_;
     std::vector<int> parent_;
     std::vector<int> size_;

@@ -5,6 +5,12 @@
 // last.  Surface codes at four distances, the color code and a qLDPC
 // (bivariate-polynomial) code, each at 1, 2, 3 and 10 rounds, so layer 0,
 // the bulk tile and the final layer meet in every combination.
+//
+// The same configs also hold the tiled graph to itself stored flat: the
+// graph DemBuilder hands over as three tiles, rebuilt as one segment of
+// one layer from its edges() view, must give every node the same
+// incident edge ids and arc codes (global far ends) and the same
+// potential.
 
 #include <gtest/gtest.h>
 
@@ -78,7 +84,8 @@ TEST(DemEquivalence, MatchesTheReferenceBuilderBitForBit)
             std::vector<GraphEdge> want_edges = ref.build_edges();
             const DecodingGraph g = dem.build();
             EXPECT_EQ(dem.dropped_hyperedges(), ref.dropped_hyperedges());
-            const std::vector<GraphEdge>& edges = g.edges();
+            const std::vector<GraphEdge> edges(g.edges().begin(),
+                                               g.edges().end());
             for (size_t i = 1; i < edges.size(); ++i) {
                 ASSERT_LT(edge_key(edges[i - 1]), edge_key(edges[i]))
                     << "edges " << i - 1 << " and " << i
@@ -98,6 +105,41 @@ TEST(DemEquivalence, MatchesTheReferenceBuilderBitForBit)
                     << "edge " << i;
                 EXPECT_EQ(bits(edges[i].prob), bits(want_edges[i].prob))
                     << "edge " << i;
+            }
+        }
+    }
+}
+
+TEST(DemEquivalence, TiledGraphMatchesItsOneSegmentCopy)
+{
+    const NoiseParams np = NoiseParams::standard(3e-3, 0.1);
+    for (const CodeCase& cc : kCodes) {
+        const CssCode code = cc.make();
+        const RoundCircuit rc(code);
+        for (const int rounds : {1, 2, 3, 10}) {
+            SCOPED_TRACE(cc.name + ", rounds=" + std::to_string(rounds));
+            const DecodingGraph tiled =
+                DemBuilder(code, rc, np, rounds).build();
+            const DecodingGraph flat(
+                tiled.n_nodes(),
+                std::vector<GraphEdge>(tiled.edges().begin(),
+                                       tiled.edges().end()));
+            ASSERT_EQ(tiled.n_nodes(), flat.n_nodes());
+            ASSERT_EQ(tiled.edges().size(), flat.edges().size());
+            EXPECT_LE(tiled.stored_edges(), flat.stored_edges());
+            EXPECT_EQ(tiled.potential(), flat.potential());
+            for (int v = 0; v < tiled.n_nodes(); ++v) {
+                const std::vector<DecodingGraph::Arc> want =
+                    flat.incidence(v);
+                const std::vector<DecodingGraph::Arc> got =
+                    tiled.incidence(v);
+                ASSERT_EQ(got.size(), want.size()) << "node " << v;
+                for (size_t i = 0; i < got.size(); ++i) {
+                    EXPECT_EQ(got[i].edge, want[i].edge)
+                        << "node " << v << " entry " << i;
+                    EXPECT_EQ(got[i].code, want[i].code)
+                        << "node " << v << " entry " << i;
+                }
             }
         }
     }

@@ -111,7 +111,7 @@ TEST(UnionFindDecoder, ReusableAcrossCalls)
     DemBuilder dem(code, rc, NoiseParams::standard(), 3);
     const DecodingGraph g = dem.build();
     UnionFindDecoder uf(g);
-    const GraphEdge& e = g.edges().front();
+    const GraphEdge& e = g.edges()[0];
     std::vector<uint8_t> syndrome(g.n_nodes(), 0);
     syndrome[e.u] ^= 1;
     if (e.v != GraphEdge::kBoundary)
@@ -141,7 +141,7 @@ TEST(UnionFindDecoder, RejectsMalformedInput)
     EXPECT_THROW(uf.decode_defects({3, 2}), std::invalid_argument);
     EXPECT_THROW(uf.decode_defects({2, 2}), std::invalid_argument);
 
-    const GraphEdge& e = g.edges().front();
+    const GraphEdge& e = g.edges()[0];
     std::vector<uint8_t> syndrome(n, 0);
     syndrome[e.u] = 1;
     if (e.v != GraphEdge::kBoundary)

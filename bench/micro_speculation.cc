@@ -18,6 +18,7 @@
 #include "decode/union_find.h"
 #include "sim/frame_sim.h"
 #include "sim/lane_span.h"
+#include "../tests/reference_union_find.h"
 
 using namespace gld;
 using namespace gld::bench;
@@ -503,7 +504,10 @@ BM_UnionFindDecode(benchmark::State& state)
     // rather than i.i.d. bits, so growth and peeling see the cluster
     // shapes the runner does.  Args: distance, rounds.  Counters:
     // defects_per_shot (cluster sizes), ns_per_defect and ns_per_round
-    // (whether decode cost per round grows with the history).
+    // (whether decode cost per round grows with the history), and from
+    // the decoder's own counters growth_rounds (passes over the odd
+    // clusters per decode), clusters_per_defect (frontier walks per
+    // defect) and replay_share (decodes that replayed growth to peel).
     const int rounds = static_cast<int>(state.range(1));
     const DecodeCapture& cap =
         decode_capture(static_cast<int>(state.range(0)), rounds);
@@ -521,11 +525,16 @@ BM_UnionFindDecode(benchmark::State& state)
                           std::chrono::steady_clock::now() - t0)
                           .count();
     const double shots = std::max<double>(1.0, state.iterations());
+    const double n_defects = std::max<double>(1.0, defects);
+    const UnionFindDecoder::Stats& st = uf.stats();
+    const double decodes = std::max<double>(1.0, st.decodes);
     state.SetItemsProcessed(state.iterations());
     state.counters["defects_per_shot"] = static_cast<double>(defects) / shots;
-    state.counters["ns_per_defect"] =
-        ns / std::max<double>(1.0, static_cast<double>(defects));
+    state.counters["ns_per_defect"] = ns / n_defects;
     state.counters["ns_per_round"] = ns / (shots * rounds);
+    state.counters["growth_rounds"] = st.growth_rounds / decodes;
+    state.counters["clusters_per_defect"] = st.clusters_grown / n_defects;
+    state.counters["replay_share"] = st.replays / decodes;
 }
 BENCHMARK(BM_UnionFindDecode)
     ->ArgNames({"d", "rounds"})
@@ -533,6 +542,77 @@ BENCHMARK(BM_UnionFindDecode)
     ->Args({11, 110})
     ->Args({11, 1100})
     ->Args({17, 1700});
+
+void
+BM_UnionFindVsReference(benchmark::State& state)
+{
+    // A yardstick that survives host drift: each iteration decodes every
+    // captured shot with the production decoder (decode_defects, as the
+    // runner calls it) and with the dense-array reference in
+    // tests/reference_union_find.h (decode on the byte syndrome, its only
+    // entry point), in alternating order.  prod_over_ref is the ratio of
+    // their total times, so a claimed decoder gain can be checked as a
+    // ratio on a busy host.  mismatches counts differing predictions or
+    // residuals (0 by the exactness contract).  Args: distance, rounds.
+    const DecodeCapture& cap = decode_capture(
+        static_cast<int>(state.range(0)), static_cast<int>(state.range(1)));
+    const DecodingGraph& graph = *cap.graph;
+    std::vector<std::vector<uint8_t>> bytes;
+    for (const std::vector<int>& s : cap.defects) {
+        bytes.emplace_back(static_cast<size_t>(graph.n_nodes()), 0);
+        for (int v : s)
+            bytes.back()[static_cast<size_t>(v)] = 1;
+    }
+    UnionFindDecoder uf(graph);
+    testing_ref::ReferenceUnionFind ref(graph);
+    double prod_ns = 0.0;
+    double ref_ns = 0.0;
+    size_t mismatches = 0;
+    bool prod_first = true;
+    auto timed = [](auto&& pass) {
+        const auto t0 = std::chrono::steady_clock::now();
+        pass();
+        return std::chrono::duration<double, std::nano>(
+                   std::chrono::steady_clock::now() - t0)
+            .count();
+    };
+    std::vector<uint8_t> prod_out(cap.defects.size());
+    std::vector<int> prod_res(cap.defects.size());
+    auto prod_pass = [&] {
+        for (size_t i = 0; i < cap.defects.size(); ++i) {
+            prod_out[i] = uf.decode_defects(cap.defects[i]);
+            prod_res[i] = uf.last_residual();
+        }
+    };
+    auto ref_pass = [&] {
+        for (size_t i = 0; i < bytes.size(); ++i) {
+            mismatches += ref.decode(bytes[i]) != (prod_out[i] != 0) ||
+                          ref.last_residual() != prod_res[i];
+        }
+    };
+    prod_pass();  // fills prod_out before the first reference pass
+    for (auto _ : state) {
+        if (prod_first) {
+            prod_ns += timed(prod_pass);
+            ref_ns += timed(ref_pass);
+        } else {
+            ref_ns += timed(ref_pass);
+            prod_ns += timed(prod_pass);
+        }
+        prod_first = !prod_first;
+    }
+    const double shots = std::max<double>(
+        1.0, static_cast<double>(state.iterations()) * cap.defects.size());
+    state.counters["prod_ns_per_shot"] = prod_ns / shots;
+    state.counters["ref_ns_per_shot"] = ref_ns / shots;
+    state.counters["prod_over_ref"] = prod_ns / std::max(1.0, ref_ns);
+    state.counters["mismatches"] = static_cast<double>(mismatches);
+}
+BENCHMARK(BM_UnionFindVsReference)
+    ->ArgNames({"d", "rounds"})
+    ->Args({7, 70})
+    ->Args({11, 110})
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * The decoding graph from scratch (template, tiles, DecodingGraph) at

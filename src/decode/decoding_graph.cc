@@ -162,6 +162,7 @@ DecodingGraph::add_kind(const Run* below, const Run& own, int first_layer,
     for_each_entry([&](int z, int, int, bool) {
         ++fill[static_cast<size_t>(z) + 1];
     });
+    degrees_.insert(degrees_.end(), fill.begin() + 1, fill.end());
     fill[0] = static_cast<int>(arcs_.size());
     for (size_t z = 1; z < fill.size(); ++z)
         fill[z] += fill[z - 1];

@@ -44,7 +44,8 @@ struct GraphEdge {
  * edges at u only, a self-loop twice), the tile below's entries first:
  * ascending global edge id.  Each entry is an Arc (edge id and arc code,
  * both relative to the kind's bases), so the decoder finds a node's
- * incidence, its edge ids and its far ends by arithmetic.
+ * incidence, its edge ids and its far ends by arithmetic.  A degree
+ * table per kind gives a node's entry count in one load.
  *
  * So the graph costs O(width) per tile and kind plus one potential byte
  * per node, whatever the round count.  The constructor also looks for
@@ -184,6 +185,14 @@ class DecodingGraph {
                 (layer - k.has_below) * width_, layer - k.has_below};
     }
     /**
+     * The degree of node (layer, z), `kind` the layer's kind: its
+     * node_arcs() size, read from the kind's degree table in one load.
+     */
+    int degree(int kind, int z) const
+    {
+        return degrees_[static_cast<size_t>(kind * width_ + z)];
+    }
+    /**
      * Node v's incidence in global terms, ascending edge id: each entry's
      * edge id and its arc code with the far end as a global node id.
      * Cold path (tests, tools); the decoder reads node_arcs().
@@ -250,6 +259,7 @@ class DecodingGraph {
     std::vector<Kind> kinds_;
     std::vector<int> offsets_;  ///< width + 1 CSR offsets per kind, in order
     std::vector<Arc> arcs_;     ///< every kind's entries, concatenated
+    std::vector<int> degrees_;  ///< width entry counts per kind, in order
     std::vector<uint8_t> potential_;  ///< n_nodes entries, or none
 };
 

@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -119,15 +121,18 @@ capture(int d, bool eraser, int batches, uint64_t seed)
 
 /**
  * Decodes every defect list with the reference (byte syndrome) and with
- * one reused production decoder through both entry points; expects zero
- * prediction or residual mismatches and reports the first one.
+ * one reused production decoder (`uf` if given) through both entry
+ * points; expects zero prediction or residual mismatches and reports the
+ * first one.
  */
 void
-expect_equivalent(const Corpus& corpus, const std::string& what)
+expect_equivalent(const Corpus& corpus, const std::string& what,
+                  UnionFindDecoder* reused = nullptr)
 {
     const int n = corpus.graph.n_nodes();
     testing_ref::ReferenceUnionFind ref(corpus.graph);
-    UnionFindDecoder uf(corpus.graph);
+    UnionFindDecoder own(corpus.graph);
+    UnionFindDecoder& uf = reused ? *reused : own;
     size_t mismatches = 0;
     std::string first;
     for (size_t i = 0; i < corpus.defects.size(); ++i) {
@@ -443,6 +448,140 @@ TEST(DecoderEquivalence, RandomMultigraphs)
         Corpus corpus{DecodingGraph(n, std::move(edges)), {}};
         corpus.defects = all_defect_sets(corpus.graph);
         expect_equivalent(corpus, "random multigraph " + std::to_string(g));
+    }
+}
+
+TEST(DecoderEquivalence, ReplayedAndClosedFormDecodesInterleave)
+{
+    // A decode replays its growth (recording) when a cluster needs the
+    // peel, and otherwise ends at the closed form.  One decoder instance
+    // must stay exact across any mix, each kind following the other:
+    // replays for clusters on both boundary sides (dense syndromes) and
+    // for a stalled odd cluster, and closed-form decodes (sparse
+    // syndromes).  The graph is the surface d = 5 DEM graph over 5 rounds
+    // plus a three-node path without boundary edges, where one defect
+    // stalls.  The reference never returns on a stall, so those draws
+    // are held to a fresh decoder and to a residual of one instead.
+    const DecodingGraph dem = dem_graph(SurfaceCode::make(5), 5);
+    const int n_dem = dem.n_nodes();
+    std::vector<GraphEdge> edges(dem.edges().begin(), dem.edges().end());
+    edges.push_back({n_dem, n_dem + 1, true, 0.1});
+    edges.push_back({n_dem + 1, n_dem + 2, false, 0.1});
+    const DecodingGraph graph(n_dem + 3, std::move(edges));
+    ASSERT_FALSE(graph.potential().empty());
+
+    // Draws of three kinds (sparse, dense, sparse plus a stall), sorted
+    // into replayed and closed-form ones by a probe decoder's counter.
+    Rng rng(4242);
+    UnionFindDecoder probe(graph);
+    std::vector<std::vector<int>> replayed;
+    std::vector<std::vector<int>> closed;
+    for (int t = 0; t < 600; ++t) {
+        std::vector<int> defects;
+        for (int v = 0; v < n_dem; ++v) {
+            if (rng.bernoulli(t % 3 == 1 ? 0.4 : 0.01))
+                defects.push_back(v);
+        }
+        if (t % 3 == 2)
+            defects.push_back(n_dem + 1);
+        const uint64_t before = probe.stats().replays;
+        probe.decode_defects(defects);
+        (probe.stats().replays > before ? replayed : closed)
+            .push_back(std::move(defects));
+    }
+    ASSERT_GE(replayed.size(), 300u);
+    ASSERT_GE(closed.size(), 100u);
+
+    testing_ref::ReferenceUnionFind ref(graph);
+    std::vector<uint8_t> syndrome(static_cast<size_t>(graph.n_nodes()));
+    for (bool replay_first : {true, false}) {
+        UnionFindDecoder uf(graph);
+        size_t decodes = 0;
+        size_t nonempty = 0;
+        size_t stalls = 0;
+        for (size_t i = 0; i < std::min(replayed.size(), closed.size());
+             ++i) {
+            for (const std::vector<int>* d :
+                 {replay_first ? &replayed[i] : &closed[i],
+                  replay_first ? &closed[i] : &replayed[i]}) {
+                bool want;
+                int want_res;
+                if (!d->empty() && d->back() == n_dem + 1) {
+                    UnionFindDecoder fresh(graph);
+                    want = fresh.decode_defects(*d);
+                    want_res = fresh.last_residual();
+                    EXPECT_EQ(want_res, 1);
+                    ++stalls;
+                } else {
+                    std::fill(syndrome.begin(), syndrome.end(), 0);
+                    for (int v : *d)
+                        syndrome[static_cast<size_t>(v)] = 1;
+                    want = ref.decode(syndrome);
+                    want_res = ref.last_residual();
+                }
+                ASSERT_EQ(uf.decode_defects(*d), want)
+                    << "decode " << decodes
+                    << (replay_first ? ", replay first" : ", closed first");
+                ASSERT_EQ(uf.last_residual(), want_res) << "decode " << decodes;
+                ++decodes;
+                nonempty += !d->empty();
+            }
+        }
+        EXPECT_GT(stalls, 50u);
+        EXPECT_EQ(uf.stats().decodes, nonempty);  // empty ones do no work
+        EXPECT_EQ(uf.stats().replays, decodes / 2);
+    }
+}
+
+}  // namespace
+
+/** Test-only access to the decoder's stamp epoch (a friend). */
+struct UnionFindDecoderTestPeer {
+    static constexpr uint32_t kLastEpoch = UnionFindDecoder::kLastEpoch;
+    static uint32_t epoch(const UnionFindDecoder& d) { return d.epoch_; }
+    static void set_epoch(UnionFindDecoder& d, uint32_t e) { d.epoch_ = e; }
+};
+
+namespace {
+
+TEST(DecoderEquivalence, StampEpochWrapStaysExact)
+{
+    // Membership is a 32-bit epoch stamp per node; when the epoch wraps,
+    // every stamp is cleared, or a node stamped long ago would read as a
+    // member again.  A dense syndrome stamps most nodes at the first few
+    // epochs.  The epoch is then set near its last value, and a corpus
+    // starting with 20 sparse syndromes runs through the wrap, so those
+    // few epochs come round again while the dense decode's stamps stand.
+    // A stale member can hide behind the replay (a replay starts clean
+    // and its peel gives the same parity), so the decoder's work
+    // counters must also equal a fresh decoder's on the same corpus.
+    const DecodingGraph graph = dem_graph(SurfaceCode::make(5), 5);
+    Rng rng(31);
+    const Corpus dense{graph, random_defects(graph, 0.4, 1, rng)};
+    Corpus mixed{graph, {}};
+    for (int t = 0; t < 60; ++t)
+        mixed.defects.push_back(random_defects(
+            graph, t >= 20 && t % 4 == 3 ? 0.4 : 0.02, 1, rng)[0]);
+    UnionFindDecoder fresh(graph);
+    expect_equivalent(mixed, "fresh decoder", &fresh);
+    for (uint32_t lead : {0u, 1u, 2u}) {
+        UnionFindDecoder uf(graph);
+        expect_equivalent(dense, "before the wrap", &uf);
+        ASSERT_GT(uf.stats().replays, 0u);
+        const UnionFindDecoder::Stats s0 = uf.stats();
+        UnionFindDecoderTestPeer::set_epoch(
+            uf, UnionFindDecoderTestPeer::kLastEpoch - lead);
+        const std::string what =
+            "through the wrap, lead " + std::to_string(lead);
+        expect_equivalent(mixed, what, &uf);
+        EXPECT_LT(UnionFindDecoderTestPeer::epoch(uf), 1000u)
+            << "the epoch did not wrap";
+        const UnionFindDecoder::Stats& s = uf.stats();
+        EXPECT_EQ(s.growth_rounds - s0.growth_rounds,
+                  fresh.stats().growth_rounds) << what;
+        EXPECT_EQ(s.clusters_grown - s0.clusters_grown,
+                  fresh.stats().clusters_grown) << what;
+        EXPECT_EQ(s.replays - s0.replays, fresh.stats().replays) << what;
     }
 }
 

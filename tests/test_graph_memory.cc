@@ -87,5 +87,40 @@ TEST(GraphMemory, PaperScaleGraphAndDecoderStayUnder15MB)
         << "VmHWM rose by " << rise_kb / 1024.0 << " MB";
 }
 
+TEST(GraphMemory, PercolatingSyndromeStaysUnderFlatDecoderPeak)
+{
+    // A defect at every 37th node of d = 17 x 1,700: clusters merge into
+    // ones spanning the patch, so most of the graph grows and is peeled,
+    // and the decoder holds peel state over most nodes and edges.  The
+    // flat-graph decoder (4-byte grown-edge ids) alone raised VmHWM by
+    // 21.8 MB here; the tiled graph and one decoder together must stay
+    // under that (a 12-byte record per grown edge, copied for the peel,
+    // took about 31 MB).  Registered as its own CTest entry, so the
+    // high-water mark starts from a fresh process.
+#ifdef GLD_SHADOW_MEMORY
+    GTEST_SKIP() << "ASan/TSan shadow memory inflates the resident set";
+#endif
+    const CssCode code = SurfaceCode::make(17);
+    const RoundCircuit rc(code);
+    const NoiseParams np = NoiseParams::standard(1e-3, 0.1);
+    const long before = vm_hwm_kb();
+    if (before < 0)
+        GTEST_SKIP() << "no VmHWM line in /proc/self/status";
+
+    DemBuilder dem(code, rc, np, 1700);
+    const DecodingGraph graph = dem.build();
+    UnionFindDecoder decoder(graph);
+    std::vector<int> defects;
+    for (int v = 0; v < graph.n_nodes(); v += 37)
+        defects.push_back(v);
+    decoder.decode_defects(defects);
+    EXPECT_EQ(decoder.stats().replays, 1u);
+
+    const long rise_kb = vm_hwm_kb() - before;
+    RecordProperty("vm_hwm_rise_kb", std::to_string(rise_kb));
+    EXPECT_LT(rise_kb, 21.8 * 1024)
+        << "VmHWM rose by " << rise_kb / 1024.0 << " MB";
+}
+
 }  // namespace
 }  // namespace gld

@@ -14,7 +14,6 @@
 // changes the per-job config hash, so stale checkpoints are recomputed
 // automatically.
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "bench_common.h"
@@ -58,9 +57,7 @@ main()
     const char* env_out = std::getenv("GLD_CAMPAIGN_OUT");
     const std::string out_dir =
         env_out != nullptr ? env_out : "fig09_campaign";
-    const char* env_shards = std::getenv("GLD_CAMPAIGN_SHARDS");
-    const int n_shards =
-        env_shards != nullptr ? std::max(1, std::atoi(env_shards)) : 1;
+    const int n_shards = env_int("GLD_CAMPAIGN_SHARDS", 1, 1);
     io::make_dirs(out_dir);
     io::write_file_atomic(out_dir + "/fig09.spec.json",
                           spec.to_json().dump(2) + "\n");

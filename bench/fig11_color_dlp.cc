@@ -1,8 +1,6 @@
 // Figure 11: color-code data-leakage population and LRC usage over 100 QEC
 // cycles (paper uses d=19; default here d=11 for wall-clock, scale with
-// GLD_SHOTS_SCALE and the D env var).
-
-#include <cstdlib>
+// GLD_SHOTS_SCALE and GLD_COLOR_D).
 
 #include "bench_common.h"
 
@@ -12,8 +10,7 @@ using namespace gld::bench;
 int
 main()
 {
-    const char* denv = std::getenv("GLD_COLOR_D");
-    const int d = denv != nullptr ? std::atoi(denv) : 11;
+    const int d = env_int("GLD_COLOR_D", 11, 3);
     banner("Figure 11 - Color-code DLP and LRC usage",
            "color code d=" + std::to_string(d) +
                " (paper: d=19; set GLD_COLOR_D=19), 100 QEC cycles");

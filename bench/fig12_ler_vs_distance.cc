@@ -2,7 +2,6 @@
 // the paper shows 5, 7, 9 — set GLD_MAX_D=9) for NO-LRC / Always-LRC /
 // ERASER+M / GLADIATOR+M, plus the suppression factor Lambda.
 
-#include <cstdlib>
 #include <map>
 
 #include "bench_common.h"
@@ -13,8 +12,7 @@ using namespace gld::bench;
 int
 main()
 {
-    const char* denv = std::getenv("GLD_MAX_D");
-    const int max_d = denv != nullptr ? std::atoi(denv) : 7;
+    const int max_d = env_int("GLD_MAX_D", 7, 3);
     banner("Figure 12 - LER vs code distance",
            "LER for NO-LRC / Always-LRC / ERASER+M / GLADIATOR+M, 10d "
            "rounds, p=1e-3, lr=0.1");
@@ -34,7 +32,8 @@ main()
         ExperimentConfig cfg;
         cfg.np = np;
         cfg.rounds = 10 * d;
-        cfg.shots = BenchConfig::shots(d <= 5 ? 1200 : 400);
+        // One whole 64-lane batch per RNG stream (32 streams).
+        cfg.shots = BenchConfig::shots(2048);
         cfg.compute_ler = true;
         apply_env(&cfg);
         ExperimentRunner runner(bundle->ctx, cfg);

@@ -2,8 +2,6 @@
 // (paper: d = 7, 11, 13, 17 for 100d cycles; defaults reduced for
 // wall-clock — scale with GLD_SHOTS_SCALE / GLD_MAX_D).
 
-#include <cstdlib>
-
 #include "bench_common.h"
 
 using namespace gld;
@@ -12,8 +10,7 @@ using namespace gld::bench;
 int
 main()
 {
-    const char* denv = std::getenv("GLD_MAX_D");
-    const int max_d = denv != nullptr ? std::atoi(denv) : 13;
+    const int max_d = env_int("GLD_MAX_D", 13, 3);
     banner("Figure 14 - Scaling with code distance",
            "total leakage and LRC counts for d up to " +
                std::to_string(max_d) + ", 20d rounds (paper: 100d)");

@@ -69,91 +69,6 @@ BM_SimulatorRound(benchmark::State& state)
 BENCHMARK(BM_SimulatorRound);
 
 void
-BM_BackendThroughput(benchmark::State& state)
-{
-    // Shots/second per (backend, threads, noise sampling, decode) on a
-    // stripped d=5 surface-code memory config (10 rounds, no LRC): a
-    // diagnostic of the simulator layer; paperbench times the paper
-    // workload end to end.  Args: (backend enum,
-    // threads, noise_sampling enum, compute_ler).  The single-thread
-    // rows keep the exact config of earlier recorded trajectory points;
-    // threads>1 rows scale shots/streams so every thread has work.  The
-    // @sparse rows measure the event-driven sampler against the lockstep
-    // rows of the SAME record; the @ler row turns the union-find decoder
-    // on so the decode stage is visible in the recorded stage split
-    // instead of rounding to zero.  Run with
-    // --benchmark_filter=BackendThroughput.
-    static CodeBundle bundle5(SurfaceCode::make(5));
-    const CodeBundle& b = bundle5;
-    const int threads = static_cast<int>(state.range(1));
-    const auto sampling = static_cast<NoiseSampling>(state.range(2));
-    const bool with_ler = state.range(3) != 0;
-    ExperimentConfig cfg;
-    cfg.np = NoiseParams::standard();
-    cfg.rounds = 10;
-    cfg.shots = 1024 * threads;
-    cfg.rng_streams = cfg.shots / ExperimentRunner::kShotBlock;
-    cfg.leakage_sampling = false;  // natural leakage, as a memory run
-    cfg.threads = threads;
-    cfg.backend = static_cast<SimBackend>(state.range(0));
-    cfg.noise_sampling = sampling;
-    cfg.compute_ler = with_ler;
-    ExperimentRunner runner(b.ctx, cfg);
-    // Telemetry rides along (pure side channel — the drift gate pins that
-    // the measured Metrics are bit-identical with it attached) so the
-    // recorded trajectory carries the sim/policy/decode/accounting wall
-    // split, not just one shots/s number.
-    telemetry::Collector collector;
-    runner.set_telemetry(&collector);
-    const PolicyFactory factory = PolicyZoo::no_lrc();
-    for (auto _ : state)
-        benchmark::DoNotOptimize(runner.run(factory));
-    state.SetItemsProcessed(state.iterations() * cfg.shots);
-    // Plain backend name at T=1/lockstep so the recorded trajectory's
-    // labels stay comparable across PRs; decorated otherwise.  @sparse
-    // and @ler fold into the trajectory's backend key
-    // (scripts/bench_record.sh) so these rows never shadow the lockstep
-    // ones.
-    std::string label = backend_name(cfg.backend);
-    if (threads > 1)
-        label += "@t" + std::to_string(threads);
-    if (sampling != NoiseSampling::kLockstep)
-        label += std::string("@") + noise_sampling_name(sampling);
-    if (with_ler)
-        label += "@ler";
-    state.SetLabel(label);
-    const telemetry::Record rec = collector.merged();
-    const double total = static_cast<double>(rec.total_stage_ns());
-    if (total > 0.0) {
-        for (int s = 0; s < telemetry::kStageCount; ++s)
-            state.counters[std::string("frac_") + telemetry::stage_name(s)] =
-                benchmark::Counter(
-                    static_cast<double>(rec.stage_ns[s]) / total);
-    }
-}
-// The plain (arg 2 = 0) rows run the lockstep reference: a plain per-lane
-// Rng in the scalar draw order, kept for the frame == batch_frame
-// bit-exact gates rather than for speed.  Their labels are unchanged so
-// the recorded trajectory stays comparable; the @sparse rows measure the
-// production engine in the same record.
-BENCHMARK(BM_BackendThroughput)
-    ->Args({static_cast<int>(SimBackend::kFrame), 1, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kFrame), 8, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kBatchFrame), 1, 0, 0})
-    ->Args({static_cast<int>(SimBackend::kBatchFrame), 8, 0, 0})
-    // The sparse event sampler vs the lockstep rows (same record, same
-    // host): the production configuration.
-    ->Args({static_cast<int>(SimBackend::kBatchFrame), 1,
-            static_cast<int>(NoiseSampling::kSparse), 0})
-    // Decode on (union-find per shot): the decode stage's wall share is
-    // real in campaign configs with compute_ler, and this row keeps it
-    // visible in the recorded stage split.
-    ->Args({static_cast<int>(SimBackend::kBatchFrame), 1, 0, 1})
-    ->Args({static_cast<int>(SimBackend::kTableau), 1, 0, 0})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void
 BM_RunnerThreadScaling(benchmark::State& state)
 {
     // The chunked (stream x shot-block) scheduler's wall-clock vs thread

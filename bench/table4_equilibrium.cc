@@ -2,8 +2,6 @@
 // speculation inaccuracy across physical error rates (paper: d=11;
 // default d=7 here — set GLD_T4_D=11).
 
-#include <cstdlib>
-
 #include "bench_common.h"
 
 using namespace gld;
@@ -12,8 +10,7 @@ using namespace gld::bench;
 int
 main()
 {
-    const char* denv = std::getenv("GLD_T4_D");
-    const int d = denv != nullptr ? std::atoi(denv) : 7;
+    const int d = env_int("GLD_T4_D", 7, 3);
     banner("Table 4 - Equilibrium leakage and speculation inaccuracy",
            "surface d=" + std::to_string(d) + " (paper: d=11)");
 

@@ -55,11 +55,13 @@ struct CampaignSpec {
      */
     bool pair_policy_seeds = true;
     /**
-     * Simulation backend every job runs on (config-hashed per job, so
-     * switching backends never resumes the other backend's checkpoints).
-     * Serialized by name; specs without the field load as "frame".
+     * Simulation backend every job runs on (see ExperimentConfig::backend,
+     * whose default this is; config-hashed per job, so switching backends
+     * never resumes the other backend's checkpoints).  Always serialized
+     * by name; specs without the field load as "frame", as they were
+     * written before the field existed.
      */
-    SimBackend backend = SimBackend::kFrame;
+    SimBackend backend = ExperimentConfig{}.backend;
     /**
      * Noise sampling mode every job runs under (see
      * ExperimentConfig::noise_sampling, whose default this is;

@@ -41,11 +41,14 @@ struct ExperimentConfig {
      */
     int rng_streams = 32;
     /**
-     * Simulation backend executing the round circuit (frame = fast
-     * Pauli-frame engine, tableau = exact CHP stabilizer engine).
-     * Result-affecting: serialized and part of the config hash.
+     * Simulation backend executing the round circuit (sim/simulator.h):
+     * batch_frame, the default, packs 64 shots per word; frame is its
+     * one-lane bit-exact oracle; tableau is the exact CHP engine.
+     * Result-affecting: serialized and part of the config hash.  This is
+     * the one place the default is written: CampaignSpec and
+     * backend_from_env() read it from here.
      */
-    SimBackend backend = SimBackend::kFrame;
+    SimBackend backend = SimBackend::kBatchFrame;
     /**
      * Vestige of the removed block multiplier, kept only because
      * paperbench still reads it (ROADMAP 1(d) deletes it): a scheduler

@@ -256,7 +256,7 @@ backend_from_env()
 {
     const char* s = std::getenv("GLD_BACKEND");
     if (s == nullptr || s[0] == '\0')
-        return SimBackend::kFrame;
+        return ExperimentConfig{}.backend;
     try {
         return backend_from_name(s);
     } catch (const std::runtime_error&) {

@@ -265,16 +265,16 @@ void check_lrc_schedule(const LrcSchedule& sched, int lane, int n_data,
                         int n_checks);
 
 /**
- * The available backends.  kFrame is the paper's Pauli-frame engine (fast,
- * samples Pauli noise exactly); kTableau drives the exact CHP stabilizer
+ * The available backends.  kBatchFrame, ExperimentConfig's default and
+ * the engine paperbench times, packs 64 shots into one word per qubit
+ * and runs them in lockstep through the batch driver.  kFrame is the
+ * paper's one-lane Pauli-frame engine (samples Pauli noise exactly), kept
+ * as the bit-exact oracle: kBatchFrame under lockstep noise sampling must
+ * give bit-identical Metrics.  kTableau drives the exact CHP stabilizer
  * tableau through the same round circuit (slower by O(n^2) per
- * measurement; exact-stabilizer states); kBatchFrame packs 64 shots into
- * one word per qubit and runs them in lockstep through the batch driver
- * — bit-identical Metrics to kFrame under lockstep noise sampling, and
- * the engine paperbench times on the paper workload
- * (BM_BackendThroughput is a stripped 10-round no-LRC diagnostic).  All
- * share the one LeakageDriver semantics for every classical-leakage
- * decision.
+ * measurement; exact-stabilizer states) and is the referee's exact
+ * reference.  All share the one LeakageDriver semantics for every
+ * classical-leakage decision.
  */
 enum class SimBackend : uint8_t {
     kFrame = 0,
@@ -299,8 +299,9 @@ SimBackend backend_from_name(const std::string& name);
 
 /**
  * The backend selected by the GLD_BACKEND environment variable — the one
- * resolution point benches and examples share.  Unset/empty means kFrame;
- * an unknown name throws, naming the variable and the known backends.
+ * resolution point benches and examples share.  Unset/empty means
+ * ExperimentConfig's default; an unknown name throws, naming the variable
+ * and the known backends.
  */
 SimBackend backend_from_env();
 

@@ -183,10 +183,12 @@ TEST(CampaignSpec, JsonRoundTripPreservesJobsAndHashes)
     }
 }
 
-// One noise-sampling default: the spec and the environment fallback read
-// ExperimentConfig's instead of repeating it.
-TEST(CampaignSpec, NoiseSamplingDefaultsAgree)
+// One backend and one noise-sampling default: the spec and the
+// environment fallback read ExperimentConfig's instead of repeating them
+// (backend_from_env()'s fallback is pinned in test_sim_backends.cc).
+TEST(CampaignSpec, DefaultsAgree)
 {
+    EXPECT_EQ(CampaignSpec{}.backend, ExperimentConfig{}.backend);
     const char* prev_raw = std::getenv("GLD_NOISE_SAMPLING");
     const std::string prev = prev_raw != nullptr ? prev_raw : "";
     ASSERT_EQ(unsetenv("GLD_NOISE_SAMPLING"), 0);
@@ -196,6 +198,36 @@ TEST(CampaignSpec, NoiseSamplingDefaultsAgree)
     if (prev_raw != nullptr) {
         ASSERT_EQ(setenv("GLD_NOISE_SAMPLING", prev.c_str(), 1), 0);
     }
+}
+
+// A document written before "backend" and "noise_sampling" existed keeps
+// its meaning now that the library defaults are batch_frame and sparse:
+// it loads as frame under lockstep sampling, and its jobs hash apart from
+// the same grid on batch_frame, so no checkpoint resumes under another
+// engine.
+TEST(CampaignSpec, DocumentWithoutBackendLoadsAsFrameLockstep)
+{
+    const std::string doc = R"({
+      "gld_version": 1, "name": "legacy", "seed": "0x5eed5eed",
+      "shots": 64, "rounds": 5, "rng_streams": 1,
+      "leakage_sampling": true, "compute_ler": false,
+      "record_dlp_series": false, "pair_policy_seeds": true,
+      "codes": ["surface:3"], "policies": ["eraser_m"],
+      "noise": [{"p": 0.001, "leak_ratio": 0.1, "mlr_ratio": 10.0,
+                 "mobility": 0.1, "lrc_gate_factor": 3.0,
+                 "lrc_leak_prob": 0.003, "leaked_gate_backaction": false}]
+    })";
+    const CampaignSpec legacy = CampaignSpec::from_json(io::Json::parse(doc));
+    EXPECT_EQ(legacy.backend, SimBackend::kFrame);
+    EXPECT_EQ(legacy.noise_sampling, NoiseSampling::kLockstep);
+
+    io::Json j = io::Json::parse(doc);
+    j.set("backend", io::Json::str("batch_frame"));
+    const CampaignSpec batch = CampaignSpec::from_json(j);
+    EXPECT_EQ(batch.backend, SimBackend::kBatchFrame);
+    EXPECT_EQ(batch.noise_sampling, NoiseSampling::kLockstep);
+    EXPECT_NE(io::config_hash(legacy.expand()[0].cfg),
+              io::config_hash(batch.expand()[0].cfg));
 }
 
 // A spec is untrusted input: a rate outside [0, 1] must be refused by

@@ -5,10 +5,9 @@
 // scheduling nor cross-thread reduction order can leak into the result.
 //
 // The contract is per backend, and this suite honours GLD_BACKEND: CI
-// runs it once per backend (default frame, then tableau, then the batch
-// engine), so the non-default engines are gated by the same
-// bit-exactness suite on every PR, not only by the dedicated
-// cross-backend tests.
+// runs it once per backend (the default batch engine, then tableau, then
+// frame), so the non-default engines are gated by the same bit-exactness
+// suite on every PR, not only by the dedicated cross-backend tests.
 
 #include <gtest/gtest.h>
 
@@ -34,7 +33,7 @@ run_with_threads(const CodeContext& ctx, ExperimentConfig cfg, int threads,
     return runner.run(factory);
 }
 
-/** The backend under test: GLD_BACKEND, default frame; noise sampling
+/** The backend under test: GLD_BACKEND, default batch_frame; noise sampling
  *  from GLD_NOISE_SAMPLING, default sparse — so CI gates the lockstep
  *  reference with this same bit-exactness suite by exporting one
  *  variable. */

@@ -117,8 +117,14 @@ TEST(SimBackends, BackendFromEnvNamesTheVariableOnBadValues)
         EXPECT_NE(what.find("no-such-engine"), std::string::npos) << what;
         EXPECT_NE(what.find("known backends"), std::string::npos) << what;
     }
+    // The default is written once, in ExperimentConfig: the batch engine.
+    // Unset or empty, the variable reads it.
+    EXPECT_EQ(ExperimentConfig{}.backend, SimBackend::kBatchFrame);
     ASSERT_EQ(unsetenv("GLD_BACKEND"), 0);
-    EXPECT_EQ(backend_from_env(), SimBackend::kFrame);  // unset = default
+    EXPECT_EQ(backend_from_env(), ExperimentConfig{}.backend);
+    ASSERT_EQ(setenv("GLD_BACKEND", "", 1), 0);
+    EXPECT_EQ(backend_from_env(), ExperimentConfig{}.backend);
+    ASSERT_EQ(unsetenv("GLD_BACKEND"), 0);
 
     if (prev_raw != nullptr) {
         ASSERT_EQ(setenv("GLD_BACKEND", prev.c_str(), 1), 0);

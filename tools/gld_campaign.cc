@@ -15,12 +15,8 @@
 //   gld_campaign report --spec spec.json --out results/
 //   gld_campaign demo   --out /tmp/gld_demo   # end-to-end self-check
 
-#include <cerrno>
-#include <climits>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -29,6 +25,7 @@
 #include "campaign/registry.h"
 #include "campaign/verify.h"
 #include "io/serialize.h"
+#include "util/config.h"
 #include "util/table.h"
 
 using namespace gld;
@@ -141,44 +138,6 @@ struct Args {
     double inject_noise_scale = 1.0;
 };
 
-/**
- * A flag's whole value as an integer in [lo, hi]: an empty value,
- * trailing characters or a value out of range throws, naming the flag
- * and the value.
- */
-int
-int_flag(const std::string& flag, const std::string& v, int lo,
-         int hi = INT_MAX)
-{
-    char* end = nullptr;
-    errno = 0;
-    const long n = std::strtol(v.c_str(), &end, 10);
-    if (v.empty() || *end != '\0' || errno == ERANGE || n < lo || n > hi)
-        throw std::runtime_error(
-            flag + " wants an integer " +
-            (hi == INT_MAX ? ">= " + std::to_string(lo)
-                           : "in [" + std::to_string(lo) + ", " +
-                                 std::to_string(hi) + "]") +
-            ", got \"" + v + "\"");
-    return static_cast<int>(n);
-}
-
-/**
- * A flag's whole value as a number strictly inside (lo, hi), described
- * by `range` in the error that anything else throws.
- */
-double
-real_flag(const std::string& flag, const std::string& v, double lo,
-          double hi, const char* range)
-{
-    char* end = nullptr;
-    const double x = std::strtod(v.c_str(), &end);
-    if (v.empty() || *end != '\0' || !(x > lo && x < hi))
-        throw std::runtime_error(flag + " wants a number in " + range +
-                                 ", got \"" + v + "\"");
-    return x;
-}
-
 Args
 parse_args(int argc, char** argv)
 {
@@ -271,7 +230,7 @@ example_spec()
     CampaignSpec spec;
     spec.name = "example";
     spec.seed = 0x5EED5EEDull;
-    spec.shots = 240;
+    spec.shots = 512;  // one whole 64-lane batch per stream
     spec.rounds = 30;
     spec.rng_streams = 8;
     spec.leakage_sampling = true;

@@ -43,7 +43,7 @@ run_point(const CodeBundle& bundle, const NoiseParams& np,
 
 int
 main()
-{
+try {
     banner("Ablation - offline model design choices",
            "theta / persistence prior / prior tails / event order, "
            "surface d=7");
@@ -95,4 +95,6 @@ main()
                 "around the default operating point; second-order events "
                 "protect frequent two-error patterns from being flagged.\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("ablation_model", e);
 }

@@ -60,7 +60,7 @@ emit(const std::string& title, const CodeBundle& bundle,
 
 int
 main()
-{
+try {
     banner("Appendix B - Boolean patterns for leakage detection",
            "minimized DNF for surface / color / BPC / color+GLADIATOR-D");
 
@@ -88,4 +88,6 @@ main()
                 "structure: small DNFs excluding weight-1 and "
                 "consecutive-suffix patterns.\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("appendixb_boolean", e);
 }

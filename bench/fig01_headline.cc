@@ -9,7 +9,7 @@ using namespace gld::bench;
 
 int
 main()
-{
+try {
     banner("Figure 1(b) - GLADIATOR vs ERASER headline",
            "FP/FN/LRC + DLP ratios, surface code d=11, p=1e-3, lr=0.1");
 
@@ -40,4 +40,6 @@ main()
     std::printf("\nPaper: 1.91x FP reduction, 1.73x lower data leakage "
                 "population, ~2x fewer LRCs (d=11).\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("fig01_headline", e);
 }

@@ -13,7 +13,7 @@ using namespace gld::bench;
 
 int
 main()
-{
+try {
     banner("Figure 3 - Leakage injection experiment",
            "leaked-CNOT bit-flip probability and leakage growth, 10k shots");
 
@@ -31,12 +31,14 @@ main()
         np.leak_ratio = 0;
         np.mobility = 0.0;
         LeakFrameSim sim(pair, rc, np, 2025);
+        const std::vector<LrcSchedule> none(1);
+        std::vector<RoundResult> rr;
         int flips = 0;
         for (int s = 0; s < shots; ++s) {
-            sim.reset_shot();
-            sim.inject_data_leak(0);
-            const RoundResult rr = sim.run_round({});
-            flips += rr.meas_flip[0];
+            sim.reset_shot_batch(1);
+            sim.inject_data_leak_lane(0, 0);
+            sim.run_round_batch(none, &rr);
+            flips += rr[0].meas_flip[0];
         }
         TablePrinter t({"Experiment", "P(target flipped)", "Paper"});
         t.add_row({"CNOT, control leaked",
@@ -51,19 +53,21 @@ main()
         np.mobility = 0.1;
         std::printf("\nLeakage population after K CNOT rounds (10k shots):\n");
         TablePrinter t({"K", "with injection", "without injection"});
+        const std::vector<LrcSchedule> none(1);
         for (int k : {1, 5, 10, 20, 40}) {
             int leaked_inj = 0, leaked_no = 0;
             LeakFrameSim sim(pair, rc, np, 7);
+            const LeakageOracle& truth = sim.lane_oracle(0);
             for (int s = 0; s < shots / 10; ++s) {
-                sim.reset_shot();
-                sim.inject_data_leak(0);
+                sim.reset_shot_batch(1);
+                sim.inject_data_leak_lane(0, 0);
                 for (int r = 0; r < k; ++r)
-                    sim.run_round({});
-                leaked_inj += sim.n_data_leaked() + sim.n_check_leaked() > 0;
-                sim.reset_shot();
+                    sim.run_round_batch(none, nullptr);
+                leaked_inj += truth.n_data_leaked() + truth.n_check_leaked() > 0;
+                sim.reset_shot_batch(1);
                 for (int r = 0; r < k; ++r)
-                    sim.run_round({});
-                leaked_no += sim.n_data_leaked() + sim.n_check_leaked() > 0;
+                    sim.run_round_batch(none, nullptr);
+                leaked_no += truth.n_data_leaked() + truth.n_check_leaked() > 0;
             }
             const double n = shots / 10;
             t.add_row({std::to_string(k),
@@ -75,4 +79,6 @@ main()
                     "rounds; without injection the population stays low.\n");
     }
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("fig03_injection", e);
 }

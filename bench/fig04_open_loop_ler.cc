@@ -8,7 +8,7 @@ using namespace gld::bench;
 
 int
 main()
-{
+try {
     banner("Figure 4(b) - Open-loop vs closed-loop LER",
            "LER for Always-LRC / Staggered / ERASER+M, surface d=3,5,7");
 
@@ -40,4 +40,6 @@ main()
     std::printf("\nPaper Fig 4(b): Staggered narrows the open-loop gap but "
                 "closed-loop (ERASER+M) stays ahead; Always-LRC is worst.\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("fig04_open_loop_ler", e);
 }

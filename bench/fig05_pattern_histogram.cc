@@ -25,21 +25,23 @@ run_policy(const CodeBundle& bundle, const NoiseParams& np, Policy* policy,
     Histogram h;
     LeakFrameSim sim(bundle.code, bundle.rc, np, 99);
     Rng shot_rng(4242);
-    LrcSchedule sched;
+    std::vector<LrcSchedule> sched(1);
+    std::vector<RoundResult> results;
     for (int s = 0; s < shots; ++s) {
-        sim.reset_shot();
+        sim.reset_shot_batch(1);
         policy->begin_shot();
-        sched.clear();
-        sim.inject_data_leak(
-            static_cast<int>(shot_rng.uniform_int(bundle.code.n_data())));
+        sched[0].clear();
+        sim.inject_data_leak_lane(
+            0, static_cast<int>(shot_rng.uniform_int(bundle.code.n_data())));
         for (int r = 0; r < rounds; ++r) {
-            const RoundResult rr = sim.run_round(sched);
-            policy->observe(r, rr, &sched);
-            for (int q : sched.data_qubits) {
+            sim.run_round_batch(sched, &results);
+            const RoundResult& rr = results[0];
+            policy->observe(r, rr, &sched[0]);
+            for (int q : sched[0].data_qubits) {
                 if (bundle.ctx.degree_of(q) != 4)
                     continue;  // Fig 5 shows the 4-bit bulk patterns
                 const uint32_t pat = bundle.ctx.pattern_of(q, rr.detector);
-                if (sim.data_leaked(q))
+                if (sim.lane_oracle(0).data_leaked(q))
                     ++h.counts[pat].first;
                 else
                     ++h.counts[pat].second;
@@ -53,7 +55,7 @@ run_policy(const CodeBundle& bundle, const NoiseParams& np, Policy* policy,
 
 int
 main()
-{
+try {
     banner("Figure 5 - Per-pattern LRC histogram",
            "LRCs by 4-bit pattern, with/without leakage, surface d=7");
 
@@ -96,4 +98,6 @@ main()
     std::printf("Paper Fig 5: ERASER fires on frequent non-leakage patterns "
                 "(e.g. 0011); GLADIATOR suppresses them.\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("fig05_pattern_histogram", e);
 }

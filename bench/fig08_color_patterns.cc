@@ -12,7 +12,7 @@ using namespace gld::bench;
 
 int
 main()
-{
+try {
     banner("Figure 8 - Color-code pattern distributions",
            "3-bit pattern LRCs + flagged counts, color code d=5");
 
@@ -64,4 +64,6 @@ main()
                 "over-triggering that ERASER's heuristic suffers on the "
                 "information-poor color-code patterns.\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("fig08_color_patterns", e);
 }

@@ -25,7 +25,7 @@ using namespace gld::bench;
 
 int
 main()
-{
+try {
     banner("Figure 9 - Speculation accuracy and LRC usage",
            "FN/FP/LRC counts, surface code d=7, p=1e-3, lr=0.1");
 
@@ -70,9 +70,11 @@ main()
     // Every shard of the plan runs here unless its result file is
     // already present and valid — i.e. shards computed elsewhere with
     // `gld_campaign run --shard i/N` are resumed, not recomputed.
+    campaign::RunShardOptions opt;
+    opt.threads = BenchConfig::threads();
+    opt.telemetry = false;
     for (int shard = 0; shard < n_shards; ++shard)
-        campaign::run_shard(spec, shard, n_shards, out_dir,
-                            BenchConfig::threads());
+        campaign::run_shard(spec, shard, n_shards, out_dir, opt);
     const std::vector<Metrics> results =
         campaign::merge_campaign(spec, n_shards, out_dir);
 
@@ -104,4 +106,6 @@ main()
                 "ERASER+M; GLADIATOR-D+M reduces FP 1.76x and LRCs 1.71x, "
                 "with 1.16x/1.22x more FNs.\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("fig09_speculation_accuracy", e);
 }

@@ -54,7 +54,7 @@ run_panel(int d, double lr, int rounds, int shots)
 
 int
 main()
-{
+try {
     banner("Figure 10 / 1(c) - Data leakage population vs rounds",
            "DLP for ER+M / GL+M / GL-D+M / IDEAL; d=7 & d=11, lr=0.1 & 1");
 
@@ -66,4 +66,6 @@ main()
                 "ERASER+M (1.47-1.73x at d=11 over 100d rounds); IDEAL is "
                 "the floor; at lr=1 a crossover appears at 100-200 rounds.\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("fig10_leakage_population", e);
 }

@@ -9,7 +9,7 @@ using namespace gld::bench;
 
 int
 main()
-{
+try {
     const int d = env_int("GLD_COLOR_D", 11, 3);
     banner("Figure 11 - Color-code DLP and LRC usage",
            "color code d=" + std::to_string(d) +
@@ -58,4 +58,6 @@ main()
     std::printf("\nPaper Fig 11: the ER+M vs GL+M DLP gap widens with rounds "
                 "on color codes; GLADIATOR uses ~1.5x fewer LRCs.\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("fig11_color_dlp", e);
 }

@@ -11,7 +11,7 @@ using namespace gld::bench;
 
 int
 main()
-{
+try {
     const int max_d = env_int("GLD_MAX_D", 7, 3);
     banner("Figure 12 - LER vs code distance",
            "LER for NO-LRC / Always-LRC / ERASER+M / GLADIATOR+M, 10d "
@@ -66,4 +66,6 @@ main()
                 "policies (Lambda ~3.7 for GLADIATOR+M vs 3.38 ERASER+M); "
                 "NO-LRC *rises* with d as leakage accumulates.\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("fig12_ler_vs_distance", e);
 }

@@ -8,7 +8,7 @@ using namespace gld::bench;
 
 int
 main()
-{
+try {
     banner("Figure 13 - Sensitivity to physical error rate",
            "LER + LRC usage at p=1e-3 and p=1e-4, surface d=5, lr=0.1");
 
@@ -44,4 +44,6 @@ main()
                 "GLADIATOR adapts its table and keeps the LRC advantage at "
                 "both error rates.\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("fig13_ler_vs_p", e);
 }

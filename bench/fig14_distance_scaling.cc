@@ -9,7 +9,7 @@ using namespace gld::bench;
 
 int
 main()
-{
+try {
     const int max_d = env_int("GLD_MAX_D", 13, 3);
     banner("Figure 14 - Scaling with code distance",
            "total leakage and LRC counts for d up to " +
@@ -58,4 +58,6 @@ main()
                 "ideal policy (quadratic qubit/gate count); the ER-vs-GL "
                 "LRC gap widens with distance.\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("fig14_distance_scaling", e);
 }

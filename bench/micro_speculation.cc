@@ -61,9 +61,12 @@ BM_SimulatorRound(benchmark::State& state)
 {
     const CodeBundle& b = surface7();
     LeakFrameSim sim(b.code, b.rc, NoiseParams::standard(), 1);
-    LrcSchedule none;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(sim.run_round(none));
+    const std::vector<LrcSchedule> none(1);
+    std::vector<RoundResult> rr;
+    for (auto _ : state) {
+        sim.run_round_batch(none, &rr);
+        benchmark::DoNotOptimize(rr.data());
+    }
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SimulatorRound);

@@ -8,7 +8,7 @@ using namespace gld::bench;
 
 int
 main()
-{
+try {
     banner("Table 2 - Leakage detection efficacy",
            "FN/FP/LRC rates + Leak-70 / Leak-700, surface d=7");
 
@@ -75,4 +75,6 @@ main()
                 "lowest FP/LRC and the lowest long-horizon leakage among "
                 "speculative policies.\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("table2_eraser_efficacy", e);
 }

@@ -13,7 +13,7 @@ using namespace gld::bench;
 
 int
 main()
-{
+try {
     banner("Table 3 - FPGA LUTs per logical qubit",
            "GLADIATOR vs ERASER LUT usage, d = 5..25");
 
@@ -70,4 +70,6 @@ main()
     std::printf("\nPaper Table 3: GLADIATOR 10..70 LUTs, ERASER 177..5393, "
                 "17.7x-81.1x reduction.\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("table3_fpga_luts", e);
 }

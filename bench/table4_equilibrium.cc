@@ -9,7 +9,7 @@ using namespace gld::bench;
 
 int
 main()
-{
+try {
     const int d = env_int("GLD_T4_D", 7, 3);
     banner("Table 4 - Equilibrium leakage and speculation inaccuracy",
            "surface d=" + std::to_string(d) + " (paper: d=11)");
@@ -62,4 +62,6 @@ main()
                 "below ERASER+M at every lr, and its inaccuracy ~2-3x lower "
                 "at both error rates.\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("table4_equilibrium", e);
 }

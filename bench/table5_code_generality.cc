@@ -9,7 +9,7 @@ using namespace gld::bench;
 
 int
 main()
-{
+try {
     banner("Table 5 - Generality across QEC codes",
            "LRC / DLP / cycle-time reduction factors, 4 code families");
 
@@ -61,4 +61,6 @@ main()
                 "DLP 1.02x-1.88x, cycle time tracks the LRC ratio — the "
                 "abstract's 1.7x-3.9x QEC speedups.\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("table5_code_generality", e);
 }

@@ -23,17 +23,19 @@ measure_conditional(const CodeBundle& bundle, double mobility, uint64_t seed)
     MobilityEstimator est(bundle.ctx);
     LeakFrameSim sim(bundle.code, bundle.rc, np, seed);
     Rng shot_rng(seed ^ 0xABCD);
-    LrcSchedule sched;
+    std::vector<LrcSchedule> sched(1);
+    std::vector<RoundResult> results;
     for (int shot = 0; shot < 40; ++shot) {
-        sim.reset_shot();
+        sim.reset_shot_batch(1);
         policy.begin_shot();
-        sched.clear();
-        sim.inject_data_leak(
-            static_cast<int>(shot_rng.uniform_int(bundle.code.n_data())));
+        sched[0].clear();
+        sim.inject_data_leak_lane(
+            0, static_cast<int>(shot_rng.uniform_int(bundle.code.n_data())));
         for (int r = 0; r < 40; ++r) {
-            const RoundResult rr = sim.run_round(sched);
-            policy.observe(r, rr, &sched);
-            est.observe(sched.data_qubits, rr);
+            sim.run_round_batch(sched, &results);
+            const RoundResult& rr = results[0];
+            policy.observe(r, rr, &sched[0]);
+            est.observe(sched[0].data_qubits, rr);
         }
     }
     return est.conditional_rate();
@@ -43,7 +45,7 @@ measure_conditional(const CodeBundle& bundle, double mobility, uint64_t seed)
 
 int
 main()
-{
+try {
     banner("Table 6 - Leakage mobility classification",
            "regime accuracy at mobility 1 / 2.5 / 5 / 6 / 9 %");
 
@@ -83,4 +85,6 @@ main()
     std::printf("\nPaper Table 6: 100%% accuracy away from the boundary, "
                 "50%% at exactly 5%% (the calibration point).\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("table6_mobility", e);
 }

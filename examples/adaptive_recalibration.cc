@@ -17,7 +17,7 @@ using namespace gld;
 
 int
 main()
-{
+try {
     const CssCode code = SurfaceCode::make(7);
     const RoundCircuit rc(code);
     const CodeContext ctx(code, rc, PatternScope::kBothTypes);
@@ -64,17 +64,19 @@ main()
         MobilityEstimator est(ctx);
         LeakFrameSim sim(code, rc, np, 11);
         Rng shot_rng(3);
-        LrcSchedule sched;
+        std::vector<LrcSchedule> sched(1);
+        std::vector<RoundResult> results;
         for (int shot = 0; shot < 50; ++shot) {
-            sim.reset_shot();
+            sim.reset_shot_batch(1);
             policy.begin_shot();
-            sched.clear();
-            sim.inject_data_leak(
-                static_cast<int>(shot_rng.uniform_int(code.n_data())));
+            sched[0].clear();
+            sim.inject_data_leak_lane(
+                0, static_cast<int>(shot_rng.uniform_int(code.n_data())));
             for (int r = 0; r < 40; ++r) {
-                const RoundResult rr = sim.run_round(sched);
-                policy.observe(r, rr, &sched);
-                est.observe(sched.data_qubits, rr);
+                sim.run_round_batch(sched, &results);
+                const RoundResult& rr = results[0];
+                policy.observe(r, rr, &sched[0]);
+                est.observe(sched[0].data_qubits, rr);
             }
         }
         std::printf("  mobility %.0f%%: conditional co-leak rate %.4f over "
@@ -84,4 +86,6 @@ main()
     std::printf("\nRecalibration = rebuild weights + relabel; the graph "
                 "structure and the FPGA checker stay fixed.\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("adaptive_recalibration", e);
 }

@@ -51,11 +51,13 @@ run_code(const CssCode& code)
 
 int
 main()
-{
+try {
     run_code(HgpCode::make_hamming());
     run_code(BpcCode::make_default());
     std::printf("\nGLADIATOR derives each data qubit's pattern table from "
                 "its own local circuit structure, so irregular degrees "
                 "(3-8 checks per qubit) need no code-specific tuning.\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("qldpc_speculation", e);
 }

@@ -12,7 +12,7 @@ using namespace gld;
 
 int
 main()
-{
+try {
     // 1. Pick a code and build its scheduled syndrome-extraction circuit.
     const CssCode code = SurfaceCode::make(5);
     const RoundCircuit rc(code);
@@ -58,4 +58,6 @@ main()
                 "an offline code-aware error graph, cutting false-positive "
                 "LRCs relative to ERASER's 50%%-flip heuristic.\n");
     return 0;
+} catch (const std::exception& e) {
+    return report_failure("quickstart", e);
 }

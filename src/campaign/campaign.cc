@@ -699,19 +699,6 @@ run_shard(const CampaignSpec& spec, int shard, int n_shards,
     return stats;
 }
 
-RunShardStats
-run_shard(const CampaignSpec& spec, int shard, int n_shards,
-          const std::string& out_dir, int threads, bool verbose,
-          int jobs_parallel)
-{
-    RunShardOptions opt;
-    opt.threads = threads;
-    opt.verbose = verbose;
-    opt.jobs_parallel = jobs_parallel;
-    opt.telemetry = false;  // the exact pre-telemetry behavior
-    return run_shard(spec, shard, n_shards, out_dir, opt);
-}
-
 void
 remove_results(const CampaignSpec& spec, int n_shards,
                const std::string& out_dir)

@@ -199,11 +199,6 @@ RunShardStats run_shard(const CampaignSpec& spec, int shard, int n_shards,
                         const std::string& out_dir,
                         const RunShardOptions& opt);
 
-/** Back-compat wrapper: RunShardOptions with telemetry off. */
-RunShardStats run_shard(const CampaignSpec& spec, int shard, int n_shards,
-                        const std::string& out_dir, int threads = 0,
-                        bool verbose = false, int jobs_parallel = 1);
-
 /**
  * Deletes every shard and merged result file of the campaign in
  * `out_dir`, plus all telemetry, progress and merged-heatmap files

@@ -717,21 +717,20 @@ BatchLeakageDriver::final_data_measure_batch(
     }
 }
 
-// --- BatchLeakageDriverSim scalar adapters. ---
-
-RoundResult
-BatchLeakageDriverSim::run_round(const LrcSchedule& lrcs)
+BatchLeakageDriverSim::BatchLeakageDriverSim(const CssCode& code,
+                                             const RoundCircuit& rc,
+                                             const NoiseParams& np,
+                                             uint64_t seed,
+                                             NoiseSampling noise_sampling)
+    : BatchSimulator(code.n_data(), code.n_checks()),
+      driver_(code, rc, np, Rng(seed), noise_sampling)
 {
-    one_lrcs_[0] = lrcs;
-    run_round_batch(one_lrcs_, &one_round_);
-    return one_round_[0];
 }
 
-std::vector<uint8_t>
-BatchLeakageDriverSim::final_data_measure()
+void
+BatchLeakageDriverSim::run_round_words(const LrcWords& lrc)
 {
-    driver_.final_data_measure_batch(&one_flips_);
-    return one_flips_[0];
+    driver_.run_round_batch(lrc);
 }
 
 }  // namespace gld

@@ -2,6 +2,7 @@
 #define GLD_SIM_BATCH_DRIVER_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "circuit/round_circuit.h"
@@ -180,7 +181,7 @@ class BatchLeakageDriver final {
     }
     /**
      * Applies X to qubit q in the lanes of `xs` and Z in the lanes of
-     * `zs` (the round's noise; injection for the scalar adapters).
+     * `zs` (the round's noise, and the simulator's Pauli injection).
      */
     void apply_pauli(int q, LaneMask xs, LaneMask zs)
     {
@@ -499,13 +500,27 @@ class BatchLeakageDriver final {
 };
 
 /**
- * Batch analogue of LeakageDriverSim: a backend derives, implements
- * name(), and gets the whole Simulator API over the batch driver —
- * scalar calls run it one lane wide, so the same object serves interface
- * tests and the lockstep scheduler path.
+ * The bit-packed Pauli-frame backend, batch_frame: kBatchLanes (64)
+ * shots per batch, one X and one Z frame word per qubit, driven in
+ * lockstep by the BatchLeakageDriver, whose round runs every frame update
+ * as word-wide AND/XOR ops (no virtual call).  Under lockstep sampling
+ * each lane is bit-identical to the frame backend's corresponding shot,
+ * so Metrics through the scheduler's batch path equal frame's (the
+ * tier-1 cross-backend gate); under the default sparse sampling they
+ * agree statistically (the verify referee).  Frame semantics match
+ * LeakFrameSim lane for lane: a readout reads the X words undisturbed, a
+ * leaked lane's frame freezes, and an LRC preserves the serviced frame.
  */
-class BatchLeakageDriverSim : public BatchSimulator {
+class BatchLeakageDriverSim final : public BatchSimulator {
   public:
+    /** Same master stream, Rng(seed), as LeakFrameSim(seed): lockstep
+     *  lane l of batch b replays the frame backend's shot 64*b + l. */
+    BatchLeakageDriverSim(const CssCode& code, const RoundCircuit& rc,
+                          const NoiseParams& np, uint64_t seed,
+                          NoiseSampling noise_sampling =
+                              NoiseSampling::kLockstep);
+
+    std::string name() const final { return "batch_frame"; }
     int batch_width() const final { return kBatchLanes; }
     void reset_shot_batch(int n_lanes) final
     {
@@ -515,6 +530,16 @@ class BatchLeakageDriverSim : public BatchSimulator {
     void inject_data_leak_lane(int lane, int q) final
     {
         driver_.set_leak(q, 1ull << lane);
+    }
+    void inject_check_leak_lane(int lane, int c) final
+    {
+        driver_.set_check_leak(c, 1ull << lane);
+    }
+    void inject_pauli_lane(int lane, int q, uint32_t pauli) final
+    {
+        const LaneMask m = 1ull << lane;
+        driver_.apply_pauli(q, (pauli & kPauliX) != 0 ? m : 0,
+                            (pauli & kPauliZ) != 0 ? m : 0);
     }
     const LeakageOracle& lane_oracle(int lane) const final
     {
@@ -549,50 +574,16 @@ class BatchLeakageDriverSim : public BatchSimulator {
         driver_.reset_for_block(Rng(seed));
     }
 
-    // --- Scalar Simulator API: lane 0 of a one-lane batch. ---
-    void reset_shot() final { driver_.reset_shot_batch(1); }
-    void inject_data_leak(int q) final { driver_.set_leak(q, 1); }
-    void inject_check_leak(int c) final { driver_.set_check_leak(c, 1); }
-    void inject_x(int q) final { driver_.apply_pauli(q, 1, 0); }
-    void inject_z(int q) final { driver_.apply_pauli(q, 0, 1); }
-    void clear_leak(int q) final { driver_.clear_leak(q, 1); }
-    const LeakageOracle& leak_oracle() const final
-    {
-        return driver_.lane_oracle(0);
-    }
-    RoundResult run_round(const LrcSchedule& lrcs) final;
-    std::vector<uint8_t> final_data_measure() final;
-
     /** The LRC partner ancilla (check index) used for data qubit q. */
     int lrc_partner(int q) const { return driver_.lrc_partner(q); }
 
     /** The shared batch driver (tests: drift gate, semantics probes). */
     const BatchLeakageDriver& driver() const { return driver_; }
 
-  protected:
-    /** @param master see BatchLeakageDriver — pass the scalar backend's
-     *         master (e.g. Rng(seed)) for shot-for-shot lane alignment.
-     *  @param noise_sampling the driver's Bernoulli draw contract. */
-    BatchLeakageDriverSim(const CssCode& code, const RoundCircuit& rc,
-                          const NoiseParams& np, Rng master,
-                          NoiseSampling noise_sampling)
-        : BatchSimulator(code.n_data(), code.n_checks()),
-          driver_(code, rc, np, master, noise_sampling)
-    {
-    }
-
-    void run_round_words(const LrcWords& lrc) final
-    {
-        driver_.run_round_batch(lrc);
-    }
+  private:
+    void run_round_words(const LrcWords& lrc) final;
 
     BatchLeakageDriver driver_;
-
-  private:
-    // Scratch for the scalar API adapters (reused across rounds).
-    std::vector<LrcSchedule> one_lrcs_{1};
-    std::vector<RoundResult> one_round_;
-    std::vector<std::vector<uint8_t>> one_flips_;
 };
 
 }  // namespace gld

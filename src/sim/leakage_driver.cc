@@ -305,19 +305,12 @@ LeakageDriverSim::run_round_words(const LrcWords& lrc)
         if (lrc.checks[c] & 1u)
             lane0_.checks.push_back(static_cast<int>(c));
     }
-    run_round(lane0_);
-}
-
-RoundResult
-LeakageDriverSim::run_round(const LrcSchedule& lrcs)
-{
-    RoundResult rr = driver_.run_round(lrcs);
+    const RoundResult rr = driver_.run_round(lane0_);
     for (size_t c = 0; c < rr.meas_flip.size(); ++c) {
         meas_flip_words_[c] = rr.meas_flip[c];
         detector_words_[c] = rr.detector[c];
         mlr_words_[c] = rr.mlr_flag[c];
     }
-    return rr;
 }
 
 }  // namespace gld

@@ -12,14 +12,6 @@
 
 namespace gld {
 
-/** Pauli encoding shared by the driver and every backend: bit0 = X,
- *  bit1 = Z (both = Y up to the global phase, which no stabilizer
- *  statistic observes).  0 is the identity. */
-constexpr uint32_t kPauliI = 0;
-constexpr uint32_t kPauliX = 1;
-constexpr uint32_t kPauliZ = 2;
-constexpr uint32_t kPauliY = 3;
-
 /**
  * The narrow quantum-state interface a simulation backend provides to the
  * shared LeakageDriver.  A backend owns ONLY the computational-subspace
@@ -206,27 +198,37 @@ class LeakageDriver final : public LeakageOracle {
 };
 
 /**
- * Simulator implemented as a LeakageDriver over this object's own
- * StatePrimitives: derive, implement the primitives plus name(), and the
- * entire leakage semantics comes along.  Both in-tree backends are built
- * this way, which is what keeps them semantically identical by
- * construction — a third backend is a primitives provider, not a
- * re-implementation of the round dynamics.
+ * A one-lane BatchSimulator implemented as a LeakageDriver over this
+ * object's own StatePrimitives: derive, implement the primitives plus
+ * name(), and the entire leakage semantics comes along.  Both scalar
+ * backends are built this way, which is what keeps them semantically
+ * identical by construction: a new backend is a primitives provider, not
+ * a re-implementation of the round dynamics.
  *
- * The batch entry points run a one-lane batch: lane 0 is the driver's
- * current shot, so the runner drives scalar and packed backends through
- * the same block path.  The word round entry unpacks bit 0 of the LRC
- * masks into an ascending schedule for the scalar run_round.
+ * Lane 0 is the driver's current shot, so the runner drives scalar and
+ * packed backends through the same block path.  The word round entry
+ * unpacks bit 0 of the LRC masks into an ascending schedule for the
+ * driver's run_round.
  */
 class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
   public:
-    // --- BatchSimulator, one lane wide. ---
     int batch_width() const final { return 1; }
-    void reset_shot_batch(int /*n_lanes == 1*/) final { reset_shot(); }
+    void reset_shot_batch(int /*n_lanes == 1*/) final
+    {
+        driver_.reset_shot();
+    }
     int n_lanes() const final { return 1; }
     void inject_data_leak_lane(int /*lane == 0*/, int q) final
     {
         driver_.set_leak(q);
+    }
+    void inject_check_leak_lane(int /*lane == 0*/, int c) final
+    {
+        driver_.set_check_leak(c);
+    }
+    void inject_pauli_lane(int /*lane == 0*/, int q, uint32_t pauli) final
+    {
+        apply_pauli(q, pauli);
     }
     const LeakageOracle& lane_oracle(int /*lane == 0*/) const final
     {
@@ -252,7 +254,6 @@ class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
         (*out)[0] = driver_.final_data_measure();
     }
 
-    void reset_shot() final { driver_.reset_shot(); }
     /**
      * Default reuse reset for backends whose only randomness is the
      * driver's (the frame backend): fresh construction passes Rng(seed)
@@ -264,18 +265,6 @@ class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
     void reset_for_block(uint64_t seed) override
     {
         driver_.reset_for_block(Rng(seed));
-    }
-    void inject_data_leak(int q) final { driver_.set_leak(q); }
-    void inject_check_leak(int c) final { driver_.set_check_leak(c); }
-    void inject_x(int q) final { apply_pauli(q, kPauliX); }
-    void inject_z(int q) final { apply_pauli(q, kPauliZ); }
-    void clear_leak(int q) final { driver_.clear_leak(q); }
-    const LeakageOracle& leak_oracle() const final { return driver_; }
-    /** One round; also packs it into the one-lane word views (bit 0). */
-    RoundResult run_round(const LrcSchedule& lrcs) final;
-    std::vector<uint8_t> final_data_measure() final
-    {
-        return driver_.final_data_measure();
     }
 
     /** The LRC partner ancilla (check index) used for data qubit q. */
@@ -300,6 +289,7 @@ class LeakageDriverSim : public BatchSimulator, protected StatePrimitives {
     {
     }
 
+    /** One driver round, packed into the one-lane word views (bit 0). */
     void run_round_words(const LrcWords& lrc) final;
 
     LeakageDriver driver_;

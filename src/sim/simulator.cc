@@ -5,7 +5,7 @@
 #include <string>
 
 #include "runtime/experiment.h"
-#include "sim/batch_frame_sim.h"
+#include "sim/batch_driver.h"
 #include "sim/frame_sim.h"
 #include "sim/lane_span.h"
 #include "sim/tableau_leak_sim.h"
@@ -284,8 +284,8 @@ make_simulator(SimBackend backend, const CssCode& code,
       case SimBackend::kTableau:
         return std::make_unique<TableauLeakSim>(code, rc, np, seed);
       case SimBackend::kBatchFrame:
-        return std::make_unique<BatchFrameSim>(code, rc, np, seed,
-                                               noise_sampling);
+        return std::make_unique<BatchLeakageDriverSim>(code, rc, np, seed,
+                                                       noise_sampling);
     }
     throw_unknown_backend("make_simulator: invalid SimBackend value " +
                           std::to_string(static_cast<int>(backend)));

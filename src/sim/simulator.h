@@ -35,10 +35,9 @@ struct LrcSchedule {
 };
 
 /**
- * Ground-truth view of the classical leakage state.  There is exactly one
- * implementation — the shared LeakageDriver — so the oracle the runner's
- * speculation accounting and the IDEAL policy read is the same object on
- * every backend, by construction.
+ * Ground-truth view of the classical leakage state: the scalar
+ * LeakageDriver itself, or one lane of the batch driver (its LaneOracle),
+ * so what the accounting and the IDEAL policy read is a driver's flags.
  */
 class LeakageOracle {
   public:
@@ -52,85 +51,13 @@ class LeakageOracle {
     virtual int n_check_leaked() const = 0;
 };
 
-/**
- * Abstract simulation backend for the closed-loop memory experiment.
- *
- * A backend executes the scheduled syndrome-extraction circuit of one code
- * round by round.  The classical leakage dynamics — gate malfunction,
- * mobility transport, MLR, LRC gadgets — are NOT the backend's to define:
- * they live in the shared LeakageDriver (sim/leakage_driver.h), and a
- * backend only provides the quantum-state primitives the driver runs over.
- *
- * Contract shared by every backend:
- *  - run_round() applies the scheduled LRCs first (start-of-round
- *    semantics), then one noisy extraction round; detector bits are
- *    meas-XOR-previous with round-0 X-check detectors forced to 0.
- *  - All randomness comes from the constructor seed: the same seed gives
- *    a bit-identical shot sequence (per backend — different backends draw
- *    differently and agree only statistically / on noiseless semantics).
- *  - Fault injection (inject_*) is exact and deterministic, so noiseless
- *    detector signatures are comparable ACROSS backends.
- */
-class Simulator {
-  public:
-    virtual ~Simulator() = default;
-
-    /** Human-readable backend name ("frame", "tableau", "batch_frame"). */
-    virtual std::string name() const = 0;
-
-    /** Clears all per-shot state for a new shot. */
-    virtual void reset_shot() = 0;
-
-    /**
-     * Re-seeds and fully resets this simulator so everything it does from
-     * here on is BIT-identical to a freshly constructed
-     * make_simulator(backend, code, rc, np, seed) with the same shape
-     * arguments (code/circuit/noise/sampling) and this seed.  This is the
-     * per-worker reuse hook of the scheduler's zero-allocation steady
-     * state: a worker keeps one simulator per config shape and resets it
-     * per (stream, block) — one 64-shot block, so one 64-lane batch or
-     * 64 one-lane batches — instead of reconstructing.  No observable
-     * difference is permitted (the reuse ≡ fresh determinism gate pins
-     * this per backend).
-     */
-    virtual void reset_for_block(uint64_t seed) = 0;
-
-    /** Forces a data qubit into the leaked state (leakage sampling, §6). */
-    virtual void inject_data_leak(int q) = 0;
-    /** Forces an ancilla (by check index) into the leaked state. */
-    virtual void inject_check_leak(int c) = 0;
-    /** Injects an X (bit-flip) error on a qubit (tests / fault studies). */
-    virtual void inject_x(int q) = 0;
-    /** Injects a Z (phase-flip) error on a qubit. */
-    virtual void inject_z(int q) = 0;
-    /** Clears a qubit's leak flag (tests). */
-    virtual void clear_leak(int q) = 0;
-
-    /** The ground-truth leak oracle (the shared driver's flag state). */
-    virtual const LeakageOracle& leak_oracle() const = 0;
-
-    // Convenience pass-throughs so oracle reads stay one call deep at
-    // every existing call site.
-    bool data_leaked(int q) const { return leak_oracle().data_leaked(q); }
-    bool check_leaked(int c) const { return leak_oracle().check_leaked(c); }
-    /** Number of currently-leaked data qubits. */
-    int n_data_leaked() const { return leak_oracle().n_data_leaked(); }
-    /** Number of currently-leaked ancilla qubits. */
-    int n_check_leaked() const { return leak_oracle().n_check_leaked(); }
-
-    /**
-     * Applies the scheduled LRC gadgets, then executes one noisy
-     * syndrome-extraction round.
-     */
-    virtual RoundResult run_round(const LrcSchedule& lrcs) = 0;
-
-    /**
-     * Transversal Z-basis readout of all data qubits at the end of the
-     * memory experiment.  Returns the per-qubit outcome flip (leaked
-     * qubits read out randomly).
-     */
-    virtual std::vector<uint8_t> final_data_measure() = 0;
-};
+/** Pauli encoding shared by the drivers and every backend: bit0 = X,
+ *  bit1 = Z (both = Y up to the global phase, which no stabilizer
+ *  statistic observes).  0 is the identity. */
+constexpr uint32_t kPauliI = 0;
+constexpr uint32_t kPauliX = 1;
+constexpr uint32_t kPauliZ = 2;
+constexpr uint32_t kPauliY = 3;
 
 /** Lanes per batch word: 64 Monte-Carlo shots packed one per bit. */
 constexpr int kBatchLanes = 64;
@@ -163,13 +90,25 @@ struct LrcWords {
 };
 
 /**
- * Every backend is a BatchSimulator: the full Simulator API (so every
- * interface-level test, policy and tool works unchanged) plus the
- * lockstep batch entry points the runner drives a whole shot block
- * through.  The packed backend (batch_frame) holds 64 lanes, one word;
- * the scalar backends (frame, tableau) are one-lane
- * batches, so there is exactly one block path and one
- * speculation-accounting implementation for all of them.
+ * The simulation backend of the closed-loop memory experiment: the
+ * scheduled syndrome-extraction circuit of one code, run round by round
+ * over a batch of shots in lockstep.  The packed backend (batch_frame)
+ * holds 64 lanes, one word; the scalar backends (frame, tableau) are
+ * one-lane batches, so there is exactly one block path and one
+ * speculation-accounting implementation for all of them.  A lone shot is
+ * a one-lane batch: reset_shot_batch(1), then lane 0 of every entry.
+ * The classical leakage dynamics live in the shared LeakageDriver
+ * (sim/leakage_driver.h) and its lockstep twin (sim/batch_driver.h).
+ *
+ * Contract shared by every backend:
+ *  - a round applies the scheduled LRCs first, then one noisy extraction
+ *    round; detector bits are meas-XOR-previous with round-0 X-check
+ *    detectors forced to 0.
+ *  - All randomness comes from the constructor seed (per backend:
+ *    different backends agree only statistically, except frame and
+ *    lockstep batch_frame, which agree bit for bit).
+ *  - Fault injection (inject_*_lane) is exact and deterministic, so
+ *    noiseless detector signatures are comparable ACROSS backends.
  *
  * The production round entry is run_round_batch(const LrcWords&): the
  * policy's lane masks go into the simulator as they are, and a batch
@@ -177,8 +116,27 @@ struct LrcWords {
  * run_round_batch(schedules, out) is a packer onto it for tests, benches
  * and tools that hold one LrcSchedule per lane.
  */
-class BatchSimulator : public Simulator {
+class BatchSimulator {
   public:
+    virtual ~BatchSimulator() = default;
+
+    /** Human-readable backend name ("frame", "tableau", "batch_frame"). */
+    virtual std::string name() const = 0;
+
+    /**
+     * Re-seeds and fully resets this simulator so everything it does from
+     * here on is BIT-identical to a freshly constructed
+     * make_simulator(backend, code, rc, np, seed) with the same shape
+     * arguments (code/circuit/noise/sampling) and this seed.  This is the
+     * per-worker reuse hook of the scheduler's zero-allocation steady
+     * state: a worker keeps one simulator per config shape and resets it
+     * per (stream, block) — one 64-shot block, so one 64-lane batch or
+     * 64 one-lane batches — instead of reconstructing.  No observable
+     * difference is permitted (the reuse ≡ fresh determinism gate pins
+     * this per backend).
+     */
+    virtual void reset_for_block(uint64_t seed) = 0;
+
     /** Max shots one batch holds (64 for packed backends, else 1). */
     virtual int batch_width() const = 0;
 
@@ -190,8 +148,15 @@ class BatchSimulator : public Simulator {
 
     /** Forces lane `lane`'s data qubit q into the leaked state. */
     virtual void inject_data_leak_lane(int lane, int q) = 0;
+    /** Forces lane `lane`'s ancilla of check c into the leaked state. */
+    virtual void inject_check_leak_lane(int lane, int c) = 0;
+    /** Applies `pauli` (kPauli*) to qubit q in lane `lane`. */
+    virtual void inject_pauli_lane(int lane, int q, uint32_t pauli) = 0;
 
-    /** Ground-truth oracle of one lane's shot. */
+    /**
+     * Ground-truth oracle of one lane's shot: a per-lane vestige that the
+     * per-lane policy adapter and paperbench still read (ROADMAP 1(d)).
+     */
     virtual const LeakageOracle& lane_oracle(int lane) const = 0;
 
     /**
@@ -217,7 +182,8 @@ class BatchSimulator : public Simulator {
     void run_round_batch(const LrcWords& lrc);
 
     /**
-     * The per-lane entry, packed onto run_round_batch(const LrcWords&):
+     * The per-lane entry, packed onto run_round_batch(const LrcWords&);
+     * a vestige kept while paperbench drives it (ROADMAP 1(d)):
      * `lane_lrcs` needs an entry per active lane, each an ascending set
      * of in-range ids, else std::invalid_argument naming the lane and
      * the id before anything runs.  A non-null `out` receives one
@@ -236,7 +202,7 @@ class BatchSimulator : public Simulator {
     virtual const LaneMask* detector_words() const = 0;
     virtual const LaneMask* mlr_words() const = 0;
 
-    /** Lockstep final transversal readout of every active lane. */
+    /** Lockstep final Z readout: out[l] is lane l's flip per data qubit. */
     virtual void final_data_measure_batch(
         std::vector<std::vector<uint8_t>>* out) = 0;
 
@@ -254,6 +220,9 @@ class BatchSimulator : public Simulator {
     int n_checks_;
     LrcWords packed_;  ///< the per-lane entry's masks
 };
+
+/** The old name, kept while paperbench spells it (ROADMAP 1(d)). */
+using Simulator = BatchSimulator;
 
 /**
  * Rejects an LRC schedule that is not an ascending set of in-range ids

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
@@ -44,6 +45,14 @@ env_int(const char* name, int fallback, int lo, int hi)
     if (s == nullptr || s[0] == '\0')
         return fallback;
     return int_flag(name, s, lo, hi);
+}
+
+int
+report_failure(const char* prog, const std::exception& e)
+{
+    std::fflush(stdout);
+    std::fprintf(stderr, "%s: %s\n", prog, e.what());
+    return 1;
 }
 
 double

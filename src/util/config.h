@@ -2,6 +2,7 @@
 #define GLD_UTIL_CONFIG_H_
 
 #include <climits>
+#include <exception>
 #include <string>
 
 namespace gld {
@@ -19,6 +20,14 @@ int int_flag(const std::string& flag, const std::string& v, int lo,
 double real_flag(const std::string& flag, const std::string& v, double lo,
                  double hi, const char* range);
 int env_int(const char* name, int fallback, int lo, int hi = INT_MAX);
+
+/**
+ * The handler of an exception that reaches a program's main (a malformed
+ * flag or GLD_* value, say): prints "<prog>: <message>" on stderr and
+ * returns exit status 1 instead of ending in std::terminate's abort.
+ * gld_campaign, the figure generators and the examples use it.
+ */
+int report_failure(const char* prog, const std::exception& e);
 
 /**
  * Environment-driven knobs shared by the benchmark harness.  A set but

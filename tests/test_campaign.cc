@@ -48,6 +48,16 @@ small_spec(const std::string& name)
     return spec;
 }
 
+/** run_shard options: `threads` workers, telemetry off. */
+RunShardOptions
+quiet(int threads)
+{
+    RunShardOptions opt;
+    opt.threads = threads;
+    opt.telemetry = false;
+    return opt;
+}
+
 std::string
 fresh_dir(const std::string& tag)
 {
@@ -412,7 +422,7 @@ TEST(ShardPartition, MergeBitIdenticalWhenShardsDoNotDivideStreams)
     const int n_shards = 5;
     const std::string dir = fresh_dir("partition_merge");
     for (int shard = 0; shard < n_shards; ++shard)
-        run_shard(spec, shard, n_shards, dir, /*threads=*/2);
+        run_shard(spec, shard, n_shards, dir, quiet(2));
     const std::vector<Metrics> merged =
         merge_campaign(spec, n_shards, dir);
 
@@ -509,7 +519,7 @@ TEST(ShardEquivalence, ThreeShardsMergeBitIdenticalToSingleProcess)
 
     for (int shard = 0; shard < n_shards; ++shard) {
         const RunShardStats stats =
-            run_shard(spec, shard, n_shards, dir, /*threads=*/2);
+            run_shard(spec, shard, n_shards, dir, quiet(2));
         EXPECT_EQ(stats.jobs_run, 2);
         EXPECT_EQ(stats.jobs_resumed, 0);
     }
@@ -540,26 +550,26 @@ TEST(Resume, SkipsValidRecomputesStaleAndCorrupt)
     const CampaignSpec spec = small_spec("resume");
     const std::string dir = fresh_dir("resume");
 
-    RunShardStats first = run_shard(spec, 0, 2, dir, 1);
+    RunShardStats first = run_shard(spec, 0, 2, dir, quiet(1));
     EXPECT_EQ(first.jobs_run, 2);
     EXPECT_EQ(first.jobs_resumed, 0);
 
     // Same spec again: everything resumes, nothing recomputes.
-    RunShardStats second = run_shard(spec, 0, 2, dir, 1);
+    RunShardStats second = run_shard(spec, 0, 2, dir, quiet(1));
     EXPECT_EQ(second.jobs_run, 0);
     EXPECT_EQ(second.jobs_resumed, 2);
 
     // A changed config (different hash) invalidates the checkpoints.
     CampaignSpec changed = spec;
     changed.rounds += 1;
-    RunShardStats third = run_shard(changed, 0, 2, dir, 1);
+    RunShardStats third = run_shard(changed, 0, 2, dir, quiet(1));
     EXPECT_EQ(third.jobs_run, 2);
     EXPECT_EQ(third.jobs_resumed, 0);
 
     // A garbled result file is recomputed, not trusted.
     const std::string victim = shard_result_path(dir, changed, 0, 0, 2);
     io::write_file_atomic(victim, "{\"gld_version\": 1, truncated");
-    RunShardStats fourth = run_shard(changed, 0, 2, dir, 1);
+    RunShardStats fourth = run_shard(changed, 0, 2, dir, quiet(1));
     EXPECT_EQ(fourth.jobs_run, 1);
     EXPECT_EQ(fourth.jobs_resumed, 1);
 
@@ -571,7 +581,7 @@ TEST(Resume, SkipsValidRecomputesStaleAndCorrupt)
     std::swap(swapped.policies[0], swapped.policies[1]);
     EXPECT_EQ(io::config_hash(swapped.expand()[0].cfg),
               io::config_hash(changed.expand()[0].cfg));
-    RunShardStats fifth = run_shard(swapped, 0, 2, dir, 1);
+    RunShardStats fifth = run_shard(swapped, 0, 2, dir, quiet(1));
     EXPECT_EQ(fifth.jobs_run, 2);
     EXPECT_EQ(fifth.jobs_resumed, 0);
 }
@@ -580,11 +590,11 @@ TEST(Merge, RefusesMissingShardsAndForeignConfigs)
 {
     const CampaignSpec spec = small_spec("strict");
     const std::string dir = fresh_dir("strict");
-    run_shard(spec, 0, 2, dir, 1);
+    run_shard(spec, 0, 2, dir, quiet(1));
     // Shard 1 of 2 never ran.
     EXPECT_THROW(merge_campaign(spec, 2, dir), std::runtime_error);
 
-    run_shard(spec, 1, 2, dir, 1);
+    run_shard(spec, 1, 2, dir, quiet(1));
     EXPECT_NO_THROW(merge_campaign(spec, 2, dir));
 
     // Results on disk from a different config must be rejected, not
@@ -631,7 +641,7 @@ TEST(Merge, RefusesMissingShardsAndForeignConfigs)
                 << what;
             EXPECT_NE(what.find(c.field), std::string::npos) << what;
         }
-        const RunShardStats rerun = run_shard(spec, 1, 2, dir, 1);
+        const RunShardStats rerun = run_shard(spec, 1, 2, dir, quiet(1));
         EXPECT_EQ(rerun.jobs_run, 1);
         EXPECT_EQ(rerun.jobs_resumed, 1);
         EXPECT_EQ(io::read_file(victim), good);
@@ -648,7 +658,7 @@ TEST(Resume, RecomputesAFileListingAnotherStreamSet)
     const CampaignSpec spec = small_spec("resume_partition");
     const std::string dir = fresh_dir("resume_partition");
     const int n_shards = 3;
-    run_shard(spec, 0, n_shards, dir, 1);
+    run_shard(spec, 0, n_shards, dir, quiet(1));
     const JobSpec job = spec.expand()[1];
     const std::string path =
         shard_result_path(dir, spec, job.index, 0, n_shards);
@@ -657,7 +667,7 @@ TEST(Resume, RecomputesAFileListingAnotherStreamSet)
     const std::vector<int> old = round_robin_streams(job, 0, n_shards);
     ASSERT_NE(old, shard_streams(job, 0, n_shards));
     rewrite_shard_streams(dir, spec, job, 0, n_shards, old);
-    const RunShardStats stats = run_shard(spec, 0, n_shards, dir, 1);
+    const RunShardStats stats = run_shard(spec, 0, n_shards, dir, quiet(1));
     EXPECT_EQ(stats.jobs_run, 1);
     EXPECT_EQ(stats.jobs_resumed, 1);
     EXPECT_EQ(io::read_file(path), good);
@@ -671,7 +681,7 @@ TEST(Merge, RefusesAFleetMixingPartitions)
     const std::string dir = fresh_dir("mixed_fleet");
     const int n_shards = 3;
     for (int shard = 0; shard < n_shards; ++shard)
-        run_shard(spec, shard, n_shards, dir, 1);
+        run_shard(spec, shard, n_shards, dir, quiet(1));
     ASSERT_NO_THROW(merge_campaign(spec, n_shards, dir));
 
     const JobSpec job = spec.expand()[1];
@@ -728,7 +738,7 @@ TEST(Campaign, JobPoolAndRunnerShareOneThreadBudget)
     // And the nested-pool schedule is a pure execution detail: the
     // merged results match a serial single-thread pass bit for bit.
     const std::string dir_serial = fresh_dir("shared_budget_serial");
-    run_shard(spec, 0, 1, dir_serial, /*threads=*/1);
+    run_shard(spec, 0, 1, dir_serial, quiet(1));
     const std::vector<Metrics> par = merge_campaign(spec, 1, dir);
     const std::vector<Metrics> ser = merge_campaign(spec, 1, dir_serial);
     ASSERT_EQ(par.size(), ser.size());
@@ -742,9 +752,9 @@ TEST(Campaign, JobPoolAndRunnerShareOneThreadBudget)
 
 TEST(Observability, TelemetryIsAPureSideChannelAtTheCampaignLevel)
 {
-    // run_shard with telemetry + heatmaps on vs the legacy (telemetry
-    // off) entry point: the merged Metrics must be bit-identical — the
-    // campaign-level extension of the runner drift gate.
+    // run_shard with telemetry + heatmaps on vs telemetry off: the
+    // merged Metrics must be bit-identical — the campaign-level
+    // extension of the runner drift gate.
     const CampaignSpec spec = small_spec("side_channel");
     const int n_shards = 2;
     const std::string dir_on = fresh_dir("side_channel_on");
@@ -756,7 +766,7 @@ TEST(Observability, TelemetryIsAPureSideChannelAtTheCampaignLevel)
     ASSERT_TRUE(opt.telemetry);
     for (int shard = 0; shard < n_shards; ++shard) {
         run_shard(spec, shard, n_shards, dir_on, opt);
-        run_shard(spec, shard, n_shards, dir_off, /*threads=*/2);
+        run_shard(spec, shard, n_shards, dir_off, quiet(2));
     }
     const std::vector<Metrics> on = merge_campaign(spec, n_shards, dir_on);
     const std::vector<Metrics> off = merge_campaign(spec, n_shards, dir_off);

@@ -7,6 +7,7 @@
 
 #include "circuit/round_circuit.h"
 #include "codes/surface_code.h"
+#include "one_lane.h"
 #include "runtime/experiment.h"
 #include "sim/frame_sim.h"
 #include "sim/tableau_sim.h"
@@ -14,6 +15,8 @@
 
 namespace gld {
 namespace {
+
+using test::lane0_round;
 
 /** Executes one extraction round on the tableau sim, returning outcomes. */
 std::vector<bool>
@@ -92,10 +95,9 @@ TEST(CrossValidation, XFaultSignatureAgreesBetweenEngines)
         np.p = 0.0;
         np.leak_ratio = 0.0;
         LeakFrameSim frame(code, rc, np, 3);
-        LrcSchedule none;
-        frame.run_round(none);
-        frame.inject_x(q);
-        const RoundResult rr = frame.run_round(none);
+        lane0_round(frame);
+        frame.inject_pauli_lane(0, q, kPauliX);
+        const RoundResult rr = lane0_round(frame);
 
         for (int c = 0; c < code.n_checks(); ++c) {
             EXPECT_EQ(before[c] != after[c], rr.detector[c] != 0)

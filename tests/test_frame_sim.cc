@@ -4,9 +4,13 @@
 
 #include "codes/color_code.h"
 #include "codes/surface_code.h"
+#include "one_lane.h"
 
 namespace gld {
 namespace {
+
+using test::lane0_readout;
+using test::lane0_round;
 
 NoiseParams
 noiseless()
@@ -22,15 +26,14 @@ TEST(LeakFrameSim, NoiselessRoundsAreSilent)
     const CssCode code = SurfaceCode::make(5);
     const RoundCircuit rc(code);
     LeakFrameSim sim(code, rc, noiseless(), 1);
-    LrcSchedule none;
     for (int r = 0; r < 5; ++r) {
-        const RoundResult rr = sim.run_round(none);
+        const RoundResult rr = lane0_round(sim);
         for (int c = 0; c < code.n_checks(); ++c) {
             EXPECT_EQ(rr.detector[c], 0);
             EXPECT_EQ(rr.mlr_flag[c], 0);
         }
     }
-    for (uint8_t f : sim.final_data_measure())
+    for (uint8_t f : lane0_readout(sim))
         EXPECT_EQ(f, 0);
 }
 
@@ -39,11 +42,10 @@ TEST(LeakFrameSim, InjectedXFlipsAdjacentZChecksOnce)
     const CssCode code = SurfaceCode::make(5);
     const RoundCircuit rc(code);
     LeakFrameSim sim(code, rc, noiseless(), 1);
-    LrcSchedule none;
-    sim.run_round(none);
+    lane0_round(sim);
     const int q = SurfaceCode::data_index(5, 2, 2);  // bulk qubit
-    sim.inject_x(q);
-    const RoundResult rr = sim.run_round(none);
+    sim.inject_pauli_lane(0, q, kPauliX);
+    const RoundResult rr = lane0_round(sim);
     for (int c = 0; c < code.n_checks(); ++c) {
         const auto& sup = code.check(c).support;
         const bool adjacent =
@@ -53,7 +55,7 @@ TEST(LeakFrameSim, InjectedXFlipsAdjacentZChecksOnce)
         EXPECT_EQ(rr.detector[c] != 0, expect_flip) << "check " << c;
     }
     // Next round: static error, no new detector flips.
-    const RoundResult rr2 = sim.run_round(none);
+    const RoundResult rr2 = lane0_round(sim);
     for (int c = 0; c < code.n_checks(); ++c)
         EXPECT_EQ(rr2.detector[c], 0);
 }
@@ -63,11 +65,10 @@ TEST(LeakFrameSim, InjectedZFlipsAdjacentXChecks)
     const CssCode code = SurfaceCode::make(5);
     const RoundCircuit rc(code);
     LeakFrameSim sim(code, rc, noiseless(), 1);
-    LrcSchedule none;
-    sim.run_round(none);
+    lane0_round(sim);
     const int q = SurfaceCode::data_index(5, 2, 2);
-    sim.inject_z(q);
-    const RoundResult rr = sim.run_round(none);
+    sim.inject_pauli_lane(0, q, kPauliZ);
+    const RoundResult rr = lane0_round(sim);
     int x_flips = 0;
     for (int c = 0; c < code.n_checks(); ++c) {
         if (rr.detector[c]) {
@@ -85,17 +86,16 @@ TEST(LeakFrameSim, LeakedDataRandomizesAdjacentChecks)
     NoiseParams np = noiseless();
     np.mobility = 0.0;  // keep the leak on the data qubit
     LeakFrameSim sim(code, rc, np, 7);
-    LrcSchedule none;
     const int q = SurfaceCode::data_index(5, 2, 2);
     const auto& adj = code.data_adjacency()[q];
 
     int flips = 0, rounds = 0;
     int far_flips = 0, far_rounds = 0;
-    sim.run_round(none);
-    sim.inject_data_leak(q);
+    lane0_round(sim);
+    sim.inject_data_leak_lane(0, q);
     for (int r = 0; r < 400; ++r) {
-        const RoundResult rr = sim.run_round(none);
-        ASSERT_TRUE(sim.data_leaked(q));
+        const RoundResult rr = lane0_round(sim);
+        ASSERT_TRUE(sim.lane_oracle(0).data_leaked(q));
         for (int c : adj) {
             flips += rr.detector[c];
             ++rounds;
@@ -121,14 +121,13 @@ TEST(LeakFrameSim, MobilityTransportsLeakageToAncilla)
     NoiseParams np = noiseless();
     np.mobility = 1.0;  // deterministic transport
     LeakFrameSim sim(code, rc, np, 3);
-    LrcSchedule none;
     const int q = 4;  // bulk data qubit of d=3
-    sim.inject_data_leak(q);
-    sim.run_round(none);
+    sim.inject_data_leak_lane(0, q);
+    lane0_round(sim);
     // The data qubit is control of its Z-check CNOTs: with mobility 1 the
     // first such CNOT moves the leak to the ancilla.
-    EXPECT_FALSE(sim.data_leaked(q));
-    EXPECT_GE(sim.n_check_leaked(), 1);
+    EXPECT_FALSE(sim.lane_oracle(0).data_leaked(q));
+    EXPECT_GE(sim.lane_oracle(0).n_check_leaked(), 1);
 }
 
 TEST(LeakFrameSim, MlrFlagsLeakedAncilla)
@@ -137,9 +136,8 @@ TEST(LeakFrameSim, MlrFlagsLeakedAncilla)
     const RoundCircuit rc(code);
     NoiseParams np = noiseless();
     LeakFrameSim sim(code, rc, np, 3);
-    LrcSchedule none;
-    sim.inject_check_leak(0);
-    const RoundResult rr = sim.run_round(none);
+    sim.inject_check_leak_lane(0, 0);
+    const RoundResult rr = lane0_round(sim);
     EXPECT_EQ(rr.mlr_flag[0], 1);  // mlr error = mlr_ratio * p = 0 here
     for (int c = 1; c < code.n_checks(); ++c)
         EXPECT_EQ(rr.mlr_flag[c], 0);
@@ -154,10 +152,9 @@ TEST(LeakFrameSim, MlrErrorRateMatchesModel)
     np.mlr_ratio = 10.0;  // 10% misclassification
     np.leak_ratio = 0.0;
     LeakFrameSim sim(code, rc, np, 11);
-    LrcSchedule none;
     long flags = 0, total = 0;
     for (int r = 0; r < 300; ++r) {
-        const RoundResult rr = sim.run_round(none);
+        const RoundResult rr = lane0_round(sim);
         for (int c = 0; c < code.n_checks(); ++c) {
             flags += rr.mlr_flag[c];  // false flags: nothing is leaked
             ++total;
@@ -171,11 +168,11 @@ TEST(LeakFrameSim, LrcClearsDataLeak)
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     LeakFrameSim sim(code, rc, noiseless(), 5);
-    sim.inject_data_leak(0);
+    sim.inject_data_leak_lane(0, 0);
     LrcSchedule sched;
     sched.data_qubits.push_back(0);
-    sim.run_round(sched);
-    EXPECT_FALSE(sim.data_leaked(0));
+    lane0_round(sim, sched);
+    EXPECT_FALSE(sim.lane_oracle(0).data_leaked(0));
 }
 
 TEST(LeakFrameSim, LrcSwapPumpsLeakedPartnerIntoData)
@@ -188,13 +185,13 @@ TEST(LeakFrameSim, LrcSwapPumpsLeakedPartnerIntoData)
     LeakFrameSim sim(code, rc, noiseless(), 5);
     const int q = 0;
     const int partner = sim.lrc_partner(q);
-    sim.inject_check_leak(partner);
-    EXPECT_FALSE(sim.data_leaked(q));
+    sim.inject_check_leak_lane(0, partner);
+    EXPECT_FALSE(sim.lane_oracle(0).data_leaked(q));
     LrcSchedule sched;
     sched.data_qubits.push_back(q);
-    sim.run_round(sched);
-    EXPECT_TRUE(sim.data_leaked(q));
-    EXPECT_FALSE(sim.check_leaked(partner));
+    lane0_round(sim, sched);
+    EXPECT_TRUE(sim.lane_oracle(0).data_leaked(q));
+    EXPECT_FALSE(sim.lane_oracle(0).check_leaked(partner));
 }
 
 TEST(LeakFrameSim, LrcOnCheckClearsAncilla)
@@ -202,11 +199,11 @@ TEST(LeakFrameSim, LrcOnCheckClearsAncilla)
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     LeakFrameSim sim(code, rc, noiseless(), 5);
-    sim.inject_check_leak(2);
+    sim.inject_check_leak_lane(0, 2);
     LrcSchedule sched;
     sched.checks.push_back(2);
-    sim.run_round(sched);
-    EXPECT_FALSE(sim.check_leaked(2));
+    lane0_round(sim, sched);
+    EXPECT_FALSE(sim.lane_oracle(0).check_leaked(2));
 }
 
 TEST(LeakFrameSim, EnvironmentLeakageAccumulatesWithoutLrcs)
@@ -217,10 +214,9 @@ TEST(LeakFrameSim, EnvironmentLeakageAccumulatesWithoutLrcs)
     np.p = 1e-3;
     np.leak_ratio = 10.0;  // strong leakage for a fast test
     LeakFrameSim sim(code, rc, np, 21);
-    LrcSchedule none;
     for (int r = 0; r < 200; ++r)
-        sim.run_round(none);
-    EXPECT_GT(sim.n_data_leaked(), 0);
+        lane0_round(sim);
+    EXPECT_GT(sim.lane_oracle(0).n_data_leaked(), 0);
 }
 
 TEST(LeakFrameSim, LeakedDataReadsOutRandomly)
@@ -233,9 +229,9 @@ TEST(LeakFrameSim, LeakedDataReadsOutRandomly)
     int ones = 0;
     const int trials = 2000;
     for (int t = 0; t < trials; ++t) {
-        sim.reset_shot();
-        sim.inject_data_leak(0);
-        ones += sim.final_data_measure()[0];
+        sim.reset_shot_batch(1);
+        sim.inject_data_leak_lane(0, 0);
+        ones += lane0_readout(sim)[0];
     }
     EXPECT_NEAR(static_cast<double>(ones) / trials, 0.5, 0.05);
 }
@@ -245,12 +241,11 @@ TEST(LeakFrameSim, ResetShotClearsEverything)
     const CssCode code = SurfaceCode::make(3);
     const RoundCircuit rc(code);
     LeakFrameSim sim(code, rc, noiseless(), 3);
-    sim.inject_data_leak(1);
-    sim.inject_x(2);
-    sim.reset_shot();
-    EXPECT_EQ(sim.n_data_leaked(), 0);
-    LrcSchedule none;
-    const RoundResult rr = sim.run_round(none);
+    sim.inject_data_leak_lane(0, 1);
+    sim.inject_pauli_lane(0, 2, kPauliX);
+    sim.reset_shot_batch(1);
+    EXPECT_EQ(sim.lane_oracle(0).n_data_leaked(), 0);
+    const RoundResult rr = lane0_round(sim);
     for (int c = 0; c < code.n_checks(); ++c)
         EXPECT_EQ(rr.detector[c], 0);
 }

@@ -437,18 +437,22 @@ TEST(LeakageDriverDrift, EveryKnownBackendRoutesThroughTheSharedDriver)
             dynamic_cast<const BatchLeakageDriverSim*>(sim.get());
         ASSERT_TRUE(ds != nullptr || bs != nullptr)
             << "backend routes through neither leakage driver";
-        // Its ground-truth oracle is the driver's own flag state.
+        // Its ground-truth oracle is the driver's own flag state.  A lone
+        // shot is a one-lane batch on every backend.
+        sim->reset_shot_batch(1);
         if (ds != nullptr) {
-            EXPECT_EQ(&sim->leak_oracle(),
+            EXPECT_EQ(&sim->lane_oracle(0),
                       static_cast<const LeakageOracle*>(&ds->driver()));
         } else {
-            EXPECT_EQ(&sim->leak_oracle(), &bs->driver().lane_oracle(0));
+            EXPECT_EQ(&sim->lane_oracle(0), &bs->driver().lane_oracle(0));
         }
         // And interface-level leak state is the driver's flag state.
-        sim->inject_data_leak(1);
-        EXPECT_TRUE(sim->leak_oracle().data_leaked(1));
-        sim->clear_leak(1);
-        EXPECT_FALSE(sim->leak_oracle().data_leaked(1));
+        sim->inject_data_leak_lane(0, 1);
+        EXPECT_TRUE(sim->lane_oracle(0).data_leaked(1));
+        EXPECT_TRUE(ds != nullptr ? ds->driver().data_leaked(1)
+                                  : bs->driver().data_leaked(0, 1));
+        sim->reset_shot_batch(1);
+        EXPECT_FALSE(sim->lane_oracle(0).data_leaked(1));
     }
 }
 

@@ -4,10 +4,13 @@
 
 #include "codes/surface_code.h"
 #include "core/policy_gladiator.h"
+#include "one_lane.h"
 #include "runtime/experiment.h"
 
 namespace gld {
 namespace {
+
+using test::lane0_round;
 
 TEST(MobilityEstimator, CountsConditionalRate)
 {
@@ -45,10 +48,10 @@ TEST(MobilityEstimator, HigherMobilityRaisesEstimate)
         GladiatorPolicy policy(ctx, tables, true);
         LrcSchedule sched;
         for (int shot = 0; shot < 60; ++shot) {
-            sim.reset_shot();
-            sim.inject_data_leak(shot % code.n_data());
+            sim.reset_shot_batch(1);
+            sim.inject_data_leak_lane(0, shot % code.n_data());
             for (int r = 0; r < 30; ++r) {
-                const RoundResult rr = sim.run_round(sched);
+                const RoundResult rr = lane0_round(sim, sched);
                 policy.observe(r, rr, &sched);
                 est.observe(sched.data_qubits, rr);
             }

@@ -222,10 +222,10 @@ TEST(IdealPolicy, SchedulesExactlyGroundTruth)
     np.p = 0;
     np.leak_ratio = 0;
     LeakFrameSim sim(h.code, h.rc, np, 3);
-    sim.inject_data_leak(2);
-    sim.inject_check_leak(1);
+    sim.inject_data_leak_lane(0, 2);
+    sim.inject_check_leak_lane(0, 1);
     IdealPolicy policy(h.ctx);
-    policy.set_leak_oracle(&sim.leak_oracle());
+    policy.set_leak_oracle(&sim.lane_oracle(0));
     LrcSchedule out;
     policy.observe(0, quiet_round(h.code), &out);
     ASSERT_EQ(out.data_qubits.size(), 1u);

@@ -677,9 +677,12 @@ TEST(PolicyBatch, SimulatorsRejectOutOfRangeLrcIds)
         scheds[bad_lane].checks = {-1};
         EXPECT_THROW(sim->run_round_batch(scheds, nullptr),
                      std::invalid_argument);
-        LrcSchedule one;
-        one.checks = {h.code.n_checks()};
-        EXPECT_THROW(sim->run_round(one), std::invalid_argument);
+        std::vector<LrcSchedule> one(1);
+        one[0].checks = {h.code.n_checks()};
+        sim->reset_shot_batch(1);
+        EXPECT_THROW(sim->run_round_batch(one, nullptr),
+                     std::invalid_argument);
+        sim->reset_shot_batch(lanes);
         // A valid schedule still runs after the rejections.
         scheds[bad_lane].checks = {h.code.n_checks() - 1};
         EXPECT_NO_THROW(sim->run_round_batch(scheds, nullptr));
@@ -805,12 +808,12 @@ TEST(PolicyBatch, PackerRejectsSchedulesThatAreNotAscendingSets)
         // A valid schedule still runs after the rejections.
         scheds[bad_lane].checks = {0, 4};
         EXPECT_EQ(error(), "");
-        // The scalar entry keeps the same contract.
-        sim->reset_shot();
-        LrcSchedule one;
-        one.checks = {2, 1};
+        // A one-lane batch keeps the same contract.
+        sim->reset_shot_batch(1);
+        std::vector<LrcSchedule> one(1);
+        one[0].checks = {2, 1};
         try {
-            sim->run_round(one);
+            sim->run_round_batch(one, nullptr);
             ADD_FAILURE() << "descending checks accepted";
         } catch (const std::invalid_argument& e) {
             EXPECT_NE(std::string(e.what()).find("check 1"),

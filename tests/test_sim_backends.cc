@@ -1,6 +1,6 @@
-// The Simulator interface contract, exercised identically against both
-// backends (frame and tableau) THROUGH the interface — never through the
-// concrete classes: noiseless syndrome determinism, injected-Pauli
+// The BatchSimulator interface contract, exercised identically against
+// every backend THROUGH the interface (a lone shot is lane 0 of a
+// one-lane batch), never through the concrete classes: noiseless syndrome determinism, injected-Pauli
 // detector signatures, the classical leak-oracle semantics, and a full
 // closed-loop experiment on the tableau backend via ExperimentRunner::run.
 // The SparsePlan tests at the end pin the sparse sampler's planned round
@@ -16,6 +16,7 @@
 #include "codes/color_code.h"
 #include "codes/surface_code.h"
 #include "metrics_test_util.h"
+#include "one_lane.h"
 #include "runtime/experiment.h"
 #include "sim/batch_driver.h"
 #include "sim/simulator.h"
@@ -25,6 +26,8 @@ namespace gld {
 namespace {
 
 using test::expect_metrics_identical;
+using test::lane0_readout;
+using test::lane0_round;
 
 constexpr SimBackend kBackends[] = {SimBackend::kFrame,
                                     SimBackend::kTableau,
@@ -208,13 +211,12 @@ TEST(SimBackends, MakeSimulatorRejectsBadBatchWidths)
 TEST(SimBackends, NoiselessSyndromesAreDeterministicOnBothBackends)
 {
     const Harness h(SurfaceCode::make(3));
-    const LrcSchedule none;
     for (SimBackend b : kBackends) {
         SCOPED_TRACE(backend_name(b));
         const auto sim = make_simulator(b, h.code, h.rc, noiseless(), 7);
         RoundResult rr;
         for (int r = 0; r < 4; ++r) {
-            rr = sim->run_round(none);
+            rr = lane0_round(*sim);
             for (int c = 0; c < h.code.n_checks(); ++c)
                 EXPECT_EQ(rr.detector[c], 0) << "round " << r << " check "
                                              << c;
@@ -224,7 +226,7 @@ TEST(SimBackends, NoiselessSyndromesAreDeterministicOnBothBackends)
         // parities the runner decodes from are deterministic — every
         // Z-check support parity matches the last ancilla measurement
         // (quiet final detector) and the logical-Z parity is 0 (|0_L>).
-        const std::vector<uint8_t> flips = sim->final_data_measure();
+        const std::vector<uint8_t> flips = lane0_readout(*sim);
         for (int c = 0; c < h.code.n_checks(); ++c) {
             if (h.code.check(c).type != CheckType::kZ)
                 continue;
@@ -242,10 +244,9 @@ TEST(SimBackends, NoiselessSyndromesAreDeterministicOnBothBackends)
 
 /** One noiseless round; returns the detector vector. */
 std::vector<uint8_t>
-quiet_round(Simulator* sim)
+quiet_round(BatchSimulator* sim)
 {
-    const LrcSchedule none;
-    return sim->run_round(none).detector;
+    return lane0_round(*sim).detector;
 }
 
 TEST(SimBackends, InjectedXSignatureAgreesAcrossBackends)
@@ -258,7 +259,7 @@ TEST(SimBackends, InjectedXSignatureAgreesAcrossBackends)
             const auto sim =
                 make_simulator(b, h.code, h.rc, noiseless(), 11);
             quiet_round(sim.get());
-            sim->inject_x(q);
+            sim->inject_pauli_lane(0, q, kPauliX);
             sig.push_back(quiet_round(sim.get()));
             // The signature is a one-round event: the next round is
             // quiet again (the flip is permanent, the detector XOR
@@ -282,7 +283,7 @@ TEST(SimBackends, InjectedZSignatureAgreesAcrossBackends)
             const auto sim =
                 make_simulator(b, h.code, h.rc, noiseless(), 13);
             quiet_round(sim.get());
-            sim->inject_z(q);
+            sim->inject_pauli_lane(0, q, kPauliZ);
             sig.push_back(quiet_round(sim.get()));
         }
         for (size_t i = 1; i < sig.size(); ++i)
@@ -301,7 +302,7 @@ TEST(SimBackends, InjectedXSignatureAgreesOnColorCode)
             const auto sim =
                 make_simulator(b, h.code, h.rc, noiseless(), 17);
             quiet_round(sim.get());
-            sim->inject_x(q);
+            sim->inject_pauli_lane(0, q, kPauliX);
             sig.push_back(quiet_round(sim.get()));
         }
         for (size_t i = 1; i < sig.size(); ++i)
@@ -315,37 +316,37 @@ TEST(SimBackends, LeakOracleSemanticsAgreeAcrossBackends)
     for (SimBackend b : kBackends) {
         SCOPED_TRACE(backend_name(b));
         const auto sim = make_simulator(b, h.code, h.rc, noiseless(), 19);
-        EXPECT_EQ(sim->n_data_leaked(), 0);
-        EXPECT_EQ(sim->n_check_leaked(), 0);
+        EXPECT_EQ(sim->lane_oracle(0).n_data_leaked(), 0);
+        EXPECT_EQ(sim->lane_oracle(0).n_check_leaked(), 0);
 
-        sim->inject_data_leak(2);
-        EXPECT_TRUE(sim->data_leaked(2));
-        EXPECT_EQ(sim->n_data_leaked(), 1);
+        sim->inject_data_leak_lane(0, 2);
+        EXPECT_TRUE(sim->lane_oracle(0).data_leaked(2));
+        EXPECT_EQ(sim->lane_oracle(0).n_data_leaked(), 1);
 
-        sim->inject_check_leak(1);
-        EXPECT_TRUE(sim->check_leaked(1));
-        EXPECT_EQ(sim->n_check_leaked(), 1);
+        sim->inject_check_leak_lane(0, 1);
+        EXPECT_TRUE(sim->lane_oracle(0).check_leaked(1));
+        EXPECT_EQ(sim->lane_oracle(0).n_check_leaked(), 1);
 
         // Measurement + reset rounds do NOT clear leakage (noiseless,
         // zero mobility: nothing can move or clear the flags)...
         quiet_round(sim.get());
-        EXPECT_TRUE(sim->data_leaked(2));
-        EXPECT_TRUE(sim->check_leaked(1));
+        EXPECT_TRUE(sim->lane_oracle(0).data_leaked(2));
+        EXPECT_TRUE(sim->lane_oracle(0).check_leaked(1));
 
         // ...but the LRC gadgets do.
         LrcSchedule lrcs;
         lrcs.data_qubits = {2};
         lrcs.checks = {1};
-        sim->run_round(lrcs);
-        EXPECT_FALSE(sim->data_leaked(2));
-        EXPECT_FALSE(sim->check_leaked(1));
-        EXPECT_EQ(sim->n_data_leaked(), 0);
-        EXPECT_EQ(sim->n_check_leaked(), 0);
+        lane0_round(*sim, lrcs);
+        EXPECT_FALSE(sim->lane_oracle(0).data_leaked(2));
+        EXPECT_FALSE(sim->lane_oracle(0).check_leaked(1));
+        EXPECT_EQ(sim->lane_oracle(0).n_data_leaked(), 0);
+        EXPECT_EQ(sim->lane_oracle(0).n_check_leaked(), 0);
 
-        // reset_shot clears everything.
-        sim->inject_data_leak(0);
-        sim->reset_shot();
-        EXPECT_EQ(sim->n_data_leaked(), 0);
+        // A new batch clears everything.
+        sim->inject_data_leak_lane(0, 0);
+        sim->reset_shot_batch(1);
+        EXPECT_EQ(sim->lane_oracle(0).n_data_leaked(), 0);
     }
 }
 
@@ -362,14 +363,14 @@ TEST(SimBackends, LeakedDataRandomizesAdjacentChecksOnBothBackends)
         SCOPED_TRACE(backend_name(b));
         const auto sim = make_simulator(b, h.code, h.rc, np, 23);
         quiet_round(sim.get());
-        sim->inject_data_leak(4);
+        sim->inject_data_leak_lane(0, 4);
         int events = 0;
         for (int r = 0; r < 20; ++r) {
             for (uint8_t d : quiet_round(sim.get()))
                 events += d;
         }
         EXPECT_GT(events, 0);
-        EXPECT_TRUE(sim->data_leaked(4));
+        EXPECT_TRUE(sim->lane_oracle(0).data_leaked(4));
     }
 }
 
@@ -418,7 +419,7 @@ TEST(SimBackends, TableauClosedLoopRunsUnderEraserPolicy)
 
 TEST(SimBackends, TableauOracleFeedsIdealPolicyThroughInterface)
 {
-    // IDEAL reads the ground-truth oracle through the Simulator base —
+    // IDEAL reads the ground-truth oracle through the BatchSimulator —
     // with the tableau backend this only works if set_leak_oracle is wired
     // through the interface, which is exactly what this pins.
     const CssCode code = SurfaceCode::make(3);
@@ -571,33 +572,86 @@ TEST(BatchFrameBitEquality, ColorCodeGladiatorPolicy)
         run_backend(ctx, cfg, SimBackend::kBatchFrame, factory, 4));
 }
 
-TEST(BatchFrameBitEquality, ScalarInterfaceCallsMatchFrameDrawForDraw)
+TEST(BatchFrameBitEquality, OneLaneBatchesMatchFrameDrawForDraw)
 {
-    // Through the scalar Simulator API a batch sim runs one-lane batches;
-    // with the same seed the per-round results must equal frame's exactly
-    // (same master stream, same split-per-shot derivation).
+    // A lone shot is a one-lane batch on every backend; with the same
+    // seed batch_frame's lane 0 must equal frame's shot exactly, round by
+    // round (same master stream, same split-per-shot derivation).
     const Harness h(SurfaceCode::make(3));
     const NoiseParams np = NoiseParams::standard(5e-3, 1.0);
     const auto frame =
         make_simulator(SimBackend::kFrame, h.code, h.rc, np, 99);
     const auto batch =
         make_simulator(SimBackend::kBatchFrame, h.code, h.rc, np, 99);
-    const LrcSchedule none;
+    const LeakageOracle& frame_truth = frame->lane_oracle(0);
+    const LeakageOracle& batch_truth = batch->lane_oracle(0);
     for (int shot = 0; shot < 4; ++shot) {
-        frame->reset_shot();
-        batch->reset_shot();
+        frame->reset_shot_batch(1);
+        batch->reset_shot_batch(1);
         for (int r = 0; r < 6; ++r) {
-            const RoundResult a = frame->run_round(none);
-            const RoundResult b = batch->run_round(none);
+            const RoundResult a = lane0_round(*frame);
+            const RoundResult b = lane0_round(*batch);
             EXPECT_EQ(a.meas_flip, b.meas_flip);
             EXPECT_EQ(a.detector, b.detector);
             EXPECT_EQ(a.mlr_flag, b.mlr_flag);
         }
-        EXPECT_EQ(frame->final_data_measure(),
-                  batch->final_data_measure());
-        EXPECT_EQ(frame->n_data_leaked(), batch->n_data_leaked());
-        EXPECT_EQ(frame->n_check_leaked(), batch->n_check_leaked());
+        EXPECT_EQ(lane0_readout(*frame), lane0_readout(*batch));
+        EXPECT_EQ(frame_truth.n_data_leaked(), batch_truth.n_data_leaked());
+        EXPECT_EQ(frame_truth.n_check_leaked(),
+                  batch_truth.n_check_leaked());
     }
+}
+
+TEST(BatchFrameLanes, InjectionsMoveOnlyTheirLane)
+{
+    // An X, a Z and a check leak injected into lane 37 of a full
+    // noiseless batch: the detector, MLR and leak words move in that
+    // lane's bit and in no other.
+    const Harness h(SurfaceCode::make(3));
+    NoiseParams np = noiseless();
+    np.mobility = 0.0;  // keep the leak parked on its ancilla
+    const auto sim =
+        make_simulator(SimBackend::kBatchFrame, h.code, h.rc, np, 5);
+    constexpr int kLane = 37;
+    constexpr LaneMask kBit = 1ull << kLane;
+    const int nc = h.code.n_checks();
+    const int nq = h.code.n_qubits();
+    const auto expect_only_lane = [&] {
+        for (int c = 0; c < nc; ++c) {
+            EXPECT_EQ(sim->detector_words()[c] & ~kBit, 0u) << "check " << c;
+            EXPECT_EQ(sim->mlr_words()[c] & ~kBit, 0u) << "check " << c;
+        }
+        for (int i = 0; i < nq; ++i)
+            EXPECT_EQ(sim->leaked_words()[i] & ~kBit, 0u) << "qubit " << i;
+    };
+    sim->reset_shot_batch(kBatchLanes);
+    const std::vector<LrcSchedule> none(kBatchLanes);
+    sim->run_round_batch(none, nullptr);  // past round 0's X detectors
+
+    // A Y on the bulk data qubit flips both check types around it.
+    const int q = 4;
+    sim->inject_pauli_lane(kLane, q, kPauliX);
+    sim->inject_pauli_lane(kLane, q, kPauliZ);
+    sim->run_round_batch(none, nullptr);
+    expect_only_lane();
+    LaneMask detectors = 0;
+    for (int c = 0; c < nc; ++c) {
+        detectors |= sim->detector_words()[c];
+        EXPECT_EQ(sim->mlr_words()[c], 0u) << "check " << c;
+    }
+    EXPECT_EQ(detectors, kBit);
+
+    // A leaked ancilla: its flag rises in lane 37 alone, and MLR reports
+    // it there (no misclassification at p = 0).
+    const int c0 = 0;
+    sim->inject_check_leak_lane(kLane, c0);
+    EXPECT_EQ(sim->leaked_words()[h.code.ancilla_of(c0)], kBit);
+    EXPECT_TRUE(sim->lane_oracle(kLane).check_leaked(c0));
+    EXPECT_EQ(sim->lane_oracle(0).n_check_leaked(), 0);
+    sim->run_round_batch(none, nullptr);
+    expect_only_lane();
+    EXPECT_EQ(sim->mlr_words()[c0], kBit);
+    EXPECT_EQ(sim->leaked_words()[h.code.ancilla_of(c0)], kBit);
 }
 
 TEST(SimBackends, BackendsAgreeStatisticallyOnDlp)

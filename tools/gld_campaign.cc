@@ -573,7 +573,6 @@ main(int argc, char** argv)
                      a.command.c_str());
         return usage(argv[0]);
     } catch (const std::exception& e) {
-        std::fprintf(stderr, "gld_campaign: %s\n", e.what());
-        return 1;
+        return report_failure("gld_campaign", e);
     }
 }
